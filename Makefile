@@ -20,7 +20,7 @@ help:
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards"
 	@echo "race        race-detector suite over the concurrent packages"
 	@echo "chaos       seeded chaos suite (partitions, loss, duplication)"
-	@echo "lint        oasislint + rdlcheck static analysis (includes reach)"
+	@echo "lint        oasislint + rdlcheck static analysis (includes reach) + no encoding/gob in oasisd"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "test-rdl-diff  role entry with the compiled/interpreted differential seam on"
 	@echo "bench       serial + parallel (-cpu 1,4,8) benchmark suites"
@@ -30,7 +30,7 @@ help:
 	@echo "bench-gateway  HTTP issue/introspect/revoke suite into BENCH_9.json (E33)"
 	@echo "bench-shard  shard cascade + tree-vs-flat dissemination into BENCH_10.json (E34)"
 	@echo "bench-smoke   compile-and-run every benchmark once (part of ci)"
-	@echo "bench-json    E30/E31/E32 benchmarks as test2json into BENCH_5/6/7.json"
+	@echo "bench-json    E30/E31/E32 benchmarks as test2json (overwrites the BENCH_5/7 baselines)"
 	@echo "ci          build vet lint test test-shard test-rdl-diff race chaos bench-smoke"
 
 build:
@@ -97,10 +97,10 @@ bench-notify:
 bench-rdl:
 	$(GO) test -bench RDLEntry -benchmem -cpu 1,4,8 -run '^$$' .
 
-# The persistence-engine suite (bench_persist_test.go): text versus
-# binary group-commit journal appends onto a real file at 1, 4 and 8
-# mutators, and replay-all versus snapshot+tail recovery across history
-# lengths; results feed EXPERIMENTS.md E32.
+# The persistence-engine suite (bench_persist_test.go): group-commit
+# journal appends onto a real file at 1, 4 and 8 mutators, and
+# replay-all versus snapshot+tail recovery across history lengths;
+# results feed EXPERIMENTS.md E32.
 bench-persist:
 	$(GO) test -bench 'PersistAppend' -benchmem -cpu 1,4,8 -run '^$$' .
 	$(GO) test -bench 'PersistRecovery' -benchmem -run '^$$' .
@@ -131,11 +131,12 @@ bench-shard:
 bench-smoke:
 	$(GO) test -benchtime=1x -run '^$$' -bench . .
 
-# The E30 remote-validation benchmarks (gob vs binary wire, locked vs
-# pipelined writer, cached vs cold verify) in machine-readable
-# test2json form; the perf trajectory of the wire layer is tracked in
-# BENCH_5.json. The E31 entry-plan suite lands in BENCH_6.json and the
-# E32 persistence suite in BENCH_7.json the same way.
+# The E30 remote-validation benchmarks (validate over the TCP bridge,
+# cached vs cold verify) in machine-readable test2json form, the E31
+# entry-plan suite and the E32 persistence suite. The committed
+# BENCH_5.json and BENCH_7.json are the only record of the deleted
+# gob/locked-writer and text-journal baselines: running this target
+# overwrites them, so do not commit the result over those two files.
 bench-json:
 	$(GO) test -json -benchmem -cpu 1,4,8 -run '^$$' \
 		-bench 'RemoteValidateTCP|ValidateRMCParallel' . > BENCH_5.json
@@ -151,13 +152,16 @@ vet:
 # analysis"): oasislint enforces the concurrency discipline with
 # stdlib go/ast + go/types; rdlcheck analyzes every shipped policy for
 # unrevocable roles, dead rules and unreachable roles. Error-level
-# findings fail the build.
+# findings fail the build. The last line keeps the reflective gob
+# decoder from drifting back onto the daemon's unauthenticated peer
+# port.
 lint: reach
 	$(GO) run ./cmd/oasislint ./internal/... ./cmd/...
 	$(GO) run ./cmd/rdlcheck -q examples/quickstart/*.rdl
 	$(GO) run ./cmd/rdlcheck -q examples/golfclub/*.rdl
 	$(GO) run ./cmd/rdlcheck -q examples/login/*.rdl
 	$(GO) run ./cmd/rdlcheck -q examples/mssa/*.rdl
+	! $(GO) list -deps ./cmd/oasisd | grep -qx encoding/gob
 
 # Scenario reachability (docs/RDL.md "Reachability analysis"): each
 # example ships a .scn scenario whose expect/possible/deny assertions

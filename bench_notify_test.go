@@ -215,7 +215,7 @@ func BenchmarkHeartbeatFanoutParallel(b *testing.B) {
 }
 
 // BenchmarkNotifyTCPStorm pushes a notification burst across the TCP
-// bridge: every Send is one gob encode on the client plus one decode
+// bridge: every Send is one frame encode on the client plus one decode
 // and local dispatch on the server. With an unbuffered encoder each
 // notification is at least one write syscall; the buffered writer
 // coalesces bursts.

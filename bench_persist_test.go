@@ -14,14 +14,14 @@ import (
 
 // ---- E32: the persistence engine ----
 //
-// Two claims. First, journal-append throughput: the binary group-commit
-// journal versus the text journal it replaced, on concurrent mutators
-// (-cpu 1,4,8). The text path holds the store lock across a Fprintf to
-// the sink; the binary path encodes under the lock but writes on a
-// dedicated committer, so contending mutators pay one flush between
-// them. Second, recovery time: replaying the full history versus
-// loading a snapshot and replaying the tail, across history lengths —
-// replay-all grows linearly, snapshot+tail stays flat.
+// Two claims. First, journal-append throughput of the binary
+// group-commit journal on concurrent mutators (-cpu 1,4,8): it encodes
+// under the store lock but writes on a dedicated committer, so
+// contending mutators pay one flush between them (BENCH_7.json keeps
+// the text-journal baseline it replaced). Second, recovery time:
+// replaying the full history versus loading a snapshot and replaying
+// the tail, across history lengths — replay-all grows linearly,
+// snapshot+tail stays flat.
 
 // journalFile opens a real append-only file for a benchmark: the
 // journal device is the filesystem, so every Write is a real syscall
@@ -60,23 +60,6 @@ func (s *countingSink) Sync() error {
 func appendWorkload(r credrec.Recorder, root credrec.Ref) {
 	c := r.NewDerived(credrec.OpAnd, credrec.Of(root))
 	_ = r.Invalidate(c)
-}
-
-// BenchmarkPersistAppendText is the baseline: the text journal the
-// binary engine replaced (one locked Fprintf per mutation).
-func BenchmarkPersistAppendText(b *testing.B) {
-	sink := &countingSink{dst: journalFile(b)}
-	ls := credrec.NewTextLoggedStore(sink)
-	root := ls.NewFact(credrec.True)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			appendWorkload(ls, root)
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(sink.writes.Load())/float64(b.N), "writes/op")
 }
 
 // BenchmarkPersistAppendBinary is the engine path: binary records,

@@ -1,15 +1,12 @@
 // E30: the end-to-end remote-validation fast path. A certificate issued
 // by Login is validated over a real TCP link ("services offer to
-// validate certificates for use in other services", §2.10) at every
-// combination of wire codec (gob vs the hand-rolled binary codec) and
-// writer discipline (encode+flush under the per-peer lock vs the
-// pipelined queue+flusher). Run with `-cpu 1,4,8` to see how the convoy
-// on the locked writer caps concurrent callers while the pipelined
-// writer keeps scaling; EXPERIMENTS.md E30 records the numbers.
+// validate certificates for use in other services", §2.10) through the
+// binary codec and the pipelined writer. Run with `-cpu 1,4,8`;
+// EXPERIMENTS.md E30 records the numbers, and BENCH_5.json the gob and
+// locked-writer baselines this path replaced.
 package benchmarks
 
 import (
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -31,16 +28,12 @@ type benchRemoteWorld struct {
 	close  func()
 }
 
-func newBenchRemoteWorld(b *testing.B, wire string, syncWrites bool) *benchRemoteWorld {
+func newBenchRemoteWorld(b *testing.B) *benchRemoteWorld {
 	b.Helper()
 	oasis.RegisterWireTypes()
 
 	serverClk := clock.NewVirtual(time.Unix(0, 0))
 	serverNet := bus.NewNetwork(serverClk)
-	if err := serverNet.SetWireFormat(wire); err != nil {
-		b.Fatal(err)
-	}
-	serverNet.SetWireSyncWrites(syncWrites)
 	login, err := oasis.New("Login", serverClk, serverNet, oasis.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -71,15 +64,8 @@ LoggedOn(u, h) <-
 	go func() { _ = serverNet.ServeTCP(ln) }()
 
 	clientNet := bus.NewNetwork(clock.NewVirtual(time.Unix(0, 0)))
-	if err := clientNet.SetWireFormat(wire); err != nil {
-		b.Fatal(err)
-	}
-	clientNet.SetWireSyncWrites(syncWrites)
 	if err := clientNet.AddRemote("Login", ln.Addr().String()); err != nil {
 		b.Fatal(err)
-	}
-	if got := clientNet.RemoteWireFormat("Login"); got != wire {
-		b.Fatalf("link negotiated %q, want %q", got, wire)
 	}
 	return &benchRemoteWorld{
 		client: clientNet,
@@ -92,49 +78,36 @@ LoggedOn(u, h) <-
 	}
 }
 
-// BenchmarkRemoteValidateTCP is the E30 matrix. "locked" serialises
-// encode+flush under the per-peer mutex (the pre-pipelining writer);
-// "pipelined" is the shipping configuration: callers enqueue under a
-// leaf lock and a single flusher drains the queue with one flush per
-// batch.
+// BenchmarkRemoteValidateTCP is the E30 row. The sub-benchmark keeps
+// the name it had in the BENCH_5.json matrix so new runs line up with
+// the committed one.
 func BenchmarkRemoteValidateTCP(b *testing.B) {
-	for _, wire := range []string{bus.WireGob, bus.WireBinary} {
-		for _, mode := range []struct {
-			name string
-			sync bool
-		}{
-			{"locked", true},
-			{"pipelined", false},
-		} {
-			b.Run(fmt.Sprintf("%s-%s", wire, mode.name), func(b *testing.B) {
-				w := newBenchRemoteWorld(b, wire, mode.sync)
-				defer w.close()
-				arg := oasis.ValidateArg{Cert: w.rmc, Client: w.domain}
-				// One warm call catches misconfiguration before timing.
-				if _, err := w.client.Call("Bench", "Login", "validate", arg); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				// A service sees many more outstanding requests than cores;
-				// 8 callers per proc keeps the link busy enough that the
-				// writer discipline — one flush per batch vs one flush per
-				// message under the peer lock — actually shows.
-				b.SetParallelism(8)
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						res, err := w.client.Call("Bench", "Login", "validate", arg)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if r, ok := res.(oasis.ValidateReply); !ok || len(r.Roles) == 0 {
-							b.Errorf("bad reply %#v", res)
-							return
-						}
-					}
-				})
-			})
+	b.Run("binary-pipelined", func(b *testing.B) {
+		w := newBenchRemoteWorld(b)
+		defer w.close()
+		arg := oasis.ValidateArg{Cert: w.rmc, Client: w.domain}
+		// One warm call catches misconfiguration before timing.
+		if _, err := w.client.Call("Bench", "Login", "validate", arg); err != nil {
+			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		// A service sees many more outstanding requests than cores; 8
+		// callers per proc keeps the link busy enough that the writer's
+		// one-flush-per-batch coalescing actually shows.
+		b.SetParallelism(8)
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				res, err := w.client.Call("Bench", "Login", "validate", arg)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				if r, ok := res.(oasis.ValidateReply); !ok || len(r.Roles) == 0 {
+					b.Errorf("bad reply %#v", res)
+					return
+				}
+			}
+		})
+	})
 }

@@ -10,7 +10,7 @@
 //	oasisd -name Conf -rolefile conf.rdl -listen :7475 -peer-listen :7476 \
 //	       -remote Login=127.0.0.1:7466
 //
-// -peer-listen serves the inter-service (gob) protocol so other oasisd
+// -peer-listen serves the inter-service protocol so other oasisd
 // processes can validate this service's certificates and receive its
 // Modified events; -remote joins another process's peer port under its
 // service name, letting rolefiles here reference its roles.
@@ -95,7 +95,7 @@ func main() {
 		rolefile    = flag.String("rolefile", "", "rolefile path (default: built-in Login rolefile)")
 		scope       = flag.String("scope", "main", "rolefile scope id")
 		listen      = flag.String("listen", "127.0.0.1:7465", "client (JSON) listen address")
-		peerListen  = flag.String("peer-listen", "", "inter-service (gob) listen address; empty disables")
+		peerListen  = flag.String("peer-listen", "", "inter-service listen address; empty disables")
 		faultSched  = flag.String("fault-schedule", "", "fault schedule file for the in-process bus (see internal/fault.ParseSchedule); empty disables")
 		faultSeed   = flag.Int64("fault-seed", 1, "PRNG seed for the fault plane; a run is reproducible from (seed, schedule)")
 		missedHB    = flag.Int("failsafe-missed", 3, "heartbeat periods of silence before a watched source's records fail safe to False")

@@ -169,13 +169,6 @@ type Network struct {
 	retryAttempts atomic.Int64
 	retryBase     atomic.Int64 // nanoseconds
 
-	// TCP wire-format controls (tcp.go): gob-only mode skips the
-	// connect-time codec negotiation entirely; sync-writes mode
-	// bypasses the pipelined writer queue. See SetWireFormat and
-	// SetWireSyncWrites.
-	wireGobOnly    atomic.Bool
-	wireSyncWrites atomic.Bool
-
 	activeBatches atomic.Int64 // fast "any batch open?" check for Send
 	batchMu       sync.Mutex
 	batches       map[string]*batchState

@@ -207,6 +207,7 @@ func TestSinkBridgesBrokerAcrossNetwork(t *testing.T) {
 }
 
 func TestTCPBridgeCallAndNotify(t *testing.T) {
+	testPayloads(t)
 	clkA := clock.NewVirtual(time.Unix(0, 0))
 	netA := NewNetwork(clkA)
 	served := &testPeer{}
@@ -231,8 +232,9 @@ func TestTCPBridgeCallAndNotify(t *testing.T) {
 	defer netB.CloseRemotes()
 
 	// Call across the bridge.
-	got, err := netB.Call("caller", "svc", "echo", "ping")
-	if err != nil || got != "ping" {
+	ping := testPayloadA{Name: "ping"}
+	got, err := netB.Call("caller", "svc", "echo", ping)
+	if err != nil || got != ping {
 		t.Fatalf("Call = %v, %v", got, err)
 	}
 	// Unknown op errors propagate.

@@ -1,9 +1,7 @@
 package bus
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"reflect"
@@ -15,22 +13,15 @@ import (
 	"oasis/internal/value"
 )
 
-// Binary wire codec for the TCP bridge. Gob is convenient but pays for
-// its generality on every message: reflection-driven encoding, and —
-// fatally for a validation fast path — the registered concrete type
-// NAME written out for every interface-valued field, so a ValidateArg
-// costs a type-name string per call. This codec is hand-rolled and
-// self-describing at the granularity the protocol needs: varint
-// integers, length-prefixed strings, one tag byte per payload type.
+// Binary wire codec for the TCP bridge: hand-rolled and
+// self-describing at the granularity the protocol needs — varint
+// integers, length-prefixed strings, one tag byte per payload type —
+// with no reflection and no type names on the wire.
 //
-// The codec is negotiated per connection (see tcp.go): peers that
-// don't speak it fall back to gob, so the wire format can evolve
-// without a flag day. Payload types — the `any` argument/reply values
-// carried by calls — are registered by the owning packages through
-// RegisterWirePayload (oasis.RegisterWireTypes does this for the
-// inter-service protocol); a payload with no registered codec travels
-// as an embedded gob blob, so binary links never lose expressiveness,
-// only speed, on unregistered types.
+// Payload types — the `any` argument/reply values carried by calls —
+// are registered by the owning packages through RegisterWirePayload
+// (oasis.RegisterWireTypes does this for the inter-service protocol);
+// a payload with no registered codec is an encode error.
 //
 // Decoder hardening: every length and count read off the wire is
 // bounded (maxWireBytes, maxWireCount) before allocation, so a
@@ -484,8 +475,8 @@ func (d *WireDec) Strings() ([]string, error) {
 
 // Reserved payload tags.
 const (
-	payloadTagNil = 0   // a nil argument or reply
-	payloadTagGob = 255 // unregistered type, carried as an embedded gob blob
+	payloadTagNil      = 0   // a nil argument or reply
+	payloadTagReserved = 255 // never allocated; an unknown tag on the wire
 )
 
 type wirePayload struct {
@@ -511,7 +502,7 @@ var wirePayloads struct {
 // duplicate tag or type panics — it is a programming error, caught at
 // process start.
 func RegisterWirePayload(tag byte, prototype any, enc func(*WireEnc, any) error, dec func(*WireDec) (any, error)) {
-	if tag == payloadTagNil || tag == payloadTagGob {
+	if tag == payloadTagNil || tag == payloadTagReserved {
 		panic(fmt.Sprintf("bus: wire payload tag %d is reserved", tag))
 	}
 	typ := reflect.TypeOf(prototype)
@@ -543,12 +534,8 @@ func RegisterWirePayload(tag byte, prototype any, enc func(*WireEnc, any) error,
 	wirePayloads.byType.Store(&byType)
 }
 
-// gobPayload wraps an unregistered payload for the gob-blob fallback;
-// the wrapper gives gob a concrete struct to hang the interface on.
-type gobPayload struct{ V any }
-
-// EncodePayload writes one `any` payload: a nil tag, a registered
-// binary codec, or the gob-blob fallback for everything else.
+// EncodePayload writes one `any` payload: a nil tag or a registered
+// binary codec. An unregistered type is an error and writes nothing.
 func EncodePayload(e *WireEnc, v any) error {
 	if v == nil {
 		e.PutByte(payloadTagNil)
@@ -560,13 +547,7 @@ func EncodePayload(e *WireEnc, v any) error {
 			return p.enc(e, v)
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(gobPayload{V: v}); err != nil {
-		return fmt.Errorf("bus: gob-fallback payload %T: %w", v, err)
-	}
-	e.PutByte(payloadTagGob)
-	e.PutBytes(buf.Bytes())
-	return nil
+	return fmt.Errorf("bus: no wire payload registered for %T", v)
 }
 
 // DecodePayload reads one payload written by EncodePayload.
@@ -575,19 +556,8 @@ func DecodePayload(d *WireDec) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch tag {
-	case payloadTagNil:
+	if tag == payloadTagNil {
 		return nil, nil
-	case payloadTagGob:
-		blob, err := d.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		var p gobPayload
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&p); err != nil {
-			return nil, fmt.Errorf("bus: gob-fallback payload: %w", err)
-		}
-		return p.V, nil
 	}
 	if m := wirePayloads.byTag.Load(); m != nil {
 		if p := m[tag]; p != nil {

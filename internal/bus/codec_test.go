@@ -2,7 +2,6 @@ package bus
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"reflect"
@@ -22,17 +21,13 @@ type testPayloadA struct {
 	Count int64
 }
 
-type testPayloadUnregistered struct {
-	X int
-	M map[string]int
-}
+type testPayloadUnregistered struct{ X int }
 
 var registerTestPayloads sync.Once
 
 func testPayloads(t testing.TB) {
 	t.Helper()
 	registerTestPayloads.Do(func() {
-		gob.Register(testPayloadUnregistered{}) // rides the gob-blob fallback
 		RegisterWirePayload(200, testPayloadA{},
 			func(e *WireEnc, v any) error {
 				a, ok := v.(testPayloadA)
@@ -268,15 +263,17 @@ func TestWireMsgRoundTrips(t *testing.T) {
 	}
 }
 
-// Unregistered payloads travel as embedded gob blobs, so a binary link
-// loses no expressiveness on types nobody registered (maps included).
-func TestWireMsgGobFallbackPayload(t *testing.T) {
+// A payload nobody registered is an encode error naming the type, and
+// nothing of it reaches the stream.
+func TestEncodePayloadRejectsUnregistered(t *testing.T) {
 	testPayloads(t)
-	m := wireMsg{Kind: "call", Seq: 1, From: "a", To: "b", Op: "op",
-		Arg: testPayloadUnregistered{X: 5, M: map[string]int{"k": 1}}}
-	got := roundTripMsg(t, m)
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("gob-fallback round trip = %+v, want %+v", got, m)
+	var buf bytes.Buffer
+	err := EncodePayload(NewWireEnc(&buf), testPayloadUnregistered{X: 5})
+	if err == nil || !strings.Contains(err.Error(), "testPayloadUnregistered") {
+		t.Fatalf("EncodePayload(unregistered) = %v, want an error naming the type", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("rejected payload wrote %d bytes", buf.Len())
 	}
 }
 
@@ -315,9 +312,14 @@ func TestDecodeWireMsgRejectsJunk(t *testing.T) {
 	e.PutString("a")
 	e.PutString("b")
 	e.PutString("op")
-	e.PutByte(123) // never-registered tag
-	_ = e.Flush()
-	if err := decodeWireMsg(NewWireDec(bytes.NewReader(buf.Bytes())), &m); err == nil {
-		t.Fatal("unknown payload tag accepted")
+	header := buf.Len()
+	// 123 was never registered; 255 is reserved, and a length-prefixed
+	// blob after it must not be read as a payload.
+	for _, tail := range [][]byte{{123}, {255, 3, 'a', 'b', 'c'}} {
+		buf.Truncate(header)
+		buf.Write(tail)
+		if err := decodeWireMsg(NewWireDec(bytes.NewReader(buf.Bytes())), &m); err == nil {
+			t.Fatalf("unknown payload tag %d accepted", tail[0])
+		}
 	}
 }

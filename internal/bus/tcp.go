@@ -2,11 +2,10 @@ package bus
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,16 +21,13 @@ import (
 //
 // The wire protocol multiplexes synchronous calls (with
 // sequence-numbered replies) and asynchronous notifications over one
-// persistent connection per remote peer link. Two codecs exist: the
-// binary codec (codec.go), negotiated at connect time, and the
-// original gob protocol, which any link falls back to when either end
-// predates the negotiation (see the hello exchange below). Call/Send
-// payloads must be registered by the owning packages — gob-registered
-// for the fallback, RegisterWirePayload for the binary fast path (see
-// oasis.RegisterWireTypes, which does both).
+// persistent connection per remote peer link, framed by the binary
+// codec (codec.go) after a one-line hello. Call payloads must be
+// registered by the owning packages through RegisterWirePayload (see
+// oasis.RegisterWireTypes).
 //
-// Outbound traffic goes through a per-connection msgWriter. By default
-// it is pipelined: callers enqueue under a leaf mutex and a single
+// Outbound traffic goes through a per-connection msgWriter. It is
+// pipelined: callers enqueue under a leaf mutex and a single
 // flusher goroutine encodes and flushes, so concurrent calls and
 // notification bursts interleave on the wire instead of convoying on a
 // lock held across encode+flush, and bursts coalesce into one syscall.
@@ -44,11 +40,9 @@ import (
 // messages are a few hundred bytes, so one buffer holds a large burst.
 const wireBufSize = 32 << 10
 
-// Wire formats for TCP links (SetWireFormat, RemoteWireFormat).
-const (
-	WireBinary = "binary" // hand-rolled tagged codec (codec.go)
-	WireGob    = "gob"    // legacy gob protocol
-)
+// WireBinary names the wire format of a connected TCP link
+// (RemoteWireFormat): the hand-rolled tagged codec in codec.go.
+const WireBinary = "binary"
 
 type wireMsg struct {
 	Kind  string // "call", "reply", "notify"
@@ -62,153 +56,30 @@ type wireMsg struct {
 	IsNil bool // reply payload was nil
 }
 
-// msgEncoder writes wire messages into a buffered stream; flush pushes
-// everything encoded so far to the socket.
-type msgEncoder interface {
-	encode(*wireMsg) error
-	flush() error
-}
-
-// msgDecoder reads one wire message per call.
-type msgDecoder interface {
-	decode(*wireMsg) error
-}
-
-type gobMsgEnc struct {
-	w   *bufio.Writer
-	enc *gob.Encoder
-}
-
-func newGobMsgEnc(w *bufio.Writer) *gobMsgEnc { return &gobMsgEnc{w: w, enc: gob.NewEncoder(w)} }
-func (g *gobMsgEnc) encode(m *wireMsg) error  { return g.enc.Encode(*m) }
-func (g *gobMsgEnc) flush() error             { return g.w.Flush() }
-
-type gobMsgDec struct{ dec *gob.Decoder }
-
-func newGobMsgDec(r *bufio.Reader) *gobMsgDec { return &gobMsgDec{dec: gob.NewDecoder(r)} }
-func (g *gobMsgDec) decode(m *wireMsg) error {
-	*m = wireMsg{}
-	return g.dec.Decode(m)
-}
-
-type binMsgEnc struct {
-	w   *bufio.Writer
-	enc *WireEnc
-}
-
-func newBinMsgEnc(w *bufio.Writer) *binMsgEnc { return &binMsgEnc{w: w, enc: NewWireEnc(w)} }
-func (b *binMsgEnc) encode(m *wireMsg) error  { return encodeWireMsg(b.enc, m) }
-func (b *binMsgEnc) flush() error             { return b.w.Flush() }
-
-type binMsgDec struct{ dec *WireDec }
-
-func newBinMsgDec(r *bufio.Reader) *binMsgDec { return &binMsgDec{dec: NewWireDec(r)} }
-func (b *binMsgDec) decode(m *wireMsg) error  { return decodeWireMsg(b.dec, m) }
-
-// ---- connect-time codec negotiation ----
+// ---- connect-time hello ----
 //
-// The dialling side opens with one fixed-size hello line naming the
-// codecs it speaks; a server that understands the hello replies with
-// its pick and both ends switch. Interop with peers that predate the
-// negotiation falls out of the framing:
-//
-//   - A legacy gob server reads the hello's first byte 'O' (0x4f) as a
-//     79-byte gob message length. The padding guarantees those bytes
-//     all arrive, gob rejects them deterministically, and the server
-//     hangs up — which the dialler takes as "speak gob" and re-dials
-//     with the legacy protocol (remembered per peer, so reconnects
-//     skip the failed probe).
-//   - A legacy client opens straight into a gob type descriptor, which
-//     never begins with the hello prefix; a new server peeks, sees no
-//     hello, and serves plain gob on that connection.
-const (
-	helloPrefix = "OASIS1 "
-	helloOffers = "bin,gob"
-	helloLen    = 96 // > 1 + 79 so a legacy gob server's bogus read completes
-	helloBinary = "bin"
-	helloGob    = "gob"
-)
+// Every connection opens with one fixed version line from the dialling
+// side, echoed by the server; binary frames follow. Both ends read
+// exactly len(wireHello) bytes straight off the socket, so a peer that
+// never sends a newline cannot make the reader buffer more than that.
+// A server hangs up on anything else; a client fails the dial.
+const wireHello = "OASIS1 bin\n"
 
-// clientHello sends the hello and reads the server's pick. Any failure
-// means the far side does not negotiate; the caller falls back to gob.
-func clientHello(conn net.Conn, br *bufio.Reader) (string, error) {
-	hello := make([]byte, 0, helloLen)
-	hello = append(hello, helloPrefix...)
-	hello = append(hello, helloOffers...)
-	for len(hello) < helloLen-1 {
-		hello = append(hello, '.')
+// readHello consumes the far side's hello line.
+func readHello(conn net.Conn) error {
+	var line [len(wireHello)]byte
+	if _, err := io.ReadFull(conn, line[:]); err != nil {
+		return fmt.Errorf("bus: reading hello: %w", err)
 	}
-	hello = append(hello, '\n')
-	if _, err := conn.Write(hello); err != nil {
-		return "", err
-	}
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	if !strings.HasPrefix(line, helloPrefix) {
-		return "", fmt.Errorf("bus: bad hello reply %q", line)
-	}
-	switch strings.TrimSpace(strings.TrimPrefix(line, helloPrefix)) {
-	case helloBinary:
-		return WireBinary, nil
-	case helloGob:
-		return WireGob, nil
-	default:
-		return "", fmt.Errorf("bus: bad hello reply %q", line)
-	}
-}
-
-// serverHello consumes a peeked hello line and answers with the chosen
-// codec.
-func serverHello(conn net.Conn, br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	proto, token := WireGob, helloGob
-	offers := strings.Trim(strings.TrimPrefix(line, helloPrefix), ".\n")
-	for _, o := range strings.Split(offers, ",") {
-		if o == helloBinary {
-			proto, token = WireBinary, helloBinary
-			break
-		}
-	}
-	if _, err := conn.Write([]byte(helloPrefix + token + "\n")); err != nil {
-		return "", err
-	}
-	return proto, nil
-}
-
-// SetWireFormat selects the codec for TCP links made after the call:
-// WireBinary (the default — negotiated, with automatic gob fallback)
-// or WireGob, which disables negotiation entirely and speaks the
-// legacy protocol, for interworking with deployments that predate the
-// binary codec.
-func (n *Network) SetWireFormat(format string) error {
-	switch format {
-	case WireBinary:
-		n.wireGobOnly.Store(false)
-	case WireGob:
-		n.wireGobOnly.Store(true)
-	default:
-		return fmt.Errorf("bus: unknown wire format %q", format)
+	if string(line[:]) != wireHello {
+		return fmt.Errorf("bus: bad hello %q", line[:])
 	}
 	return nil
 }
 
-// SetWireSyncWrites disables (true) or restores (false) the pipelined
-// writer on TCP links made after the call. With sync writes every
-// sender encodes and flushes inline under the writer lock — the
-// pre-pipelining behavior, kept so the benchmark suite can measure
-// exactly what the pipeline buys.
-func (n *Network) SetWireSyncWrites(sync bool) {
-	n.wireSyncWrites.Store(sync)
-}
-
-// RemoteWireFormat reports the codec negotiated on the live connection
-// to the named remote peer: WireBinary, WireGob, or "" when the name
-// is not a connected remotePeer link.
+// RemoteWireFormat reports the wire format of the live connection to
+// the named remote peer: WireBinary, or "" when the name is not a
+// connected remotePeer link.
 func (n *Network) RemoteWireFormat(name string) string {
 	n.peersMu.RLock()
 	link := n.remotes[name]
@@ -216,7 +87,9 @@ func (n *Network) RemoteWireFormat(name string) string {
 	if p, ok := link.(*remotePeer); ok {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		return p.proto
+		if p.conn != nil {
+			return WireBinary
+		}
 	}
 	return ""
 }
@@ -225,17 +98,14 @@ func (n *Network) RemoteWireFormat(name string) string {
 
 // errWriterDead reports that a message writer had already failed:
 // nothing passed to enqueue was accepted, and the caller owns the drop
-// accounting for the batch. Any other enqueue error means the writer
-// accepted the batch and has already accounted its lost tail.
+// accounting for the batch.
 var errWriterDead = errors.New("bus: connection lost")
 
 // msgWriter serializes outbound traffic for one TCP connection.
 //
-// In the default pipelined mode, enqueue appends to a queue under a
-// leaf mutex and returns; a single flusher goroutine drains the queue,
-// encoding each message and flushing the socket once per drained
-// batch. In sync mode (SetWireSyncWrites) enqueue encodes and flushes
-// inline under the lock.
+// enqueue appends to a queue under a leaf mutex and returns; a single
+// flusher drains the queue, encoding each message and flushing the
+// socket once per drained batch.
 //
 // The first failed encode or flush kills the writer for good: a
 // partial frame may be on the wire, so the stream cannot be trusted.
@@ -245,10 +115,9 @@ var errWriterDead = errors.New("bus: connection lost")
 // invariant: it counts notify messages accepted into the pipeline and
 // not yet flushed, so whichever path kills the writer first owns them.
 type msgWriter struct {
-	conn       net.Conn
-	enc        msgEncoder
-	syncWrites bool
-	onDrop     func(int) // counts lost notifications; must use atomics only (called under wr.mu)
+	conn   net.Conn
+	enc    *WireEnc  // over the connection's bufio.Writer; Flush pushes to the socket
+	onDrop func(int) // counts lost notifications; must use atomics only (called under wr.mu)
 
 	mu           sync.Mutex
 	q            []wireMsg
@@ -268,19 +137,14 @@ func countNotify(msgs []wireMsg) int {
 	return n
 }
 
-// enqueue accepts messages for the wire. errWriterDead means nothing
-// was accepted (safe to retry or account elsewhere); other errors are
-// sync-mode wire failures whose losses are already accounted.
+// enqueue accepts messages for the wire. The only error is
+// errWriterDead: nothing was accepted (safe to retry or account
+// elsewhere).
 func (wr *msgWriter) enqueue(msgs ...wireMsg) error {
 	wr.mu.Lock()
 	if wr.dead {
 		wr.mu.Unlock()
 		return errWriterDead
-	}
-	if wr.syncWrites {
-		err := wr.writeLocked(msgs)
-		wr.mu.Unlock()
-		return err
 	}
 	wr.q = append(wr.q, msgs...)
 	wr.pendingNotes += countNotify(msgs)
@@ -300,34 +164,15 @@ func (wr *msgWriter) enqueue(msgs ...wireMsg) error {
 	return nil
 }
 
-// writeLocked is the sync-mode path; caller holds wr.mu. These
-// messages never entered pendingNotes, so failure passes the unsent
-// tail to dieLocked explicitly — preserving the original accounting: a
-// failed encode loses the tail of the burst, a failed flush all of it.
-func (wr *msgWriter) writeLocked(msgs []wireMsg) error {
-	for i := range msgs {
-		if err := wr.enc.encode(&msgs[i]); err != nil {
-			wr.dieLocked(msgs[i:])
-			return err
-		}
-	}
-	if err := wr.enc.flush(); err != nil {
-		wr.dieLocked(msgs)
-		return err
-	}
-	return nil
-}
-
-// dieLocked kills the writer; caller holds wr.mu. Drops counted here
-// are pendingNotes (everything the pipeline accepted and has not
-// flushed) plus the caller's unaccepted tail; both zero out so no
-// later death path counts them again.
-func (wr *msgWriter) dieLocked(tail []wireMsg) {
+// dieLocked kills the writer; caller holds wr.mu. pendingNotes —
+// everything the pipeline accepted and has not flushed — counts as
+// dropped and zeroes out, so no later death path counts it again.
+func (wr *msgWriter) dieLocked() {
 	if wr.dead {
 		return
 	}
 	wr.dead = true
-	lost := wr.pendingNotes + countNotify(tail)
+	lost := wr.pendingNotes
 	wr.pendingNotes = 0
 	wr.q = nil
 	_ = wr.conn.Close()
@@ -340,7 +185,7 @@ func (wr *msgWriter) dieLocked(tail []wireMsg) {
 // teardown); queued-but-undelivered notifications count as dropped.
 func (wr *msgWriter) kill() {
 	wr.mu.Lock()
-	wr.dieLocked(nil)
+	wr.dieLocked()
 	wr.mu.Unlock()
 }
 
@@ -368,17 +213,17 @@ func (wr *msgWriter) flushBatch() bool {
 	wr.spare = nil
 	wr.mu.Unlock()
 	for i := range batch {
-		if err := wr.enc.encode(&batch[i]); err != nil {
+		if err := encodeWireMsg(wr.enc, &batch[i]); err != nil {
 			wr.mu.Lock()
-			wr.dieLocked(nil) // batch is still in pendingNotes
+			wr.dieLocked() // batch is still in pendingNotes
 			wr.flushing = false
 			wr.mu.Unlock()
 			return false
 		}
 	}
-	if err := wr.enc.flush(); err != nil {
+	if err := wr.enc.Flush(); err != nil {
 		wr.mu.Lock()
-		wr.dieLocked(nil)
+		wr.dieLocked()
 		wr.flushing = false
 		wr.mu.Unlock()
 		return false
@@ -432,9 +277,8 @@ func (b *backchannel) sendBatch(from, to string, notes []event.Notification) {
 	for i, note := range notes {
 		msgs[i] = wireMsg{Kind: "notify", From: from, To: to, Note: note}
 	}
-	if err := b.wr.enqueue(msgs...); errors.Is(err, errWriterDead) {
-		// Nothing was accepted; sync-mode wire failures account
-		// themselves through the writer's onDrop.
+	if err := b.wr.enqueue(msgs...); err != nil {
+		// Nothing was accepted, so the burst is ours to count.
 		b.net.dropNote(len(notes))
 	}
 }
@@ -448,14 +292,12 @@ type remotePeer struct {
 	// same losses also count in the home network's global Dropped.
 	dropped atomic.Int64
 
-	mu        sync.Mutex
-	conn      net.Conn
-	wr        *msgWriter
-	proto     string // negotiated codec of the live connection
-	legacyGob bool   // peer failed the hello once; speak gob on reconnects
-	closed    bool   // CloseRemotes: no reconnection
-	nextSeq   uint64
-	waiting   map[uint64]wireWaiter
+	mu      sync.Mutex
+	conn    net.Conn
+	wr      *msgWriter
+	closed  bool // CloseRemotes: no reconnection
+	nextSeq uint64
+	waiting map[uint64]wireWaiter
 
 	// Inbound back-channel notifications are delivered by a pump
 	// goroutine, never on the read loop itself: a delivery callback may
@@ -514,26 +356,14 @@ func (n *Network) ServeTCP(ln net.Listener) error {
 
 func (n *Network) serveConn(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, wireBufSize)
-	proto := WireGob
-	if !n.wireGobOnly.Load() {
-		if peek, err := br.Peek(len(helloPrefix)); err == nil && string(peek) == helloPrefix {
-			p, err := serverHello(conn, br)
-			if err != nil {
-				return
-			}
-			proto = p
-		}
+	if err := readHello(conn); err != nil {
+		return
 	}
-	w := bufio.NewWriterSize(conn, wireBufSize)
-	var enc msgEncoder
-	var dec msgDecoder
-	if proto == WireBinary {
-		enc, dec = newBinMsgEnc(w), newBinMsgDec(br)
-	} else {
-		enc, dec = newGobMsgEnc(w), newGobMsgDec(br)
+	if _, err := conn.Write([]byte(wireHello)); err != nil {
+		return
 	}
-	wr := &msgWriter{conn: conn, enc: enc, syncWrites: n.wireSyncWrites.Load(), onDrop: n.dropNote}
+	dec := NewWireDec(bufio.NewReaderSize(conn, wireBufSize))
+	wr := &msgWriter{conn: conn, enc: NewWireEnc(bufio.NewWriterSize(conn, wireBufSize)), onDrop: n.dropNote}
 	defer wr.kill()
 	var backNames []string
 	defer func() {
@@ -548,7 +378,7 @@ func (n *Network) serveConn(conn net.Conn) {
 	}()
 	for {
 		var msg wireMsg
-		if err := dec.decode(&msg); err != nil {
+		if err := decodeWireMsg(dec, &msg); err != nil {
 			return
 		}
 		// The caller is reachable for notifications over this very
@@ -646,44 +476,24 @@ func (n *Network) CloseRemotes() {
 	}
 }
 
-// connectLocked dials the peer, negotiates the codec, and installs the
-// pipelined writer; caller holds p.mu.
+// connectLocked dials the peer, exchanges hellos, and installs the
+// pipelined writer; caller holds p.mu. A peer that answers anything but
+// the hello fails the dial.
 func (p *remotePeer) connectLocked() error {
 	conn, err := net.Dial("tcp", p.addr)
 	if err != nil {
 		return err
 	}
-	proto := WireGob
-	br := bufio.NewReaderSize(conn, wireBufSize)
-	if !p.home.wireGobOnly.Load() && !p.legacyGob {
-		negotiated, herr := clientHello(conn, br)
-		if herr != nil {
-			// The peer predates the negotiation: it read the hello as
-			// a broken gob frame and hung up. Re-dial speaking plain
-			// gob, and remember so reconnects skip the failed probe.
-			_ = conn.Close()
-			p.legacyGob = true
-			conn, err = net.Dial("tcp", p.addr)
-			if err != nil {
-				return err
-			}
-			br = bufio.NewReaderSize(conn, wireBufSize)
-		} else {
-			proto = negotiated
-		}
+	if _, err = conn.Write([]byte(wireHello)); err == nil {
+		err = readHello(conn)
 	}
-	w := bufio.NewWriterSize(conn, wireBufSize)
-	var enc msgEncoder
-	var dec msgDecoder
-	if proto == WireBinary {
-		enc, dec = newBinMsgEnc(w), newBinMsgDec(br)
-	} else {
-		enc, dec = newGobMsgEnc(w), newGobMsgDec(br)
+	if err != nil {
+		_ = conn.Close()
+		return err
 	}
 	p.conn = conn
-	p.wr = &msgWriter{conn: conn, enc: enc, syncWrites: p.home.wireSyncWrites.Load(), onDrop: p.drop}
-	p.proto = proto
-	go p.readLoop(conn, dec, p.wr)
+	p.wr = &msgWriter{conn: conn, enc: NewWireEnc(bufio.NewWriterSize(conn, wireBufSize)), onDrop: p.drop}
+	go p.readLoop(conn, NewWireDec(bufio.NewReaderSize(conn, wireBufSize)), p.wr)
 	return nil
 }
 
@@ -712,13 +522,12 @@ func (p *remotePeer) breakLocked() {
 		p.conn = nil
 	}
 	p.wr = nil
-	p.proto = ""
 }
 
-func (p *remotePeer) readLoop(conn net.Conn, dec msgDecoder, wr *msgWriter) {
+func (p *remotePeer) readLoop(conn net.Conn, dec *WireDec, wr *msgWriter) {
 	for {
 		var msg wireMsg
-		if err := dec.decode(&msg); err != nil {
+		if err := decodeWireMsg(dec, &msg); err != nil {
 			// This connection is done: clear it if it is still the
 			// live one, kill its writer (accounting queued
 			// notifications as dropped), and fail the calls that went
@@ -729,7 +538,6 @@ func (p *remotePeer) readLoop(conn net.Conn, dec msgDecoder, wr *msgWriter) {
 			if p.conn == conn {
 				p.conn = nil
 				p.wr = nil
-				p.proto = ""
 			}
 			var failed []chan wireMsg
 			for seq, wait := range p.waiting {
@@ -899,11 +707,8 @@ func (p *remotePeer) sendBatch(from, to string, notes []event.Notification) {
 		msgs[i] = wireMsg{Kind: "notify", From: from, To: to, Note: note}
 	}
 	if err := wr.enqueue(msgs...); err != nil {
-		if errors.Is(err, errWriterDead) {
-			// Nothing was accepted; sync-mode wire failures account
-			// their own losses through the writer's onDrop.
-			p.drop(len(notes))
-		}
+		// Nothing was accepted, so the burst is ours to count.
+		p.drop(len(notes))
 		p.mu.Lock()
 		if p.wr == wr {
 			p.breakLocked()

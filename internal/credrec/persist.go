@@ -472,8 +472,8 @@ func (ls *LoggedStore) sourceOp(opcode byte, source string, apply func() int) in
 }
 
 // MarkSourceUnknown journals and performs, so the suspicion machinery's
-// bulk transitions replay too (the text journal silently skipped them,
-// desynchronising recovered state from the live store).
+// bulk transitions replay too; skipping them would desynchronise
+// recovered state from the live store.
 func (ls *LoggedStore) MarkSourceUnknown(source string) int {
 	return ls.sourceOp(opSourceUnknown, source, func() int { return ls.Store.MarkSourceUnknown(source) })
 }

@@ -475,48 +475,3 @@ func TestQuickReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// ---- text baseline (the pre-engine journal format) ----
-
-func TestTextReplayReproducesStore(t *testing.T) {
-	var journal bytes.Buffer
-	ls := NewTextLoggedStore(&journal)
-	login := ls.NewFact(True)
-	member := ls.NewDerived(OpAnd, Of(login))
-	if err := ls.MarkDirectUse(member); err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.Invalidate(login); err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := ReplayText(bytes.NewReader(journal.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recovered.Valid(member) {
-		t.Fatal("revocation lost across text recovery")
-	}
-	if !bytes.Equal(ls.Store.Image(), recovered.Image()) {
-		t.Fatal("text replay image differs")
-	}
-}
-
-func TestTextReplayErrors(t *testing.T) {
-	bad := []string{
-		"gibberish 1",
-		"fact",           // missing state
-		"derived 1 zz",   // bad parent
-		"set 999999 2",   // dangling ref
-		"ext noquotes 2", // unquoted source
-		"invalidate",     // missing ref
-	}
-	for _, src := range bad {
-		if _, err := ReplayText(bytes.NewReader([]byte(src))); err == nil {
-			t.Errorf("ReplayText(%q) succeeded", src)
-		}
-	}
-	// Blank lines are fine.
-	if _, err := ReplayText(bytes.NewReader([]byte("\n\nfact 2\n\n"))); err != nil {
-		t.Fatal(err)
-	}
-}

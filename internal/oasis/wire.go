@@ -1,39 +1,13 @@
 package oasis
 
-import (
-	"encoding/gob"
-	"sync"
-
-	"oasis/internal/cert"
-	"oasis/internal/credrec"
-	"oasis/internal/value"
-)
+import "sync"
 
 var registerOnce sync.Once
 
 // RegisterWireTypes registers every payload type the inter-service
-// protocol sends through the bus's TCP bridging, with both codecs: gob
-// (the legacy protocol and the fallback, which encodes the `any`
-// argument/reply fields by concrete type name) and the binary codec's
-// tagged encoders (wirecodec.go, used on links that negotiate
-// bus.WireBinary). Call it once in any process that uses
+// protocol sends through the bus's TCP bridging with the binary codec
+// (wirecodec.go). Call it once in any process that uses
 // bus.Network.ServeTCP / AddRemote with OASIS services.
 func RegisterWireTypes() {
-	registerOnce.Do(func() {
-		registerBinaryPayloads()
-		gob.Register(GetTypesArg{})
-		gob.Register(ValidateArg{})
-		gob.Register(ValidateReply{})
-		gob.Register(ReadStateArg{})
-		gob.Register(ResyncArg{})
-		gob.Register(ResyncReply{})
-		gob.Register(&cert.RMC{})
-		gob.Register(&cert.Delegation{})
-		gob.Register(&cert.Revocation{})
-		gob.Register(credrec.State(0))
-		gob.Register([]value.Type{})
-		gob.Register(value.Value{})
-		gob.Register(ShardWatchArg{})
-		gob.Register(TreeForwardArg{})
-	})
+	registerOnce.Do(registerBinaryPayloads)
 }

@@ -10,18 +10,15 @@ import (
 	"oasis/internal/value"
 )
 
-// Binary wire-payload codecs for the inter-service protocol, the fast
-// path the TCP bridge uses when both ends negotiate bus.WireBinary
-// (see internal/bus/codec.go). Each payload type carried in the `any`
-// argument/reply position gets one tag byte and a hand-rolled
-// encoder/decoder pair; gob — which writes the concrete type name with
-// every value — is then only paid by legacy links and unregistered
-// types.
+// Binary wire-payload codecs for the inter-service protocol over the
+// TCP bridge (see internal/bus/codec.go). Each payload type carried in
+// the `any` argument/reply position gets one tag byte and a hand-rolled
+// encoder/decoder pair.
 //
 // The tags are protocol constants: both ends of a link must agree on
 // them forever, so they are append-only — never renumber or reuse a
 // tag, even for a retired type. Tags 0 and 255 are reserved by the bus
-// (nil and the gob-blob fallback).
+// (nil, and never allocated).
 const (
 	wireTagGetTypesArg   = 1
 	wireTagValidateArg   = 2
@@ -40,8 +37,7 @@ const (
 )
 
 // registerBinaryPayloads registers every protocol payload with the
-// bus's binary codec; called once from RegisterWireTypes alongside the
-// gob registrations (the fallback path needs both).
+// bus's binary codec; called once from RegisterWireTypes.
 func registerBinaryPayloads() {
 	bus.RegisterWirePayload(wireTagGetTypesArg, GetTypesArg{},
 		func(e *bus.WireEnc, v any) error {
