@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test test-shard test-rdl-diff race chaos bench bench-notify \
 	bench-rdl bench-persist bench-gateway bench-shard bench-smoke \
-	bench-json vet lint reach ci all help
+	bench-check bench-json vet lint reach ci all help
 
 all: build vet test
 
@@ -11,8 +11,10 @@ all: build vet test
 # tree), the full test suite, the compiled-vs-interpreted RDL
 # differential suite, the race detector over every
 # concurrency-sensitive package, the seeded chaos suite, then one
-# iteration of every benchmark so the perf suites cannot rot.
-ci: build vet lint test test-shard test-rdl-diff race chaos bench-smoke
+# iteration of every benchmark so the perf suites cannot rot, and the
+# end-to-end benchmark's own vet + tests (bench/ is a module of its
+# own that tier-1 never compiles).
+ci: build vet lint test test-shard test-rdl-diff race chaos bench-smoke bench-check
 
 help:
 	@echo "build       compile everything"
@@ -30,8 +32,9 @@ help:
 	@echo "bench-gateway  HTTP issue/introspect/revoke suite into BENCH_9.json (E33)"
 	@echo "bench-shard  shard cascade + tree-vs-flat dissemination into BENCH_10.json (E34)"
 	@echo "bench-smoke   compile-and-run every benchmark once (part of ci)"
+	@echo "bench-check   vet + test the bench/ module against this tree's internal/ API (part of ci)"
 	@echo "bench-json    E30/E31/E32 benchmarks as test2json (overwrites the BENCH_5/7 baselines)"
-	@echo "ci          build vet lint test test-shard test-rdl-diff race chaos bench-smoke"
+	@echo "ci          build vet lint test test-shard test-rdl-diff race chaos bench-smoke bench-check"
 
 build:
 	$(GO) build ./...
@@ -62,11 +65,14 @@ test-rdl-diff:
 
 # The concurrency regression suite: the striped store, read-mostly
 # service engine, sharded bus, and batched broker are only meaningfully
-# tested with the race detector on.
+# tested with the race detector on. The last line hammers the
+# gateway's pooled request/response buffers from eight goroutines, ten
+# times over.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
 		./internal/fault/... ./internal/gateway/... ./cmd/rdlcheck/...
+	$(GO) test -race -count=10 -run 'ConcurrentIntrospect' ./internal/gateway/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the
 # storage kill-point suite (persist_chaos_test.go): whole deployments
@@ -130,6 +136,15 @@ bench-shard:
 # compile or crash without paying for a measurement. Part of ci.
 bench-smoke:
 	$(GO) test -benchtime=1x -run '^$$' -bench . .
+
+# The end-to-end benchmark (bench/, BENCHMARK.json) is a module of its
+# own reaching internal/ through a replace, so `go build ./...` and
+# `go test ./...` never compile it: an internal/ API change would break
+# it silently. Its tests include a 1 s smoke run of every workload
+# against real daemons. Part of ci.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # The E30 remote-validation benchmarks (validate over the TCP bridge,
 # cached vs cold verify) in machine-readable test2json form, the E31

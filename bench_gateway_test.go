@@ -1,8 +1,8 @@
 // Federation-gateway benchmarks (E33): the HTTP front must not become
 // the bottleneck of the engine it fronts. These drive the full deployed
-// handler stack — mux, rate-limit/backpressure guard, timeout wrapper,
-// JSON decode, engine call, token store, JSON encode — through
-// httptest, at the three hot paths: token issuance (role entry),
+// handler stack — route switch, rate-limit/backpressure guard, timeout
+// wrapper (issue and revoke only), body decode, engine call, token
+// store, response encode — through httptest, at the three hot paths: token issuance (role entry),
 // introspection (live validation; the path clients hammer to honour
 // revocations) and revocation. Run with `-cpu 1,4,8`; `make
 // bench-gateway` records the suite into BENCH_9.json.

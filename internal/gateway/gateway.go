@@ -26,16 +26,19 @@
 // tokens without the gateway scanning anything.
 //
 // Load discipline: per-client token-bucket rate limiting (429 +
-// Retry-After), a concurrent-connection cap, per-request timeouts, and
-// backpressure — when the notification plane's queues signal
-// saturation, mutating requests are shed with 503 + Retry-After
-// instead of queueing without bound.
+// Retry-After), a concurrent-connection cap, a request deadline on the
+// two routes that can wait on a peer (issue, revoke — introspection
+// never leaves the process and is served inline), and backpressure —
+// when the notification plane's queues signal saturation, mutating
+// requests are shed with 503 + Retry-After instead of queueing without
+// bound.
 package gateway
 
 import (
 	"crypto/rand"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"oasis/internal/clock"
@@ -62,8 +65,9 @@ type Options struct {
 	// means no cap.
 	MaxConns int
 
-	// RequestTimeout bounds one request's handling end to end; 0 means
-	// DefaultRequestTimeout.
+	// RequestTimeout bounds the handling of one issue or revoke request
+	// end to end (introspection cannot block and has no deadline); 0
+	// means DefaultRequestTimeout.
 	RequestTimeout time.Duration
 
 	// Pressure reports the notification plane's queued-notification
@@ -85,6 +89,9 @@ const (
 	DefaultRetryAfter     = 2 * time.Second
 )
 
+// timeoutBody answers (503) a request abandoned at the deadline.
+const timeoutBody = `{"error":"timeout","error_description":"request handling exceeded the gateway deadline"}`
+
 // Gateway exposes one OASIS service over HTTP/JSON.
 type Gateway struct {
 	svc    *oasis.Service
@@ -93,7 +100,13 @@ type Gateway struct {
 	limit  *rateLimiter
 	opts   Options
 
-	mux http.Handler
+	// The guarded routes. Issue and revoke can wait on a peer, so they
+	// run under the request deadline; introspection cannot and does not.
+	tokenRoute, introspectRoute, revokeRoute http.HandlerFunc
+
+	// droppedWrites counts response bodies the client went away before
+	// receiving.
+	droppedWrites atomic.Uint64
 }
 
 // New creates a gateway over the service. The service's rolefiles must
@@ -127,19 +140,37 @@ func New(svc *oasis.Service, opts Options) *Gateway {
 		}
 		g.limit = newRateLimiter(opts.RatePerSec, burst, g.clk)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/token", g.guard(g.handleToken, true))
-	mux.HandleFunc("/v1/introspect", g.guard(g.handleIntrospect, false))
-	mux.HandleFunc("/v1/revoke", g.guard(g.handleRevoke, true))
-	mux.HandleFunc("/v1/healthz", g.handleHealth)
-	g.mux = http.TimeoutHandler(mux, opts.RequestTimeout,
-		`{"error":"timeout","error_description":"request handling exceeded the gateway deadline"}`)
+	// Entry and revocation can block with no bound of their own — a
+	// foreign credential is validated by a call to its issuer, a
+	// cascade is delivered synchronously into a peer's socket — so each
+	// runs on a goroutine the deadline wrapper can abandon. Admission
+	// (guard) is decided before that goroutine is spent.
+	g.tokenRoute = g.guard(http.TimeoutHandler(http.HandlerFunc(g.handleToken), opts.RequestTimeout, timeoutBody).ServeHTTP, true)
+	g.introspectRoute = g.guard(g.handleIntrospect, false)
+	g.revokeRoute = g.guard(http.TimeoutHandler(http.HandlerFunc(g.handleRevoke), opts.RequestTimeout, timeoutBody).ServeHTTP, true)
 	return g
 }
 
-// Handler returns the gateway's HTTP handler (request timeout applied;
-// connection limiting is Serve's job).
-func (g *Gateway) Handler() http.Handler { return g.mux }
+// Handler returns the gateway's HTTP handler (request deadline applied
+// to the routes that need one; connection limiting is Serve's job).
+func (g *Gateway) Handler() http.Handler { return http.HandlerFunc(g.route) }
+
+// route dispatches on the exact path: four fixed routes need no
+// pattern matcher.
+func (g *Gateway) route(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/v1/introspect":
+		g.introspectRoute(w, r)
+	case "/v1/token":
+		g.tokenRoute(w, r)
+	case "/v1/revoke":
+		g.revokeRoute(w, r)
+	case "/v1/healthz":
+		g.handleHealth(w, r)
+	default:
+		http.NotFound(w, r)
+	}
+}
 
 // TokenCount reports live (unexpired, unpurged) tokens, for tests and
 // operational introspection.
@@ -159,20 +190,20 @@ func (g *Gateway) guard(h http.HandlerFunc, mutates bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, "invalid_request", "POST only")
+			g.writeError(w, http.StatusMethodNotAllowed, "invalid_request", "POST only")
 			return
 		}
 		if g.limit != nil {
 			if wait, ok := g.limit.allow(clientKey(r), g.clk.Now()); !ok {
 				retryAfter(w, wait)
-				writeError(w, http.StatusTooManyRequests, "rate_limited",
+				g.writeError(w, http.StatusTooManyRequests, "rate_limited",
 					"per-client request budget exhausted; honour Retry-After")
 				return
 			}
 		}
 		if mutates && g.saturated() {
 			retryAfter(w, g.opts.RetryAfter)
-			writeError(w, http.StatusServiceUnavailable, "overloaded",
+			g.writeError(w, http.StatusServiceUnavailable, "overloaded",
 				"notification plane saturated; honour Retry-After")
 			return
 		}
@@ -181,7 +212,7 @@ func (g *Gateway) guard(h http.HandlerFunc, mutates bool) http.HandlerFunc {
 }
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	g.writeJSON(w, http.StatusOK, map[string]any{
 		"service": g.svc.Name(),
 		"tokens":  g.tokens.len(),
 	})

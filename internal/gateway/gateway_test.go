@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -597,3 +599,293 @@ func TestExpiredTokensSwept(t *testing.T) {
 		t.Fatalf("expired tokens never swept: %d -> %d", before, after)
 	}
 }
+
+// TestDeadCascadeTokenRemoved: a token whose membership a cascade has
+// revoked for good leaves the table on the introspection that finds it
+// so, as an expired one does; a fail-safe demotion — False, but not
+// permanently — must keep it, because resync makes the same token
+// active again (TestChaosGatewayPartition walks that whole road).
+func TestDeadCascadeTokenRemoved(t *testing.T) {
+	w := newWorld(t, gateway.Options{})
+	h := w.gw.Handler()
+	res, loginCert, c := w.issueMember("dm")
+
+	w.conf.Store().MarkSourceFailsafe("Login")
+	if in := introspect(t, h, res.Token); in.Active {
+		t.Fatal("token active with its issuer presumed failed")
+	}
+	if n := w.gw.TokenCount(); n != 1 {
+		t.Fatalf("fail-safe demotion dropped the token: %d live", n)
+	}
+
+	if err := w.login.Exit(loginCert, c); err != nil {
+		t.Fatal(err)
+	}
+	if in := introspect(t, h, res.Token); in.Active {
+		t.Fatal("token survived upstream login revocation")
+	}
+	if n := w.gw.TokenCount(); n != 0 {
+		t.Fatalf("token revoked by a cascade still in the table: %d live", n)
+	}
+}
+
+// TestConcurrentIntrospectOwnAnswer shares the pooled request/response
+// buffers between eight goroutines, each introspecting its own token
+// and checking that the answer is its own. Run under -race -count=10
+// (make race).
+func TestConcurrentIntrospectOwnAnswer(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	login, err := oasis.New("Login", clk, nil, oasis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := login.AddRolefile("main", loginRolefile); err != nil {
+		t.Fatal(err)
+	}
+	h := gateway.New(login, gateway.Options{Rand: &seqReader{}}).Handler()
+	c := ids.NewHostAuthority("ely", clk.Now()).NewDomain()
+
+	const workers = 8
+	users := make([]string, workers)
+	bodies := make([][]byte, workers)
+	for i := range users {
+		// Different lengths, so a buffer handed over dirty shows.
+		users[i] = "user-" + strings.Repeat("x", i*7) + string(rune('a'+i))
+		var res gateway.TokenResponse
+		rec := post(t, h, "/v1/token", gateway.TokenRequest{
+			Client: c, Rolefile: "main", Role: "LoggedOn",
+			Args: []value.Value{uid(users[i]), value.Object("Login.host", "ely")},
+		}, &res)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("issue: status %d body %s", rec.Code, rec.Body.String())
+		}
+		if bodies[i], err = json.Marshal(gateway.IntrospectRequest{Token: res.Token}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/introspect", bytes.NewReader(bodies[i])))
+				var in gateway.IntrospectResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &in); err != nil {
+					t.Errorf("worker %d: undecodable answer %q: %v", i, rec.Body.String(), err)
+					return
+				}
+				if !in.Active || len(in.Args) != 2 || in.Args[0].S != users[i] {
+					t.Errorf("worker %d: got someone else's answer: %s", i, rec.Body.String())
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
+// serveGateway runs the gateway on a loopback listener until the test
+// ends and returns its base URL.
+func serveGateway(t *testing.T, gw *gateway.Gateway) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = gw.Serve(ln)
+	}()
+	t.Cleanup(func() { _ = ln.Close(); <-done })
+	return "http://" + ln.Addr().String()
+}
+
+// TestExplicitFraming: every response carries its own Content-Length.
+// net/http infers one only while the body fits its 2 KiB buffer, so a
+// token response carrying a certificate with a 3 KiB argument used to
+// go out chunked.
+func TestExplicitFraming(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	svc, err := oasis.New("Notes", clk, nil, oasis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.AddRolefile("main", "def Note(s) s: string\nNote(s) <-\n"); err != nil {
+		t.Fatal(err)
+	}
+	url := serveGateway(t, gateway.New(svc, gateway.Options{Rand: &seqReader{}}))
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+
+	roundTrip := func(path string, body any) []byte {
+		t.Helper()
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(url+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d body %s", path, resp.StatusCode, got)
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(got)) {
+			t.Fatalf("%s: %d-byte body framed with Content-Length %d, Transfer-Encoding %v",
+				path, len(got), resp.ContentLength, resp.TransferEncoding)
+		}
+		return got
+	}
+	long := strings.Repeat("n", 3<<10)
+	var issued gateway.TokenResponse
+	if err := json.Unmarshal(roundTrip("/v1/token", gateway.TokenRequest{
+		Client: ids.NewHostAuthority("ely", clk.Now()).NewDomain(), Rolefile: "main", Role: "Note",
+		Args: []value.Value{value.Str(long)},
+	}), &issued); err != nil {
+		t.Fatal(err)
+	}
+	var in gateway.IntrospectResponse
+	if err := json.Unmarshal(roundTrip("/v1/introspect", gateway.IntrospectRequest{Token: issued.Token}), &in); err != nil {
+		t.Fatal(err)
+	}
+	if !in.Active || len(in.Args) != 1 || in.Args[0].S != long {
+		t.Fatalf("introspection lost the long argument: active %v, %d args", in.Active, len(in.Args))
+	}
+	roundTrip("/v1/revoke", gateway.RevokeRequest{Token: issued.Token})
+}
+
+// stalledIssuer stands on Conf's network under Login's name: it
+// answers everything the real service does except validate, which never
+// returns while the test runs — the peer an issuance would wait on
+// with no bound of its own.
+type stalledIssuer struct {
+	*oasis.Service
+	release chan struct{}
+}
+
+func (p stalledIssuer) Call(from, op string, arg any) (any, error) {
+	if op == "validate" {
+		<-p.release
+	}
+	return p.Service.Call(from, op, arg)
+}
+
+// TestRequestDeadline covers the deadline that remains. Issuance that
+// has to ask an unresponsive issuer about a foreign credential is
+// abandoned with the 503 timeout envelope; introspection, which runs on
+// the connection's own goroutine under no deadline, answers while that
+// request hangs. The method and path checks of the route switch answer
+// as the mux did.
+func TestRequestDeadline(t *testing.T) {
+	clk := clock.Real()
+	login, err := oasis.New("Login", clk, bus.NewNetwork(clk), oasis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := login.AddRolefile("main", loginRolefile); err != nil {
+		t.Fatal(err)
+	}
+	confNet := bus.NewNetwork(clk)
+	release := make(chan struct{})
+	defer close(release) // lets the abandoned issuance's goroutine finish
+	if err := confNet.Register("Login", stalledIssuer{login, release}); err != nil {
+		t.Fatal(err)
+	}
+	conf, err := oasis.New("Conf", clk, confNet, oasis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rolefile = "def Guest(n) n: integer\nGuest(n) <-\nChair <- Login.LoggedOn(\"jmb\", h)*\n"
+	if err := conf.AddRolefile("main", rolefile); err != nil {
+		t.Fatal(err)
+	}
+	h := gateway.New(conf, gateway.Options{RequestTimeout: 50 * time.Millisecond}).Handler()
+
+	c := ids.NewHostAuthority("ely", clk.Now()).NewDomain()
+	var guest gateway.TokenResponse
+	if rec := post(t, h, "/v1/token", gateway.TokenRequest{
+		Client: c, Rolefile: "main", Role: "Guest", Args: []value.Value{value.Int(1)},
+	}, &guest); rec.Code != http.StatusOK {
+		t.Fatalf("local issue: status %d body %s", rec.Code, rec.Body.String())
+	}
+	loginCert, err := login.Enter(oasis.EnterRequest{
+		Client: c, Rolefile: "main", Role: "LoggedOn",
+		Args: []value.Value{uid("jmb"), value.Object("Login.host", "ely")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hung := make(chan *httptest.ResponseRecorder)
+	go func() {
+		hung <- post(t, h, "/v1/token", gateway.TokenRequest{
+			Client: c, Rolefile: "main", Role: "Chair", Creds: []*cert.RMC{loginCert},
+		}, nil)
+	}()
+	// Introspections keep answering for as long as the issuance hangs.
+	var rec *httptest.ResponseRecorder
+	for rec == nil {
+		if in := introspect(t, h, guest.Token); !in.Active {
+			t.Fatal("introspection wrong while an issuance hangs")
+		}
+		select {
+		case rec = <-hung:
+		default:
+		}
+	}
+	var e gateway.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusServiceUnavailable || e.Err != "timeout" {
+		t.Fatalf("hung issuance: status %d body %q (%v), want the 503 timeout envelope", rec.Code, rec.Body.String(), err)
+	}
+
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/v1/introspect", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/revoke", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/nope", http.StatusNotFound},
+		{http.MethodPost, "/v1/introspect/", http.StatusNotFound},
+		{http.MethodPost, "/", http.StatusNotFound},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		if rec.Code != tc.want {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, rec.Code, tc.want)
+		}
+		if tc.want == http.StatusMethodNotAllowed && rec.Header().Get("Allow") != http.MethodPost {
+			t.Errorf("%s %s: 405 without Allow: POST", tc.method, tc.path)
+		}
+	}
+}
+
+// TestDroppedWritesCountedPerGateway: the counter of responses lost to
+// departed clients belongs to the gateway that lost them.
+func TestDroppedWritesCountedPerGateway(t *testing.T) {
+	a := newWorld(t, gateway.Options{})
+	b := newWorld(t, gateway.Options{})
+	rec := &brokenWriter{hdr: http.Header{}}
+	a.gw.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/introspect",
+		strings.NewReader(`{"token":"x"}`)))
+	if got := a.gw.DroppedResponseWrites(); got != 1 {
+		t.Fatalf("gateway a counted %d dropped writes, want 1", got)
+	}
+	if got := b.gw.DroppedResponseWrites(); got != 0 {
+		t.Fatalf("gateway b counted %d dropped writes that were a's", got)
+	}
+}
+
+// brokenWriter is a client that went away: every body write fails.
+type brokenWriter struct{ hdr http.Header }
+
+func (w *brokenWriter) Header() http.Header       { return w.hdr }
+func (w *brokenWriter) WriteHeader(int)           {}
+func (w *brokenWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }

@@ -1,13 +1,11 @@
 package gateway
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"oasis/internal/cert"
@@ -98,33 +96,58 @@ type ErrorResponse struct {
 	Desc string `json:"error_description,omitempty"`
 }
 
-// droppedResponseWrites counts response bodies the client went away
-// before receiving — the only way a ResponseWriter.Write error can be
-// "handled" is to account for it.
-var droppedResponseWrites atomic.Uint64
-
 // DroppedResponseWrites reports responses lost to departed clients.
-func DroppedResponseWrites() uint64 { return droppedResponseWrites.Load() }
+func (g *Gateway) DroppedResponseWrites() uint64 { return g.droppedWrites.Load() }
 
-// writeJSON encodes v, then writes status and body. Encoding first
-// means an encode failure can still become a 500 instead of a torn
-// 200; a body-write failure means the client is gone, which is counted
-// rather than ignored.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		http.Error(w, `{"error":"server_error"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
+// jsonContentType is the one Content-Type value, shared by every
+// response: net/http reads header values and never writes to them.
+var jsonContentType = []string{"application/json"}
+
+// respond writes one complete JSON body. The framing is explicit:
+// net/http only infers Content-Length while a body fits its 2 KiB
+// pre-chunking buffer, and a token response carrying a certificate
+// with long arguments does not. A body-write failure means the client
+// is gone — the only way a ResponseWriter.Write error can be "handled"
+// is to account for it.
+func (g *Gateway) respond(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		droppedResponseWrites.Add(1)
+	if _, err := w.Write(body); err != nil {
+		g.droppedWrites.Add(1)
 	}
 }
 
-func writeError(w http.ResponseWriter, status int, code, desc string) {
-	writeJSON(w, status, ErrorResponse{Err: code, Desc: desc})
+// writeJSON encodes v, then writes status and body. Encoding first
+// means an encode failure can still become a 500 instead of a torn
+// 200.
+func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
+	bp := getBuf()
+	defer putBuf(bp)
+	*bp = (*bp)[:0]
+	if err := json.NewEncoder((*appendWriter)(bp)).Encode(v); err != nil {
+		http.Error(w, `{"error":"server_error"}`, http.StatusInternalServerError)
+		return
+	}
+	g.respond(w, status, *bp)
+}
+
+// appendWriter lets an encoder append to a pooled buffer.
+type appendWriter []byte
+
+func (a *appendWriter) Write(p []byte) (int, error) {
+	*a = append(*a, p...)
+	return len(p), nil
+}
+
+func (g *Gateway) writeError(w http.ResponseWriter, status int, code, desc string) {
+	g.writeJSON(w, status, ErrorResponse{Err: code, Desc: desc})
+}
+
+// ackRevoke acknowledges a revocation, rendering into scratch.
+func (g *Gateway) ackRevoke(w http.ResponseWriter, scratch []byte) {
+	g.respond(w, http.StatusOK, appendRevokeResponse(scratch, RevokeResponse{OK: true}))
 }
 
 // retryAfter sets the Retry-After header, rounded up to whole seconds
@@ -149,19 +172,19 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 
 // engineError maps an engine failure onto the HTTP error vocabulary:
 // fraud is refused outright, everything else is an invalid grant.
-func engineError(w http.ResponseWriter, err error) {
+func (g *Gateway) engineError(w http.ResponseWriter, err error) {
 	var verr *oasis.ValidationError
 	if errors.As(err, &verr) {
 		switch verr.Class {
 		case oasis.Fraud:
-			writeError(w, http.StatusForbidden, "access_denied", verr.Reason)
+			g.writeError(w, http.StatusForbidden, "access_denied", verr.Reason)
 			return
 		case oasis.Revoked, oasis.Erroneous:
-			writeError(w, http.StatusBadRequest, "invalid_grant", verr.Reason)
+			g.writeError(w, http.StatusBadRequest, "invalid_grant", verr.Reason)
 			return
 		}
 	}
-	writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+	g.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
 }
 
 // handleToken performs role entry and mints an opaque token bound to
@@ -169,15 +192,15 @@ func engineError(w http.ResponseWriter, err error) {
 func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
 	var req TokenRequest
 	if err := decode(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+		g.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
 		return
 	}
 	if req.Role == "" {
-		writeError(w, http.StatusBadRequest, "invalid_request", "role is required")
+		g.writeError(w, http.StatusBadRequest, "invalid_request", "role is required")
 		return
 	}
 	if req.Client.IsZero() {
-		writeError(w, http.StatusBadRequest, "invalid_request", "client identity is required")
+		g.writeError(w, http.StatusBadRequest, "invalid_request", "client identity is required")
 		return
 	}
 	rmc, err := g.svc.Enter(oasis.EnterRequest{
@@ -189,13 +212,13 @@ func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
 		Delegation: req.Delegation,
 	})
 	if err != nil {
-		engineError(w, err)
+		g.engineError(w, err)
 		return
 	}
 	now := g.clk.Now()
 	id, err := g.tokens.mint(rmc, now)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "server_error", err.Error())
+		g.writeError(w, http.StatusInternalServerError, "server_error", err.Error())
 		return
 	}
 	res := TokenResponse{
@@ -210,38 +233,60 @@ func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
 	if !rmc.Expiry.IsZero() {
 		res.ExpiresIn = int64(rmc.Expiry.Sub(now) / time.Second)
 	}
-	writeJSON(w, http.StatusOK, res)
+	g.writeJSON(w, http.StatusOK, res)
 }
 
 // handleIntrospect answers a token's status live from the credential
 // record store: a revocation cascade that lands between two
 // introspections flips the answer with no gateway-side invalidation.
+// It runs on the connection's goroutine with no deadline of its own —
+// a token-table read plus Service.Validate of a certificate this
+// service issued never leaves the process, so there is nothing to wait
+// for — and takes the canonical body through readToken and
+// appendIntrospectResponse, everything else through decode.
 func (g *Gateway) handleIntrospect(w http.ResponseWriter, r *http.Request) {
-	var req IntrospectRequest
-	if err := decode(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
+	bp := getBuf()
+	defer putBuf(bp)
+	tok, n := readToken(r, bp)
+	if tok == nil {
+		var req IntrospectRequest
+		if err := decode(w, r, &req); err != nil {
+			g.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+			return
+		}
+		if req.Token == "" {
+			g.writeError(w, http.StatusBadRequest, "invalid_request", "token is required")
+			return
+		}
+		tok = []byte(req.Token)
 	}
-	if req.Token == "" {
-		writeError(w, http.StatusBadRequest, "invalid_request", "token is required")
-		return
-	}
-	rec, ok := g.tokens.lookup(req.Token)
+	res := g.introspect(tok)
+	*bp = appendIntrospectResponse((*bp)[:n], &res)
+	g.respond(w, http.StatusOK, (*bp)[n:])
+}
+
+// introspect is the live answer for one token. Nothing it learns is
+// kept: the next call asks the engine again.
+func (g *Gateway) introspect(tok []byte) IntrospectResponse {
+	rec, ok := g.tokens.lookup(tok)
 	if !ok {
-		writeJSON(w, http.StatusOK, IntrospectResponse{Active: false})
-		return
+		return IntrospectResponse{}
 	}
 	c := rec.cert
 	if !c.Expiry.IsZero() && g.clk.Now().After(c.Expiry) {
 		// Expired: the engine would refuse it too; drop our record so
 		// the table does not accrete dead tokens.
-		g.tokens.remove(req.Token)
-		writeJSON(w, http.StatusOK, IntrospectResponse{Active: false})
-		return
+		g.tokens.remove(string(tok))
+		return IntrospectResponse{}
 	}
 	if err := g.svc.Validate(c, c.Client); err != nil {
-		writeJSON(w, http.StatusOK, IntrospectResponse{Active: false})
-		return
+		// Revoked for good — directly or by a cascade — is as final as
+		// expired. A fail-safe demotion is not permanent and must keep
+		// the token: the same token is active again after resync.
+		if alreadyDead(g.svc.Store(), c.CRR) {
+			g.tokens.remove(string(tok))
+		}
+		return IntrospectResponse{}
 	}
 	res := IntrospectResponse{
 		Active:   true,
@@ -249,80 +294,83 @@ func (g *Gateway) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 		Rolefile: c.Rolefile,
 		Roles:    g.svc.RoleNames(c),
 		Args:     c.Args,
-		Client:   c.Client.String(),
+		Client:   clientString(c.Client),
 		Iat:      rec.issued.Unix(),
 	}
 	if !c.Expiry.IsZero() {
 		res.Exp = c.Expiry.Unix()
 	}
-	writeJSON(w, http.StatusOK, res)
+	return res
 }
 
 // handleRevoke routes a revocation through the engine. RFC 7009
 // semantics: unknown and already-revoked tokens acknowledge with 200 —
 // the caller's goal (the token is dead) already holds.
 func (g *Gateway) handleRevoke(w http.ResponseWriter, r *http.Request) {
+	bp := getBuf()
+	defer putBuf(bp)
+	tok, n := readToken(r, bp)
+	scratch := (*bp)[n:n]
+	if tok != nil {
+		g.revokeToken(w, tok, scratch)
+		return
+	}
 	var req RevokeRequest
 	if err := decode(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+		g.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
 		return
 	}
 	switch {
 	case req.Revocation != nil:
-		g.revokeByCertificate(w, req.Revocation)
+		g.revokeByCertificate(w, req.Revocation, scratch)
 	case req.RevokerToken != "":
-		g.revokeByRole(w, req)
+		g.revokeByRole(w, req, scratch)
 	case req.Token != "":
-		g.revokeToken(w, req.Token)
+		g.revokeToken(w, []byte(req.Token), scratch)
 	default:
-		writeError(w, http.StatusBadRequest, "invalid_request",
+		g.writeError(w, http.StatusBadRequest, "invalid_request",
 			"one of token, revocation, revoker_token is required")
 	}
 }
 
 // revokeToken invalidates the membership behind a token.
-func (g *Gateway) revokeToken(w http.ResponseWriter, token string) {
-	rec, ok := g.tokens.lookup(token)
+func (g *Gateway) revokeToken(w http.ResponseWriter, tok, scratch []byte) {
+	rec, ok := g.tokens.lookup(tok)
 	if !ok {
-		writeJSON(w, http.StatusOK, RevokeResponse{OK: true})
+		g.ackRevoke(w, scratch)
 		return
 	}
-	if alreadyDead(g.svc.Store(), rec.cert.CRR) {
-		g.tokens.remove(token)
-		writeJSON(w, http.StatusOK, RevokeResponse{OK: true})
-		return
+	if !alreadyDead(g.svc.Store(), rec.cert.CRR) {
+		if err := g.svc.RevokeDirect(rec.cert); err != nil {
+			g.engineError(w, err)
+			return
+		}
 	}
-	if err := g.svc.RevokeDirect(rec.cert); err != nil {
-		engineError(w, err)
-		return
-	}
-	g.tokens.remove(token)
-	writeJSON(w, http.StatusOK, RevokeResponse{OK: true})
+	g.tokens.remove(string(tok))
+	g.ackRevoke(w, scratch)
 }
 
 // revokeByCertificate honours a signed revocation certificate (§4.4).
-func (g *Gateway) revokeByCertificate(w http.ResponseWriter, rev *cert.Revocation) {
-	if alreadyDead(g.svc.Store(), rev.TargetCRR) {
-		writeJSON(w, http.StatusOK, RevokeResponse{OK: true})
-		return
+func (g *Gateway) revokeByCertificate(w http.ResponseWriter, rev *cert.Revocation, scratch []byte) {
+	if !alreadyDead(g.svc.Store(), rev.TargetCRR) {
+		if err := g.svc.Revoke(rev); err != nil {
+			g.engineError(w, err)
+			return
+		}
 	}
-	if err := g.svc.Revoke(rev); err != nil {
-		engineError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, RevokeResponse{OK: true})
+	g.ackRevoke(w, scratch)
 }
 
 // revokeByRole performs role-based revocation: the revoker's token
 // stands in for their certificate.
-func (g *Gateway) revokeByRole(w http.ResponseWriter, req RevokeRequest) {
-	rec, ok := g.tokens.lookup(req.RevokerToken)
+func (g *Gateway) revokeByRole(w http.ResponseWriter, req RevokeRequest, scratch []byte) {
+	rec, ok := g.tokens.lookup([]byte(req.RevokerToken))
 	if !ok {
-		writeError(w, http.StatusForbidden, "access_denied", "unknown revoker token")
+		g.writeError(w, http.StatusForbidden, "access_denied", "unknown revoker token")
 		return
 	}
 	if req.Role == "" {
-		writeError(w, http.StatusBadRequest, "invalid_request", "role is required")
+		g.writeError(w, http.StatusBadRequest, "invalid_request", "role is required")
 		return
 	}
 	err := g.svc.RevokeByRole(rec.cert, rec.cert.Client, req.Rolefile, req.Role, req.Args)
@@ -332,13 +380,13 @@ func (g *Gateway) revokeByRole(w http.ResponseWriter, req RevokeRequest) {
 		// caller's goal holds. A permissions failure still refuses.
 		if errors.As(err, &verr) && verr.Class == oasis.Erroneous &&
 			g.svc.InstanceRevoked(req.Rolefile, req.Role, req.Args) {
-			writeJSON(w, http.StatusOK, RevokeResponse{OK: true})
+			g.ackRevoke(w, scratch)
 			return
 		}
-		engineError(w, err)
+		g.engineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RevokeResponse{OK: true})
+	g.ackRevoke(w, scratch)
 }
 
 // alreadyDead reports a credential record that is deleted or

@@ -53,14 +53,16 @@ func newTokenStore(r io.Reader) *tokenStore {
 	return ts
 }
 
-// shardFor hashes the token id (FNV-1a over the id bytes) to a shard.
-func (ts *tokenStore) shardFor(id string) *tokenShard {
+// shardIndex hashes the token id (FNV-1a over the id bytes) to a shard
+// index; introspection holds the id as bytes of the request body,
+// everything else as a string.
+func shardIndex[T string | []byte](id T) uint32 {
 	var h uint32 = 2166136261
 	for i := 0; i < len(id); i++ {
 		h ^= uint32(id[i])
 		h *= 16777619
 	}
-	return &ts.shards[h%tokenShards]
+	return h % tokenShards
 }
 
 // mint draws a fresh 128-bit opaque id, binds it to the certificate,
@@ -76,7 +78,7 @@ func (ts *tokenStore) mint(c *cert.RMC, now time.Time) (string, error) {
 		return "", fmt.Errorf("gateway: token entropy: %w", err)
 	}
 	id := hex.EncodeToString(raw[:])
-	sh := ts.shardFor(id)
+	sh := &ts.shards[shardIndex(id)]
 	sh.mu.Lock()
 	sh.tokens[id] = &tokenRecord{cert: c, issued: now}
 	sh.mints++
@@ -92,20 +94,22 @@ func (ts *tokenStore) mint(c *cert.RMC, now time.Time) (string, error) {
 	return id, nil
 }
 
-// lookup resolves a token id; the bool reports existence.
-func (ts *tokenStore) lookup(id string) (*tokenRecord, bool) {
-	sh := ts.shardFor(id)
+// lookup resolves a token id; the bool reports existence. The id is
+// taken as bytes so the read path can pass a slice of the request body:
+// a map index by string(id) does not allocate.
+func (ts *tokenStore) lookup(id []byte) (*tokenRecord, bool) {
+	sh := &ts.shards[shardIndex(id)]
 	sh.mu.RLock()
-	rec, ok := sh.tokens[id]
+	rec, ok := sh.tokens[string(id)]
 	sh.mu.RUnlock()
 	return rec, ok
 }
 
 // remove forgets a token id (after revocation, or when introspection
-// finds it expired). Removing an absent id is a no-op — revocation is
-// idempotent all the way down.
+// finds it expired or revoked for good). Removing an absent id is a
+// no-op — revocation is idempotent all the way down.
 func (ts *tokenStore) remove(id string) {
-	sh := ts.shardFor(id)
+	sh := &ts.shards[shardIndex(id)]
 	sh.mu.Lock()
 	delete(sh.tokens, id)
 	sh.mu.Unlock()
