@@ -22,7 +22,7 @@ help:
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards"
 	@echo "race        race-detector suite over the concurrent packages"
 	@echo "chaos       seeded chaos suite (partitions, loss, duplication)"
-	@echo "lint        oasislint + rdlcheck static analysis (includes reach) + no encoding/gob in oasisd"
+	@echo "lint        oasislint + rdlcheck static analysis (includes reach) + no encoding/gob in oasisd, no http.TimeoutHandler"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "test-rdl-diff  role entry with the compiled/interpreted differential seam on"
 	@echo "bench       serial + parallel (-cpu 1,4,8) benchmark suites"
@@ -66,13 +66,13 @@ test-rdl-diff:
 # The concurrency regression suite: the striped store, read-mostly
 # service engine, sharded bus, and batched broker are only meaningfully
 # tested with the race detector on. The last line hammers the
-# gateway's pooled request/response buffers from eight goroutines, ten
-# times over.
+# gateway's pooled request/response buffers from eight goroutines —
+# introspecting, and issuing and revoking — ten times over.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
 		./internal/fault/... ./internal/gateway/... ./cmd/rdlcheck/...
-	$(GO) test -race -count=10 -run 'ConcurrentIntrospect' ./internal/gateway/
+	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations' ./internal/gateway/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the
 # storage kill-point suite (persist_chaos_test.go): whole deployments
@@ -167,9 +167,10 @@ vet:
 # analysis"): oasislint enforces the concurrency discipline with
 # stdlib go/ast + go/types; rdlcheck analyzes every shipped policy for
 # unrevocable roles, dead rules and unreachable roles. Error-level
-# findings fail the build. The last line keeps the reflective gob
+# findings fail the build. The last two lines keep the reflective gob
 # decoder from drifting back onto the daemon's unauthenticated peer
-# port.
+# port, and a per-request deadline goroutine from drifting back over
+# waits internal/bus bounds itself.
 lint: reach
 	$(GO) run ./cmd/oasislint ./internal/... ./cmd/...
 	$(GO) run ./cmd/rdlcheck -q examples/quickstart/*.rdl
@@ -177,6 +178,7 @@ lint: reach
 	$(GO) run ./cmd/rdlcheck -q examples/login/*.rdl
 	$(GO) run ./cmd/rdlcheck -q examples/mssa/*.rdl
 	! $(GO) list -deps ./cmd/oasisd | grep -qx encoding/gob
+	! grep -rn TimeoutHandler internal/ cmd/
 
 # Scenario reachability (docs/RDL.md "Reachability analysis"): each
 # example ships a .scn scenario whose expect/possible/deny assertions

@@ -118,7 +118,7 @@ func TestPartitionedSiteHeartbeatDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv := event.NewReceiver(4, nil)
+	recv := event.NewReceiver(nil)
 	if err := net.Register("Monitor", busEndpoint{recv}); err != nil {
 		t.Fatal(err)
 	}

@@ -191,9 +191,7 @@ func TestCallRetryExhaustsThenFails(t *testing.T) {
 	}
 	ln.Close()
 	// Break the live connection so the next call must redial.
-	n.peersMu.RLock()
-	rp := n.remotes["svc"].(*remotePeer)
-	n.peersMu.RUnlock()
+	rp := remoteOf(t, n, "svc")
 	rp.mu.Lock()
 	rp.breakLocked()
 	rp.mu.Unlock()
@@ -235,9 +233,7 @@ func TestRemoteDroppedCountsEncodeFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Close()
-	n.peersMu.RLock()
-	rp := n.remotes["svc"].(*remotePeer)
-	n.peersMu.RUnlock()
+	rp := remoteOf(t, n, "svc")
 	rp.mu.Lock()
 	rp.breakLocked()
 	rp.mu.Unlock()

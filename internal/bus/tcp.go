@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"oasis/internal/clock"
 	"oasis/internal/event"
 )
 
@@ -35,17 +37,33 @@ import (
 // notification counts as dropped on the home network (heartbeat loss
 // detection then sees the gap, §4.10) and the connection is torn down
 // so the next use reconnects.
+//
+// Every wait on the far side is bounded here (a call's reply by reap,
+// a socket write by the writer's deadline, dial and hello together), so
+// nothing above the bus needs a deadline of its own. A call to an
+// endpoint on this very Network is a function call, unbounded by
+// design: one that never returns is our own deadlock, not a slow peer.
 
 // wireBufSize is the I/O buffer size per TCP link; notification
 // messages are a few hundred bytes, so one buffer holds a large burst.
 const wireBufSize = 32 << 10
+
+// CallDeadline is how long a call over a TCP link may stay unanswered,
+// measured on the home network's clock, and the period of the wall-clock
+// write deadline kept on every link's socket.
+const CallDeadline = 10 * time.Second
+
+// ErrCallDeadline is returned (wrapped) for a call over a TCP link that
+// the peer accepted and did not answer within CallDeadline. The request
+// may still execute; only the wait is abandoned.
+var ErrCallDeadline = errors.New("bus: call deadline exceeded")
 
 // WireBinary names the wire format of a connected TCP link
 // (RemoteWireFormat): the hand-rolled tagged codec in codec.go.
 const WireBinary = "binary"
 
 type wireMsg struct {
-	Kind  string // "call", "reply", "notify"
+	Kind  string // "call", "reply", "notify"; "deadline" never leaves the process (reap)
 	Seq   uint64
 	From  string
 	To    string
@@ -114,10 +132,18 @@ var errWriterDead = errors.New("bus: connection lost")
 // notification exactly once through onDrop. pendingNotes carries that
 // invariant: it counts notify messages accepted into the pipeline and
 // not yet flushed, so whichever path kills the writer first owns them.
+//
+// A peer that stops reading is such a failure: the flusher pushes the
+// socket's write deadline out to two bounds ahead whenever less than
+// one remains (one SetWriteDeadline per bound, not per flush), so a
+// blocked write fails after one to two bounds.
 type msgWriter struct {
 	conn   net.Conn
 	enc    *WireEnc  // over the connection's bufio.Writer; Flush pushes to the socket
 	onDrop func(int) // counts lost notifications; must use atomics only (called under wr.mu)
+
+	bound   time.Duration // CallDeadline; a field so a test can wait less
+	writeBy time.Time     // the socket's write deadline; the flusher's alone
 
 	mu           sync.Mutex
 	q            []wireMsg
@@ -127,30 +153,53 @@ type msgWriter struct {
 	dead         bool
 }
 
-func countNotify(msgs []wireMsg) int {
-	n := 0
-	for i := range msgs {
-		if msgs[i].Kind == "notify" {
-			n++
-		}
-	}
-	return n
+func newMsgWriter(conn net.Conn, onDrop func(int)) *msgWriter {
+	return &msgWriter{conn: conn, enc: NewWireEnc(bufio.NewWriterSize(conn, wireBufSize)), onDrop: onDrop, bound: CallDeadline}
 }
 
-// enqueue accepts messages for the wire. The only error is
-// errWriterDead: nothing was accepted (safe to retry or account
-// elsewhere).
-func (wr *msgWriter) enqueue(msgs ...wireMsg) error {
+// enqueue accepts one call or reply for the wire. The only error is
+// errWriterDead: nothing was accepted (safe to retry).
+func (wr *msgWriter) enqueue(msg wireMsg) error {
 	wr.mu.Lock()
 	if wr.dead {
 		wr.mu.Unlock()
 		return errWriterDead
 	}
-	wr.q = append(wr.q, msgs...)
-	wr.pendingNotes += countNotify(msgs)
+	wr.q = append(wr.q, msg)
+	wr.flushIfIdleLocked()
+	return nil
+}
+
+// enqueueNotes accepts a notification burst for the wire, building the
+// messages in place in the queue. The only error is errWriterDead:
+// nothing was accepted, and the caller owns the drop accounting for the
+// burst.
+func (wr *msgWriter) enqueueNotes(from, to string, notes []event.Notification) error {
+	wr.mu.Lock()
+	if wr.dead {
+		wr.mu.Unlock()
+		return errWriterDead
+	}
+	// Slots past len(wr.q) are zero — fresh from the allocator, or
+	// cleared by the flush that recycled the array — so only the fields
+	// a notify carries are written.
+	at := len(wr.q)
+	wr.q = slices.Grow(wr.q, len(notes))[:at+len(notes)]
+	for i := range notes {
+		m := &wr.q[at+i]
+		m.Kind, m.From, m.To, m.Note = "notify", from, to, notes[i]
+	}
+	wr.pendingNotes += len(notes)
+	wr.flushIfIdleLocked()
+	return nil
+}
+
+// flushIfIdleLocked releases wr.mu, which the caller holds with its
+// messages queued, and flushes unless a flusher is already running.
+func (wr *msgWriter) flushIfIdleLocked() {
 	if wr.flushing {
 		wr.mu.Unlock()
-		return nil
+		return
 	}
 	wr.flushing = true
 	wr.mu.Unlock()
@@ -161,7 +210,6 @@ func (wr *msgWriter) enqueue(msgs ...wireMsg) error {
 	if wr.flushBatch() {
 		go wr.flushLoop()
 	}
-	return nil
 }
 
 // dieLocked kills the writer; caller holds wr.mu. pendingNotes —
@@ -176,7 +224,7 @@ func (wr *msgWriter) dieLocked() {
 	wr.pendingNotes = 0
 	wr.q = nil
 	_ = wr.conn.Close()
-	if lost > 0 && wr.onDrop != nil {
+	if lost > 0 {
 		wr.onDrop(lost)
 	}
 }
@@ -208,44 +256,43 @@ func (wr *msgWriter) flushBatch() bool {
 		wr.mu.Unlock()
 		return false
 	}
-	batch := wr.q
+	// One flusher runs at a time and each settles its notes before the
+	// next batch is taken, so every pending note is in this batch.
+	batch, flushedNotes := wr.q, wr.pendingNotes
 	wr.q = wr.spare
 	wr.spare = nil
 	wr.mu.Unlock()
+	// Socket deadlines are wall-clock whatever clock the network runs on.
+	if now := clock.Real().Now(); wr.writeBy.Sub(now) < wr.bound {
+		wr.writeBy = now.Add(2 * wr.bound)
+		// Fails only on a closed socket, and then so does the write.
+		_ = wr.conn.SetWriteDeadline(wr.writeBy)
+	}
+	var err error
 	for i := range batch {
-		if err := encodeWireMsg(wr.enc, &batch[i]); err != nil {
-			wr.mu.Lock()
-			wr.dieLocked() // batch is still in pendingNotes
-			wr.flushing = false
-			wr.mu.Unlock()
-			return false
+		if err = encodeWireMsg(wr.enc, &batch[i]); err != nil {
+			break
 		}
 	}
-	if err := wr.enc.Flush(); err != nil {
-		wr.mu.Lock()
-		wr.dieLocked()
-		wr.flushing = false
-		wr.mu.Unlock()
-		return false
+	if err == nil {
+		err = wr.enc.Flush()
 	}
 	// Zero the drained slots so the recycled array does not pin
 	// payloads, then hand the array back as the next queue.
-	flushedNotes := countNotify(batch)
 	clear(batch)
 	wr.mu.Lock()
+	defer wr.mu.Unlock()
+	if err != nil {
+		wr.dieLocked() // the batch is still in pendingNotes
+	}
 	if wr.dead {
 		wr.flushing = false
-		wr.mu.Unlock()
 		return false
 	}
 	wr.pendingNotes -= flushedNotes
 	wr.spare = batch[:0]
-	more := len(wr.q) > 0
-	if !more {
-		wr.flushing = false
-	}
-	wr.mu.Unlock()
-	return more
+	wr.flushing = len(wr.q) > 0
+	return wr.flushing
 }
 
 // remoteLink routes traffic for one remote name.
@@ -260,8 +307,7 @@ type remoteLink interface {
 // the same TCP connection its calls came up on, so a dialling service
 // needs no listener of its own.
 type backchannel struct {
-	net *Network   // counts drops when the writer is already dead
-	wr  *msgWriter // the serving connection's writer
+	wr *msgWriter // the serving connection's writer
 }
 
 func (b *backchannel) call(from, to, op string, arg any) (any, error) {
@@ -273,13 +319,9 @@ func (b *backchannel) send(from, to string, note event.Notification) {
 }
 
 func (b *backchannel) sendBatch(from, to string, notes []event.Notification) {
-	msgs := make([]wireMsg, len(notes))
-	for i, note := range notes {
-		msgs[i] = wireMsg{Kind: "notify", From: from, To: to, Note: note}
-	}
-	if err := b.wr.enqueue(msgs...); err != nil {
+	if err := b.wr.enqueueNotes(from, to, notes); err != nil {
 		// Nothing was accepted, so the burst is ours to count.
-		b.net.dropNote(len(notes))
+		b.wr.onDrop(len(notes))
 	}
 }
 
@@ -298,6 +340,7 @@ type remotePeer struct {
 	closed  bool // CloseRemotes: no reconnection
 	nextSeq uint64
 	waiting map[uint64]wireWaiter
+	reaping bool // a reap goroutine is watching the deadlines in waiting
 
 	// Inbound back-channel notifications are delivered by a pump
 	// goroutine, never on the read loop itself: a delivery callback may
@@ -311,18 +354,20 @@ type remotePeer struct {
 
 // wireWaiter is one outstanding call. The connection tag keeps a dying
 // read loop from failing calls already re-issued on a successor
-// connection.
+// connection; deadline is when reap gives the call up.
 type wireWaiter struct {
-	ch   chan wireMsg
-	conn net.Conn
+	ch       chan wireMsg
+	conn     net.Conn
+	deadline time.Time // home clock
 }
 
 // callChans recycles reply channels across calls. A waiting channel
 // receives exactly one message — whoever removes the waiter from the
-// map (reply or connection loss) owns the single send — so once the
-// caller has read it, the channel is empty and safe to reuse. The
-// pre-send failure path never reads and never recycles: a racing
-// connection loss may still have a message in flight there.
+// map (reply, connection loss or deadline) owns the single send — so
+// once the caller has read it, the channel is empty and safe to reuse.
+// The pre-send failure path never reads and never recycles: a racing
+// connection loss may still have a message in flight there. Nor does
+// a call that timed out: that path is rare enough to leave to the GC.
 var callChans = sync.Pool{New: func() any { return make(chan wireMsg, 1) }}
 
 // drop accounts count lost notifications against both the per-link and
@@ -363,8 +408,10 @@ func (n *Network) serveConn(conn net.Conn) {
 		return
 	}
 	dec := NewWireDec(bufio.NewReaderSize(conn, wireBufSize))
-	wr := &msgWriter{conn: conn, enc: NewWireEnc(bufio.NewWriterSize(conn, wireBufSize)), onDrop: n.dropNote}
+	wr := newMsgWriter(conn, n.dropNote)
 	defer wr.kill()
+	workers := callWorkers{net: n, wr: wr, calls: make(chan wireMsg)}
+	defer close(workers.calls)
 	var backNames []string
 	defer func() {
 		// Drop back-channels routed over this connection.
@@ -376,51 +423,92 @@ func (n *Network) serveConn(conn net.Conn) {
 		}
 		n.peersMu.Unlock()
 	}()
+	// settled is the last caller name found routed for good; a
+	// connection nearly always carries one name, so the route tables
+	// are consulted once, not per message.
+	var settled string
 	for {
 		var msg wireMsg
 		if err := decodeWireMsg(dec, &msg); err != nil {
 			return
 		}
 		// The caller is reachable for notifications over this very
-		// connection; remember that unless it is already known. The
-		// name is almost always known after the first message, so
-		// check under the read lock and only upgrade (re-checking) to
-		// install a new back-channel.
-		if msg.From != "" {
+		// connection; remember that unless it is already known. Check
+		// under the read lock and only upgrade (re-checking) to install
+		// a new back-channel.
+		if msg.From != "" && msg.From != settled {
 			n.peersMu.RLock()
 			_, local := n.peers[msg.From]
-			_, known := n.remotes[msg.From]
+			link, known := n.remotes[msg.From]
 			n.peersMu.RUnlock()
 			if !local && !known {
 				n.peersMu.Lock()
 				_, local = n.peers[msg.From]
-				_, known = n.remotes[msg.From]
+				link, known = n.remotes[msg.From]
 				if !local && !known {
 					if n.remotes == nil {
 						n.remotes = make(map[string]remoteLink)
 					}
-					n.remotes[msg.From] = &backchannel{net: n, wr: wr}
+					link = &backchannel{wr: wr}
+					n.remotes[msg.From] = link
 					backNames = append(backNames, msg.From)
 				}
 				n.peersMu.Unlock()
 			}
+			// Another connection's back-channel dies with that
+			// connection, and this one must then take the name over, so
+			// that route alone is looked up again next time.
+			if bc, back := link.(*backchannel); local || !back || bc.wr == wr {
+				settled = msg.From
+			}
 		}
 		switch msg.Kind {
 		case "call":
-			// Each call is served on its own goroutine; replies are
-			// enqueued on the shared writer, so slow handlers never
-			// stall the read loop and fast replies overtake them.
-			go func(msg wireMsg) {
-				res, err := n.Call(msg.From, msg.To, msg.Op, msg.Arg)
-				reply := wireMsg{Kind: "reply", Seq: msg.Seq, Arg: res, IsNil: res == nil}
-				if err != nil {
-					reply.Err = err.Error()
-				}
-				_ = wr.enqueue(reply)
-			}(msg)
+			select {
+			case workers.calls <- msg:
+			default:
+				go workers.work(msg)
+			}
 		case "notify":
 			n.Send(msg.From, msg.To, msg.Note)
 		}
+	}
+}
+
+// maxParkedWorkers bounds the call workers a served connection keeps
+// waiting between calls. Busy workers are not bounded: a blocked handler
+// must never hold up the calls behind it.
+const maxParkedWorkers = 8
+
+// callWorkers serves one connection's inbound calls off its read loop,
+// so slow handlers never stall it and fast replies overtake them, on
+// goroutines that outlive the call: a finished worker parks for the
+// next one, and only a call that finds none parked pays for a new
+// goroutine and the stack it grows inside the handler. The read loop
+// closes calls when the connection ends, which sends the workers home.
+type callWorkers struct {
+	net    *Network
+	wr     *msgWriter
+	calls  chan wireMsg // unbuffered: a send lands only in a parked worker
+	parked atomic.Int32
+}
+
+func (cw *callWorkers) work(msg wireMsg) {
+	for open := true; open; {
+		res, err := cw.net.Call(msg.From, msg.To, msg.Op, msg.Arg)
+		reply := wireMsg{Kind: "reply", Seq: msg.Seq, Arg: res, IsNil: res == nil}
+		if err != nil {
+			reply.Err = err.Error()
+		}
+		// A dead writer means the connection is going; the caller learns
+		// of it from its own read loop.
+		_ = cw.wr.enqueue(reply)
+		if cw.parked.Add(1) > maxParkedWorkers {
+			cw.parked.Add(-1)
+			return
+		}
+		msg, open = <-cw.calls
+		cw.parked.Add(-1)
 	}
 }
 
@@ -478,12 +566,17 @@ func (n *Network) CloseRemotes() {
 
 // connectLocked dials the peer, exchanges hellos, and installs the
 // pipelined writer; caller holds p.mu. A peer that answers anything but
-// the hello fails the dial.
+// the hello fails the dial, and so does one that has not answered it a
+// CallDeadline from now: every caller of the link waits behind p.mu.
 func (p *remotePeer) connectLocked() error {
-	conn, err := net.Dial("tcp", p.addr)
+	by := clock.Real().Now().Add(CallDeadline)
+	conn, err := (&net.Dialer{Deadline: by}).Dial("tcp", p.addr)
 	if err != nil {
 		return err
 	}
+	// Setting a deadline fails only on a closed socket, as the hello
+	// then does.
+	_ = conn.SetDeadline(by)
 	if _, err = conn.Write([]byte(wireHello)); err == nil {
 		err = readHello(conn)
 	}
@@ -491,8 +584,9 @@ func (p *remotePeer) connectLocked() error {
 		_ = conn.Close()
 		return err
 	}
+	_ = conn.SetDeadline(time.Time{})
 	p.conn = conn
-	p.wr = &msgWriter{conn: conn, enc: NewWireEnc(bufio.NewWriterSize(conn, wireBufSize)), onDrop: p.drop}
+	p.wr = newMsgWriter(conn, p.drop)
 	go p.readLoop(conn, NewWireDec(bufio.NewReaderSize(conn, wireBufSize)), p.wr)
 	return nil
 }
@@ -615,11 +709,46 @@ func (p *remotePeer) pumpInbound() {
 	}
 }
 
+// reap gives up the calls whose deadline has passed, as the read loop
+// does for a lost connection: taking a waiter out of the table confers
+// the one send on its channel, so a reply arriving later finds no
+// waiter and is dropped. One reap runs per link while calls are
+// outstanding (startCall starts it), asleep on the home clock until the
+// earliest deadline, and leaves when it wakes to an empty table: no
+// call pays for a timer, a channel or a goroutine.
+func (p *remotePeer) reap() {
+	for {
+		now := p.home.clk.Now()
+		var next time.Time
+		var expired []chan wireMsg
+		p.mu.Lock()
+		for seq, wait := range p.waiting {
+			switch {
+			case !wait.deadline.After(now):
+				delete(p.waiting, seq)
+				expired = append(expired, wait.ch)
+			case next.IsZero() || wait.deadline.Before(next):
+				next = wait.deadline
+			}
+		}
+		p.reaping = !next.IsZero()
+		p.mu.Unlock()
+		for _, ch := range expired {
+			ch <- wireMsg{Kind: "deadline"}
+		}
+		if next.IsZero() {
+			return
+		}
+		<-p.home.clk.After(next.Sub(now))
+	}
+}
+
 // call issues one synchronous request. Pre-send failures — dial and
 // enqueue, where the request cannot have reached the peer — are
 // retried with exponential backoff on the home network's clock
 // (SetCallRetry); once the request is accepted for the wire a lost
-// connection fails the call, because retrying could execute it twice.
+// connection or a passed deadline fails the call, because retrying
+// could execute it twice.
 func (p *remotePeer) call(from, to, op string, arg any) (any, error) {
 	attempts := int(p.home.retryAttempts.Load())
 	if attempts < 1 {
@@ -641,6 +770,9 @@ func (p *remotePeer) call(from, to, op string, arg any) (any, error) {
 			continue
 		}
 		reply := <-ch
+		if reply.Kind == "deadline" {
+			return nil, fmt.Errorf("%w: %s left %q unanswered for %v", ErrCallDeadline, to, op, CallDeadline)
+		}
 		callChans.Put(ch)
 		if reply.Err != "" {
 			return nil, errors.New(reply.Err)
@@ -659,6 +791,7 @@ func (p *remotePeer) call(from, to, op string, arg any) (any, error) {
 // a retry cannot double-execute. The enqueue happens outside p.mu —
 // the writer has its own leaf lock — so concurrent calls pipeline.
 func (p *remotePeer) startCall(from, to, op string, arg any) (chan wireMsg, error) {
+	deadline := p.home.clk.Now().Add(CallDeadline)
 	p.mu.Lock()
 	if err := p.ensureConnLocked(); err != nil {
 		p.mu.Unlock()
@@ -668,7 +801,11 @@ func (p *remotePeer) startCall(from, to, op string, arg any) (chan wireMsg, erro
 	p.nextSeq++
 	seq := p.nextSeq
 	ch := callChans.Get().(chan wireMsg)
-	p.waiting[seq] = wireWaiter{ch: ch, conn: conn}
+	p.waiting[seq] = wireWaiter{ch: ch, conn: conn, deadline: deadline}
+	if !p.reaping {
+		p.reaping = true
+		go p.reap()
+	}
 	p.mu.Unlock()
 
 	if err := wr.enqueue(wireMsg{Kind: "call", Seq: seq, From: from, To: to, Op: op, Arg: arg}); err != nil {
@@ -702,11 +839,7 @@ func (p *remotePeer) sendBatch(from, to string, notes []event.Notification) {
 	wr := p.wr
 	p.mu.Unlock()
 
-	msgs := make([]wireMsg, len(notes))
-	for i, note := range notes {
-		msgs[i] = wireMsg{Kind: "notify", From: from, To: to, Note: note}
-	}
-	if err := wr.enqueue(msgs...); err != nil {
+	if err := wr.enqueueNotes(from, to, notes); err != nil {
 		// Nothing was accepted, so the burst is ours to count.
 		p.drop(len(notes))
 		p.mu.Lock()

@@ -64,8 +64,6 @@ type BrokerOptions struct {
 	// message at least this often (0 disables automatic heartbeats; the
 	// owner then calls Heartbeat explicitly, as the simulations do).
 	HeartbeatEvery time.Duration
-	// AckEvery is i: the client should acknowledge every i-th heartbeat.
-	AckEvery int
 	// RetainFor bounds how long pre-registration buffers event
 	// occurrences before discarding them (§6.8.1).
 	RetainFor time.Duration
@@ -85,8 +83,8 @@ type registration struct {
 }
 
 // session is one client's delivery stream. The broker-wide lock guards
-// only the session table; per-stream state (sequence numbers, resend
-// buffer, outbound queue) sits behind the session's own mutex so that
+// only the session table; per-stream state (sequence numbers, outbound
+// queue) sits behind the session's own mutex so that
 // concurrent Signal and Heartbeat calls serialise per session, not per
 // broker.
 type session struct {
@@ -96,7 +94,6 @@ type session struct {
 
 	mu       sync.Mutex
 	nextSeq  uint64
-	unacked  []Notification // kept until acknowledged, for resend
 	outbox   []Notification // prepared, not yet handed to the sink
 	draining bool           // a goroutine is flushing outbox in order
 	closed   bool
@@ -144,9 +141,6 @@ type Broker struct {
 
 // NewBroker creates an event broker for the named service instance.
 func NewBroker(name string, clk clock.Clock, opts BrokerOptions) *Broker {
-	if opts.AckEvery <= 0 {
-		opts.AckEvery = 4
-	}
 	if opts.RetainMax <= 0 {
 		opts.RetainMax = 4096
 	}
@@ -335,10 +329,12 @@ func (b *Broker) visible(s *session, ev Event) bool {
 	return b.opts.Visibility(s.id, s.credentials, ev)
 }
 
-// notify assigns the next per-session sequence number, records the
-// notification for resend, and drains the session's outbox in order.
-// Per-session delivery order therefore always equals sequence order,
-// even with concurrent signallers; the sink runs with no lock held.
+// notify assigns the next per-session sequence number and drains the
+// session's outbox in order. Per-session delivery order therefore
+// always equals sequence order, even with concurrent signallers; the
+// sink runs with no lock held. Nothing is kept once the sink has the
+// notification: a client that detects a gap (§4.10) recovers by
+// resynchronising record state, not by asking for a replay.
 func (b *Broker) notify(s *session, regID uint64, ev Event, hb bool, horizon time.Time) {
 	s.mu.Lock()
 	if s.closed {
@@ -355,7 +351,6 @@ func (b *Broker) notify(s *session, regID uint64, ev Event, hb bool, horizon tim
 		Event:     ev,
 		Horizon:   horizon,
 	}
-	s.unacked = append(s.unacked, n)
 	if !s.draining && len(s.outbox) == 0 {
 		// Uncontended fast path: nothing queued and nobody delivering, so
 		// this notification can go straight to the sink — no outbox
@@ -533,46 +528,6 @@ func (b *Broker) Heartbeat() {
 	}
 }
 
-// Ack acknowledges receipt of every notification up to and including seq
-// on the session, letting the broker delete resend state (§4.10).
-func (b *Broker) Ack(sess, seq uint64) error {
-	b.mu.RLock()
-	s, ok := b.sessions[sess]
-	b.mu.RUnlock()
-	if !ok {
-		return ErrNoSession
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := 0
-	for i < len(s.unacked) && s.unacked[i].Seq <= seq {
-		i++
-	}
-	s.unacked = append([]Notification(nil), s.unacked[i:]...)
-	return nil
-}
-
-// Resend redelivers every unacknowledged notification on the session;
-// the broker does this when the client reports a gap or reconnects.
-// Resent notifications flow through the session outbox, so they never
-// interleave out of order with live traffic.
-func (b *Broker) Resend(sess uint64) error {
-	b.mu.RLock()
-	s, ok := b.sessions[sess]
-	b.mu.RUnlock()
-	if !ok {
-		return ErrNoSession
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrNoSession
-	}
-	s.outbox = append(s.outbox, s.unacked...)
-	b.drainLocked(s)
-	return nil
-}
-
 // SessionSeq reports the highest sequence number assigned on the
 // session so far. A resync snapshot quotes it as the stream position
 // the snapshot supersedes: the issuer must read it BEFORE reading
@@ -589,20 +544,6 @@ func (b *Broker) SessionSeq(sess uint64) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.nextSeq, nil
-}
-
-// UnackedCount reports resend state held for a session (for tests and
-// the background-traffic experiment E6).
-func (b *Broker) UnackedCount(sess uint64) int {
-	b.mu.RLock()
-	s, ok := b.sessions[sess]
-	b.mu.RUnlock()
-	if !ok {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.unacked)
 }
 
 // PendingNotifications reports the total depth of the per-session

@@ -11,27 +11,21 @@ import (
 )
 
 // seqCheckSink asserts the §4.10 per-session contract under concurrency:
-// a sequence number above the high-water mark must extend it by exactly
-// one — first deliveries arrive in order with no gaps. Numbers at or
-// below the mark are redeliveries (the churner calls Resend), which the
-// protocol permits.
+// every delivery extends the stream by exactly one — in order, no gap,
+// nothing delivered twice.
 type seqCheckSink struct {
 	t    *testing.T
 	mu   sync.Mutex
 	last uint64
-	got  int
 }
 
 func (s *seqCheckSink) Deliver(n Notification) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n.Seq > s.last {
-		if n.Seq != s.last+1 {
-			s.t.Errorf("session %d: seq %d after %d (gap)", n.SessionID, n.Seq, s.last)
-		}
-		s.last = n.Seq
+	if n.Seq != s.last+1 {
+		s.t.Errorf("session %d: seq %d after %d", n.SessionID, n.Seq, s.last)
 	}
-	s.got++
+	s.last = n.Seq
 }
 
 // TestBrokerConcurrentLifecycle hammers every broker entry point from
@@ -68,8 +62,10 @@ func TestBrokerConcurrentLifecycle(t *testing.T) {
 						return
 					}
 				}
-				_ = b.Ack(sess, 0)
-				_ = b.Resend(sess)
+				if _, err := b.SessionSeq(sess); err != nil {
+					t.Error(err)
+					return
+				}
 				if err := b.CloseSession(sess); err != nil {
 					t.Error(err)
 					return

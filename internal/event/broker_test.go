@@ -194,46 +194,6 @@ func TestHeartbeatCarriesHorizon(t *testing.T) {
 	}
 }
 
-func TestAckTrimsUnacked(t *testing.T) {
-	b, _ := newTestBroker(t, BrokerOptions{})
-	sink := &capture{}
-	sess, _ := b.OpenSession(sink, nil)
-	if _, err := b.Register(sess, NewTemplate("E")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		b.Signal(New("E"))
-	}
-	if got := b.UnackedCount(sess); got != 5 {
-		t.Fatalf("unacked = %d, want 5", got)
-	}
-	ns := sink.all()
-	if err := b.Ack(sess, ns[2].Seq); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.UnackedCount(sess); got != 2 {
-		t.Fatalf("unacked after ack = %d, want 2", got)
-	}
-}
-
-func TestResendRedelivers(t *testing.T) {
-	b, _ := newTestBroker(t, BrokerOptions{})
-	sink := &capture{}
-	sess, _ := b.OpenSession(sink, nil)
-	if _, err := b.Register(sess, NewTemplate("E")); err != nil {
-		t.Fatal(err)
-	}
-	b.Signal(New("E"))
-	b.Signal(New("E"))
-	before := len(sink.all())
-	if err := b.Resend(sess); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(sink.all()); got != before*2 {
-		t.Fatalf("resend delivered %d total, want %d", got, before*2)
-	}
-}
-
 func TestPreRegistrationBuffersNotNotifies(t *testing.T) {
 	b, _ := newTestBroker(t, BrokerOptions{})
 	sink := &capture{}

@@ -117,7 +117,7 @@ func TestPrintServerLifecycle(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	broker := NewBroker("P", clk, BrokerOptions{})
 
-	recv := NewReceiver(4, nil)
+	recv := NewReceiver(nil)
 	sess, err := broker.OpenSession(recv, nil)
 	if err != nil {
 		t.Fatal(err)

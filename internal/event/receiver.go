@@ -33,11 +33,9 @@ type sessKey struct {
 // notifications to per-registration handlers, tracks per-source event
 // horizons, detects sequence gaps, suppresses duplicated and stale
 // notifications (a faulty link may deliver a notification twice, or
-// after a resync already covered it), and acknowledges every i-th
-// heartbeat so that the broker can delete resend state.
+// after a resync already covered it).
 type Receiver struct {
-	ackEvery int
-	onGap    GapHandler
+	onGap GapHandler
 
 	mu          sync.Mutex
 	onRevive    ReviveHandler
@@ -45,32 +43,18 @@ type Receiver struct {
 	srcHandlers map[string]Handler   // keyed source + "/" + regID
 	lastSeq     map[sessKey]uint64   // per (source, session)
 	horizons    map[string]time.Time // per source
-	hbCount     map[sessKey]int
-	acks        []Ack
-	silent      map[string]bool // sources currently presumed failed
+	silent      map[string]bool      // sources currently presumed failed
 }
 
-// Ack records an acknowledgement the receiver owes its broker; the
-// transport collects these via TakeAcks and forwards them.
-type Ack struct {
-	Session uint64
-	Seq     uint64
-}
-
-// NewReceiver creates a receiver that acknowledges every ackEvery-th
-// heartbeat (i in §4.10).
-func NewReceiver(ackEvery int, onGap GapHandler) *Receiver {
-	if ackEvery <= 0 {
-		ackEvery = 4
-	}
+// NewReceiver creates a receiver; onGap (may be nil) is told of every
+// sequence gap.
+func NewReceiver(onGap GapHandler) *Receiver {
 	return &Receiver{
-		ackEvery:    ackEvery,
 		onGap:       onGap,
 		handlers:    make(map[uint64]Handler),
 		srcHandlers: make(map[string]Handler),
 		lastSeq:     make(map[sessKey]uint64),
 		horizons:    make(map[string]time.Time),
-		hbCount:     make(map[sessKey]int),
 		silent:      make(map[string]bool),
 	}
 }
@@ -130,18 +114,11 @@ func (r *Receiver) Deliver(n Notification) {
 	revived := r.silent[n.Source]
 	delete(r.silent, n.Source)
 	var h Handler
-	if !stale {
-		if !n.Heartbeat {
-			if sh, ok := r.srcHandlers[srcKey(n.Source, n.RegID)]; ok {
-				h = sh
-			} else {
-				h = r.handlers[n.RegID]
-			}
+	if !stale && !n.Heartbeat {
+		if sh, ok := r.srcHandlers[srcKey(n.Source, n.RegID)]; ok {
+			h = sh
 		} else {
-			r.hbCount[k]++
-			if r.hbCount[k]%r.ackEvery == 0 {
-				r.acks = append(r.acks, Ack{Session: n.SessionID, Seq: n.Seq})
-			}
+			h = r.handlers[n.RegID]
 		}
 	}
 	onGap := r.onGap
@@ -213,15 +190,6 @@ func (r *Receiver) Sources() []string {
 		out = append(out, src)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// TakeAcks returns and clears the pending acknowledgements.
-func (r *Receiver) TakeAcks() []Ack {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.acks
-	r.acks = nil
 	return out
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestReceiverDispatchByRegistration(t *testing.T) {
-	r := NewReceiver(2, nil)
+	r := NewReceiver(nil)
 	var got []Event
 	r.Handle(7, func(e Event) { got = append(got, e) })
 	r.Deliver(Notification{SessionID: 1, Seq: 1, RegID: 7, Event: New("E", value.Int(1))})
@@ -21,38 +21,21 @@ func TestReceiverDispatchByRegistration(t *testing.T) {
 
 func TestReceiverDetectsGap(t *testing.T) {
 	var gaps []string
-	r := NewReceiver(2, func(src string) { gaps = append(gaps, src) })
+	r := NewReceiver(func(src string) { gaps = append(gaps, src) })
 	r.Deliver(Notification{Source: "s", SessionID: 1, Seq: 1, Heartbeat: true})
 	r.Deliver(Notification{Source: "s", SessionID: 1, Seq: 3, Heartbeat: true})
 	if len(gaps) != 1 || gaps[0] != "s" {
 		t.Fatalf("gaps = %v", gaps)
 	}
-	// A duplicate (resend) is not a gap.
+	// A duplicate is not a gap.
 	r.Deliver(Notification{Source: "s", SessionID: 1, Seq: 3, Heartbeat: true})
 	if len(gaps) != 1 {
 		t.Fatalf("duplicate counted as gap: %v", gaps)
 	}
 }
 
-func TestReceiverAcksEveryIth(t *testing.T) {
-	r := NewReceiver(3, nil)
-	for i := uint64(1); i <= 7; i++ {
-		r.Deliver(Notification{Source: "s", SessionID: 1, Seq: i, Heartbeat: true})
-	}
-	acks := r.TakeAcks()
-	if len(acks) != 2 { // after heartbeats 3 and 6
-		t.Fatalf("acks = %v", acks)
-	}
-	if acks[0].Seq != 3 || acks[1].Seq != 6 {
-		t.Fatalf("ack seqs = %v", acks)
-	}
-	if len(r.TakeAcks()) != 0 {
-		t.Fatal("TakeAcks did not clear")
-	}
-}
-
 func TestReceiverHorizonTracking(t *testing.T) {
-	r := NewReceiver(2, nil)
+	r := NewReceiver(nil)
 	t1 := time.Unix(100, 0)
 	t2 := time.Unix(200, 0)
 	r.Deliver(Notification{Source: "s", SessionID: 1, Seq: 1, Horizon: t2, Heartbeat: true})
@@ -68,7 +51,7 @@ func TestReceiverHorizonTracking(t *testing.T) {
 
 func TestReceiverLivenessDetection(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(1000, 0))
-	r := NewReceiver(2, nil)
+	r := NewReceiver(nil)
 	r.Deliver(Notification{Source: "s", SessionID: 1, Seq: 1, Horizon: clk.Now(), Heartbeat: true})
 
 	// Within the allowance: alive.
@@ -99,7 +82,7 @@ func TestReceiverLivenessDetection(t *testing.T) {
 func TestReceiverSuppressesDuplicates(t *testing.T) {
 	// A lossy link may deliver the same notification twice (fault-plane
 	// duplication); the payload must be applied once.
-	r := NewReceiver(2, nil)
+	r := NewReceiver(nil)
 	var got []Event
 	r.HandleFrom("s", 7, func(e Event) { got = append(got, e) })
 	n := Notification{Source: "s", SessionID: 1, Seq: 5, RegID: 7, Event: New("E", value.Int(1))}
@@ -108,20 +91,13 @@ func TestReceiverSuppressesDuplicates(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("duplicate dispatched: %d deliveries", len(got))
 	}
-	// A duplicated heartbeat must not advance the ack cadence either.
-	hb := Notification{Source: "s", SessionID: 1, Seq: 6, Heartbeat: true}
-	r.Deliver(hb)
-	r.Deliver(hb)
-	if acks := r.TakeAcks(); len(acks) != 0 {
-		t.Fatalf("duplicate heartbeat acked: %v", acks)
-	}
 }
 
 func TestReceiverSessionsKeyedBySource(t *testing.T) {
 	// Two brokers allocate session ids independently; session 1 from
 	// source A must not mask session 1 from source B.
 	var gaps []string
-	r := NewReceiver(2, func(src string) { gaps = append(gaps, src) })
+	r := NewReceiver(func(src string) { gaps = append(gaps, src) })
 	var got []Event
 	r.HandleFrom("A", 1, func(e Event) { got = append(got, e) })
 	r.HandleFrom("B", 1, func(e Event) { got = append(got, e) })
@@ -138,7 +114,7 @@ func TestReceiverSessionsKeyedBySource(t *testing.T) {
 }
 
 func TestReceiverSessionFloor(t *testing.T) {
-	r := NewReceiver(2, nil)
+	r := NewReceiver(nil)
 	var got []Event
 	r.HandleFrom("s", 7, func(e Event) { got = append(got, e) })
 	r.SetSessionFloor("s", 1, 10)
@@ -163,7 +139,7 @@ func TestReceiverSessionFloor(t *testing.T) {
 
 func TestReceiverOnRevive(t *testing.T) {
 	var revived []string
-	r := NewReceiver(2, nil)
+	r := NewReceiver(nil)
 	r.OnRevive(func(src string) { revived = append(revived, src) })
 	r.Deliver(Notification{Source: "s", SessionID: 1, Seq: 1, Heartbeat: true})
 	if len(revived) != 0 {
@@ -189,7 +165,7 @@ func TestReceiverOnRevive(t *testing.T) {
 }
 
 func TestReceiverSources(t *testing.T) {
-	r := NewReceiver(2, nil)
+	r := NewReceiver(nil)
 	h := time.Unix(100, 0)
 	r.Deliver(Notification{Source: "b", SessionID: 1, Seq: 1, Horizon: h, Heartbeat: true})
 	r.Deliver(Notification{Source: "a", SessionID: 1, Seq: 1, Horizon: h, Heartbeat: true})
@@ -202,7 +178,7 @@ func TestReceiverSources(t *testing.T) {
 func TestBrokerSessionSeq(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	b := NewBroker("s", clk, BrokerOptions{})
-	r := NewReceiver(2, nil)
+	r := NewReceiver(nil)
 	sess, err := b.OpenSession(r, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -221,10 +197,10 @@ func TestBrokerSessionSeq(t *testing.T) {
 }
 
 func TestBrokerReceiverEndToEnd(t *testing.T) {
-	// The full figure 6.1 loop: register, signal, dispatch, heartbeat, ack.
+	// The full figure 6.1 loop: register, signal, dispatch, heartbeat.
 	clk := clock.NewVirtual(time.Unix(0, 0))
-	b := NewBroker("printer", clk, BrokerOptions{AckEvery: 2})
-	r := NewReceiver(2, nil)
+	b := NewBroker("printer", clk, BrokerOptions{})
+	r := NewReceiver(nil)
 	sess, err := b.OpenSession(r, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -246,16 +222,14 @@ func TestBrokerReceiverEndToEnd(t *testing.T) {
 		t.Fatal("event not delivered")
 	}
 
+	// The heartbeat carries the horizon forward and the stream stays
+	// gapless: event 1, heartbeat 2.
+	clk.Advance(time.Second)
 	b.Heartbeat()
-	b.Heartbeat()
-	acks := r.TakeAcks()
-	if len(acks) != 1 {
-		t.Fatalf("acks = %v", acks)
+	if h, ok := r.Horizon("printer"); !ok || h.Before(clk.Now()) {
+		t.Fatalf("horizon after heartbeat = %v, %v; want >= %v", h, ok, clk.Now())
 	}
-	if err := b.Ack(sess, acks[0].Seq); err != nil {
-		t.Fatal(err)
-	}
-	if b.UnackedCount(sess) != 0 {
-		t.Fatalf("unacked = %d after ack", b.UnackedCount(sess))
+	if seq, err := b.SessionSeq(sess); err != nil || seq != 2 {
+		t.Fatalf("session seq = %d, %v; want 2", seq, err)
 	}
 }

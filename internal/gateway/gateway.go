@@ -26,12 +26,13 @@
 // tokens without the gateway scanning anything.
 //
 // Load discipline: per-client token-bucket rate limiting (429 +
-// Retry-After), a concurrent-connection cap, a request deadline on the
-// two routes that can wait on a peer (issue, revoke — introspection
-// never leaves the process and is served inline), and backpressure —
-// when the notification plane's queues signal saturation, mutating
-// requests are shed with 503 + Retry-After instead of queueing without
-// bound.
+// Retry-After), a concurrent-connection cap, and backpressure — when the
+// notification plane's queues signal saturation, mutating requests are
+// shed with 503 + Retry-After instead of queueing without bound. Every
+// route runs on the connection's own goroutine with no deadline wrapper:
+// the only waits a request can meet are on a peer, and internal/bus
+// bounds those itself (an issuer that does not answer a validation
+// within bus.CallDeadline becomes a 503 "timeout").
 package gateway
 
 import (
@@ -65,11 +66,6 @@ type Options struct {
 	// means no cap.
 	MaxConns int
 
-	// RequestTimeout bounds the handling of one issue or revoke request
-	// end to end (introspection cannot block and has no deadline); 0
-	// means DefaultRequestTimeout.
-	RequestTimeout time.Duration
-
 	// Pressure reports the notification plane's queued-notification
 	// depth; PressureLimit is the saturation threshold at or above
 	// which the gateway sheds mutating requests (issue, revoke) with
@@ -83,13 +79,11 @@ type Options struct {
 	RetryAfter time.Duration
 }
 
-// Defaults for zero Options fields.
-const (
-	DefaultRequestTimeout = 10 * time.Second
-	DefaultRetryAfter     = 2 * time.Second
-)
+// DefaultRetryAfter is the Retry-After hint when Options gives none.
+const DefaultRetryAfter = 2 * time.Second
 
-// timeoutBody answers (503) a request abandoned at the deadline.
+// timeoutBody answers (503) a request whose issuer did not answer
+// within bus.CallDeadline.
 const timeoutBody = `{"error":"timeout","error_description":"request handling exceeded the gateway deadline"}`
 
 // Gateway exposes one OASIS service over HTTP/JSON.
@@ -100,8 +94,7 @@ type Gateway struct {
 	limit  *rateLimiter
 	opts   Options
 
-	// The guarded routes. Issue and revoke can wait on a peer, so they
-	// run under the request deadline; introspection cannot and does not.
+	// The guarded routes.
 	tokenRoute, introspectRoute, revokeRoute http.HandlerFunc
 
 	// droppedWrites counts response bodies the client went away before
@@ -117,9 +110,6 @@ func New(svc *oasis.Service, opts Options) *Gateway {
 	}
 	if opts.Clock == nil {
 		opts.Clock = svc.Clock()
-	}
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = DefaultRequestTimeout
 	}
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = DefaultRetryAfter
@@ -140,19 +130,14 @@ func New(svc *oasis.Service, opts Options) *Gateway {
 		}
 		g.limit = newRateLimiter(opts.RatePerSec, burst, g.clk)
 	}
-	// Entry and revocation can block with no bound of their own — a
-	// foreign credential is validated by a call to its issuer, a
-	// cascade is delivered synchronously into a peer's socket — so each
-	// runs on a goroutine the deadline wrapper can abandon. Admission
-	// (guard) is decided before that goroutine is spent.
-	g.tokenRoute = g.guard(http.TimeoutHandler(http.HandlerFunc(g.handleToken), opts.RequestTimeout, timeoutBody).ServeHTTP, true)
+	g.tokenRoute = g.guard(g.handleToken, true)
 	g.introspectRoute = g.guard(g.handleIntrospect, false)
-	g.revokeRoute = g.guard(http.TimeoutHandler(http.HandlerFunc(g.handleRevoke), opts.RequestTimeout, timeoutBody).ServeHTTP, true)
+	g.revokeRoute = g.guard(g.handleRevoke, true)
 	return g
 }
 
-// Handler returns the gateway's HTTP handler (request deadline applied
-// to the routes that need one; connection limiting is Serve's job).
+// Handler returns the gateway's HTTP handler (connection limiting is
+// Serve's job).
 func (g *Gateway) Handler() http.Handler { return http.HandlerFunc(g.route) }
 
 // route dispatches on the exact path: four fixed routes need no

@@ -686,6 +686,78 @@ func TestConcurrentIntrospectOwnAnswer(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentMutationsOwnAnswer: issue and revoke run on the caller's
+// goroutine and share the pooled buffers with introspection. Eight
+// goroutines each issue a token for their own user and revoke it, 200
+// times over, checking that both answers are their own. Run under -race
+// -count=10 (make race).
+func TestConcurrentMutationsOwnAnswer(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	login, err := oasis.New("Login", clk, nil, oasis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := login.AddRolefile("main", loginRolefile); err != nil {
+		t.Fatal(err)
+	}
+	gw := gateway.New(login, gateway.Options{}) // crypto/rand: seqReader is not for sharing
+	h := gw.Handler()
+	c := ids.NewHostAuthority("ely", clk.Now()).NewDomain()
+
+	const workers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// Different lengths, so a buffer handed over dirty shows.
+			user := "user-" + strings.Repeat("x", i*7) + string(rune('a'+i))
+			issue, err := json.Marshal(gateway.TokenRequest{
+				Client: c, Rolefile: "main", Role: "LoggedOn",
+				Args: []value.Value{uid(user), value.Object("Login.host", "ely")},
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			seen := make(map[string]bool)
+			for round := 0; round < 200; round++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/token", bytes.NewReader(issue)))
+				var res gateway.TokenResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil || rec.Code != http.StatusOK {
+					t.Errorf("worker %d: issue answered %d %q (%v)", i, rec.Code, rec.Body.String(), err)
+					return
+				}
+				if res.Token == "" || seen[res.Token] || len(res.Args) != 2 || res.Args[0].S != user ||
+					res.Cert == nil || len(res.Cert.Args) != 2 || res.Cert.Args[0].S != user {
+					t.Errorf("worker %d: not its own token: %s", i, rec.Body.String())
+					return
+				}
+				seen[res.Token] = true
+				rec = httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/revoke",
+					strings.NewReader(`{"token":"`+res.Token+`"}`)))
+				if rec.Code != http.StatusOK || rec.Body.String() != "{\"ok\":true}\n" {
+					t.Errorf("worker %d: revoke answered %d %q", i, rec.Code, rec.Body.String())
+					return
+				}
+				rec = httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/introspect",
+					strings.NewReader(`{"token":"`+res.Token+`"}`)))
+				if rec.Code != http.StatusOK || rec.Body.String() != "{\"active\":false}\n" {
+					t.Errorf("worker %d: revoked token introspects as %d %q", i, rec.Code, rec.Body.String())
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := gw.TokenCount(); n != 0 {
+		t.Fatalf("%d tokens left after every one was revoked", n)
+	}
+}
+
 // serveGateway runs the gateway on a loopback listener until the test
 // ends and returns its base URL.
 func serveGateway(t *testing.T, gw *gateway.Gateway) string {
@@ -762,10 +834,9 @@ func TestExplicitFraming(t *testing.T) {
 	roundTrip("/v1/revoke", gateway.RevokeRequest{Token: issued.Token})
 }
 
-// stalledIssuer stands on Conf's network under Login's name: it
+// stalledIssuer is served on Login's peer port under Login's name: it
 // answers everything the real service does except validate, which never
-// returns while the test runs — the peer an issuance would wait on
-// with no bound of its own.
+// returns while the test runs — the peer an issuance would wait on.
 type stalledIssuer struct {
 	*oasis.Service
 	release chan struct{}
@@ -778,27 +849,48 @@ func (p stalledIssuer) Call(from, op string, arg any) (any, error) {
 	return p.Service.Call(from, op, arg)
 }
 
-// TestRequestDeadline covers the deadline that remains. Issuance that
-// has to ask an unresponsive issuer about a foreign credential is
-// abandoned with the 503 timeout envelope; introspection, which runs on
-// the connection's own goroutine under no deadline, answers while that
-// request hangs. The method and path checks of the route switch answer
-// as the mux did.
+// TestRequestDeadline: no route runs under a deadline wrapper, and none
+// needs one. Issuance that has to ask an unresponsive issuer about a
+// foreign credential — in the deployed shape: the issuer behind its
+// peer port, this service joined to it by AddRemote — is given up by
+// the bus once the call has been outstanding bus.CallDeadline on the
+// home clock, and answered with the 503 timeout envelope; introspection
+// answers all the while. The method and path checks of the route switch
+// answer as the mux did.
+//
+// (An endpoint registered on the caller's own Network that never
+// returns is not this case: Network.Call to a local endpoint is a plain
+// function call, unbounded by design — that is a deadlock in our own
+// process, not a slow peer.)
 func TestRequestDeadline(t *testing.T) {
-	clk := clock.Real()
-	login, err := oasis.New("Login", clk, bus.NewNetwork(clk), oasis.Options{})
+	oasis.RegisterWireTypes()
+	login, err := oasis.New("Login", clock.Real(), nil, oasis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := login.AddRolefile("main", loginRolefile); err != nil {
 		t.Fatal(err)
 	}
-	confNet := bus.NewNetwork(clk)
+	loginNet := bus.NewNetwork(clock.Real())
 	release := make(chan struct{})
-	defer close(release) // lets the abandoned issuance's goroutine finish
-	if err := confNet.Register("Login", stalledIssuer{login, release}); err != nil {
+	if err := loginNet.Register("Login", stalledIssuer{login, release}); err != nil {
 		t.Fatal(err)
 	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() { defer close(served); _ = loginNet.ServeTCP(ln) }()
+
+	clk := clock.NewVirtual(time.Date(1997, 6, 1, 9, 0, 0, 0, time.UTC))
+	confNet := bus.NewNetwork(clk)
+	if err := confNet.AddRemote("Login", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	// Unwinds in order: the stalled handler returns, the link closes (so
+	// the served connection ends), the listener closes, ServeTCP returns.
+	defer func() { close(release); confNet.CloseRemotes(); ln.Close(); <-served }()
 	conf, err := oasis.New("Conf", clk, confNet, oasis.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -807,7 +899,7 @@ func TestRequestDeadline(t *testing.T) {
 	if err := conf.AddRolefile("main", rolefile); err != nil {
 		t.Fatal(err)
 	}
-	h := gateway.New(conf, gateway.Options{RequestTimeout: 50 * time.Millisecond}).Handler()
+	h := gateway.New(conf, gateway.Options{}).Handler()
 
 	c := ids.NewHostAuthority("ely", clk.Now()).NewDomain()
 	var guest gateway.TokenResponse
@@ -830,7 +922,8 @@ func TestRequestDeadline(t *testing.T) {
 			Client: c, Rolefile: "main", Role: "Chair", Creds: []*cert.RMC{loginCert},
 		}, nil)
 	}()
-	// Introspections keep answering for as long as the issuance hangs.
+	// Introspections keep answering for as long as the issuance hangs,
+	// which is until the home clock has passed the call's deadline.
 	var rec *httptest.ResponseRecorder
 	for rec == nil {
 		if in := introspect(t, h, guest.Token); !in.Active {
@@ -838,7 +931,8 @@ func TestRequestDeadline(t *testing.T) {
 		}
 		select {
 		case rec = <-hung:
-		default:
+		case <-time.After(time.Millisecond):
+			clk.Advance(bus.CallDeadline / 4)
 		}
 	}
 	var e gateway.ErrorResponse

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"oasis/internal/bus"
 	"oasis/internal/cert"
 	"oasis/internal/credrec"
 	"oasis/internal/ids"
@@ -170,9 +171,15 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// engineError maps an engine failure onto the HTTP error vocabulary:
-// fraud is refused outright, everything else is an invalid grant.
+// engineError maps an engine failure onto the HTTP error vocabulary: an
+// issuer that did not answer in time is a 503 (the credential may be
+// perfectly good), fraud is refused outright, everything else is an
+// invalid grant.
 func (g *Gateway) engineError(w http.ResponseWriter, err error) {
+	if errors.Is(err, bus.ErrCallDeadline) {
+		g.respond(w, http.StatusServiceUnavailable, []byte(timeoutBody))
+		return
+	}
 	var verr *oasis.ValidationError
 	if errors.As(err, &verr) {
 		switch verr.Class {
@@ -238,11 +245,10 @@ func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
 
 // handleIntrospect answers a token's status live from the credential
 // record store: a revocation cascade that lands between two
-// introspections flips the answer with no gateway-side invalidation.
-// It runs on the connection's goroutine with no deadline of its own —
-// a token-table read plus Service.Validate of a certificate this
-// service issued never leaves the process, so there is nothing to wait
-// for — and takes the canonical body through readToken and
+// introspections flips the answer with no gateway-side invalidation. A
+// token-table read plus Service.Validate of a certificate this service
+// issued never leaves the process, so there is nothing to wait for. It
+// takes the canonical body through readToken and
 // appendIntrospectResponse, everything else through decode.
 func (g *Gateway) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 	bp := getBuf()

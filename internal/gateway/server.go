@@ -5,12 +5,15 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"oasis/internal/bus"
 )
 
 // Serve runs the gateway's HTTP server on ln until the listener
 // closes. The listener is wrapped with the connection cap
-// (Options.MaxConns), and the server enforces header/idle timeouts on
-// top of the per-request handler timeout.
+// (Options.MaxConns), and the server enforces header/read/idle
+// timeouts; the write timeout leaves room for the longest a handler can
+// wait on a peer (a dial and a call, each one bus.CallDeadline).
 func (g *Gateway) Serve(ln net.Listener) error {
 	if g.opts.MaxConns > 0 {
 		ln = limitListener(ln, g.opts.MaxConns)
@@ -18,8 +21,8 @@ func (g *Gateway) Serve(ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           g.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       g.opts.RequestTimeout + 5*time.Second,
-		WriteTimeout:      g.opts.RequestTimeout + 5*time.Second,
+		ReadTimeout:       15 * time.Second,
+		WriteTimeout:      2*bus.CallDeadline + 5*time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
 	err := srv.Serve(ln)

@@ -317,7 +317,9 @@ func (s *Service) validateForeign(c *cert.RMC, client ids.ClientID) ([]string, [
 	}
 	res, err := s.net.Call(s.name, c.Service, "validate", ValidateArg{Cert: c, Client: client, Watch: true})
 	if err != nil {
-		return nil, nil, credrec.Ref{}, s.fail(Revoked, "cannot reach issuer %s: %v", c.Service, err)
+		verr := s.fail(Revoked, "cannot reach issuer %s: %v", c.Service, err)
+		verr.Cause = err
+		return nil, nil, credrec.Ref{}, verr
 	}
 	reply, ok := res.(ValidateReply)
 	if !ok {

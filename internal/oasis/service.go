@@ -234,7 +234,7 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 	// A sequence gap means a notification — possibly a revocation — was
 	// lost; a revived source means a partition healed. Both feed the
 	// suspicion machinery (suspicion.go).
-	s.receiver = event.NewReceiver(4, s.onNotificationGap)
+	s.receiver = event.NewReceiver(s.onNotificationGap)
 	s.receiver.OnRevive(s.onSourceRevive)
 	s.store.OnChange(s.onRecordChange)
 	if net != nil {

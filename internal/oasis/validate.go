@@ -38,15 +38,21 @@ func (c FailureClass) String() string {
 
 // ValidationError reports why a certificate was rejected, carrying the
 // failure class so services can record fraud separately (§4.2, §4.13).
+// Cause, when set, is the transport error that kept the issuer from
+// being asked (errors.Is sees through to it, e.g. bus.ErrCallDeadline).
 type ValidationError struct {
 	Class  FailureClass
 	Reason string
+	Cause  error
 }
 
 // Error implements error.
 func (e *ValidationError) Error() string {
 	return fmt.Sprintf("oasis: certificate rejected (%s): %s", e.Class, e.Reason)
 }
+
+// Unwrap returns the cause, if any.
+func (e *ValidationError) Unwrap() error { return e.Cause }
 
 // Audit holds the per-class rejection counters and issuance counts that
 // §4.13 notes are available for administration.
