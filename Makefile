@@ -1,20 +1,19 @@
 GO ?= go
 
-.PHONY: build test test-shard test-rdl-diff race chaos bench bench-notify \
-	bench-rdl bench-persist bench-gateway bench-shard bench-smoke \
-	bench-check bench-json vet lint reach ci all help
+.PHONY: build test test-shard race chaos bench bench-notify \
+	bench-persist bench-gateway bench-shard bench-smoke \
+	bench-check vet lint reach ci all help
 
 all: build vet test
 
 # ci is the gate a change must pass: build, vet, the custom static
 # analysis (rdlcheck over every example policy, oasislint over the
-# tree), the full test suite, the compiled-vs-interpreted RDL
-# differential suite, the race detector over every
+# tree), the full test suite, the race detector over every
 # concurrency-sensitive package, the seeded chaos suite, then one
 # iteration of every benchmark so the perf suites cannot rot, and the
 # end-to-end benchmark's own vet + tests (bench/ is a module of its
 # own that tier-1 never compiles).
-ci: build vet lint test test-shard test-rdl-diff race chaos bench-smoke bench-check
+ci: build vet lint test test-shard race chaos bench-smoke bench-check
 
 help:
 	@echo "build       compile everything"
@@ -22,19 +21,16 @@ help:
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards"
 	@echo "race        race-detector suite over the concurrent packages"
 	@echo "chaos       seeded chaos suite (partitions, loss, duplication)"
-	@echo "lint        oasislint + rdlcheck static analysis (includes reach) + no encoding/gob in oasisd, no http.TimeoutHandler"
+	@echo "lint        oasislint + rdlcheck static analysis (includes reach) + no encoding/gob in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
-	@echo "test-rdl-diff  role entry with the compiled/interpreted differential seam on"
 	@echo "bench       serial + parallel (-cpu 1,4,8) benchmark suites"
 	@echo "bench-notify  notification-plane suite (EXPERIMENTS.md E28)"
-	@echo "bench-rdl   interpreted vs compiled role entry (EXPERIMENTS.md E31)"
 	@echo "bench-persist  journal append + recovery suites (EXPERIMENTS.md E32)"
 	@echo "bench-gateway  HTTP issue/introspect/revoke suite into BENCH_9.json (E33)"
 	@echo "bench-shard  shard cascade + tree-vs-flat dissemination into BENCH_10.json (E34)"
 	@echo "bench-smoke   compile-and-run every benchmark once (part of ci)"
 	@echo "bench-check   vet + test the bench/ module against this tree's internal/ API (part of ci)"
-	@echo "bench-json    E30/E31/E32 benchmarks as test2json (overwrites the BENCH_5/7 baselines)"
-	@echo "ci          build vet lint test test-shard test-rdl-diff race chaos bench-smoke bench-check"
+	@echo "ci          build vet lint test test-shard race chaos bench-smoke bench-check"
 
 build:
 	$(GO) build ./...
@@ -52,16 +48,6 @@ test-shard:
 		./internal/credrec/ ./internal/bus/
 	$(GO) test -run 'Shard|ClusterPending|CoalesceShardEdges' -count=1 \
 		./internal/oasis/
-
-# The compiled-vs-interpreted differential gate: OASIS_RDL_DIFF=1 makes
-# every rule application in the entry engine run both the compiled
-# program and the tree-walking interpreter and panic on any divergence,
-# so the whole oasis suite doubles as a fixture corpus; the rdl package
-# differential unit tests run the same comparison over the example
-# rolefiles and the semantic corner cases. Part of ci.
-test-rdl-diff:
-	OASIS_RDL_DIFF=1 $(GO) test -count=1 ./internal/oasis/...
-	$(GO) test -run 'Differential|Compile' -count=1 ./internal/rdl/
 
 # The concurrency regression suite: the striped store, read-mostly
 # service engine, sharded bus, and batched broker are only meaningfully
@@ -95,13 +81,6 @@ bench:
 # results feed EXPERIMENTS.md E28.
 bench-notify:
 	$(GO) test -bench 'Notify|Heartbeat' -benchmem -cpu 1,4,8 -run '^$$' .
-
-# The RDL execution-plan suite (bench_rdl_test.go): role entry with the
-# constraint interpreter versus the compiled program over the
-# quickstart, golfclub and login example policies; results feed
-# EXPERIMENTS.md E31.
-bench-rdl:
-	$(GO) test -bench RDLEntry -benchmem -cpu 1,4,8 -run '^$$' .
 
 # The persistence-engine suite (bench_persist_test.go): group-commit
 # journal appends onto a real file at 1, 4 and 8 mutators, and
@@ -146,20 +125,6 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# The E30 remote-validation benchmarks (validate over the TCP bridge,
-# cached vs cold verify) in machine-readable test2json form, the E31
-# entry-plan suite and the E32 persistence suite. The committed
-# BENCH_5.json and BENCH_7.json are the only record of the deleted
-# gob/locked-writer and text-journal baselines: running this target
-# overwrites them, so do not commit the result over those two files.
-bench-json:
-	$(GO) test -json -benchmem -cpu 1,4,8 -run '^$$' \
-		-bench 'RemoteValidateTCP|ValidateRMCParallel' . > BENCH_5.json
-	$(GO) test -json -benchmem -cpu 1,4,8 -run '^$$' \
-		-bench 'RDLEntry' . > BENCH_6.json
-	$(GO) test -json -benchmem -cpu 1,4,8 -run '^$$' \
-		-bench 'PersistAppend|PersistRecovery' . > BENCH_7.json
-
 vet:
 	$(GO) vet ./...
 
@@ -167,10 +132,11 @@ vet:
 # analysis"): oasislint enforces the concurrency discipline with
 # stdlib go/ast + go/types; rdlcheck analyzes every shipped policy for
 # unrevocable roles, dead rules and unreachable roles. Error-level
-# findings fail the build. The last two lines keep the reflective gob
-# decoder from drifting back onto the daemon's unauthenticated peer
-# port, and a per-request deadline goroutine from drifting back over
-# waits internal/bus bounds itself.
+# findings fail the build. The greps keep out what was deleted on
+# purpose: the reflective gob decoder on the daemon's unauthenticated
+# peer port, a per-request deadline goroutine over waits internal/bus
+# bounds itself, a second rule evaluator beside the compiled plan in
+# the engine, and behaviour switched by an environment variable.
 lint: reach
 	$(GO) run ./cmd/oasislint ./internal/... ./cmd/...
 	$(GO) run ./cmd/rdlcheck -q examples/quickstart/*.rdl
@@ -179,6 +145,9 @@ lint: reach
 	$(GO) run ./cmd/rdlcheck -q examples/mssa/*.rdl
 	! $(GO) list -deps ./cmd/oasisd | grep -qx encoding/gob
 	! grep -rn TimeoutHandler internal/ cmd/
+	! grep -rnE 'rdl\.(Eval|MatchArgs|InstantiateArgs)\b' --include='*.go' \
+		--exclude='*_test.go' internal/oasis cmd/oasisd
+	! grep -rn 'os\.Getenv' --include='*.go' --exclude='*_test.go' internal/ cmd/
 
 # Scenario reachability (docs/RDL.md "Reachability analysis"): each
 # example ships a .scn scenario whose expect/possible/deny assertions

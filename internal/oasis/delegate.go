@@ -29,9 +29,8 @@ type DelegateRequest struct {
 
 // electionCtx carries a validated delegation into rule application.
 type electionCtx struct {
-	rule       *rdl.Rule
-	electorEnv value.Env
-	deleg      *cert.Delegation
+	info  *delegInfo
+	deleg *cert.Delegation
 }
 
 // Delegate issues a delegation certificate and, when the rolefile makes
@@ -49,46 +48,40 @@ func (s *Service) Delegate(req DelegateRequest) (*cert.Delegation, *cert.Revocat
 	}
 	// Find the first election rule for this role whose elector role the
 	// certificate carries.
-	var rule *rdl.Rule
-	var rt *ruleTypes
-	for i, r := range st.rf.File.Rules {
-		if r.Head.Name != req.Role || r.Elector == nil {
-			continue
+	ri := -1
+	for _, i := range st.prog.RulesFor(req.Role) {
+		if e := st.prog.Rules[i].Elector; e != nil && s.HasRole(req.ElectorCert, st.id, e.Name) {
+			ri = i
+			break
 		}
-		if !s.HasRole(req.ElectorCert, st.id, r.Elector.Name) {
-			continue
-		}
-		rule, rt = r, st.ruleTypes[i]
-		break
 	}
-	if rule == nil {
+	if ri < 0 {
 		return nil, nil, s.fail(Erroneous, "no election rule lets %v delegate %s", req.Client, req.Role)
 	}
+	cr := &st.prog.Rules[ri]
 
 	// Bind elector-side variables: elector role arguments and, if given,
-	// the delegated role's arguments.
-	env := value.Env{}
-	if len(rule.Elector.Args) > 0 {
-		e, ok, err := rdl.MatchArgs(rule.Elector.Args, rt.elector, req.ElectorCert.Args, env)
-		if err != nil || !ok {
-			return nil, nil, s.fail(Erroneous, "elector certificate arguments do not fit rule")
-		}
-		env = e
+	// the delegated role's arguments. The bindings are saved with the
+	// delegation and seed the rule's registers again at delegated entry.
+	m := st.machines.Get().(*rdl.Machine)
+	defer st.machines.Put(m)
+	m.Reset(ri)
+	// A parameterless elector reference asks nothing of the
+	// certificate's arguments.
+	if len(cr.Elector.Args) > 0 && !m.MatchPlan(cr.Elector, req.ElectorCert.Args) {
+		return nil, nil, s.fail(Erroneous, "elector certificate arguments do not fit rule")
 	}
-	if req.Args != nil {
-		e, ok, err := rdl.MatchArgs(rule.Head.Args, rt.head, req.Args, env)
-		if err != nil || !ok {
-			return nil, nil, s.fail(Erroneous, "delegated role arguments do not fit rule")
-		}
-		env = e
+	if req.Args != nil && !m.MatchPlan(&cr.Head, req.Args) {
+		return nil, nil, s.fail(Erroneous, "delegated role arguments do not fit rule")
 	}
+	bindings := m.ResultEnv()
 
 	// The delegation's credential record. Continued elector membership
 	// (a starred elector role, §3.2.3) and revoke-on-exit both make it a
 	// child of the elector's own record, so exit or revocation of the
 	// elector cascades to the delegation.
 	var delegCRR credrec.Ref
-	if rule.Elector.Starred || req.RevokeOnExit {
+	if cr.Elector.Starred || req.RevokeOnExit {
 		delegCRR = s.store.NewDerived(credrec.OpAnd, credrec.Of(req.ElectorCert.CRR))
 	} else {
 		delegCRR = s.store.NewFact(credrec.True)
@@ -120,17 +113,17 @@ func (s *Service) Delegate(req DelegateRequest) (*cert.Delegation, *cert.Revocat
 
 	s.delegMu.Lock()
 	s.delegations[delegCRR] = &delegInfo{
-		rolefile:   st.id,
-		rule:       rule,
-		electorEnv: env,
-		expiry:     expiry,
+		rolefile: st.id,
+		rule:     ri,
+		bindings: bindings,
+		expiry:   expiry,
 	}
 	s.delegMu.Unlock()
 
 	// A revocation certificate is returned only when the rolefile makes
 	// the delegation revocable (§3.2.3: the star on the <| operator).
 	var rev *cert.Revocation
-	if rule.ElectStarred {
+	if cr.Rule.ElectStarred {
 		rev = &cert.Revocation{
 			Service:      s.name,
 			DelegatorCRR: req.ElectorCert.CRR,
@@ -182,71 +175,11 @@ func (s *Service) EnterDelegated(req EnterRequest) (*cert.RMC, error) {
 			return nil, s.fail(Erroneous, "candidate lacks required role %s", spec)
 		}
 	}
-	ec := &electionCtx{rule: info.rule, electorEnv: info.electorEnv, deleg: d}
-	list = s.applyRules(st, req, list, ec)
+	list = s.applyRules(st, req, list, &electionCtx{info: info, deleg: d})
 	if req.Role == "" {
 		req.Role = d.Role
 	}
 	return s.selectAndIssue(st, req, list)
-}
-
-// applyElection applies the election rule enabled by a delegation.
-func (s *Service) applyElection(st *rolefileState, rt *ruleTypes, req EnterRequest, idx heldIndex, ec *electionCtx) *held {
-	rule := ec.rule
-	env := ec.electorEnv.Clone().Extend("@host", value.Str(req.Client.Host))
-	if ec.deleg.Args != nil {
-		e, ok, err := rdl.MatchArgs(rule.Head.Args, rt.head, ec.deleg.Args, env)
-		if err != nil || !ok {
-			return nil
-		}
-		env = e
-	}
-	var parents []credrec.Parent
-	var revokers []revokerReq
-	for ci := range rule.Candidates {
-		cand := &rule.Candidates[ci]
-		h, e := matchCandidate(cand, rt.candidates[ci], idx, env)
-		if h == nil {
-			return nil
-		}
-		env = e
-		if cand.Starred {
-			ps, rs := h.starSupport()
-			parents = append(parents, ps...)
-			revokers = append(revokers, rs...)
-		}
-	}
-	env2, conds, ok := s.evalConstraint(rule.Constraint, env)
-	if !ok {
-		return nil
-	}
-	env = env2
-	parents = append(parents, s.condParents(conds)...)
-
-	// The delegation itself: starred election (revocable) and starred
-	// elector membership are both represented by the delegation record.
-	if rule.ElectStarred || rule.Elector.Starred {
-		parents = append(parents, credrec.Of(ec.deleg.DelegCRR))
-	}
-
-	args, err := rdl.InstantiateArgs(rule.Head.Args, rt.head, env)
-	if err != nil {
-		return nil
-	}
-	if rule.Revoker != nil {
-		revokers = append(revokers, revokerReq{
-			revokerRole: rule.Revoker.Name,
-			instance:    instanceKey(rule.Head.Name, args),
-		})
-	}
-	return &held{
-		rolefile: st.id,
-		name:     rule.Head.Name,
-		args:     args,
-		types:    rt.head,
-		parents:  parents,
-		revokers: revokers,
-	}
 }
 
 // holdsSpec reports whether the membership list covers a required role.
@@ -351,7 +284,12 @@ func (s *Service) Reinstate(revoker *cert.RMC, caller ids.ClientID, rolefile, ro
 
 // ExpireTick invalidates delegations whose lifetime has passed (§4.4:
 // automatic revocation prevents un-revokable delegations and lets the
-// server delete stale revocation state). Call it periodically.
+// server delete stale revocation state) and reports how many. It also
+// forgets delegations whose record died some other way — by cascade
+// from the elector's exit or revocation — so the bookkeeping is bounded
+// by the live delegations; a dead record is permanently False or
+// already swept, and EnterDelegated refuses it before consulting the
+// bookkeeping. Call it periodically.
 func (s *Service) ExpireTick() int {
 	now := s.clk.Now()
 	s.delegMu.Lock()
@@ -359,6 +297,9 @@ func (s *Service) ExpireTick() int {
 	for ref, info := range s.delegations {
 		if !info.expiry.IsZero() && now.After(info.expiry) {
 			expired = append(expired, ref)
+			delete(s.delegations, ref)
+		} else if state, permanent, _ := s.store.Resolve(ref); state == credrec.False && permanent {
+			// A dangling reference resolves the same way: revoked and swept.
 			delete(s.delegations, ref)
 		}
 	}

@@ -505,3 +505,69 @@ Member(p)  <- Rec(p, m1)* <| Member(m2) : m1 != m2
 		t.Fatal("membership survived login exit despite starred chain")
 	}
 }
+
+func TestExpireTickForgetsDeadDelegations(t *testing.T) {
+	// The delegation bookkeeping is bounded by the live delegations: one
+	// whose record died by cascade — here revoke-on-exit (§4.4) — is
+	// forgotten at the next tick, and presenting it afterwards is still
+	// refused as revoked, which it is, not as unknown.
+	h := newHarness(t)
+	svc, _ := New("Meet", h.clk, h.net, Options{})
+	src := `
+Chair     <- Login.LoggedOn("jmb", h)
+Member(u) <- Login.LoggedOn(u, h) <|* Chair
+`
+	if err := svc.AddRolefile("main", src); err != nil {
+		t.Fatal(err)
+	}
+	chairClient := h.client("ely")
+	chairLogin := h.logOn(t, chairClient, "jmb")
+	// delegateThenExit has a fresh chair delegate and leave.
+	delegateThenExit := func() *cert.Delegation {
+		chair, err := svc.Enter(EnterRequest{Client: chairClient, Rolefile: "main", Role: "Chair", Creds: []*cert.RMC{chairLogin}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deleg, _, err := svc.Delegate(DelegateRequest{
+			Client: chairClient, Rolefile: "main", Role: "Member",
+			Args: []value.Value{uid("dm")}, ElectorCert: chair, RevokeOnExit: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Exit(chair, chairClient); err != nil {
+			t.Fatal(err)
+		}
+		return deleg
+	}
+	outstanding := func() int {
+		svc.delegMu.Lock()
+		defer svc.delegMu.Unlock()
+		return len(svc.delegations)
+	}
+
+	deleg := delegateThenExit()
+	if n := svc.ExpireTick(); n != 0 {
+		t.Fatalf("ExpireTick = %d, want 0: nothing reached its time limit", n)
+	}
+	if n := outstanding(); n != 0 {
+		t.Fatalf("%d delegations outstanding after the elector left, want 0", n)
+	}
+	cand := h.client("cam")
+	_, err := svc.EnterDelegated(EnterRequest{
+		Client: cand, Rolefile: "main", Role: "Member",
+		Creds: []*cert.RMC{h.logOn(t, cand, "dm")}, Delegation: deleg,
+	})
+	var verr *ValidationError
+	if !errors.As(err, &verr) || verr.Class != Revoked || verr.Reason != "delegation revoked" {
+		t.Fatalf("dead delegation after tick: %v, want revoked (delegation revoked)", err)
+	}
+
+	for i := 0; i < 10000; i++ {
+		delegateThenExit()
+		svc.ExpireTick()
+	}
+	if n := outstanding(); n != 0 {
+		t.Fatalf("%d delegations outstanding after 10000 delegate/exit/tick rounds, want 0", n)
+	}
+}

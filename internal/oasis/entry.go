@@ -30,7 +30,6 @@ type held struct {
 	rolefile string
 	name     string
 	args     []value.Value
-	types    []value.Type
 
 	// Validity support: either an existing credential record (for
 	// certificate-backed memberships), or the accumulated support of an
@@ -96,14 +95,13 @@ func (s *Service) initialList(st *rolefileState, client ids.ClientID, creds []*c
 					rolefile: c.Rolefile,
 					name:     role,
 					args:     c.Args,
-					types:    fs.rf.Types[role],
 					crr:      c.CRR,
 					hasCRR:   true,
 				})
 			}
 			continue
 		}
-		roles, types, ext, err := s.validateForeign(c, client)
+		roles, ext, err := s.validateForeign(c, client)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +111,6 @@ func (s *Service) initialList(st *rolefileState, client ids.ClientID, creds []*c
 				rolefile: c.Rolefile,
 				name:     role,
 				args:     c.Args,
-				types:    types,
 				crr:      ext,
 				hasCRR:   true,
 			})
@@ -151,50 +148,24 @@ func (idx heldIndex) add(h *held) {
 // applyRules runs the precedence algorithm of §3.2.2: each statement is
 // applied in turn; a resulting membership is appended to the tail of the
 // list and may serve as a credential for later statements. Election
-// rules are skipped unless this entry carries the matching delegation
-// (electionOnly identifies the rule enabled by the delegation).
+// rules are skipped unless this entry carries the delegation that
+// enables them (election names that rule).
 //
-// Standard rules dispatch through the rolefile's compiled Program by
-// default; OASIS_RDL_INTERP=1 or Options.RDLMode selects the AST
-// interpreter (the benchmark baseline), and RDLDifferential runs both
-// and panics on divergence. Election rules carry the elector's saved
-// environment and always use the interpreter — they are off the
-// per-request hot path.
+// Every rule, standard or election, runs through the rolefile's
+// compiled Program on one pooled Machine.
 func (s *Service) applyRules(st *rolefileState, req EnterRequest, list []*held, election *electionCtx) []*held {
 	idx := newHeldIndex(list)
-	var m *rdl.Machine
-	if s.rdlMode != RDLInterpreter && st.prog != nil {
-		m = st.machines.Get().(*rdl.Machine)
-		defer st.machines.Put(m)
-	}
-	for i, rule := range st.rf.File.Rules {
-		rt := st.ruleTypes[i]
-		if rule.Elector != nil {
-			if election == nil || election.rule != rule {
+	m := st.machines.Get().(*rdl.Machine)
+	defer st.machines.Put(m)
+	for i := range st.prog.Rules {
+		var ec *electionCtx
+		if st.prog.Rules[i].Elector != nil {
+			if election == nil || election.info.rule != i {
 				continue
 			}
-			if h := s.applyElection(st, rt, req, idx, election); h != nil {
-				list = append(list, h)
-				idx.add(h)
-			}
-			continue
+			ec = election
 		}
-		var h *held
-		switch {
-		case m == nil:
-			h = s.applyStandard(st, rt, rule, req, idx)
-		case s.rdlMode == RDLDifferential:
-			hc := s.applyCompiled(st, rt, i, m, req, idx)
-			hi := s.applyStandard(st, rt, rule, req, idx)
-			if !heldEquivalent(hi, hc) {
-				panic(fmt.Sprintf("oasis: rdl differential divergence: rolefile %s rule %d (%s): interpreter=%+v compiled=%+v",
-					st.id, i+1, rule.Head.Name, hi, hc))
-			}
-			h = hi
-		default:
-			h = s.applyCompiled(st, rt, i, m, req, idx)
-		}
-		if h != nil {
+		if h := s.applyRule(st, i, m, req, idx, ec); h != nil {
 			list = append(list, h)
 			idx.add(h)
 		}
@@ -202,120 +173,41 @@ func (s *Service) applyRules(st *rolefileState, req EnterRequest, list []*held, 
 	return list
 }
 
-// heldEquivalent compares the memberships two evaluation strategies
-// derived for the same rule (the differential-testing seam).
-func heldEquivalent(a, b *held) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.service != b.service || a.rolefile != b.rolefile || a.name != b.name {
-		return false
-	}
-	if !argsEqual(a.args, b.args) {
-		return false
-	}
-	if len(a.parents) != len(b.parents) || len(a.revokers) != len(b.revokers) {
-		return false
-	}
-	for i := range a.parents {
-		if a.parents[i] != b.parents[i] {
-			return false
-		}
-	}
-	for i := range a.revokers {
-		if a.revokers[i] != b.revokers[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// requestEnv seeds the evaluation environment with ambient request
-// context: the reserved variable @host is bound to the authenticated
-// client's host, so rolefiles can grade access by origin (the paper's
-// login service "performs additional checks, such as on the identity
-// of the host", §3.4.3).
-func requestEnv(client ids.ClientID) value.Env {
-	return value.Env{}.Extend("@host", value.Str(client.Host))
-}
-
-// applyStandard attempts one standard-form rule against the list,
-// interpreting the rule's AST (the baseline the compiled path is
-// differentially tested against).
-func (s *Service) applyStandard(st *rolefileState, rt *ruleTypes, rule *rdl.Rule, req EnterRequest, idx heldIndex) *held {
-	env := requestEnv(req.Client)
-	// Seed from the request when this rule defines the requested role
-	// and concrete arguments were supplied.
-	if rule.Head.Name == req.Role && req.Args != nil {
-		e, ok, err := rdl.MatchArgs(rule.Head.Args, rt.head, req.Args, env)
-		if err != nil || !ok {
-			return nil
-		}
-		env = e
-	}
-	var parents []credrec.Parent
-	var revokers []revokerReq
-	for ci := range rule.Candidates {
-		cand := &rule.Candidates[ci]
-		h, e := matchCandidate(cand, rt.candidates[ci], idx, env)
-		if h == nil {
-			return nil
-		}
-		env = e
-		if cand.Starred {
-			ps, rs := h.starSupport()
-			parents = append(parents, ps...)
-			revokers = append(revokers, rs...)
-		}
-	}
-	env2, conds, ok := s.evalConstraint(rule.Constraint, env)
-	if !ok {
-		return nil
-	}
-	env = env2
-	parents = append(parents, s.condParents(conds)...)
-
-	args, err := rdl.InstantiateArgs(rule.Head.Args, rt.head, env)
-	if err != nil {
-		return nil // unbound head variable: rule not applicable
-	}
-	if rule.Revoker != nil {
-		revokers = append(revokers, revokerReq{
-			revokerRole: rule.Revoker.Name,
-			instance:    instanceKey(rule.Head.Name, args),
-		})
-	}
-	return &held{
-		rolefile: st.id,
-		name:     rule.Head.Name,
-		args:     args,
-		types:    rt.head,
-		parents:  parents,
-		revokers: revokers,
-	}
-}
-
-// applyCompiled attempts one standard-form rule through its compiled
-// execution plan: registers replace the environment maps, literal
-// arguments are pre-coerced constants, and the constraint runs as an
-// instruction stream (no AST walk, no per-rule map allocation). The
-// result is identical to applyStandard — RDLDifferential asserts it.
-func (s *Service) applyCompiled(st *rolefileState, rt *ruleTypes, ri int, m *rdl.Machine, req EnterRequest, idx heldIndex) *held {
+// applyRule attempts one rule against the list through its compiled
+// execution plan: registers replace environment maps, literal arguments
+// are pre-coerced constants, and the constraint runs as an instruction
+// stream. An election rule (ec non-nil, §4.4) is the same rule form
+// with a delegation attached, and differs in three places only: the
+// registers start from the bindings saved when the delegation was
+// issued, the head is matched against the delegation's arguments
+// rather than the request's, and the delegation's record joins the
+// parents when the rolefile stars the election or the elector.
+func (s *Service) applyRule(st *rolefileState, ri int, m *rdl.Machine, req EnterRequest, idx heldIndex, ec *electionCtx) *held {
 	cr := &st.prog.Rules[ri]
 	m.Reset(ri)
+	// Concrete head arguments, when there are any to hold the rule to:
+	// the request's if this rule defines the requested role, the
+	// delegation's for an election.
+	var headArgs []value.Value
+	if ec != nil {
+		m.SeedEnv(ec.info.bindings)
+		headArgs = ec.deleg.Args
+	} else if cr.Head.Name == req.Role {
+		headArgs = req.Args
+	}
+	// @host is the ambient request context (the paper's login service
+	// "performs additional checks, such as on the identity of the
+	// host", §3.4.3); it is the candidate's host, whatever the elector
+	// side bound.
 	m.BindHost(value.Str(req.Client.Host))
-	// Seed from the request when this rule defines the requested role
-	// and concrete arguments were supplied.
-	if cr.Head.Name == req.Role && req.Args != nil {
-		if !m.MatchPlan(&cr.Head, req.Args) {
-			return nil
-		}
+	if headArgs != nil && !m.MatchPlan(&cr.Head, headArgs) {
+		return nil
 	}
 	var parents []credrec.Parent
 	var revokers []revokerReq
 	for ci := range cr.Cands {
 		cand := &cr.Cands[ci]
-		h := matchCandidateCompiled(m, cand, idx)
+		h := matchCandidate(m, cand, idx)
 		if h == nil {
 			return nil
 		}
@@ -330,12 +222,17 @@ func (s *Service) applyCompiled(st *rolefileState, rt *ruleTypes, ri int, m *rdl
 		return nil
 	}
 	parents = append(parents, s.condParents(m.Conds())...)
+	rule := cr.Rule
+	// The delegation itself: starred election (revocable) and starred
+	// elector membership are both represented by the delegation record.
+	if ec != nil && (rule.ElectStarred || cr.Elector.Starred) {
+		parents = append(parents, credrec.Of(ec.deleg.DelegCRR))
+	}
 
 	args, ok := m.Instantiate(&cr.Head)
 	if !ok {
 		return nil // unbound head variable: rule not applicable
 	}
-	rule := cr.Rule
 	if rule.Revoker != nil {
 		revokers = append(revokers, revokerReq{
 			revokerRole: rule.Revoker.Name,
@@ -346,7 +243,6 @@ func (s *Service) applyCompiled(st *rolefileState, rt *ruleTypes, ri int, m *rdl
 		rolefile: st.id,
 		name:     rule.Head.Name,
 		args:     args,
-		types:    rt.head,
 		parents:  parents,
 		revokers: revokers,
 	}
@@ -355,24 +251,9 @@ func (s *Service) applyCompiled(st *rolefileState, rt *ruleTypes, ri int, m *rdl
 // matchCandidate finds the first membership on the list satisfying a
 // candidate role reference (the "first suitable one", §3.2.2), probing
 // the (service, name) index instead of scanning the whole list.
-func matchCandidate(ref *rdl.RoleRef, types []value.Type, idx heldIndex, env value.Env) (*held, value.Env) {
-	for _, h := range idx[heldKey{service: ref.Service, name: ref.Name}] {
-		if ref.Rolefile != "" && h.rolefile != ref.Rolefile {
-			continue
-		}
-		e, ok, err := rdl.MatchArgs(ref.Args, types, h.args, env)
-		if err != nil || !ok {
-			continue
-		}
-		return h, e
-	}
-	return nil, nil
-}
-
-// matchCandidateCompiled is matchCandidate against a compiled reference
-// plan: argument unification runs on the register file, and a failed
-// attempt rolls its tentative bindings back before the next entry.
-func matchCandidateCompiled(m *rdl.Machine, ref *rdl.RefPlan, idx heldIndex) *held {
+// Argument unification runs on the register file, and a failed attempt
+// rolls its tentative bindings back before the next entry.
+func matchCandidate(m *rdl.Machine, ref *rdl.RefPlan, idx heldIndex) *held {
 	for _, h := range idx[heldKey{service: ref.Service, name: ref.Name}] {
 		if ref.Rolefile != "" && h.rolefile != ref.Rolefile {
 			continue
@@ -382,23 +263,6 @@ func matchCandidateCompiled(m *rdl.Machine, ref *rdl.RefPlan, idx heldIndex) *he
 		}
 	}
 	return nil
-}
-
-// evalConstraint evaluates an optional constraint, returning the
-// (possibly extended) environment and the starred membership conditions.
-func (s *Service) evalConstraint(e rdl.Expr, env value.Env) (value.Env, []rdl.MembershipCond, bool) {
-	if e == nil {
-		return env, nil, true
-	}
-	res, err := rdl.Eval(e, rdl.EvalContext{
-		Env:    env,
-		Groups: rdl.GroupOracleFunc(s.groupMember),
-		Funcs:  s.opts.Funcs,
-	})
-	if err != nil || !res.OK {
-		return env, nil, false
-	}
-	return res.Env, res.Conds, true
 }
 
 func (s *Service) groupMember(member value.Value, group string) bool {

@@ -303,7 +303,7 @@ type extKey struct {
 // custodes, figure 5.8) use it to cache a callback check: the record
 // stays true until the issuer revokes, with no further remote calls.
 func (s *Service) WatchCertificate(c *cert.RMC, client ids.ClientID) (credrec.Ref, []string, error) {
-	roles, _, ext, err := s.validateForeign(c, client)
+	roles, ext, err := s.validateForeign(c, client)
 	return ext, roles, err
 }
 
@@ -311,22 +311,22 @@ func (s *Service) WatchCertificate(c *cert.RMC, client ids.ClientID) (credrec.Re
 // wires up an external credential record kept coherent by event
 // notification (§4.9). Repeat validations of the same remote record
 // reuse the surrogate.
-func (s *Service) validateForeign(c *cert.RMC, client ids.ClientID) ([]string, []value.Type, credrec.Ref, error) {
+func (s *Service) validateForeign(c *cert.RMC, client ids.ClientID) ([]string, credrec.Ref, error) {
 	if s.net == nil {
-		return nil, nil, credrec.Ref{}, s.fail(Erroneous, "no network to validate certificate from %s", c.Service)
+		return nil, credrec.Ref{}, s.fail(Erroneous, "no network to validate certificate from %s", c.Service)
 	}
 	res, err := s.net.Call(s.name, c.Service, "validate", ValidateArg{Cert: c, Client: client, Watch: true})
 	if err != nil {
 		verr := s.fail(Revoked, "cannot reach issuer %s: %v", c.Service, err)
 		verr.Cause = err
-		return nil, nil, credrec.Ref{}, verr
+		return nil, credrec.Ref{}, verr
 	}
 	reply, ok := res.(ValidateReply)
 	if !ok {
-		return nil, nil, credrec.Ref{}, fmt.Errorf("oasis: bad validate reply from %s", c.Service)
+		return nil, credrec.Ref{}, fmt.Errorf("oasis: bad validate reply from %s", c.Service)
 	}
 	if reply.State != credrec.True {
-		return nil, nil, credrec.Ref{}, s.fail(Revoked, "issuer %s reports certificate %v", c.Service, reply.State)
+		return nil, credrec.Ref{}, s.fail(Revoked, "issuer %s reports certificate %v", c.Service, reply.State)
 	}
 
 	// extMu is held across the check and the surrogate's creation so
@@ -358,7 +358,7 @@ func (s *Service) validateForeign(c *cert.RMC, client ids.ClientID) ([]string, [
 	s.receiver.HandleFrom(c.Service, reply.RegID, func(ev event.Event) {
 		s.applyModified(local, ev)
 	})
-	return reply.Roles, reply.Types, ext, nil
+	return reply.Roles, ext, nil
 }
 
 // applyModified applies a Modified event to an external record.

@@ -11,7 +11,6 @@ package oasis
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,10 +59,6 @@ type Options struct {
 	// attribute-based membership rules need (§3.3.1). The MSSA uses it
 	// to tie certificates to ACL-version records (§5.5.2).
 	ExtraParents func(rolefile, role string, args []value.Value) []credrec.Parent
-	// RDLMode selects how entry rules are evaluated; the default
-	// (RDLAuto) uses the compiled execution plan unless the
-	// OASIS_RDL_INTERP=1 environment variable forces the interpreter.
-	RDLMode RDLMode
 	// Store, if set, is the credential-record store the service runs
 	// on — typically a recovered, journaling store from the
 	// persistence engine (internal/credrec/storage), so certificates
@@ -71,18 +66,6 @@ type Options struct {
 	// stay revoked. Nil means a fresh in-memory store.
 	Store credrec.Recorder
 }
-
-// RDLMode selects the role-entry rule evaluation strategy.
-type RDLMode int
-
-// The evaluation strategies. RDLDifferential runs both and panics on
-// any divergence — the differential-testing seam.
-const (
-	RDLAuto RDLMode = iota
-	RDLCompiled
-	RDLInterpreter
-	RDLDifferential
-)
 
 // Service is one OASIS service instance.
 //
@@ -141,9 +124,6 @@ type Service struct {
 	// lock-free on the cascade hot path.
 	cluster atomic.Pointer[shardCluster]
 
-	// rdlMode is fixed at construction (RDLAuto resolved against the
-	// environment), so the entry path reads it without synchronisation.
-	rdlMode RDLMode
 	// memberKeys memoizes the marshalled group-membership key of
 	// non-string values (sets, integers), so repeated oracle probes on
 	// the same principal stop re-marshalling. Keyed by value.Value
@@ -154,12 +134,15 @@ type Service struct {
 	audit auditCounters
 }
 
-// delegInfo is the server-side record of an outstanding delegation.
+// delegInfo is the server-side record of an outstanding delegation:
+// the election rule it enables (an index into the rolefile's program)
+// and the variables the elector's certificate and the delegated role's
+// arguments bound when it was issued.
 type delegInfo struct {
-	rolefile   string
-	rule       *rdl.Rule
-	electorEnv value.Env
-	expiry     time.Time
+	rolefile string
+	rule     int
+	bindings value.Env
+	expiry   time.Time
 }
 
 // rolefileState is one loaded rolefile and its runtime indexes. The
@@ -169,8 +152,6 @@ type rolefileState struct {
 	id      string
 	rf      *rdl.Rolefile
 	roleMap *cert.RoleMap
-	// per-rule resolved argument types
-	ruleTypes []*ruleTypes
 	// prog is the compiled execution plan, built once at installation;
 	// machines pools the register machines that run it.
 	prog     *rdl.Program
@@ -186,29 +167,11 @@ type roleRevEntry struct {
 	crr         credrec.Ref
 }
 
-type ruleTypes struct {
-	head       []value.Type
-	candidates [][]value.Type
-	elector    []value.Type
-	revoker    []value.Type
-}
-
 // New creates a service. net may be nil for a standalone service; clk
 // must not be nil.
 func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service, error) {
 	if opts.Signer == nil {
 		opts.Signer = cert.NewHMACSigner([]byte("svc-secret:"+name), 16)
-	}
-	mode := opts.RDLMode
-	if mode == RDLAuto {
-		switch {
-		case os.Getenv("OASIS_RDL_INTERP") == "1":
-			mode = RDLInterpreter
-		case os.Getenv("OASIS_RDL_DIFF") == "1":
-			mode = RDLDifferential
-		default:
-			mode = RDLCompiled
-		}
 	}
 	s := &Service{
 		name:          name,
@@ -224,7 +187,6 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 		delegations:   make(map[credrec.Ref]*delegInfo),
 		suspicion:     make(map[string]SourceState),
 		resyncing:     make(map[string]bool),
-		rdlMode:       mode,
 	}
 	if s.store == nil {
 		s.store = credrec.NewStore()
@@ -292,24 +254,14 @@ func (s *Service) AddRolefile(id, src string) error {
 		revocable: make(map[string]roleRevEntry),
 		revoked:   make(map[string]bool),
 	}
-	for _, rule := range rf.File.Rules {
-		rt, err := s.typesForRule(rf, rule)
-		if err != nil {
-			return err
-		}
-		st.ruleTypes = append(st.ruleTypes, rt)
-	}
 	// Compile the rolefile once at installation: entry requests run the
 	// program's execution plans instead of re-walking the AST. The
 	// entry-time signatures (gettypes already resolved) are passed so
 	// literal arguments are coerced now, not per request.
-	sigs := make([]rdl.RuleSig, len(st.ruleTypes))
-	for i, rt := range st.ruleTypes {
-		sigs[i] = rdl.RuleSig{
-			Head:       rt.head,
-			Candidates: rt.candidates,
-			Elector:    rt.elector,
-			Revoker:    rt.revoker,
+	sigs := make([]rdl.RuleSig, len(rf.File.Rules))
+	for i, rule := range rf.File.Rules {
+		if sigs[i], err = s.typesForRule(rf, rule); err != nil {
+			return err
 		}
 	}
 	prog, err := rdl.Compile(rf, sigs)
@@ -329,7 +281,7 @@ func (s *Service) AddRolefile(id, src string) error {
 
 // typesForRule resolves the argument types of every role reference in a
 // rule, so that entry-time matching needs no further callbacks.
-func (s *Service) typesForRule(rf *rdl.Rolefile, rule *rdl.Rule) (*ruleTypes, error) {
+func (s *Service) typesForRule(rf *rdl.Rolefile, rule *rdl.Rule) (rdl.RuleSig, error) {
 	resolve := func(ref *rdl.RoleRef) ([]value.Type, error) {
 		if ref == nil {
 			return nil, nil
@@ -343,25 +295,25 @@ func (s *Service) typesForRule(rf *rdl.Rolefile, rule *rdl.Rule) (*ruleTypes, er
 		}
 		return s.resolveTypes(ref.Service, ref.Rolefile, ref.Name)
 	}
-	rt := &ruleTypes{}
+	var sig rdl.RuleSig
 	var err error
-	if rt.head, err = resolve(&rule.Head); err != nil {
-		return nil, err
+	if sig.Head, err = resolve(&rule.Head); err != nil {
+		return sig, err
 	}
 	for i := range rule.Candidates {
 		ts, err := resolve(&rule.Candidates[i])
 		if err != nil {
-			return nil, err
+			return sig, err
 		}
-		rt.candidates = append(rt.candidates, ts)
+		sig.Candidates = append(sig.Candidates, ts)
 	}
-	if rt.elector, err = resolve(rule.Elector); err != nil {
-		return nil, err
+	if sig.Elector, err = resolve(rule.Elector); err != nil {
+		return sig, err
 	}
-	if rt.revoker, err = resolve(rule.Revoker); err != nil {
-		return nil, err
+	if sig.Revoker, err = resolve(rule.Revoker); err != nil {
+		return sig, err
 	}
-	return rt, nil
+	return sig, nil
 }
 
 // resolveTypes resolves a role signature, consulting the network for

@@ -100,10 +100,9 @@ func (c *compiler) rule(i int, rule *Rule, sig RuleSig) (CompiledRule, error) {
 		regIdx: map[string]int32{"@host": 0},
 	}
 	cr := CompiledRule{
-		Index:    i,
-		Rule:     rule,
-		Election: rule.Elector != nil,
-		Head:     rc.refPlan(&rule.Head, sig.Head),
+		Index: i,
+		Rule:  rule,
+		Head:  rc.refPlan(&rule.Head, sig.Head),
 	}
 	if len(sig.Candidates) == len(rule.Candidates) {
 		for ci := range rule.Candidates {
@@ -113,6 +112,10 @@ func (c *compiler) rule(i int, rule *Rule, sig RuleSig) (CompiledRule, error) {
 		for ci := range rule.Candidates {
 			cr.Cands = append(cr.Cands, rc.refPlan(&rule.Candidates[ci], nil))
 		}
+	}
+	if rule.Elector != nil {
+		ep := rc.refPlan(rule.Elector, sig.Elector)
+		cr.Elector = &ep
 	}
 	if rule.Constraint != nil {
 		if err := rc.expr(rule.Constraint, false); err != nil {
@@ -125,8 +128,9 @@ func (c *compiler) rule(i int, rule *Rule, sig RuleSig) (CompiledRule, error) {
 }
 
 // regFor returns the register slot of a variable, allocating on first
-// use. Allocation order follows the interpreter's binding flow: head
-// arguments, then candidates left to right, then constraint operands.
+// use. Allocation order follows the rule's surface order: head
+// arguments, candidates left to right, the elector, then constraint
+// operands.
 func (rc *ruleCompiler) regFor(name string) int32 {
 	if r, ok := rc.regIdx[name]; ok {
 		return r

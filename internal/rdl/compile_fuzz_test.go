@@ -99,6 +99,26 @@ func fuzzFuncs() FuncTable {
 	}
 }
 
+// exampleRules returns every rule of every example rolefile, in path
+// order, as seed material for the fuzzers. A file that cannot be read
+// or parsed contributes nothing here; the example table tests fail on it.
+func exampleRules() []*Rule {
+	var rules []*Rule
+	paths, _ := filepath.Glob("../../examples/*/*.rdl")
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			continue
+		}
+		file, err := Parse(string(src))
+		if err != nil {
+			continue
+		}
+		rules = append(rules, file.Rules...)
+	}
+	return rules
+}
+
 // FuzzCompileEval is the differential fuzzer of the compiled VM: any
 // constraint the parser accepts must produce the same EvalResult —
 // verdict, environment, captured conditions — or the same error from
@@ -119,20 +139,9 @@ func FuzzCompileEval(f *testing.F) {
 		f.Add(src, uint64(0), uint8(1))
 	}
 	// ...and with every constraint in the example rolefiles.
-	paths, _ := filepath.Glob("../../examples/*/*.rdl")
-	for _, path := range paths {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		file, err := Parse(string(src))
-		if err != nil {
-			continue
-		}
-		for _, r := range file.Rules {
-			if r.Constraint != nil {
-				f.Add(r.Constraint.String(), uint64(0x5A5A), uint8(2))
-			}
+	for _, r := range exampleRules() {
+		if r.Constraint != nil {
+			f.Add(r.Constraint.String(), uint64(0x5A5A), uint8(2))
 		}
 	}
 

@@ -313,66 +313,6 @@ func orderCmp(a, b value.Value, pred func(int) bool) (bool, error) {
 	}
 }
 
-// MatchArgs matches a role reference's argument terms against concrete
-// values under env: literals must equal the value (coerced via the
-// expected type), variables bind or must agree. It returns the extended
-// environment. This is the unification step of applying an entry rule.
-func MatchArgs(args []Term, types []value.Type, vals []value.Value, env value.Env) (value.Env, bool, error) {
-	if len(args) != len(vals) || len(args) != len(types) {
-		return nil, false, fmt.Errorf("rdl: arity mismatch: %d terms, %d types, %d values", len(args), len(types), len(vals))
-	}
-	out := env
-	for i, a := range args {
-		if a.Var != "" {
-			if bound, ok := out[a.Var]; ok {
-				if !bound.Equal(vals[i]) {
-					return nil, false, nil
-				}
-			} else {
-				out = out.Extend(a.Var, vals[i])
-			}
-			continue
-		}
-		lit, err := LiteralValue(a, types[i])
-		if err != nil {
-			return nil, false, err
-		}
-		if !lit.Equal(vals[i]) {
-			return nil, false, nil
-		}
-	}
-	return out, true, nil
-}
-
-// InstantiateArgs produces concrete argument values for a role reference
-// from the environment; every variable must be bound and every literal is
-// coerced via the expected type.
-func InstantiateArgs(args []Term, types []value.Type, env value.Env) ([]value.Value, error) {
-	if len(args) != len(types) {
-		return nil, fmt.Errorf("rdl: arity mismatch: %d terms, %d types", len(args), len(types))
-	}
-	out := make([]value.Value, len(args))
-	for i, a := range args {
-		if a.Var != "" {
-			v, ok := env[a.Var]
-			if !ok {
-				return nil, fmt.Errorf("rdl: variable %s unbound", a.Var)
-			}
-			if !v.T.Equal(types[i]) {
-				return nil, fmt.Errorf("rdl: variable %s has type %v, expected %v", a.Var, v.T, types[i])
-			}
-			out[i] = v
-			continue
-		}
-		lit, err := LiteralValue(a, types[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = lit
-	}
-	return out, nil
-}
-
 // Axiom renders the rule as the proof-system axiom of §3.2.2: premises
 // above the line, conclusion below.
 func Axiom(r *Rule) string {

@@ -47,10 +47,10 @@ const (
 
 // operand kinds.
 const (
-	oReg uint8 = iota + 1 // register (variable slot)
-	oConst                // Program.Consts index
-	oCall                 // Program.Calls index
-	oSetLit               // Program.SetLits index (untyped set literal)
+	oReg    uint8 = iota + 1 // register (variable slot)
+	oConst                   // Program.Consts index
+	oCall                    // Program.Calls index
+	oSetLit                  // Program.SetLits index (untyped set literal)
 )
 
 // operand names a value source for an instruction.
@@ -79,8 +79,8 @@ type Instr struct {
 // ArgSlot is one compiled argument of a role reference: a register to
 // bind or test, or a pre-coerced literal constant. A slot with neither
 // (Reg < 0, Const < 0) is unresolvable — its literal could not be
-// coerced against the reference's signature — and never matches,
-// exactly as the interpreter's per-candidate coercion error behaves.
+// coerced against the reference's signature — and never matches: a
+// per-use coercion error would make the rule inapplicable every time.
 type ArgSlot struct {
 	Reg   int32 // register index, or -1
 	Const int32 // Program.Consts index, or -1
@@ -104,9 +104,11 @@ type CompiledRule struct {
 	Index int // position in the rolefile; order is precedence (§3.2.2)
 	Head  RefPlan
 	Cands []RefPlan
-	// Election marks the rule as election-form (<|); the entry engine
-	// applies those through the delegation path, not this plan.
-	Election bool
+	// Elector is the elector reference of an election-form rule (<|),
+	// nil for a standard rule. Delegation binds it against the elector's
+	// certificate; entry applies the rule only when it presents the
+	// resulting delegation (§4.4).
+	Elector *RefPlan
 	// Regs names the rule's registers; register 0 is always the ambient
 	// @host binding.
 	Regs []string
@@ -114,8 +116,9 @@ type CompiledRule struct {
 	// constraint-free rule, which the entry engine applies with no VM
 	// run at all.
 	Code []Instr
-	// Rule is the source rule (for disassembly and the engine's
-	// revoker/elector handling, which stays on the AST).
+	// Rule is the source rule (for disassembly, the revoker clause and
+	// the star on the election operator, which the engine reads off the
+	// AST).
 	Rule *Rule
 }
 
@@ -188,15 +191,13 @@ func (m *Machine) Reset(i int) {
 	m.funcs = nil
 }
 
-// Rule returns the plan the machine is currently pointed at.
-func (m *Machine) Rule() *CompiledRule { return m.rule }
-
 // BindHost binds register 0, the ambient @host variable every rule
 // reserves (the request-environment seeding of §3.4.3).
 func (m *Machine) BindHost(v value.Value) { m.bind(0, v) }
 
 // SeedEnv seeds registers from an environment and records it as the
-// base for ResultEnv and captured-condition snapshots.
+// base for ResultEnv and captured-condition snapshots. Delegated entry
+// seeds the bindings ResultEnv saved when the delegation was issued.
 func (m *Machine) SeedEnv(env value.Env) {
 	m.base = env
 	for i, name := range m.rule.Regs {
@@ -216,8 +217,7 @@ func (m *Machine) bind(r int32, v value.Value) {
 // MatchPlan unifies a reference's argument plan against concrete values:
 // constants must be equal, bound registers must agree, unbound registers
 // bind. On failure every register bound during this attempt is rolled
-// back, so the next candidate on the list starts clean — the semantics
-// of trying rdl.MatchArgs per list entry.
+// back, so the next candidate on the list starts clean.
 func (m *Machine) MatchPlan(ref *RefPlan, vals []value.Value) bool {
 	if len(ref.Args) != len(vals) {
 		return false
@@ -257,8 +257,7 @@ func (m *Machine) rollback(mark int) {
 
 // Instantiate produces the concrete argument vector for a reference
 // from the register file: every register must be bound with the
-// declared type, every literal is its pre-coerced constant. It mirrors
-// rdl.InstantiateArgs, reporting failure rather than an error — an
+// declared type, every literal is its pre-coerced constant. An
 // uninstantiable head means the rule is not applicable.
 func (m *Machine) Instantiate(ref *RefPlan) ([]value.Value, bool) {
 	out := make([]value.Value, len(ref.Args))
@@ -290,7 +289,8 @@ func (m *Machine) Conds() []MembershipCond { return m.conds }
 // ResultEnv reproduces the interpreter's result environment: the base
 // environment extended by every binding made after seeding. When
 // nothing bound, the base is returned as-is (Eval returns the input
-// environment unchanged in that case too).
+// environment unchanged in that case too). Delegation saves the
+// elector-side bindings of an election rule with it.
 func (m *Machine) ResultEnv() value.Env {
 	runtime := m.newly[m.seeded:]
 	if len(runtime) == 0 {
@@ -500,25 +500,6 @@ func (m *Machine) capture(in *Instr) {
 	m.conds = append(m.conds, MembershipCond{Expr: in.Capture, Env: m.snapshotEnv()})
 }
 
-// EvalRule evaluates rule i's constraint under ctx, producing exactly
-// what Eval produces for the same constraint: verdict, possibly
-// extended environment, and captured membership conditions. It is the
-// drop-in compiled counterpart the differential tests compare against
-// the interpreter.
-func (p *Program) EvalRule(i int, ctx EvalContext) (EvalResult, error) {
-	if p.Rules[i].Code == nil {
-		return EvalResult{OK: true, Env: ctx.Env}, nil
-	}
-	m := p.NewMachine()
-	m.Reset(i)
-	m.SeedEnv(ctx.Env)
-	ok, err := m.RunConstraint(ctx.Groups, ctx.Funcs)
-	if err != nil {
-		return EvalResult{}, err
-	}
-	return EvalResult{OK: ok, Env: m.ResultEnv(), Conds: m.conds}, nil
-}
-
 // Disassemble renders the program's plans in a stable textual form for
 // rdlcheck -dump-plan and the docs.
 func (p *Program) Disassemble() string {
@@ -526,13 +507,16 @@ func (p *Program) Disassemble() string {
 	for i := range p.Rules {
 		cr := &p.Rules[i]
 		fmt.Fprintf(&b, "rule %d: %s\n", cr.Index+1, cr.Rule.String())
-		if cr.Election {
-			b.WriteString("  election-form: applied via the delegation path\n")
+		if cr.Elector != nil {
+			b.WriteString("  election-form: applies only to an entry presenting its delegation\n")
 		}
 		fmt.Fprintf(&b, "  regs: %s\n", regList(cr.Regs))
 		fmt.Fprintf(&b, "  head: %s\n", p.refPlanString(&cr.Head))
 		for ci := range cr.Cands {
 			fmt.Fprintf(&b, "  cand %d: %s\n", ci, p.refPlanString(&cr.Cands[ci]))
+		}
+		if cr.Elector != nil {
+			fmt.Fprintf(&b, "  elector: %s\n", p.refPlanString(cr.Elector))
 		}
 		if cr.Code == nil {
 			b.WriteString("  code: (none — no-VM fast path)\n")
