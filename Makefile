@@ -26,8 +26,8 @@ help:
 	@echo "bench       serial + parallel (-cpu 1,4,8) benchmark suites"
 	@echo "bench-notify  notification-plane suite (EXPERIMENTS.md E28)"
 	@echo "bench-persist  journal append + recovery suites (EXPERIMENTS.md E32)"
-	@echo "bench-gateway  HTTP issue/introspect/revoke suite into BENCH_9.json (E33)"
-	@echo "bench-shard  shard cascade + tree-vs-flat dissemination into BENCH_10.json (E34)"
+	@echo "bench-gateway  HTTP issue/introspect/revoke suite, test2json on stdout (E33; BENCH_9.json is frozen)"
+	@echo "bench-shard  shard cascade + tree-vs-flat dissemination, test2json on stdout (E34; BENCH_10.json is frozen)"
 	@echo "bench-smoke   compile-and-run every benchmark once (part of ci)"
 	@echo "bench-check   vet + test the bench/ module against this tree's internal/ API (part of ci)"
 	@echo "ci          build vet lint test test-shard race chaos bench-smoke bench-check"
@@ -52,8 +52,9 @@ test-shard:
 # The concurrency regression suite: the striped store, read-mostly
 # service engine, sharded bus, and batched broker are only meaningfully
 # tested with the race detector on. The last line hammers the
-# gateway's pooled request/response buffers from eight goroutines —
-# introspecting, and issuing and revoking — ten times over.
+# gateway's pooled request/response buffers — one pool, shared by
+# issue, introspect and revoke since PR 18 — from eight goroutines,
+# introspecting, and issuing and revoking, ten times over.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
@@ -91,25 +92,26 @@ bench-persist:
 	$(GO) test -bench 'PersistRecovery' -benchmem -run '^$$' .
 
 # The federation-gateway suite (bench_gateway_test.go): the full
-# deployed HTTP handler stack at the issue/introspect/revoke hot paths;
-# the perf trajectory lands in BENCH_9.json as test2json (EXPERIMENTS.md
-# E33).
+# deployed HTTP handler stack at the issue/introspect/revoke hot paths,
+# as test2json on stdout. BENCH_9.json is the PR 9 recording of this
+# suite (EXPERIMENTS.md E33) and is frozen history: redirect elsewhere.
 bench-gateway:
 	$(GO) test -json -benchmem -cpu 1,4,8 -run '^$$' \
-		-bench 'Gateway' . > BENCH_9.json
+		-bench 'Gateway' .
 
 # The sharding suite (bench_shard_test.go): revocation-storm cascade
 # throughput over the store at 1/2/4/8 shards, and tree-vs-flat
 # dissemination of a storm to 2^10 watchers. The cascade rows run at
 # -cpu 1,4,8 (per-shard writer serialisation only shows on real
 # cores); the dissemination pair times the origin's blocking cost with
-# delivery awaited untimed, so it uses fixed iterations. Both land in
-# BENCH_10.json as test2json (EXPERIMENTS.md E34).
+# delivery awaited untimed, so it uses fixed iterations. Both print
+# test2json on stdout; BENCH_10.json is the PR 10 recording
+# (EXPERIMENTS.md E34) and is frozen history: redirect elsewhere.
 bench-shard:
 	$(GO) test -json -benchmem -cpu 1,4,8 -run '^$$' \
-		-bench 'ShardCascade' . > BENCH_10.json
+		-bench 'ShardCascade' .
 	$(GO) test -json -benchmem -benchtime=20x -run '^$$' \
-		-bench 'Disseminate' . >> BENCH_10.json
+		-bench 'Disseminate' .
 
 # One iteration of every benchmark: catches benchmarks that no longer
 # compile or crash without paying for a measurement. Part of ci.

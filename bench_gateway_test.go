@@ -1,11 +1,12 @@
 // Federation-gateway benchmarks (E33): the HTTP front must not become
 // the bottleneck of the engine it fronts. These drive the full deployed
-// handler stack — route switch, rate-limit/backpressure guard, timeout
-// wrapper (issue and revoke only), body decode, engine call, token
-// store, response encode — through httptest, at the three hot paths: token issuance (role entry),
-// introspection (live validation; the path clients hammer to honour
-// revocations) and revocation. Run with `-cpu 1,4,8`; `make
-// bench-gateway` records the suite into BENCH_9.json.
+// handler stack — route switch, rate-limit/backpressure guard, body
+// scan (decode for what the scanner declines), engine call, token
+// store, response append — through httptest, at the three hot paths:
+// token issuance (role entry), introspection (live validation; the path
+// clients hammer to honour revocations) and revocation. Run with `-cpu
+// 1,4,8`; `make bench-gateway` prints the suite as test2json
+// (BENCH_9.json is its PR 9 recording, frozen).
 package benchmarks
 
 import (

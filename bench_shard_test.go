@@ -2,8 +2,9 @@
 // credential-record graph partitioned over 1/2/4/8 shards
 // (credrec.ShardedStore), and tree versus flat dissemination of a
 // notification burst to 2^10 watchers (bus.Tree + ForwardBatch). Run
-// with `-cpu 1,4,8`; `make bench-shard` emits BENCH_10.json and
-// EXPERIMENTS.md E34 records the numbers.
+// with `-cpu 1,4,8`; `make bench-shard` prints the suite as test2json
+// (BENCH_10.json is its PR 10 recording, frozen) and EXPERIMENTS.md E34
+// records the numbers.
 //
 // Cascade scaling comes from per-shard write serialisation — a
 // monolithic store funnels every cascade through one writer lock, the

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"oasis/internal/cert"
 	"oasis/internal/clock"
+	"oasis/internal/credrec"
 	"oasis/internal/ids"
 	"oasis/internal/oasis"
 	"oasis/internal/value"
@@ -223,6 +225,32 @@ func nastyStrings(rng *rand.Rand) []string {
 	}
 }
 
+// nastyTimes holds an instant for every branch of Time.MarshalJSON: the
+// zero time, UTC and not, whole seconds and not, zones of odd minutes
+// and seconds, the last and first years it renders and the ones beyond
+// them, and zones it refuses for being a day or more from UTC.
+var nastyTimes = []time.Time{
+	{},
+	time.Date(1997, 6, 1, 9, 0, 0, 0, time.UTC),
+	time.Date(1997, 6, 1, 9, 0, 0, 123456789, time.UTC),
+	time.Date(1997, 6, 1, 9, 0, 0, 120000000, time.FixedZone("BST", 3600)),
+	time.Date(1997, 6, 1, 9, 0, 0, 0, time.FixedZone("", -(23*3600+59*60))),
+	time.Date(1997, 6, 1, 9, 0, 0, 0, time.FixedZone("", 3601)),
+	time.Date(1997, 6, 1, 9, 0, 0, 0, time.FixedZone("", -59)),
+	time.Date(1997, 6, 1, 9, 0, 0, 1, time.FixedZone("", 0)),
+	time.Date(1997, 6, 1, 9, 0, 0, 0, time.Local),
+	time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
+	time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+	time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC),
+	time.Date(-1, 12, 31, 23, 59, 59, 0, time.UTC),
+	time.Date(9999, 12, 31, 23, 0, 0, 0, time.FixedZone("", -2*3600)), // year 10000 in UTC, 9999 as rendered
+	time.Date(1997, 6, 1, 9, 0, 0, 0, time.FixedZone("", 24*3600)),
+	time.Date(1997, 6, 1, 9, 0, 0, 0, time.FixedZone("", -24*3600)),
+	time.Date(1997, 6, 1, 9, 0, 0, 0, time.FixedZone("", 24*3600-1)),
+	time.Date(1997, 6, 1, 9, 0, 0, 0, time.FixedZone("", 100*3600)),
+	time.Unix(865155600, 0),
+}
+
 var interestingInts = []int64{0, 1, -1, 7, 865155600, -62135596800, math.MaxInt64, math.MinInt64}
 
 func nastyValue(rng *rand.Rand) value.Value {
@@ -291,6 +319,69 @@ func TestAppendMatchesEncoder(t *testing.T) {
 			}
 		}
 		check(res)
+	}
+
+	// A token response nests a certificate: two more strings, two
+	// instants and a signature the encoder has its own mind about.
+	checkToken := func(res TokenResponse) {
+		t.Helper()
+		out, ok := appendTokenResponse([]byte("prefix"), &res)
+		var want bytes.Buffer
+		err := json.NewEncoder(&want).Encode(res)
+		if ok != (err == nil) {
+			t.Fatalf("%+v cert %+v: appender ok=%v, encoder %v", res, res.Cert, ok, err)
+		}
+		if got := out[len("prefix"):]; ok && !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%+v cert %+v:\nappender %q\n encoder %q", res, res.Cert, got, want.Bytes())
+		}
+	}
+	checkToken(TokenResponse{})
+	checkToken(TokenResponse{Roles: []string{}, Args: []value.Value{}, Cert: &cert.RMC{}})
+	checkToken(TokenResponse{Cert: &cert.RMC{Args: []value.Value{}, Sig: []byte{}}})
+	for _, at := range nastyTimes {
+		checkToken(TokenResponse{Cert: &cert.RMC{Expiry: at}})
+		checkToken(TokenResponse{Cert: &cert.RMC{Client: ids.ClientID{BootTime: at}}})
+	}
+	nastyArgs := func() []value.Value {
+		switch n := rng.Intn(5); n {
+		case 0:
+			return nil
+		case 1:
+			return []value.Value{}
+		default:
+			out := make([]value.Value, n-1)
+			for i := range out {
+				out[i] = nastyValue(rng)
+			}
+			return out
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		res := TokenResponse{
+			Token:     nastyString(rng),
+			TokenType: nastyString(rng),
+			ExpiresIn: interestingInts[rng.Intn(len(interestingInts))],
+			Issuer:    nastyString(rng),
+			Rolefile:  nastyString(rng),
+			Roles:     nastyStrings(rng),
+			Args:      nastyArgs(),
+		}
+		if rng.Intn(8) != 0 {
+			res.Cert = &cert.RMC{
+				Service:  nastyString(rng),
+				Rolefile: nastyString(rng),
+				Roles:    cert.RoleSet(rng.Uint64() >> uint(rng.Intn(64))),
+				Args:     nastyArgs(),
+				Client:   ids.ClientID{Host: nastyString(rng), ID: rng.Uint64() >> uint(rng.Intn(64)), BootTime: nastyTimes[rng.Intn(len(nastyTimes))]},
+				CRR:      credrec.Ref{Index: rng.Uint32() >> uint(rng.Intn(32)), Magic: rng.Uint32() >> uint(rng.Intn(32))},
+				Expiry:   nastyTimes[rng.Intn(len(nastyTimes))],
+			}
+			if n := rng.Intn(40); n > 0 { // nil, and — never from make — empty
+				res.Cert.Sig = make([]byte, n-1)
+				rng.Read(res.Cert.Sig)
+			}
+		}
+		checkToken(res)
 	}
 
 	for _, res := range []RevokeResponse{{OK: true}, {OK: false}} {

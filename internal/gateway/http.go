@@ -195,12 +195,20 @@ func (g *Gateway) engineError(w http.ResponseWriter, err error) {
 }
 
 // handleToken performs role entry and mints an opaque token bound to
-// the issued certificate.
+// the issued certificate. It takes the bodies the scanner recognises
+// through readBody and appendTokenResponse, everything else through
+// decode and writeJSON.
 func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
+	bp := getBuf()
+	defer putBuf(bp)
 	var req TokenRequest
-	if err := decode(w, r, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
+	if !readBody(r, bp, func(body []byte) bool { return tokenRequest(body, &req) }) {
+		var decoded TokenRequest // whatever a failed scan left in req is dropped
+		if err := decode(w, r, &decoded); err != nil {
+			g.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+			return
+		}
+		req = decoded
 	}
 	if req.Role == "" {
 		g.writeError(w, http.StatusBadRequest, "invalid_request", "role is required")
@@ -223,7 +231,7 @@ func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := g.clk.Now()
-	id, err := g.tokens.mint(rmc, now)
+	id, err := g.tokens.mint(rmc, now, g.svc.Store())
 	if err != nil {
 		g.writeError(w, http.StatusInternalServerError, "server_error", err.Error())
 		return
@@ -240,7 +248,14 @@ func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
 	if !rmc.Expiry.IsZero() {
 		res.ExpiresIn = int64(rmc.Expiry.Sub(now) / time.Second)
 	}
-	g.writeJSON(w, http.StatusOK, res)
+	// Nothing of the request aliases the buffer: render over it.
+	body, ok := appendTokenResponse((*bp)[:0], &res)
+	*bp = body
+	if !ok {
+		g.writeJSON(w, http.StatusOK, res)
+		return
+	}
+	g.respond(w, http.StatusOK, body)
 }
 
 // handleIntrospect answers a token's status live from the credential
@@ -248,13 +263,13 @@ func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
 // introspections flips the answer with no gateway-side invalidation. A
 // token-table read plus Service.Validate of a certificate this service
 // issued never leaves the process, so there is nothing to wait for. It
-// takes the canonical body through readToken and
+// takes the canonical body through readBody and
 // appendIntrospectResponse, everything else through decode.
 func (g *Gateway) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 	bp := getBuf()
 	defer putBuf(bp)
-	tok, n := readToken(r, bp)
-	if tok == nil {
+	tok, ok := readToken(r, bp)
+	if !ok {
 		var req IntrospectRequest
 		if err := decode(w, r, &req); err != nil {
 			g.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
@@ -267,7 +282,8 @@ func (g *Gateway) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 		tok = []byte(req.Token)
 	}
 	res := g.introspect(tok)
-	*bp = appendIntrospectResponse((*bp)[:n], &res)
+	n := len(*bp)
+	*bp = appendIntrospectResponse(*bp, &res)
 	g.respond(w, http.StatusOK, (*bp)[n:])
 }
 
@@ -315,9 +331,9 @@ func (g *Gateway) introspect(tok []byte) IntrospectResponse {
 func (g *Gateway) handleRevoke(w http.ResponseWriter, r *http.Request) {
 	bp := getBuf()
 	defer putBuf(bp)
-	tok, n := readToken(r, bp)
-	scratch := (*bp)[n:n]
-	if tok != nil {
+	tok, ok := readToken(r, bp)
+	scratch := (*bp)[len(*bp):]
+	if ok {
 		g.revokeToken(w, tok, scratch)
 		return
 	}

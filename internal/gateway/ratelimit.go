@@ -18,8 +18,9 @@ type rateLimiter struct {
 	burst float64
 	clk   clock.Clock
 
-	mu      sync.Mutex
-	buckets map[string]*bucket
+	mu        sync.Mutex
+	buckets   map[string]*bucket
+	sinceScan int // new keys since the last eviction scan
 }
 
 type bucket struct {
@@ -27,9 +28,11 @@ type bucket struct {
 	last   time.Time
 }
 
-// maxBuckets bounds the key table; when it fills, the refill pass
-// evicts buckets already back at full burst (an idle client's bucket
-// carries no information — recreating it is free).
+// maxBuckets bounds the key table: while it is full, a new key first
+// evicts every bucket that, refilled to now, is back at full burst (an
+// idle client's bucket carries no information — recreating it is
+// free). A scan that finds nothing to evict — every client busy — is
+// not repeated until maxBuckets/16 more keys have arrived.
 const maxBuckets = 65536
 
 func newRateLimiter(rate float64, burst int, clk clock.Clock) *rateLimiter {
@@ -48,13 +51,17 @@ func (l *rateLimiter) allow(key string, now time.Time) (time.Duration, bool) {
 	defer l.mu.Unlock()
 	b, ok := l.buckets[key]
 	if !ok {
-		if len(l.buckets) >= maxBuckets {
+		if len(l.buckets) >= maxBuckets && l.sinceScan >= maxBuckets/16 {
+			l.sinceScan = 0
 			for k, old := range l.buckets {
-				if old.tokens >= l.burst {
+				// A bucket is only refilled when its own key is seen:
+				// judge it by what it would hold now.
+				if old.tokens+now.Sub(old.last).Seconds()*l.rate >= l.burst {
 					delete(l.buckets, k)
 				}
 			}
 		}
+		l.sinceScan++
 		b = &bucket{tokens: l.burst, last: now}
 		l.buckets[key] = b
 	}

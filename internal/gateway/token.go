@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"oasis/internal/cert"
+	"oasis/internal/credrec"
 )
 
 // tokenRecord binds an opaque token id to the live role membership
@@ -27,8 +28,8 @@ const tokenShards = 16
 
 type tokenShard struct {
 	mu     sync.RWMutex
-	tokens map[string]*tokenRecord
-	mints  int // inserts since the last expiry sweep of this shard
+	tokens map[string]tokenRecord
+	mints  int // inserts since the last sweep of this shard
 }
 
 // tokenStore is the sharded opaque-id → record table.
@@ -40,15 +41,15 @@ type tokenStore struct {
 }
 
 // sweepEvery is the number of inserts per shard between amortised
-// expiry sweeps, bounding dead-token memory without a background
-// goroutine (the gateway has no timer of its own; deployments with a
-// virtual clock would never fire one).
+// sweeps, bounding dead-token memory without a background goroutine
+// (the gateway has no timer of its own; deployments with a virtual
+// clock would never fire one).
 const sweepEvery = 256
 
 func newTokenStore(r io.Reader) *tokenStore {
 	ts := &tokenStore{rand: r}
 	for i := range ts.shards {
-		ts.shards[i].tokens = make(map[string]*tokenRecord)
+		ts.shards[i].tokens = make(map[string]tokenRecord)
 	}
 	return ts
 }
@@ -66,10 +67,13 @@ func shardIndex[T string | []byte](id T) uint32 {
 }
 
 // mint draws a fresh 128-bit opaque id, binds it to the certificate,
-// and returns the id. Expiry rides on the certificate itself
-// (cert.Expiry); the store only sweeps records whose expiry has
-// passed.
-func (ts *tokenStore) mint(c *cert.RMC, now time.Time) (string, error) {
+// and returns the id. Expiry and validity ride on the certificate
+// itself (cert.Expiry, its credential record in store); the table only
+// sweeps, every sweepEvery inserts, the records an introspection would
+// drop on sight: expired, or revoked for good — most tokens a cascade
+// kills are never asked about again. A fail-safe demotion is not
+// permanent and keeps its tokens.
+func (ts *tokenStore) mint(c *cert.RMC, now time.Time, store credrec.Recorder) (string, error) {
 	var raw [16]byte
 	ts.randMu.Lock()
 	_, err := io.ReadFull(ts.rand, raw[:])
@@ -77,15 +81,17 @@ func (ts *tokenStore) mint(c *cert.RMC, now time.Time) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("gateway: token entropy: %w", err)
 	}
-	id := hex.EncodeToString(raw[:])
+	var text [2 * len(raw)]byte
+	hex.Encode(text[:], raw[:])
+	id := string(text[:])
 	sh := &ts.shards[shardIndex(id)]
 	sh.mu.Lock()
-	sh.tokens[id] = &tokenRecord{cert: c, issued: now}
+	sh.tokens[id] = tokenRecord{cert: c, issued: now}
 	sh.mints++
 	if sh.mints >= sweepEvery {
 		sh.mints = 0
 		for k, rec := range sh.tokens {
-			if !rec.cert.Expiry.IsZero() && now.After(rec.cert.Expiry) {
+			if !rec.cert.Expiry.IsZero() && now.After(rec.cert.Expiry) || alreadyDead(store, rec.cert.CRR) {
 				delete(sh.tokens, k)
 			}
 		}
@@ -97,7 +103,7 @@ func (ts *tokenStore) mint(c *cert.RMC, now time.Time) (string, error) {
 // lookup resolves a token id; the bool reports existence. The id is
 // taken as bytes so the read path can pass a slice of the request body:
 // a map index by string(id) does not allocate.
-func (ts *tokenStore) lookup(id []byte) (*tokenRecord, bool) {
+func (ts *tokenStore) lookup(id []byte) (tokenRecord, bool) {
 	sh := &ts.shards[shardIndex(id)]
 	sh.mu.RLock()
 	rec, ok := sh.tokens[string(id)]

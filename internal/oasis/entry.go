@@ -82,6 +82,10 @@ func (s *Service) Enter(req EnterRequest) (*cert.RMC, error) {
 func (s *Service) initialList(st *rolefileState, client ids.ClientID, creds []*cert.RMC) ([]*held, error) {
 	var list []*held
 	for _, c := range creds {
+		if c == nil {
+			// "creds":[null] decodes to this, at either front door.
+			return nil, s.fail(Erroneous, "no certificate supplied")
+		}
 		if c.Service == s.name {
 			if err := s.Validate(c, client); err != nil {
 				return nil, err

@@ -55,6 +55,12 @@ func TestValidationFailureClasses(t *testing.T) {
 	if got := classOf(h.login.Validate(nil, c)); got != Erroneous {
 		t.Errorf("nil certificate class = %v, want erroneous", got)
 	}
+	// … nor among the credentials of an entry: what "creds":[null]
+	// decodes to at either front door.
+	_, err := h.conf.Enter(EnterRequest{Client: c, Rolefile: "main", Role: "Chair", Creds: []*cert.RMC{nil}})
+	if got := classOf(err); got != Erroneous {
+		t.Errorf("nil credential class = %v, want erroneous", got)
+	}
 }
 
 func TestCertificateExpiry(t *testing.T) {
