@@ -18,10 +18,10 @@ ci: build vet lint test test-shard race chaos bench-smoke bench-check
 help:
 	@echo "build       compile everything"
 	@echo "test        full test suite"
-	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards"
+	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
 	@echo "race        race-detector suite over the concurrent packages"
 	@echo "chaos       seeded chaos suite (partitions, loss, duplication)"
-	@echo "lint        oasislint + rdlcheck static analysis (includes reach) + no encoding/gob in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv"
+	@echo "lint        oasislint + rdlcheck static analysis (includes reach) + no encoding/gob in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       serial + parallel (-cpu 1,4,8) benchmark suites"
 	@echo "bench-notify  notification-plane suite (EXPERIMENTS.md E28)"
@@ -39,13 +39,17 @@ test:
 	$(GO) test ./...
 
 # The sharding matrix (part of ci): the consistent-hash ring, the
-# sharded store at 1/2/4/8 shards against the monolithic semantics
-# (TestShardedMatrix), the dissemination tree, the cross-shard service
-# suites and the sharding wire payloads — everything `-shards` and
-# `-shard-ring` deploy, run explicitly and uncached.
+# sharded store at 1/2/4/8 shards against the monolithic semantics, in
+# memory and journaled-closed-reopened (TestShardedMatrix), its
+# store-wide fail-stop when one shard's journal fails, the bridge source
+# format recovery reads, the dissemination tree, the cross-shard service
+# suites, the sharding wire payloads and the daemon's
+# `-shards N -store-dir` restart and shape guard — everything `-shards`
+# and `-shard-ring` deploy, run explicitly and uncached.
 test-shard:
-	$(GO) test -run 'Sharded|Ring|Tree|Disseminator|ForwardBatch' -count=1 \
+	$(GO) test -run 'Sharded|BridgeSource|Ring|Tree|Disseminator|ForwardBatch' -count=1 \
 		./internal/credrec/ ./internal/bus/
+	$(GO) test -run 'Sharded|StoreShape' -count=1 ./cmd/oasisd/
 	$(GO) test -run 'Shard|ClusterPending|CoalesceShardEdges' -count=1 \
 		./internal/oasis/
 
@@ -64,8 +68,9 @@ race:
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the
 # storage kill-point suite (persist_chaos_test.go): whole deployments
 # driven through scripted partitions, loss and duplication, and the
-# persistence engine crashed at every operation boundary; every run
-# reproduces from its seed/schedule/kill point, so failures are
+# persistence engine crashed at every operation boundary — one store,
+# and four journaled shards each cut at a watermark of its own; every
+# run reproduces from its seed/schedule/kill point, so failures are
 # deterministic. Always under the race detector — the fault plane
 # exists to shake out exactly the interleavings it would catch.
 chaos:
@@ -138,7 +143,9 @@ vet:
 # purpose: the reflective gob decoder on the daemon's unauthenticated
 # peer port, a per-request deadline goroutine over waits internal/bus
 # bounds itself, a second rule evaluator beside the compiled plan in
-# the engine, and behaviour switched by an environment variable.
+# the engine, behaviour switched by an environment variable, a journaling
+# wrapper type beside the one store, and the start-up refusal of
+# -shards with -store-dir.
 lint: reach
 	$(GO) run ./cmd/oasislint ./internal/... ./cmd/...
 	$(GO) run ./cmd/rdlcheck -q examples/quickstart/*.rdl
@@ -150,6 +157,8 @@ lint: reach
 	! grep -rnE 'rdl\.(Eval|MatchArgs|InstantiateArgs)\b' --include='*.go' \
 		--exclude='*_test.go' internal/oasis cmd/oasisd
 	! grep -rn 'os\.Getenv' --include='*.go' --exclude='*_test.go' internal/ cmd/
+	! grep -rn 'LoggedStore' --include='*.go' internal/ cmd/ *.go
+	! grep -rn 'incompatible with -store-dir' cmd/ docs/
 
 # Scenario reachability (docs/RDL.md "Reachability analysis"): each
 # example ships a .scn scenario whose expect/possible/deny assertions

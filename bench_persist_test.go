@@ -68,7 +68,8 @@ func BenchmarkPersistAppendBinary(b *testing.B) {
 	for _, policy := range []credrec.SyncPolicy{credrec.SyncBatched, credrec.SyncAlways} {
 		b.Run(policy.String(), func(b *testing.B) {
 			sink := &countingSink{dst: journalFile(b)}
-			ls := credrec.NewLoggedStoreWith(credrec.NewStore(), sink, credrec.JournalOptions{Sync: policy})
+			ls := credrec.NewStore()
+			ls.StartJournal(sink, credrec.JournalOptions{Sync: policy})
 			defer ls.Close()
 			root := ls.NewFact(credrec.True)
 			b.ReportAllocs()

@@ -20,7 +20,8 @@
 // compacts itself every -snapshot-every operations, so a restart
 // recovers certificates and revocations from the newest snapshot plus
 // the journal tail (docs/STORAGE.md). -sync selects the durability
-// policy (always / batched / none).
+// policy (always / batched / none). SIGTERM and SIGINT stop the
+// listeners and flush and close the store before the process exits.
 //
 // -http-listen opens the federation gateway (internal/gateway): role
 // entry as token issuance, live token introspection, and RFC 7009
@@ -38,9 +39,11 @@
 // members (comma-separated, must include -name); joined members
 // disseminate revocations down a fanout -shard-fanout tree instead of
 // point-to-point fan-out, and each member's gateway sheds on the
-// cluster-wide backlog aggregated from tree heartbeats. -shards is
-// incompatible with -store-dir: the journaling engine persists one
-// store image per process, and per-shard journals are future work.
+// cluster-wide backlog aggregated from tree heartbeats. With
+// -store-dir each shard journals to a directory of its own
+// (<dir>/s00, <dir>/s01, …) with its own group commit and snapshot
+// trigger; a directory written under one shape (monolithic, or N
+// shards) refuses to open under another.
 //
 // -fault-schedule arms a deterministic fault plane on the in-process
 // bus (drops, duplicates, delays, partitions — the format is documented
@@ -58,12 +61,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
+	"os/signal"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"oasis/internal/bus"
@@ -103,7 +110,7 @@ func main() {
 		httpRate    = flag.Float64("http-rate", 50, "gateway per-client request budget in requests/second (0 disables rate limiting)")
 		httpConns   = flag.Int("http-max-conns", 1024, "gateway concurrent-connection cap (0 = unlimited)")
 		httpPress   = flag.Int("http-pressure", 4096, "notification-plane backlog at which the gateway sheds mutating requests with 503 (0 disables backpressure)")
-		shards      = flag.Int("shards", 0, "partition the credential-record store across this many consistent-hash shards (0/1 keeps the monolithic store); incompatible with -store-dir")
+		shards      = flag.Int("shards", 0, "partition the credential-record store across this many consistent-hash shards (0/1 keeps the monolithic store); with -store-dir each shard journals to <dir>/sNN")
 		shardRing   = flag.String("shard-ring", "", "comma-separated shard-cluster member names (must include -name); members disseminate revocations over a tree instead of flat fan-out")
 		shardFanout = flag.Int("shard-fanout", 0, "dissemination-tree fanout for -shard-ring (0 = default)")
 		storeDir    = flag.String("store-dir", "", "persist the credential-record store in this directory (journal + snapshots); empty keeps it in memory")
@@ -145,6 +152,10 @@ type config struct {
 	httpRate                  float64
 	httpMaxConns              int
 	httpPressure              int
+
+	// serving, if set, is told the client listener's address and the
+	// store once run is serving (tests).
+	serving func(addr net.Addr, store credrec.Recorder)
 }
 
 const builtinLoginRolefile = `
@@ -192,53 +203,20 @@ func run(cfg config) error {
 			log.Printf("oasisd: source %q %s -> %s", source, from, to)
 		},
 	}
-	if cfg.shards > 1 {
-		if cfg.storeDir != "" {
-			return fmt.Errorf("-shards is incompatible with -store-dir: the journaling engine persists one store image per process")
-		}
-		shardNames := make([]string, cfg.shards)
-		for i := range shardNames {
-			shardNames[i] = fmt.Sprintf("s%02d", i)
-		}
-		ss, err := credrec.NewShardedStore(shardNames, 0)
-		if err != nil {
-			return fmt.Errorf("building sharded store: %w", err)
-		}
-		opts.Store = ss
-		log.Printf("oasisd: credential-record store partitioned across %d shard(s)", cfg.shards)
+	store, engines, err := openStore(cfg)
+	if err != nil {
+		return err
 	}
-	if cfg.storeDir != "" {
-		policy, err := credrec.ParseSyncPolicy(cfg.syncMode)
-		if err != nil {
-			return err
-		}
-		be, err := storage.OpenDir(cfg.storeDir)
-		if err != nil {
-			return fmt.Errorf("opening store dir: %w", err)
-		}
-		eng, err := storage.Open(be, storage.Options{
-			Sync:                policy,
-			SnapshotEveryOps:    cfg.snapshotEvery,
-			SweepBeforeSnapshot: true,
-			OnSnapshotError: func(err error) {
-				log.Printf("oasisd: snapshot failed (will retry): %v", err)
-			},
-		})
-		if err != nil {
-			return fmt.Errorf("recovering store from %s: %w", cfg.storeDir, err)
-		}
-		defer func() {
-			// The close flushes the final group commit; a failure here
-			// means the tail of the journal may not be durable.
+	opts.Store = store
+	defer func() {
+		// The close flushes the final group commit; a failure here
+		// means the tail of the journal may not be durable.
+		for _, eng := range engines {
 			if err := eng.Close(); err != nil {
 				log.Printf("oasisd: closing store: %v", err)
 			}
-		}()
-		snap, segs, recs, torn := eng.Recovered()
-		log.Printf("oasisd: store %s recovered: snapshot %d, %d tail segment(s), %d record(s) replayed, torn tail: %v",
-			cfg.storeDir, snap, segs, recs, torn)
-		opts.Store = eng.Store()
-	}
+		}
+	}()
 	svc, err := oasis.New(name, clk, network, opts)
 	if err != nil {
 		return err
@@ -273,7 +251,7 @@ func run(cfg config) error {
 		}
 		defer peerLn.Close()
 		go func() {
-			if err := network.ServeTCP(peerLn); err != nil {
+			if err := network.ServeTCP(peerLn); err != nil && !errors.Is(err, net.ErrClosed) {
 				log.Printf("oasisd: peer listener: %v", err)
 			}
 		}()
@@ -291,7 +269,7 @@ func run(cfg config) error {
 		defer httpLn.Close()
 		gw := newGateway(svc, network, cfg)
 		go func() {
-			if err := gw.Serve(httpLn); err != nil {
+			if err := gw.Serve(httpLn); err != nil && !errors.Is(err, net.ErrClosed) {
 				log.Printf("oasisd: gateway listener: %v", err)
 			}
 		}()
@@ -303,7 +281,154 @@ func run(cfg config) error {
 		return err
 	}
 	defer ln.Close()
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
 	log.Printf("oasisd: service %q serving rolefile %q on %s", name, cfg.scope, ln.Addr())
-	srv := NewServer(svc)
-	return srv.Serve(ln)
+	served := make(chan error, 1)
+	go func() { served <- NewServer(svc).Serve(ln) }()
+	if cfg.serving != nil {
+		cfg.serving(ln.Addr(), svc.Store())
+	}
+	select {
+	case err := <-served:
+		return err
+	case sig := <-stop:
+		// Returning runs the defers: listeners closed, heartbeats
+		// stopped, then every engine flushed and closed.
+		log.Printf("oasisd: %v: closing listeners and flushing the store", sig)
+		return nil
+	}
+}
+
+// shardName is the name of shard i and of its directory under
+// -store-dir.
+func shardName(i int) string { return fmt.Sprintf("s%02d", i) }
+
+// openStore builds the credential-record store cfg asks for:
+// monolithic or partitioned (-shards), in memory or recovered from
+// -store-dir by one storage.Engine on the directory itself or one per
+// shard on <dir>/sNN. A nil store leaves oasis.New its in-memory
+// default. The caller closes the engines.
+func openStore(cfg config) (credrec.Recorder, []*storage.Engine, error) {
+	shards := cfg.shards
+	if shards <= 1 {
+		shards = 0
+	}
+	names := make([]string, shards)
+	for i := range names {
+		names[i] = shardName(i)
+	}
+	if cfg.storeDir == "" {
+		if shards == 0 {
+			return nil, nil, nil
+		}
+		ss, err := credrec.NewShardedStore(names, 0)
+		if err != nil {
+			return nil, nil, fmt.Errorf("building sharded store: %w", err)
+		}
+		log.Printf("oasisd: credential-record store partitioned across %d shard(s)", shards)
+		return ss, nil, nil
+	}
+	policy, err := credrec.ParseSyncPolicy(cfg.syncMode)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := checkStoreShape(cfg.storeDir, shards); err != nil {
+		return nil, nil, err
+	}
+	dirs := []string{cfg.storeDir}
+	if shards > 0 {
+		dirs = dirs[:0]
+		for _, n := range names {
+			dirs = append(dirs, filepath.Join(cfg.storeDir, n))
+		}
+	}
+	// Every directory is made before any engine writes to one, so the
+	// shape on disk is whole from the first boot on.
+	backends := make([]*storage.Dir, len(dirs))
+	for i, dir := range dirs {
+		if backends[i], err = storage.OpenDir(dir); err != nil {
+			return nil, nil, fmt.Errorf("opening store dir: %w", err)
+		}
+	}
+	var engines []*storage.Engine
+	var stores []*credrec.Store
+	fail := func(err error) (credrec.Recorder, []*storage.Engine, error) {
+		for _, eng := range engines {
+			_ = eng.Close() // nothing was written through it
+		}
+		return nil, nil, err
+	}
+	for i, dir := range dirs {
+		eng, err := storage.Open(backends[i], storage.Options{
+			Sync:                policy,
+			SnapshotEveryOps:    cfg.snapshotEvery,
+			SweepBeforeSnapshot: true,
+			OnSnapshotError: func(err error) {
+				log.Printf("oasisd: snapshot of %s failed (will retry): %v", dir, err)
+			},
+		})
+		if err != nil {
+			return fail(fmt.Errorf("recovering store from %s: %w", dir, err))
+		}
+		engines = append(engines, eng)
+		stores = append(stores, eng.Store())
+		snap, segs, recs, torn := eng.Recovered()
+		log.Printf("oasisd: store %s recovered: snapshot %d, %d tail segment(s), %d record(s) replayed, torn tail: %v",
+			dir, snap, segs, recs, torn)
+	}
+	if shards == 0 {
+		return stores[0], engines, nil
+	}
+	ring, err := credrec.NewRing(names, 0)
+	if err != nil {
+		return fail(err)
+	}
+	ss, err := credrec.OpenShardedStore(ring, stores)
+	if err != nil {
+		return fail(fmt.Errorf("opening sharded store in %s: %w", cfg.storeDir, err))
+	}
+	log.Printf("oasisd: credential-record store partitioned across %d durable shard(s)", shards)
+	return ss, engines, nil
+}
+
+// checkStoreShape refuses a -store-dir an earlier run wrote under
+// another shape than shards asks for (0: monolithic). References seal
+// the id of the shard that owns them, so a monolithic store opened as
+// shard directories would boot empty, and N shards opened as M would
+// misroute or orphan what the certificates in the field refer to.
+func checkStoreShape(dir string, shards int) error {
+	be, err := storage.OpenDir(dir)
+	if err != nil {
+		return fmt.Errorf("opening store dir: %w", err)
+	}
+	segs, err := be.ListSegments()
+	if err != nil {
+		return fmt.Errorf("opening store dir: %w", err)
+	}
+	held := 0 // shard directories present
+	for i := 0; i < credrec.MaxStoreShards; i++ {
+		if fi, err := os.Stat(filepath.Join(dir, shardName(i))); err == nil && fi.IsDir() {
+			held++
+		}
+	}
+	if len(segs) == 0 && held == 0 {
+		return nil // nothing written yet
+	}
+	written := held // the -shards value the directory was written under
+	if len(segs) > 0 {
+		written = 0 // journal segments in dir itself: a monolithic store
+	}
+	if written == shards {
+		return nil
+	}
+	describe := func(n int) string {
+		if n == 0 {
+			return "-shards 0 (one monolithic store)"
+		}
+		return fmt.Sprintf("-shards %d (one store per directory %s…%s)", n, shardName(0), shardName(n-1))
+	}
+	return fmt.Errorf("store directory %s was written under %s and cannot be opened under %s: references seal the shard that owns them",
+		dir, describe(written), describe(shards))
 }

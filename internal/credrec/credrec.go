@@ -40,6 +40,11 @@
 // record is already published false: a later Valid on any goroutine
 // fails. Change notifications are queued under writeMu and fired after
 // it is released, so ChangeFunc callbacks may re-enter the store.
+//
+// A store may carry a journal (persist.go): each mutator then encodes
+// its record and queues it for the committer inside the same writeMu
+// critical section that applied it, which is all that is needed for
+// the journal order to equal the apply order.
 package credrec
 
 import (
@@ -241,6 +246,7 @@ type Store struct {
 	totalFree int    // sum of len(shard.free), to keep reuse-before-grow
 	onChange  ChangeFunc
 	pending   []pendingChange // notifications queued during propagation
+	j         *journal        // commit pipeline (persist.go); nil keeps the store in memory only
 
 	shards [numShards]shard
 
@@ -311,22 +317,34 @@ func (st *Store) getMut(ref Ref) (*record, error) {
 // NewFact creates a leaf record asserting a simple fact with the given
 // initial state.
 func (st *Store) NewFact(s State) Ref {
-	st.writeMu.Lock()
-	defer st.writeMu.Unlock()
+	if st.lock() != nil {
+		return Ref{}
+	}
 	r := &record{state: s}
 	r.publish() // before alloc makes the slot reachable
-	return st.alloc(r)
+	ref := st.alloc(r)
+	if st.j != nil {
+		st.j.op(opFact).PutUvarint(uint64(s))
+	}
+	return st.unlockRef(ref)
 }
 
 // NewExternal creates a surrogate record for a fact held by another
 // service (§4.9.1). Its state is maintained by event notification via
 // SetState; source records where the remote fact lives.
 func (st *Store) NewExternal(source string, s State) Ref {
-	st.writeMu.Lock()
-	defer st.writeMu.Unlock()
+	if st.lock() != nil {
+		return Ref{}
+	}
 	r := &record{state: s, external: source}
 	r.publish() // before alloc makes the slot reachable
-	return st.alloc(r)
+	ref := st.alloc(r)
+	if st.j != nil {
+		e := st.j.op(opExternal)
+		e.PutString(source)
+		e.PutUvarint(uint64(s))
+	}
+	return st.unlockRef(ref)
 }
 
 // NewDerived creates a record computing op over the effective values of
@@ -334,8 +352,9 @@ func (st *Store) NewExternal(source string, s State) Ref {
 // Any dangling parent makes the new record permanently false (the fact it
 // depended on has been revoked).
 func (st *Store) NewDerived(op Op, parents ...Parent) Ref {
-	st.writeMu.Lock()
-	defer st.writeMu.Unlock()
+	if st.lock() != nil {
+		return Ref{}
+	}
 	r := &record{op: op, nParents: len(parents)}
 	// First pass: tally parent contributions and compute the initial
 	// state, all before alloc makes the slot reachable — writeMu keeps
@@ -364,7 +383,16 @@ func (st *Store) NewDerived(op Op, parents ...Parent) Ref {
 			pr.children = append(pr.children, childLink{ref: ref, negated: p.Negated})
 		}
 	}
-	return ref
+	if st.j != nil {
+		e := st.j.op(opDerived)
+		e.PutUvarint(uint64(op))
+		e.PutUvarint(uint64(len(parents)))
+		for _, p := range parents {
+			e.PutUvarint(p.Ref.Uint64())
+			e.PutBool(p.Negated)
+		}
+	}
+	return st.unlockRef(ref)
 }
 
 // effective applies edge negation to a parent state.
@@ -454,24 +482,24 @@ func (r *record) decided() bool {
 // change through the graph. It fails on derived records (their state is
 // a function of their parents) and on permanent records.
 func (st *Store) SetState(ref Ref, s State) error {
-	st.writeMu.Lock()
+	if err := st.lock(); err != nil {
+		return err
+	}
 	r, err := st.getMut(ref)
+	switch {
+	case err != nil:
+	case r.nParents > 0:
+		err = fmt.Errorf("credrec: %v is derived; its state follows its parents", ref)
+	case r.permanent:
+		err = fmt.Errorf("credrec: %v is permanent", ref)
+	}
 	if err != nil {
 		st.writeMu.Unlock()
 		return err
 	}
-	if r.nParents > 0 {
-		st.writeMu.Unlock()
-		return fmt.Errorf("credrec: %v is derived; its state follows its parents", ref)
-	}
-	if r.permanent {
-		st.writeMu.Unlock()
-		return fmt.Errorf("credrec: %v is permanent", ref)
-	}
 	st.transition(r, s, false)
-	st.writeMu.Unlock()
-	st.drain()
-	return nil
+	st.j.refOp(opSet, ref, uint64(s))
+	return st.unlock()
 }
 
 // Invalidate makes a record permanently false: the credential is revoked
@@ -480,30 +508,60 @@ func (st *Store) SetState(ref Ref, s State) error {
 // change cascades. Invalidate on a derived record is permitted — it is
 // how an explicit revocation deletes a delegation record.
 func (st *Store) Invalidate(ref Ref) error {
-	st.writeMu.Lock()
-	r, err := st.getMut(ref)
-	if err != nil {
-		st.writeMu.Unlock()
-		return err
-	}
-	st.transition(r, False, true)
-	st.writeMu.Unlock()
-	st.drain()
-	return nil
+	return st.refOp(opInvalidate, ref, func(r *record) bool { st.transition(r, False, true); return true })
 }
 
 // MakePermanent freezes a record at its current state.
 func (st *Store) MakePermanent(ref Ref) error {
-	st.writeMu.Lock()
+	return st.refOp(opPermanent, ref, func(r *record) bool { st.transition(r, r.state, true); return true })
+}
+
+// refOp is the mutation whose only operand is a reference: resolve it,
+// apply, and journal (opcode, ref) unless apply reports that it found
+// nothing to change.
+func (st *Store) refOp(opcode byte, ref Ref, apply func(*record) bool) error {
+	if err := st.lock(); err != nil {
+		return err
+	}
 	r, err := st.getMut(ref)
 	if err != nil {
 		st.writeMu.Unlock()
 		return err
 	}
-	st.transition(r, r.state, true)
-	st.writeMu.Unlock()
-	st.drain()
-	return nil
+	if apply(r) {
+		st.j.refOp(opcode, ref)
+	}
+	return st.unlock()
+}
+
+// mirror sets the surrogate ref to a remote parent's (state,
+// permanence): the sharded store's bridge fan-out, in one critical
+// section. It is journaled as the entry-point operations that replay to
+// it, and it alone is applied past a fail-stopped journal — a dead
+// shard must still stop validating what a live one revoked. A surrogate
+// that is swept, final or already there is left alone (a sticky
+// permanent False must not be overwritten, the same rule as the wire
+// protocol's applyModified), so mirroring onto consistent shards
+// journals nothing.
+func (st *Store) mirror(ref Ref, s State, perm bool) {
+	st.enter()
+	r, err := st.getMut(ref)
+	switch {
+	case err != nil || r.permanent || (r.state == s && !perm):
+	case perm && s == False:
+		st.transition(r, False, true)
+		st.j.refOp(opInvalidate, ref)
+	default:
+		if r.state != s {
+			st.transition(r, s, false)
+			st.j.refOp(opSet, ref, uint64(s))
+		}
+		if perm {
+			st.transition(r, s, true)
+			st.j.refOp(opPermanent, ref)
+		}
+	}
+	_ = st.unlock() // a journal that cannot take the record has halted the store already
 }
 
 // transition applies a state/permanence change to r and recursively
@@ -573,6 +631,61 @@ func (st *Store) drain() {
 	}
 }
 
+// enter takes writeMu for a mutation, waiting out a Snapshot barrier.
+func (st *Store) enter() {
+	st.writeMu.Lock()
+	for st.j != nil && st.j.frozen {
+		st.j.done.Wait()
+	}
+}
+
+// lock is enter for the entry points: a journaled store whose journal
+// has failed or closed refuses them, lock released.
+func (st *Store) lock() error {
+	st.enter()
+	if st.j != nil {
+		if err := st.j.refusal(); err != nil {
+			st.writeMu.Unlock()
+			return err
+		}
+	}
+	return nil
+}
+
+// unlock leaves a mutation: it queues what the mutator staged for the
+// committer, waits — under SyncAlways, with writeMu given up — until
+// that is durable, releases writeMu and fires the change callbacks. It
+// returns the journal failure that left the record short of stable
+// storage.
+func (st *Store) unlock() error {
+	var err error
+	if j := st.j; j != nil && j.staged {
+		j.enqueue()
+		j.work.Signal()
+		if j.policy == SyncAlways {
+			for seq := j.seq; j.commit < seq && j.err == nil; {
+				j.done.Wait()
+			}
+			err = j.err
+		}
+	}
+	fire := len(st.pending) > 0
+	st.writeMu.Unlock()
+	if fire {
+		st.drain()
+	}
+	return err
+}
+
+// unlockRef is unlock for allocators: a record that never became
+// durable is reported as the zero Ref, which never resolves.
+func (st *Store) unlockRef(ref Ref) Ref {
+	if st.unlock() != nil {
+		return Ref{}
+	}
+	return ref
+}
+
 // Lookup returns the record's current state. A dangling reference
 // returns ErrDangling, which callers treat as permanently false.
 func (st *Store) Lookup(ref Ref) (State, error) {
@@ -600,31 +713,33 @@ func (st *Store) Valid(ref Ref) bool {
 // credential; MarkNotify that another service uses it; MarkAutoRevoke
 // that it should be revoked if a parent exits its role (figure 4.7).
 func (st *Store) MarkDirectUse(ref Ref) error {
-	return st.setFlag(ref, func(r *record) { r.directUse = true })
+	return st.setFlag(opDirectUse, ref, func(r *record) *bool { return &r.directUse })
 }
 
 // MarkNotify flags the record for cross-service change notification.
 func (st *Store) MarkNotify(ref Ref) error {
-	return st.setFlag(ref, func(r *record) { r.notify = true })
+	return st.setFlag(opNotify, ref, func(r *record) *bool { return &r.notify })
 }
 
 // MarkAutoRevoke flags the record for revocation on parent role exit.
 func (st *Store) MarkAutoRevoke(ref Ref) error {
-	return st.setFlag(ref, func(r *record) { r.autoRev = true })
+	return st.setFlag(opAutoRevoke, ref, func(r *record) *bool { return &r.autoRev })
 }
 
-func (st *Store) setFlag(ref Ref, f func(*record)) error {
-	st.writeMu.Lock()
-	defer st.writeMu.Unlock()
-	r, err := st.getMut(ref)
-	if err != nil {
-		return err
-	}
-	sh := st.shardFor(ref.Index)
-	sh.mu.Lock()
-	f(r)
-	sh.mu.Unlock()
-	return nil
+// setFlag sets one flag; setting a flag that is set changes nothing and
+// journals nothing.
+func (st *Store) setFlag(opcode byte, ref Ref, flag func(*record) *bool) error {
+	return st.refOp(opcode, ref, func(r *record) bool {
+		f := flag(r)
+		if *f {
+			return false
+		}
+		sh := st.shardFor(ref.Index)
+		sh.mu.Lock()
+		*f = true
+		sh.mu.Unlock()
+		return true
+	})
 }
 
 // AutoRevoke reports the auto-revoke flag.
@@ -652,22 +767,11 @@ func (st *Store) External(ref Ref) string {
 // MarkSourceUnknown marks every external record from the given source as
 // Unknown; used when a heartbeat from that source is missed (§4.10).
 // The unknown state propagates to children and possibly other servers.
+// It is journaled like any other mutation: skipping the suspicion
+// machinery's bulk transitions would desynchronise recovered state from
+// the live store.
 func (st *Store) MarkSourceUnknown(source string) int {
-	st.writeMu.Lock()
-	n := 0
-	for si := range st.shards {
-		for _, sl := range st.shards[si].slots {
-			r := sl.rec
-			if r == nil || r.external != source || r.permanent || r.state == Unknown {
-				continue
-			}
-			st.transition(r, Unknown, false)
-			n++
-		}
-	}
-	st.writeMu.Unlock()
-	st.drain()
-	return n
+	return st.sourceOp(opSourceUnknown, source, Unknown)
 }
 
 // MarkSourceFailsafe moves every non-permanent external record from the
@@ -678,20 +782,30 @@ func (st *Store) MarkSourceUnknown(source string) int {
 // validating until a resync restores the true states. Records already
 // False (or permanent) are skipped. The change cascades.
 func (st *Store) MarkSourceFailsafe(source string) int {
-	st.writeMu.Lock()
+	return st.sourceOp(opSourceFailsafe, source, False)
+}
+
+// sourceOp moves every non-permanent external record from source that
+// is not already in state `to` there, and journals (opcode, source).
+func (st *Store) sourceOp(opcode byte, source string, to State) int {
+	if st.lock() != nil {
+		return 0
+	}
 	n := 0
 	for si := range st.shards {
 		for _, sl := range st.shards[si].slots {
 			r := sl.rec
-			if r == nil || r.external != source || r.permanent || r.state == False {
+			if r == nil || r.external != source || r.permanent || r.state == to {
 				continue
 			}
-			st.transition(r, False, false)
+			st.transition(r, to, false)
 			n++
 		}
 	}
-	st.writeMu.Unlock()
-	st.drain()
+	if st.j != nil {
+		st.j.op(opcode).PutString(source)
+	}
+	st.unlock()
 	return n
 }
 
@@ -730,10 +844,12 @@ func (st *Store) ExternalRefs(source string) []Ref {
 // Sweep garbage-collects (§4.8): it unlinks parent→child edges from
 // permanent records and deletes records that are permanent-and-false, or
 // uninteresting (no direct use, no notify flag, no children). It returns
-// the number of records deleted.
+// the number of records deleted. Slot reuse is deterministic, so a
+// journaled sweep replays to the same free list.
 func (st *Store) Sweep() int {
-	st.writeMu.Lock()
-	defer st.writeMu.Unlock()
+	if st.lock() != nil {
+		return 0
+	}
 	deleted := 0
 	for si := range st.shards {
 		sh := &st.shards[si]
@@ -759,6 +875,10 @@ func (st *Store) Sweep() int {
 		}
 		sh.mu.Unlock()
 	}
+	if st.j != nil {
+		st.j.op(opSweep)
+	}
+	st.unlock()
 	return deleted
 }
 

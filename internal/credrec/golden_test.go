@@ -15,7 +15,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden on-disk format vec
 // are generated from. It touches every opcode. Do not edit: the
 // resulting bytes are a frozen format, and changing the sequence
 // invalidates the vectors without proving compatibility.
-func goldenOps(ls *LoggedStore) {
+func goldenOps(ls *Store) {
 	login := ls.NewExternal("login", True)
 	conf := ls.NewExternal("conf", Unknown)
 	fact := ls.NewFact(True)
@@ -36,7 +36,7 @@ func goldenOps(ls *LoggedStore) {
 func goldenJournal(t *testing.T) []byte {
 	t.Helper()
 	var journal bytes.Buffer
-	ls := NewLoggedStore(&journal)
+	ls := NewJournaledStore(&journal)
 	goldenOps(ls)
 	if err := ls.Sync(); err != nil {
 		t.Fatal(err)
@@ -119,20 +119,20 @@ func TestGoldenVectorsRecover(t *testing.T) {
 func TestGoldenRecordFraming(t *testing.T) {
 	cases := []struct {
 		name string
-		ops  func(*LoggedStore)
+		ops  func(*Store)
 		want string // hex: uvarint len | crc32le | payload
 	}{
 		// payload 0102 = opFact, True(2)
-		{"fact-true", func(ls *LoggedStore) { ls.NewFact(True) }, "02 529ff803 0102"},
+		{"fact-true", func(ls *Store) { ls.NewFact(True) }, "02 529ff803 0102"},
 		// payload 0a = opSweep
-		{"sweep", func(ls *LoggedStore) { ls.Sweep() }, "01 697b9f39 0a"},
+		{"sweep", func(ls *Store) { ls.Sweep() }, "01 697b9f39 0a"},
 		// payload: opExternal, "id", Unknown(3)
-		{"external", func(ls *LoggedStore) { ls.NewExternal("id", Unknown) }, "05 b4ea40ec 0202696403"},
+		{"external", func(ls *Store) { ls.NewExternal("id", Unknown) }, "05 b4ea40ec 0202696403"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var journal bytes.Buffer
-			ls := NewLoggedStore(&journal)
+			ls := NewJournaledStore(&journal)
 			tc.ops(ls)
 			if err := ls.Sync(); err != nil {
 				t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 )
 
 // Binary journal records (the persistence engine's write format — see
-// docs/STORAGE.md "Journal segments"). Each mutation of a LoggedStore
-// becomes one framed record:
+// docs/STORAGE.md "Journal segments"). Each mutation of a journaled
+// Store becomes one framed record:
 //
 //	uvarint  payload length (1 .. maxRecordBytes)
 //	uint32le CRC-32C of the payload

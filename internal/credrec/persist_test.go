@@ -7,11 +7,12 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // drain forces the commit queue onto the sink so tests can read the
 // journal bytes.
-func drain(t *testing.T, ls *LoggedStore) {
+func drain(t *testing.T, ls *Store) {
 	t.Helper()
 	if err := ls.Sync(); err != nil {
 		t.Fatal(err)
@@ -20,7 +21,7 @@ func drain(t *testing.T, ls *LoggedStore) {
 
 func TestReplayReproducesStore(t *testing.T) {
 	var journal bytes.Buffer
-	ls := NewLoggedStore(&journal)
+	ls := NewJournaledStore(&journal)
 	defer ls.Close()
 
 	login := ls.NewFact(True)
@@ -58,7 +59,7 @@ func TestReplayReproducesStore(t *testing.T) {
 
 func TestReplayPreservesRevocation(t *testing.T) {
 	var journal bytes.Buffer
-	ls := NewLoggedStore(&journal)
+	ls := NewJournaledStore(&journal)
 	defer ls.Close()
 	root := ls.NewFact(True)
 	child := ls.NewDerived(OpAnd, Of(root))
@@ -87,7 +88,7 @@ func TestReplayPreservesSweepAllocation(t *testing.T) {
 	// sweep are identical in the recovered store, so certificates issued
 	// post-sweep pre-crash still resolve.
 	var journal bytes.Buffer
-	ls := NewLoggedStore(&journal)
+	ls := NewJournaledStore(&journal)
 	defer ls.Close()
 	a := ls.NewFact(True)
 	if err := ls.Invalidate(a); err != nil {
@@ -112,11 +113,11 @@ func TestReplayPreservesSweepAllocation(t *testing.T) {
 	}
 }
 
-// journalBytes runs ops on a fresh LoggedStore and returns the journal.
-func journalBytes(t *testing.T, ops func(*LoggedStore)) []byte {
+// journalBytes runs ops on a fresh journaled store and returns the journal.
+func journalBytes(t *testing.T, ops func(*Store)) []byte {
 	t.Helper()
 	var journal bytes.Buffer
-	ls := NewLoggedStore(&journal)
+	ls := NewJournaledStore(&journal)
 	ops(ls)
 	drain(t, ls)
 	ls.Close()
@@ -124,7 +125,7 @@ func journalBytes(t *testing.T, ops func(*LoggedStore)) []byte {
 }
 
 func TestReplayTornTail(t *testing.T) {
-	full := journalBytes(t, func(ls *LoggedStore) {
+	full := journalBytes(t, func(ls *Store) {
 		a := ls.NewFact(True)
 		ls.NewDerived(OpAnd, Of(a))
 		_ = ls.Invalidate(a)
@@ -165,7 +166,7 @@ func recordCount(t *testing.T, journal []byte) int {
 }
 
 func TestReplayMidJournalCorruption(t *testing.T) {
-	full := journalBytes(t, func(ls *LoggedStore) {
+	full := journalBytes(t, func(ls *Store) {
 		a := ls.NewFact(True)
 		b := ls.NewFact(True)
 		_ = ls.MarkDirectUse(a)
@@ -231,7 +232,8 @@ func (s *failingSink) Sync() error { return nil }
 
 func TestJournalWriteErrorFailStop(t *testing.T) {
 	sink := &failingSink{failAt: 1}
-	ls := NewLoggedStoreWith(NewStore(), sink, JournalOptions{Sync: SyncAlways})
+	ls := NewStore()
+	ls.StartJournal(sink, JournalOptions{Sync: SyncAlways})
 	defer ls.Close()
 
 	// The failing mutation surfaces the journal error (SyncAlways
@@ -239,7 +241,7 @@ func TestJournalWriteErrorFailStop(t *testing.T) {
 	if err := ls.SetState(ls.NewFact(True), False); err == nil {
 		t.Fatal("journal write failure not surfaced")
 	}
-	if ls.Err() == nil {
+	if ls.Sync() == nil {
 		t.Fatal("sticky error not recorded")
 	}
 
@@ -266,7 +268,8 @@ func TestJournalWriteErrorFailStop(t *testing.T) {
 // record that vanishes at the next recovery.
 func TestSyncAlwaysAllocatorFailureReturnsZeroRef(t *testing.T) {
 	sink := &failingSink{failAt: 2}
-	ls := NewLoggedStoreWith(NewStore(), sink, JournalOptions{Sync: SyncAlways})
+	ls := NewStore()
+	ls.StartJournal(sink, JournalOptions{Sync: SyncAlways})
 	defer ls.Close()
 	if ref := ls.NewFact(True); (ref == Ref{}) {
 		t.Fatal("healthy allocation returned the zero Ref")
@@ -276,7 +279,7 @@ func TestSyncAlwaysAllocatorFailureReturnsZeroRef(t *testing.T) {
 	if ref := ls.NewExternal("login", True); (ref != Ref{}) {
 		t.Fatalf("allocator returned live ref %v for a record that never reached stable storage", ref)
 	}
-	if ls.Err() == nil {
+	if ls.Sync() == nil {
 		t.Fatal("store did not fail-stop")
 	}
 	if ref := ls.NewDerived(OpAnd); (ref != Ref{}) {
@@ -303,7 +306,7 @@ func (r *errReader) Read(p []byte) (int, error) {
 // must fail recovery loudly. Mapping it to a torn tail would silently
 // drop committed — possibly acknowledged — records.
 func TestReplayReadErrorIsNotTorn(t *testing.T) {
-	full := journalBytes(t, func(ls *LoggedStore) {
+	full := journalBytes(t, func(ls *Store) {
 		a := ls.NewFact(True)
 		_ = ls.Invalidate(a)
 	})
@@ -323,7 +326,8 @@ func TestReplayReadErrorIsNotTorn(t *testing.T) {
 
 func TestSyncAlwaysDurableOnReturn(t *testing.T) {
 	sink := &failingSink{failAt: 1 << 30}
-	ls := NewLoggedStoreWith(NewStore(), sink, JournalOptions{Sync: SyncAlways})
+	ls := NewStore()
+	ls.StartJournal(sink, JournalOptions{Sync: SyncAlways})
 	defer ls.Close()
 	ref := ls.NewFact(True)
 	if err := ls.Invalidate(ref); err != nil {
@@ -343,9 +347,63 @@ func TestSyncAlwaysDurableOnReturn(t *testing.T) {
 	}
 }
 
+// A change callback may mutate the journaled store it was fired from:
+// the callback runs after the triggering mutation has left writeMu, and
+// what it does is journaled as records of its own. The journal still
+// replays to the live image.
+func TestChangeCallbackMutatesJournaledStore(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncBatched, SyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) {
+			sink := &failingSink{failAt: 1 << 30}
+			ls := NewStore()
+			ls.StartJournal(sink, JournalOptions{Sync: policy})
+			defer ls.Close()
+			watched := ls.NewFact(True)
+			if err := ls.MarkNotify(watched); err != nil {
+				t.Fatal(err)
+			}
+			mirror := ls.NewExternal("mirror", True)
+			dep := ls.NewDerived(OpAnd, Of(mirror))
+			ls.OnChange(func(ref Ref, s State, perm bool) {
+				if ref != watched {
+					return
+				}
+				if err := ls.SetState(mirror, s); err != nil {
+					t.Errorf("re-entrant SetState: %v", err)
+				}
+				ls.NewFact(s) // an allocation from inside the callback, too
+			})
+			done := make(chan error, 1)
+			go func() { done <- ls.SetState(watched, False) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("a change callback that mutates its own store deadlocked")
+			}
+			if ls.Valid(dep) {
+				t.Fatal("the callback's mutation did not cascade")
+			}
+			drain(t, ls)
+			sink.mu.Lock()
+			data := append([]byte(nil), sink.data...)
+			sink.mu.Unlock()
+			recovered, err := Replay(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(recovered.Image(), ls.Image()) {
+				t.Fatalf("journal does not replay to the live image:\n-- live --\n%s-- replayed --\n%s", ls.Image(), recovered.Image())
+			}
+		})
+	}
+}
+
 func TestClosedStoreRefusesMutation(t *testing.T) {
 	var journal bytes.Buffer
-	ls := NewLoggedStore(&journal)
+	ls := NewJournaledStore(&journal)
 	ref := ls.NewFact(True)
 	if err := ls.Close(); err != nil {
 		t.Fatal(err)
@@ -368,7 +426,7 @@ func TestClosedStoreRefusesMutation(t *testing.T) {
 // references when replayed into the restored snapshot.
 func TestSweepFreeListAcrossSnapshotBoundary(t *testing.T) {
 	var journal bytes.Buffer
-	ls := NewLoggedStore(&journal)
+	ls := NewJournaledStore(&journal)
 	defer ls.Close()
 
 	var victims []Ref
@@ -420,7 +478,7 @@ func TestSweepFreeListAcrossSnapshotBoundary(t *testing.T) {
 	if a != b {
 		t.Fatalf("allocation diverged after recovery: live %v vs recovered %v", a, b)
 	}
-	if !bytes.Equal(ls.Store.Image(), restored.Image()) {
+	if !bytes.Equal(ls.Image(), restored.Image()) {
 		t.Fatal("image diverged after post-recovery allocation")
 	}
 }
@@ -430,7 +488,7 @@ func TestSweepFreeListAcrossSnapshotBoundary(t *testing.T) {
 func TestQuickReplayEquivalence(t *testing.T) {
 	f := func(raw []byte) bool {
 		var journal bytes.Buffer
-		ls := NewLoggedStore(&journal)
+		ls := NewJournaledStore(&journal)
 		defer ls.Close()
 		var refs []Ref
 		refs = append(refs, ls.NewFact(True), ls.NewFact(True))

@@ -1,12 +1,13 @@
 package credrec
 
-// Recorder is the full credential-record store surface — allocation,
-// state transitions, flags, GC, bulk source transitions, and the read
-// paths. Both the plain in-memory *Store and the journaling
-// *LoggedStore satisfy it; the oasis service engine and the group
-// manager operate through it so a deployment chooses persistence by
-// handing a recovered LoggedStore to oasis.Options.Store, with no
-// change anywhere above.
+// Recorder is the credential-record store surface the layers above
+// are written against — allocation, state transitions, flags, GC, bulk
+// source transitions, the read paths and observation. The *Store (in
+// memory, or journaled once StartJournal has run) and the
+// *ShardedStore over any such stores satisfy it; the oasis service
+// engine and the group manager operate through it, so a deployment
+// chooses persistence and partitioning by what it hands to
+// oasis.Options.Store, with no change anywhere above.
 type Recorder interface {
 	// Allocation (§4.5–4.7).
 	NewFact(s State) Ref
@@ -34,20 +35,16 @@ type Recorder interface {
 	Lookup(ref Ref) (State, error)
 	Valid(ref Ref) bool
 	Resolve(ref Ref) (State, bool, error)
-	AutoRevoke(ref Ref) bool
-	External(ref Ref) string
 	ExternalRefs(source string) []Ref
 
 	// Observation and introspection.
 	OnChange(f ChangeFunc)
 	Image() []byte
 	Live() int
-	Stats() (created, deleted uint64)
 }
 
-// Interface conformance: the in-memory store and its journaling
-// wrapper are interchangeable behind Recorder.
+// Interface conformance: one store and its partitioned composition.
 var (
 	_ Recorder = (*Store)(nil)
-	_ Recorder = (*LoggedStore)(nil)
+	_ Recorder = (*ShardedStore)(nil)
 )

@@ -89,7 +89,7 @@ func TestImageDistinguishesState(t *testing.T) {
 // the final replay matches the post-cascade store byte for byte.
 func TestConcurrentCascadeRoundtrip(t *testing.T) {
 	var journal bytes.Buffer
-	ls := NewLoggedStore(&journal)
+	ls := NewJournaledStore(&journal)
 	defer ls.Close()
 
 	const roots = 64
@@ -141,7 +141,7 @@ func TestConcurrentCascadeRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := ls.Store.Image(), recovered.Image()
+	want, got := ls.Image(), recovered.Image()
 	if !bytes.Equal(want, got) {
 		t.Fatalf("persisted image differs from post-cascade state:\n-- live --\n%s\n-- replayed --\n%s", want, got)
 	}

@@ -3,6 +3,9 @@ package credrec
 import (
 	"bytes"
 	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -10,7 +13,10 @@ import (
 // ShardedStore partitions a credential-record graph across a set of
 // per-shard Stores, routing every operation by reference. It implements
 // the full Recorder surface, so the oasis service engine (and anything
-// else written against Recorder) runs on a sharded graph unchanged.
+// else written against Recorder) runs on a sharded graph unchanged. A
+// shard is any Store — in memory or journaled — so a durable sharded
+// store is this type over stores a storage.Engine recovered, one
+// journal directory per shard (OpenShardedStore).
 //
 // # Reference layout
 //
@@ -24,25 +30,25 @@ import (
 // # Placement
 //
 // Leaf records (NewFact, NewExternal) are placed by consistent hashing
-// of a minted allocation sequence number, spreading independent
-// subgraphs across shards. Derived records are placed on the shard of
-// their first parent: a revocation cascade then runs inside one shard's
-// writeMu in the common case, which is exactly what makes a
-// revocation storm scale with the shard count (bench_shard_test.go).
+// of the store-wide allocation count, spreading independent subgraphs
+// across shards. Derived records are placed on the shard of their first
+// parent: a revocation cascade then runs inside one shard's writeMu in
+// the common case, which is exactly what makes a revocation storm scale
+// with the shard count (bench_shard_test.go).
 //
 // # Cross-shard cascade edges
 //
 // When a derived record's parent lives on another shard, the parent
 // grows a local *bridge* — an external surrogate record on the child's
-// shard, sourced "shard:<owner>" — and the parent itself is flagged
-// Notify. The parent's change callback then fans the new state out to
-// every bridge (outside all store locks, so cascades chain across any
-// number of shards without lock-order hazards), and the child's shard
-// propagates it locally. Because bridges are external records keyed by
-// source, a suspect shard degrades exactly like a suspect peer service:
-// MarkShardUnknown / MarkShardFailsafe reuse the §4.10/§6.8.4 bulk
-// transitions, and ResyncShard re-reads the authoritative parent states
-// the same way a resync restores a healed source.
+// shard, sourced "shard:<owner>#<parent ref>" — and the parent itself
+// is flagged Notify. The parent's change callback then fans the new
+// state out to every bridge (outside all store locks, so cascades chain
+// across any number of shards without lock-order hazards), and the
+// child's shard propagates it locally. The source string is all a
+// journal or snapshot keeps of a bridge, and all that is needed: the
+// edge table is rebuilt from it when recovered shards are opened, and
+// ResyncShard then re-reads every parent, the same way a §4.10 resync
+// restores a healed source.
 //
 // # Concurrency
 //
@@ -53,14 +59,26 @@ import (
 // exist (atomic count), and edge fan-out copies the bridge list under a
 // read lock and applies it after unlocking, so nested cascades re-enter
 // freely.
+//
+// # Failure
+//
+// Journaled shards share one fail-stop latch: the first journal to fail
+// makes every shard refuse entry-point mutations, the monolith's
+// contract store-wide. Bridge fan-out alone still reaches a failed
+// shard's memory, so a revocation acknowledged on a healthy shard is
+// never left valid beneath it.
 type ShardedStore struct {
 	ring   *Ring
 	names  []string
 	stores []*Store
 
-	allocSeq atomic.Uint64 // ring key mint for leaf placement
+	// allocSeq mints the ring key for leaf placement. It counts every
+	// allocation the shards make, so a reopened store resumes it from
+	// the creation counters the shards persist.
+	allocSeq atomic.Uint64
 
 	change atomic.Pointer[ChangeFunc] // user observer (OnChange)
+	halt   atomic.Pointer[error]      // the journaled shards' shared fail-stop latch
 
 	// Cross-shard edge table: global parent ref -> bridge surrogates.
 	nEdges  atomic.Int64
@@ -94,29 +112,60 @@ const (
 	MaxStoreShards = 1 << shardIDBits
 )
 
-// NewShardedStore builds a sharded store over the named shards (order
-// is canonicalised by the ring, so any permutation of the same names
-// yields identical placement). replicas is the ring's virtual-node
-// count per shard; <= 0 selects DefaultRingReplicas.
+// NewShardedStore builds an empty, in-memory sharded store over the
+// named shards (order is canonicalised by the ring, so any permutation
+// of the same names yields identical placement). replicas is the ring's
+// virtual-node count per shard; <= 0 selects DefaultRingReplicas.
 func NewShardedStore(names []string, replicas int) (*ShardedStore, error) {
 	ring, err := NewRing(names, replicas)
 	if err != nil {
 		return nil, err
 	}
-	if len(ring.Members()) > MaxStoreShards {
-		return nil, fmt.Errorf("credrec: %d shards exceeds the %d-shard reference format", len(ring.Members()), MaxStoreShards)
+	stores := make([]*Store, len(ring.Members()))
+	for i := range stores {
+		stores[i] = NewStore()
+	}
+	return OpenShardedStore(ring, stores)
+}
+
+// OpenShardedStore builds a sharded store over existing per-shard
+// stores: stores[i] holds the shard named ring.Members()[i], empty or as
+// recovery left it (replayed with no observer installed, so every
+// cross-shard consequence was applied once, from its own shard's
+// journal). The edge table is rebuilt from the bridge records the
+// shards hold, and every edge is resynchronised before the store is
+// returned: shards recovered to independent points of their histories
+// come back with each bridge equal to its parent. A bridge source that
+// does not parse, or names a parent this ring does not place on another
+// shard, fails the open.
+func OpenShardedStore(ring *Ring, stores []*Store) (*ShardedStore, error) {
+	names := ring.Members()
+	if len(names) > MaxStoreShards {
+		return nil, fmt.Errorf("credrec: %d shards exceeds the %d-shard reference format", len(names), MaxStoreShards)
+	}
+	if len(stores) != len(names) {
+		return nil, fmt.Errorf("credrec: %d stores for %d shards", len(stores), len(names))
 	}
 	ss := &ShardedStore{
 		ring:    ring,
-		names:   ring.Members(),
+		names:   names,
+		stores:  stores,
 		edges:   make(map[uint64][]bridgeLink),
 		bridges: make(map[bridgeKey]Ref),
 	}
-	ss.stores = make([]*Store, len(ss.names))
-	for i := range ss.stores {
-		st := NewStore()
+	for i, st := range stores {
+		ss.allocSeq.Add(st.created.Load())
+		if err := ss.adoptBridges(i); err != nil {
+			return nil, err
+		}
+	}
+	for i, st := range stores {
 		i := i
-		st.OnChange(func(local Ref, s State, perm bool) {
+		st.writeMu.Lock()
+		if st.j != nil {
+			st.j.halt = &ss.halt
+		}
+		st.onChange = func(local Ref, s State, perm bool) {
 			g := ss.globalize(i, local)
 			if ss.nEdges.Load() > 0 {
 				ss.fanout(g.Uint64(), s, perm)
@@ -124,14 +173,44 @@ func NewShardedStore(names []string, replicas int) (*ShardedStore, error) {
 			if f := ss.change.Load(); f != nil && *f != nil {
 				(*f)(g, s, perm)
 			}
-		})
-		ss.stores[i] = st
+		}
+		st.writeMu.Unlock()
+	}
+	for _, name := range names {
+		ss.ResyncShard(name)
 	}
 	return ss, nil
 }
 
-// NumShards reports the shard count.
-func (ss *ShardedStore) NumShards() int { return len(ss.stores) }
+// adoptBridges registers the edges of the live bridges shard i holds. A
+// permanent bridge has no edge: its value is final.
+func (ss *ShardedStore) adoptBridges(i int) error {
+	st := ss.stores[i]
+	for si := range st.shards {
+		sh := &st.shards[si]
+		sh.mu.RLock()
+		for _, sl := range sh.slots {
+			r := sl.rec
+			if r == nil || !strings.HasPrefix(r.external, bridgePrefix) {
+				continue
+			}
+			owner, parent, err := parseBridgeSource(r.external)
+			pid := int(parent.Index >> shardIDShift)
+			if err == nil && (pid >= len(ss.names) || pid == i || ss.names[pid] != owner) {
+				err = fmt.Errorf("no other shard %q owns %v on this ring", owner, parent)
+			}
+			if err != nil {
+				sh.mu.RUnlock()
+				return fmt.Errorf("credrec: shard %q record %v: bridge source %q: %v", ss.names[i], r.ref, r.external, err)
+			}
+			if r.sp.Load()&permBit == 0 {
+				ss.addEdge(bridgeKey{parent: parent.Uint64(), shard: i}, r.ref)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return nil
+}
 
 // ShardNames returns the canonical (sorted) shard names; index i names
 // the shard whose id is packed into references as i.
@@ -144,12 +223,40 @@ func (ss *ShardedStore) ShardStore(i int) *Store { return ss.stores[i] }
 // ShardOf unpacks the owning shard id from a reference.
 func (ss *ShardedStore) ShardOf(ref Ref) int { return int(ref.Index >> shardIDShift) }
 
-// BridgeSource is the external-record source name under which a shard's
-// bridges appear on other shards; MarkSourceUnknown(BridgeSource(name))
-// is what MarkShardUnknown does.
-func BridgeSource(shard string) string { return "shard:" + shard }
+// bridgePrefix starts the external-record source of every bridge.
+const bridgePrefix = "shard:"
 
+// bridgeSource is the source a bridge is created under: the shard that
+// owns the mirrored parent, and the parent's global reference in hex.
+func bridgeSource(owner string, parent Ref) string {
+	return bridgePrefix + owner + "#" + strconv.FormatUint(parent.Uint64(), 16)
+}
+
+// parseBridgeSource inverts bridgeSource, accepting only what it
+// produces.
+func parseBridgeSource(source string) (owner string, parent Ref, err error) {
+	rest := strings.TrimPrefix(source, bridgePrefix)
+	cut := strings.LastIndexByte(rest, '#')
+	if cut < 0 || rest == source {
+		return "", Ref{}, fmt.Errorf("want %s<owner>#<hex ref>", bridgePrefix)
+	}
+	u, perr := strconv.ParseUint(rest[cut+1:], 16, 64)
+	if perr != nil {
+		return "", Ref{}, perr
+	}
+	owner, parent = rest[:cut], RefFromUint64(u)
+	if bridgeSource(owner, parent) != source {
+		return "", Ref{}, fmt.Errorf("reference is not in canonical form")
+	}
+	return owner, parent, nil
+}
+
+// globalize seals the owning shard into a shard-local reference. The
+// zero Ref — a refused allocation — stays the zero Ref.
 func (ss *ShardedStore) globalize(shard int, local Ref) Ref {
+	if local == (Ref{}) {
+		return local
+	}
 	if local.Index > localIndexMax {
 		panic(fmt.Sprintf("credrec: shard %d local index %d overflows the packed reference format", shard, local.Index))
 	}
@@ -167,7 +274,7 @@ func (ss *ShardedStore) resolveShard(ref Ref) (*Store, Ref, error) {
 	return ss.stores[id], Ref{Index: ref.Index & localIndexMax, Magic: ref.Magic}, nil
 }
 
-// pick places the next leaf allocation via the ring.
+// pick counts one allocation and places it via the ring.
 func (ss *ShardedStore) pick() int {
 	return ss.ring.OwnerIndex(ss.allocSeq.Add(1))
 }
@@ -188,8 +295,12 @@ func (ss *ShardedStore) NewFact(s State) Ref {
 }
 
 // NewExternal creates a surrogate for a fact held by another service,
-// on a ring-chosen shard.
+// on a ring-chosen shard. The bridges' source prefix is refused (zero
+// Ref): a foreign record under it would fail the next open.
 func (ss *ShardedStore) NewExternal(source string, s State) Ref {
+	if strings.HasPrefix(source, bridgePrefix) {
+		return Ref{}
+	}
 	i := ss.pick()
 	return ss.globalize(i, ss.stores[i].NewExternal(source, s))
 }
@@ -200,14 +311,14 @@ func (ss *ShardedStore) NewExternal(source string, s State) Ref {
 // on the ring — makes the child permanently false, exactly as in the
 // single store.
 func (ss *ShardedStore) NewDerived(op Op, parents ...Parent) Ref {
-	owner := -1
+	owner, seq := -1, ss.allocSeq.Add(1)
 	if len(parents) > 0 {
 		if id := int(parents[0].Ref.Index >> shardIDShift); id < len(ss.stores) {
 			owner = id
 		}
 	}
 	if owner < 0 {
-		owner = ss.pick()
+		owner = ss.ring.OwnerIndex(seq)
 	}
 	ownerStore := ss.stores[owner]
 	localParents := make([]Parent, 0, len(parents))
@@ -237,7 +348,8 @@ func (ss *ShardedStore) NewDerived(op Op, parents ...Parent) Ref {
 // drives the bridge; after registering the edge the parent state is
 // re-read and re-applied, closing the race where the parent changed
 // between the initial read and the edge becoming visible to fan-out
-// (re-applying a state the fan-out also delivered is idempotent).
+// (re-applying a state the fan-out also delivered is idempotent). A
+// permanent parent gets a permanent bridge and no edge.
 func (ss *ShardedStore) bridgeFor(owner int, parentGlobal Ref, pStore *Store, pLocal Ref) (Ref, bool) {
 	st, perm, err := pStore.Resolve(pLocal)
 	if err != nil {
@@ -245,59 +357,80 @@ func (ss *ShardedStore) bridgeFor(owner int, parentGlobal Ref, pStore *Store, pL
 	}
 	pid := int(parentGlobal.Index >> shardIDShift)
 	key := bridgeKey{parent: parentGlobal.Uint64(), shard: owner}
+	ownerStore := ss.stores[owner]
 
-	ss.mu.Lock()
-	if br, ok := ss.bridges[key]; ok {
-		if _, lerr := ss.stores[owner].Lookup(br); lerr == nil {
-			ss.mu.Unlock()
-			return br, true
+	ss.mu.RLock()
+	br, ok := ss.bridges[key]
+	ss.mu.RUnlock()
+	if ok {
+		return br, true // alive: only a final bridge is ever swept, and its key was retired when it became so
+	}
+
+	if !perm {
+		if merr := pStore.MarkNotify(pLocal); merr != nil {
+			return Ref{}, false // swept between Resolve and MarkNotify
 		}
-		delete(ss.bridges, key) // bridge was swept; rebuild
 	}
-	ss.mu.Unlock()
-
-	if merr := pStore.MarkNotify(pLocal); merr != nil {
-		return Ref{}, false // swept between Resolve and MarkNotify
+	ss.allocSeq.Add(1)
+	br = ownerStore.NewExternal(bridgeSource(ss.names[pid], parentGlobal), st)
+	if perm {
+		ss.retire(key.parent, st)
+		ownerStore.mirror(br, st, perm)
+		return br, true
 	}
-	br := ss.stores[owner].NewExternal(BridgeSource(ss.names[pid]), st)
-	applyBridge(ss.stores[owner], br, st, perm)
 
 	ss.mu.Lock()
 	if existing, ok := ss.bridges[key]; ok {
-		// Lost a creation race; keep the winner, ours stays an orphan
-		// external with no children and is swept eventually.
+		// Lost a creation race; keep the winner. Ours has no children
+		// and no other reference: dead, so the next Sweep frees it.
 		ss.mu.Unlock()
+		_ = ownerStore.Invalidate(br)
 		return existing, true
 	}
-	ss.bridges[key] = br
-	ss.edges[key.parent] = append(ss.edges[key.parent], bridgeLink{shard: owner, local: br})
-	ss.nEdges.Add(1)
+	ss.addEdge(key, br)
 	ss.mu.Unlock()
 
 	// Close the registration race: a parent transition that drained
 	// before the edge existed is re-read here; one that drains after
-	// will see the edge.
-	if st2, perm2, err2 := pStore.Resolve(pLocal); err2 == nil && (st2 != st || perm2 != perm) {
-		applyBridge(ss.stores[owner], br, st2, perm2)
-	} else if err2 != nil {
-		applyBridge(ss.stores[owner], br, False, true)
+	// will see the edge. Dangling reads permanently false.
+	if st2, perm2, _ := pStore.Resolve(pLocal); st2 != st || perm2 {
+		if perm2 {
+			ss.retire(key.parent, st2)
+		}
+		ownerStore.mirror(br, st2, perm2)
 	}
 	return br, true
 }
 
-// applyBridge mirrors a parent (state, permanence) onto a bridge
-// surrogate. Errors are ignored by design: they only arise when the
-// bridge is already permanent (a sticky permanent False must not be
-// overwritten — same rule as the wire protocol's applyModified) or
-// already swept.
-func applyBridge(st *Store, local Ref, s State, perm bool) {
-	if perm && s == False {
-		_ = st.Invalidate(local)
-		return
+// addEdge records that bridge br on key.shard mirrors key.parent. The
+// first bridge for a key is the one later derivations share. Caller
+// holds ss.mu, or is the constructor.
+func (ss *ShardedStore) addEdge(key bridgeKey, br Ref) {
+	if _, ok := ss.bridges[key]; !ok {
+		ss.bridges[key] = br
 	}
-	_ = st.SetState(local, s)
-	if perm {
-		_ = st.MakePermanent(local)
+	ss.edges[key.parent] = append(ss.edges[key.parent], bridgeLink{shard: key.shard, local: br})
+	ss.nEdges.Add(1)
+}
+
+// retire is called once a parent's value s is known to be final, before
+// it is mirrored: the parent's edges are dropped — nothing more will be
+// fanned out to its bridges. A bridge can never take back a final value
+// other than False, so for one the parent's shard is synced first: it
+// must not be able to lose, in a batch a crash cuts off, the record the
+// bridge's shard is about to keep. A final False needs no such care — a
+// dependent dead beneath a parent that came back is the safe side.
+func (ss *ShardedStore) retire(parent uint64, s State) {
+	ss.mu.Lock()
+	links := ss.edges[parent]
+	delete(ss.edges, parent)
+	ss.nEdges.Add(int64(-len(links)))
+	for _, l := range links {
+		delete(ss.bridges, bridgeKey{parent: parent, shard: l.shard})
+	}
+	ss.mu.Unlock()
+	if s != False {
+		_ = ss.stores[int(parent>>32)>>shardIDShift].Sync() // a failed journal has halted the store already
 	}
 }
 
@@ -305,88 +438,53 @@ func applyBridge(st *Store, local Ref, s State, perm bool) {
 // bridge list is copied under the read lock and applied after release:
 // applying re-enters stores (and, through their change callbacks, this
 // method again for chained cross-shard cascades), which must happen
-// with no ShardedStore lock held. A permanent transition retires the
-// edge — the value can never change again, so the bridges are final.
+// with no ShardedStore lock held.
 func (ss *ShardedStore) fanout(parent uint64, s State, perm bool) {
 	ss.mu.RLock()
-	links := ss.edges[parent]
-	copied := make([]bridgeLink, len(links))
-	copy(copied, links)
+	links := append([]bridgeLink(nil), ss.edges[parent]...)
 	ss.mu.RUnlock()
-	if len(copied) == 0 {
+	if len(links) == 0 {
 		return
 	}
 	if perm {
-		ss.mu.Lock()
-		if links := ss.edges[parent]; len(links) > 0 {
-			delete(ss.edges, parent)
-			ss.nEdges.Add(int64(-len(links)))
-			for _, l := range links {
-				delete(ss.bridges, bridgeKey{parent: parent, shard: l.shard})
-			}
-		}
-		ss.mu.Unlock()
+		ss.retire(parent, s)
 	}
-	for _, l := range copied {
-		applyBridge(ss.stores[l.shard], l.local, s, perm)
+	for _, l := range links {
+		ss.stores[l.shard].mirror(l.local, s, perm)
 	}
 }
 
 // --- Recorder: transitions, flags ---
 
-// SetState routes to the owning shard.
-func (ss *ShardedStore) SetState(ref Ref, s State) error {
+// route applies a by-reference mutation on the owning shard; an
+// off-ring shard id is dangling.
+func (ss *ShardedStore) route(ref Ref, apply func(*Store, Ref) error) error {
 	st, local, err := ss.resolveShard(ref)
 	if err != nil {
 		return err
 	}
-	return st.SetState(local, s)
+	return apply(st, local)
+}
+
+// SetState routes to the owning shard.
+func (ss *ShardedStore) SetState(ref Ref, s State) error {
+	return ss.route(ref, func(st *Store, local Ref) error { return st.SetState(local, s) })
 }
 
 // Invalidate routes to the owning shard.
-func (ss *ShardedStore) Invalidate(ref Ref) error {
-	st, local, err := ss.resolveShard(ref)
-	if err != nil {
-		return err
-	}
-	return st.Invalidate(local)
-}
+func (ss *ShardedStore) Invalidate(ref Ref) error { return ss.route(ref, (*Store).Invalidate) }
 
 // MakePermanent routes to the owning shard.
-func (ss *ShardedStore) MakePermanent(ref Ref) error {
-	st, local, err := ss.resolveShard(ref)
-	if err != nil {
-		return err
-	}
-	return st.MakePermanent(local)
-}
+func (ss *ShardedStore) MakePermanent(ref Ref) error { return ss.route(ref, (*Store).MakePermanent) }
 
 // MarkDirectUse routes to the owning shard.
-func (ss *ShardedStore) MarkDirectUse(ref Ref) error {
-	st, local, err := ss.resolveShard(ref)
-	if err != nil {
-		return err
-	}
-	return st.MarkDirectUse(local)
-}
+func (ss *ShardedStore) MarkDirectUse(ref Ref) error { return ss.route(ref, (*Store).MarkDirectUse) }
 
 // MarkNotify routes to the owning shard.
-func (ss *ShardedStore) MarkNotify(ref Ref) error {
-	st, local, err := ss.resolveShard(ref)
-	if err != nil {
-		return err
-	}
-	return st.MarkNotify(local)
-}
+func (ss *ShardedStore) MarkNotify(ref Ref) error { return ss.route(ref, (*Store).MarkNotify) }
 
 // MarkAutoRevoke routes to the owning shard.
-func (ss *ShardedStore) MarkAutoRevoke(ref Ref) error {
-	st, local, err := ss.resolveShard(ref)
-	if err != nil {
-		return err
-	}
-	return st.MarkAutoRevoke(local)
-}
+func (ss *ShardedStore) MarkAutoRevoke(ref Ref) error { return ss.route(ref, (*Store).MarkAutoRevoke) }
 
 // --- Recorder: bulk source transitions ---
 
@@ -410,29 +508,13 @@ func (ss *ShardedStore) MarkSourceFailsafe(source string) int {
 	return n
 }
 
-// --- Shard suspicion: the cross-shard analogue of source suspicion ---
-
-// MarkShardUnknown degrades every bridge mirroring a record owned by
-// the named shard to Unknown: the shard is suspect, so nothing derived
-// from its records may validate until it is heard from again. Cheap to
-// undo — ResyncShard restores the truth.
-func (ss *ShardedStore) MarkShardUnknown(name string) int {
-	return ss.MarkSourceUnknown(BridgeSource(name))
-}
-
-// MarkShardFailsafe fails every bridge mirroring the named shard's
-// records safe to False — the fail-safe demotion after a shard stays
-// suspect too long. Non-permanent, exactly like MarkSourceFailsafe: the
-// facts may still hold, this holder simply cannot confirm them.
-func (ss *ShardedStore) MarkShardFailsafe(name string) int {
-	return ss.MarkSourceFailsafe(BridgeSource(name))
-}
-
 // ResyncShard re-reads the authoritative state of every record the
-// named shard owns that has bridges elsewhere, and re-applies it — the
-// recovery half of shard suspicion, mirroring the §4.10 resync
-// protocol. Idempotent: re-applying current state is a no-op. Returns
-// the number of bridges refreshed.
+// named shard owns that has bridges elsewhere, and fans it out again —
+// the §4.10 resync protocol between shards, run over every shard when
+// recovered stores are opened. The parent is flagged Notify again (the
+// flag may have been in a batch its shard lost); a parent that is gone
+// reads permanently false. Idempotent: re-applying current state is a
+// no-op. Returns the number of parents re-read.
 func (ss *ShardedStore) ResyncShard(name string) int {
 	id := -1
 	for i, n := range ss.names {
@@ -440,74 +522,36 @@ func (ss *ShardedStore) ResyncShard(name string) int {
 			id = i
 		}
 	}
-	if id < 0 {
-		return 0
-	}
-	type job struct {
-		parent uint64
-		links  []bridgeLink
-	}
+	var parents []uint64
 	ss.mu.RLock()
-	var jobs []job
-	for parent, links := range ss.edges {
+	for parent := range ss.edges {
 		if int(parent>>32)>>shardIDShift == id {
-			jobs = append(jobs, job{parent: parent, links: append([]bridgeLink(nil), links...)})
+			parents = append(parents, parent)
 		}
 	}
 	ss.mu.RUnlock()
-	n := 0
-	for _, j := range jobs {
-		_, local, err := ss.resolveShard(RefFromUint64(j.parent))
-		if err != nil {
-			continue
+	sort.Slice(parents, func(a, b int) bool { return parents[a] < parents[b] }) // recovery is reproducible
+	for _, parent := range parents {
+		_, local, _ := ss.resolveShard(RefFromUint64(parent))
+		st, perm, _ := ss.stores[id].Resolve(local)
+		if !perm {
+			_ = ss.stores[id].MarkNotify(local) // fails only if the parent was swept since; the next pass reads that
 		}
-		st, perm, rerr := ss.stores[id].Resolve(local)
-		if rerr != nil {
-			st, perm = False, true
-		}
-		for _, l := range j.links {
-			applyBridge(ss.stores[l.shard], l.local, st, perm)
-			n++
-		}
+		ss.fanout(parent, st, perm)
 	}
-	return n
+	return len(parents)
 }
 
 // --- Recorder: GC ---
 
-// Sweep garbage-collects every shard and prunes cross-shard edges whose
-// parent or bridge was deleted.
+// Sweep garbage-collects every shard. The edge table needs no pruning:
+// a sweep frees a bridge or a bridged parent only once it is final, and
+// its edges were retired when it became so.
 func (ss *ShardedStore) Sweep() int {
 	n := 0
 	for _, st := range ss.stores {
 		n += st.Sweep()
 	}
-	ss.mu.Lock()
-	for parent, links := range ss.edges {
-		_, pLocal, perr := ss.resolveShard(RefFromUint64(parent))
-		pGone := perr != nil
-		if !pGone {
-			pid := int(parent >> 32 >> shardIDShift)
-			if _, err := ss.stores[pid].Lookup(pLocal); err != nil {
-				pGone = true
-			}
-		}
-		kept := links[:0]
-		for _, l := range links {
-			if _, err := ss.stores[l.shard].Lookup(l.local); err != nil || pGone {
-				ss.nEdges.Add(-1)
-				delete(ss.bridges, bridgeKey{parent: parent, shard: l.shard})
-				continue
-			}
-			kept = append(kept, l)
-		}
-		if len(kept) == 0 {
-			delete(ss.edges, parent)
-		} else {
-			ss.edges[parent] = kept
-		}
-	}
-	ss.mu.Unlock()
 	return n
 }
 
@@ -539,24 +583,6 @@ func (ss *ShardedStore) Resolve(ref Ref) (State, bool, error) {
 		return False, true, err
 	}
 	return st.Resolve(local)
-}
-
-// AutoRevoke routes to the owning shard.
-func (ss *ShardedStore) AutoRevoke(ref Ref) bool {
-	st, local, err := ss.resolveShard(ref)
-	if err != nil {
-		return false
-	}
-	return st.AutoRevoke(local)
-}
-
-// External routes to the owning shard.
-func (ss *ShardedStore) External(ref Ref) string {
-	st, local, err := ss.resolveShard(ref)
-	if err != nil {
-		return ""
-	}
-	return st.External(local)
 }
 
 // ExternalRefs gathers a source's external records across every shard,
@@ -601,16 +627,3 @@ func (ss *ShardedStore) Live() int {
 	}
 	return n
 }
-
-// Stats sums cumulative creations and deletions over every shard.
-func (ss *ShardedStore) Stats() (created, deleted uint64) {
-	for _, st := range ss.stores {
-		c, d := st.Stats()
-		created += c
-		deleted += d
-	}
-	return created, deleted
-}
-
-// Interface conformance: a sharded graph is a drop-in Recorder.
-var _ Recorder = (*ShardedStore)(nil)

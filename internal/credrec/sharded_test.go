@@ -2,9 +2,10 @@ package credrec
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/binary"
 	"sync"
 	"testing"
+	"time"
 )
 
 func newTestSharded(t *testing.T, n int) *ShardedStore {
@@ -233,53 +234,30 @@ func TestShardedSourceTransitions(t *testing.T) {
 	}
 }
 
-func TestShardedShardSuspicion(t *testing.T) {
-	ss := newTestSharded(t, 4)
-	a, b := crossShardPair(t, ss)
-	d := ss.NewDerived(OpAnd, Of(a), Of(b)) // bridge to b's shard
-	if !ss.Valid(d) {
-		t.Fatal("setup: derived not true")
-	}
-	bShard := ss.ShardNames()[ss.ShardOf(b)]
-	// b's shard goes suspect: the bridge (hence d) degrades to Unknown.
-	if n := ss.MarkShardUnknown(bShard); n == 0 {
-		t.Fatal("MarkShardUnknown touched nothing")
-	}
-	if st, _ := ss.Lookup(d); st != Unknown {
-		t.Fatalf("derived = %v with its remote parent's shard suspect; want unknown", st)
-	}
-	// Then failed: fail-safe False.
-	if n := ss.MarkShardFailsafe(bShard); n == 0 {
-		t.Fatal("MarkShardFailsafe touched nothing")
-	}
-	if st, _ := ss.Lookup(d); st != False {
-		t.Fatalf("derived = %v with its remote parent's shard failed; want false", st)
-	}
-	// The shard heals: resync restores the authoritative truth.
-	if n := ss.ResyncShard(bShard); n == 0 {
-		t.Fatal("ResyncShard refreshed nothing")
-	}
-	if !ss.Valid(d) {
-		t.Fatal("resync did not restore the derived record")
-	}
-}
-
 func TestShardedResyncAfterMissedRevocation(t *testing.T) {
-	// The reason recovery demands a resync: the revocation may have
-	// happened during the silence. Simulate by invalidating the parent
-	// directly on its shard store (bypassing the bridge fan-out would
-	// require a partition; here we resync onto an already-final state).
+	// The reason opening recovered shards demands a resync: the parent's
+	// shard may hold a revocation the bridge's shard never saw. Detach
+	// the parent's observer for the revocation, as a shard that lost the
+	// bridge's update in a crash would look, then resync.
 	ss := newTestSharded(t, 4)
 	a, b := crossShardPair(t, ss)
 	d := ss.NewDerived(OpAnd, Of(a), Of(b))
-	bShard := ss.ShardNames()[ss.ShardOf(b)]
-	ss.MarkShardFailsafe(bShard)
-	if err := ss.Invalidate(b); err != nil {
+	bStore, bLocal, _ := ss.resolveShard(b)
+	bStore.OnChange(nil)
+	if err := bStore.Invalidate(bLocal); err != nil {
 		t.Fatal(err)
 	}
-	ss.ResyncShard(bShard)
+	if !ss.Valid(d) {
+		t.Fatal("setup: the revocation reached the bridge without an observer")
+	}
+	if n := ss.ResyncShard(ss.ShardNames()[ss.ShardOf(b)]); n != 1 {
+		t.Fatalf("ResyncShard visited %d bridges, want 1", n)
+	}
 	if st, perm, _ := ss.Resolve(d); st != False || !perm {
 		t.Fatalf("derived = %v perm=%v after resync of a revoked parent; want permanent false", st, perm)
+	}
+	if n := ss.nEdges.Load(); n != 0 {
+		t.Fatalf("edges = %d after resync of a permanent parent, want 0", n)
 	}
 }
 
@@ -342,60 +320,6 @@ func TestShardedSingleShardMatchesMonolith(t *testing.T) {
 	}
 }
 
-// TestShardedMatrix runs one semantic workload — cross-fact derived
-// records, state flaps, permanent revocation, a sweep — at every shard
-// count `make test-shard` gates on, asserting each partitioning yields
-// exactly the monolithic store's observable states. The matrix is what
-// lets the benchmarks vary shard count freely: semantics are already
-// proven invariant under partitioning.
-func TestShardedMatrix(t *testing.T) {
-	type probe struct {
-		st   State
-		perm bool
-	}
-	run := func(r Recorder) []probe {
-		facts := make([]Ref, 16)
-		for i := range facts {
-			facts[i] = r.NewFact(True)
-		}
-		derived := make([]Ref, 0, len(facts))
-		for i := range facts {
-			// Pair each fact with its neighbour: with >1 shard many of
-			// these dependency edges cross shards.
-			derived = append(derived, r.NewDerived(OpAnd, Of(facts[i]), Of(facts[(i+1)%len(facts)])))
-		}
-		for i := 0; i < len(facts); i += 3 {
-			if err := r.SetState(facts[i], False); err != nil {
-				panic(err)
-			}
-		}
-		if err := r.SetState(facts[0], True); err != nil {
-			panic(err)
-		}
-		if err := r.Invalidate(facts[5]); err != nil {
-			panic(err)
-		}
-		r.Sweep()
-		var out []probe
-		for _, d := range derived {
-			st, perm, _ := r.Resolve(d)
-			out = append(out, probe{st, perm})
-		}
-		return out
-	}
-	want := run(NewStore())
-	for _, shards := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got := run(newTestSharded(t, shards))
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("derived %d: sharded %+v, monolith %+v", i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
-
 func TestShardedConcurrentStorm(t *testing.T) {
 	// Parallel revocation storms on disjoint subgraphs must be safe and
 	// leave every chain consistent. Run with -race in make race.
@@ -431,5 +355,385 @@ func TestShardedConcurrentStorm(t *testing.T) {
 				t.Fatalf("group %d inconsistent after storm: fact %v, derived %v", g, want, got)
 			}
 		}
+	}
+}
+
+func TestBridgeSourceRoundTrip(t *testing.T) {
+	parent := Ref{Index: 3<<shardIDShift | 17, Magic: 9}
+	src := bridgeSource("s03", parent)
+	if src != "shard:s03#c00001100000009" {
+		t.Fatalf("bridgeSource = %q", src)
+	}
+	owner, got, err := parseBridgeSource(src)
+	if err != nil || owner != "s03" || got != parent {
+		t.Fatalf("parseBridgeSource(%q) = %q, %v, %v", src, owner, got, err)
+	}
+	// A shard name may itself hold the separator: the reference is what
+	// follows the last one.
+	if owner, got, err := parseBridgeSource(bridgeSource("a#b", parent)); err != nil || owner != "a#b" || got != parent {
+		t.Fatalf("owner with separator: %q, %v, %v", owner, got, err)
+	}
+	for _, bad := range []string{
+		"", "Login", "shard:", "shard:s03", "shard:s03#", "shard:s03#xyz",
+		"shard:s03#C00001100000009",   // upper-case hex
+		"shard:s03#0c00001100000009",  // leading zero
+		"shard:s03#+c00001100000009",  // sign
+		"shard:s03#1c00001100000009f", // 65 bits
+		"shard:s03# c00001100000009",
+		"Shard:s03#c00001100000009",
+	} {
+		if owner, ref, err := parseBridgeSource(bad); err == nil {
+			t.Errorf("parseBridgeSource(%q) accepted: %q, %v", bad, owner, ref)
+		}
+	}
+}
+
+// journaledShards builds n journaled shard stores over failingSinks
+// that do not fail until told to.
+func journaledShards(n int, policy SyncPolicy) ([]*Store, []*failingSink) {
+	stores, sinks := make([]*Store, n), make([]*failingSink, n)
+	for i := range stores {
+		sinks[i] = &failingSink{failAt: 1 << 30}
+		stores[i] = NewStore()
+		stores[i].StartJournal(sinks[i], JournalOptions{Sync: policy})
+	}
+	return stores, sinks
+}
+
+func openTestSharded(t *testing.T, stores []*Store) *ShardedStore {
+	t.Helper()
+	names := make([]string, len(stores))
+	for i := range names {
+		names[i] = string(rune('A' + i))
+	}
+	ring, err := NewRing(names, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := OpenShardedStore(ring, stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
+}
+
+// replayShards rebuilds each shard from what its sink holds: the stores
+// a recovery would hand to OpenShardedStore.
+func replayShards(t *testing.T, sinks []*failingSink) []*Store {
+	t.Helper()
+	stores := make([]*Store, len(sinks))
+	for i, sink := range sinks {
+		sink.mu.Lock()
+		data := append([]byte(nil), sink.data...)
+		sink.mu.Unlock()
+		st, err := Replay(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		stores[i] = st
+	}
+	return stores
+}
+
+// The edge table, the shared bridges and leaf placement all come back
+// from what the shards journaled: a reopened store cascades across
+// shards, shares the bridge it already has, and places the next
+// records where the store that never stopped does.
+func TestShardedReopenRebuildsEdges(t *testing.T) {
+	stores, sinks := journaledShards(4, SyncAlways)
+	ss := openTestSharded(t, stores)
+	a, b := crossShardPair(t, ss)
+	d := ss.NewDerived(OpAnd, Of(a), Of(b))
+	dead := ss.NewDerived(OpAnd, Of(a), Of(ss.NewFact(True)))
+	a2, b2 := crossShardPair(t, ss)
+	if err := ss.Invalidate(b2); err != nil {
+		t.Fatal(err)
+	}
+	gone := ss.NewDerived(OpAnd, Of(a2), Of(b2)) // a bridge born final: no edge
+
+	re := openTestSharded(t, replayShards(t, sinks))
+	if !bytes.Equal(re.Image(), ss.Image()) {
+		t.Fatalf("reopened image differs:\n-- live --\n%s-- reopened --\n%s", ss.Image(), re.Image())
+	}
+	if got, want := re.nEdges.Load(), ss.nEdges.Load(); got != want || got == 0 {
+		t.Fatalf("reopened store has %d edges, the live one %d", got, want)
+	}
+	for _, s := range []*ShardedStore{ss, re} {
+		before := s.Live()
+		if d2 := s.NewDerived(OpOr, Of(a), Of(b)); s.Live()-before != 1 {
+			t.Fatalf("derivation from an already-bridged parent added %d records, want 1 (%v)", s.Live()-before, d2)
+		}
+		for i := 0; i < 8; i++ {
+			s.NewFact(True)
+		}
+		if err := s.SetState(b, False); err != nil {
+			t.Fatal(err)
+		}
+		if s.Valid(d) || !s.Valid(dead) || s.Valid(gone) {
+			t.Fatal("cross-shard cascade wrong after reopen")
+		}
+	}
+	if !bytes.Equal(re.Image(), ss.Image()) {
+		t.Fatal("the reopened store and the one that never stopped diverged")
+	}
+	// A clean reopen has nothing to repair, and journals nothing.
+	again := replayShards(t, sinks)
+	quiet := make([]*failingSink, len(again))
+	for i, st := range again {
+		quiet[i] = &failingSink{failAt: 1 << 30}
+		st.StartJournal(quiet[i], JournalOptions{Sync: SyncAlways})
+		defer st.Close()
+	}
+	openTestSharded(t, again)
+	for i, st := range again {
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(quiet[i].data); n != 0 {
+			t.Fatalf("reopening consistent shards journaled %d bytes on shard %d", n, i)
+		}
+	}
+}
+
+// A store holding a bridge this ring cannot have made must not open.
+func TestShardedOpenRefusesForeignBridges(t *testing.T) {
+	for _, src := range []string{
+		"shard:B#zz",                 // malformed
+		bridgeSource("B", Ref{1, 1}), // owned by shard 0, which is this shard and is not B
+		bridgeSource("Z", Ref{Index: 1 << shardIDShift, Magic: 1}),  // shard 1 is B, not Z
+		bridgeSource("C", Ref{Index: 40 << shardIDShift, Magic: 1}), // off the ring
+	} {
+		st := NewStore()
+		st.NewExternal(src, True)
+		names := []string{"A", "B", "C"}
+		ring, err := NewRing(names, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenShardedStore(ring, []*Store{st, NewStore(), NewStore()}); err == nil {
+			t.Errorf("store with bridge source %q opened", src)
+		}
+	}
+	// And the sharded store never lets a foreign record take the prefix.
+	ss := newTestSharded(t, 2)
+	if ref := ss.NewExternal("shard:B#1", True); ref != (Ref{}) {
+		t.Fatalf("foreign record under the bridge prefix allocated: %v", ref)
+	}
+}
+
+// The loser of a bridge-creation race must not leak: its surrogate has
+// no children and no edge, so nothing would ever make it sweepable.
+func TestShardedBridgeRaceLeavesNoOrphan(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		ss := newTestSharded(t, 4)
+		a, b := crossShardPair(t, ss)
+		if err := ss.Invalidate(a); err != nil {
+			t.Fatal(err)
+		}
+		ss.Sweep()
+		baseline := ss.Live() // b alone
+		const racers = 8
+		derived := make([]Ref, racers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < racers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				local := ss.NewFact(True)
+				<-start
+				derived[g] = ss.NewDerived(OpAnd, Of(local), Of(b))
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for _, d := range derived {
+			if !ss.Valid(d) {
+				t.Fatal("derived record not true")
+			}
+			if err := ss.Invalidate(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ss.Invalidate(b); err != nil {
+			t.Fatal(err)
+		}
+		ss.Sweep()
+		ss.Sweep()
+		// What is left: each racer's own local fact, nothing else.
+		if got := ss.Live() - racers; got != baseline-1 {
+			t.Fatalf("round %d: %d records outlive invalidate + sweep (baseline %d)\n%s", round, got, baseline-1, ss.Image())
+		}
+	}
+}
+
+// One shard of four loses its journal. A revocation the store has
+// acknowledged on a healthy shard still reaches its dependents on the
+// failed shard, in memory; and from then on every entry-point mutation
+// is refused on every shard — the monolith's fail-stop, store-wide.
+func TestShardedOneJournalFailsStopsAll(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncBatched} {
+		t.Run(policy.String(), func(t *testing.T) {
+			stores, sinks := journaledShards(4, policy)
+			ss := openTestSharded(t, stores)
+			defer func() {
+				for _, st := range stores {
+					st.Close()
+				}
+			}()
+			a, b := crossShardPair(t, ss)
+			d := ss.NewDerived(OpAnd, Of(b), Of(a)) // on b's shard, bridging a
+			if err := ss.MarkDirectUse(d); err != nil {
+				t.Fatal(err)
+			}
+			spare := ss.NewFact(True)
+			failed, healthy := ss.ShardOf(b), ss.ShardOf(a)
+			if err := stores[failed].Sync(); err != nil {
+				t.Fatal(err)
+			}
+			sinks[failed].mu.Lock()
+			sinks[failed].failAt = 0 // every write from here on fails
+			sinks[failed].mu.Unlock()
+
+			// The revocation is journaled on the healthy shard and
+			// acknowledged; its fan-out is the write that finds the
+			// failed shard's disk gone.
+			if err := ss.Invalidate(a); err != nil {
+				t.Fatalf("revocation on a healthy shard refused: %v", err)
+			}
+			if ss.Valid(d) {
+				t.Fatal("acknowledged revocation did not reach its dependent on the failed shard")
+			}
+			if err := stores[failed].Sync(); err == nil {
+				t.Fatal("the failed shard's journal reports no error")
+			}
+			if err := stores[healthy].Sync(); err != nil {
+				t.Fatalf("the healthy shard's own journal failed: %v", err)
+			}
+
+			// Fail-stop, store-wide.
+			for i := 0; i < 16; i++ {
+				if ref := ss.NewFact(True); ref != (Ref{}) {
+					t.Fatalf("allocation %d on a halted store returned %v", i, ref)
+				}
+			}
+			if ref := ss.NewDerived(OpAnd, Of(spare)); ref != (Ref{}) {
+				t.Fatalf("derivation on a halted store returned %v", ref)
+			}
+			if err := ss.SetState(spare, False); err == nil {
+				t.Fatal("SetState on a halted store succeeded")
+			}
+			if err := ss.Invalidate(spare); err == nil {
+				t.Fatal("Invalidate on a halted store succeeded")
+			}
+			if err := ss.MarkDirectUse(spare); err == nil {
+				t.Fatal("MarkDirectUse on a halted store succeeded")
+			}
+			if n := ss.Sweep(); n != 0 {
+				t.Fatalf("Sweep on a halted store deleted %d records", n)
+			}
+			if !ss.Valid(spare) {
+				t.Fatal("a refused mutation was applied")
+			}
+		})
+	}
+}
+
+// orderedSink logs its writes and syncs into a log shared with its
+// sibling shards' sinks, so a test can read off the order in which
+// things reached which disk. A slow sink holds every write for a while,
+// as a disk with a queue would.
+type orderedSink struct {
+	log   *sinkLog
+	shard int
+	slow  time.Duration
+}
+
+type sinkLog struct {
+	mu     sync.Mutex
+	events []sinkEvent
+}
+
+type sinkEvent struct {
+	shard int
+	data  []byte // nil for a sync
+}
+
+func (s *orderedSink) Write(p []byte) (int, error) {
+	time.Sleep(s.slow)
+	s.log.mu.Lock()
+	s.log.events = append(s.log.events, sinkEvent{s.shard, append([]byte{}, p...)})
+	s.log.mu.Unlock()
+	return len(p), nil
+}
+
+func (s *orderedSink) Sync() error {
+	s.log.mu.Lock()
+	s.log.events = append(s.log.events, sinkEvent{shard: s.shard})
+	s.log.mu.Unlock()
+	return nil
+}
+
+// A bridge keeps a final value for good, so the record that makes a
+// bridge final and not False must not reach its shard's disk before the
+// record that made the parent final is safe on the parent's: a crash
+// could otherwise keep the first and lose the second, and nothing
+// could ever tell the bridge again. Under SyncBatched nothing else
+// orders two shards' journals; the parent's disk is slow here, so
+// without the wait the bridge's record would win the race.
+func TestShardedFinalValueWaitsForParentShard(t *testing.T) {
+	log := &sinkLog{}
+	stores := make([]*Store, 4)
+	sinks := make([]*orderedSink, 4)
+	for i := range stores {
+		sinks[i] = &orderedSink{log: log, shard: i}
+		stores[i] = NewStore()
+		stores[i].StartJournal(sinks[i], JournalOptions{Sync: SyncBatched})
+		defer stores[i].Close()
+	}
+	ss := openTestSharded(t, stores)
+	a, b := crossShardPair(t, ss)
+	d := ss.NewDerived(OpOr, Of(b), Of(a)) // on b's shard, bridging a
+	for _, st := range stores {
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ss.mu.RLock()
+	bridge := ss.bridges[bridgeKey{parent: a.Uint64(), shard: ss.ShardOf(b)}]
+	ss.mu.RUnlock()
+	sinks[ss.ShardOf(a)].slow = 50 * time.Millisecond
+	if err := ss.MakePermanent(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, perm, _ := ss.Resolve(d); !perm {
+		t.Fatal("setup: the disjunction did not become final with its parent")
+	}
+	for _, st := range stores {
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, aLocal, _ := ss.resolveShard(a)
+	parentRecord := binary.AppendUvarint([]byte{opPermanent}, aLocal.Uint64())
+	bridgeRecord := binary.AppendUvarint([]byte{opPermanent}, bridge.Uint64())
+	parentWritten, parentSynced, bridgeWritten := false, -1, -1
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for i, ev := range log.events {
+		switch {
+		case ev.shard == ss.ShardOf(a) && bytes.HasSuffix(ev.data, parentRecord):
+			parentWritten = true
+		case ev.shard == ss.ShardOf(a) && ev.data == nil && parentWritten && parentSynced < 0:
+			parentSynced = i
+		case ev.shard == ss.ShardOf(b) && bytes.HasSuffix(ev.data, bridgeRecord):
+			bridgeWritten = i
+		}
+	}
+	if parentSynced < 0 || bridgeWritten < 0 {
+		t.Fatalf("did not see both records reach their disks (parent synced at %d, bridge written at %d)", parentSynced, bridgeWritten)
+	}
+	if bridgeWritten < parentSynced {
+		t.Fatalf("the bridge's final value was written (event %d) before its parent's was synced (event %d)", bridgeWritten, parentSynced)
 	}
 }

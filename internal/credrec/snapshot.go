@@ -40,8 +40,8 @@ var ErrSnapshotCorrupt = fmt.Errorf("credrec: snapshot corrupt")
 const maxSnapshotSlots = 1 << 28
 
 // WriteSnapshot writes a complete image of the store to w. Callers
-// must ensure no mutation is in flight — the LoggedStore.Snapshot
-// barrier, or exclusive ownership of a plain Store.
+// must ensure no mutation is in flight — the Store.Snapshot barrier,
+// or exclusive ownership of the store.
 func (st *Store) WriteSnapshot(w io.Writer) error {
 	st.writeMu.Lock()
 	defer st.writeMu.Unlock()

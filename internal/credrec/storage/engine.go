@@ -32,13 +32,13 @@ type Options struct {
 }
 
 // Engine ties a Backend to a recovering, journaling credential store.
-// Open performs recovery; Store returns the live LoggedStore; the
+// Open performs recovery; Store returns the live, journaling store; the
 // engine snapshots and compacts in the background per Options.
 type Engine struct {
 	be   Backend
 	opts Options
 
-	ls *credrec.LoggedStore
+	ls *credrec.Store
 
 	mu     sync.Mutex // serialises snapshot/roll/close
 	seg    Segment    // active segment (mutated only under mu)
@@ -151,7 +151,8 @@ func Open(be Backend, opts Options) (*Engine, error) {
 	}
 	e.seg = seg
 
-	e.ls = credrec.NewLoggedStoreWith(st, seg, credrec.JournalOptions{
+	e.ls = st
+	st.StartJournal(seg, credrec.JournalOptions{
 		Sync: opts.Sync,
 		OnCommit: func(records, bytes int) {
 			e.opsSince.Add(int64(records))
@@ -171,7 +172,7 @@ func Open(be Backend, opts Options) (*Engine, error) {
 }
 
 // Store returns the live, journaling store.
-func (e *Engine) Store() *credrec.LoggedStore { return e.ls }
+func (e *Engine) Store() *credrec.Store { return e.ls }
 
 // Recovered reports what Open rebuilt: the snapshot number used (0 if
 // none), tail segments replayed, records applied from them, and

@@ -12,7 +12,7 @@ import (
 
 // populate runs a representative workload and returns the refs a
 // client would still hold (certificates in the wild).
-func populate(ls *credrec.LoggedStore) (kept, revoked []credrec.Ref) {
+func populate(ls *credrec.Store) (kept, revoked []credrec.Ref) {
 	for i := 0; i < 8; i++ {
 		root := ls.NewFact(credrec.True)
 		member := ls.NewDerived(credrec.OpAnd, credrec.Of(root))
@@ -27,7 +27,7 @@ func populate(ls *credrec.LoggedStore) (kept, revoked []credrec.Ref) {
 	return kept, revoked
 }
 
-func checkRecovered(t *testing.T, ls *credrec.LoggedStore, kept, revoked []credrec.Ref) {
+func checkRecovered(t *testing.T, ls *credrec.Store, kept, revoked []credrec.Ref) {
 	t.Helper()
 	for _, r := range kept {
 		if !ls.Valid(r) {
@@ -406,7 +406,7 @@ func TestEngineJournalWriteFailureFailsStop(t *testing.T) {
 	if err := e.Store().Invalidate(keep); err == nil {
 		t.Fatal("write failure not surfaced to mutator")
 	}
-	if e.Store().Err() == nil {
+	if e.Store().Sync() == nil {
 		t.Fatal("store did not fail-stop")
 	}
 	// Every mutation after the failure is refused before it touches the

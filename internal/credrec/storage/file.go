@@ -15,7 +15,7 @@ import (
 // Snapshots are installed atomically — written to a .tmp file, fsynced,
 // then renamed into place — so a crash mid-snapshot leaves the previous
 // snapshot authoritative and the journal intact. Segment writes go
-// straight to the file descriptor (the LoggedStore committer already
+// straight to the file descriptor (the store's committer already
 // batches), and Segment.Sync is fsync.
 type Dir struct {
 	dir string

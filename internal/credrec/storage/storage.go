@@ -2,7 +2,7 @@
 // stores (docs/STORAGE.md): a pluggable Backend holding numbered
 // journal segments and store snapshots, and an Engine that opens a
 // backend, recovers the store (newest snapshot + tail-segment replay),
-// journals new mutations through credrec.LoggedStore's group commit,
+// journals new mutations through the credrec.Store's group commit,
 // and periodically compacts — snapshot, roll to a fresh segment,
 // delete everything the snapshot covers. Recovery cost is O(live
 // records + tail), not O(history), and steady-state disk is bounded by
@@ -19,7 +19,7 @@ import (
 )
 
 // Segment is an open, appendable journal segment. Write receives whole
-// commit batches (the LoggedStore committer's framing); Sync makes
+// commit batches (the store committer's framing); Sync makes
 // everything written so far durable.
 type Segment interface {
 	io.Writer

@@ -3,6 +3,8 @@ package fault
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"oasis/internal/credrec"
@@ -331,5 +333,389 @@ func TestRevocationsStayRevoked(t *testing.T) {
 			t.Fatalf("extra=%d: revoked member resolves %v", extra, s)
 		}
 		eng2.Close()
+	}
+}
+
+// ---- the same obligations over the sharded-and-journaled shape ----
+//
+// Four shards, each on a storage.Engine and a Memory backend of its
+// own, under one credrec.ShardedStore. The script's derivations chain
+// across shards (bridges), so one step can journal records on several
+// shards and a crash can keep them on one and lose them on another.
+
+var chaosShardNames = []string{"s00", "s01", "s02", "s03"}
+
+// shardedScript is persistScript followed by steps that push final
+// values other than False across shards: four facts, four disjunctions
+// over neighbouring pairs, then two facts frozen true, one flipped, one
+// revoked.
+func shardedScript() []pstep {
+	s := persistScript()
+	const base = 13 // references persistScript mints
+	add := func(name string, run func(r credrec.Recorder, refs *[]credrec.Ref)) {
+		s = append(s, pstep{name, run})
+	}
+	for i := 0; i < 4; i++ {
+		i := i
+		add(fmt.Sprintf("pair-fact-%d", i), func(r credrec.Recorder, refs *[]credrec.Ref) {
+			if len(*refs) != base+i {
+				panic(fmt.Sprintf("shardedScript: %d references before pair-fact-%d, want %d", len(*refs), i, base+i))
+			}
+			mint(r.NewFact(credrec.True), refs)
+		})
+	}
+	for i := 0; i < 4; i++ {
+		i := i
+		add(fmt.Sprintf("pair-or-%d", i), func(r credrec.Recorder, refs *[]credrec.Ref) {
+			mint(r.NewDerived(credrec.OpOr, credrec.Of((*refs)[base+i]), credrec.Of((*refs)[base+(i+1)%4])), refs)
+		})
+		add(fmt.Sprintf("pair-use-%d", i), func(r credrec.Recorder, refs *[]credrec.Ref) {
+			_ = r.MarkDirectUse((*refs)[base+4+i])
+		})
+	}
+	add("pair-freeze-0", func(r credrec.Recorder, refs *[]credrec.Ref) { _ = r.MakePermanent((*refs)[base]) })
+	add("pair-flip-1", func(r credrec.Recorder, refs *[]credrec.Ref) { _ = r.SetState((*refs)[base+1], credrec.False) })
+	add("pair-freeze-2", func(r credrec.Recorder, refs *[]credrec.Ref) { _ = r.MakePermanent((*refs)[base+2]) })
+	add("pair-revoke-3", func(r credrec.Recorder, refs *[]credrec.Ref) { _ = r.Invalidate((*refs)[base+3]) })
+	add("sweep-3", func(r credrec.Recorder, refs *[]credrec.Ref) { r.Sweep() })
+	return s
+}
+
+// shardedWorld is a durable sharded store and what it stands on.
+type shardedWorld struct {
+	ss       *credrec.ShardedStore
+	engines  []*storage.Engine
+	backends []*storage.Memory
+}
+
+func openShardedWorld(t *testing.T, backends []*storage.Memory, opts storage.Options) *shardedWorld {
+	t.Helper()
+	ring, err := credrec.NewRing(chaosShardNames, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &shardedWorld{backends: backends}
+	stores := make([]*credrec.Store, len(backends))
+	for i, be := range backends {
+		eng, err := storage.Open(be, opts)
+		if err != nil {
+			t.Fatalf("shard %s: recovery failed: %v", chaosShardNames[i], err)
+		}
+		w.engines = append(w.engines, eng)
+		stores[i] = eng.Store()
+	}
+	if w.ss, err = credrec.OpenShardedStore(ring, stores); err != nil {
+		t.Fatalf("opening the sharded store: %v", err)
+	}
+	return w
+}
+
+func freshBackends() []*storage.Memory {
+	backends := make([]*storage.Memory, len(chaosShardNames))
+	for i := range backends {
+		backends[i] = storage.NewMemory()
+	}
+	return backends
+}
+
+func (w *shardedWorld) close(t *testing.T) {
+	t.Helper()
+	for _, eng := range w.engines {
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// crash abandons the world, as a power loss would, and returns what
+// each shard's medium kept.
+func (w *shardedWorld) crash() []*storage.Memory {
+	out := make([]*storage.Memory, len(w.backends))
+	for i, be := range w.backends {
+		out[i] = be.Crash(0)
+	}
+	return out
+}
+
+// shardedPrefixImages runs the script on an in-memory sharded store,
+// capturing the image after every step, and insists that the script
+// does cross shards.
+func shardedPrefixImages(t *testing.T, script []pstep) [][]byte {
+	t.Helper()
+	ss, err := credrec.NewShardedStore(chaosShardNames, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refs []credrec.Ref
+	images := [][]byte{ss.Image()}
+	bridged := 0
+	for _, step := range script {
+		step.run(ss, &refs)
+		images = append(images, ss.Image())
+		if bytes.Contains(images[len(images)-1], []byte(`ext="shard:`)) {
+			bridged++
+		}
+	}
+	if bridged < len(script)/2 {
+		t.Fatalf("only %d of %d prefix images hold a bridge: the script no longer crosses shards", bridged, len(script))
+	}
+	return images
+}
+
+// TestKillPointsShardedSyncAlways crashes all four shards after every
+// step under SyncAlways. Every record of every completed step is
+// durable on its own shard, so recovery — per-shard replay with no
+// observer, then the resync pass — must land on exactly the prefix
+// image, and finishing the script must converge to the fault-free
+// image: edges, shared bridges and leaf placement all came back.
+func TestKillPointsShardedSyncAlways(t *testing.T) {
+	script := shardedScript()
+	images := shardedPrefixImages(t, script)
+	const snapshotAt = 9 // every shard snapshots and compacts here
+
+	for k := 0; k <= len(script); k++ {
+		w := openShardedWorld(t, freshBackends(), storage.Options{Sync: credrec.SyncAlways})
+		refs := runPrefix(script, w.ss, min(k, snapshotAt))
+		if k > snapshotAt {
+			for _, eng := range w.engines {
+				if err := eng.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, step := range script[snapshotAt:k] {
+				step.run(w.ss, &refs)
+			}
+		}
+		w2 := openShardedWorld(t, w.crash(), storage.Options{})
+		if got := w2.ss.Image(); !bytes.Equal(got, images[k]) {
+			t.Fatalf("kill after step %d (%q): recovered image is not the durable prefix\n-- recovered --\n%s\n-- want --\n%s",
+				k, stepName(script, k), got, images[k])
+		}
+		scratch, err := credrec.NewShardedStore(chaosShardNames, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cont := runPrefix(script, scratch, k)
+		for _, step := range script[k:] {
+			step.run(w2.ss, &cont)
+		}
+		if got := w2.ss.Image(); !bytes.Equal(got, images[len(script)]) {
+			t.Fatalf("kill after step %d: post-recovery run diverged from fault-free image\n-- got --\n%s\n-- want --\n%s",
+				k, got, images[len(script)])
+		}
+		w2.close(t)
+	}
+}
+
+// imageLine is one record of a Store image, as far as the invariants
+// below read it.
+type imageLine struct {
+	ref, state, ext string
+	perm            bool
+}
+
+func parseImage(t *testing.T, image []byte) []imageLine {
+	t.Helper()
+	var out []imageLine
+	for _, line := range strings.Split(strings.TrimSpace(string(image)), "\n") {
+		if line == "" {
+			continue
+		}
+		var l imageLine
+		var op, parents, children int
+		var flags string
+		if _, err := fmt.Sscanf(line, "%s op=%d state=%s perm=%t ext=%q flags=%q parents=%d children=%d",
+			&l.ref, &op, &l.state, &l.perm, &l.ext, &flags, &parents, &children); err != nil {
+			t.Fatalf("image line %q: %v", line, err)
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
+// TestKillPointsShardedIndependentWatermarks is the batched-policy
+// obligation: group commit is per shard, so a crash leaves every shard
+// at a synced watermark of its own. The script runs once under
+// SyncBatched with each shard's medium captured, fully synced, after
+// every step. A crash after step k is then a vector of four step
+// numbers, one per shard, each anywhere between k and the shard's
+// floor: the last step at which the store itself waited for that
+// shard's journal (before a value that is final and not False crosses
+// to another shard, its owner's shard is synced — the one ordering
+// between shards the store imposes; the floors are read off the
+// images). For every vector tried, recovery must hold:
+//
+//   - every shard replays to a prefix of its own history (the image it
+//     had after the step its medium was captured at);
+//   - after the resync pass every bridge equals its parent's resolved
+//     state, or is permanently False (a revocation its parent's shard
+//     lost stays applied);
+//   - a conjunction is true only if all its parents are — in
+//     particular, nothing is true beneath a durably revoked parent;
+//   - what a shard held permanently false stays so: resync never
+//     revives it;
+//   - the rebuilt edges carry cascades: revoking fact-0 afterwards
+//     kills every surviving conjunction.
+func TestKillPointsShardedIndependentWatermarks(t *testing.T) {
+	script := shardedScript()
+	n := len(chaosShardNames)
+	w := openShardedWorld(t, freshBackends(), storage.Options{Sync: credrec.SyncBatched})
+	capture := func() (media []*storage.Memory, shardImages [][]byte) {
+		for i, eng := range w.engines {
+			if err := eng.Store().Sync(); err != nil {
+				t.Fatal(err)
+			}
+			media = append(media, w.backends[i].Crash(0))
+			shardImages = append(shardImages, w.ss.ShardStore(i).Image())
+		}
+		return media, shardImages
+	}
+	// media[k][i], shardImages[k][i]: shard i once steps < k have run.
+	media := make([][]*storage.Memory, len(script)+1)
+	shardImages := make([][][]byte, len(script)+1)
+	var refs []credrec.Ref
+	type derivation struct {
+		ref     credrec.Ref
+		parents []credrec.Ref
+	}
+	var conjunctions []derivation
+	media[0], shardImages[0] = capture()
+	// floor[k][i]: the least step number shard i can be cut at by a crash
+	// after step k. A bridge that reads final and not False after a step,
+	// and did not before, had its parent's shard synced during it (this
+	// script journals nothing more there in the same step).
+	floor := [][]int{make([]int, n)}
+	finalBridges := make(map[string]bool)
+	for k, step := range script {
+		before := len(refs)
+		step.run(w.ss, &refs)
+		floor = append(floor, append([]int(nil), floor[k]...))
+		for i := 0; i < n; i++ {
+			for _, l := range parseImage(t, w.ss.ShardStore(i).Image()) {
+				if key := fmt.Sprint(i, l.ref); strings.HasPrefix(l.ext, "shard:") && l.perm && l.state != "false" && !finalBridges[key] {
+					finalBridges[key] = true
+					owner := l.ext[len("shard:"):strings.LastIndexByte(l.ext, '#')]
+					for j, name := range chaosShardNames {
+						if name == owner {
+							floor[k+1][j] = k + 1
+						}
+					}
+				}
+			}
+		}
+		if strings.HasPrefix(step.name, "derive-") && len(refs) > before {
+			var i int
+			fmt.Sscanf(step.name, "derive-%d", &i)
+			conjunctions = append(conjunctions, derivation{refs[before], []credrec.Ref{refs[i], refs[i+1]}})
+		}
+		media[k+1], shardImages[k+1] = capture()
+	}
+	w.close(t)
+	if len(conjunctions) != 6 {
+		t.Fatalf("tracked %d conjunctions, want 6", len(conjunctions))
+	}
+
+	check := func(cut []int) {
+		backends := make([]*storage.Memory, n)
+		for i := range backends {
+			backends[i] = media[cut[i]][i].Crash(0) // recovery writes to its medium: work on a copy
+		}
+		ring, err := credrec.NewRing(chaosShardNames, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := make([]*storage.Engine, n)
+		stores := make([]*credrec.Store, n)
+		var deadBefore [][]imageLine
+		for i, be := range backends {
+			if engines[i], err = storage.Open(be, storage.Options{}); err != nil {
+				t.Fatalf("cut %v: shard %d: recovery failed: %v", cut, i, err)
+			}
+			stores[i] = engines[i].Store()
+			got := stores[i].Image()
+			if !bytes.Equal(got, shardImages[cut[i]][i]) {
+				t.Fatalf("cut %v: shard %d did not recover to its own history after step %d\n-- recovered --\n%s-- want --\n%s",
+					cut, i, cut[i], got, shardImages[cut[i]][i])
+			}
+			deadBefore = append(deadBefore, parseImage(t, got))
+		}
+		ss, err := credrec.OpenShardedStore(ring, stores)
+		if err != nil {
+			t.Fatalf("cut %v: %v", cut, err)
+		}
+		for i := 0; i < n; i++ {
+			after := make(map[string]imageLine)
+			for _, l := range parseImage(t, ss.ShardStore(i).Image()) {
+				after[l.ref] = l
+			}
+			for _, l := range deadBefore[i] {
+				if l.perm && l.state == "false" {
+					if a, ok := after[l.ref]; !ok || !a.perm || a.state != "false" {
+						t.Fatalf("cut %v: shard %d: %s was permanently false before the resync pass and is %+v after", cut, i, l.ref, a)
+					}
+				}
+			}
+			for _, l := range after {
+				if !strings.HasPrefix(l.ext, "shard:") {
+					continue
+				}
+				var parent uint64
+				if _, err := fmt.Sscanf(l.ext[strings.LastIndexByte(l.ext, '#')+1:], "%x", &parent); err != nil {
+					t.Fatalf("bridge source %q: %v", l.ext, err)
+				}
+				ps, pperm, _ := ss.Resolve(credrec.RefFromUint64(parent))
+				equal := l.state == ps.String() && l.perm == pperm
+				if !equal && !(l.perm && l.state == "false") {
+					t.Fatalf("cut %v: shard %d: bridge %s is %s perm=%t, its parent %v is %v perm=%t",
+						cut, i, l.ref, l.state, l.perm, credrec.RefFromUint64(parent), ps, pperm)
+				}
+			}
+		}
+		for _, c := range conjunctions {
+			if !ss.Valid(c.ref) {
+				continue
+			}
+			for _, p := range c.parents {
+				if !ss.Valid(p) {
+					st, perm, _ := ss.Resolve(p)
+					t.Fatalf("cut %v: %v is true beneath parent %v (%v perm=%t)\n%s", cut, c.ref, p, st, perm, ss.Image())
+				}
+			}
+		}
+		// And the edges work again: every conjunction descends from
+		// fact-0, most of them across a bridge, so revoking it kills
+		// whichever survived, on whichever shard they live.
+		_ = ss.Invalidate(refs[1]) // dangling where its shard lost the allocation
+		for _, c := range conjunctions {
+			if ss.Valid(c.ref) {
+				t.Fatalf("cut %v: %v outlived fact-0 after recovery\n%s", cut, c.ref, ss.Image())
+			}
+		}
+		for _, eng := range engines {
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(finalBridges) == 0 {
+		t.Fatal("no final value other than False crossed shards: the script no longer exercises the ordering")
+	}
+
+	// For every crash time: each shard in turn as far behind as it can
+	// be with the others current, then seeded random vectors.
+	rng := rand.New(rand.NewSource(19))
+	for k := 0; k <= len(script); k++ {
+		for lag := 0; lag < n; lag++ {
+			cut := []int{k, k, k, k}
+			cut[lag] = floor[k][lag]
+			check(cut)
+		}
+		for trial := 0; trial < 12; trial++ {
+			cut := make([]int, n)
+			for i := range cut {
+				cut[i] = floor[k][i] + rng.Intn(k-floor[k][i]+1)
+			}
+			check(cut)
+		}
 	}
 }

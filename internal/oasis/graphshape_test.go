@@ -115,7 +115,7 @@ func TestSingleMembershipRuleReusesParent(t *testing.T) {
 		t.Fatalf("entry created %d records, want 1 (external only; parent reused)", got)
 	}
 	// The certificate's CRR is the external record itself.
-	if svc.Store().External(rmc.CRR) != "Login" {
+	if ext := svc.Store().ExternalRefs("Login"); len(ext) != 1 || ext[0] != rmc.CRR {
 		t.Fatal("certificate does not embed the external record directly")
 	}
 }
