@@ -1,7 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shard race chaos bench bench-notify \
-	bench-persist bench-gateway bench-shard bench-smoke \
+.PHONY: build test test-shard race chaos bench bench-smoke \
 	bench-check vet lint reach ci all help
 
 all: build vet test
@@ -10,7 +9,7 @@ all: build vet test
 # analysis (rdlcheck over every example policy, oasislint over the
 # tree), the full test suite, the race detector over every
 # concurrency-sensitive package, the seeded chaos suite, then one
-# iteration of every benchmark so the perf suites cannot rot, and the
+# iteration of every row of bench_test.go so it cannot rot, and the
 # end-to-end benchmark's own vet + tests (bench/ is a module of its
 # own that tier-1 never compiles).
 ci: build vet lint test test-shard race chaos bench-smoke bench-check
@@ -21,14 +20,10 @@ help:
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
 	@echo "race        race-detector suite over the concurrent packages"
 	@echo "chaos       seeded chaos suite (partitions, loss, duplication)"
-	@echo "lint        oasislint + rdlcheck static analysis (includes reach) + no encoding/gob in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal"
+	@echo "lint        oasislint + rdlcheck static analysis (includes reach) + no encoding/gob in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
-	@echo "bench       serial + parallel (-cpu 1,4,8) benchmark suites"
-	@echo "bench-notify  notification-plane suite (EXPERIMENTS.md E28)"
-	@echo "bench-persist  journal append + recovery suites (EXPERIMENTS.md E32)"
-	@echo "bench-gateway  HTTP issue/introspect/revoke suite, test2json on stdout (E33; BENCH_9.json is frozen)"
-	@echo "bench-shard  shard cascade + tree-vs-flat dissemination, test2json on stdout (E34; BENCH_10.json is frozen)"
-	@echo "bench-smoke   compile-and-run every benchmark once (part of ci)"
+	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
+	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
 	@echo "bench-check   vet + test the bench/ module against this tree's internal/ API (part of ci)"
 	@echo "ci          build vet lint test test-shard race chaos bench-smoke bench-check"
 
@@ -76,47 +71,12 @@ race:
 chaos:
 	$(GO) test -race -run 'Chaos|KillPoint|RevocationsStay' ./internal/fault/... -count=1
 
-# Serial benchmarks plus the parallel suite at 1, 4 and 8 threads
-# (bench_parallel_test.go); results feed EXPERIMENTS.md.
+# The Go-bench suite, one invocation: the paper's comparisons and the
+# -cpu / shard-count sweeps that bench/oasisload (`bash bench/run.sh`,
+# BENCHMARK.json) cannot express. bench_test.go's header states the two
+# rules a row is kept under; EXPERIMENTS.md E39 is the inventory.
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' .
-	$(GO) test -bench Parallel -benchmem -cpu 1,4,8 -run '^$$' .
-
-# The notification-plane suite (bench_notify_test.go): Modified-event
-# storms, heartbeat fan-out, and TCP bursts, batched and unbatched;
-# results feed EXPERIMENTS.md E28.
-bench-notify:
-	$(GO) test -bench 'Notify|Heartbeat' -benchmem -cpu 1,4,8 -run '^$$' .
-
-# The persistence-engine suite (bench_persist_test.go): group-commit
-# journal appends onto a real file at 1, 4 and 8 mutators, and
-# replay-all versus snapshot+tail recovery across history lengths;
-# results feed EXPERIMENTS.md E32.
-bench-persist:
-	$(GO) test -bench 'PersistAppend' -benchmem -cpu 1,4,8 -run '^$$' .
-	$(GO) test -bench 'PersistRecovery' -benchmem -run '^$$' .
-
-# The federation-gateway suite (bench_gateway_test.go): the full
-# deployed HTTP handler stack at the issue/introspect/revoke hot paths,
-# as test2json on stdout. BENCH_9.json is the PR 9 recording of this
-# suite (EXPERIMENTS.md E33) and is frozen history: redirect elsewhere.
-bench-gateway:
-	$(GO) test -json -benchmem -cpu 1,4,8 -run '^$$' \
-		-bench 'Gateway' .
-
-# The sharding suite (bench_shard_test.go): revocation-storm cascade
-# throughput over the store at 1/2/4/8 shards, and tree-vs-flat
-# dissemination of a storm to 2^10 watchers. The cascade rows run at
-# -cpu 1,4,8 (per-shard writer serialisation only shows on real
-# cores); the dissemination pair times the origin's blocking cost with
-# delivery awaited untimed, so it uses fixed iterations. Both print
-# test2json on stdout; BENCH_10.json is the PR 10 recording
-# (EXPERIMENTS.md E34) and is frozen history: redirect elsewhere.
-bench-shard:
-	$(GO) test -json -benchmem -cpu 1,4,8 -run '^$$' \
-		-bench 'ShardCascade' .
-	$(GO) test -json -benchmem -benchtime=20x -run '^$$' \
-		-bench 'Disseminate' .
+	$(GO) test -run '^$$' -bench . -benchmem -cpu 1,4,8 .
 
 # One iteration of every benchmark: catches benchmarks that no longer
 # compile or crash without paying for a measurement. Part of ci.
@@ -144,8 +104,14 @@ vet:
 # peer port, a per-request deadline goroutine over waits internal/bus
 # bounds itself, a second rule evaluator beside the compiled plan in
 # the engine, behaviour switched by an environment variable, a journaling
-# wrapper type beside the one store, and the start-up refusal of
-# -shards with -store-dir.
+# wrapper type beside the one store, the start-up refusal of
+# -shards with -store-dir, and a benchmark driver beside bench/oasisload
+# and the one root bench_test.go. The closing loops hold the documents to
+# the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
+# DESIGN.md's experiment index, README.md or docs/*.md must be a func in
+# some _test.go (a trailing * matches a prefix), and every
+# `layer.metric` or workload name in the index's "Bench / harness"
+# column must be declared in BENCHMARK.json.
 lint: reach
 	$(GO) run ./cmd/oasislint ./internal/... ./cmd/...
 	$(GO) run ./cmd/rdlcheck -q examples/quickstart/*.rdl
@@ -159,6 +125,20 @@ lint: reach
 	! grep -rn 'os\.Getenv' --include='*.go' --exclude='*_test.go' internal/ cmd/
 	! grep -rn 'LoggedStore' --include='*.go' internal/ cmd/ *.go
 	! grep -rn 'incompatible with -store-dir' cmd/ docs/
+	! test -e cmd/benchharness
+	test "$$(ls *_test.go | wc -l)" -eq 1
+	@index() { sed -n '/^## Experiment index/,/^## Concurrency model/p' DESIGN.md; }; fail=; \
+	for id in $$({ index; cat README.md docs/*.md; } \
+		| grep -oE '`(Test|Benchmark|Fuzz)[A-Za-z0-9_]*\*?`' | tr -d '`' | sort -u); do \
+		case $$id in *\*) pat="^func $${id%?}" ;; *) pat="^func $$id\(" ;; esac; \
+		grep -rqE --include='*_test.go' --exclude-dir=out "$$pat" . \
+			|| { echo "docs name $$id: no such func in any _test.go"; fail=1; }; \
+	done; \
+	for m in $$(index | awk -F'|' '/^\| E/ { print $$(NF-1) }' \
+		| grep -oE '`([a-z]+\.[a-z0-9_]+|[a-z]+(_[a-z]+)+)`' | tr -d '`' | sort -u); do \
+		grep -q "\"name\": \"$$m\"" BENCHMARK.json \
+			|| { echo "DESIGN.md index names $$m: not in BENCHMARK.json"; fail=1; }; \
+	done; test -z "$$fail"
 
 # Scenario reachability (docs/RDL.md "Reachability analysis"): each
 # example ships a .scn scenario whose expect/possible/deny assertions

@@ -190,7 +190,7 @@ func (n *Network) ForwardBatch(from, to string, notes []event.Notification) int 
 // In async mode each child edge is forwarded on its own goroutine: the
 // origin returns after paying k sends and interior relays fan out in
 // parallel, which is where the tree's wall-clock advantage over flat
-// fan-out comes from (bench_shard_test.go). Synchronous mode forwards
+// fan-out comes from (EXPERIMENTS.md E34). Synchronous mode forwards
 // depth-first on the caller's goroutine — fully deterministic, which is
 // what the chaos suite wants.
 type Disseminator struct {

@@ -34,7 +34,7 @@ import (
 // across shards. Derived records are placed on the shard of their first
 // parent: a revocation cascade then runs inside one shard's writeMu in
 // the common case, which is exactly what makes a revocation storm scale
-// with the shard count (bench_shard_test.go).
+// with the shard count (BenchmarkShardCascade, bench_test.go).
 //
 // # Cross-shard cascade edges
 //

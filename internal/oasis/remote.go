@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"time"
 
 	"oasis/internal/bus"
 	"oasis/internal/cert"
@@ -409,19 +408,6 @@ func (s *Service) StartHeartbeats() (stop func()) {
 		close(stopCh)
 		<-done
 	}
-}
-
-// LivenessTick checks each watched source's event horizon against the
-// allowance (heartbeat period plus slack); silent sources have all their
-// external records marked Unknown, which propagates — servers must then
-// act as if the certificates were revoked (§4.10). It returns the
-// sources newly presumed failed.
-func (s *Service) LivenessTick(allowance time.Duration) []string {
-	failed := s.receiver.CheckLiveness(s.clk.Now(), allowance)
-	for _, src := range failed {
-		s.store.MarkSourceUnknown(src)
-	}
-	return failed
 }
 
 // handleResync serves the responder side of the resync protocol. The

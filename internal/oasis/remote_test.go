@@ -100,28 +100,33 @@ B(u) <- Login.LoggedOn(u, h)*
 
 func TestMissedHeartbeatMarksUnknown(t *testing.T) {
 	// §4.10: a missed heartbeat leads to external records being marked
-	// unknown; servers then act as if certificates were revoked.
+	// unknown; servers then act as if certificates were revoked. Default
+	// Options: a 5 s period, so suspect past 7.5 s and failed past 15 s.
 	h, _, member, _ := enterConfMember(t)
 	cand := member.Client
 
 	// Heartbeats flow: liveness holds.
 	h.login.HeartbeatTick()
 	h.clk.Advance(2 * time.Second)
-	if failed := h.conf.LivenessTick(5 * time.Second); len(failed) != 0 {
-		t.Fatalf("premature failure: %v", failed)
+	h.conf.SuspicionTick()
+	if st := h.conf.SourceStatus("Login"); st != SourceAlive {
+		t.Fatalf("premature suspicion: %v", st)
 	}
 	if err := h.conf.Validate(member, cand); err != nil {
 		t.Fatal(err)
 	}
 
-	// The link fails; heartbeats stop arriving; after the allowance the
-	// Login source is presumed failed.
+	// The link fails; heartbeats stop arriving; past the allowance the
+	// membership's record is Unknown — not False: nothing was revoked.
 	h.net.SetDown("Login", "Conf", true)
 	h.login.HeartbeatTick() // dropped
 	h.clk.Advance(10 * time.Second)
-	failed := h.conf.LivenessTick(5 * time.Second)
-	if len(failed) != 1 || failed[0] != "Login" {
-		t.Fatalf("failed = %v", failed)
+	h.conf.SuspicionTick()
+	if st := h.conf.SourceStatus("Login"); st != SourceSuspect {
+		t.Fatalf("status after 12s silence = %v", st)
+	}
+	if st, err := h.conf.Store().Lookup(member.CRR); err != nil || st != credrec.Unknown {
+		t.Fatalf("membership record = %v, %v; want Unknown", st, err)
 	}
 	err := h.conf.Validate(member, cand)
 	var verr *ValidationError
@@ -136,8 +141,8 @@ func TestReconnectRestoresState(t *testing.T) {
 	h, _, member, _ := enterConfMember(t)
 	cand := member.Client
 	h.net.SetDown("Login", "Conf", true)
-	h.clk.Advance(time.Minute)
-	h.conf.LivenessTick(5 * time.Second)
+	h.clk.Advance(10 * time.Second) // suspect, not yet failed: records Unknown
+	h.conf.SuspicionTick()
 	if err := h.conf.Validate(member, cand); err == nil {
 		t.Fatal("membership valid during partition")
 	}
@@ -161,7 +166,7 @@ func TestReconnectAfterRemoteRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.clk.Advance(time.Minute)
-	h.conf.LivenessTick(5 * time.Second)
+	h.conf.SuspicionTick()
 	h.net.SetDown("Login", "Conf", false)
 	if err := h.conf.Reconnect("Login"); err != nil {
 		t.Fatal(err)

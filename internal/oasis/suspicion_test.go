@@ -91,6 +91,66 @@ func TestSuspicionEscalation(t *testing.T) {
 	}
 }
 
+// TestHeartbeatPeriodTradeoff is E26 (§4.10, §6.8.3) on the detector
+// oasisd runs: StartHeartbeats at the issuer and StartSuspicion at the
+// watcher, both on the heartbeat period t. The period buys detection
+// latency with background traffic, and both sides of the trade are
+// fixed by the machinery, not by the run:
+//
+// Traffic. One heartbeat per watching service per period, whatever the
+// number of watched records: 3600 s / t an hour.
+//
+// Latency. Heartbeats leave at 0, t, 2t, … and a suspicion tick runs
+// at the same instants. The link is cut at P, so the last heartbeat to
+// cross left at L with P − t ≤ L < P, and its horizon is L. The tick at
+// L + t sees t of silence, short of SuspicionTick's 1.5 t: one late
+// heartbeat is not a failure. The tick at L + 2t sees 2t ≥ 1.5 t: the
+// source turns suspect, its records Unknown, and validation fails from
+// that tick on. The stale certificate therefore stops validating
+// L + 2t − P after the cut — at least t (taking L = P − t) and less
+// than 2t (L < P). With P = 60 s that is exactly t for the periods that
+// divide P and 1.5 t for t = 2 m (L = 0). A threshold of 3 t would put
+// it at 2t or more, a threshold of t at less than t; either fails here.
+func TestHeartbeatPeriodTradeoff(t *testing.T) {
+	for _, period := range []time.Duration{time.Second, 5 * time.Second, 30 * time.Second, 2 * time.Minute} {
+		t.Run(period.String(), func(t *testing.T) {
+			h := newHarnessWith(t, Options{HeartbeatEvery: period}, Options{HeartbeatEvery: period})
+			_, _, member, _ := enterConfMemberOn(t, h)
+			start := h.clk.Now()
+			cut := start.Add(time.Minute)
+			h.net.ResetCounts()
+			var detected time.Time
+			for now := start; now.Before(start.Add(time.Hour)); now = h.clk.Now() {
+				if !now.Before(cut) {
+					h.net.FailLink("Login", "Conf")
+				}
+				h.login.HeartbeatTick()
+				h.conf.SuspicionTick()
+				if err := h.conf.Validate(member, member.Client); err == nil {
+					if !detected.IsZero() {
+						t.Fatalf("stale certificate validates again at +%v", now.Sub(start))
+					}
+				} else if detected.IsZero() {
+					wantRevoked(t, err, "validate after the cut")
+					detected = now
+				}
+				h.clk.Advance(period)
+			}
+			if detected.IsZero() {
+				t.Fatal("partition never detected")
+			}
+			latency, beats := detected.Sub(cut), h.net.Count("heartbeat")
+			t.Logf("t = %v: refused %v after the cut, %d heartbeats an hour", period, latency, beats)
+			if latency < period || latency >= 2*period {
+				t.Fatalf("stale certificate refused %v after the cut, want within [%v, %v)", latency, period, 2*period)
+			}
+			if want := int(time.Hour / period); beats != want {
+				t.Fatalf("%d heartbeats sent in a simulated hour, want %d", beats, want)
+			}
+		})
+	}
+}
+
 func TestAutoResyncOnRevive(t *testing.T) {
 	// With AutoResync the first heartbeat after a heal triggers the
 	// resync: no explicit Reconnect call is needed.
