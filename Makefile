@@ -20,7 +20,7 @@ help:
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
 	@echo "race        race-detector suite over the concurrent packages"
 	@echo "chaos       seeded chaos suite (partitions, loss, duplication)"
-	@echo "lint        oasislint + rdlcheck static analysis (includes reach) + no encoding/gob in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L001-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -99,9 +99,14 @@ vet:
 # analysis"): oasislint enforces the concurrency discipline with
 # stdlib go/ast + go/types; rdlcheck analyzes every shipped policy for
 # unrevocable roles, dead rules and unreachable roles. Error-level
-# findings fail the build. The greps keep out what was deleted on
-# purpose: the reflective gob decoder on the daemon's unauthenticated
-# peer port, a per-request deadline goroutine over waits internal/bus
+# findings fail the build. Because cmd/oasisd is among the packages it
+# is given, oasislint also runs L007 — an exported identifier of a
+# package oasisd links that nothing outside its own package's tests
+# references — counted over the whole module and bench/, and prints
+# what only bench/ holds and what a //oasislint:keep directive keeps.
+# The greps keep out what was deleted on purpose: the reflective gob
+# decoder on the daemon's unauthenticated peer port, the chaos suite's
+# fault plane in the production binary, a per-request deadline goroutine over waits internal/bus
 # bounds itself, a second rule evaluator beside the compiled plan in
 # the engine, behaviour switched by an environment variable, a journaling
 # wrapper type beside the one store, the start-up refusal of
@@ -119,6 +124,7 @@ lint: reach
 	$(GO) run ./cmd/rdlcheck -q examples/login/*.rdl
 	$(GO) run ./cmd/rdlcheck -q examples/mssa/*.rdl
 	! $(GO) list -deps ./cmd/oasisd | grep -qx encoding/gob
+	! $(GO) list -deps ./cmd/oasisd | grep -qx oasis/internal/fault
 	! grep -rn TimeoutHandler internal/ cmd/
 	! grep -rnE 'rdl\.(Eval|MatchArgs|InstantiateArgs)\b' --include='*.go' \
 		--exclude='*_test.go' internal/oasis cmd/oasisd

@@ -45,12 +45,11 @@
 // trigger; a directory written under one shape (monolithic, or N
 // shards) refuses to open under another.
 //
-// -fault-schedule arms a deterministic fault plane on the in-process
-// bus (drops, duplicates, delays, partitions — the format is documented
-// at internal/fault.ParseSchedule); -fault-seed makes the run
-// reproducible. Watched sources degrade through suspect/failed after
-// -failsafe-missed silent heartbeat periods, recover by automatic
-// resync, and every transition is logged.
+// Every heartbeat period the service runs its duties
+// (oasis.Service.StartDuties): failure suspicion, heartbeats to its
+// watchers, delegation expiry. Watched sources degrade through
+// suspect/failed after -failsafe-missed silent periods, recover by
+// automatic resync, and every transition is logged.
 //
 // Protocol (one JSON object per line):
 //
@@ -71,13 +70,11 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"oasis/internal/bus"
 	"oasis/internal/clock"
 	"oasis/internal/credrec"
 	"oasis/internal/credrec/storage"
-	"oasis/internal/fault"
 	"oasis/internal/oasis"
 )
 
@@ -97,51 +94,44 @@ func (r remoteFlags) Set(s string) error {
 }
 
 func main() {
-	var (
-		name        = flag.String("name", "Login", "service instance name")
-		rolefile    = flag.String("rolefile", "", "rolefile path (default: built-in Login rolefile)")
-		scope       = flag.String("scope", "main", "rolefile scope id")
-		listen      = flag.String("listen", "127.0.0.1:7465", "client (JSON) listen address")
-		peerListen  = flag.String("peer-listen", "", "inter-service listen address; empty disables")
-		faultSched  = flag.String("fault-schedule", "", "fault schedule file for the in-process bus (see internal/fault.ParseSchedule); empty disables")
-		faultSeed   = flag.Int64("fault-seed", 1, "PRNG seed for the fault plane; a run is reproducible from (seed, schedule)")
-		missedHB    = flag.Int("failsafe-missed", 3, "heartbeat periods of silence before a watched source's records fail safe to False")
-		httpListen  = flag.String("http-listen", "", "federation gateway (HTTP/JSON token issuance/introspection/revocation) listen address; empty disables")
-		httpRate    = flag.Float64("http-rate", 50, "gateway per-client request budget in requests/second (0 disables rate limiting)")
-		httpConns   = flag.Int("http-max-conns", 1024, "gateway concurrent-connection cap (0 = unlimited)")
-		httpPress   = flag.Int("http-pressure", 4096, "notification-plane backlog at which the gateway sheds mutating requests with 503 (0 disables backpressure)")
-		shards      = flag.Int("shards", 0, "partition the credential-record store across this many consistent-hash shards (0/1 keeps the monolithic store); with -store-dir each shard journals to <dir>/sNN")
-		shardRing   = flag.String("shard-ring", "", "comma-separated shard-cluster member names (must include -name); members disseminate revocations over a tree instead of flat fan-out")
-		shardFanout = flag.Int("shard-fanout", 0, "dissemination-tree fanout for -shard-ring (0 = default)")
-		storeDir    = flag.String("store-dir", "", "persist the credential-record store in this directory (journal + snapshots); empty keeps it in memory")
-		snapEvery   = flag.Int("snapshot-every", 4096, "journal operations between automatic snapshots/compactions (0 disables the trigger)")
-		syncMode    = flag.String("sync", "batched", "journal durability: always (fsync before a mutation returns), batched (one fsync per group commit), none")
-		remotes     = remoteFlags{}
-	)
-	flag.Var(remotes, "remote", "peer service name=addr (repeatable)")
-	flag.Parse()
-	if err := run(config{
-		name: *name, rolefilePath: *rolefile, scope: *scope,
-		listen: *listen, peerListen: *peerListen,
-		faultSchedule: *faultSched, faultSeed: *faultSeed,
-		failsafeMissed: *missedHB, remotes: remotes,
-		shards: *shards, shardRing: *shardRing, shardFanout: *shardFanout,
-		storeDir: *storeDir, snapshotEvery: *snapEvery, syncMode: *syncMode,
-		httpListen: *httpListen, httpRate: *httpRate,
-		httpMaxConns: *httpConns, httpPressure: *httpPress,
-	}); err != nil {
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(cfg)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
+// parseFlags declares the daemon's flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
+	cfg := config{remotes: remoteFlags{}}
+	fs.StringVar(&cfg.name, "name", "Login", "service instance name")
+	fs.StringVar(&cfg.rolefilePath, "rolefile", "", "rolefile path (default: built-in Login rolefile)")
+	fs.StringVar(&cfg.scope, "scope", "main", "rolefile scope id")
+	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:7465", "client (JSON) listen address")
+	fs.StringVar(&cfg.peerListen, "peer-listen", "", "inter-service listen address; empty disables")
+	fs.IntVar(&cfg.failsafeMissed, "failsafe-missed", 3, "heartbeat periods of silence before a watched source's records fail safe to False")
+	fs.StringVar(&cfg.httpListen, "http-listen", "", "federation gateway (HTTP/JSON token issuance/introspection/revocation) listen address; empty disables")
+	fs.Float64Var(&cfg.httpRate, "http-rate", 50, "gateway per-client request budget in requests/second (0 disables rate limiting)")
+	fs.IntVar(&cfg.httpMaxConns, "http-max-conns", 1024, "gateway concurrent-connection cap (0 = unlimited)")
+	fs.IntVar(&cfg.httpPressure, "http-pressure", 4096, "notification-plane backlog at which the gateway sheds mutating requests with 503 (0 disables backpressure)")
+	fs.IntVar(&cfg.shards, "shards", 0, "partition the credential-record store across this many consistent-hash shards (0/1 keeps the monolithic store); with -store-dir each shard journals to <dir>/sNN")
+	fs.StringVar(&cfg.shardRing, "shard-ring", "", "comma-separated shard-cluster member names (must include -name); members disseminate revocations over a tree instead of flat fan-out")
+	fs.IntVar(&cfg.shardFanout, "shard-fanout", 0, "dissemination-tree fanout for -shard-ring (0 = default)")
+	fs.StringVar(&cfg.storeDir, "store-dir", "", "persist the credential-record store in this directory (journal + snapshots); empty keeps it in memory")
+	fs.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096, "journal operations between automatic snapshots/compactions (0 disables the trigger)")
+	fs.StringVar(&cfg.syncMode, "sync", "batched", "journal durability: always (fsync before a mutation returns), batched (one fsync per group commit), none")
+	fs.Var(cfg.remotes, "remote", "peer service name=addr (repeatable)")
+	return cfg, fs.Parse(args)
+}
+
 type config struct {
 	name, rolefilePath, scope string
 	listen, peerListen        string
-	faultSchedule             string
-	faultSeed                 int64
 	failsafeMissed            int
-	remotes                   map[string]string
+	remotes                   remoteFlags
 	shards                    int
 	shardRing                 string
 	shardFanout               int
@@ -176,26 +166,6 @@ func run(cfg config) error {
 	oasis.RegisterWireTypes()
 	clk := clock.Real()
 	network := bus.NewNetwork(clk)
-	if cfg.faultSchedule != "" {
-		data, err := os.ReadFile(cfg.faultSchedule)
-		if err != nil {
-			return err
-		}
-		steps, err := fault.ParseSchedule(string(data))
-		if err != nil {
-			return err
-		}
-		plane := fault.New(clk, cfg.faultSeed)
-		plane.Install(network)
-		plane.SetSchedule(steps)
-		log.Printf("oasisd: fault plane armed: %d step(s), seed %d", len(steps), cfg.faultSeed)
-		go func() {
-			for {
-				<-clk.After(time.Second)
-				plane.Tick()
-			}
-		}()
-	}
 	opts := oasis.Options{
 		FailsafeMissed: cfg.failsafeMissed,
 		AutoResync:     true,
@@ -257,10 +227,8 @@ func run(cfg config) error {
 		}()
 		log.Printf("oasisd: inter-service protocol on %s", peerLn.Addr())
 	}
-	stopHB := svc.StartHeartbeats()
-	defer stopHB()
-	stopSusp := svc.StartSuspicion()
-	defer stopSusp()
+	stopDuties := svc.StartDuties()
+	defer stopDuties()
 	if cfg.httpListen != "" {
 		httpLn, err := net.Listen("tcp", cfg.httpListen)
 		if err != nil {

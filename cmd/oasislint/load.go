@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -31,7 +32,7 @@ type loader struct {
 	root    string // module root directory
 	module  string // module path from go.mod
 	std     types.Importer
-	pkgs    map[string]*pkg // by directory
+	pkgs    map[string]*pkg // by absolute directory
 	loading map[string]bool
 }
 
@@ -50,8 +51,7 @@ func newLoader(root, module string) *loader {
 // Import implements types.Importer for the type-checker's benefit.
 func (l *loader) Import(path string) (*types.Package, error) {
 	if path == l.module || strings.HasPrefix(path, l.module+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/")
-		p, err := l.load(filepath.Join(l.root, rel), path)
+		p, err := l.load(l.dirOf(path), path)
 		if err != nil {
 			return nil, err
 		}
@@ -59,6 +59,14 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	}
 	return l.std.Import(path)
 }
+
+// dirOf is the directory of a module-local import path.
+func (l *loader) dirOf(path string) string {
+	return filepath.Join(l.root, strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/"))
+}
+
+// errNoGoFiles is load's error for a directory holding only tests.
+var errNoGoFiles = errors.New("no Go files")
 
 // load parses and type-checks the package in dir, attributing it the
 // given import path.
@@ -72,31 +80,14 @@ func (l *loader) load(dir, ipath string) (*pkg, error) {
 	l.loading[dir] = true
 	defer delete(l.loading, dir)
 
-	entries, err := os.ReadDir(dir)
+	files, err := l.parseDir(dir, false)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
+		return nil, fmt.Errorf("%w in %s", errNoGoFiles, dir)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
+	info := newInfo()
 	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(ipath, l.fset, files, info)
 	if err != nil {
@@ -107,6 +98,129 @@ func (l *loader) load(dir, ipath string) (*pkg, error) {
 	return p, nil
 }
 
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
+}
+
+// parseDir parses the directory's _test.go files (tests) or its other
+// Go files (!tests).
+func (l *loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") != tests {
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// variantImporter is what an external test package imports through:
+// the package under test resolves to its test variant (checked together
+// with its in-package _test.go files, so export_test.go is visible), a
+// package that itself imports the package under test is checked again
+// against that variant — as the go tool rebuilds it — and everything
+// else comes from the loader.
+type variantImporter struct {
+	l       *loader
+	path    string
+	variant *types.Package
+	redone  map[string]*types.Package
+}
+
+func (v *variantImporter) Import(path string) (*types.Package, error) {
+	if path == v.path {
+		return v.variant, nil
+	}
+	if tp, ok := v.redone[path]; ok {
+		return tp, nil
+	}
+	tp, err := v.l.Import(path)
+	if err != nil || !importsPath(tp, v.path, make(map[*types.Package]bool)) {
+		return tp, err
+	}
+	tp, err = (&types.Config{Importer: v}).Check(path, v.l.fset, v.l.pkgs[v.l.dirOf(path)].files, nil)
+	v.redone[path] = tp
+	return tp, err
+}
+
+// importsPath reports whether p imports target, directly or not.
+func importsPath(p *types.Package, target string, seen map[*types.Package]bool) bool {
+	if seen[p] {
+		return false
+	}
+	seen[p] = true
+	for _, imp := range p.Imports() {
+		if imp.Path() == target || importsPath(imp, target, seen) {
+			return true
+		}
+	}
+	return false
+}
+
+// loadTests type-checks the _test.go files of dir — the in-package ones
+// together with the package's own files, the external (package x_test)
+// ones against that variant — and returns what they reference. A
+// variant is a second types.Package over the same syntax trees, so its
+// objects are told from the memoized package's by nothing but identity:
+// L007 keys references by declaration position for that reason.
+func (l *loader) loadTests(dir string) ([]*types.Info, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	tests, err := l.parseDir(dir, true)
+	if err != nil || len(tests) == 0 {
+		return nil, err
+	}
+	ipath := l.importPath(dir)
+	var inPkg, external []*ast.File
+	for _, f := range tests {
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			external = append(external, f)
+		} else {
+			inPkg = append(inPkg, f)
+		}
+	}
+	var infos []*types.Info
+	imp := types.Importer(l)
+	if len(inPkg) > 0 {
+		var own []*ast.File
+		if p := l.pkgs[dir]; p != nil {
+			own = p.files
+		}
+		info := newInfo()
+		variant, err := (&types.Config{Importer: l}).Check(ipath, l.fset, append(own[:len(own):len(own)], inPkg...), info)
+		if err != nil {
+			return nil, err
+		}
+		infos = append(infos, info)
+		imp = &variantImporter{l: l, path: ipath, variant: variant, redone: make(map[string]*types.Package)}
+	}
+	if len(external) > 0 {
+		info := newInfo()
+		if _, err := (&types.Config{Importer: imp}).Check(ipath+"_test", l.fset, external, info); err != nil {
+			return nil, err
+		}
+		infos = append(infos, info)
+	}
+	return infos, nil
+}
+
 // loadDir loads the package in dir, deriving its import path from the
 // module root when the directory lies under it.
 func (l *loader) loadDir(dir string) (*pkg, error) {
@@ -114,11 +228,17 @@ func (l *loader) loadDir(dir string) (*pkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	ipath := l.module + "/" + filepath.ToSlash(dir)
-	if rel, err := filepath.Rel(l.root, abs); err == nil && !strings.HasPrefix(rel, "..") {
-		ipath = l.module + "/" + filepath.ToSlash(rel)
+	return l.load(abs, l.importPath(abs))
+}
+
+// importPath derives an absolute directory's import path from the
+// module root.
+func (l *loader) importPath(abs string) string {
+	rel, err := filepath.Rel(l.root, abs)
+	if err != nil || rel == "." {
+		return l.module
 	}
-	return l.load(dir, ipath)
+	return l.module + "/" + filepath.ToSlash(rel)
 }
 
 // findModule walks upward from dir to the enclosing go.mod, returning

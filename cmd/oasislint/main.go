@@ -15,16 +15,23 @@
 //	      Write/Sync/Truncate/Snapshot/...), a bus send path, or an HTTP
 //	      ResponseWriter.Write dropped on the floor; `_ =` marks an
 //	      accepted discard
+//	L007  an exported identifier of a package cmd/oasisd links that
+//	      nothing references outside its own package's tests — run when
+//	      cmd/oasisd is among the packages named, counted over the whole
+//	      module and bench/, tests included (unreferenced.go has the
+//	      exemptions and the //oasislint:keep directive)
 //
-// Test files are not analyzed. Any finding makes the exit status
-// non-zero, so `make lint` gates CI.
+// L001–L005 do not analyze test files. Any finding makes the exit
+// status non-zero, so `make lint` gates CI.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"go/token"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -60,20 +67,34 @@ func run(args []string, stdout io.Writer) error {
 	}
 	l := newLoader(root, module)
 
+	wd, err := os.Getwd()
+	if err != nil {
+		return err
+	}
 	var findings []finding
+	report := func(pos token.Pos, code, msg string) {
+		p := l.fset.Position(pos)
+		if rel, err := filepath.Rel(wd, p.Filename); err == nil {
+			p.Filename = rel // the loader works on absolute paths
+		}
+		findings = append(findings, finding{pos: p, code: code, msg: msg})
+	}
+	var trailer bytes.Buffer
 	for _, dir := range dirs {
 		p, err := l.loadDir(dir)
 		if err != nil {
 			return fmt.Errorf("oasislint: %w", err)
-		}
-		report := func(pos token.Pos, code, msg string) {
-			findings = append(findings, finding{pos: l.fset.Position(pos), code: code, msg: msg})
 		}
 		lintCopyLocks(p, report)
 		lintAtomicMix(p, report)
 		lintLockAcrossSend(p, report)
 		lintTimeNow(p, module, report)
 		lintDroppedErrors(p, module, report)
+		if p.dir == filepath.Join(root, "cmd", "oasisd") {
+			if err := lintUnreferenced(l, root, &trailer, report); err != nil {
+				return fmt.Errorf("oasislint: %w", err)
+			}
+		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -88,6 +109,7 @@ func run(args []string, stdout io.Writer) error {
 	for _, f := range findings {
 		fmt.Fprintln(stdout, f)
 	}
+	_, _ = trailer.WriteTo(stdout)
 	if len(findings) > 0 {
 		return fmt.Errorf("oasislint: %d finding(s)", len(findings))
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -40,19 +42,25 @@ func TestFixtureFindings(t *testing.T) {
 func TestFixtureCoversEveryCheck(t *testing.T) {
 	var out strings.Builder
 	_ = run([]string{filepath.Join("testdata", "src", "bad")}, &out)
-	got := out.String()
-
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "src", "bad", "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	if checked := checkAnnotations(t, out.String(), fixtures); checked < 18 {
+		t.Fatalf("only %d annotated lines found in fixture", checked)
+	}
+}
+
+// checkAnnotations holds the linter's output to the "// L00x" and
+// "// ok" comments of the fixture files and returns how many it found.
+func checkAnnotations(t *testing.T, got string, fixtures []string) (checked int) {
+	t.Helper()
 	for _, path := range fixtures {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := filepath.Base(path)
+		at := filepath.ToSlash(path) + ":"
 		for i, line := range strings.Split(string(src), "\n") {
 			lineNo := i + 1
 			_, comment, found := strings.Cut(line, "// ")
@@ -63,20 +71,76 @@ func TestFixtureCoversEveryCheck(t *testing.T) {
 			case strings.HasPrefix(comment, "L00"):
 				checked++
 				code := comment[:4]
-				marker := base + ":" + strconv.Itoa(lineNo) + ":"
-				if !lineReported(got, marker, code) {
-					t.Errorf("%s line %d annotated %s but not reported:\n%s", base, lineNo, code, got)
+				if !lineReported(got, at+strconv.Itoa(lineNo)+":", code) {
+					t.Errorf("%s line %d annotated %s but not reported:\n%s", path, lineNo, code, got)
 				}
 			case strings.HasPrefix(comment, "ok"):
 				checked++
-				if strings.Contains(got, base+":"+strconv.Itoa(lineNo)+":") {
-					t.Errorf("%s line %d annotated ok but reported:\n%s", base, lineNo, got)
+				if strings.Contains(got, at+strconv.Itoa(lineNo)+":") {
+					t.Errorf("%s line %d annotated ok but reported:\n%s", path, lineNo, got)
 				}
 			}
 		}
 	}
-	if checked < 18 {
+	return checked
+}
+
+// lintTree runs L007 alone over a fixture tree, the way run does over
+// the module: the tree's cmd/oasisd is the daemon, its bench/ the
+// benchmark.
+func lintTree(t *testing.T, tree string) (findings, trailer string) {
+	t.Helper()
+	root, module, err := findModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newLoader(root, module)
+	var found, listed strings.Builder
+	report := func(pos token.Pos, code, msg string) {
+		p := l.fset.Position(pos)
+		rel, _ := filepath.Rel(filepath.Join(root, "cmd", "oasislint"), p.Filename)
+		p.Filename = filepath.ToSlash(rel)
+		fmt.Fprintln(&found, finding{pos: p, code: code, msg: msg})
+	}
+	if err := lintUnreferenced(l, tree, &listed, report); err != nil {
+		t.Fatal(err)
+	}
+	return found.String(), listed.String()
+}
+
+func TestUnreferencedFixtureBad(t *testing.T) {
+	tree := filepath.Join("testdata", "src", "bad")
+	got, _ := lintTree(t, tree)
+	if checked := checkAnnotations(t, got, []string{filepath.Join(tree, "lib", "lib.go")}); checked < 13 {
 		t.Fatalf("only %d annotated lines found in fixture", checked)
+	}
+	for _, want := range []string{
+		"lib.Unreferenced is linked into oasisd and nothing references it",
+		"lib.OwnTestOnly is linked into oasisd and only its own package's tests reference it",
+		"lib.ExternalOwnTestOnly is linked into oasisd and only its own package's tests reference it",
+		"//oasislint:keep on lib.NoReason needs a reason",
+		"lib.StaleKeep is referenced or satisfies an interface: its //oasislint:keep directive is stale",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("missing %q in:\n%s", want, got)
+		}
+	}
+}
+
+func TestUnreferencedFixtureGood(t *testing.T) {
+	got, listed := lintTree(t, filepath.Join("testdata", "src", "good"))
+	if got != "" {
+		t.Errorf("findings in the good fixture:\n%s", got)
+	}
+	// A method reached through an interface, an identifier another
+	// package's test uses and an unexported one pass in silence; what
+	// the benchmark alone holds and what a directive keeps are listed.
+	want := "oasislint: L007 bench-held (referenced only from bench/; ROADMAP item 4 releases them): 1\n" +
+		"\tlib.BenchHeld\n" +
+		"oasislint: L007 kept by //oasislint:keep: 1\n" +
+		"\tlib.Kept: §6.4 retrospective registration\n"
+	if listed != want {
+		t.Errorf("listed:\n%s\nwant:\n%s", listed, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"oasis/internal/clock"
 	"oasis/internal/composite"
 	"oasis/internal/event"
+	"oasis/internal/fault"
 	"oasis/internal/value"
 )
 
@@ -154,7 +155,9 @@ func TestHomeUnreachableDegradesGracefully(t *testing.T) {
 	if err := h.a.RegisterBadge(rjh, "rjh21"); err != nil {
 		t.Fatal(err)
 	}
-	h.net.SetDown("CL", "Parc", true)
+	links := fault.New(h.clk, 1)
+	links.Install(h.net)
+	links.Sever("CL", "Parc")
 	log := subscribe(t, h.b, event.NewTemplate(EvSeen, event.Wildcard(), event.Wildcard()))
 	h.b.Sight(rjh, "Parc-s1")
 	// Sightings still flow; naming info is simply absent.

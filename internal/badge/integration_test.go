@@ -9,6 +9,7 @@ import (
 	"oasis/internal/clock"
 	"oasis/internal/composite"
 	"oasis/internal/event"
+	"oasis/internal/fault"
 	"oasis/internal/value"
 )
 
@@ -83,7 +84,9 @@ func TestDelayedSiteDetectionOrder(t *testing.T) {
 	}
 
 	// Site A's link to the monitor is slow.
-	net.SetDelay("T14site", "Monitor", 30*time.Second)
+	links := fault.New(clk, 1)
+	links.Install(net)
+	links.SetFaults("T14site", "Monitor", fault.Faults{Delay: 30 * time.Second})
 
 	// Meeting 1 in T14 (site A, delayed), meeting 2 in T15 (site B).
 	siteA.Sight(roger, "a1")
@@ -129,7 +132,9 @@ func TestPartitionedSiteHeartbeatDetection(t *testing.T) {
 	if failed := recv.CheckLiveness(clk.Now(), 5*time.Second); len(failed) != 0 {
 		t.Fatalf("premature failure: %v", failed)
 	}
-	net.SetDown("CL", "Monitor", true)
+	links := fault.New(clk, 1)
+	links.Install(net)
+	links.Sever("CL", "Monitor")
 	clk.Advance(time.Minute)
 	site.Broker().Heartbeat() // dropped
 	failed := recv.CheckLiveness(clk.Now(), 5*time.Second)

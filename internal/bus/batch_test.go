@@ -237,7 +237,7 @@ func TestFlushCountsVanishedDestinationAsDropped(t *testing.T) {
 	if err := netB.AddRemote("svc", ln.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
-	netB.SetDelay("caller", "svc", 5*time.Second)
+	handLinks(netB).setDelay("caller", "svc", 5*time.Second)
 	netB.Send("caller", "svc", event.Notification{Seq: 1})
 	netB.CloseRemotes() // destination vanishes while the note is in flight
 	clkB.Advance(10 * time.Second)

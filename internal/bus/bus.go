@@ -1,15 +1,16 @@
 // Package bus provides the communication substrate connecting OASIS
 // services: synchronous calls (the RPC side of the paper's extended RPC
-// system, §6.2.1) and asynchronous event notification, with per-link
-// failure and delay injection so that the heartbeat and event-horizon
-// experiments of §4.10 and §6.8 run deterministically on a virtual clock.
+// system, §6.2.1) and asynchronous event notification, with one seam
+// (LinkPolicy) through which a fault plane fails and delays links so
+// that the heartbeat and event-horizon experiments of §4.10 and §6.8
+// run deterministically on a virtual clock.
 //
 // This stands in for the ANSAware RPC runtime the dissertation used; the
 // behaviours that matter to the architecture — independent service
 // failure, message loss, delayed notification — are all reproducible.
 //
-// Concurrency: the peer/remote and link tables are read-mostly and sit
-// behind RWMutexes; the message counters are atomics (dedicated words
+// Concurrency: the peer/remote table is read-mostly and sits behind an
+// RWMutex; the message counters are atomics (dedicated words
 // for the hot notify/heartbeat/dropped counts, a sharded map for the
 // per-op call counts); the delayed-notification queue is a min-heap
 // ordered by (due, seq) behind its own mutex. Lock order: every mutex
@@ -70,15 +71,6 @@ type Verdict struct {
 type LinkPolicy interface {
 	Notify(from, to string) Verdict
 	Blocked(from, to string) bool
-}
-
-type linkKey struct{ a, b string }
-
-func normKey(a, b string) linkKey {
-	if a > b {
-		a, b = b, a
-	}
-	return linkKey{a, b}
 }
 
 type queued struct {
@@ -147,10 +139,6 @@ type Network struct {
 	peers   map[string]Endpoint
 	remotes map[string]remoteLink // names reachable over TCP (tcp.go)
 
-	linkMu sync.RWMutex
-	down   map[linkKey]bool
-	delay  map[linkKey]time.Duration
-
 	queueMu sync.Mutex
 	queue   notifyHeap
 	nextSeq uint64
@@ -165,10 +153,6 @@ type Network struct {
 	coalesce atomic.Pointer[CoalesceRule]
 	policy   atomic.Pointer[policyBox]
 
-	// TCP call-retry tuning (remotePeer.call); see SetCallRetry.
-	retryAttempts atomic.Int64
-	retryBase     atomic.Int64 // nanoseconds
-
 	activeBatches atomic.Int64 // fast "any batch open?" check for Send
 	batchMu       sync.Mutex
 	batches       map[string]*batchState
@@ -179,8 +163,6 @@ func NewNetwork(clk clock.Clock) *Network {
 	return &Network{
 		clk:     clk,
 		peers:   make(map[string]Endpoint),
-		down:    make(map[linkKey]bool),
-		delay:   make(map[linkKey]time.Duration),
 		batches: make(map[string]*batchState),
 	}
 }
@@ -196,25 +178,10 @@ func (n *Network) Register(name string, ep Endpoint) error {
 	return nil
 }
 
-// SetDown fails or restores the (bidirectional) link between two peers.
-func (n *Network) SetDown(a, b string, down bool) {
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
-	n.down[normKey(a, b)] = down
-}
-
-// FailLink severs the (bidirectional) link between two peers: calls
-// across it return ErrUnreachable and notifications — including ones
-// already queued with a delay — count against the drop counter.
-func (n *Network) FailLink(a, b string) { n.SetDown(a, b, true) }
-
-// HealLink restores a link severed with FailLink.
-func (n *Network) HealLink(a, b string) { n.SetDown(a, b, false) }
-
 // Dropped reports the number of notifications lost in transit: sends
-// over failed links, queued deliveries whose link or destination went
-// away before they came due, policy-injected drops, and TCP encode
-// failures. Heartbeat loss detection (§4.10) is sequence-based; this
+// the link policy dropped (a severed link included) or that named no
+// routable peer, queued deliveries whose link or destination went away
+// before they came due, and TCP encode failures. Heartbeat loss detection (§4.10) is sequence-based; this
 // counter is the transport-side account of the same losses.
 func (n *Network) Dropped() int64 { return n.droppedCount.Load() }
 
@@ -251,38 +218,10 @@ func (n *Network) SetLinkPolicy(p LinkPolicy) {
 	n.policy.Store(&policyBox{p: p})
 }
 
-// linkSevered reports whether the link is failed or policy-blocked; it
-// takes linkMu itself and must be called with no bus lock held.
+// linkSevered reports whether the installed policy blocks the link.
 func (n *Network) linkSevered(from, to string) bool {
-	n.linkMu.RLock()
-	downNow := n.down[normKey(from, to)]
-	n.linkMu.RUnlock()
-	if downNow {
-		return true
-	}
-	if box := n.policy.Load(); box != nil {
-		return box.p.Blocked(from, to)
-	}
-	return false
-}
-
-// SetCallRetry tunes the TCP call path (remotePeer.call): up to
-// attempts tries, waiting base, 2·base, 4·base… between them on the
-// network clock. attempts ≤ 1 disables retry. Only pre-send failures
-// (dial, encode) are retried — once a request may have reached the
-// peer, retrying could double-apply it.
-func (n *Network) SetCallRetry(attempts int, base time.Duration) {
-	n.retryAttempts.Store(int64(attempts))
-	n.retryBase.Store(int64(base))
-}
-
-// SetDelay imposes a one-way-equivalent delivery delay on the link; it
-// applies to asynchronous notifications only (synchronous calls model a
-// blocking RPC).
-func (n *Network) SetDelay(a, b string, d time.Duration) {
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
-	n.delay[normKey(a, b)] = d
+	box := n.policy.Load()
+	return box != nil && box.p.Blocked(from, to)
 }
 
 // SetCoalesceRule installs the batch-coalescing rule (see CoalesceRule).
@@ -312,53 +251,47 @@ func (n *Network) Call(from, to, op string, arg any) (any, error) {
 	return ep.Call(from, op, arg)
 }
 
-// Send delivers an event notification from one peer to another,
-// applying link failure (silent drop — exactly what heartbeats exist to
-// detect), the installed LinkPolicy (probabilistic drop, duplication,
-// added delay), and delay (queued until Flush past the due time). While
-// the sender has a batch open (StartBatch), immediate deliveries are
-// buffered and flushed — coalesced — at EndBatch; link failure, policy
-// and delay are still evaluated here, at send time, except that a
-// queued notification re-checks the link when it comes due.
+// Send delivers an event notification from one peer to another under
+// the installed LinkPolicy's verdict: dropped (silently — exactly what
+// heartbeats exist to detect), duplicated, or delayed (queued until
+// Flush past the due time). While the sender has a batch open
+// (StartBatch), immediate deliveries are buffered and flushed —
+// coalesced — at EndBatch; the policy is still consulted here, at send
+// time, except that a queued notification re-checks the link when it
+// comes due.
 func (n *Network) Send(from, to string, note event.Notification) {
 	n.notifyCount.Add(1)
 	if note.Heartbeat {
 		n.heartbeatCount.Add(1)
 	}
 	ep, remote := n.route(to)
-	k := normKey(from, to)
-	n.linkMu.RLock()
-	downNow := n.down[k]
-	d := n.delay[k]
-	n.linkMu.RUnlock()
-	if downNow || (ep == nil && remote == nil) {
+	if ep == nil && remote == nil {
 		n.droppedCount.Add(1)
 		return
 	}
-	copies := 1
+	v := n.verdict(from, to)
+	if v.Drop {
+		n.droppedCount.Add(1)
+		return
+	}
+	for c := 0; c < max(v.Copies, 1); c++ {
+		n.sendOne(from, to, ep, remote, note, v.Delay)
+	}
+}
+
+// verdict is the installed policy's treatment of one notification; with
+// no policy everything is delivered once, at once.
+func (n *Network) verdict(from, to string) Verdict {
 	if box := n.policy.Load(); box != nil {
-		v := box.p.Notify(from, to)
-		if v.Drop {
-			n.droppedCount.Add(1)
-			return
-		}
-		if v.Copies > 1 {
-			copies = v.Copies
-		}
-		d += v.Delay
+		return box.p.Notify(from, to)
 	}
-	for c := 0; c < copies; c++ {
-		n.sendOne(from, to, ep, remote, note, d)
-	}
+	return Verdict{}
 }
 
 // sendOne queues or delivers a single (possibly duplicated) copy.
 func (n *Network) sendOne(from, to string, ep Endpoint, remote remoteLink, note event.Notification, d time.Duration) {
 	if d > 0 {
-		n.queueMu.Lock()
-		n.nextSeq++
-		heap.Push(&n.queue, queued{from: from, to: to, n: note, due: n.clk.Now().Add(d), seq: n.nextSeq})
-		n.queueMu.Unlock()
+		n.enqueueDelayed(from, to, note, d)
 		return
 	}
 	if n.activeBatches.Load() > 0 && n.tryBuffer(from, to, note) {
@@ -369,6 +302,15 @@ func (n *Network) sendOne(from, to string, ep Endpoint, remote remoteLink, note 
 		return
 	}
 	ep.Deliver(note)
+}
+
+// enqueueDelayed parks a notification on the delay queue until Flush
+// finds it due.
+func (n *Network) enqueueDelayed(from, to string, note event.Notification, d time.Duration) {
+	n.queueMu.Lock()
+	n.nextSeq++
+	heap.Push(&n.queue, queued{from: from, to: to, n: note, due: n.clk.Now().Add(d), seq: n.nextSeq})
+	n.queueMu.Unlock()
 }
 
 // StartBatch opens (or nests into) a notification batch for the named
@@ -527,13 +469,6 @@ func (n *Network) Flush() int {
 	return delivered
 }
 
-// Pending reports queued (delayed) notifications not yet delivered.
-func (n *Network) Pending() int {
-	n.queueMu.Lock()
-	defer n.queueMu.Unlock()
-	return len(n.queue)
-}
-
 func (n *Network) counterShardFor(kind string) *counterShard {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(kind))
@@ -578,19 +513,6 @@ func (n *Network) Count(kind string) int {
 		return int(c.Load())
 	}
 	return 0
-}
-
-// ResetCounts zeroes the message counters.
-func (n *Network) ResetCounts() {
-	n.notifyCount.Store(0)
-	n.heartbeatCount.Store(0)
-	n.droppedCount.Store(0)
-	for i := range n.counters {
-		sh := &n.counters[i]
-		sh.mu.Lock()
-		sh.m = nil
-		sh.mu.Unlock()
-	}
 }
 
 // dropNote counts a notification lost in transport (tcp.go's encode

@@ -83,7 +83,8 @@ func TestLinkFailureBlocksCalls(t *testing.T) {
 	if err := n.Register("b", p); err != nil {
 		t.Fatal(err)
 	}
-	n.SetDown("a", "b", true)
+	links := handLinks(n)
+	links.setBlocked("a", "b", true)
 	if _, err := n.Call("a", "b", "echo", 1); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v", err)
 	}
@@ -91,7 +92,7 @@ func TestLinkFailureBlocksCalls(t *testing.T) {
 	if _, err := n.Call("b", "a", "echo", 1); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("reverse direction: %v", err)
 	}
-	n.SetDown("a", "b", false)
+	links.setBlocked("a", "b", false)
 	if _, err := n.Call("a", "b", "echo", 1); err != nil {
 		t.Fatalf("restored link: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestNotificationDroppedOnFailedLink(t *testing.T) {
 	if err := n.Register("b", p); err != nil {
 		t.Fatal(err)
 	}
-	n.SetDown("a", "b", true)
+	handLinks(n).setBlocked("a", "b", true)
 	n.Send("a", "b", event.Notification{Seq: 1})
 	if p.noteCount() != 0 {
 		t.Fatal("notification crossed failed link")
@@ -119,13 +120,13 @@ func TestDelayedNotification(t *testing.T) {
 	if err := n.Register("b", p); err != nil {
 		t.Fatal(err)
 	}
-	n.SetDelay("a", "b", 5*time.Second)
+	handLinks(n).setDelay("a", "b", 5*time.Second)
 	n.Send("a", "b", event.Notification{Seq: 1})
 	if p.noteCount() != 0 {
 		t.Fatal("delayed notification arrived early")
 	}
-	if n.Pending() != 1 {
-		t.Fatalf("pending = %d", n.Pending())
+	if n.PendingNotifications() != 1 {
+		t.Fatalf("pending = %d", n.PendingNotifications())
 	}
 	clk.Advance(4 * time.Second)
 	n.Flush()
@@ -147,8 +148,9 @@ func TestFlushPreservesDueOrder(t *testing.T) {
 	if err := n.Register("b", p); err != nil {
 		t.Fatal(err)
 	}
-	n.SetDelay("slow", "b", 10*time.Second)
-	n.SetDelay("fast", "b", 1*time.Second)
+	links := handLinks(n)
+	links.setDelay("slow", "b", 10*time.Second)
+	links.setDelay("fast", "b", 1*time.Second)
 	n.Send("slow", "b", event.Notification{Seq: 1, Source: "slow"})
 	n.Send("fast", "b", event.Notification{Seq: 2, Source: "fast"})
 	clk.Advance(20 * time.Second)
@@ -173,10 +175,6 @@ func TestCounters(t *testing.T) {
 		t.Fatalf("counts: call=%d notify=%d hb=%d",
 			n.Count("call:echo"), n.Count("notify"), n.Count("heartbeat"))
 	}
-	n.ResetCounts()
-	if n.Count("notify") != 0 {
-		t.Fatal("ResetCounts did not clear")
-	}
 }
 
 func TestSinkBridgesBrokerAcrossNetwork(t *testing.T) {
@@ -199,7 +197,7 @@ func TestSinkBridgesBrokerAcrossNetwork(t *testing.T) {
 	if p.noteCount() != 1 {
 		t.Fatal("event did not cross the network")
 	}
-	n.SetDown("A", "B", true)
+	handLinks(n).setBlocked("A", "B", true)
 	broker.Signal(event.New("E"))
 	if p.noteCount() != 1 {
 		t.Fatal("event crossed failed link")

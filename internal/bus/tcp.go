@@ -330,10 +330,6 @@ type remotePeer struct {
 	addr string
 	home *Network // dispatches inbound back-channel notifications
 
-	// dropped counts notifications lost on this link specifically; the
-	// same losses also count in the home network's global Dropped.
-	dropped atomic.Int64
-
 	mu      sync.Mutex
 	conn    net.Conn
 	wr      *msgWriter
@@ -369,13 +365,6 @@ type wireWaiter struct {
 // connection loss may still have a message in flight there. Nor does
 // a call that timed out: that path is rare enough to leave to the GC.
 var callChans = sync.Pool{New: func() any { return make(chan wireMsg, 1) }}
-
-// drop accounts count lost notifications against both the per-link and
-// the network-wide counters.
-func (p *remotePeer) drop(count int) {
-	p.dropped.Add(int64(count))
-	p.home.dropNote(count)
-}
 
 // ServeTCP exports this network's registered endpoints on the listener.
 // It blocks until the listener closes; run it in a goroutine and close
@@ -535,19 +524,6 @@ func (n *Network) AddRemote(name, addr string) error {
 	return nil
 }
 
-// RemoteDropped reports the notifications lost on the TCP link to the
-// named remote peer (the per-link slice of Dropped). Zero for names
-// that are not remotePeer links.
-func (n *Network) RemoteDropped(name string) int64 {
-	n.peersMu.RLock()
-	link := n.remotes[name]
-	n.peersMu.RUnlock()
-	if p, ok := link.(*remotePeer); ok {
-		return p.dropped.Load()
-	}
-	return 0
-}
-
 // CloseRemotes shuts down outgoing TCP links.
 func (n *Network) CloseRemotes() {
 	n.peersMu.Lock()
@@ -586,7 +562,7 @@ func (p *remotePeer) connectLocked() error {
 	}
 	_ = conn.SetDeadline(time.Time{})
 	p.conn = conn
-	p.wr = newMsgWriter(conn, p.drop)
+	p.wr = newMsgWriter(conn, p.home.dropNote)
 	go p.readLoop(conn, NewWireDec(bufio.NewReaderSize(conn, wireBufSize)), p.wr)
 	return nil
 }
@@ -743,53 +719,34 @@ func (p *remotePeer) reap() {
 	}
 }
 
-// call issues one synchronous request. Pre-send failures — dial and
-// enqueue, where the request cannot have reached the peer — are
-// retried with exponential backoff on the home network's clock
-// (SetCallRetry); once the request is accepted for the wire a lost
-// connection or a passed deadline fails the call, because retrying
-// could execute it twice.
+// call issues one synchronous request, once: a dial or enqueue failure
+// is ErrUnreachable, and once the request is accepted for the wire a
+// lost connection or a passed deadline fails the call — the caller
+// decides whether asking again is safe.
 func (p *remotePeer) call(from, to, op string, arg any) (any, error) {
-	attempts := int(p.home.retryAttempts.Load())
-	if attempts < 1 {
-		attempts = 1
+	ch, err := p.startCall(from, to, op, arg)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s (%v)", ErrUnreachable, to, err)
 	}
-	backoff := time.Duration(p.home.retryBase.Load())
-	var err error
-	for try := 0; try < attempts; try++ {
-		if try > 0 && backoff > 0 {
-			// Waits on the clock, never time.Sleep: virtual-clock
-			// simulations advance it deterministically. No lock is held
-			// across the wait.
-			<-p.home.clk.After(backoff)
-			backoff *= 2
-		}
-		var ch chan wireMsg
-		ch, err = p.startCall(from, to, op, arg)
-		if err != nil {
-			continue
-		}
-		reply := <-ch
-		if reply.Kind == "deadline" {
-			return nil, fmt.Errorf("%w: %s left %q unanswered for %v", ErrCallDeadline, to, op, CallDeadline)
-		}
-		callChans.Put(ch)
-		if reply.Err != "" {
-			return nil, errors.New(reply.Err)
-		}
-		if reply.IsNil {
-			return nil, nil
-		}
-		return reply.Arg, nil
+	reply := <-ch
+	if reply.Kind == "deadline" {
+		return nil, fmt.Errorf("%w: %s left %q unanswered for %v", ErrCallDeadline, to, op, CallDeadline)
 	}
-	return nil, fmt.Errorf("%w: %s (%v)", ErrUnreachable, to, err)
+	callChans.Put(ch)
+	if reply.Err != "" {
+		return nil, errors.New(reply.Err)
+	}
+	if reply.IsNil {
+		return nil, nil
+	}
+	return reply.Arg, nil
 }
 
 // startCall dials if needed and hands one request to the writer,
 // returning the reply channel. Errors here are pre-send: either the
-// dial failed or the writer was already dead and accepted nothing, so
-// a retry cannot double-execute. The enqueue happens outside p.mu —
-// the writer has its own leaf lock — so concurrent calls pipeline.
+// dial failed or the writer was already dead and accepted nothing. The
+// enqueue happens outside p.mu — the writer has its own leaf lock — so
+// concurrent calls pipeline.
 func (p *remotePeer) startCall(from, to, op string, arg any) (chan wireMsg, error) {
 	deadline := p.home.clk.Now().Add(CallDeadline)
 	p.mu.Lock()
@@ -833,7 +790,7 @@ func (p *remotePeer) sendBatch(from, to string, notes []event.Notification) {
 	p.mu.Lock()
 	if err := p.ensureConnLocked(); err != nil {
 		p.mu.Unlock()
-		p.drop(len(notes))
+		p.home.dropNote(len(notes))
 		return
 	}
 	wr := p.wr
@@ -841,7 +798,7 @@ func (p *remotePeer) sendBatch(from, to string, notes []event.Notification) {
 
 	if err := wr.enqueueNotes(from, to, notes); err != nil {
 		// Nothing was accepted, so the burst is ours to count.
-		p.drop(len(notes))
+		p.home.dropNote(len(notes))
 		p.mu.Lock()
 		if p.wr == wr {
 			p.breakLocked()

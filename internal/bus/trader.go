@@ -17,11 +17,15 @@ type Trader struct {
 }
 
 // NewTrader creates an empty trader.
+//
+//oasislint:keep §6.2.1 trader (figure 6.1 step 1)
 func NewTrader() *Trader {
 	return &Trader{offers: make(map[string]map[string]bool)}
 }
 
 // Register advertises that a service instance offers an interface.
+//
+//oasislint:keep §6.2.1 trader (figure 6.1 step 1)
 func (t *Trader) Register(iface, service string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -34,6 +38,8 @@ func (t *Trader) Register(iface, service string) {
 }
 
 // Withdraw removes an offer.
+//
+//oasislint:keep §6.2.1 trader (figure 6.1 step 1)
 func (t *Trader) Withdraw(iface, service string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -55,6 +61,8 @@ func (t *Trader) Lookup(iface string) []string {
 
 // LookupOne returns a single offer or an error — the common client path
 // of figure 6.1 step 1.
+//
+//oasislint:keep §6.2.1 trader (figure 6.1 step 1)
 func (t *Trader) LookupOne(iface string) (string, error) {
 	offers := t.Lookup(iface)
 	if len(offers) == 0 {

@@ -1,10 +1,8 @@
 package bus
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
-	"sync"
 
 	"oasis/internal/event"
 )
@@ -64,9 +62,6 @@ func NewTree(members []string, fanout int) (*Tree, error) {
 // Members returns the sorted member list (treat as read-only).
 func (t *Tree) Members() []string { return t.members }
 
-// Fanout returns the tree's k.
-func (t *Tree) Fanout() int { return t.fanout }
-
 // rotated maps a member to its position in the tree rooted at root:
 // the root occupies 0 and the rest keep their cyclic order.
 func (t *Tree) rotated(root, self string) (int, bool) {
@@ -95,35 +90,9 @@ func (t *Tree) Children(root, self string) []string {
 	return out
 }
 
-// Parent returns self's parent in the tree rooted at root; ok is false
-// for the root itself and for non-members.
-func (t *Tree) Parent(root, self string) (string, bool) {
-	p, ok := t.rotated(root, self)
-	if !ok || p == 0 {
-		return "", false
-	}
-	r := t.pos[root]
-	return t.members[(r+(p-1)/t.fanout)%len(t.members)], true
-}
-
-// Depth returns the hop count from root to self (0 for the root), or -1
-// for non-members.
-func (t *Tree) Depth(root, self string) int {
-	p, ok := t.rotated(root, self)
-	if !ok {
-		return -1
-	}
-	d := 0
-	for p > 0 {
-		p = (p - 1) / t.fanout
-		d++
-	}
-	return d
-}
-
 // ForwardBatch sends a burst over one link with the exact per-note
-// semantics of Send — severed-link drop, link-policy verdicts
-// (drop/duplicate/delay), configured link delay — then coalesces the
+// semantics of Send — the link policy's verdict (drop, duplicate,
+// delay) — then coalesces the
 // immediate survivors under the installed CoalesceRule and delivers
 // them as one batch. It is the per-tree-edge equivalent of
 // StartBatch/EndBatch, usable concurrently from many relays because the
@@ -135,40 +104,24 @@ func (n *Network) ForwardBatch(from, to string, notes []event.Notification) int 
 		return 0
 	}
 	ep, remote := n.route(to)
-	k := normKey(from, to)
-	n.linkMu.RLock()
-	downNow := n.down[k]
-	linkDelay := n.delay[k]
-	n.linkMu.RUnlock()
-	box := n.policy.Load()
 	var immediate []event.Notification
 	for _, note := range notes {
 		n.notifyCount.Add(1)
 		if note.Heartbeat {
 			n.heartbeatCount.Add(1)
 		}
-		if downNow || (ep == nil && remote == nil) {
+		if ep == nil && remote == nil {
 			n.droppedCount.Add(1)
 			continue
 		}
-		copies, d := 1, linkDelay
-		if box != nil {
-			v := box.p.Notify(from, to)
-			if v.Drop {
-				n.droppedCount.Add(1)
-				continue
-			}
-			if v.Copies > 1 {
-				copies = v.Copies
-			}
-			d += v.Delay
+		v := n.verdict(from, to)
+		if v.Drop {
+			n.droppedCount.Add(1)
+			continue
 		}
-		for c := 0; c < copies; c++ {
-			if d > 0 {
-				n.queueMu.Lock()
-				n.nextSeq++
-				heap.Push(&n.queue, queued{from: from, to: to, n: note, due: n.clk.Now().Add(d), seq: n.nextSeq})
-				n.queueMu.Unlock()
+		for c := 0; c < max(v.Copies, 1); c++ {
+			if v.Delay > 0 {
+				n.enqueueDelayed(from, to, note, v.Delay)
 				continue
 			}
 			immediate = append(immediate, note)
@@ -198,7 +151,6 @@ type Disseminator struct {
 	tree  *Tree
 	self  string
 	async bool
-	wg    sync.WaitGroup
 }
 
 // NewDisseminator builds the relay for one tree member.
@@ -206,32 +158,15 @@ func NewDisseminator(n *Network, t *Tree, self string, async bool) *Disseminator
 	return &Disseminator{net: n, tree: t, self: self, async: async}
 }
 
-// Tree returns the topology the disseminator relays over.
-func (d *Disseminator) Tree() *Tree { return d.tree }
-
-// Broadcast originates a burst: disseminates notes over the tree rooted
-// at this member.
-func (d *Disseminator) Broadcast(notes []event.Notification) {
-	d.Forward(d.self, notes)
-}
-
-// Forward relays a burst rooted at root to this member's children.
-// Callers must not mutate notes afterwards in async mode.
+// Forward relays a burst rooted at root to this member's children; a
+// member originates a burst by forwarding one rooted at itself. Callers
+// must not mutate notes afterwards in async mode.
 func (d *Disseminator) Forward(root string, notes []event.Notification) {
 	for _, child := range d.tree.Children(root, d.self) {
 		if d.async {
-			child := child
-			d.wg.Add(1)
-			go func() {
-				defer d.wg.Done()
-				d.net.ForwardBatch(d.self, child, notes)
-			}()
+			go d.net.ForwardBatch(d.self, child, notes)
 			continue
 		}
 		d.net.ForwardBatch(d.self, child, notes)
 	}
 }
-
-// Wait blocks until every async forward this member started has been
-// handed to the network.
-func (d *Disseminator) Wait() { d.wg.Wait() }

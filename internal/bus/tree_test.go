@@ -150,7 +150,7 @@ func burst(src string, n int) []event.Notification {
 func TestDisseminatorReachesAll(t *testing.T) {
 	_, tr, members, peers := buildRelayNet(t, 15)
 	root := members[0]
-	peers[0].d.Broadcast(burst(root, 5))
+	peers[0].d.Forward(root, burst(root, 5))
 	for i, p := range peers[1:] {
 		if p.count() != 5 {
 			t.Fatalf("member %s got %d notes, want 5 (depth %d)",
@@ -168,8 +168,8 @@ func TestDisseminatorPartitionStarvesSubtree(t *testing.T) {
 	// Sever the edge to the root's first child: exactly that subtree
 	// (child + its descendants) must miss the burst.
 	firstChild := tr.Children(root, root)[0]
-	net.FailLink(root, firstChild)
-	peers[0].d.Broadcast(burst(root, 3))
+	handLinks(net).setBlocked(root, firstChild, true)
+	peers[0].d.Forward(root, burst(root, 3))
 	starved := map[string]bool{firstChild: true}
 	var grow func(m string)
 	grow = func(m string) {
@@ -248,7 +248,7 @@ func TestDisseminatorAsyncDeliversAll(t *testing.T) {
 		}
 		peers[i] = p
 	}
-	peers[0].d.Broadcast(burst(members[0], 8))
+	peers[0].d.Forward(members[0], burst(members[0], 8))
 	wg.Wait()
 	for i, p := range peers[1:] {
 		if got := p.count(); got != 8 {

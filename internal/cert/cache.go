@@ -45,8 +45,7 @@ import (
 // an old table is trusted under a new one.
 type EpochSigner interface {
 	Signer
-	Epoch() uint64    // bumped on every accepted-secret-set change
-	Generations() int // number of currently accepted secrets
+	Epoch() uint64 // bumped on every accepted-secret-set change
 }
 
 // signerEpoch folds non-epoch signers into epoch 0. RecordSigner's
@@ -224,9 +223,6 @@ func (d *Delegation) Sign(s Signer) { d.Sig = s.Sign(d.canonical()) }
 // Verify checks the delegation certificate's signature, memoizing
 // repeat successes like RMC.Verify.
 func (d *Delegation) Verify(s Signer) bool { return d.canonEntry().verifyCached(s, d.Sig) }
-
-// SignedBytes exposes the canonical signed form (cached).
-func (d *Delegation) SignedBytes() []byte { return d.canonical() }
 
 // ---- cross-instance verify cache ----
 

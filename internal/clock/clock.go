@@ -90,19 +90,6 @@ func (v *Virtual) Advance(d time.Duration) {
 	}
 }
 
-// Set jumps the clock to the given instant (which must not be earlier
-// than the current virtual time; earlier instants are ignored).
-func (v *Virtual) Set(t time.Time) {
-	v.mu.Lock()
-	if t.Before(v.now) {
-		v.mu.Unlock()
-		return
-	}
-	d := t.Sub(v.now)
-	v.mu.Unlock()
-	v.Advance(d)
-}
-
 var _ Clock = (*Virtual)(nil)
 
 // Drifting wraps a Clock and applies a constant offset, modelling the
@@ -113,6 +100,8 @@ type Drifting struct {
 }
 
 // NewDrifting returns a clock that reads base plus a constant offset.
+//
+//oasislint:keep §6.8.4 imperfect clock synchronisation
 func NewDrifting(base Clock, offset time.Duration) *Drifting {
 	return &Drifting{base: base, offset: offset}
 }

@@ -742,28 +742,6 @@ func (st *Store) setFlag(opcode byte, ref Ref, flag func(*record) *bool) error {
 	})
 }
 
-// AutoRevoke reports the auto-revoke flag.
-func (st *Store) AutoRevoke(ref Ref) bool {
-	sh := st.shardFor(ref.Index)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	r, err := sh.get(ref)
-	return err == nil && r.autoRev
-}
-
-// External returns the source service of an external record ("" for
-// local records).
-func (st *Store) External(ref Ref) string {
-	sh := st.shardFor(ref.Index)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	r, err := sh.get(ref)
-	if err != nil {
-		return ""
-	}
-	return r.external
-}
-
 // MarkSourceUnknown marks every external record from the given source as
 // Unknown; used when a heartbeat from that source is missed (§4.10).
 // The unknown state propagates to children and possibly other servers.
@@ -937,9 +915,4 @@ func (st *Store) Live() int {
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-// Stats reports cumulative creations and deletions.
-func (st *Store) Stats() (created, deleted uint64) {
-	return st.created.Load(), st.deleted.Load()
 }

@@ -122,19 +122,6 @@ func (g *Groups) CredentialFor(member, group string) Ref {
 	return ref
 }
 
-// Interesting reports the number of live interesting credentials (for
-// tests and benchmarks: this stays far below members × groups).
-func (g *Groups) Interesting() int {
-	n := 0
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		n += len(sh.interesting)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // Compact drops hash entries whose records have been garbage collected.
 func (g *Groups) Compact() {
 	for i := range g.shards {

@@ -275,22 +275,16 @@ func (jr *journalReader) apply(st *Store, payload []byte) error {
 	return nil
 }
 
-// ReplayInto re-executes a binary journal stream against st, which must
-// be in exactly the state the stream was journaled from (empty for a
-// whole journal; the snapshot's store for a tail segment). It returns
-// the number of records applied and whether a torn final record was
-// dropped. With strict set, a torn tail is an error too — recovery
-// passes strict for every segment except the last, because only the
-// segment being appended to at the crash can legitimately be torn.
-func ReplayInto(st *Store, r io.Reader, strict bool) (applied int, torn bool, err error) {
-	applied, _, torn, err = ReplayIntoOffset(st, r, strict)
-	return applied, torn, err
-}
-
-// ReplayIntoOffset is ReplayInto, additionally reporting the stream
-// offset just past the last applied record — the length a torn segment
-// can be truncated to so its tear is not mistaken for mid-journal
-// corruption by a later recovery.
+// ReplayIntoOffset re-executes a binary journal stream against st,
+// which must be in exactly the state the stream was journaled from
+// (empty for a whole journal; the snapshot's store for a tail segment).
+// It returns the number of records applied, the stream offset just past
+// the last applied record — the length a torn segment can be truncated
+// to so its tear is not mistaken for mid-journal corruption by a later
+// recovery — and whether a torn final record was dropped. With strict
+// set, a torn tail is an error too — recovery passes strict for every
+// segment except the last, because only the segment being appended to
+// at the crash can legitimately be torn.
 func ReplayIntoOffset(st *Store, r io.Reader, strict bool) (applied int, clean int64, torn bool, err error) {
 	jr := newJournalReader(r)
 	for {
@@ -313,15 +307,4 @@ func ReplayIntoOffset(st *Store, r io.Reader, strict bool) (applied int, clean i
 		applied++
 		clean = jr.off
 	}
-}
-
-// Replay rebuilds a store by re-executing a binary journal. A torn
-// final record — the footprint of a crash mid-append — is dropped
-// silently; corruption anywhere else fails.
-func Replay(r io.Reader) (*Store, error) {
-	st := NewStore()
-	if _, _, err := ReplayInto(st, r, false); err != nil {
-		return nil, err
-	}
-	return st, nil
 }

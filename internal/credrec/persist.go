@@ -166,16 +166,8 @@ type journal struct {
 	committerDone chan struct{}
 }
 
-// NewJournaledStore creates an empty store journaling to w under the
-// default SyncBatched policy.
-func NewJournaledStore(w io.Writer) *Store {
-	st := NewStore()
-	st.StartJournal(writerSink{w}, JournalOptions{})
-	return st
-}
-
 // StartJournal gives st — empty, or freshly rebuilt by
-// ReadSnapshot/ReplayInto — its commit pipeline, before the store is
+// ReadSnapshot/ReplayIntoOffset — its commit pipeline, before the store is
 // shared. The sink must be positioned so that st's state plus the
 // records appended from now on replays to the store's future states (a
 // new segment, for the storage engine). The committer goroutine runs

@@ -104,6 +104,3 @@ func (r *Ring) OwnerIndex(key uint64) int {
 	}
 	return r.vnodes[i].owner
 }
-
-// Owner returns the name of the member owning key.
-func (r *Ring) Owner(key uint64) string { return r.members[r.OwnerIndex(key)] }

@@ -212,10 +212,6 @@ func (ss *ShardedStore) adoptBridges(i int) error {
 	return nil
 }
 
-// ShardNames returns the canonical (sorted) shard names; index i names
-// the shard whose id is packed into references as i.
-func (ss *ShardedStore) ShardNames() []string { return ss.names }
-
 // ShardStore exposes one shard's underlying store (tests, benchmarks,
 // and per-shard image comparison).
 func (ss *ShardedStore) ShardStore(i int) *Store { return ss.stores[i] }

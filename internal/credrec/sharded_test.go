@@ -250,7 +250,7 @@ func TestShardedResyncAfterMissedRevocation(t *testing.T) {
 	if !ss.Valid(d) {
 		t.Fatal("setup: the revocation reached the bridge without an observer")
 	}
-	if n := ss.ResyncShard(ss.ShardNames()[ss.ShardOf(b)]); n != 1 {
+	if n := ss.ResyncShard(ss.names[ss.ShardOf(b)]); n != 1 {
 		t.Fatalf("ResyncShard visited %d bridges, want 1", n)
 	}
 	if st, perm, _ := ss.Resolve(d); st != False || !perm {

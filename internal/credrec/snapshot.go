@@ -111,7 +111,7 @@ func (st *Store) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot rebuilds a store from a snapshot image. The returned
-// store is ready for tail replay (ReplayInto) and further mutation.
+// store is ready for tail replay (ReplayIntoOffset) and further mutation.
 func ReadSnapshot(r io.Reader) (*Store, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {

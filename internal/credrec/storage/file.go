@@ -41,9 +41,6 @@ func OpenDir(dir string) (*Dir, error) {
 	return &Dir{dir: dir}, nil
 }
 
-// Path returns the backing directory.
-func (d *Dir) Path() string { return d.dir }
-
 func (d *Dir) segPath(n uint64) string {
 	return filepath.Join(d.dir, fmt.Sprintf("%s%08d%s", segPrefix, n, segSuffix))
 }

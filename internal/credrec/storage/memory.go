@@ -45,30 +45,12 @@ func NewMemory() *Memory {
 	return &Memory{segs: make(map[uint64]*memSegment), snaps: make(map[uint64][]byte)}
 }
 
-// FailWrites arms write-failure injection: the next segment write
-// persists only partial bytes and fails; all writes after it fail
-// outright. The store above fail-stops on the first error.
-func (m *Memory) FailWrites(partial int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.failWrites = true
-	m.failPartial = partial
-}
-
 // FailNextSnapshot makes the next WriteSnapshot fail atomically: no
 // snapshot is installed, modelling a crash before the install point.
 func (m *Memory) FailNextSnapshot() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.failSnapshot = true
-}
-
-// FailNextCreateSegment makes the next CreateSegment fail, modelling an
-// IO error at the segment-roll point of a snapshot.
-func (m *Memory) FailNextCreateSegment() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.failCreate = true
 }
 
 // Crash returns the backend a recovery would see after a power loss:
@@ -198,17 +180,6 @@ func (m *Memory) RemoveSnapshotsBelow(n uint64) error {
 
 // Close releases the backend (a no-op for memory).
 func (m *Memory) Close() error { return nil }
-
-// SegmentBytes reports segment n's total and synced byte counts (for
-// tests).
-func (m *Memory) SegmentBytes(n uint64) (total, synced int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.segs[n]; ok {
-		return len(s.data), s.synced
-	}
-	return 0, 0
-}
 
 type memSegmentWriter struct {
 	m *Memory

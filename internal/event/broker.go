@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"oasis/internal/clock"
-	"oasis/internal/value"
 )
 
 // Notification is the unit of delivery from a broker to a client session.
@@ -60,10 +59,6 @@ var ErrNoSession = errors.New("event: no such session")
 // behaviour; the paper stresses that each service chooses its own
 // trade-offs (§4.10, §6.8.1).
 type BrokerOptions struct {
-	// HeartbeatEvery is the maximum quiet period t: the broker promises a
-	// message at least this often (0 disables automatic heartbeats; the
-	// owner then calls Heartbeat explicitly, as the simulations do).
-	HeartbeatEvery time.Duration
 	// RetainFor bounds how long pre-registration buffers event
 	// occurrences before discarding them (§6.8.1).
 	RetainFor time.Duration
@@ -157,9 +152,6 @@ func NewBroker(name string, clk clock.Clock, opts BrokerOptions) *Broker {
 	}
 }
 
-// Name returns the broker's service-instance name.
-func (b *Broker) Name() string { return b.name }
-
 // indexKey computes the index bucket for a template: the event name,
 // refined by the first parameter when it is a literal (the shape of the
 // §4.9.2 Modified templates, which are literal in the record ref). Two
@@ -212,6 +204,8 @@ func (b *Broker) OpenSession(sink Sink, credentials any) (uint64, error) {
 }
 
 // CloseSession ends a session and drops its registrations.
+//
+//oasislint:keep §6.2.1 session lifecycle (figure 6.1)
 func (b *Broker) CloseSession(id uint64) error {
 	b.mu.Lock()
 	s, ok := b.sessions[id]
@@ -242,6 +236,8 @@ func (b *Broker) Register(sess uint64, t Template) (uint64, error) {
 // PreRegister records interest in events the client may later want
 // retrospectively (§6.8.1): matching occurrences are buffered at the
 // source but not notified.
+//
+//oasislint:keep §6.8.1 retrospective registration
 func (b *Broker) PreRegister(sess uint64, t Template) (uint64, error) {
 	return b.register(sess, t, true)
 }
@@ -262,6 +258,8 @@ func (b *Broker) register(sess uint64, t Template, pre bool) (uint64, error) {
 // Narrow replaces a registration's template with a more specific one as
 // parameters become known (§6.8.1). The caller is responsible for the new
 // template actually being narrower.
+//
+//oasislint:keep §6.8.1 retrospective registration
 func (b *Broker) Narrow(regID uint64, t Template) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -280,6 +278,8 @@ func (b *Broker) Narrow(regID uint64, t Template) error {
 // timestamps in (since, now] that match the (possibly narrowed) template
 // are notified immediately, and subsequent occurrences flow live
 // (retrospective registration, §6.8.1).
+//
+//oasislint:keep §6.8.1 retrospective registration
 func (b *Broker) RetroRegister(regID uint64, t Template, since time.Time) error {
 	b.mu.Lock()
 	r, ok := b.regs[regID]
@@ -313,6 +313,8 @@ func (b *Broker) RetroRegister(regID uint64, t Template, since time.Time) error 
 }
 
 // Deregister removes a registration.
+//
+//oasislint:keep §6.2.1 registration lifecycle (figure 6.1)
 func (b *Broker) Deregister(regID uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -423,23 +425,6 @@ func (b *Broker) Signal(ev Event) Event {
 	}
 	b.lastStamp = now
 	ev.Time = now
-	b.eventSeq++
-	ev.Seq = b.eventSeq
-	b.stampMu.Unlock()
-	return b.dispatch(ev)
-}
-
-// SignalAt signals an event with an explicit occurrence time, used by
-// sources (such as badge sensors) that timestamp at detection. Stamps
-// must be monotone per source; non-monotone stamps are nudged forward.
-func (b *Broker) SignalAt(ev Event, at time.Time) Event {
-	ev.Source = b.name
-	b.stampMu.Lock()
-	if !at.After(b.lastStamp) {
-		at = b.lastStamp.Add(time.Nanosecond)
-	}
-	b.lastStamp = at
-	ev.Time = at
 	b.eventSeq++
 	ev.Seq = b.eventSeq
 	b.stampMu.Unlock()
@@ -567,21 +552,6 @@ func (b *Broker) PendingNotifications() int {
 	return pending
 }
 
-// SessionCount reports the number of open sessions.
-func (b *Broker) SessionCount() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.sessions)
-}
-
-// BufferedCount reports the number of occurrences held for retrospective
-// registration.
-func (b *Broker) BufferedCount() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.buffer)
-}
-
 // Lookup support: some services (the Namer's active database, §6.3.3)
 // need an atomic combined lookup-and-register. The broker provides the
 // primitive: RegisterAndQuery registers the template live and, under the
@@ -601,10 +571,4 @@ func (b *Broker) RegisterAndQuery(sess uint64, t Template, query func() []Event)
 	existing := query()
 	b.mu.Unlock()
 	return id, existing, nil
-}
-
-// EnvMatch is a convenience for composite-event evaluators: it matches
-// the event against the template under env via Template.Match.
-func EnvMatch(t Template, e Event, env value.Env) (value.Env, bool) {
-	return t.Match(e, env)
 }

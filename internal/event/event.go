@@ -125,23 +125,6 @@ func (t Template) Matches(e Event) bool {
 	return ok
 }
 
-// Ground reports whether the template has no wildcards and all variables
-// are bound in env; a ground template can be compared against a concrete
-// event without producing new bindings.
-func (t Template) Ground(env value.Env) bool {
-	for _, p := range t.Params {
-		if p.Wild {
-			return false
-		}
-		if p.Var != "" {
-			if _, ok := env[p.Var]; !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Instantiate substitutes env bindings into variable parameters, leaving
 // unbound variables in place. Used when registering interest: the merged
 // template restricts notification to truly interesting events (§6.7).

@@ -56,19 +56,12 @@ type ParamDef struct {
 func (e EventDef) QualifiedName(iface string) string { return iface + "." + e.Name }
 
 // ParseIDL parses an interface definition.
+//
+//oasislint:keep §6.2.1 event interface definitions (figure 6.1)
 func ParseIDL(src string) (*InterfaceDef, error) {
 	toks := idlScan(src)
 	p := &idlParser{toks: toks}
 	return p.iface()
-}
-
-// MustParseIDL panics on error; for static definitions.
-func MustParseIDL(src string) *InterfaceDef {
-	d, err := ParseIDL(src)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 func idlScan(src string) []string {
@@ -251,6 +244,8 @@ func (d *InterfaceDef) Event(name string) (EventDef, bool) {
 // Constructor returns the event constructor of figure 6.1 (step 4/10):
 // it builds a generic event object from typed arguments, checking types
 // against the declaration.
+//
+//oasislint:keep §6.2.1 event constructor (figure 6.1 steps 4, 10)
 func (d *InterfaceDef) Constructor(eventName string) (func(args ...value.Value) (Event, error), error) {
 	ev, ok := d.Event(eventName)
 	if !ok {
@@ -273,6 +268,8 @@ func (d *InterfaceDef) Constructor(eventName string) (func(args ...value.Value) 
 
 // Destructor returns the event destructor (figure 6.1, step 15): it
 // checks the instance's type and returns its arguments.
+//
+//oasislint:keep §6.2.1 event destructor (figure 6.1 step 15)
 func (d *InterfaceDef) Destructor(eventName string) (func(Event) ([]value.Value, error), error) {
 	ev, ok := d.Event(eventName)
 	if !ok {
@@ -292,6 +289,8 @@ func (d *InterfaceDef) Destructor(eventName string) (func(Event) ([]value.Value,
 
 // Template builds a registration template for a declared event with the
 // given parameters (wildcards, variables or literals), arity-checked.
+//
+//oasislint:keep §6.2.1 typed registration template (figure 6.1)
 func (d *InterfaceDef) Template(eventName string, params ...Param) (Template, error) {
 	ev, ok := d.Event(eventName)
 	if !ok {

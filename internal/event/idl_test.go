@@ -133,7 +133,7 @@ func TestPrintServerLifecycle(t *testing.T) {
 	}
 	var doneJob int64 = -1
 	un, _ := d.Destructor("Finished")
-	recv.Handle(reg, func(e Event) {
+	recv.HandleFrom("P", reg, func(e Event) {
 		args, err := un(e)
 		if err != nil {
 			t.Errorf("destructor: %v", err)

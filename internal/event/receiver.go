@@ -39,7 +39,6 @@ type Receiver struct {
 
 	mu          sync.Mutex
 	onRevive    ReviveHandler
-	handlers    map[uint64]Handler
 	srcHandlers map[string]Handler   // keyed source + "/" + regID
 	lastSeq     map[sessKey]uint64   // per (source, session)
 	horizons    map[string]time.Time // per source
@@ -51,19 +50,11 @@ type Receiver struct {
 func NewReceiver(onGap GapHandler) *Receiver {
 	return &Receiver{
 		onGap:       onGap,
-		handlers:    make(map[uint64]Handler),
 		srcHandlers: make(map[string]Handler),
 		lastSeq:     make(map[sessKey]uint64),
 		horizons:    make(map[string]time.Time),
 		silent:      make(map[string]bool),
 	}
-}
-
-// Handle installs the handler for a registration id.
-func (r *Receiver) Handle(regID uint64, h Handler) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.handlers[regID] = h
 }
 
 // HandleFrom installs a handler for a registration id scoped to one
@@ -115,11 +106,7 @@ func (r *Receiver) Deliver(n Notification) {
 	delete(r.silent, n.Source)
 	var h Handler
 	if !stale && !n.Heartbeat {
-		if sh, ok := r.srcHandlers[srcKey(n.Source, n.RegID)]; ok {
-			h = sh
-		} else {
-			h = r.handlers[n.RegID]
-		}
+		h = r.srcHandlers[srcKey(n.Source, n.RegID)]
 	}
 	onGap := r.onGap
 	onRevive := r.onRevive
@@ -219,13 +206,6 @@ func (r *Receiver) MarkSilent(source string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.silent[source] = true
-}
-
-// Silent reports whether the source is currently presumed failed.
-func (r *Receiver) Silent(source string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.silent[source]
 }
 
 var _ Sink = (*Receiver)(nil)

@@ -11,9 +11,10 @@ import (
 func TestReceiverDispatchByRegistration(t *testing.T) {
 	r := NewReceiver(nil)
 	var got []Event
-	r.Handle(7, func(e Event) { got = append(got, e) })
-	r.Deliver(Notification{SessionID: 1, Seq: 1, RegID: 7, Event: New("E", value.Int(1))})
-	r.Deliver(Notification{SessionID: 1, Seq: 2, RegID: 8, Event: New("E", value.Int(2))})
+	r.HandleFrom("s", 7, func(e Event) { got = append(got, e) })
+	r.Deliver(Notification{Source: "s", SessionID: 1, Seq: 1, RegID: 7, Event: New("E", value.Int(1))})
+	r.Deliver(Notification{Source: "s", SessionID: 1, Seq: 2, RegID: 8, Event: New("E", value.Int(2))})
+	r.Deliver(Notification{Source: "other", SessionID: 1, Seq: 1, RegID: 7, Event: New("E", value.Int(3))})
 	if len(got) != 1 || !got[0].Args[0].Equal(value.Int(1)) {
 		t.Fatalf("dispatched = %v", got)
 	}
@@ -210,7 +211,7 @@ func TestBrokerReceiverEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan Event, 1)
-	r.Handle(reg, func(e Event) { done <- e })
+	r.HandleFrom("printer", reg, func(e Event) { done <- e })
 
 	b.Signal(New("Finished", value.Int(27)))
 	select {

@@ -85,9 +85,7 @@ type Plane struct {
 	nextStep   int
 	transcript []string
 
-	drops  atomic.Int64 // policy-decided drops (incl. severed links)
-	dups   atomic.Int64
-	delays atomic.Int64
+	drops atomic.Int64 // policy-decided drops (incl. severed links)
 }
 
 // New creates a fault plane over the given clock. The plane's time
@@ -106,9 +104,6 @@ func New(clk clock.Clock, seed int64) *Plane {
 
 // Install makes the plane the network's link policy.
 func (p *Plane) Install(n *bus.Network) { n.SetLinkPolicy(p) }
-
-// Seed returns the seed the plane was created with.
-func (p *Plane) Seed() int64 { return p.seed }
 
 // stream returns the PRNG stream for a directed link, created on first
 // use and seeded from (seed, from->to) so that the draw sequence on one
@@ -251,7 +246,6 @@ func (p *Plane) Notify(from, to string) bus.Verdict {
 		return v
 	}
 	if f.Dup > 0 && rng.Float64() < f.Dup {
-		p.dups.Add(1)
 		p.record("%s: %s->%s dup", p.elapsed(), from, to)
 		v.Copies = 2
 	}
@@ -260,17 +254,14 @@ func (p *Plane) Notify(from, to string) bus.Verdict {
 		v.Delay += time.Duration(rng.Int63n(int64(f.Jitter)))
 	}
 	if v.Delay > 0 {
-		p.delays.Add(1)
 		p.record("%s: %s->%s delay %s", p.elapsed(), from, to, v.Delay)
 	}
 	return v
 }
 
 // Drops reports notifications the plane decided to drop (including
-// sends into severed links). Dups and Delayed likewise.
-func (p *Plane) Drops() int64   { return p.drops.Load() }
-func (p *Plane) Dups() int64    { return p.dups.Load() }
-func (p *Plane) Delayed() int64 { return p.delays.Load() }
+// sends into severed links).
+func (p *Plane) Drops() int64 { return p.drops.Load() }
 
 // elapsed formats the plane-relative time of a decision.
 func (p *Plane) elapsed() time.Duration {

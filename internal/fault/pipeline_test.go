@@ -60,8 +60,8 @@ func (r *echoRecorder) Deliver(event.Notification) {}
 //
 //   - every successful call's reply is its own argument (the pipelined
 //     writer and the seq/waiter table never cross-wire replies);
-//   - the server executes each unique argument at most once (retries
-//     are pre-send-only, so a sent call is never re-executed);
+//   - the server executes each unique argument at most once (the bus
+//     sends a call once and never repeats it);
 //   - once the link is restored, calls succeed again.
 func TestPipelinedCallsUnderFaults(t *testing.T) {
 	serverNet := bus.NewNetwork(clock.NewVirtual(time.Unix(0, 0)))
@@ -78,7 +78,6 @@ func TestPipelinedCallsUnderFaults(t *testing.T) {
 
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	clientNet := bus.NewNetwork(clk)
-	clientNet.SetCallRetry(3, 0)
 	if err := clientNet.Register("caller", &sink{}); err != nil {
 		t.Fatal(err)
 	}

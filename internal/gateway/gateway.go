@@ -157,10 +157,6 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// TokenCount reports live (unexpired, unpurged) tokens, for tests and
-// operational introspection.
-func (g *Gateway) TokenCount() int { return g.tokens.len() }
-
 // saturated reports whether the notification plane is at or past the
 // configured pressure limit.
 func (g *Gateway) saturated() bool {

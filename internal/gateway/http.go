@@ -97,9 +97,6 @@ type ErrorResponse struct {
 	Desc string `json:"error_description,omitempty"`
 }
 
-// DroppedResponseWrites reports responses lost to departed clients.
-func (g *Gateway) DroppedResponseWrites() uint64 { return g.droppedWrites.Load() }
-
 // jsonContentType is the one Content-Type value, shared by every
 // response: net/http reads header values and never writes to them.
 var jsonContentType = []string{"application/json"}

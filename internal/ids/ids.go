@@ -72,9 +72,6 @@ func NewHostAuthority(host string, boot time.Time) *HostAuthority {
 	}
 }
 
-// Host returns the authority's host name.
-func (h *HostAuthority) Host() string { return h.host }
-
 // NewDomain creates a fresh protection domain on this host and returns
 // its client identifier.
 func (h *HostAuthority) NewDomain() ClientID {
@@ -85,6 +82,8 @@ func (h *HostAuthority) NewDomain() ClientID {
 }
 
 // NewVCI allocates a fresh VCI usable by the given domain.
+//
+//oasislint:keep §2.8.1 virtual client identifiers
 func (h *HostAuthority) NewVCI(owner ClientID) (VCI, error) {
 	if owner.Host != h.host {
 		return VCI{}, fmt.Errorf("ids: domain %v is not on host %s", owner, h.host)
@@ -100,6 +99,8 @@ func (h *HostAuthority) NewVCI(owner ClientID) (VCI, error) {
 // current holder may delegate (section 2.8.1: "the operating system
 // ensures that a domain may not use a VCI relating to a different domain,
 // unless that domain explicitly delegates use of the VCI").
+//
+//oasislint:keep §2.8.1 virtual client identifiers
 func (h *HostAuthority) Delegate(v VCI, from, to ClientID) error {
 	if v.Host != h.host || from.Host != h.host || to.Host != h.host {
 		return fmt.Errorf("ids: cross-host VCI delegation is not possible")
@@ -120,6 +121,8 @@ func (h *HostAuthority) Delegate(v VCI, from, to ClientID) error {
 // MayUse reports whether the given domain may exercise credentials bound
 // to the VCI. This is the check a client library makes before presenting
 // a credential.
+//
+//oasislint:keep §2.8.1 virtual client identifiers
 func (h *HostAuthority) MayUse(v VCI, who ClientID) bool {
 	if v.Host != h.host || who.Host != h.host {
 		return false
@@ -131,6 +134,8 @@ func (h *HostAuthority) MayUse(v VCI, who ClientID) bool {
 
 // Revoke withdraws a domain's right to use a VCI. A holder may withdraw
 // any other holder (the creating domain controls propagation).
+//
+//oasislint:keep §2.8.1 virtual client identifiers
 func (h *HostAuthority) Revoke(v VCI, by, who ClientID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -257,6 +257,8 @@ func (s *Service) RevokeByRole(revoker *cert.RMC, caller ids.ClientID, rolefile,
 // Reinstate removes a role instance from the revoked-forever database,
 // restoring hire / fire / re-hire semantics (§4.11). The caller must
 // hold the revoker role for some rule defining the role.
+//
+//oasislint:keep §4.11 hire / fire / re-hire
 func (s *Service) Reinstate(revoker *cert.RMC, caller ids.ClientID, rolefile, role string, args []value.Value) error {
 	st, err := s.rolefileFor(rolefile)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"oasis/internal/bus"
 	"oasis/internal/cert"
 	"oasis/internal/clock"
+	"oasis/internal/fault"
 	"oasis/internal/ids"
 	"oasis/internal/value"
 )
@@ -17,6 +18,7 @@ import (
 type harness struct {
 	clk   *clock.Virtual
 	net   *bus.Network
+	links *fault.Plane // installed on net: Sever/Restore fail and heal a link
 	login *Service
 	conf  *Service
 	hosts map[string]*ids.HostAuthority
@@ -43,6 +45,8 @@ func newHarnessWith(t *testing.T, loginOpts, confOpts Options) *harness {
 	t.Helper()
 	clk := clock.NewVirtual(time.Date(1996, 3, 1, 9, 0, 0, 0, time.UTC))
 	net := bus.NewNetwork(clk)
+	links := fault.New(clk, 1)
+	links.Install(net)
 	login, err := New("Login", clk, net, loginOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +62,7 @@ func newHarnessWith(t *testing.T, loginOpts, confOpts Options) *harness {
 		t.Fatal(err)
 	}
 	return &harness{
-		clk: clk, net: net, login: login, conf: conf,
+		clk: clk, net: net, links: links, login: login, conf: conf,
 		hosts: make(map[string]*ids.HostAuthority),
 	}
 }

@@ -78,6 +78,8 @@ func (s *Service) RevokeDirect(c *cert.RMC) error {
 // permanent records are unlinked and permanently-false or uninteresting
 // records deleted; the group table drops entries whose records are
 // gone. Call it periodically; it returns the number of records freed.
+//
+//oasislint:keep ROADMAP 3c
 func (s *Service) SweepTick() int {
 	n := s.store.Sweep()
 	s.groups.Compact()

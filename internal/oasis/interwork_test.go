@@ -231,13 +231,13 @@ func TestConcurrentEntryAndValidation(t *testing.T) {
 	}
 }
 
-func TestStartHeartbeats(t *testing.T) {
+func TestStartDuties(t *testing.T) {
 	h := newHarness(t)
 	sink := make(chan struct{}, 16)
 	if _, err := h.login.Broker().OpenSession(sinkFunc(func() { sink <- struct{}{} }), nil); err != nil {
 		t.Fatal(err)
 	}
-	stop := h.login.StartHeartbeats()
+	stop := h.login.StartDuties()
 	defer stop() // must halt and join without deadlock
 	// The loop arms its timer asynchronously; keep advancing the virtual
 	// clock until the heartbeat lands.

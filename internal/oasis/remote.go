@@ -365,17 +365,30 @@ func (s *Service) applyModified(ext credrec.Ref, ev event.Event) {
 	if len(ev.Args) != 3 {
 		return
 	}
-	st := credrec.State(ev.Args[1].I)
-	perm := ev.Args[2].I != 0
-	if perm && st == credrec.False {
-		_ = s.store.Invalidate(ext)
+	s.applyRemoteState(ext, credrec.State(ev.Args[1].I), ev.Args[2].I != 0)
+}
+
+// applyRemoteState applies an issuer's assertion about one of its
+// records to the local surrogate, whichever way it arrived — a Modified
+// event, a shard-tree edge, a resync snapshot. A permanent False is an
+// invalidation: revocation is forever (§4.6), and the surrogate then
+// refuses every later write. Anything else is a state write, frozen
+// when the issuer says the state is final: a record that is true and
+// will always remain true needs no further watching (§4.8), so the
+// issuer falling silent no longer fails it safe.
+func (s *Service) applyRemoteState(local credrec.Ref, state credrec.State, permanent bool) {
+	if permanent && state == credrec.False {
+		_ = s.store.Invalidate(local)
 		return
 	}
-	_ = s.store.SetState(ext, st)
+	_ = s.store.SetState(local, state)
+	if permanent {
+		_ = s.store.MakePermanent(local)
+	}
 }
 
 // HeartbeatTick asserts liveness to every watcher (§4.10); wire it to a
-// timer with the service's chosen period t, or use StartHeartbeats. The
+// timer with the service's chosen period t, or use StartDuties. The
 // fan-out goes through the batch path: one burst per watcher.
 func (s *Service) HeartbeatTick() {
 	_ = s.batchNotify(func() error {
@@ -385,11 +398,11 @@ func (s *Service) HeartbeatTick() {
 	s.ShardHeartbeatTick()
 }
 
-// StartHeartbeats runs the heartbeat protocol on the service's clock at
-// the configured period (Options.HeartbeatEvery; default 5s). The
+// StartDuties runs the service's periodic duties on its clock, every
+// heartbeat period (Options.HeartbeatEvery; default 5s), until the
 // returned stop function halts the loop and waits for it to exit —
 // services own their background goroutines' lifetimes.
-func (s *Service) StartHeartbeats() (stop func()) {
+func (s *Service) StartDuties() (stop func()) {
 	period := s.heartbeatPeriod()
 	stopCh := make(chan struct{})
 	done := make(chan struct{})
@@ -398,7 +411,7 @@ func (s *Service) StartHeartbeats() (stop func()) {
 		for {
 			select {
 			case <-s.clk.After(period):
-				s.HeartbeatTick()
+				s.dutyTick()
 			case <-stopCh:
 				return
 			}
@@ -408,6 +421,17 @@ func (s *Service) StartHeartbeats() (stop func()) {
 		close(stopCh)
 		<-done
 	}
+}
+
+// dutyTick is one period's work. Suspicion runs first: a heartbeat
+// makes synchronous treeforward calls that can each block for a
+// bus.CallDeadline, and detecting a silent source must not queue
+// behind them. The delegation safety net (§4.4) comes last; it costs a
+// map walk and does nothing while no TTL is set.
+func (s *Service) dutyTick() {
+	s.SuspicionTick()
+	s.HeartbeatTick()
+	s.ExpireTick()
 }
 
 // handleResync serves the responder side of the resync protocol. The
@@ -449,8 +473,9 @@ func (s *Service) handleResync(from string, a ResyncArg) (ResyncReply, error) {
 // ResyncSource re-reads the authoritative state of every external
 // record held from a source (§4.10) and seals the notification stream
 // at the snapshot point, so a delayed pre-snapshot notification can
-// never roll a record back behind the snapshot. Safe to call at any
-// time: re-applying current state is a no-op.
+// never roll a record back behind the snapshot; success is the one way
+// a degraded source returns to Alive. Safe to call at any time:
+// re-applying current state is a no-op.
 func (s *Service) ResyncSource(source string) error {
 	if s.net == nil {
 		return fmt.Errorf("oasis: no network")
@@ -491,26 +516,11 @@ func (s *Service) ResyncSource(source string) error {
 			if !ok {
 				continue
 			}
-			if e.Permanent && e.State == credrec.False {
-				_ = s.store.Invalidate(local)
-				continue
-			}
-			_ = s.store.SetState(local, e.State)
+			s.applyRemoteState(local, e.State, e.Permanent)
 		}
 		return nil
 	})
 	s.receiver.ObserveSource(source, s.clk.Now())
-	return nil
-}
-
-// Reconnect restores service with a source after a communications
-// failure (§4.10: "when connection is re-established the state of each
-// record is read"): one resync round-trip replaces the per-record
-// readstate calls, and success clears the source's suspicion.
-func (s *Service) Reconnect(source string) error {
-	if err := s.ResyncSource(source); err != nil {
-		return err
-	}
 	s.setSourceState(source, SourceAlive)
 	return nil
 }

@@ -118,7 +118,7 @@ func TestMissedHeartbeatMarksUnknown(t *testing.T) {
 
 	// The link fails; heartbeats stop arriving; past the allowance the
 	// membership's record is Unknown — not False: nothing was revoked.
-	h.net.SetDown("Login", "Conf", true)
+	h.links.Sever("Login", "Conf")
 	h.login.HeartbeatTick() // dropped
 	h.clk.Advance(10 * time.Second)
 	h.conf.SuspicionTick()
@@ -140,15 +140,15 @@ func TestReconnectRestoresState(t *testing.T) {
 	// is read and service resumes.
 	h, _, member, _ := enterConfMember(t)
 	cand := member.Client
-	h.net.SetDown("Login", "Conf", true)
+	h.links.Sever("Login", "Conf")
 	h.clk.Advance(10 * time.Second) // suspect, not yet failed: records Unknown
 	h.conf.SuspicionTick()
 	if err := h.conf.Validate(member, cand); err == nil {
 		t.Fatal("membership valid during partition")
 	}
 
-	h.net.SetDown("Login", "Conf", false)
-	if err := h.conf.Reconnect("Login"); err != nil {
+	h.links.Restore("Login", "Conf")
+	if err := h.conf.ResyncSource("Login"); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.conf.Validate(member, cand); err != nil {
@@ -161,14 +161,14 @@ func TestReconnectAfterRemoteRevocation(t *testing.T) {
 	// the record as permanently false.
 	h, candLogin, member, _ := enterConfMember(t)
 	cand := member.Client
-	h.net.SetDown("Login", "Conf", true)
+	h.links.Sever("Login", "Conf")
 	if err := h.login.Exit(candLogin, candLogin.Client); err != nil {
 		t.Fatal(err)
 	}
 	h.clk.Advance(time.Minute)
 	h.conf.SuspicionTick()
-	h.net.SetDown("Login", "Conf", false)
-	if err := h.conf.Reconnect("Login"); err != nil {
+	h.links.Restore("Login", "Conf")
+	if err := h.conf.ResyncSource("Login"); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.conf.Validate(member, cand); err == nil {

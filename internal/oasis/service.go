@@ -46,7 +46,7 @@ type Options struct {
 	// AutoResync resynchronises external records automatically when a
 	// degraded source is heard from again (a partition heals) or a
 	// notification gap is detected, instead of waiting for an explicit
-	// Reconnect call.
+	// ResyncSource call.
 	AutoResync bool
 	// OnSourceState, if set, observes failure-suspicion transitions of
 	// watched sources; services use it for audit logging.

@@ -178,8 +178,7 @@ func (s *Service) ImportShardRecord(owner string, ref credrec.Ref) (credrec.Ref,
 
 // applyShardEdge applies one authoritative assertion from an owning
 // shard to the local surrogate, if one exists here — relays without an
-// import just pass the edge along. Same semantics as applyModified:
-// permanent False is an invalidation, anything else is a state write.
+// import just pass the edge along.
 func (s *Service) applyShardEdge(source string, e ShardEdge) {
 	s.extMu.Lock()
 	local, ok := s.extRecords[extKey{source: source, ref: e.Ref.Uint64()}]
@@ -187,14 +186,7 @@ func (s *Service) applyShardEdge(source string, e ShardEdge) {
 	if !ok {
 		return
 	}
-	if e.Permanent && e.State == credrec.False {
-		_ = s.store.Invalidate(local)
-		return
-	}
-	_ = s.store.SetState(local, e.State)
-	if e.Permanent {
-		_ = s.store.MakePermanent(local)
-	}
+	s.applyRemoteState(local, e.State, e.Permanent)
 }
 
 // handleTreeForward is one relay step: observe the origin's liveness,

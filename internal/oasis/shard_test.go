@@ -7,6 +7,7 @@ import (
 	"oasis/internal/bus"
 	"oasis/internal/clock"
 	"oasis/internal/credrec"
+	"oasis/internal/fault"
 )
 
 // shardRig is a 4-member shard cluster on one in-process bus: each
@@ -152,7 +153,9 @@ func TestShardSuspicionAndResync(t *testing.T) {
 
 	// shardB is shardA's direct child in the tree rooted at shardA
 	// (sorted members, fanout 2): sever that edge both ways.
-	rig.net.FailLink("shardA", "shardB")
+	links := fault.New(rig.clk, 1)
+	links.Install(rig.net)
+	links.Sever("shardA", "shardB")
 
 	// Silence for FailsafeMissed periods: Suspect, then Failed.
 	for i := 0; i < 4; i++ {
@@ -175,7 +178,7 @@ func TestShardSuspicionAndResync(t *testing.T) {
 
 	// Heal. The next tree heartbeat revives the source; AutoResync pulls
 	// the authoritative snapshot, restoring kept and revoking doomed.
-	rig.net.HealLink("shardA", "shardB")
+	links.Restore("shardA", "shardB")
 	rig.clk.Advance(5 * time.Second)
 	owner.HeartbeatTick()
 	watcher.SuspicionTick()

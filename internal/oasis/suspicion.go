@@ -99,7 +99,7 @@ func (s *Service) heartbeatPeriod() time.Duration {
 }
 
 // SuspicionTick advances the failure-suspicion machine: wire it to the
-// same cadence as HeartbeatTick (or use StartSuspicion). Each watched
+// same cadence as HeartbeatTick (or use StartDuties). Each watched
 // source's event horizon is compared against the heartbeat period;
 // silence past 1.5 periods makes the source Suspect, silence past
 // Options.FailsafeMissed periods makes it Failed. A degraded source
@@ -138,33 +138,9 @@ func (s *Service) SuspicionTick() {
 	}
 }
 
-// StartSuspicion runs SuspicionTick on the service clock at the
-// heartbeat period. The returned stop function halts the loop and
-// waits for it to exit.
-func (s *Service) StartSuspicion() (stop func()) {
-	period := s.heartbeatPeriod()
-	stopCh := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-s.clk.After(period):
-				s.SuspicionTick()
-			case <-stopCh:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(stopCh)
-		<-done
-	}
-}
-
-// tryResync attempts recovery of a degraded source; only a successful
-// resync returns it to Alive. One resync per source runs at a time:
-// the re-assertions a resync signals are delivered one by one, and a
+// tryResync attempts recovery of a degraded source (ResyncSource
+// returns it to Alive on success). One resync per source runs at a
+// time: the re-assertions a resync signals are delivered one by one, and a
 // gap observed mid-delivery (the re-asserts' sequence numbers leapfrog
 // notes still queued in the same burst) must not recurse into a second
 // resync — the in-flight snapshot reply already covers it.
@@ -181,9 +157,7 @@ func (s *Service) tryResync(source string) {
 		delete(s.resyncing, source)
 		s.suspMu.Unlock()
 	}()
-	if err := s.ResyncSource(source); err == nil {
-		s.setSourceState(source, SourceAlive)
-	}
+	_ = s.ResyncSource(source) // a failure leaves the source degraded; the next tick tries again
 }
 
 // onNotificationGap handles a detected sequence gap: the lost

@@ -21,7 +21,7 @@ func TestSuspicionEscalation(t *testing.T) {
 	// §6.8.4: silence degrades a watched source in two steps — Suspect
 	// (records Unknown) after 1.5 heartbeat periods, Failed (records
 	// fail safe to False) after FailsafeMissed periods. Recovery only
-	// through an explicit Reconnect when AutoResync is off.
+	// through an explicit ResyncSource when AutoResync is off.
 	var transitions []string
 	h := newHarnessWith(t, Options{}, Options{
 		HeartbeatEvery: 5 * time.Second,
@@ -45,7 +45,7 @@ func TestSuspicionEscalation(t *testing.T) {
 	}
 
 	// One missed heartbeat plus slack: Suspect, validation fails safe.
-	h.net.FailLink("Login", "Conf")
+	h.links.Sever("Login", "Conf")
 	h.clk.Advance(6 * time.Second) // 8s of silence > 7.5s
 	h.conf.SuspicionTick()
 	if st := h.conf.SourceStatus("Login"); st != SourceSuspect {
@@ -62,15 +62,15 @@ func TestSuspicionEscalation(t *testing.T) {
 	wantRevoked(t, h.conf.Validate(member, cand), "validate while failed")
 
 	// Heartbeats resume, but without AutoResync the lost notifications
-	// cannot be trusted away: the source stays degraded until Reconnect.
-	h.net.HealLink("Login", "Conf")
+	// cannot be trusted away: the source stays degraded until ResyncSource.
+	h.links.Restore("Login", "Conf")
 	h.login.HeartbeatTick()
 	if st := h.conf.SourceStatus("Login"); st != SourceFailed {
 		t.Fatalf("status healed on heartbeat alone = %v", st)
 	}
 	wantRevoked(t, h.conf.Validate(member, cand), "validate before resync")
 
-	if err := h.conf.Reconnect("Login"); err != nil {
+	if err := h.conf.ResyncSource("Login"); err != nil {
 		t.Fatal(err)
 	}
 	if st := h.conf.SourceStatus("Login"); st != SourceAlive {
@@ -92,10 +92,11 @@ func TestSuspicionEscalation(t *testing.T) {
 }
 
 // TestHeartbeatPeriodTradeoff is E26 (§4.10, §6.8.3) on the detector
-// oasisd runs: StartHeartbeats at the issuer and StartSuspicion at the
-// watcher, both on the heartbeat period t. The period buys detection
-// latency with background traffic, and both sides of the trade are
-// fixed by the machinery, not by the run:
+// oasisd runs: StartDuties at the issuer and at the watcher, one
+// period's work of it (dutyTick: suspicion, then heartbeat) driven here
+// on the virtual clock every heartbeat period t. The period buys
+// detection latency with background traffic, and both sides of the
+// trade are fixed by the machinery, not by the run:
 //
 // Traffic. One heartbeat per watching service per period, whatever the
 // number of watched records: 3600 s / t an hour.
@@ -118,14 +119,14 @@ func TestHeartbeatPeriodTradeoff(t *testing.T) {
 			_, _, member, _ := enterConfMemberOn(t, h)
 			start := h.clk.Now()
 			cut := start.Add(time.Minute)
-			h.net.ResetCounts()
+			sentBefore := h.net.Count("heartbeat")
 			var detected time.Time
 			for now := start; now.Before(start.Add(time.Hour)); now = h.clk.Now() {
 				if !now.Before(cut) {
-					h.net.FailLink("Login", "Conf")
+					h.links.Sever("Login", "Conf")
 				}
-				h.login.HeartbeatTick()
-				h.conf.SuspicionTick()
+				h.login.dutyTick()
+				h.conf.dutyTick()
 				if err := h.conf.Validate(member, member.Client); err == nil {
 					if !detected.IsZero() {
 						t.Fatalf("stale certificate validates again at +%v", now.Sub(start))
@@ -139,7 +140,7 @@ func TestHeartbeatPeriodTradeoff(t *testing.T) {
 			if detected.IsZero() {
 				t.Fatal("partition never detected")
 			}
-			latency, beats := detected.Sub(cut), h.net.Count("heartbeat")
+			latency, beats := detected.Sub(cut), h.net.Count("heartbeat")-sentBefore
 			t.Logf("t = %v: refused %v after the cut, %d heartbeats an hour", period, latency, beats)
 			if latency < period || latency >= 2*period {
 				t.Fatalf("stale certificate refused %v after the cut, want within [%v, %v)", latency, period, 2*period)
@@ -153,7 +154,7 @@ func TestHeartbeatPeriodTradeoff(t *testing.T) {
 
 func TestAutoResyncOnRevive(t *testing.T) {
 	// With AutoResync the first heartbeat after a heal triggers the
-	// resync: no explicit Reconnect call is needed.
+	// resync: no explicit ResyncSource call is needed.
 	h := newHarnessWith(t, Options{}, Options{
 		HeartbeatEvery: 5 * time.Second,
 		AutoResync:     true,
@@ -161,7 +162,7 @@ func TestAutoResyncOnRevive(t *testing.T) {
 	_, _, member, _ := enterConfMemberOn(t, h)
 	cand := member.Client
 
-	h.net.FailLink("Login", "Conf")
+	h.links.Sever("Login", "Conf")
 	h.clk.Advance(30 * time.Second)
 	h.conf.SuspicionTick()
 	if st := h.conf.SourceStatus("Login"); st != SourceFailed {
@@ -169,7 +170,7 @@ func TestAutoResyncOnRevive(t *testing.T) {
 	}
 	wantRevoked(t, h.conf.Validate(member, cand), "validate during partition")
 
-	h.net.HealLink("Login", "Conf")
+	h.links.Restore("Login", "Conf")
 	h.login.HeartbeatTick()
 	if st := h.conf.SourceStatus("Login"); st != SourceAlive {
 		t.Fatalf("status after heal heartbeat = %v", st)
@@ -189,14 +190,14 @@ func TestAutoResyncPreservesRevocation(t *testing.T) {
 	_, candLogin, member, _ := enterConfMemberOn(t, h)
 	cand := member.Client
 
-	h.net.FailLink("Login", "Conf")
+	h.links.Sever("Login", "Conf")
 	if err := h.login.Exit(candLogin, cand); err != nil {
 		t.Fatal(err)
 	}
 	h.clk.Advance(30 * time.Second)
 	h.conf.SuspicionTick()
 
-	h.net.HealLink("Login", "Conf")
+	h.links.Restore("Login", "Conf")
 	h.login.HeartbeatTick()
 	if st := h.conf.SourceStatus("Login"); st != SourceAlive {
 		t.Fatalf("status after heal = %v", st)
@@ -221,11 +222,11 @@ func TestNotificationGapFailsSafe(t *testing.T) {
 
 	// The revocation notification is lost on the failed link (the
 	// broker still consumes its sequence number).
-	h.net.FailLink("Login", "Conf")
+	h.links.Sever("Login", "Conf")
 	if err := h.login.Exit(candLogin, cand); err != nil {
 		t.Fatal(err)
 	}
-	h.net.HealLink("Login", "Conf")
+	h.links.Restore("Login", "Conf")
 
 	// The next heartbeat exposes the gap; the resync closes it.
 	h.login.HeartbeatTick()

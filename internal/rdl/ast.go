@@ -50,9 +50,6 @@ type Term struct {
 	Line int
 }
 
-// IsLit reports whether the term is a literal.
-func (t Term) IsLit() bool { return t.IsInt || t.IsStr || t.IsSet }
-
 // String renders the term in surface syntax.
 func (t Term) String() string {
 	switch {

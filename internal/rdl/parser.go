@@ -7,24 +7,6 @@ import (
 	"oasis/internal/value"
 )
 
-// ParseConstraint parses a bare constraint expression (figure 3.3),
-// used by derived languages such as ERDL (chapter 7).
-func ParseConstraint(src string) (Expr, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.orExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.cur().kind != tokEOF && p.cur().kind != tokNewline {
-		return nil, p.errf(p.cur(), "trailing input after constraint")
-	}
-	return e, nil
-}
-
 // Parse parses rolefile source text into a File. Types are not resolved
 // here; run Check on the result to perform inference and produce an
 // executable Rolefile.
