@@ -8,7 +8,8 @@ all: build vet test
 # ci is the gate a change must pass: build, vet, the custom static
 # analysis (rdlcheck over every example policy, oasislint over the
 # tree), the full test suite, the race detector over every
-# concurrency-sensitive package, the seeded chaos suite, then one
+# concurrency-sensitive package, the seeded chaos suite (internal/fault,
+# whole and under the race detector, once), then one
 # iteration of every row of bench_test.go so it cannot rot, and the
 # end-to-end benchmark's own vet + tests (bench/ is a module of its
 # own that tier-1 never compiles).
@@ -18,9 +19,9 @@ help:
 	@echo "build       compile everything"
 	@echo "test        full test suite"
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
-	@echo "race        race-detector suite over the concurrent packages"
-	@echo "chaos       seeded chaos suite (partitions, loss, duplication)"
-	@echo "lint        oasislint (L001-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, every test/benchmark/metric the docs name exists"
+	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
+	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
+	@echo "lint        oasislint (L001-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -54,10 +55,12 @@ test-shard:
 # gateway's pooled request/response buffers — one pool, shared by
 # issue, introspect and revoke since PR 18 — from eight goroutines,
 # introspecting, and issuing and revoking, ten times over.
+# internal/fault is not listed: `chaos` runs that whole package under
+# the detector.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
-		./internal/fault/... ./internal/gateway/... ./cmd/rdlcheck/...
+		./internal/gateway/... ./cmd/rdlcheck/...
 	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations' ./internal/gateway/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the
@@ -67,9 +70,11 @@ race:
 # and four journaled shards each cut at a watermark of its own; every
 # run reproduces from its seed/schedule/kill point, so failures are
 # deterministic. Always under the race detector — the fault plane
-# exists to shake out exactly the interleavings it would catch.
+# exists to shake out exactly the interleavings it would catch — and
+# the whole package, uncached: this is also the one race run of the
+# plane's own tests (fault_test.go, pipeline_test.go).
 chaos:
-	$(GO) test -race -run 'Chaos|KillPoint|RevocationsStay' ./internal/fault/... -count=1
+	$(GO) test -race -count=1 ./internal/fault/...
 
 # The Go-bench suite, one invocation: the paper's comparisons and the
 # -cpu / shard-count sweeps that bench/oasisload (`bash bench/run.sh`,
@@ -110,9 +115,10 @@ vet:
 # bounds itself, a second rule evaluator beside the compiled plan in
 # the engine, behaviour switched by an environment variable, a journaling
 # wrapper type beside the one store, the start-up refusal of
-# -shards with -store-dir, and a benchmark driver beside bench/oasisload
-# and the one root bench_test.go. The closing loops hold the documents to
-# the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
+# -shards with -store-dir, a benchmark driver beside bench/oasisload
+# and the one root bench_test.go, and hidden state on a certificate — a
+# per-instance canonical cache or verify memo beside cert.VerifyCache.
+# The closing loops hold the documents to the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
 # DESIGN.md's experiment index, README.md or docs/*.md must be a func in
 # some _test.go (a trailing * matches a prefix), and every
 # `layer.metric` or workload name in the index's "Bench / harness"
@@ -131,6 +137,7 @@ lint: reach
 	! grep -rn 'os\.Getenv' --include='*.go' --exclude='*_test.go' internal/ cmd/
 	! grep -rn 'LoggedStore' --include='*.go' internal/ cmd/ *.go
 	! grep -rn 'incompatible with -store-dir' cmd/ docs/
+	! grep -rnE 'verifyMemo|canonCore|delegCanon|canon +atomic' internal/cert
 	! test -e cmd/benchharness
 	test "$$(ls *_test.go | wc -l)" -eq 1
 	@index() { sed -n '/^## Experiment index/,/^## Concurrency model/p' DESIGN.md; }; fail=; \

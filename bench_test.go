@@ -63,9 +63,10 @@ func benchRMC(sig cert.Signer) *cert.RMC {
 // signed bytes, along the two axes the paper leaves to the service:
 // signature length (§4.2) and the depth of the rolling secret table a
 // certificate is matched against (§5.5.1; the certificate here was
-// signed under the oldest of four retained secrets). RMC.Verify would
-// show neither: since E30 a repeat verification of one certificate is a
-// memo hit whatever the signer.
+// signed under the oldest of four retained secrets). The signed bytes
+// are built once, outside the loop: RMC.Verify would add their
+// serialisation to every row, and Service.Validate would show neither
+// axis — a repeat check is a cert.VerifyCache hit whatever the signer.
 func BenchmarkSignatureCheck(b *testing.B) {
 	rolling := cert.NewRollingSigner([]byte("gen0"), 16, 4)
 	oldest := benchRMC(rolling)
@@ -407,10 +408,12 @@ func BenchmarkCompositeParse(b *testing.B) {
 // BenchmarkValidateRMCParallel is the paper's "one credential-record
 // lookup" (§4.6) with the signature check in front of it, on every
 // core at once. "cached" validates the same certificate object every
-// time (per-instance memo); "cold" rebuilds the struct each iteration,
-// the shape a certificate just decoded off the wire has, and rides the
-// engine's cross-instance cert.VerifyCache. Its single-thread point is
-// oasis.validate_ns; the curve over -cpu is what is kept here.
+// time; "cold" rebuilds the struct each iteration, the shape a
+// certificate just decoded off the wire has. Both are hits in the
+// engine's cert.VerifyCache — a certificate carries no state of its
+// own — so the gap between them is the struct the loop allocates. The
+// single-thread point is oasis.validate_ns; the curve over -cpu is what
+// is kept here.
 func BenchmarkValidateRMCParallel(b *testing.B) {
 	w := newBenchWorld(b)
 	c, login := w.logOn(b, "dm")

@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -22,22 +23,28 @@ func cacheTestRMC() *RMC {
 	}
 }
 
-func TestCanonicalCacheStableWhileUnchanged(t *testing.T) {
-	c := cacheTestRMC()
-	e1 := c.canonEntry()
-	if e2 := c.canonEntry(); e2 != e1 {
-		t.Fatal("unchanged certificate rebuilt its canonical entry")
-	}
-	s := NewHMACSigner([]byte("k"), 32)
-	c.Sign(s)
-	if !c.Verify(s) || !c.Verify(s) {
-		t.Fatal("repeat verify of unchanged certificate failed")
-	}
-	if e3 := c.canonEntry(); e3 != e1 {
-		t.Fatal("verify rebuilt the canonical entry")
+// freshCopy is what every inbound check presents: a struct with the
+// same field values sharing no memory with the original, exactly what
+// wire decoding produces.
+func freshCopy(c *RMC) *RMC {
+	return &RMC{
+		Service:  c.Service,
+		Rolefile: c.Rolefile,
+		Roles:    c.Roles,
+		Args:     append([]value.Value(nil), c.Args...),
+		Client:   c.Client,
+		CRR:      c.CRR,
+		Expiry:   c.Expiry,
+		Sig:      append([]byte(nil), c.Sig...),
 	}
 }
 
+// TestCanonicalCacheInvalidatedByMutation is the per-field tamper table
+// for RMC: every signed field (and the signature), changed in place on
+// the verified certificate and on a fresh struct copy of it, must fail
+// both the plain check and a VerifyCache warmed with the genuine
+// certificate — rule 1, field mismatch ⇒ full check. (The name dates
+// from the per-instance canonical cache, deleted in PR 22.)
 func TestCanonicalCacheInvalidatedByMutation(t *testing.T) {
 	s := NewHMACSigner([]byte("k"), 32)
 	mutations := map[string]func(*RMC){
@@ -53,93 +60,35 @@ func TestCanonicalCacheInvalidatedByMutation(t *testing.T) {
 	}
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {
-			c := cacheTestRMC()
-			c.Sign(s)
-			if !c.Verify(s) {
-				t.Fatal("fresh certificate does not verify")
-			}
-			mutate(c)
-			if c.Verify(s) {
-				t.Fatal("tampered certificate still verifies (stale cache)")
+			for _, how := range []string{"in place", "copy"} {
+				vc := NewVerifyCache()
+				c := cacheTestRMC()
+				c.Sign(s)
+				if !c.Verify(s) || !vc.VerifyRMC(c, s) || !vc.VerifyRMC(c, s) {
+					t.Fatal("fresh certificate does not verify")
+				}
+				forged := c
+				if how == "copy" {
+					forged = freshCopy(c)
+				}
+				mutate(forged)
+				if forged.Verify(s) {
+					t.Errorf("%s: tampered certificate verifies", how)
+				}
+				if vc.VerifyRMC(forged, s) {
+					t.Errorf("%s: tampered certificate verifies through the warm cache", how)
+				}
+				if how == "copy" && !vc.VerifyRMC(c, s) {
+					t.Error("genuine certificate rejected after the forgery attempt")
+				}
 			}
 		})
 	}
 }
 
-func TestCanonicalCacheInvalidatedByCopy(t *testing.T) {
-	// Forging via struct copy (the other pattern the certificate tests
-	// use) must not ride the original's cache either. The copy is taken
-	// before the cache exists so the atomic.Value is not copied warm.
-	s := NewHMACSigner([]byte("k"), 32)
-	orig := cacheTestRMC()
-	forged := *orig
-	orig.Sign(s)
-	forged.Sig = orig.Sig
-	forged.Roles = RoleSet(0b1111)
-	if forged.Verify(s) {
-		t.Fatal("forged copy verifies")
-	}
-	if !orig.Verify(s) {
-		t.Fatal("original stopped verifying after copy was rejected")
-	}
-}
-
-func TestVerifyMemoPerSigner(t *testing.T) {
-	s1 := NewHMACSigner([]byte("k1"), 32)
-	s2 := NewHMACSigner([]byte("k2"), 32)
-	c := cacheTestRMC()
-	c.Sign(s1)
-	if !c.Verify(s1) {
-		t.Fatal("signer 1 rejects its own signature")
-	}
-	// A different signer must not hit signer 1's memo.
-	if c.Verify(s2) {
-		t.Fatal("memo leaked across signers")
-	}
-	if !c.Verify(s1) {
-		t.Fatal("signer 1 broken after signer 2 rejected")
-	}
-}
-
-func TestVerifyMemoInvalidatedByEpoch(t *testing.T) {
-	// keep=1: rolling discards the old secret immediately, so a
-	// certificate verified before the roll must fail after it instead of
-	// riding the memo.
-	r := NewRollingSigner([]byte("gen0"), 32, 1)
-	c := cacheTestRMC()
-	c.Sign(r)
-	if !c.Verify(r) {
-		t.Fatal("fresh certificate does not verify")
-	}
-	r.Roll([]byte("gen1"))
-	if c.Verify(r) {
-		t.Fatal("certificate signed with a discarded secret still verifies")
-	}
-}
-
-func TestVerifyMemoSurvivesRollWithinRetention(t *testing.T) {
-	// keep=2: the old secret stays accepted for one roll, so the
-	// certificate re-verifies (via the real HMAC walk, since the epoch
-	// changed) and only dies on the second roll.
-	r := NewRollingSigner([]byte("gen0"), 32, 2)
-	c := cacheTestRMC()
-	c.Sign(r)
-	if !c.Verify(r) {
-		t.Fatal("fresh certificate does not verify")
-	}
-	r.Roll([]byte("gen1"))
-	if r.Epoch() == 0 {
-		t.Fatal("Roll did not bump the epoch")
-	}
-	if !c.Verify(r) {
-		t.Fatal("certificate rejected while its secret is still retained")
-	}
-	r.Roll([]byte("gen2"))
-	if c.Verify(r) {
-		t.Fatal("certificate outlived its secret's retention")
-	}
-}
-
+// TestDelegationCacheInvalidation is the per-field tamper table for
+// Delegation, in place and on a struct copy. (There is no delegation
+// cache left to invalidate; the name dates from the one PR 22 deleted.)
 func TestDelegationCacheInvalidation(t *testing.T) {
 	s := NewHMACSigner([]byte("k"), 32)
 	mk := func() *Delegation {
@@ -155,37 +104,56 @@ func TestDelegationCacheInvalidation(t *testing.T) {
 			Expiry:   time.Unix(7000, 0),
 		}
 	}
-	d := mk()
-	d.Sign(s)
-	if !d.Verify(s) || !d.Verify(s) {
-		t.Fatal("fresh delegation does not verify twice")
+	mutations := map[string]func(*Delegation){
+		"service":           func(d *Delegation) { d.Service = "Evil" },
+		"rolefile":          func(d *Delegation) { d.Rolefile = "other.rdl" },
+		"role":              func(d *Delegation) { d.Role = "admin" },
+		"args":              func(d *Delegation) { d.Args[0] = value.Str("mallory") },
+		"required-dropped":  func(d *Delegation) { d.Required = nil },
+		"required-service":  func(d *Delegation) { d.Required[0].Service = "Evil" },
+		"required-rolefile": func(d *Delegation) { d.Required[0].Rolefile = "other.rdl" },
+		"required-role":     func(d *Delegation) { d.Required[0].Role = "guest" },
+		"required-args":     func(d *Delegation) { d.Required[0].Args[0] = value.Str("mallory") },
+		"delegcrr":          func(d *Delegation) { d.DelegCRR = credrec.Ref{Index: 9, Magic: 9} },
+		"expiry":            func(d *Delegation) { d.Expiry = d.Expiry.Add(time.Hour) },
+		"sig":               func(d *Delegation) { d.Sig = []byte("forged") },
 	}
-	// Mutating a nested required-role argument in place must invalidate.
-	d.Required[0].Args[0] = value.Str("mallory")
-	if d.Verify(s) {
-		t.Fatal("tampered required-role args still verify")
-	}
-	d2 := mk()
-	d2.Sign(s)
-	d2.Role = "admin"
-	if d2.Verify(s) {
-		t.Fatal("tampered role still verifies")
+	for name, mutate := range mutations {
+		t.Run(name, func(t *testing.T) {
+			d := mk()
+			d.Sign(s)
+			if !d.Verify(s) || !d.Verify(s) {
+				t.Fatal("fresh delegation does not verify twice")
+			}
+			// A copy sharing nothing with d: mk's fields plus d's signature.
+			forged := mk()
+			forged.Sig = append([]byte(nil), d.Sig...)
+			if !forged.Verify(s) {
+				t.Fatal("field-identical copy does not verify")
+			}
+			mutate(forged)
+			if forged.Verify(s) {
+				t.Error("tampered copy verifies")
+			}
+			mutate(d)
+			if d.Verify(s) {
+				t.Error("certificate tampered in place verifies")
+			}
+		})
 	}
 }
 
-// freshCopy simulates the remote-validation path: a struct with the
-// same field values but no warm per-instance cache, exactly what wire
-// decoding produces.
-func freshCopy(c *RMC) *RMC {
-	return &RMC{
-		Service:  c.Service,
-		Rolefile: c.Rolefile,
-		Roles:    c.Roles,
-		Args:     append([]value.Value(nil), c.Args...),
-		Client:   c.Client,
-		CRR:      c.CRR,
-		Expiry:   c.Expiry,
-		Sig:      append([]byte(nil), c.Sig...),
+// TestCertificatesCarryNoHiddenState: a certificate is a plain value —
+// everything it holds is a field a reader, an encoder and a tamper
+// table can see.
+func TestCertificatesCarryNoHiddenState(t *testing.T) {
+	for _, v := range []any{RMC{}, Delegation{}, Revocation{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); !f.IsExported() {
+				t.Errorf("%s has unexported field %s", typ, f.Name)
+			}
+		}
 	}
 }
 
@@ -239,6 +207,9 @@ func TestVerifyCacheWrongSigner(t *testing.T) {
 	if vc.VerifyRMC(freshCopy(orig), s2) {
 		t.Fatal("cache answered for a different signer")
 	}
+	if !vc.VerifyRMC(freshCopy(orig), s1) {
+		t.Fatal("signer 1 broken after signer 2 was refused")
+	}
 }
 
 func TestVerifyCacheEpochExpiry(t *testing.T) {
@@ -266,6 +237,9 @@ func TestVerifyCacheRollWithinRetention(t *testing.T) {
 		t.Fatal("signed certificate does not verify")
 	}
 	r.Roll([]byte("gen1"))
+	if r.Epoch() == 0 {
+		t.Fatal("Roll did not bump the epoch")
+	}
 	// The old secret is still retained: re-verifies via the real walk
 	// and re-caches under the new epoch.
 	if !vc.VerifyRMC(freshCopy(orig), r) {
@@ -298,30 +272,106 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 			}
 		}()
 	}
+	// Roll once mid-flight (keep=3 keeps the signing secret accepted).
 	r.Roll([]byte("gen1"))
 	wg.Wait()
 }
 
-func TestVerifyCachedConcurrent(t *testing.T) {
-	// Concurrent verifies of a shared certificate (the service engine's
-	// read path) must be race-free whether or not the memo is warm.
+// TestVerifyRMCHitIsReadOnly: validation writes nothing to the
+// certificate it is shown. A hit leaves the certificate deeply equal to
+// what it was and allocates nothing, and one *RMC shared by eight
+// validating goroutines — the engine's read path — is race-free (`make
+// race` runs this under the detector, through misses, a roll and hits).
+func TestVerifyRMCHitIsReadOnly(t *testing.T) {
 	r := NewRollingSigner([]byte("gen0"), 32, 3)
+	vc := NewVerifyCache()
 	c := cacheTestRMC()
 	c.Sign(r)
+	before := freshCopy(c)
+	if !vc.VerifyRMC(c, r) || !vc.VerifyRMC(c, r) {
+		t.Fatal("signed certificate does not verify")
+	}
+	if !reflect.DeepEqual(c, before) {
+		t.Fatalf("validation changed the certificate:\n got %+v\nwant %+v", c, before)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if !vc.VerifyRMC(c, r) {
+			t.Error("hit failed")
+		}
+	}); n != 0 {
+		t.Errorf("hit allocates %.0f times, want 0", n)
+	}
+
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				if !c.Verify(r) {
-					t.Error("concurrent verify failed")
+				if !vc.VerifyRMC(c, r) || !c.Verify(r) {
+					t.Error("concurrent validation of a shared certificate failed")
 					return
 				}
 			}
 		}()
 	}
-	// Roll once mid-flight (keep=3 keeps the signing secret accepted).
 	r.Roll([]byte("gen1"))
 	wg.Wait()
+	if !reflect.DeepEqual(c, before) {
+		t.Fatalf("concurrent validation changed the certificate:\n got %+v\nwant %+v", c, before)
+	}
+}
+
+// oneShardSigner prefixes every signature with a zero byte, so every
+// certificate it signs lands in VerifyCache shard 0.
+type oneShardSigner struct{ inner *HMACSigner }
+
+func (o *oneShardSigner) Sign(data []byte) []byte {
+	return append([]byte{0}, o.inner.Sign(data)...)
+}
+
+func (o *oneShardSigner) Verify(data, sig []byte) bool {
+	return len(sig) > 0 && sig[0] == 0 && o.inner.Verify(data, sig[1:])
+}
+
+// TestVerifyCacheEvictionReverifies: rule 3. Overfilling one shard
+// evicts entries but costs only re-verification — every certificate,
+// evicted or not, still verifies, and its forged twin still fails.
+func TestVerifyCacheEvictionReverifies(t *testing.T) {
+	s := &oneShardSigner{inner: NewHMACSigner([]byte("k"), 16)}
+	vc := NewVerifyCache()
+	const n = verifyCacheShardCap + 64
+	certs := make([]*RMC, n)
+	for i := range certs {
+		c := cacheTestRMC()
+		c.CRR = credrec.Ref{Index: uint32(i + 1), Magic: 42}
+		c.Sign(s)
+		if !vc.VerifyRMC(c, s) {
+			t.Fatalf("certificate %d does not verify", i)
+		}
+		certs[i] = c
+	}
+	sh := &vc.shards[0]
+	if got := len(sh.m); got != verifyCacheShardCap {
+		t.Fatalf("shard 0 holds %d entries, want the cap %d", got, verifyCacheShardCap)
+	}
+	evicted := 0
+	for _, c := range certs {
+		if _, cached := sh.m[string(c.Sig)]; !cached {
+			evicted++
+		}
+	}
+	if evicted != n-verifyCacheShardCap {
+		t.Fatalf("%d certificates evicted, want %d", evicted, n-verifyCacheShardCap)
+	}
+	for i, c := range certs {
+		forged := freshCopy(c)
+		forged.Roles = RoleSet(0b1111)
+		if vc.VerifyRMC(forged, s) {
+			t.Fatalf("forged twin of certificate %d verified", i)
+		}
+		if !vc.VerifyRMC(freshCopy(c), s) {
+			t.Fatalf("certificate %d rejected after eviction pressure", i)
+		}
+	}
 }

@@ -93,18 +93,11 @@ type RMC struct {
 	CRR      credrec.Ref  // validity credential (§4.6)
 	Expiry   time.Time    // zero = no expiry
 	Sig      []byte
-
-	// canon caches the canonical byte form and last verification; it
-	// is pinned to this instance by an owner check, so struct copies
-	// re-serialise their own fields (cache.go).
-	canon atomic.Value // *certCanon
 }
 
 // buildCanonical serialises the signed fields deterministically. The
 // client identifier and context are folded in so that theft and
-// out-of-context use change the signature (figure 4.1). Hot paths go
-// through canonical() in cache.go, which memoizes the result
-// per instance.
+// out-of-context use change the signature (figure 4.1).
 func (c *RMC) buildCanonical() []byte {
 	var b strings.Builder
 	b.WriteString("rmc|")
@@ -125,6 +118,17 @@ func (c *RMC) buildCanonical() []byte {
 	}
 	return []byte(b.String())
 }
+
+// Sign computes and stores the signature using the given signer.
+func (c *RMC) Sign(s Signer) { c.Sig = s.Sign(c.buildCanonical()) }
+
+// Verify checks the signature over the certificate's current fields.
+// Nothing is remembered on the certificate; the service engine's
+// repeat checks go through VerifyCache (cache.go).
+func (c *RMC) Verify(s Signer) bool { return s.Verify(c.buildCanonical(), c.Sig) }
+
+// SignedBytes exposes the canonical signed form.
+func (c *RMC) SignedBytes() []byte { return c.buildCanonical() }
 
 // String renders the certificate briefly.
 func (c *RMC) String() string {
@@ -162,10 +166,6 @@ type Delegation struct {
 	DelegCRR credrec.Ref // the delegation's own credential record
 	Expiry   time.Time   // delegations should time out (§4.4)
 	Sig      []byte
-
-	// canon caches the canonical byte form and last verification; see
-	// the RMC field of the same name and cache.go.
-	canon atomic.Value // *certCanon
 }
 
 func (d *Delegation) buildCanonical() []byte {
@@ -191,6 +191,12 @@ func (d *Delegation) buildCanonical() []byte {
 	}
 	return []byte(b.String())
 }
+
+// Sign signs the delegation certificate.
+func (d *Delegation) Sign(s Signer) { d.Sig = s.Sign(d.buildCanonical()) }
+
+// Verify checks the delegation certificate's signature.
+func (d *Delegation) Verify(s Signer) bool { return s.Verify(d.buildCanonical(), d.Sig) }
 
 // Revocation is a revocation certificate (figure 4.3). DelegatorCRR
 // witnesses that the delegator is still a member of the delegating role;
@@ -271,11 +277,6 @@ func (h *HMACSigner) Verify(data, sig []byte) bool {
 	var buf [sha256.Size]byte
 	return subtle.ConstantTimeCompare(h.mac(buf[:0], data), sig) == 1
 }
-
-// Epoch implements EpochSigner: a single fixed secret never changes.
-func (h *HMACSigner) Epoch() uint64 { return 0 }
-
-var _ EpochSigner = (*HMACSigner)(nil)
 
 // RollingSigner maintains a rolling table of secrets (§5.5.1): new
 // certificates are signed with the newest secret, but certificates

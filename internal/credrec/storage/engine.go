@@ -15,12 +15,9 @@ type Options struct {
 	// by default).
 	Sync credrec.SyncPolicy
 	// SnapshotEveryOps triggers a snapshot + compaction after this many
-	// journaled operations since the last snapshot. Zero disables the
-	// op trigger.
+	// journaled operations since the last snapshot. Zero disables
+	// automatic snapshots.
 	SnapshotEveryOps int
-	// SnapshotEveryBytes triggers on journal bytes since the last
-	// snapshot. Zero disables the byte trigger.
-	SnapshotEveryBytes int64
 	// SweepBeforeSnapshot runs a store Sweep before each snapshot, so
 	// fully-revoked subgraphs are garbage-collected and never carried
 	// into the image.
@@ -47,8 +44,7 @@ type Engine struct {
 
 	// snapshot trigger accounting (written by the committer's OnCommit
 	// callback, read by the trigger loop)
-	opsSince   atomic.Int64
-	bytesSince atomic.Int64
+	opsSince atomic.Int64
 
 	snapCh chan struct{}
 	done   chan struct{}
@@ -154,9 +150,8 @@ func Open(be Backend, opts Options) (*Engine, error) {
 	e.ls = st
 	st.StartJournal(seg, credrec.JournalOptions{
 		Sync: opts.Sync,
-		OnCommit: func(records, bytes int) {
+		OnCommit: func(records, _ int) {
 			e.opsSince.Add(int64(records))
-			e.bytesSince.Add(int64(bytes))
 			if e.due() {
 				select {
 				case e.snapCh <- struct{}{}:
@@ -181,15 +176,9 @@ func (e *Engine) Recovered() (snapshot uint64, segments, records int, torn bool)
 	return e.recoveredSnapshot, e.recoveredSegments, e.recoveredRecords, e.recoveredTorn
 }
 
-// due reports whether a snapshot trigger has tripped.
+// due reports whether the snapshot trigger has tripped.
 func (e *Engine) due() bool {
-	if e.opts.SnapshotEveryOps > 0 && e.opsSince.Load() >= int64(e.opts.SnapshotEveryOps) {
-		return true
-	}
-	if e.opts.SnapshotEveryBytes > 0 && e.bytesSince.Load() >= e.opts.SnapshotEveryBytes {
-		return true
-	}
-	return false
+	return e.opts.SnapshotEveryOps > 0 && e.opsSince.Load() >= int64(e.opts.SnapshotEveryOps)
 }
 
 // snapshotLoop services automatic snapshot triggers.
@@ -256,13 +245,12 @@ func (e *Engine) Snapshot() error {
 			return e.ls.WriteSnapshot(w)
 		}); werr != nil {
 			// Harmless: no snapshot, so recovery replays segments
-			// <= cur plus the new tail. The since-counters keep
+			// <= cur plus the new tail. opsSince keeps
 			// accumulating, so the next trigger retries promptly.
 			err = fmt.Errorf("storage: writing snapshot %d: %w", cur, werr)
 			return
 		}
 		e.opsSince.Store(0)
-		e.bytesSince.Store(0)
 		// GC: the snapshot supersedes everything at or below cur.
 		if segs, lerr := e.be.ListSegments(); lerr == nil {
 			for _, n := range segs {

@@ -26,7 +26,7 @@ func (w *bareResponse) Write(p []byte) (int, error) { return len(p), nil }
 // TestIssueAllocCeiling pins what one POST /v1/token allocates — the
 // engine's role entry included, the HTTP server's own work excluded —
 // at measured + 2, so a regression at this layer fails here and not in
-// a benchmark three PRs later. Measured: 45 and 68, more than half of
+// a benchmark three PRs later. Measured: 43 and 66, more than half of
 // each inside Service.Enter and one this test's NopCloser; reading the
 // same bodies through decode costs 16 and 20 more.
 func TestIssueAllocCeiling(t *testing.T) {
@@ -37,8 +37,8 @@ func TestIssueAllocCeiling(t *testing.T) {
 		body    []byte
 		ceiling float64
 	}{
-		{"LoggedOn, no credential", loggedOn, 47},
-		{"Session, one credential", session, 70},
+		{"LoggedOn, no credential", loggedOn, 45},
+		{"Session, one credential", session, 68},
 	} {
 		h := w.login.Handler()
 		body := bytes.NewReader(nil)

@@ -58,7 +58,9 @@ type ResyncArg struct {
 	Refs []credrec.Ref
 }
 
-// ResyncEntry is one record's authoritative state at the snapshot.
+// ResyncEntry is one record's authoritative state as its owner asserts
+// it, and the one way the peer protocol says so: a row of a resync or
+// shardwatch snapshot, or one cascade edge of a treeforward burst.
 type ResyncEntry struct {
 	Ref       credrec.Ref
 	State     credrec.State
@@ -296,6 +298,29 @@ type extKey struct {
 	ref    uint64
 }
 
+// surrogateFor returns the local external record standing for a record
+// of another service (or another shard), creating it in state st if
+// there is none. extMu is held across the check and the creation so
+// concurrent validations of the same remote record share one surrogate
+// rather than minting duplicates; a surrogate the sweep has collected
+// is re-minted.
+func (s *Service) surrogateFor(source string, remote credrec.Ref, st credrec.State) credrec.Ref {
+	key := extKey{source: source, ref: remote.Uint64()}
+	s.extMu.Lock()
+	defer s.extMu.Unlock()
+	if local, ok := s.extRecords[key]; ok {
+		if _, err := s.store.Lookup(local); err == nil {
+			return local
+		}
+	}
+	if s.extRecords == nil {
+		s.extRecords = make(map[extKey]credrec.Ref)
+	}
+	local := s.store.NewExternal(source, st)
+	s.extRecords[key] = local
+	return local
+}
+
 // WatchCertificate validates a certificate issued by another service
 // and returns a local external credential record tracking its validity
 // by event notification. Layered services (the MSSA's bypassing
@@ -328,34 +353,15 @@ func (s *Service) validateForeign(c *cert.RMC, client ids.ClientID) ([]string, c
 		return nil, credrec.Ref{}, s.fail(Revoked, "issuer %s reports certificate %v", c.Service, reply.State)
 	}
 
-	// extMu is held across the check and the surrogate's creation so
-	// concurrent validations of the same remote record share one
-	// surrogate rather than minting duplicates.
-	key := extKey{source: c.Service, ref: c.CRR.Uint64()}
-	s.extMu.Lock()
-	if s.extRecords == nil {
-		s.extRecords = make(map[extKey]credrec.Ref)
-	}
-	ext, exists := s.extRecords[key]
-	if exists {
-		if _, lerr := s.store.Lookup(ext); lerr != nil {
-			exists = false
-		}
-	}
-	if !exists {
-		ext = s.store.NewExternal(c.Service, reply.State)
-		s.extRecords[key] = ext
-	}
-	s.extMu.Unlock()
+	ext := s.surrogateFor(c.Service, c.CRR, reply.State)
 	// The synchronous validation proved the issuer alive just now; start
 	// the heartbeat liveness window from here. The handler is (re)bound
 	// even when the surrogate is reused: the issuer returns one
 	// registration per (watcher, record), and every validation must
 	// leave that registration wired to the surrogate.
 	s.receiver.ObserveSource(c.Service, s.clk.Now())
-	local := ext
 	s.receiver.HandleFrom(c.Service, reply.RegID, func(ev event.Event) {
-		s.applyModified(local, ev)
+		s.applyModified(ext, ev)
 	})
 	return reply.Roles, ext, nil
 }

@@ -55,7 +55,7 @@ func TestRemoteStateEntryPointsAgree(t *testing.T) {
 				value.Str(refString(remote)), value.Int(int64(st)), value.Int(p)))
 		}},
 		{"shardedge", func(local, remote credrec.Ref, st credrec.State, perm bool) {
-			s.applyShardEdge("Issuer", ShardEdge{Ref: remote, State: st, Permanent: perm})
+			s.applyShardEdge("Issuer", ResyncEntry{Ref: remote, State: st, Permanent: perm})
 		}},
 		{"resync", func(local, remote credrec.Ref, st credrec.State, perm bool) {
 			issuer.reply = ResyncReply{Entries: []ResyncEntry{{Ref: remote, State: st, Permanent: perm}}}

@@ -87,7 +87,7 @@ type Service struct {
 	clk    clock.Clock
 	net    *bus.Network
 	signer cert.Signer
-	sigs   *cert.VerifyCache // cross-instance verified-signature cache
+	sigs   *cert.VerifyCache // remembered signature verdicts (verifyCert)
 	opts   Options
 
 	store    credrec.Recorder

@@ -29,15 +29,6 @@ import (
 // heal is the ordinary resync protocol straight to the origin — tree
 // repair needs no protocol of its own (docs/SHARDING.md).
 
-// ShardEdge is one cross-shard credential-record assertion: the owning
-// shard's authoritative state for a record that peers hold surrogates
-// of. It is the cascade-edge payload of the treeforward operation.
-type ShardEdge struct {
-	Ref       credrec.Ref
-	State     credrec.State
-	Permanent bool
-}
-
 // ShardWatchArg subscribes the calling shard to state changes of the
 // listed records (which the callee owns). The reply is a ResyncReply
 // carrying each record's current authoritative state, so the caller
@@ -54,11 +45,13 @@ type ShardWatchArg struct {
 // notification backlog, piggybacked so every member can aggregate
 // cluster-wide backpressure (ClusterPendingNotifications).
 //
-// An empty Edges slice is a tree heartbeat: pure liveness + pressure.
+// Each edge is the origin's authoritative state for a record that peers
+// hold surrogates of; an empty Edges slice is a tree heartbeat: pure
+// liveness + pressure.
 type TreeForwardArg struct {
 	Origin   string
 	Root     string
-	Edges    []ShardEdge
+	Edges    []ResyncEntry
 	Pressure int
 }
 
@@ -153,25 +146,10 @@ func (s *Service) ImportShardRecord(owner string, ref credrec.Ref) (credrec.Ref,
 		return credrec.Ref{}, fmt.Errorf("oasis: bad shardwatch reply from %s", owner)
 	}
 	e := reply.Entries[0]
-	key := extKey{source: owner, ref: ref.Uint64()}
-	s.extMu.Lock()
-	if s.extRecords == nil {
-		s.extRecords = make(map[extKey]credrec.Ref)
-	}
-	local, exists := s.extRecords[key]
-	if exists {
-		if _, lerr := s.store.Lookup(local); lerr != nil {
-			exists = false
-		}
-	}
-	if !exists {
-		local = s.store.NewExternal(owner, e.State)
-		s.extRecords[key] = local
-	}
-	s.extMu.Unlock()
+	local := s.surrogateFor(owner, ref, e.State)
 	// Re-apply the snapshot even on reuse: the surrogate may predate a
 	// change the subscription only now starts covering.
-	s.applyShardEdge(owner, ShardEdge{Ref: ref, State: e.State, Permanent: e.Permanent})
+	s.applyRemoteState(local, e.State, e.Permanent)
 	s.receiver.ObserveSource(owner, s.clk.Now())
 	return local, nil
 }
@@ -179,7 +157,7 @@ func (s *Service) ImportShardRecord(owner string, ref credrec.Ref) (credrec.Ref,
 // applyShardEdge applies one authoritative assertion from an owning
 // shard to the local surrogate, if one exists here — relays without an
 // import just pass the edge along.
-func (s *Service) applyShardEdge(source string, e ShardEdge) {
+func (s *Service) applyShardEdge(source string, e ResyncEntry) {
 	s.extMu.Lock()
 	local, ok := s.extRecords[extKey{source: source, ref: e.Ref.Uint64()}]
 	s.extMu.Unlock()
@@ -250,7 +228,7 @@ func (s *Service) forwardToChildren(c *shardCluster, a TreeForwardArg) {
 // supersede earlier ones, except that a permanent False — revocation
 // is forever — is never replaced. Order of first appearance is kept,
 // so relays stay deterministic.
-func coalesceShardEdges(edges []ShardEdge) []ShardEdge {
+func coalesceShardEdges(edges []ResyncEntry) []ResyncEntry {
 	if len(edges) < 2 {
 		return edges
 	}
@@ -290,7 +268,7 @@ func (s *Service) shardNotify(ref credrec.Ref, st credrec.State, permanent bool)
 	s.forwardToChildren(c, TreeForwardArg{
 		Origin:   s.name,
 		Root:     s.name,
-		Edges:    []ShardEdge{{Ref: ref, State: st, Permanent: permanent}},
+		Edges:    []ResyncEntry{{Ref: ref, State: st, Permanent: permanent}},
 		Pressure: s.localPressure(),
 	})
 }

@@ -237,7 +237,7 @@ func TestClusterPendingNotifications(t *testing.T) {
 func TestCoalesceShardEdges(t *testing.T) {
 	r1 := credrec.Ref{Index: 1, Magic: 7}
 	r2 := credrec.Ref{Index: 2, Magic: 9}
-	edges := []ShardEdge{
+	edges := []ResyncEntry{
 		{Ref: r1, State: credrec.True},
 		{Ref: r2, State: credrec.False, Permanent: true},
 		{Ref: r1, State: credrec.False},

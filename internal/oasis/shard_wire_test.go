@@ -11,10 +11,11 @@ import (
 )
 
 // Round-trips, golden vectors and a decoder fuzzer for the sharding
-// payloads (wire tags 13 and 14). The golden vectors pin the exact
-// byte layout: the tags are append-only protocol constants, so any
-// encoder change that shifts these bytes is a protocol break, not a
-// refactor.
+// payloads (wire tags 13 and 14), and golden vectors for the resync
+// payloads (tags 5 and 6) that share their list codecs. The golden
+// vectors pin the exact byte layout: the tags are append-only protocol
+// constants, so any encoder change that shifts these bytes is a
+// protocol break, not a refactor.
 
 func shardWirePayloads() []any {
 	return []any{
@@ -23,7 +24,7 @@ func shardWirePayloads() []any {
 		TreeForwardArg{
 			Origin: "shardA",
 			Root:   "shardA",
-			Edges: []ShardEdge{
+			Edges: []ResyncEntry{
 				{Ref: credrec.Ref{Index: 3, Magic: 99}, State: credrec.True},
 				{Ref: credrec.Ref{Index: 9, Magic: 1}, State: credrec.False, Permanent: true},
 			},
@@ -52,6 +53,11 @@ func TestShardPayloadGoldenVectors(t *testing.T) {
 		{"ShardWatchArg", shardWirePayloads()[0], "0d02e380808030878080808080808008"},
 		{"TreeForwardArg", shardWirePayloads()[2], "0e067368617264410673686172644102e3808080300400818080809001020154"},
 		{"TreeForwardHeartbeat", shardWirePayloads()[3], "0e0673686172644206736861726442000e"},
+		// Tags 5 and 6 share the ref-list and entry-list codecs with 13
+		// and 14; these bytes were taken from the encoders they replaced.
+		{"ResyncArg", ResyncArg{Refs: shardWirePayloads()[0].(ShardWatchArg).Refs}, "0502e380808030878080808080808008"},
+		{"ResyncReply", ResyncReply{Session: 5, Seq: 300, Entries: shardWirePayloads()[2].(TreeForwardArg).Edges},
+			"0605ac0202e38080803004008180808090010201"},
 	}
 	for _, v := range vectors {
 		t.Run(v.name, func(t *testing.T) {

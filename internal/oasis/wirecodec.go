@@ -150,32 +150,15 @@ func registerBinaryPayloads() {
 			if !ok {
 				return fmt.Errorf("oasis: wire payload %T is not ResyncArg", v)
 			}
-			e.PutUvarint(uint64(len(a.Refs)))
-			for _, r := range a.Refs {
-				e.PutUvarint(r.Uint64())
-			}
+			encodeRefs(e, a.Refs)
 			return nil
 		},
 		func(d *bus.WireDec) (any, error) {
-			n, err := d.Uvarint()
+			refs, err := decodeRefs(d)
 			if err != nil {
 				return nil, err
 			}
-			if n > 1<<16 {
-				return nil, fmt.Errorf("oasis: resync ref count %d exceeds limit", n)
-			}
-			a := ResyncArg{}
-			if n > 0 {
-				a.Refs = make([]credrec.Ref, n)
-				for i := range a.Refs {
-					u, err := d.Uvarint()
-					if err != nil {
-						return nil, err
-					}
-					a.Refs[i] = credrec.RefFromUint64(u)
-				}
-			}
-			return a, nil
+			return ResyncArg{Refs: refs}, nil
 		})
 
 	bus.RegisterWirePayload(wireTagResyncReply, ResyncReply{},
@@ -186,12 +169,7 @@ func registerBinaryPayloads() {
 			}
 			e.PutUvarint(r.Session)
 			e.PutUvarint(r.Seq)
-			e.PutUvarint(uint64(len(r.Entries)))
-			for _, ent := range r.Entries {
-				e.PutUvarint(ent.Ref.Uint64())
-				e.PutVarint(int64(ent.State))
-				e.PutBool(ent.Permanent)
-			}
+			encodeEntries(e, r.Entries)
 			return nil
 		},
 		func(d *bus.WireDec) (any, error) {
@@ -203,30 +181,8 @@ func registerBinaryPayloads() {
 			if r.Seq, err = d.Uvarint(); err != nil {
 				return nil, err
 			}
-			n, err := d.Uvarint()
-			if err != nil {
+			if r.Entries, err = decodeEntries(d); err != nil {
 				return nil, err
-			}
-			if n > 1<<16 {
-				return nil, fmt.Errorf("oasis: resync entry count %d exceeds limit", n)
-			}
-			if n > 0 {
-				r.Entries = make([]ResyncEntry, n)
-				for i := range r.Entries {
-					u, err := d.Uvarint()
-					if err != nil {
-						return nil, err
-					}
-					st, err := d.Varint()
-					if err != nil {
-						return nil, err
-					}
-					perm, err := d.Bool()
-					if err != nil {
-						return nil, err
-					}
-					r.Entries[i] = ResyncEntry{Ref: credrec.RefFromUint64(u), State: credrec.State(st), Permanent: perm}
-				}
 			}
 			return r, nil
 		})
@@ -397,32 +353,15 @@ func registerBinaryPayloads() {
 			if !ok {
 				return fmt.Errorf("oasis: wire payload %T is not ShardWatchArg", v)
 			}
-			e.PutUvarint(uint64(len(a.Refs)))
-			for _, r := range a.Refs {
-				e.PutUvarint(r.Uint64())
-			}
+			encodeRefs(e, a.Refs)
 			return nil
 		},
 		func(d *bus.WireDec) (any, error) {
-			n, err := d.Uvarint()
+			refs, err := decodeRefs(d)
 			if err != nil {
 				return nil, err
 			}
-			if n > 1<<16 {
-				return nil, fmt.Errorf("oasis: shardwatch ref count %d exceeds limit", n)
-			}
-			a := ShardWatchArg{}
-			if n > 0 {
-				a.Refs = make([]credrec.Ref, n)
-				for i := range a.Refs {
-					u, err := d.Uvarint()
-					if err != nil {
-						return nil, err
-					}
-					a.Refs[i] = credrec.RefFromUint64(u)
-				}
-			}
-			return a, nil
+			return ShardWatchArg{Refs: refs}, nil
 		})
 
 	bus.RegisterWirePayload(wireTagTreeForward, TreeForwardArg{},
@@ -433,12 +372,7 @@ func registerBinaryPayloads() {
 			}
 			e.PutString(a.Origin)
 			e.PutString(a.Root)
-			e.PutUvarint(uint64(len(a.Edges)))
-			for _, edge := range a.Edges {
-				e.PutUvarint(edge.Ref.Uint64())
-				e.PutVarint(int64(edge.State))
-				e.PutBool(edge.Permanent)
-			}
+			encodeEntries(e, a.Edges)
 			e.PutVarint(int64(a.Pressure))
 			return nil
 		},
@@ -451,30 +385,8 @@ func registerBinaryPayloads() {
 			if a.Root, err = d.String(); err != nil {
 				return nil, err
 			}
-			n, err := d.Uvarint()
-			if err != nil {
+			if a.Edges, err = decodeEntries(d); err != nil {
 				return nil, err
-			}
-			if n > 1<<16 {
-				return nil, fmt.Errorf("oasis: treeforward edge count %d exceeds limit", n)
-			}
-			if n > 0 {
-				a.Edges = make([]ShardEdge, n)
-				for i := range a.Edges {
-					u, err := d.Uvarint()
-					if err != nil {
-						return nil, err
-					}
-					st, err := d.Varint()
-					if err != nil {
-						return nil, err
-					}
-					perm, err := d.Bool()
-					if err != nil {
-						return nil, err
-					}
-					a.Edges[i] = ShardEdge{Ref: credrec.RefFromUint64(u), State: credrec.State(st), Permanent: perm}
-				}
 			}
 			p, err := d.Varint()
 			if err != nil {
@@ -483,6 +395,74 @@ func registerBinaryPayloads() {
 			a.Pressure = int(p)
 			return a, nil
 		})
+}
+
+// encodeRefs and decodeRefs are the one ref-list codec (tags 5 and
+// 13): a uvarint count, then each reference as a uvarint. An empty
+// list decodes to nil.
+func encodeRefs(e *bus.WireEnc, refs []credrec.Ref) {
+	e.PutUvarint(uint64(len(refs)))
+	for _, r := range refs {
+		e.PutUvarint(r.Uint64())
+	}
+}
+
+func decodeRefs(d *bus.WireDec) ([]credrec.Ref, error) {
+	n, err := d.Uvarint()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if n > 1<<16 {
+		return nil, fmt.Errorf("oasis: ref count %d exceeds limit", n)
+	}
+	refs := make([]credrec.Ref, n)
+	for i := range refs {
+		u, err := d.Uvarint()
+		if err != nil {
+			return nil, err
+		}
+		refs[i] = credrec.RefFromUint64(u)
+	}
+	return refs, nil
+}
+
+// encodeEntries and decodeEntries are the one entry-list codec (tags 6
+// and 14): a uvarint count, then per entry the reference, the state as
+// a varint and the permanence flag. An empty list decodes to nil.
+func encodeEntries(e *bus.WireEnc, entries []ResyncEntry) {
+	e.PutUvarint(uint64(len(entries)))
+	for _, ent := range entries {
+		e.PutUvarint(ent.Ref.Uint64())
+		e.PutVarint(int64(ent.State))
+		e.PutBool(ent.Permanent)
+	}
+}
+
+func decodeEntries(d *bus.WireDec) ([]ResyncEntry, error) {
+	n, err := d.Uvarint()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if n > 1<<16 {
+		return nil, fmt.Errorf("oasis: entry count %d exceeds limit", n)
+	}
+	entries := make([]ResyncEntry, n)
+	for i := range entries {
+		u, err := d.Uvarint()
+		if err != nil {
+			return nil, err
+		}
+		st, err := d.Varint()
+		if err != nil {
+			return nil, err
+		}
+		perm, err := d.Bool()
+		if err != nil {
+			return nil, err
+		}
+		entries[i] = ResyncEntry{Ref: credrec.RefFromUint64(u), State: credrec.State(st), Permanent: perm}
+	}
+	return entries, nil
 }
 
 func encodeClientID(e *bus.WireEnc, c ids.ClientID) {
