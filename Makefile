@@ -21,7 +21,7 @@ help:
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L001-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L001-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -116,8 +116,10 @@ vet:
 # the engine, behaviour switched by an environment variable, a journaling
 # wrapper type beside the one store, the start-up refusal of
 # -shards with -store-dir, a benchmark driver beside bench/oasisload
-# and the one root bench_test.go, and hidden state on a certificate — a
-# per-instance canonical cache or verify memo beside cert.VerifyCache.
+# and the one root bench_test.go, hidden state on a certificate — a
+# per-instance canonical cache or verify memo beside cert.VerifyCache —
+# and the peer op nothing sent with the two extra ways an issuer's
+# assertion reached a surrogate beside applyRemote.
 # The closing loops hold the documents to the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
 # DESIGN.md's experiment index, README.md or docs/*.md must be a func in
 # some _test.go (a trailing * matches a prefix), and every
@@ -138,6 +140,7 @@ lint: reach
 	! grep -rn 'LoggedStore' --include='*.go' internal/ cmd/ *.go
 	! grep -rn 'incompatible with -store-dir' cmd/ docs/
 	! grep -rnE 'verifyMemo|canonCore|delegCanon|canon +atomic' internal/cert
+	! grep -rnE '"readstate"|ReadStateArg|applyShardEdge|applyModified' internal/ cmd/ docs/ README.md
 	! test -e cmd/benchharness
 	test "$$(ls *_test.go | wc -l)" -eq 1
 	@index() { sed -n '/^## Experiment index/,/^## Concurrency model/p' DESIGN.md; }; fail=; \

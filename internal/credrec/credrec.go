@@ -541,7 +541,7 @@ func (st *Store) refOp(opcode byte, ref Ref, apply func(*record) bool) error {
 // shard must still stop validating what a live one revoked. A surrogate
 // that is swept, final or already there is left alone (a sticky
 // permanent False must not be overwritten, the same rule as the wire
-// protocol's applyModified), so mirroring onto consistent shards
+// protocol's applyRemote), so mirroring onto consistent shards
 // journals nothing.
 func (st *Store) mirror(ref Ref, s State, perm bool) {
 	st.enter()

@@ -312,9 +312,8 @@ func (b *Broker) RetroRegister(regID uint64, t Template, since time.Time) error 
 	return nil
 }
 
-// Deregister removes a registration.
-//
-//oasislint:keep §6.2.1 registration lifecycle (figure 6.1)
+// Deregister removes a registration; events signalled from now on no
+// longer match it.
 func (b *Broker) Deregister(regID uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -2,7 +2,6 @@ package event
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -20,13 +19,13 @@ type GapHandler func(source string)
 // resynchronisation after a partition heals.
 type ReviveHandler func(source string)
 
-// sessKey identifies one delivery stream. Session identifiers are
-// allocated independently by each broker, so they are only meaningful
-// qualified by the source name; keying by SessionID alone would let
-// streams from different sources collide.
-type sessKey struct {
+// sourceID is a session or registration identifier qualified by the
+// source that allocated it: each broker numbers its own, so keying a
+// delivery stream by SessionID alone, or a handler by RegID alone, would
+// let different sources collide.
+type sourceID struct {
 	source string
-	sess   uint64
+	id     uint64
 }
 
 // Receiver is the client-side event library of figure 6.1. It dispatches
@@ -39,8 +38,8 @@ type Receiver struct {
 
 	mu          sync.Mutex
 	onRevive    ReviveHandler
-	srcHandlers map[string]Handler   // keyed source + "/" + regID
-	lastSeq     map[sessKey]uint64   // per (source, session)
+	srcHandlers map[sourceID]Handler // per (source, registration); 0 = any
+	lastSeq     map[sourceID]uint64  // per (source, session)
 	horizons    map[string]time.Time // per source
 	silent      map[string]bool      // sources currently presumed failed
 }
@@ -50,8 +49,8 @@ type Receiver struct {
 func NewReceiver(onGap GapHandler) *Receiver {
 	return &Receiver{
 		onGap:       onGap,
-		srcHandlers: make(map[string]Handler),
-		lastSeq:     make(map[sessKey]uint64),
+		srcHandlers: make(map[sourceID]Handler),
+		lastSeq:     make(map[sourceID]uint64),
 		horizons:    make(map[string]time.Time),
 		silent:      make(map[string]bool),
 	}
@@ -59,11 +58,13 @@ func NewReceiver(onGap GapHandler) *Receiver {
 
 // HandleFrom installs a handler for a registration id scoped to one
 // source, so that registration ids allocated independently by different
-// brokers cannot collide.
+// brokers cannot collide. Registration id 0 — which no broker allocates
+// — stands for any registration of the source that has no handler of
+// its own.
 func (r *Receiver) HandleFrom(source string, regID uint64, h Handler) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.srcHandlers[srcKey(source, regID)] = h
+	r.srcHandlers[sourceID{source, regID}] = h
 }
 
 // OnRevive installs the handler called when a silent source delivers.
@@ -73,13 +74,9 @@ func (r *Receiver) OnRevive(h ReviveHandler) {
 	r.onRevive = h
 }
 
-func srcKey(source string, regID uint64) string {
-	return source + "/" + strconv.FormatUint(regID, 10)
-}
-
 // Deliver implements Sink.
 func (r *Receiver) Deliver(n Notification) {
-	k := sessKey{n.Source, n.SessionID}
+	k := sourceID{n.Source, n.SessionID}
 	r.mu.Lock()
 	last, seen := r.lastSeq[k]
 	// A notification at or below the stream's high-water mark is a
@@ -106,7 +103,9 @@ func (r *Receiver) Deliver(n Notification) {
 	delete(r.silent, n.Source)
 	var h Handler
 	if !stale && !n.Heartbeat {
-		h = r.srcHandlers[srcKey(n.Source, n.RegID)]
+		if h = r.srcHandlers[sourceID{n.Source, n.RegID}]; h == nil {
+			h = r.srcHandlers[sourceID{n.Source, 0}]
+		}
 	}
 	onGap := r.onGap
 	onRevive := r.onRevive
@@ -136,7 +135,7 @@ func (r *Receiver) Deliver(n Notification) {
 // delayed in the network across the resync — must not be re-applied
 // on top of the fresher snapshot.
 func (r *Receiver) SetSessionFloor(source string, sess, seq uint64) {
-	k := sessKey{source, sess}
+	k := sourceID{source, sess}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if seq > r.lastSeq[k] {

@@ -1,6 +1,7 @@
 package oasis
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -35,17 +36,14 @@ type ValidateArg struct {
 }
 
 // ValidateReply carries the validation verdict, the certificate's role
-// names and types, and the registration id for Modified events.
+// names and types, and the issuer's registration id for the watch (0
+// when it registered nothing). Watchers do not read RegID: they route a
+// Modified event by its source and the record it names.
 type ValidateReply struct {
 	Roles []string
 	Types []value.Type
 	State credrec.State
 	RegID uint64
-}
-
-// ReadStateArg reads a record's current state (used on reconnection).
-type ReadStateArg struct {
-	Ref credrec.Ref
 }
 
 // ResyncArg asks an issuing service to re-assert the authoritative
@@ -77,7 +75,8 @@ type ResyncReply struct {
 	Entries []ResyncEntry
 }
 
-// Call implements bus.Endpoint: the service's inter-service interface.
+// Call implements bus.Endpoint: the service's inter-service interface,
+// five operations on a port that authenticates nobody (docs/PROTOCOLS.md).
 func (s *Service) Call(from, op string, arg any) (any, error) {
 	switch op {
 	case "gettypes":
@@ -92,28 +91,12 @@ func (s *Service) Call(from, op string, arg any) (any, error) {
 			return nil, fmt.Errorf("oasis: bad validate argument %T", arg)
 		}
 		return s.handleValidate(from, a)
-	case "readstate":
-		a, ok := arg.(ReadStateArg)
-		if !ok {
-			return nil, fmt.Errorf("oasis: bad readstate argument %T", arg)
-		}
-		st, err := s.store.Lookup(a.Ref)
-		if err != nil {
-			return credrec.False, nil // deleted means permanently false
-		}
-		return st, nil
 	case "resync":
 		a, ok := arg.(ResyncArg)
 		if !ok {
 			return nil, fmt.Errorf("oasis: bad resync argument %T", arg)
 		}
 		return s.handleResync(from, a)
-	case "revoke":
-		r, ok := arg.(*cert.Revocation)
-		if !ok {
-			return nil, fmt.Errorf("oasis: bad revoke argument %T", arg)
-		}
-		return nil, s.Revoke(r)
 	case "shardwatch":
 		a, ok := arg.(ShardWatchArg)
 		if !ok {
@@ -206,43 +189,56 @@ func (s *Service) handleValidate(from string, a ValidateArg) (ValidateReply, err
 	if err != nil {
 		return ValidateReply{}, err
 	}
-	state, err := s.store.Lookup(c.CRR)
-	if err != nil {
-		state = credrec.False
-	}
-	reply := ValidateReply{
-		Roles: fs.roleMap.Names(c.Roles),
-		State: state,
-	}
+	reply := ValidateReply{Roles: fs.roleMap.Names(c.Roles)}
 	// Expose argument types so the peer can interpret parameters (§4.3).
 	if names := reply.Roles; len(names) > 0 {
 		reply.Types = fs.rf.Types[names[0]]
 	}
-	if a.Watch && err == nil {
-		regID, werr := s.watchFor(from, c.CRR)
-		if werr != nil {
-			return ValidateReply{}, werr
+	// Subscribe, then read: a revocation landing after the read is one the
+	// watcher is told about. Read first, and a logout falling between the
+	// two would be in neither the reply nor the stream.
+	if a.Watch {
+		if reply.RegID, err = s.watchFor(from, c.CRR); err != nil {
+			return ValidateReply{}, err
 		}
-		reply.RegID = regID
+	}
+	if reply.State, err = s.store.Lookup(c.CRR); err != nil {
+		reply.State = credrec.False
 	}
 	return reply, nil
 }
 
-// watchFor subscribes a peer service to Modified events for a record.
-// watchMu is held across session creation so concurrent validations
-// from the same peer share one broker session, and across registration
-// so repeat validations of the same record share one registration —
-// a record's state change is one notification per watcher, however many
-// times the watcher validated it.
+// watchFor is the issuer's one way into a watch: it flags the record so
+// its changes are signalled and registers the peer for them; the caller
+// reads the state it reports only afterwards. A record already
+// permanent — or revoked and swept — has nothing left to announce
+// (§4.8) and registers nothing. watchMu is held throughout, so
+// concurrent validations from one peer share one broker session, repeat
+// validations of one record share one registration (a change is one
+// notification per watcher, however often the watcher validated), and a
+// record that turns permanent after the check finds the row when
+// releaseWatches takes the same lock.
 func (s *Service) watchFor(peer string, ref credrec.Ref) (uint64, error) {
 	if s.net == nil {
 		return 0, fmt.Errorf("oasis: no network")
 	}
 	if err := s.store.MarkNotify(ref); err != nil {
+		if errors.Is(err, credrec.ErrDangling) {
+			return 0, nil
+		}
 		return 0, err
 	}
+	key := ref.Uint64()
 	s.watchMu.Lock()
 	defer s.watchMu.Unlock()
+	for _, w := range s.watches[key] {
+		if w.peer == peer {
+			return w.reg, nil
+		}
+	}
+	if _, permanent, _ := s.store.Resolve(ref); permanent {
+		return 0, nil
+	}
 	sess, ok := s.watchSessions[peer]
 	if !ok {
 		var err error
@@ -252,26 +248,35 @@ func (s *Service) watchFor(peer string, ref credrec.Ref) (uint64, error) {
 		}
 		s.watchSessions[peer] = sess
 	}
-	if regID, ok := s.watchRegs[watchKey{peer, ref.Uint64()}]; ok {
-		return regID, nil
-	}
 	tmpl := event.NewTemplate(ModifiedEvent,
 		event.Lit(value.Str(refString(ref))), event.Wildcard(), event.Wildcard())
 	regID, err := s.broker.Register(sess, tmpl)
 	if err != nil {
 		return 0, err
 	}
-	if s.watchRegs == nil {
-		s.watchRegs = make(map[watchKey]uint64)
-	}
-	s.watchRegs[watchKey{peer, ref.Uint64()}] = regID
+	s.watches[key] = append(s.watches[key], watcher{peer, regID})
 	return regID, nil
 }
 
-// watchKey identifies one peer's watch on one of our records.
-type watchKey struct {
+// watcher is one peer's watch on one of our records, from the validation
+// that asked for it until the record's permanent transition.
+type watcher struct {
 	peer string
-	ref  uint64
+	reg  uint64
+}
+
+// releaseWatches is the one way out of a watch. A permanent transition
+// is the last thing a watch ever carries (§4.6, §4.8), so once it has
+// been signalled the record's registrations leave the broker and its
+// row leaves the table.
+func (s *Service) releaseWatches(ref credrec.Ref) {
+	s.watchMu.Lock()
+	row := s.watches[ref.Uint64()]
+	delete(s.watches, ref.Uint64())
+	s.watchMu.Unlock()
+	for _, w := range row {
+		s.broker.Deregister(w.reg)
+	}
 }
 
 func refString(ref credrec.Ref) string {
@@ -290,35 +295,54 @@ func (s *Service) onRecordChange(ref credrec.Ref, st credrec.State, permanent bo
 	// Shard-watched records additionally fan out down this shard's
 	// dissemination tree (shard.go); a no-op outside a shard ring.
 	s.shardNotify(ref, st, permanent)
-}
-
-// extKey identifies a remote credential record.
-type extKey struct {
-	source string
-	ref    uint64
+	if permanent {
+		s.releaseWatches(ref)
+	}
 }
 
 // surrogateFor returns the local external record standing for a record
-// of another service (or another shard), creating it in state st if
-// there is none. extMu is held across the check and the creation so
-// concurrent validations of the same remote record share one surrogate
-// rather than minting duplicates; a surrogate the sweep has collected
-// is re-minted.
-func (s *Service) surrogateFor(source string, remote credrec.Ref, st credrec.State) credrec.Ref {
-	key := extKey{source: source, ref: remote.Uint64()}
+// of another service (or another shard), and whether this call created
+// it. The row of extRecords keyed by source and remote reference is the
+// watcher's whole binding to the record (figure 4.8: record name spaces
+// are managed separately). A new surrogate is Unknown until its issuer
+// says otherwise, and the first row of a source installs the source's
+// Modified handler. extMu is held across the check and the creation so
+// concurrent validations of one remote record share one surrogate; a
+// row whose surrogate the sweep has collected is re-minted.
+func (s *Service) surrogateFor(source string, remote credrec.Ref) (local credrec.Ref, created bool) {
 	s.extMu.Lock()
 	defer s.extMu.Unlock()
-	if local, ok := s.extRecords[key]; ok {
+	rows := s.extRecords[source]
+	if rows == nil {
+		rows = make(map[uint64]credrec.Ref)
+		s.extRecords[source] = rows
+		s.receiver.HandleFrom(source, 0, func(ev event.Event) { s.onModified(source, ev) })
+	}
+	if local, ok := rows[remote.Uint64()]; ok {
 		if _, err := s.store.Lookup(local); err == nil {
-			return local
+			return local, false
 		}
 	}
-	if s.extRecords == nil {
-		s.extRecords = make(map[extKey]credrec.Ref)
+	local = s.store.NewExternal(source, credrec.Unknown)
+	rows[remote.Uint64()] = local
+	return local, true
+}
+
+// abandonSurrogate undoes a surrogateFor whose question got no True for
+// an answer, so that refused validations leave nothing behind: the row
+// goes, and its record is invalidated for the sweep. It holds back when
+// a concurrent validation of the same record has meanwhile been told
+// True — that one derives from the surrogate.
+func (s *Service) abandonSurrogate(source string, remote, local credrec.Ref) {
+	if s.store.Valid(local) {
+		return
 	}
-	local := s.store.NewExternal(source, st)
-	s.extRecords[key] = local
-	return local
+	s.extMu.Lock()
+	if s.extRecords[source][remote.Uint64()] == local {
+		delete(s.extRecords[source], remote.Uint64())
+	}
+	s.extMu.Unlock()
+	_ = s.store.Invalidate(local)
 }
 
 // WatchCertificate validates a certificate issued by another service
@@ -331,58 +355,93 @@ func (s *Service) WatchCertificate(c *cert.RMC, client ids.ClientID) (credrec.Re
 	return ext, roles, err
 }
 
-// validateForeign validates a certificate issued by another service and
-// wires up an external credential record kept coherent by event
-// notification (§4.9). Repeat validations of the same remote record
-// reuse the surrogate.
+// validateForeign validates a certificate issued by another service
+// against an external credential record kept coherent by event
+// notification (§4.9). The row exists before the question is asked, so
+// whatever the issuer signals after answering — a Modified event can
+// overtake the reply — finds it; repeat validations of the same remote
+// record reuse the surrogate.
 func (s *Service) validateForeign(c *cert.RMC, client ids.ClientID) ([]string, credrec.Ref, error) {
 	if s.net == nil {
 		return nil, credrec.Ref{}, s.fail(Erroneous, "no network to validate certificate from %s", c.Service)
 	}
+	ext, created := s.surrogateFor(c.Service, c.CRR)
+	roles, err := s.validateInto(ext, c, client)
+	if err != nil {
+		if created {
+			s.abandonSurrogate(c.Service, c.CRR, ext)
+		}
+		return nil, credrec.Ref{}, err
+	}
+	return roles, ext, nil
+}
+
+// validateInto asks the issuer and applies its answer the way every
+// later assertion is applied. The verdict is then the surrogate's: a
+// revocation that overtook the reply has already invalidated it and
+// dropped the row, so the stale True found nothing to write.
+func (s *Service) validateInto(ext credrec.Ref, c *cert.RMC, client ids.ClientID) ([]string, error) {
 	res, err := s.net.Call(s.name, c.Service, "validate", ValidateArg{Cert: c, Client: client, Watch: true})
 	if err != nil {
 		verr := s.fail(Revoked, "cannot reach issuer %s: %v", c.Service, err)
 		verr.Cause = err
-		return nil, credrec.Ref{}, verr
+		return nil, verr
 	}
 	reply, ok := res.(ValidateReply)
 	if !ok {
-		return nil, credrec.Ref{}, fmt.Errorf("oasis: bad validate reply from %s", c.Service)
+		return nil, fmt.Errorf("oasis: bad validate reply from %s", c.Service)
 	}
+	s.applyRemote(c.Service, c.CRR, reply.State, false)
 	if reply.State != credrec.True {
-		return nil, credrec.Ref{}, s.fail(Revoked, "issuer %s reports certificate %v", c.Service, reply.State)
+		return nil, s.fail(Revoked, "issuer %s reports certificate %v", c.Service, reply.State)
 	}
-
-	ext := s.surrogateFor(c.Service, c.CRR, reply.State)
+	if !s.store.Valid(ext) {
+		return nil, s.fail(Revoked, "issuer %s revoked the certificate while validating it", c.Service)
+	}
 	// The synchronous validation proved the issuer alive just now; start
-	// the heartbeat liveness window from here. The handler is (re)bound
-	// even when the surrogate is reused: the issuer returns one
-	// registration per (watcher, record), and every validation must
-	// leave that registration wired to the surrogate.
+	// the heartbeat liveness window from here.
 	s.receiver.ObserveSource(c.Service, s.clk.Now())
-	s.receiver.HandleFrom(c.Service, reply.RegID, func(ev event.Event) {
-		s.applyModified(ext, ev)
-	})
-	return reply.Roles, ext, nil
+	return reply.Roles, nil
 }
 
-// applyModified applies a Modified event to an external record.
-func (s *Service) applyModified(ext credrec.Ref, ev event.Event) {
+// onModified is the Modified handler of every registration of one
+// source (§4.9.2): the event names the issuer's record, the row names
+// ours.
+func (s *Service) onModified(source string, ev event.Event) {
 	if len(ev.Args) != 3 {
 		return
 	}
-	s.applyRemoteState(ext, credrec.State(ev.Args[1].I), ev.Args[2].I != 0)
+	u, err := strconv.ParseUint(ev.Args[0].S, 16, 64)
+	if err != nil {
+		return
+	}
+	s.applyRemote(source, credrec.RefFromUint64(u), credrec.State(ev.Args[1].I), ev.Args[2].I != 0)
 }
 
-// applyRemoteState applies an issuer's assertion about one of its
-// records to the local surrogate, whichever way it arrived — a Modified
-// event, a shard-tree edge, a resync snapshot. A permanent False is an
+// applyRemote is the one way an issuer's assertion about one of its
+// records reaches the local surrogate, whichever way it arrived — a
+// Modified event, a shard-tree edge, a resync entry (a validate reply is
+// applied as the first of them). No row means nobody here watches the
+// record, and the assertion is dropped. A permanent False is an
 // invalidation: revocation is forever (§4.6), and the surrogate then
 // refuses every later write. Anything else is a state write, frozen
 // when the issuer says the state is final: a record that is true and
 // will always remain true needs no further watching (§4.8), so the
-// issuer falling silent no longer fails it safe.
-func (s *Service) applyRemoteState(local credrec.Ref, state credrec.State, permanent bool) {
+// issuer falling silent no longer fails it safe. Either way a permanent
+// state is the last the issuer will ever assert, so the row goes with
+// it. extMu covers the table only: the store is written with no service
+// lock held, since a cascade it starts may notify its way back here.
+func (s *Service) applyRemote(source string, remote credrec.Ref, state credrec.State, permanent bool) {
+	s.extMu.Lock()
+	rows := s.extRecords[source]
+	local, ok := rows[remote.Uint64()]
+	if ok && permanent {
+		delete(rows, remote.Uint64())
+	}
+	s.extMu.Unlock()
+	if !ok {
+		return
+	}
 	if permanent && state == credrec.False {
 		_ = s.store.Invalidate(local)
 		return
@@ -486,21 +545,12 @@ func (s *Service) ResyncSource(source string) error {
 	if s.net == nil {
 		return fmt.Errorf("oasis: no network")
 	}
-	// The remote reference for each local surrogate comes from the
-	// extRecords map: record name spaces are managed separately, so
-	// external identifiers must be mapped to internal ones (figure 4.8).
 	s.extMu.Lock()
-	byRemote := make(map[uint64]credrec.Ref) // remote -> local
-	for k, local := range s.extRecords {
-		if k.source == source {
-			byRemote[k.ref] = local
-		}
-	}
-	s.extMu.Unlock()
-	refs := make([]credrec.Ref, 0, len(byRemote))
-	for u := range byRemote {
+	refs := make([]credrec.Ref, 0, len(s.extRecords[source]))
+	for u := range s.extRecords[source] {
 		refs = append(refs, credrec.RefFromUint64(u))
 	}
+	s.extMu.Unlock()
 	sort.Slice(refs, func(i, j int) bool { return refs[i].Uint64() < refs[j].Uint64() })
 
 	res, err := s.net.Call(s.name, source, "resync", ResyncArg{Refs: refs})
@@ -518,11 +568,7 @@ func (s *Service) ResyncSource(source string) error {
 	}
 	_ = s.batchNotify(func() error {
 		for _, e := range reply.Entries {
-			local, ok := byRemote[e.Ref.Uint64()]
-			if !ok {
-				continue
-			}
-			s.applyRemoteState(local, e.State, e.Permanent)
+			s.applyRemote(source, e.Ref, e.State, e.Permanent)
 		}
 		return nil
 	})

@@ -26,11 +26,12 @@ func (r *resyncStub) Call(from, op string, arg any) (any, error) {
 func (r *resyncStub) Deliver(event.Notification) {}
 
 // TestRemoteStateEntryPointsAgree drives the three ways an issuer's
-// assertion about a record reaches its surrogate — a Modified event, a
-// shard-tree edge, a resync snapshot — through every (state, permanent)
-// pair and requires the same outcome from each: the asserted state,
-// frozen when the issuer calls it final (§4.8), and a permanent False
-// that no later assertion revives (§4.6).
+// assertion about a record reaches its surrogate — a Modified event
+// through the receiver, a treeforward edge, a resync snapshot — through
+// every (state, permanent) pair and requires the same outcome from
+// each: the asserted state, frozen when the issuer calls it final
+// (§4.8), a row that leaves the table exactly when the state is final,
+// and a permanent False that no later assertion revives (§4.6).
 func TestRemoteStateEntryPointsAgree(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	net := bus.NewNetwork(clk)
@@ -38,51 +39,64 @@ func TestRemoteStateEntryPointsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := s.JoinShardRing([]string{"Issuer", "Watcher"}, 2); err != nil {
+		t.Fatal(err)
+	}
 	issuer := &resyncStub{}
 	if err := net.Register("Issuer", issuer); err != nil {
 		t.Fatal(err)
 	}
+	seq := uint64(0)
 	entryPoints := []struct {
 		name  string
-		apply func(local, remote credrec.Ref, st credrec.State, perm bool)
+		apply func(remote credrec.Ref, st credrec.State, perm bool)
 	}{
-		{"modified", func(local, remote credrec.Ref, st credrec.State, perm bool) {
+		{"modified", func(remote credrec.Ref, st credrec.State, perm bool) {
 			p := int64(0)
 			if perm {
 				p = 1
 			}
-			s.applyModified(local, event.New(ModifiedEvent,
-				value.Str(refString(remote)), value.Int(int64(st)), value.Int(p)))
+			// Any registration id: the watcher routes by source and record.
+			seq++
+			s.Deliver(event.Notification{Source: "Issuer", SessionID: 1, Seq: seq, RegID: 1000 + seq,
+				Event: event.New(ModifiedEvent, value.Str(refString(remote)), value.Int(int64(st)), value.Int(p))})
 		}},
-		{"shardedge", func(local, remote credrec.Ref, st credrec.State, perm bool) {
-			s.applyShardEdge("Issuer", ResyncEntry{Ref: remote, State: st, Permanent: perm})
+		{"treeforward", func(remote credrec.Ref, st credrec.State, perm bool) {
+			if _, err := s.Call("Issuer", "treeforward", TreeForwardArg{Origin: "Issuer", Root: "Issuer",
+				Edges: []ResyncEntry{{Ref: remote, State: st, Permanent: perm}}}); err != nil {
+				t.Fatal(err)
+			}
 		}},
-		{"resync", func(local, remote credrec.Ref, st credrec.State, perm bool) {
+		{"resync", func(remote credrec.Ref, st credrec.State, perm bool) {
 			issuer.reply = ResyncReply{Entries: []ResyncEntry{{Ref: remote, State: st, Permanent: perm}}}
 			if err := s.ResyncSource("Issuer"); err != nil {
 				t.Fatal(err)
 			}
 		}},
 	}
-	s.extRecords = make(map[extKey]credrec.Ref)
 	nextRemote := uint64(0)
 	for _, st := range []credrec.State{credrec.True, credrec.False, credrec.Unknown} {
 		for _, perm := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/permanent=%v", st, perm), func(t *testing.T) {
 				for _, ep := range entryPoints {
-					initial := credrec.True
-					if st == credrec.True {
-						initial = credrec.Unknown
-					}
-					local := s.store.NewExternal("Issuer", initial)
 					nextRemote++
 					remote := credrec.RefFromUint64(nextRemote)
-					s.extRecords[extKey{source: "Issuer", ref: remote.Uint64()}] = local
+					local, created := s.surrogateFor("Issuer", remote)
+					if !created {
+						t.Fatalf("%s: row for a fresh remote record already there", ep.name)
+					}
+					if st == credrec.Unknown {
+						// Start away from the state under test.
+						_ = s.store.SetState(local, credrec.True)
+					}
 
-					ep.apply(local, remote, st, perm)
+					ep.apply(remote, st, perm)
 					if got, gotPerm, err := s.store.Resolve(local); err != nil || got != st || gotPerm != perm {
 						t.Errorf("%s: surrogate resolves (%v, permanent=%v, %v), want (%v, permanent=%v)",
 							ep.name, got, gotPerm, err, st, perm)
+					}
+					if _, held := s.extRecords["Issuer"][remote.Uint64()]; held == perm {
+						t.Errorf("%s: row held = %v after permanent=%v", ep.name, held, perm)
 					}
 					if st != credrec.False || !perm {
 						continue
@@ -91,7 +105,7 @@ func TestRemoteStateEntryPointsAgree(t *testing.T) {
 					// route, brings the record back.
 					for _, later := range entryPoints {
 						for _, laterPerm := range []bool{false, true} {
-							later.apply(local, remote, credrec.True, laterPerm)
+							later.apply(remote, credrec.True, laterPerm)
 							if got, gotPerm, _ := s.store.Resolve(local); got != credrec.False || !gotPerm {
 								t.Errorf("permanent False by %s revived by %s (permanent=%v): (%v, permanent=%v)",
 									ep.name, later.name, laterPerm, got, gotPerm)

@@ -101,14 +101,17 @@ type Service struct {
 	typeMu    sync.RWMutex // read-mostly: foreign role signatures
 	typeCache map[string][]value.Type
 
-	// watch state: which peers watch which of our records
+	// issuer side of a watch: which peers watch which of our records,
+	// one row per record from watchFor until releaseWatches
 	watchMu       sync.Mutex
-	watchSessions map[string]uint64   // peer -> broker session
-	watchRegs     map[watchKey]uint64 // (peer, record) -> registration
+	watchSessions map[string]uint64    // peer -> broker session
+	watches       map[uint64][]watcher // record -> its watchers' registrations
 
-	// external-record surrogates for remote credential records (§4.9.1)
+	// watcher side: the surrogate for each remote credential record
+	// (§4.9.1), one row per record from surrogateFor until applyRemote
+	// applies a permanent state
 	extMu      sync.Mutex
-	extRecords map[extKey]credrec.Ref
+	extRecords map[string]map[uint64]credrec.Ref // source -> remote ref -> local
 
 	// failure-suspicion state per watched source (§4.10 / §6.8.4)
 	suspMu    sync.Mutex
@@ -184,6 +187,8 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 		rolefiles:     make(map[string]*rolefileState),
 		typeCache:     make(map[string][]value.Type),
 		watchSessions: make(map[string]uint64),
+		watches:       make(map[uint64][]watcher),
+		extRecords:    make(map[string]map[uint64]credrec.Ref),
 		delegations:   make(map[credrec.Ref]*delegInfo),
 		suspicion:     make(map[string]SourceState),
 		resyncing:     make(map[string]bool),

@@ -137,40 +137,33 @@ func (s *Service) ImportShardRecord(owner string, ref credrec.Ref) (credrec.Ref,
 	if s.net == nil {
 		return credrec.Ref{}, fmt.Errorf("oasis: no network")
 	}
+	// As in validateForeign, the row is there before the question is
+	// asked: an edge racing the reply down the tree finds it.
+	local, created := s.surrogateFor(owner, ref)
 	res, err := s.net.Call(s.name, owner, "shardwatch", ShardWatchArg{Refs: []credrec.Ref{ref}})
+	reply, ok := res.(ResyncReply)
+	if err == nil && (!ok || len(reply.Entries) != 1) {
+		err = fmt.Errorf("oasis: bad shardwatch reply from %s", owner)
+	}
 	if err != nil {
+		if created {
+			s.abandonSurrogate(owner, ref, local)
+		}
 		return credrec.Ref{}, err
 	}
-	reply, ok := res.(ResyncReply)
-	if !ok || len(reply.Entries) != 1 {
-		return credrec.Ref{}, fmt.Errorf("oasis: bad shardwatch reply from %s", owner)
-	}
+	// Applied even on reuse: the surrogate may predate a change the
+	// subscription only now starts covering.
 	e := reply.Entries[0]
-	local := s.surrogateFor(owner, ref, e.State)
-	// Re-apply the snapshot even on reuse: the surrogate may predate a
-	// change the subscription only now starts covering.
-	s.applyRemoteState(local, e.State, e.Permanent)
+	s.applyRemote(owner, ref, e.State, e.Permanent)
 	s.receiver.ObserveSource(owner, s.clk.Now())
 	return local, nil
 }
 
-// applyShardEdge applies one authoritative assertion from an owning
-// shard to the local surrogate, if one exists here — relays without an
-// import just pass the edge along.
-func (s *Service) applyShardEdge(source string, e ResyncEntry) {
-	s.extMu.Lock()
-	local, ok := s.extRecords[extKey{source: source, ref: e.Ref.Uint64()}]
-	s.extMu.Unlock()
-	if !ok {
-		return
-	}
-	s.applyRemoteState(local, e.State, e.Permanent)
-}
-
 // handleTreeForward is one relay step: observe the origin's liveness,
 // cache its piggybacked backlog, apply the edges to any local
-// surrogates (inside a notification batch, so downstream watchers of
-// records derived from them see one coalesced burst), then forward the
+// surrogates — a relay without an import just passes them along —
+// inside a notification batch, so downstream watchers of records
+// derived from them see one coalesced burst, then forward the
 // burst unchanged to this member's children in the origin's tree. A
 // child behind a severed link is skipped — its whole subtree starves,
 // which its suspicion machinery will notice and resync will repair.
@@ -187,7 +180,7 @@ func (s *Service) handleTreeForward(from string, a TreeForwardArg) error {
 		if len(a.Edges) > 0 {
 			_ = s.batchNotify(func() error {
 				for _, e := range a.Edges {
-					s.applyShardEdge(a.Origin, e)
+					s.applyRemote(a.Origin, e.Ref, e.State, e.Permanent)
 				}
 				return nil
 			})

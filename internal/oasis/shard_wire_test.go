@@ -5,14 +5,19 @@ import (
 	"encoding/hex"
 	"reflect"
 	"testing"
+	"time"
 
 	"oasis/internal/bus"
+	"oasis/internal/cert"
 	"oasis/internal/credrec"
+	"oasis/internal/ids"
+	"oasis/internal/value"
 )
 
 // Round-trips, golden vectors and a decoder fuzzer for the sharding
 // payloads (wire tags 13 and 14), and golden vectors for the resync
-// payloads (tags 5 and 6) that share their list codecs. The golden
+// payloads (tags 5 and 6) that share their list codecs and for the
+// other four live tags (1, 2, 3, 11). The golden
 // vectors pin the exact byte layout: the tags are append-only protocol
 // constants, so any encoder change that shifts these bytes is a
 // protocol break, not a refactor.
@@ -31,6 +36,20 @@ func shardWirePayloads() []any {
 			Pressure: 42,
 		},
 		TreeForwardArg{Origin: "shardB", Root: "shardB", Pressure: 7},
+	}
+}
+
+// goldenRMC is the certificate inside the ValidateArg golden vector.
+func goldenRMC() *cert.RMC {
+	return &cert.RMC{
+		Service:  "Doc",
+		Rolefile: "doc.rdl",
+		Roles:    cert.RoleSet(0b1010),
+		Args:     []value.Value{value.Str("alice"), value.Int(7), value.MustSet("rwx", "rw")},
+		Client:   ids.ClientID{Host: "wombat", ID: 17, BootTime: time.Unix(500, 0)},
+		CRR:      credrec.Ref{Index: 3, Magic: 99},
+		Expiry:   time.Unix(9000, 0),
+		Sig:      []byte("sig-bytes"),
 	}
 }
 
@@ -58,6 +77,21 @@ func TestShardPayloadGoldenVectors(t *testing.T) {
 		{"ResyncArg", ResyncArg{Refs: shardWirePayloads()[0].(ShardWatchArg).Refs}, "0502e380808030878080808080808008"},
 		{"ResyncReply", ResyncReply{Session: 5, Seq: 300, Entries: shardWirePayloads()[2].(TreeForwardArg).Edges},
 			"0605ac0202e38080803004008180808090010201"},
+		// Tags 1, 2, 3 and 11 — gettypes and validate, the rest of what
+		// the peer port decodes or answers with — had round-trip tests
+		// and no golden bytes; these were written by the encoders of
+		// commit 5d93d8f, before the retired tags left the registry.
+		{"GetTypesArg", GetTypesArg{Rolefile: "doc.rdl", Role: "reader"}, "0107646f632e72646c06726561646572"},
+		{"ValidateArg", ValidateArg{Cert: goldenRMC(), Client: goldenRMC().Client, Watch: true},
+			"020103446f6307646f632e72646c0a030205616c696365010e03037277780306776f6d6261741101e80700e38080803001d08c0100097369672d627974657306776f6d6261741101e8070001"},
+		{"ValidateArgNilCert", ValidateArg{Client: goldenRMC().Client}, "020006776f6d6261741101e8070000"},
+		{"ValidateReply", ValidateReply{
+			Roles: []string{"reader", "writer"},
+			Types: []value.Type{value.StringType, value.IntType, value.SetType("rwx")},
+			State: credrec.True,
+			RegID: 41,
+		}, "0302067265616465720677726974657203020103037277780429"},
+		{"Types", []value.Type{value.IntType, value.ObjectType("Doc.read")}, "0b02010408446f632e72656164"},
 	}
 	for _, v := range vectors {
 		t.Run(v.name, func(t *testing.T) {
@@ -104,6 +138,12 @@ func FuzzShardPayloadDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+	}
+	// What the retired tags' last encoders wrote: refused at the tag
+	// byte today, and mutation fodder for the live decoders.
+	retired := retiredTagPayloads(f)
+	for _, r := range retiredTags {
+		f.Add(retired[r.tag])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := bus.DecodePayload(bus.NewWireDec(bytes.NewReader(data)))

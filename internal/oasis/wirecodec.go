@@ -11,27 +11,27 @@ import (
 )
 
 // Binary wire-payload codecs for the inter-service protocol over the
-// TCP bridge (see internal/bus/codec.go). Each payload type carried in
-// the `any` argument/reply position gets one tag byte and a hand-rolled
-// encoder/decoder pair.
+// TCP bridge (see internal/bus/codec.go). Each payload type a served
+// operation takes or returns in the `any` argument/reply position gets
+// one tag byte and a hand-rolled encoder/decoder pair; nothing else is
+// decodable on the peer port.
 //
 // The tags are protocol constants: both ends of a link must agree on
 // them forever, so they are append-only — never renumber or reuse a
 // tag, even for a retired type. Tags 0 and 255 are reserved by the bus
-// (nil, and never allocated).
+// (nil, and never allocated). Tags 4, 7, 8, 9, 10 and 12 are retired:
+// they carried the argument and the reply of one operation the peer
+// port no longer serves (4, 10), the argument of another (9) and three
+// payloads no operation ever took (a bare certificate, a delegation, a
+// value), and a frame bearing one is refused as an unknown tag
+// (docs/PROTOCOLS.md, TestWireTagTable).
 const (
 	wireTagGetTypesArg   = 1
 	wireTagValidateArg   = 2
 	wireTagValidateReply = 3
-	wireTagReadStateArg  = 4
 	wireTagResyncArg     = 5
 	wireTagResyncReply   = 6
-	wireTagRMC           = 7
-	wireTagDelegation    = 8
-	wireTagRevocation    = 9
-	wireTagState         = 10
 	wireTagTypes         = 11
-	wireTagValue         = 12
 	wireTagShardWatchArg = 13
 	wireTagTreeForward   = 14
 )
@@ -127,23 +127,6 @@ func registerBinaryPayloads() {
 			return r, nil
 		})
 
-	bus.RegisterWirePayload(wireTagReadStateArg, ReadStateArg{},
-		func(e *bus.WireEnc, v any) error {
-			a, ok := v.(ReadStateArg)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not ReadStateArg", v)
-			}
-			e.PutUvarint(a.Ref.Uint64())
-			return nil
-		},
-		func(d *bus.WireDec) (any, error) {
-			u, err := d.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			return ReadStateArg{Ref: credrec.RefFromUint64(u)}, nil
-		})
-
 	bus.RegisterWirePayload(wireTagResyncArg, ResyncArg{},
 		func(e *bus.WireEnc, v any) error {
 			a, ok := v.(ResyncArg)
@@ -187,144 +170,6 @@ func registerBinaryPayloads() {
 			return r, nil
 		})
 
-	bus.RegisterWirePayload(wireTagRMC, &cert.RMC{},
-		func(e *bus.WireEnc, v any) error {
-			c, ok := v.(*cert.RMC)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not *cert.RMC", v)
-			}
-			encodeRMC(e, c)
-			return nil
-		},
-		func(d *bus.WireDec) (any, error) { return decodeRMC(d) })
-
-	bus.RegisterWirePayload(wireTagDelegation, &cert.Delegation{},
-		func(e *bus.WireEnc, v any) error {
-			dg, ok := v.(*cert.Delegation)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not *cert.Delegation", v)
-			}
-			e.PutString(dg.Service)
-			e.PutString(dg.Rolefile)
-			e.PutString(dg.Role)
-			e.PutValues(dg.Args)
-			e.PutUvarint(uint64(len(dg.Required)))
-			for _, spec := range dg.Required {
-				e.PutString(spec.Service)
-				e.PutString(spec.Rolefile)
-				e.PutString(spec.Role)
-				e.PutValues(spec.Args)
-			}
-			e.PutUvarint(dg.DelegCRR.Uint64())
-			e.PutTime(dg.Expiry)
-			e.PutBytes(dg.Sig)
-			return nil
-		},
-		func(d *bus.WireDec) (any, error) {
-			dg := &cert.Delegation{}
-			var err error
-			if dg.Service, err = d.String(); err != nil {
-				return nil, err
-			}
-			if dg.Rolefile, err = d.String(); err != nil {
-				return nil, err
-			}
-			if dg.Role, err = d.String(); err != nil {
-				return nil, err
-			}
-			if dg.Args, err = d.Values(); err != nil {
-				return nil, err
-			}
-			n, err := d.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if n > 1<<16 {
-				return nil, fmt.Errorf("oasis: required-role count %d exceeds limit", n)
-			}
-			if n > 0 {
-				dg.Required = make([]cert.RoleSpec, n)
-				for i := range dg.Required {
-					var spec cert.RoleSpec
-					if spec.Service, err = d.String(); err != nil {
-						return nil, err
-					}
-					if spec.Rolefile, err = d.String(); err != nil {
-						return nil, err
-					}
-					if spec.Role, err = d.String(); err != nil {
-						return nil, err
-					}
-					if spec.Args, err = d.Values(); err != nil {
-						return nil, err
-					}
-					dg.Required[i] = spec
-				}
-			}
-			u, err := d.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			dg.DelegCRR = credrec.RefFromUint64(u)
-			if dg.Expiry, err = d.Time(); err != nil {
-				return nil, err
-			}
-			if dg.Sig, err = d.Bytes(); err != nil {
-				return nil, err
-			}
-			return dg, nil
-		})
-
-	bus.RegisterWirePayload(wireTagRevocation, &cert.Revocation{},
-		func(e *bus.WireEnc, v any) error {
-			r, ok := v.(*cert.Revocation)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not *cert.Revocation", v)
-			}
-			e.PutString(r.Service)
-			e.PutUvarint(r.DelegatorCRR.Uint64())
-			e.PutUvarint(r.TargetCRR.Uint64())
-			e.PutBytes(r.Sig)
-			return nil
-		},
-		func(d *bus.WireDec) (any, error) {
-			r := &cert.Revocation{}
-			var err error
-			if r.Service, err = d.String(); err != nil {
-				return nil, err
-			}
-			u, err := d.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			r.DelegatorCRR = credrec.RefFromUint64(u)
-			if u, err = d.Uvarint(); err != nil {
-				return nil, err
-			}
-			r.TargetCRR = credrec.RefFromUint64(u)
-			if r.Sig, err = d.Bytes(); err != nil {
-				return nil, err
-			}
-			return r, nil
-		})
-
-	bus.RegisterWirePayload(wireTagState, credrec.State(0),
-		func(e *bus.WireEnc, v any) error {
-			st, ok := v.(credrec.State)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not credrec.State", v)
-			}
-			e.PutVarint(int64(st))
-			return nil
-		},
-		func(d *bus.WireDec) (any, error) {
-			st, err := d.Varint()
-			if err != nil {
-				return nil, err
-			}
-			return credrec.State(st), nil
-		})
-
 	bus.RegisterWirePayload(wireTagTypes, []value.Type{},
 		func(e *bus.WireEnc, v any) error {
 			ts, ok := v.([]value.Type)
@@ -335,17 +180,6 @@ func registerBinaryPayloads() {
 			return nil
 		},
 		func(d *bus.WireDec) (any, error) { return d.Types() })
-
-	bus.RegisterWirePayload(wireTagValue, value.Value{},
-		func(e *bus.WireEnc, v any) error {
-			val, ok := v.(value.Value)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not value.Value", v)
-			}
-			e.PutValue(val)
-			return nil
-		},
-		func(d *bus.WireDec) (any, error) { return d.Value() })
 
 	bus.RegisterWirePayload(wireTagShardWatchArg, ShardWatchArg{},
 		func(e *bus.WireEnc, v any) error {
