@@ -23,25 +23,6 @@ func NewCounter() *counter {
 	return c
 }
 
-func copyParam(c counter) {} // L001: parameter copies c.mu
-
-func (c counter) valueReceiver() {} // L001: value receiver copies c.mu
-
-func assignCopy(c *counter) {
-	snapshot := *c // L001: assignment copies c.mu
-	_ = snapshot
-}
-
-func passCopy(c *counter) {
-	copyParam(*c) // L001: argument copies c.mu
-}
-
-func rangeCopy(cs []counter) {
-	for _, c := range cs { // L001: range clause copies each c.mu
-		_ = c
-	}
-}
-
 func atomicMix(c *counter) int64 {
 	atomic.AddInt64(&c.n, 1)
 	return c.n // L002: plain read of an atomically-updated field

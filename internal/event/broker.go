@@ -149,6 +149,11 @@ func NewBroker(name string, clk clock.Clock, opts BrokerOptions) *Broker {
 		sessions: make(map[uint64]*session),
 		regs:     make(map[uint64]*registration),
 		index:    make(map[string]map[uint64]*registration),
+		// Session ids count up from this incarnation's clock reading, so
+		// the streams of a service restarted under its old name are new
+		// streams at every receiver, not replays of the old ones numbered
+		// below its high-water marks (Receiver.Deliver).
+		nextSess: uint64(clk.Now().UnixNano()),
 	}
 }
 

@@ -335,6 +335,51 @@ func TestSessionCount(t *testing.T) {
 	}
 }
 
+// TestSessionIDsDisjointAcrossIncarnations: a service that restarts gets
+// a new broker under the old name. Its streams must be new streams at a
+// receiver that still remembers the old ones, not low-numbered replays
+// of them (Receiver.Deliver drops Seq <= the stream's high-water mark).
+func TestSessionIDsDisjointAcrossIncarnations(t *testing.T) {
+	const sessions = 100
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	recv := NewReceiver(nil)
+	dispatched := 0
+	recv.HandleFrom("Login", 0, func(Event) { dispatched++ })
+
+	first := NewBroker("Login", clk, BrokerOptions{})
+	seen := make(map[uint64]bool)
+	for i := 0; i < sessions; i++ {
+		id, err := first.OpenSession(recv, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[id] = true
+	}
+	// The receiver has followed every one of the old streams up to 500.
+	for id := range seen {
+		recv.Deliver(Notification{Source: "Login", SessionID: id, Seq: 500, Heartbeat: true})
+	}
+
+	clk.Advance(time.Second) // the fastest restart worth the name
+	second := NewBroker("Login", clk, BrokerOptions{})
+	for i := 0; i < sessions; i++ {
+		id, err := second.OpenSession(recv, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[id] {
+			t.Fatalf("session id %d handed out by both incarnations", id)
+		}
+		if _, err := second.Register(id, NewTemplate("Modified", Wildcard())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second.Signal(New("Modified", value.Int(1))) // seq 1 on each new stream
+	if dispatched != sessions {
+		t.Fatalf("the receiver dispatched %d of the new incarnation's %d first notifications", dispatched, sessions)
+	}
+}
+
 func TestBrokerConcurrentSignalAndRegister(t *testing.T) {
 	// The broker is safe under concurrent signalling, registration and
 	// acknowledgement (run under -race in CI).

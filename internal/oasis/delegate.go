@@ -306,8 +306,11 @@ func (s *Service) ExpireTick() int {
 		}
 	}
 	s.delegMu.Unlock()
-	for _, ref := range expired {
-		_ = s.store.Invalidate(ref) // already-gone records are fine
-	}
+	_ = s.batchNotify(func() error {
+		for _, ref := range expired {
+			_ = s.store.Invalidate(ref) // already-gone records are fine
+		}
+		return nil
+	})
 	return len(expired)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"oasis/internal/cert"
+	"oasis/internal/event"
 	"oasis/internal/ids"
 	"oasis/internal/value"
 )
@@ -569,5 +570,51 @@ Member(u) <- Login.LoggedOn(u, h) <|* Chair
 	}
 	if n := outstanding(); n != 0 {
 		t.Fatalf("%d delegations outstanding after 10000 delegate/exit/tick rounds, want 0", n)
+	}
+}
+
+// burstCounter is a watching peer that counts what reaches it: a burst
+// is one DeliverBatch, or one notification sent outside any batch.
+type burstCounter struct{ bursts, notes int }
+
+func (b *burstCounter) Call(from, op string, arg any) (any, error) {
+	return nil, errors.New("burstCounter serves nothing")
+}
+func (b *burstCounter) Deliver(event.Notification) { b.bursts++; b.notes++ }
+func (b *burstCounter) DeliverBatch(ns []event.Notification) {
+	b.bursts++
+	b.notes += len(ns)
+}
+
+func TestExpiriesLeaveAsOneBurst(t *testing.T) {
+	// ExpireTick is a revocation entry point like Exit or Revoke: the
+	// delegations one tick expires reach a watcher as one burst.
+	const n = 3
+	h := newHarnessWith(t, Options{}, Options{DelegationTTL: time.Minute})
+	chairClient := h.client("ely")
+	chair, err := h.conf.Enter(EnterRequest{
+		Client: chairClient, Rolefile: "main", Role: "Chair",
+		Creds: []*cert.RMC{h.logOn(t, chairClient, "jmb")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	watcher := &burstCounter{}
+	if err := h.net.Register("Watcher", watcher); err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range [n]string{"dm", "kgm", "rjh"} {
+		h.conf.Groups().AddMember(user, "staff")
+		cand, member, _ := electMember(t, h, chairClient, chair, user)
+		if _, err := h.net.Call("Watcher", "Conf", "validate", ValidateArg{Cert: member, Client: cand, Watch: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.clk.Advance(2 * time.Minute)
+	if got := h.conf.ExpireTick(); got != n {
+		t.Fatalf("ExpireTick = %d, want %d", got, n)
+	}
+	if watcher.bursts != 1 || watcher.notes != n {
+		t.Fatalf("%d expiries reached the watcher as %d notifications in %d bursts, want %d in 1", n, watcher.notes, watcher.bursts, n)
 	}
 }

@@ -3,6 +3,7 @@ package oasis
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -35,10 +36,10 @@ type ValidateArg struct {
 	Watch  bool
 }
 
-// ValidateReply carries the validation verdict, the certificate's role
-// names and types, and the issuer's registration id for the watch (0
-// when it registered nothing). Watchers do not read RegID: they route a
-// Modified event by its source and the record it names.
+// ValidateReply carries the validation verdict and the certificate's
+// role names. Types and RegID are places on the wire that no peer reads
+// — a watcher routes a Modified event by its source and the record it
+// names, and asks gettypes for types — so the issuer leaves them zero.
 type ValidateReply struct {
 	Roles []string
 	Types []value.Type
@@ -46,11 +47,12 @@ type ValidateReply struct {
 	RegID uint64
 }
 
-// ResyncArg asks an issuing service to re-assert the authoritative
-// state of the listed credential records after a communications
-// failure (§4.10: "when connection is re-established the state of each
-// record is read"). The caller sorts Refs so that the responder's
-// reply — and the Modified events it re-signals — come out in a
+// ResyncArg asks an issuing service for the authoritative state of the
+// listed credential records after a communications failure (§4.10:
+// "when connection is re-established the state of each record is
+// read"), and to go on telling the caller of their changes: an issuer
+// that has restarted since holds no watch of the caller's until it is
+// asked. The caller sorts Refs so the reply comes out in a
 // deterministic order.
 type ResyncArg struct {
 	Refs []credrec.Ref
@@ -80,38 +82,29 @@ type ResyncReply struct {
 func (s *Service) Call(from, op string, arg any) (any, error) {
 	switch op {
 	case "gettypes":
-		a, ok := arg.(GetTypesArg)
-		if !ok {
-			return nil, fmt.Errorf("oasis: bad gettypes argument %T", arg)
-		}
-		return s.localTypes(a.Rolefile, a.Role)
+		return serve(op, arg, func(a GetTypesArg) ([]value.Type, error) { return s.localTypes(a.Rolefile, a.Role) })
 	case "validate":
-		a, ok := arg.(ValidateArg)
-		if !ok {
-			return nil, fmt.Errorf("oasis: bad validate argument %T", arg)
-		}
-		return s.handleValidate(from, a)
+		return serve(op, arg, func(a ValidateArg) (ValidateReply, error) { return s.handleValidate(from, a) })
 	case "resync":
-		a, ok := arg.(ResyncArg)
-		if !ok {
-			return nil, fmt.Errorf("oasis: bad resync argument %T", arg)
-		}
-		return s.handleResync(from, a)
+		return serve(op, arg, func(a ResyncArg) (ResyncReply, error) { return s.handleResync(from, a) })
 	case "shardwatch":
-		a, ok := arg.(ShardWatchArg)
-		if !ok {
-			return nil, fmt.Errorf("oasis: bad shardwatch argument %T", arg)
-		}
-		return s.handleShardWatch(from, a)
+		return serve(op, arg, func(a ShardWatchArg) (ResyncReply, error) { return s.handleShardWatch(from, a) })
 	case "treeforward":
-		a, ok := arg.(TreeForwardArg)
-		if !ok {
-			return nil, fmt.Errorf("oasis: bad treeforward argument %T", arg)
-		}
-		return nil, s.handleTreeForward(from, a)
+		return serve(op, arg, func(a TreeForwardArg) (any, error) { return nil, s.handleTreeForward(from, a) })
 	default:
 		return nil, fmt.Errorf("oasis: unknown operation %q", op)
 	}
+}
+
+// serve runs one operation's handler on the argument type it takes and
+// refuses anything else found in the argument position.
+func serve[A, R any](op string, arg any, handle func(A) (R, error)) (any, error) {
+	a, ok := arg.(A)
+	if !ok {
+		return nil, fmt.Errorf("oasis: bad %s argument %T", op, arg)
+	}
+	r, err := handle(a)
+	return r, err
 }
 
 // Deliver implements bus.Endpoint: inbound event notifications go to the
@@ -189,62 +182,83 @@ func (s *Service) handleValidate(from string, a ValidateArg) (ValidateReply, err
 	if err != nil {
 		return ValidateReply{}, err
 	}
-	reply := ValidateReply{Roles: fs.roleMap.Names(c.Roles)}
-	// Expose argument types so the peer can interpret parameters (§4.3).
-	if names := reply.Roles; len(names) > 0 {
-		reply.Types = fs.rf.Types[names[0]]
-	}
-	// Subscribe, then read: a revocation landing after the read is one the
-	// watcher is told about. Read first, and a logout falling between the
-	// two would be in neither the reply nor the stream.
+	var watch func(credrec.Ref) error
 	if a.Watch {
-		if reply.RegID, err = s.watchFor(from, c.CRR); err != nil {
-			return ValidateReply{}, err
-		}
+		watch = func(ref credrec.Ref) error { return s.watchFor(from, ref) }
 	}
-	if reply.State, err = s.store.Lookup(c.CRR); err != nil {
-		reply.State = credrec.False
+	var one [1]ResyncEntry // on the stack: validation is the peer port's hot path
+	answer, err := s.subscribeThenRead(one[:0], []credrec.Ref{c.CRR}, watch, nil)
+	if err != nil {
+		return ValidateReply{}, err
 	}
-	return reply, nil
+	return ValidateReply{Roles: fs.roleMap.Names(c.Roles), State: answer[0].State}, nil
 }
 
-// watchFor is the issuer's one way into a watch: it flags the record so
-// its changes are signalled and registers the peer for them; the caller
-// reads the state it reports only afterwards. A record already
-// permanent — or revoked and swept — has nothing left to announce
-// (§4.8) and registers nothing. watchMu is held throughout, so
-// concurrent validations from one peer share one broker session, repeat
-// validations of one record share one registration (a change is one
-// notification per watcher, however often the watcher validated), and a
-// record that turns permanent after the check finds the row when
-// releaseWatches takes the same lock.
-func (s *Service) watchFor(peer string, ref credrec.Ref) (uint64, error) {
-	if s.net == nil {
-		return 0, fmt.Errorf("oasis: no network")
-	}
-	if err := s.store.MarkNotify(ref); err != nil {
-		if errors.Is(err, credrec.ErrDangling) {
-			return 0, nil
+// subscribeThenRead is the issuer's one answer to a peer's question
+// about its records, whichever operation asks it (§4.10: "the state of
+// each record is read"): every record is first flagged so its changes
+// are signalled and the caller subscribed to them — by subscribe, the
+// operation's own way of remembering who watches; nil asks for a plain
+// read — and only then read, the answers appended to entries. A
+// revocation landing after the read is then one the caller is told
+// about; read first, and a logout falling between the two would be in
+// neither the answer nor the stream. between, if set, runs once every
+// subscription stands and before any state is read. A record revoked
+// and swept has nothing left to announce (§4.8): it subscribes nobody
+// and reads as permanently False.
+func (s *Service) subscribeThenRead(entries []ResyncEntry, refs []credrec.Ref, subscribe func(credrec.Ref) error, between func()) ([]ResyncEntry, error) {
+	if subscribe != nil {
+		for _, ref := range refs {
+			if err := s.store.MarkNotify(ref); errors.Is(err, credrec.ErrDangling) {
+				continue
+			} else if err != nil {
+				return nil, err
+			}
+			if err := subscribe(ref); err != nil {
+				return nil, err
+			}
 		}
-		return 0, err
+	}
+	if between != nil {
+		between()
+	}
+	entries = slices.Grow(entries, len(refs))
+	for _, ref := range refs {
+		st, perm, _ := s.store.Resolve(ref)
+		entries = append(entries, ResyncEntry{Ref: ref, State: st, Permanent: perm})
+	}
+	return entries, nil
+}
+
+// watchFor is the issuer's one way into a watch: it registers the peer
+// for the changes of a record subscribeThenRead has flagged. A record
+// already permanent has nothing left to announce (§4.8) and registers
+// nothing. watchMu is held throughout, so concurrent questions from one
+// peer share one broker session, repeated ones about one record share
+// one registration (a change is one notification per watcher, however
+// often the watcher asked), and a record that turns permanent after the
+// check finds the row when releaseWatches takes the same lock.
+func (s *Service) watchFor(peer string, ref credrec.Ref) error {
+	if s.net == nil {
+		return fmt.Errorf("oasis: no network")
 	}
 	key := ref.Uint64()
 	s.watchMu.Lock()
 	defer s.watchMu.Unlock()
 	for _, w := range s.watches[key] {
 		if w.peer == peer {
-			return w.reg, nil
+			return nil
 		}
 	}
 	if _, permanent, _ := s.store.Resolve(ref); permanent {
-		return 0, nil
+		return nil
 	}
 	sess, ok := s.watchSessions[peer]
 	if !ok {
 		var err error
 		sess, err = s.broker.OpenSession(s.net.Sink(s.name, peer), nil)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		s.watchSessions[peer] = sess
 	}
@@ -252,14 +266,14 @@ func (s *Service) watchFor(peer string, ref credrec.Ref) (uint64, error) {
 		event.Lit(value.Str(refString(ref))), event.Wildcard(), event.Wildcard())
 	regID, err := s.broker.Register(sess, tmpl)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	s.watches[key] = append(s.watches[key], watcher{peer, regID})
-	return regID, nil
+	return nil
 }
 
-// watcher is one peer's watch on one of our records, from the validation
-// that asked for it until the record's permanent transition.
+// watcher is one peer's watch on one of our records, from the validate
+// or resync that asked for it until the record's permanent transition.
 type watcher struct {
 	peer string
 	reg  uint64
@@ -499,40 +513,34 @@ func (s *Service) dutyTick() {
 	s.ExpireTick()
 }
 
-// handleResync serves the responder side of the resync protocol. The
-// ordering here is the protocol's one invariant: the caller's session
+// handleResync serves the responder side of the resync protocol: the
+// caller is (re)subscribed to every record it lists — an issuer that
+// restarted since the caller first asked has no other way to learn who
+// watches what — and told their states; nobody else is told anything.
+// The ordering is the protocol's one invariant: the caller's session
 // sequence is read BEFORE any record state. An update racing with the
 // snapshot is then always captured at least once — in the snapshot if
 // it lands before the state read, or in a notification numbered above
 // Seq (which the caller's stream floor lets through) if it lands
 // after. Read the other way round, an update falling between the state
-// read and the sequence read would be in neither.
-//
-// Besides filling the reply, each record's state is re-asserted as a
-// Modified event through the normal broker channel: the re-assertions
-// are sequence-numbered above the snapshot point, idempotent at every
-// receiver (duplicate suppression), and — running inside a
-// notification batch — coalesce with any concurrent cascade burst.
-func (s *Service) handleResync(from string, a ResyncArg) (ResyncReply, error) {
-	var reply ResyncReply
-	s.watchMu.Lock()
-	sess, watched := s.watchSessions[from]
-	s.watchMu.Unlock()
-	if watched {
-		if seq, err := s.broker.SessionSeq(sess); err == nil {
-			reply.Session = sess
-			reply.Seq = seq
-		}
-	}
-	_ = s.batchNotify(func() error {
-		for _, ref := range a.Refs {
-			st, perm, _ := s.store.Resolve(ref)
-			reply.Entries = append(reply.Entries, ResyncEntry{Ref: ref, State: st, Permanent: perm})
-			s.onRecordChange(ref, st, perm)
-		}
-		return nil
-	})
-	return reply, nil
+// read and the sequence read would be in neither. The sequence in turn
+// is read after the subscriptions, the first of which may have opened
+// the session it belongs to.
+func (s *Service) handleResync(from string, a ResyncArg) (reply ResyncReply, err error) {
+	reply.Entries, err = s.subscribeThenRead(nil, a.Refs,
+		func(ref credrec.Ref) error { return s.watchFor(from, ref) },
+		func() {
+			s.watchMu.Lock()
+			sess, watched := s.watchSessions[from]
+			s.watchMu.Unlock()
+			if !watched {
+				return
+			}
+			if seq, err := s.broker.SessionSeq(sess); err == nil {
+				reply.Session, reply.Seq = sess, seq
+			}
+		})
+	return reply, err
 }
 
 // ResyncSource re-reads the authoritative state of every external

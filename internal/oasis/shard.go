@@ -104,27 +104,24 @@ func (s *Service) ShardRingMembers() []string {
 	return c.tree.Members()
 }
 
-// handleShardWatch serves the owner side of a cross-shard edge: mark
-// each record notify-flagged and remembered as shard-watched, and
-// report its current state so the caller seeds its surrogate from the
+// handleShardWatch serves the owner side of a cross-shard edge: each
+// record is remembered as shard-watched — the tree, not a session, is
+// what carries its changes, so there is no caller to remember — and its
+// current state reported, so the caller seeds its surrogate from the
 // same snapshot. A record that no longer exists (revoked and swept)
 // still reports as permanently False — revocation is forever.
-func (s *Service) handleShardWatch(from string, a ShardWatchArg) (ResyncReply, error) {
+func (s *Service) handleShardWatch(from string, a ShardWatchArg) (reply ResyncReply, err error) {
 	c := s.cluster.Load()
 	if c == nil {
-		return ResyncReply{}, fmt.Errorf("oasis: %s is not in a shard ring", s.name)
+		return reply, fmt.Errorf("oasis: %s is not in a shard ring", s.name)
 	}
-	var reply ResyncReply
-	for _, ref := range a.Refs {
-		if err := s.store.MarkNotify(ref); err == nil {
-			c.mu.Lock()
-			c.watched[ref.Uint64()] = true
-			c.mu.Unlock()
-		}
-		st, perm, _ := s.store.Resolve(ref)
-		reply.Entries = append(reply.Entries, ResyncEntry{Ref: ref, State: st, Permanent: perm})
-	}
-	return reply, nil
+	reply.Entries, err = s.subscribeThenRead(nil, a.Refs, func(ref credrec.Ref) error {
+		c.mu.Lock()
+		c.watched[ref.Uint64()] = true
+		c.mu.Unlock()
+		return nil
+	}, nil)
+	return reply, err
 }
 
 // ImportShardRecord wires a surrogate for a record owned by another

@@ -140,10 +140,8 @@ func (s *Service) SuspicionTick() {
 
 // tryResync attempts recovery of a degraded source (ResyncSource
 // returns it to Alive on success). One resync per source runs at a
-// time: the re-assertions a resync signals are delivered one by one, and a
-// gap observed mid-delivery (the re-asserts' sequence numbers leapfrog
-// notes still queued in the same burst) must not recurse into a second
-// resync — the in-flight snapshot reply already covers it.
+// time: a gap or a revival observed while one is in flight is covered
+// by the snapshot it is about to apply.
 func (s *Service) tryResync(source string) {
 	s.suspMu.Lock()
 	if s.resyncing[source] {

@@ -91,6 +91,21 @@ type relay struct {
 func (r relay) Call(from, op string, arg any) (any, error) { return r.call(from, op, arg) }
 func (r relay) Deliver(n event.Notification)               { r.deliver(n) }
 
+// relayTo registers name on net as a plain relay to the endpoint of
+// that name on target; what net sends it goes to deliver (nil drops it).
+func relayTo(t *testing.T, net *bus.Network, name string, target *bus.Network, deliver func(event.Notification)) {
+	t.Helper()
+	if deliver == nil {
+		deliver = func(event.Notification) {}
+	}
+	if err := net.Register(name, relay{
+		call:    func(from, op string, arg any) (any, error) { return target.Call(from, name, op, arg) },
+		deliver: deliver,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestModifiedOvertakingValidateReplyIsNotLost: issuer and watcher sit
 // on two networks, and the link between them runs a logout after the
 // issuer has answered validate and before the watcher sees the answer —
@@ -122,12 +137,7 @@ func TestModifiedOvertakingValidateReplyIsNotLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	guest := addGuest(t, clk, guestNet)
-	if err := loginNet.Register("Guest", relay{
-		call:    func(from, op string, arg any) (any, error) { return guestNet.Call(from, "Guest", op, arg) },
-		deliver: guest.Deliver,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	relayTo(t, loginNet, "Guest", guestNet, guest.Deliver)
 
 	c := h.client("ely")
 	login := h.logOn(t, c, "dm")

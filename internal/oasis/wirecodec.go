@@ -39,195 +39,147 @@ const (
 // registerBinaryPayloads registers every protocol payload with the
 // bus's binary codec; called once from RegisterWireTypes.
 func registerBinaryPayloads() {
-	bus.RegisterWirePayload(wireTagGetTypesArg, GetTypesArg{},
-		func(e *bus.WireEnc, v any) error {
-			a, ok := v.(GetTypesArg)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not GetTypesArg", v)
-			}
+	registerPayload(wireTagGetTypesArg,
+		func(e *bus.WireEnc, a GetTypesArg) {
 			e.PutString(a.Rolefile)
 			e.PutString(a.Role)
-			return nil
 		},
-		func(d *bus.WireDec) (any, error) {
-			var a GetTypesArg
-			var err error
+		func(d *bus.WireDec) (a GetTypesArg, err error) {
 			if a.Rolefile, err = d.String(); err != nil {
-				return nil, err
+				return a, err
 			}
-			if a.Role, err = d.String(); err != nil {
-				return nil, err
-			}
-			return a, nil
+			a.Role, err = d.String()
+			return a, err
 		})
 
-	bus.RegisterWirePayload(wireTagValidateArg, ValidateArg{},
-		func(e *bus.WireEnc, v any) error {
-			a, ok := v.(ValidateArg)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not ValidateArg", v)
-			}
+	registerPayload(wireTagValidateArg,
+		func(e *bus.WireEnc, a ValidateArg) {
 			e.PutBool(a.Cert != nil)
 			if a.Cert != nil {
 				encodeRMC(e, a.Cert)
 			}
 			encodeClientID(e, a.Client)
 			e.PutBool(a.Watch)
-			return nil
 		},
-		func(d *bus.WireDec) (any, error) {
-			var a ValidateArg
+		func(d *bus.WireDec) (a ValidateArg, err error) {
 			hasCert, err := d.Bool()
 			if err != nil {
-				return nil, err
+				return a, err
 			}
 			if hasCert {
 				if a.Cert, err = decodeRMC(d); err != nil {
-					return nil, err
+					return a, err
 				}
 			}
 			if a.Client, err = decodeClientID(d); err != nil {
-				return nil, err
+				return a, err
 			}
-			if a.Watch, err = d.Bool(); err != nil {
-				return nil, err
-			}
-			return a, nil
+			a.Watch, err = d.Bool()
+			return a, err
 		})
 
-	bus.RegisterWirePayload(wireTagValidateReply, ValidateReply{},
-		func(e *bus.WireEnc, v any) error {
-			r, ok := v.(ValidateReply)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not ValidateReply", v)
-			}
+	registerPayload(wireTagValidateReply,
+		func(e *bus.WireEnc, r ValidateReply) {
 			e.PutStrings(r.Roles)
 			e.PutTypes(r.Types)
 			e.PutVarint(int64(r.State))
 			e.PutUvarint(r.RegID)
-			return nil
 		},
-		func(d *bus.WireDec) (any, error) {
-			var r ValidateReply
-			var err error
+		func(d *bus.WireDec) (r ValidateReply, err error) {
 			if r.Roles, err = d.Strings(); err != nil {
-				return nil, err
+				return r, err
 			}
 			if r.Types, err = d.Types(); err != nil {
-				return nil, err
+				return r, err
 			}
 			st, err := d.Varint()
 			if err != nil {
-				return nil, err
+				return r, err
 			}
 			r.State = credrec.State(st)
-			if r.RegID, err = d.Uvarint(); err != nil {
-				return nil, err
-			}
-			return r, nil
+			r.RegID, err = d.Uvarint()
+			return r, err
 		})
 
-	bus.RegisterWirePayload(wireTagResyncArg, ResyncArg{},
-		func(e *bus.WireEnc, v any) error {
-			a, ok := v.(ResyncArg)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not ResyncArg", v)
-			}
-			encodeRefs(e, a.Refs)
-			return nil
-		},
-		func(d *bus.WireDec) (any, error) {
-			refs, err := decodeRefs(d)
-			if err != nil {
-				return nil, err
-			}
-			return ResyncArg{Refs: refs}, nil
+	registerPayload(wireTagResyncArg,
+		func(e *bus.WireEnc, a ResyncArg) { encodeRefs(e, a.Refs) },
+		func(d *bus.WireDec) (a ResyncArg, err error) {
+			a.Refs, err = decodeRefs(d)
+			return a, err
 		})
 
-	bus.RegisterWirePayload(wireTagResyncReply, ResyncReply{},
-		func(e *bus.WireEnc, v any) error {
-			r, ok := v.(ResyncReply)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not ResyncReply", v)
-			}
+	registerPayload(wireTagResyncReply,
+		func(e *bus.WireEnc, r ResyncReply) {
 			e.PutUvarint(r.Session)
 			e.PutUvarint(r.Seq)
 			encodeEntries(e, r.Entries)
-			return nil
 		},
-		func(d *bus.WireDec) (any, error) {
-			var r ResyncReply
-			var err error
+		func(d *bus.WireDec) (r ResyncReply, err error) {
 			if r.Session, err = d.Uvarint(); err != nil {
-				return nil, err
+				return r, err
 			}
 			if r.Seq, err = d.Uvarint(); err != nil {
-				return nil, err
+				return r, err
 			}
-			if r.Entries, err = decodeEntries(d); err != nil {
-				return nil, err
-			}
-			return r, nil
+			r.Entries, err = decodeEntries(d)
+			return r, err
 		})
 
-	bus.RegisterWirePayload(wireTagTypes, []value.Type{},
-		func(e *bus.WireEnc, v any) error {
-			ts, ok := v.([]value.Type)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not []value.Type", v)
-			}
-			e.PutTypes(ts)
-			return nil
-		},
-		func(d *bus.WireDec) (any, error) { return d.Types() })
+	registerPayload(wireTagTypes,
+		func(e *bus.WireEnc, ts []value.Type) { e.PutTypes(ts) },
+		(*bus.WireDec).Types)
 
-	bus.RegisterWirePayload(wireTagShardWatchArg, ShardWatchArg{},
-		func(e *bus.WireEnc, v any) error {
-			a, ok := v.(ShardWatchArg)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not ShardWatchArg", v)
-			}
-			encodeRefs(e, a.Refs)
-			return nil
-		},
-		func(d *bus.WireDec) (any, error) {
-			refs, err := decodeRefs(d)
-			if err != nil {
-				return nil, err
-			}
-			return ShardWatchArg{Refs: refs}, nil
+	registerPayload(wireTagShardWatchArg,
+		func(e *bus.WireEnc, a ShardWatchArg) { encodeRefs(e, a.Refs) },
+		func(d *bus.WireDec) (a ShardWatchArg, err error) {
+			a.Refs, err = decodeRefs(d)
+			return a, err
 		})
 
-	bus.RegisterWirePayload(wireTagTreeForward, TreeForwardArg{},
-		func(e *bus.WireEnc, v any) error {
-			a, ok := v.(TreeForwardArg)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not TreeForwardArg", v)
-			}
+	registerPayload(wireTagTreeForward,
+		func(e *bus.WireEnc, a TreeForwardArg) {
 			e.PutString(a.Origin)
 			e.PutString(a.Root)
 			encodeEntries(e, a.Edges)
 			e.PutVarint(int64(a.Pressure))
+		},
+		func(d *bus.WireDec) (a TreeForwardArg, err error) {
+			if a.Origin, err = d.String(); err != nil {
+				return a, err
+			}
+			if a.Root, err = d.String(); err != nil {
+				return a, err
+			}
+			if a.Edges, err = decodeEntries(d); err != nil {
+				return a, err
+			}
+			p, err := d.Varint()
+			a.Pressure = int(p)
+			return a, err
+		})
+}
+
+// registerPayload is where a payload's Go type meets its tag: encoders
+// and decoders are written against the type, and the one assertion the
+// bus's untyped argument position needs is made here. A decoder's error
+// discards whatever it had decoded.
+func registerPayload[T any](tag byte, enc func(*bus.WireEnc, T), dec func(*bus.WireDec) (T, error)) {
+	var prototype T
+	bus.RegisterWirePayload(tag, prototype,
+		func(e *bus.WireEnc, v any) error {
+			t, ok := v.(T)
+			if !ok {
+				return fmt.Errorf("oasis: wire payload %T is not %T", v, prototype)
+			}
+			enc(e, t)
 			return nil
 		},
 		func(d *bus.WireDec) (any, error) {
-			var a TreeForwardArg
-			var err error
-			if a.Origin, err = d.String(); err != nil {
-				return nil, err
-			}
-			if a.Root, err = d.String(); err != nil {
-				return nil, err
-			}
-			if a.Edges, err = decodeEntries(d); err != nil {
-				return nil, err
-			}
-			p, err := d.Varint()
+			t, err := dec(d)
 			if err != nil {
 				return nil, err
 			}
-			a.Pressure = int(p)
-			return a, nil
+			return t, nil
 		})
 }
 
