@@ -47,9 +47,10 @@
 //
 // Every heartbeat period the service runs its duties
 // (oasis.Service.StartDuties): failure suspicion, heartbeats to its
-// watchers, delegation expiry. Watched sources degrade through
-// suspect/failed after -failsafe-missed silent periods, recover by
-// automatic resync, and every transition is logged.
+// watchers, delegation expiry, record sweep (§4.8: revoked records are
+// deleted, so memory does not grow with every logout). Watched sources
+// degrade through suspect/failed after -failsafe-missed silent periods,
+// recover by automatic resync, and every transition is logged.
 //
 // Protocol (one JSON object per line):
 //

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -753,6 +754,125 @@ func TestConcurrentMutationsOwnAnswer(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	if n := gw.TokenCount(); n != 0 {
+		t.Fatalf("%d tokens left after every one was revoked", n)
+	}
+}
+
+// TestSweepUnderChurnOwnAnswer: the daemon's duty loop sweeps the record
+// table while the gateway issues, introspects and revokes on it. Eight
+// goroutines issue → introspect → revoke → introspect their own user's
+// token 200 times beside a goroutine calling SweepTick in a loop. On two
+// rounds in three the membership is first revoked behind the gateway's
+// back, as a cascade would, and the worker waits for the sweeper to
+// delete its record: the gateway then meets a dangling reference, in
+// /v1/revoke or in an introspection. Every answer is the worker's own
+// and none is a 5xx. Run under -race -count=10 (make race).
+func TestSweepUnderChurnOwnAnswer(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	login, err := oasis.New("Login", clk, nil, oasis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := login.AddRolefile("main", loginRolefile); err != nil {
+		t.Fatal(err)
+	}
+	gw := gateway.New(login, gateway.Options{}) // crypto/rand: seqReader is not for sharing
+	h := gw.Handler()
+	c := ids.NewHostAuthority("ely", clk.Now()).NewDomain()
+
+	stopSweeping := make(chan struct{})
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		for {
+			select {
+			case <-stopSweeping:
+				return
+			default:
+				login.SweepTick()
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	const workers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			user := "user-" + strings.Repeat("x", i*7) + string(rune('a'+i))
+			issue, err := json.Marshal(gateway.TokenRequest{
+				Client: c, Rolefile: "main", Role: "LoggedOn",
+				Args: []value.Value{uid(user), value.Object("Login.host", "ely")},
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			serve := func(path, body string) (int, string) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+				return rec.Code, rec.Body.String()
+			}
+			for round := 0; round < 200; round++ {
+				code, body := serve("/v1/token", string(issue))
+				var res gateway.TokenResponse
+				if err := json.Unmarshal([]byte(body), &res); err != nil || code != http.StatusOK {
+					t.Errorf("worker %d: issue answered %d %q (%v)", i, code, body, err)
+					return
+				}
+				if res.Cert == nil || len(res.Args) != 2 || res.Args[0].S != user {
+					t.Errorf("worker %d: not its own token: %s", i, body)
+					return
+				}
+				tok := `{"token":"` + res.Token + `"}`
+				code, body = serve("/v1/introspect", tok)
+				var in gateway.IntrospectResponse
+				if err := json.Unmarshal([]byte(body), &in); err != nil || code != http.StatusOK ||
+					!in.Active || len(in.Args) != 2 || in.Args[0].S != user {
+					t.Errorf("worker %d: live token introspects as %d %q", i, code, body)
+					return
+				}
+				inactive := func(when string) bool {
+					if code, body := serve("/v1/introspect", tok); code != http.StatusOK || body != "{\"active\":false}\n" {
+						t.Errorf("worker %d: token %s introspects as %d %q", i, when, code, body)
+						return false
+					}
+					return true
+				}
+				if round%3 != 0 {
+					if err := login.RevokeDirect(res.Cert); err != nil {
+						t.Errorf("worker %d: upstream revoke: %v", i, err)
+						return
+					}
+					for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+						if _, _, err := login.Store().Resolve(res.Cert.CRR); err != nil {
+							break
+						}
+						if time.Now().After(deadline) {
+							t.Errorf("worker %d: revoked record never swept", i)
+							return
+						}
+					}
+					if round%3 == 2 && !inactive("swept") {
+						return
+					}
+				}
+				if code, body := serve("/v1/revoke", tok); code != http.StatusOK || body != "{\"ok\":true}\n" {
+					t.Errorf("worker %d: revoke answered %d %q", i, code, body)
+					return
+				}
+				if !inactive("revoked") {
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(stopSweeping)
+	<-swept
 	if n := gw.TokenCount(); n != 0 {
 		t.Fatalf("%d tokens left after every one was revoked", n)
 	}

@@ -291,7 +291,7 @@ func (s *Service) Reinstate(revoker *cert.RMC, caller ids.ClientID, rolefile, ro
 // from the elector's exit or revocation — so the bookkeeping is bounded
 // by the live delegations; a dead record is permanently False or
 // already swept, and EnterDelegated refuses it before consulting the
-// bookkeeping. Call it periodically.
+// bookkeeping. The duty loop runs it once a period.
 func (s *Service) ExpireTick() int {
 	now := s.clk.Now()
 	s.delegMu.Lock()

@@ -40,3 +40,15 @@ func (s *Service) surrogateRows() int {
 func (s *Service) receiverHandlers() int {
 	return reflect.ValueOf(s.receiver).Elem().FieldByName("srcHandlers").Len()
 }
+
+// groupEntries counts the (member, group) records the group table holds
+// as interesting (§4.8.1), for TestDutiesReclaimRevokedGraphs; read by
+// reflection for the same reason, on a quiescent service only.
+func (s *Service) groupEntries() int {
+	shards := reflect.ValueOf(s.groups).Elem().FieldByName("shards")
+	n := 0
+	for i := 0; i < shards.Len(); i++ {
+		n += shards.Index(i).FieldByName("interesting").Len()
+	}
+	return n
+}

@@ -77,9 +77,8 @@ func (s *Service) RevokeDirect(c *cert.RMC) error {
 // SweepTick garbage-collects the credential record table (§4.8):
 // permanent records are unlinked and permanently-false or uninteresting
 // records deleted; the group table drops entries whose records are
-// gone. Call it periodically; it returns the number of records freed.
-//
-//oasislint:keep ROADMAP 3c
+// gone. The duty loop runs it once a period (StartDuties); it returns
+// the number of records freed.
 func (s *Service) SweepTick() int {
 	n := s.store.Sweep()
 	s.groups.Compact()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"oasis/internal/cert"
+	"oasis/internal/credrec"
 	"oasis/internal/event"
 	"oasis/internal/ids"
 	"oasis/internal/value"
@@ -252,6 +253,113 @@ func TestStartDuties(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
+}
+
+// The storm's policies (bench/oasisload/workloads.go): the |> clause
+// gives every Session a record of its own. Guest is never asked for
+// here, but §3.2.2 walks every rule on each entry of R, so its group
+// test mints a (u, staff) record (§4.7 rule 3) that nothing holds.
+const (
+	stormLoginRolefile = `def LoggedOn(u, h) u: Login.userid h: Login.host
+def Session(u, n) u: Login.userid n: integer
+Admin <-
+LoggedOn(u, h) <-
+Session(u, n) <- LoggedOn(u, h)* |> Admin
+`
+	stormConfRolefile = `def R(u, n) u: Login.userid n: integer
+R(u, n) <- Login.Session(u, n)*
+Guest(u) <- Login.Session(u, n)* : (u not in staff)*
+`
+)
+
+// TestDutiesReclaimRevokedGraphs: the duty loop sweeps (§4.8). After
+// 200 cycles of login → Session → cross-service R → logout, one period
+// of StartDuties returns both stores to what they held before, plus the
+// one §4.11 not-revoked fact each revocable instance leaves behind by
+// design (ROADMAP 3 c); Conf holds no surrogate and its group table no
+// entry whose record is gone, and a swept certificate still refuses.
+func TestDutiesReclaimRevokedGraphs(t *testing.T) {
+	h := newHarness(t)
+	if err := h.login.AddRolefile("storm", stormLoginRolefile); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.conf.AddRolefile("storm", stormConfRolefile); err != nil {
+		t.Fatal(err)
+	}
+	loginLive, confLive := h.login.Store().Live(), h.conf.Store().Live()
+	groups := h.conf.groupEntries()
+	stopLogin, stopConf := h.login.StartDuties(), h.conf.StartDuties()
+	stop := sync.OnceFunc(func() { stopLogin(); stopConf() })
+	defer stop()
+
+	const cycles = 200
+	var session, r *cert.RMC
+	for i := 0; i < cycles; i++ {
+		c := h.client("ely")
+		user := fmt.Sprintf("u%03d", i)
+		login, err := h.login.Enter(EnterRequest{Client: c, Rolefile: "storm", Role: "LoggedOn",
+			Args: []value.Value{uid(user), value.Object("Login.host", c.Host)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		session, err = h.login.Enter(EnterRequest{Client: c, Rolefile: "storm", Role: "Session",
+			Args: []value.Value{uid(user), value.Int(int64(i))}, Creds: []*cert.RMC{login}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err = h.conf.Enter(EnterRequest{Client: c, Rolefile: "storm", Role: "R",
+			Args: []value.Value{uid(user), value.Int(int64(i))}, Creds: []*cert.RMC{session}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.login.Exit(login, c); err != nil {
+			t.Fatal(err)
+		}
+		wantRevoked(t, h.conf.Validate(r, c), "R after logout")
+	}
+	if n := h.conf.groupEntries(); n != groups+cycles {
+		t.Fatalf("group table holds %d entries after the cycles, want %d", n, groups+cycles)
+	}
+	st, err := h.login.rolefileFor("storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.mu.Lock()
+	facts := len(st.revocable)
+	st.mu.Unlock()
+	if facts != cycles {
+		t.Fatalf("%d revocable instances, want %d", facts, cycles)
+	}
+
+	// One period. The loop arms its timer asynchronously, so the clock is
+	// advanced again only if nothing was swept in a while.
+	reclaimed := func() bool {
+		return h.login.Store().Live() == loginLive+facts && h.conf.Store().Live() == confLive
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !reclaimed() {
+		if time.Now().After(deadline) {
+			t.Fatalf("live records one period later: Login %d (want %d), Conf %d (want %d)",
+				h.login.Store().Live(), loginLive+facts, h.conf.Store().Live(), confLive)
+		}
+		h.clk.Advance(5 * time.Second) // default period
+		for wait := time.Now().Add(50 * time.Millisecond); !reclaimed() && time.Now().Before(wait); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	stop() // joins both loops: the tables below are read quiescent
+
+	if n := h.conf.surrogateRows(); n != 0 {
+		t.Fatalf("Conf holds %d surrogate rows", n)
+	}
+	if n := h.conf.groupEntries(); n != groups {
+		t.Fatalf("group table holds %d entries after the sweep, want %d", n, groups)
+	}
+	if _, _, err := h.conf.Store().Resolve(r.CRR); !errors.Is(err, credrec.ErrDangling) {
+		t.Fatalf("R's record was not swept: %v", err)
+	}
+	wantRevoked(t, h.conf.Validate(r, r.Client), "swept R")
+	wantRevoked(t, h.login.Validate(session, session.Client), "swept Session")
 }
 
 // sinkFunc adapts a thunk to an event sink counting heartbeats.

@@ -505,12 +505,17 @@ func (s *Service) StartDuties() (stop func()) {
 // dutyTick is one period's work. Suspicion runs first: a heartbeat
 // makes synchronous treeforward calls that can each block for a
 // bus.CallDeadline, and detecting a silent source must not queue
-// behind them. The delegation safety net (§4.4) comes last; it costs a
-// map walk and does nothing while no TTL is set.
+// behind them. The delegation safety net (§4.4) comes next; it costs a
+// map walk and does nothing while no TTL is set. The record sweep
+// (§4.8) is last, so what expiry just invalidated is reclaimed in the
+// same period: the duty loop owns the daemon's memory, whatever the
+// store (a journaled one still sweeps before each snapshot as well —
+// that sweep owns the image).
 func (s *Service) dutyTick() {
 	s.SuspicionTick()
 	s.HeartbeatTick()
 	s.ExpireTick()
+	s.SweepTick()
 }
 
 // handleResync serves the responder side of the resync protocol: the
