@@ -21,7 +21,7 @@ help:
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -38,15 +38,15 @@ test:
 # sharded store at 1/2/4/8 shards against the monolithic semantics, in
 # memory and journaled-closed-reopened (TestShardedMatrix), its
 # store-wide fail-stop when one shard's journal fails, the bridge source
-# format recovery reads, the dissemination tree, the cross-shard service
-# suites, the sharding wire payloads and the daemon's
+# format recovery reads, the ring's tree, the cross-shard service
+# suites, the ring's wire payload and the daemon's
 # `-shards N -store-dir` restart and shape guard — everything `-shards`
 # and `-shard-ring` deploy, run explicitly and uncached.
 test-shard:
 	$(GO) test -run 'Sharded|BridgeSource|Ring|Tree|Disseminator|ForwardBatch' -count=1 \
 		./internal/credrec/ ./internal/bus/
 	$(GO) test -run 'Sharded|StoreShape' -count=1 ./cmd/oasisd/
-	$(GO) test -run 'Shard|ClusterPending|CoalesceShardEdges' -count=1 \
+	$(GO) test -run 'Shard|ClusterPending|RelayedHeartbeat' -count=1 \
 		./internal/oasis/
 
 # The concurrency regression suite: the striped store, read-mostly
@@ -121,8 +121,10 @@ vet:
 # -shards with -store-dir, a benchmark driver beside bench/oasisload
 # and the one root bench_test.go, hidden state on a certificate — a
 # per-instance canonical cache or verify memo beside cert.VerifyCache —
-# and the peer op nothing sent with the two extra ways an issuer's
-# assertion reached a surrogate beside applyRemote.
+# the peer op nothing sent with the two extra ways an issuer's
+# assertion reached a surrogate beside applyRemote, and the ring's
+# record half: a ring subscription op, its import, and the tree edges
+# it fed.
 # The closing loops hold the documents to the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
 # DESIGN.md's experiment index, README.md or docs/*.md must be a func in
 # some _test.go (a trailing * matches a prefix), and every
@@ -144,6 +146,7 @@ lint: reach
 	! grep -rn 'incompatible with -store-dir' cmd/ docs/
 	! grep -rnE 'verifyMemo|canonCore|delegCanon|canon +atomic' internal/cert
 	! grep -rnE '"readstate"|ReadStateArg|applyShardEdge|applyModified' internal/ cmd/ docs/ README.md
+	! grep -rnE '"shardwatch"|ImportShardRecord|coalesceShardEdges|shardNotify' internal/ cmd/ docs/
 	! test -e cmd/benchharness
 	test "$$(ls *_test.go | wc -l)" -eq 1
 	@index() { sed -n '/^## Experiment index/,/^## Concurrency model/p' DESIGN.md; }; fail=; \

@@ -10,9 +10,10 @@ import (
 // it: per-client rate limiting, a connection cap, and backpressure
 // wired to the whole notification plane. The pressure figure is
 // cluster-wide — this member's broker outboxes and bus delay/batch
-// queues plus every live shard peer's last piggybacked backlog
-// (oasis.ClusterPendingNotifications) — so a storm drowning one shard
-// sheds 503s at every shard's front door, not just the drowning one.
+// queues plus every shard peer's backlog claim heard within the
+// fail-safe budget (oasis.ClusterPendingNotifications) — so a storm
+// drowning one shard sheds 503s at every shard's front door, not just
+// the drowning one.
 // Outside a shard ring the figure degrades to the local plane. Tests
 // reuse this so acceptance coverage exercises the deployed wiring, not
 // a test-local variant.

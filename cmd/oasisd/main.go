@@ -36,10 +36,11 @@
 // placed by ring ownership, cascades route by the shard id sealed into
 // each ref, and cross-shard dependency edges run over bridge
 // surrogates (docs/SHARDING.md). -shard-ring names the cluster's
-// members (comma-separated, must include -name); joined members
-// disseminate revocations down a fanout -shard-fanout tree instead of
-// point-to-point fan-out, and each member's gateway sheds on the
-// cluster-wide backlog aggregated from tree heartbeats. With
+// members (comma-separated, must include -name); joined members share
+// their notification backlog down a fanout -shard-fanout tree, and each
+// member's gateway sheds on the cluster-wide backlog that adds up.
+// Revocations cross members as between any two services, over the
+// watch each holds at the issuer. With
 // -store-dir each shard journals to a directory of its own
 // (<dir>/s00, <dir>/s01, …) with its own group commit and snapshot
 // trigger; a directory written under one shape (monolithic, or N
@@ -119,8 +120,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.IntVar(&cfg.httpMaxConns, "http-max-conns", 1024, "gateway concurrent-connection cap (0 = unlimited)")
 	fs.IntVar(&cfg.httpPressure, "http-pressure", 4096, "notification-plane backlog at which the gateway sheds mutating requests with 503 (0 disables backpressure)")
 	fs.IntVar(&cfg.shards, "shards", 0, "partition the credential-record store across this many consistent-hash shards (0/1 keeps the monolithic store); with -store-dir each shard journals to <dir>/sNN")
-	fs.StringVar(&cfg.shardRing, "shard-ring", "", "comma-separated shard-cluster member names (must include -name); members disseminate revocations over a tree instead of flat fan-out")
-	fs.IntVar(&cfg.shardFanout, "shard-fanout", 0, "dissemination-tree fanout for -shard-ring (0 = default)")
+	fs.StringVar(&cfg.shardRing, "shard-ring", "", "comma-separated shard-cluster member names (must include -name); members share their notification backlog over a tree, so each gateway sheds on the cluster-wide figure")
+	fs.IntVar(&cfg.shardFanout, "shard-fanout", 0, "backlog-tree fanout for -shard-ring (0 = default)")
 	fs.StringVar(&cfg.storeDir, "store-dir", "", "persist the credential-record store in this directory (journal + snapshots); empty keeps it in memory")
 	fs.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096, "journal operations between automatic snapshots/compactions (0 disables the trigger)")
 	fs.StringVar(&cfg.syncMode, "sync", "batched", "journal durability: always (fsync before a mutation returns), batched (one fsync per group commit), none")

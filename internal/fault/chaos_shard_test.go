@@ -7,22 +7,28 @@ import (
 	"time"
 
 	"oasis/internal/bus"
+	"oasis/internal/cert"
 	"oasis/internal/clock"
 	"oasis/internal/credrec"
+	"oasis/internal/ids"
 	"oasis/internal/oasis"
+	"oasis/internal/value"
 )
 
 // Sharded-cluster chaos: four shard daemons joined in one ring, with
-// cross-shard surrogates kept coherent by tree dissemination
-// (oasis.JoinShardRing). The scenario partitions an interior tree edge
+// cross-shard surrogates held through the flat watch
+// (oasis.WatchCertificate) and the ring's tree carrying only backlog
+// claims (oasis.JoinShardRing). The scenario cuts one link
 // mid-revocation-storm and asserts the same two obligations as the
-// two-service suite: the starved subtree fails safe within the budget,
-// and after the heal every shard's store converges to the image of a
-// run where the partition never happened.
+// two-service suite: a member cut off from the origin fails safe within
+// the budget, and after the heal every shard's store converges to the
+// image of a run where the cut never happened. A cut the tree alone
+// runs over changes no verdict at all.
 
 // shardWorld is a 4-member shard cluster under a fault plane. With
 // sorted members [A B C D] and fanout 2, the tree rooted at shardA is
-// A -> {B, C}, B -> {D}: severing B--D starves exactly shardD.
+// A -> {B, C}, B -> {D}: A's claims reach D only through B, and its
+// watch streams go straight to each member.
 type shardWorld struct {
 	t     *testing.T
 	clk   *clock.Virtual
@@ -46,6 +52,11 @@ func newShardWorld(t *testing.T, seed int64) *shardWorld {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if n == "shardA" {
+			if err := svc.AddRolefile("main", chaosLoginRolefile); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := svc.JoinShardRing(names, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +66,7 @@ func newShardWorld(t *testing.T, seed int64) *shardWorld {
 }
 
 // drive advances the cluster one virtual second at a time; on heartbeat
-// boundaries every member heartbeats its own dissemination tree (in
+// boundaries every member heartbeats its watchers and its own tree (in
 // member order — the driver is single-threaded, so runs reproduce).
 func (w *shardWorld) drive(seconds int, hooks map[int]func(), each func(i int)) {
 	hbTicks := int(hbPeriod / time.Second)
@@ -91,44 +102,68 @@ func (w *shardWorld) images() []byte {
 	return buf.Bytes()
 }
 
-// shardPartitionRun is the acceptance scenario: shardA owns two
-// records, every other member imports both; the B--D tree edge severs
-// at t=30s and restores at t=60s; one record is revoked at t=40s, mid-
-// partition, so shardD can only learn of it by post-heal resync. It
-// returns the plane transcript, the per-second state log, and the
-// cluster-wide store image.
-func shardPartitionRun(t *testing.T, seed int64, partitioned bool) (string, []string, []byte) {
+// login enters LoggedOn for one user at shardA, the ring's issuer.
+func (w *shardWorld) login(host, user string) (ids.ClientID, *cert.RMC) {
+	w.t.Helper()
+	c := ids.NewHostAuthority(host, w.clk.Now()).NewDomain()
+	rmc, err := w.svcs["shardA"].Enter(oasis.EnterRequest{
+		Client: c, Rolefile: "main", Role: "LoggedOn",
+		Args: []value.Value{
+			value.Object("Login.userid", user),
+			value.Object("Login.host", host),
+		},
+	})
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	return c, rmc
+}
+
+// shardPartitionRun is the acceptance scenario: shardA issues two
+// logins, and every other member holds a surrogate of both through
+// WatchCertificate; the link cut (nil for none) severs at t=30s and
+// restores at t=60s; one login is revoked at t=40s, mid-partition. A
+// member cut off from shardA can only learn of that revocation by
+// post-heal resync. It returns the plane transcript, the per-second
+// state log, and the cluster-wide store image.
+func shardPartitionRun(t *testing.T, seed int64, cut []string) (string, []string, []byte) {
 	t.Helper()
 	w := newShardWorld(t, seed)
 	owner := w.svcs["shardA"]
-	kept := owner.Store().NewFact(credrec.True)
-	doomed := owner.Store().NewFact(credrec.True)
+	keptC, kept := w.login("ely", "alice")
+	doomedC, doomed := w.login("cam", "bob")
 
 	type surrogate struct{ kept, doomed credrec.Ref }
 	held := make(map[string]surrogate)
 	for _, n := range w.names[1:] {
 		svc := w.svcs[n]
-		k, err := svc.ImportShardRecord("shardA", kept)
+		k, _, err := svc.WatchCertificate(kept, keptC)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := svc.ImportShardRecord("shardA", doomed)
+		d, _, err := svc.WatchCertificate(doomed, doomedC)
 		if err != nil {
 			t.Fatal(err)
 		}
 		held[n] = surrogate{kept: k, doomed: d}
 	}
 
-	if partitioned {
+	// starved is the member cut off from the origin, if the cut is one of
+	// shardA's own links.
+	starved := ""
+	if cut != nil {
 		w.plane.SetSchedule([]Step{
-			{At: 30 * time.Second, Kind: "sever", A: "shardB", B: "shardD"},
-			{At: 60 * time.Second, Kind: "restore", A: "shardB", B: "shardD"},
+			{At: 30 * time.Second, Kind: "sever", A: cut[0], B: cut[1]},
+			{At: 60 * time.Second, Kind: "restore", A: cut[0], B: cut[1]},
 		})
+		if cut[0] == "shardA" {
+			starved = cut[1]
+		}
 	}
 
 	hooks := map[int]func(){
 		40: func() {
-			if err := owner.Store().Invalidate(doomed); err != nil {
+			if err := owner.Exit(doomed, doomedC); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -143,28 +178,30 @@ func shardPartitionRun(t *testing.T, seed int64, partitioned bool) (string, []st
 			doomedSt, doomedPerm, _ := svc.Store().Resolve(s.doomed)
 			line += fmt.Sprintf(" %s:kept=%v,doomed=%v/%t", n, keptSt, doomedSt, doomedPerm)
 
-			// Safety off the starved subtree: members still connected to
-			// the tree see the revocation the second it happens.
-			if i >= 40 && (n == "shardB" || n == "shardC") && doomedSt != credrec.False {
-				t.Fatalf("t=%d: %s missed the revocation despite a live tree path", i, n)
+			// Safety off the starved member: every member whose own link
+			// to the origin stands sees the revocation the second it
+			// happens, whatever the tree's state.
+			if i >= 40 && n != starved && doomedSt != credrec.False {
+				t.Fatalf("t=%d: %s missed the revocation despite a live link to the origin", i, n)
 			}
 		}
 		log = append(log, line)
-		if !partitioned {
+		if starved == "" {
 			return
 		}
-		// Safety on the starved subtree: shardD hears nothing from the
-		// origin past t=30, so within the fail-safe budget every
-		// surrogate held from shardA is refused — including the revoked
-		// one it cannot know about (§6.8.4 bounds the exposure).
-		d := w.svcs["shardD"]
+		// Safety on the starved member: it hears nothing from the origin
+		// past t=30 — the tree's relays do not count — so within the
+		// fail-safe budget every surrogate held from shardA is refused,
+		// including the revoked one it cannot know about (§6.8.4 bounds
+		// the exposure).
+		d := w.svcs[starved]
 		if i >= 30+missedHB*hbTicks && i < 60 {
-			if st, _, _ := d.Store().Resolve(held["shardD"].kept); st == credrec.True {
+			if st, _, _ := d.Store().Resolve(held[starved].kept); st == credrec.True {
 				t.Fatalf("t=%d: starved shard still trusts an unreachable origin", i)
 			}
 		}
 		if i >= 40+missedHB*hbTicks {
-			if st, _, _ := d.Store().Resolve(held["shardD"].doomed); st == credrec.True {
+			if st, _, _ := d.Store().Resolve(held[starved].doomed); st == credrec.True {
 				t.Fatalf("t=%d: revoked record validated on the starved shard", i)
 			}
 		}
@@ -172,10 +209,10 @@ func shardPartitionRun(t *testing.T, seed int64, partitioned bool) (string, []st
 		// the surviving record is trusted again and the revocation that
 		// happened mid-partition has landed, permanently.
 		if i >= 60+3*hbTicks {
-			if st, _, _ := d.Store().Resolve(held["shardD"].kept); st != credrec.True {
+			if st, _, _ := d.Store().Resolve(held[starved].kept); st != credrec.True {
 				t.Fatalf("t=%d: surviving record not restored on healed shard", i)
 			}
-			st, perm, _ := d.Store().Resolve(held["shardD"].doomed)
+			st, perm, _ := d.Store().Resolve(held[starved].doomed)
 			if st != credrec.False || !perm {
 				t.Fatalf("t=%d: mid-partition revocation not recovered by resync (%v, perm=%t)", i, st, perm)
 			}
@@ -186,22 +223,16 @@ func shardPartitionRun(t *testing.T, seed int64, partitioned bool) (string, []st
 
 func TestChaosShardPartitionResync(t *testing.T) {
 	const seed = 23
-	tr1, log1, img1 := shardPartitionRun(t, seed, true)
+	originCut := []string{"shardA", "shardD"}
+	tr1, log1, img1 := shardPartitionRun(t, seed, originCut)
 
 	// Determinism: same seed, same run — transcript, state log, and
 	// every shard's final store, bit for bit.
-	tr2, log2, img2 := shardPartitionRun(t, seed, true)
+	tr2, log2, img2 := shardPartitionRun(t, seed, originCut)
 	if tr1 != tr2 {
 		t.Fatalf("same seed, different transcripts:\n--- run1 ---\n%s\n--- run2 ---\n%s", tr1, tr2)
 	}
-	if len(log1) != len(log2) {
-		t.Fatalf("log lengths differ: %d vs %d", len(log1), len(log2))
-	}
-	for i := range log1 {
-		if log1[i] != log2[i] {
-			t.Fatalf("state logs diverge at %d:\n%s\n%s", i, log1[i], log2[i])
-		}
-	}
+	sameLog(t, "same seed", log1, log2)
 	if !bytes.Equal(img1, img2) {
 		t.Fatal("same seed, different final stores")
 	}
@@ -209,8 +240,29 @@ func TestChaosShardPartitionResync(t *testing.T) {
 	// Convergence: the healed cluster is indistinguishable from one that
 	// never partitioned — the starvation, fail-safe demotion and resync
 	// left no trace beyond the revocation they recovered.
-	_, _, ref := shardPartitionRun(t, seed, false)
+	_, refLog, ref := shardPartitionRun(t, seed, nil)
 	if !bytes.Equal(img1, ref) {
 		t.Fatalf("post-heal cluster diverges from fault-free run:\n-- chaos --\n%s\n-- reference --\n%s", img1, ref)
+	}
+
+	// A cut only the tree runs over (B -> D in shardA's tree) carries no
+	// verdict: every second of it reads as the fault-free run.
+	_, treeLog, treeImg := shardPartitionRun(t, seed, []string{"shardB", "shardD"})
+	sameLog(t, "tree-only cut vs fault-free", treeLog, refLog)
+	if !bytes.Equal(treeImg, ref) {
+		t.Fatalf("tree-only cut diverges from fault-free run:\n-- cut --\n%s\n-- reference --\n%s", treeImg, ref)
+	}
+}
+
+// sameLog fails the test at the first second two state logs disagree.
+func sameLog(t *testing.T, what string, a, b []string) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: log lengths differ: %d vs %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s: state logs diverge at %d:\n%s\n%s", what, i, a[i], b[i])
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package oasis
 
-import "reflect"
+import (
+	"reflect"
+
+	"oasis/internal/credrec"
+)
 
 // The four tables a watch occupies, sized for
 // TestWatchTablesTrackLiveRecords. The broker's and the receiver's are
@@ -51,4 +55,13 @@ func (s *Service) groupEntries() int {
 		n += shards.Index(i).FieldByName("interesting").Len()
 	}
 	return n
+}
+
+// watchRecord holds a surrogate of another member's record the way a
+// ring member deploys one, through the flat watch: the row first, as
+// validateForeign makes it, then a resync that subscribes this service
+// at the owner and reads the record's state into the row.
+func (s *Service) watchRecord(owner string, ref credrec.Ref) (credrec.Ref, error) {
+	local, _ := s.surrogateFor(owner, ref)
+	return local, s.ResyncSource(owner)
 }

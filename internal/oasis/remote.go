@@ -59,8 +59,7 @@ type ResyncArg struct {
 }
 
 // ResyncEntry is one record's authoritative state as its owner asserts
-// it, and the one way the peer protocol says so: a row of a resync or
-// shardwatch snapshot, or one cascade edge of a treeforward burst.
+// it: a row of a resync snapshot.
 type ResyncEntry struct {
 	Ref       credrec.Ref
 	State     credrec.State
@@ -78,7 +77,7 @@ type ResyncReply struct {
 }
 
 // Call implements bus.Endpoint: the service's inter-service interface,
-// five operations on a port that authenticates nobody (docs/PROTOCOLS.md).
+// four operations on a port that authenticates nobody (docs/PROTOCOLS.md).
 func (s *Service) Call(from, op string, arg any) (any, error) {
 	switch op {
 	case "gettypes":
@@ -87,10 +86,8 @@ func (s *Service) Call(from, op string, arg any) (any, error) {
 		return serve(op, arg, func(a ValidateArg) (ValidateReply, error) { return s.handleValidate(from, a) })
 	case "resync":
 		return serve(op, arg, func(a ResyncArg) (ResyncReply, error) { return s.handleResync(from, a) })
-	case "shardwatch":
-		return serve(op, arg, func(a ShardWatchArg) (ResyncReply, error) { return s.handleShardWatch(from, a) })
 	case "treeforward":
-		return serve(op, arg, func(a TreeForwardArg) (any, error) { return nil, s.handleTreeForward(from, a) })
+		return serve(op, arg, func(a TreeForwardArg) (any, error) { return nil, s.handleTreeForward(a) })
 	default:
 		return nil, fmt.Errorf("oasis: unknown operation %q", op)
 	}
@@ -306,9 +303,6 @@ func (s *Service) onRecordChange(ref credrec.Ref, st credrec.State, permanent bo
 	}
 	s.broker.Signal(event.New(ModifiedEvent,
 		value.Str(refString(ref)), value.Int(int64(st)), value.Int(perm)))
-	// Shard-watched records additionally fan out down this shard's
-	// dissemination tree (shard.go); a no-op outside a shard ring.
-	s.shardNotify(ref, st, permanent)
 	if permanent {
 		s.releaseWatches(ref)
 	}
@@ -434,9 +428,9 @@ func (s *Service) onModified(source string, ev event.Event) {
 
 // applyRemote is the one way an issuer's assertion about one of its
 // records reaches the local surrogate, whichever way it arrived — a
-// Modified event, a shard-tree edge, a resync entry (a validate reply is
-// applied as the first of them). No row means nobody here watches the
-// record, and the assertion is dropped. A permanent False is an
+// Modified event or a resync entry (a validate reply is applied as the
+// first of them). No row means nobody here watches the record, and the
+// assertion is dropped. A permanent False is an
 // invalidation: revocation is forever (§4.6), and the surrogate then
 // refuses every later write. Anything else is a state write, frozen
 // when the issuer says the state is final: a record that is true and

@@ -243,7 +243,7 @@ func TestUnknownOps(t *testing.T) {
 	// Retired with their payload tags (docs/PROTOCOLS.md): arguments of
 	// the shapes they took get the same answer as "bogus".
 	_, want := h.net.Call("Conf", "Login", "bogus", nil)
-	args := []any{credrec.Ref{Index: 1, Magic: 1}, &cert.Revocation{Service: "Login"}}
+	args := []any{credrec.Ref{Index: 1, Magic: 1}, &cert.Revocation{Service: "Login"}, ResyncArg{}}
 	for i, op := range retiredOps {
 		_, err := h.net.Call("Conf", "Login", op, args[i])
 		if err == nil || strings.Replace(err.Error(), op, "bogus", 1) != want.Error() {
@@ -252,10 +252,10 @@ func TestUnknownOps(t *testing.T) {
 	}
 }
 
-// retiredOps are the two operations the peer port served until PR 23
-// and that nothing sent. Spelled without quotes of their own: make lint
-// greps for the first one's quoted name coming back.
-var retiredOps = strings.Fields("readstate revoke")
+// retiredOps are the operations the peer port once served and that
+// nothing sent. Spelled without quotes of their own: make lint greps
+// for the quoted names of the first and the last coming back.
+var retiredOps = strings.Fields("readstate revoke shardwatch")
 
 func TestGetTypesOp(t *testing.T) {
 	h := newHarness(t)

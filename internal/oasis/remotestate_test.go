@@ -25,11 +25,12 @@ func (r *resyncStub) Call(from, op string, arg any) (any, error) {
 
 func (r *resyncStub) Deliver(event.Notification) {}
 
-// TestRemoteStateEntryPointsAgree drives the three ways an issuer's
+// TestRemoteStateEntryPointsAgree drives the two ways an issuer's
 // assertion about a record reaches its surrogate — a Modified event
-// through the receiver, a treeforward edge, a resync snapshot — through
-// every (state, permanent) pair and requires the same outcome from
-// each: the asserted state, frozen when the issuer calls it final
+// through the receiver and a resync snapshot; the validate reply is
+// applied as the first of them — through every (state, permanent) pair
+// and requires the same outcome from each: the asserted state, frozen
+// when the issuer calls it final
 // (§4.8), a row that leaves the table exactly when the state is final,
 // and a permanent False that no later assertion revives (§4.6).
 func TestRemoteStateEntryPointsAgree(t *testing.T) {
@@ -37,9 +38,6 @@ func TestRemoteStateEntryPointsAgree(t *testing.T) {
 	net := bus.NewNetwork(clk)
 	s, err := New("Watcher", clk, net, Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.JoinShardRing([]string{"Issuer", "Watcher"}, 2); err != nil {
 		t.Fatal(err)
 	}
 	issuer := &resyncStub{}
@@ -60,12 +58,6 @@ func TestRemoteStateEntryPointsAgree(t *testing.T) {
 			seq++
 			s.Deliver(event.Notification{Source: "Issuer", SessionID: 1, Seq: seq, RegID: 1000 + seq,
 				Event: event.New(ModifiedEvent, value.Str(refString(remote)), value.Int(int64(st)), value.Int(p))})
-		}},
-		{"treeforward", func(remote credrec.Ref, st credrec.State, perm bool) {
-			if _, err := s.Call("Issuer", "treeforward", TreeForwardArg{Origin: "Issuer", Root: "Issuer",
-				Edges: []ResyncEntry{{Ref: remote, State: st, Permanent: perm}}}); err != nil {
-				t.Fatal(err)
-			}
 		}},
 		{"resync", func(remote credrec.Ref, st credrec.State, perm bool) {
 			issuer.reply = ResyncReply{Entries: []ResyncEntry{{Ref: remote, State: st, Permanent: perm}}}

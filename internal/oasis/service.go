@@ -123,8 +123,8 @@ type Service struct {
 	delegations map[credrec.Ref]*delegInfo
 
 	// cluster is the shard ring this service joined, nil outside one
-	// (shard.go). Atomic so the record-change callback reads it
-	// lock-free on the cascade hot path.
+	// (shard.go). Atomic so the gateway's backpressure read outside a
+	// ring takes no lock.
 	cluster atomic.Pointer[shardCluster]
 
 	// memberKeys memoizes the marshalled group-membership key of

@@ -59,10 +59,10 @@ func TestJoinShardRingValidation(t *testing.T) {
 	}
 }
 
-// TestShardImportAndDisseminate drives the full cross-shard cascade:
-// shardA owns a fact; every other member imports it and derives from
-// the surrogate. Revoking at A must propagate down A's tree and fell
-// the derived records everywhere.
+// TestShardImportAndDisseminate drives the cross-shard cascade the
+// ring deploys: shardA owns a fact; every other member watches it
+// through the flat watch and derives from the surrogate. Changes at A
+// must reach every member and fell the derived records everywhere.
 func TestShardImportAndDisseminate(t *testing.T) {
 	rig := newShardRig(t, Options{})
 	owner := rig.svcs["shardA"]
@@ -71,7 +71,7 @@ func TestShardImportAndDisseminate(t *testing.T) {
 	derived := make(map[string]credrec.Ref)
 	for _, n := range rig.names[1:] {
 		svc := rig.svcs[n]
-		local, err := svc.ImportShardRecord("shardA", fact)
+		local, err := svc.watchRecord("shardA", fact)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestShardImportAndDisseminate(t *testing.T) {
 	}
 }
 
-// TestShardImportRevokedRecord checks that importing a record that was
+// TestShardImportRevokedRecord checks that watching a record that was
 // revoked and swept at the owner yields a permanently false surrogate:
 // revocation survives garbage collection.
 func TestShardImportRevokedRecord(t *testing.T) {
@@ -123,7 +123,7 @@ func TestShardImportRevokedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner.Store().Sweep()
-	local, err := rig.svcs["shardB"].ImportShardRecord("shardA", fact)
+	local, err := rig.svcs["shardB"].watchRecord("shardA", fact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,26 +133,26 @@ func TestShardImportRevokedRecord(t *testing.T) {
 	}
 }
 
-// TestShardSuspicionAndResync partitions a tree edge mid-stream: the
-// starved member degrades the origin and fails safe; after heal, the
-// origin's next tree heartbeat plus AutoResync restore the truth —
-// including a revocation issued during the partition.
+// TestShardSuspicionAndResync partitions a watcher from the owner
+// mid-stream: the starved member degrades the origin and fails safe;
+// after heal, the origin's next heartbeat plus AutoResync restore the
+// truth — including a revocation issued during the partition.
 func TestShardSuspicionAndResync(t *testing.T) {
 	rig := newShardRig(t, Options{HeartbeatEvery: 5 * time.Second, FailsafeMissed: 3, AutoResync: true})
 	owner, watcher := rig.svcs["shardA"], rig.svcs["shardB"]
 	kept := owner.Store().NewFact(credrec.True)
 	doomed := owner.Store().NewFact(credrec.True)
-	keptLocal, err := watcher.ImportShardRecord("shardA", kept)
+	keptLocal, err := watcher.watchRecord("shardA", kept)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doomedLocal, err := watcher.ImportShardRecord("shardA", doomed)
+	doomedLocal, err := watcher.watchRecord("shardA", doomed)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// shardB is shardA's direct child in the tree rooted at shardA
-	// (sorted members, fanout 2): sever that edge both ways.
+	// Sever the link both ways; it carries shardA's watch stream to
+	// shardB and is also an edge of shardA's tree.
 	links := fault.New(rig.clk, 1)
 	links.Install(rig.net)
 	links.Sever("shardA", "shardB")
@@ -170,14 +170,14 @@ func TestShardSuspicionAndResync(t *testing.T) {
 		t.Fatalf("surrogate %v after fail-safe, want False", st)
 	}
 
-	// Revocation issued while partitioned: the treeforward to shardB is
-	// dropped on the severed link.
+	// Revocation issued while partitioned: its Modified event to shardB
+	// is dropped on the severed link.
 	if err := owner.Store().Invalidate(doomed); err != nil {
 		t.Fatal(err)
 	}
 
-	// Heal. The next tree heartbeat revives the source; AutoResync pulls
-	// the authoritative snapshot, restoring kept and revoking doomed.
+	// Heal. The next heartbeat revives the source; AutoResync pulls the
+	// authoritative snapshot, restoring kept and revoking doomed.
 	links.Restore("shardA", "shardB")
 	rig.clk.Advance(5 * time.Second)
 	owner.HeartbeatTick()
@@ -194,63 +194,82 @@ func TestShardSuspicionAndResync(t *testing.T) {
 	}
 }
 
-// TestClusterPendingNotifications checks that treeforward bursts
-// piggyback the origin's backlog into every member's cluster-wide
-// figure, and that a peer declared failed stops contributing.
+// TestRelayedHeartbeatDoesNotVouchForSource severs the one link a
+// record's changes travel on and leaves the tree whole around it:
+// shardD watches a record of shardA's, only A–D is cut, and A revokes
+// the record. In shardA's tree (sorted members, fanout 2: A -> {B, C},
+// B -> {D}) shardB still relays A's burst to D every period. That burst
+// proves B is up, not that nothing A sent D was lost (§4.10), so D must
+// degrade A and fail the surrogate safe within the budget.
+func TestRelayedHeartbeatDoesNotVouchForSource(t *testing.T) {
+	rig := newShardRig(t, Options{HeartbeatEvery: 5 * time.Second, FailsafeMissed: 3, AutoResync: true})
+	owner, watcher := rig.svcs["shardA"], rig.svcs["shardD"]
+	fact := owner.Store().NewFact(credrec.True)
+	local, err := watcher.watchRecord("shardA", fact)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	links := fault.New(rig.clk, 1)
+	links.Install(rig.net)
+	links.Sever("shardA", "shardD")
+	if err := owner.Store().Invalidate(fact); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		rig.clk.Advance(5 * time.Second)
+		for _, n := range rig.names {
+			rig.svcs[n].HeartbeatTick()
+		}
+		for _, n := range rig.names {
+			rig.svcs[n].SuspicionTick()
+		}
+	}
+	if st, _ := watcher.Store().Lookup(local); st == credrec.True {
+		t.Fatalf("t=40s: shardD still validates a record shardA revoked behind a cut link")
+	}
+	if st := watcher.SourceStatus("shardA"); st == SourceAlive {
+		t.Fatalf("t=40s: shardA %v at shardD on relayed heartbeats alone", st)
+	}
+}
+
+// TestClusterPendingNotifications checks that treeforward claims add up
+// into every member's cluster-wide figure, that they make nobody a
+// watched source, and that a claim which stops arriving ages out after
+// the fail-safe budget while a fresh one keeps counting.
 func TestClusterPendingNotifications(t *testing.T) {
 	rig := newShardRig(t, Options{HeartbeatEvery: 5 * time.Second, FailsafeMissed: 3})
 	watcher := rig.svcs["shardB"]
 	base := watcher.ClusterPendingNotifications()
+	claim := func(origin string, backlog int) {
+		t.Helper()
+		if _, err := watcher.Call(origin, "treeforward",
+			TreeForwardArg{Origin: origin, Root: origin, Pressure: backlog}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Two origins report backlogs over the tree; the figures add up.
-	for origin, claim := range map[string]int{"shardA": 42, "shardC": 7} {
-		if _, err := watcher.Call(origin, "treeforward",
-			TreeForwardArg{Origin: origin, Root: origin, Pressure: claim}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := watcher.ClusterPendingNotifications()
-	if after != base+49 {
+	claim("shardA", 42)
+	claim("shardC", 7)
+	if after := watcher.ClusterPendingNotifications(); after != base+49 {
 		t.Fatalf("cluster pressure %d after peer claims, want %d", after, base+49)
 	}
+	if srcs := watcher.receiver.Sources(); len(srcs) != 0 {
+		t.Fatalf("backlog claims made watched sources of %v", srcs)
+	}
 
-	// Once shardA goes silent long enough to be declared failed, its
-	// stale claim must vanish from the aggregate.
-	for i := 0; i < 4; i++ {
+	// shardA falls silent while shardC keeps claiming every period: A's
+	// claim counts until it is FailsafeMissed periods old, then not.
+	for i := 1; i <= 3; i++ {
 		rig.clk.Advance(5 * time.Second)
-		// shardC keeps heartbeating over the tree; only shardA is silent.
-		if _, err := watcher.Call("shardC", "treeforward",
-			TreeForwardArg{Origin: "shardC", Root: "shardC", Pressure: 7}); err != nil {
-			t.Fatal(err)
+		claim("shardC", 7)
+		want := base + 49
+		if i == 3 {
+			want = base + 7
 		}
-		watcher.SuspicionTick()
-	}
-	if st := watcher.SourceStatus("shardA"); st != SourceFailed {
-		t.Fatalf("source status %v, want failed", st)
-	}
-	cleared := watcher.ClusterPendingNotifications()
-	if cleared != base+7 {
-		t.Fatalf("cluster pressure %d after shardA failed, want %d (shardC's claim only)", cleared, base+7)
-	}
-}
-
-func TestCoalesceShardEdges(t *testing.T) {
-	r1 := credrec.Ref{Index: 1, Magic: 7}
-	r2 := credrec.Ref{Index: 2, Magic: 9}
-	edges := []ResyncEntry{
-		{Ref: r1, State: credrec.True},
-		{Ref: r2, State: credrec.False, Permanent: true},
-		{Ref: r1, State: credrec.False},
-		{Ref: r2, State: credrec.True}, // must not undo the revocation
-	}
-	out := coalesceShardEdges(edges)
-	if len(out) != 2 {
-		t.Fatalf("coalesced to %d edges, want 2", len(out))
-	}
-	if out[0].Ref != r1 || out[0].State != credrec.False {
-		t.Fatalf("edge 0 = %+v, want r1 False (last writer wins)", out[0])
-	}
-	if out[1].Ref != r2 || out[1].State != credrec.False || !out[1].Permanent {
-		t.Fatalf("edge 1 = %+v, want r2 permanent False (sticky)", out[1])
+		if got := watcher.ClusterPendingNotifications(); got != want {
+			t.Fatalf("cluster pressure %d after %d silent periods of shardA, want %d", got, i, want)
+		}
 	}
 }

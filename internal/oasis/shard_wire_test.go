@@ -14,30 +14,25 @@ import (
 	"oasis/internal/value"
 )
 
-// Round-trips, golden vectors and a decoder fuzzer for the sharding
-// payloads (wire tags 13 and 14), and golden vectors for the resync
-// payloads (tags 5 and 6) that share their list codecs and for the
-// other four live tags (1, 2, 3, 11). The golden
-// vectors pin the exact byte layout: the tags are append-only protocol
-// constants, so any encoder change that shifts these bytes is a
-// protocol break, not a refactor.
+// Round-trips, golden vectors and a decoder fuzzer for the shard ring's
+// payload (wire tag 14), and golden vectors for every other live tag
+// (1, 2, 3, 5, 6, 11). The golden vectors pin the exact byte layout:
+// the tags are append-only protocol constants, so any encoder change
+// that shifts these bytes is a protocol break, not a refactor. Two
+// vectors are what retired encoders wrote — tag 13, and tag 14 with
+// record edges — and must now be refused.
 
 func shardWirePayloads() []any {
 	return []any{
-		ShardWatchArg{Refs: []credrec.Ref{{Index: 3, Magic: 99}, {Index: 1 << 27, Magic: 7}}},
-		ShardWatchArg{},
-		TreeForwardArg{
-			Origin: "shardA",
-			Root:   "shardA",
-			Edges: []ResyncEntry{
-				{Ref: credrec.Ref{Index: 3, Magic: 99}, State: credrec.True},
-				{Ref: credrec.Ref{Index: 9, Magic: 1}, State: credrec.False, Permanent: true},
-			},
-			Pressure: 42,
-		},
+		TreeForwardArg{Origin: "shardA", Root: "shardA", Pressure: 42},
 		TreeForwardArg{Origin: "shardB", Root: "shardB", Pressure: 7},
+		TreeForwardArg{},
 	}
 }
+
+// edgedTreeForward is a tag-14 frame as the last encoder with an edge
+// list wrote it: origin and root shardA, two edges, pressure 42.
+const edgedTreeForward = "0e067368617264410673686172644102e3808080300400818080809001020154"
 
 // goldenRMC is the certificate inside the ValidateArg golden vector.
 func goldenRMC() *cert.RMC {
@@ -69,14 +64,18 @@ func TestShardPayloadGoldenVectors(t *testing.T) {
 		in   any
 		hex  string
 	}{
-		{"ShardWatchArg", shardWirePayloads()[0], "0d02e380808030878080808080808008"},
-		{"TreeForwardArg", shardWirePayloads()[2], "0e067368617264410673686172644102e3808080300400818080809001020154"},
-		{"TreeForwardHeartbeat", shardWirePayloads()[3], "0e0673686172644206736861726442000e"},
-		// Tags 5 and 6 share the ref-list and entry-list codecs with 13
-		// and 14; these bytes were taken from the encoders they replaced.
-		{"ResyncArg", ResyncArg{Refs: shardWirePayloads()[0].(ShardWatchArg).Refs}, "0502e380808030878080808080808008"},
-		{"ResyncReply", ResyncReply{Session: 5, Seq: 300, Entries: shardWirePayloads()[2].(TreeForwardArg).Edges},
-			"0605ac0202e38080803004008180808090010201"},
+		// Refused: nil in marks bytes a retired encoder wrote.
+		{"ShardWatchArg", nil, "0d02e380808030878080808080808008"},
+		{"TreeForwardArg", nil, edgedTreeForward},
+		{"TreeForwardHeartbeat", shardWirePayloads()[1], "0e0673686172644206736861726442000e"},
+		// These bytes were taken from the per-tag encoders that the list
+		// codecs of tags 5 and 6 replaced.
+		{"ResyncArg", ResyncArg{Refs: []credrec.Ref{{Index: 3, Magic: 99}, {Index: 1 << 27, Magic: 7}}},
+			"0502e380808030878080808080808008"},
+		{"ResyncReply", ResyncReply{Session: 5, Seq: 300, Entries: []ResyncEntry{
+			{Ref: credrec.Ref{Index: 3, Magic: 99}, State: credrec.True},
+			{Ref: credrec.Ref{Index: 9, Magic: 1}, State: credrec.False, Permanent: true},
+		}}, "0605ac0202e38080803004008180808090010201"},
 		// Tags 1, 2, 3 and 11 — gettypes and validate, the rest of what
 		// the peer port decodes or answers with — had round-trip tests
 		// and no golden bytes; these were written by the encoders of
@@ -95,6 +94,16 @@ func TestShardPayloadGoldenVectors(t *testing.T) {
 	}
 	for _, v := range vectors {
 		t.Run(v.name, func(t *testing.T) {
+			if v.in == nil {
+				b, err := hex.DecodeString(v.hex)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := bus.DecodePayload(bus.NewWireDec(bytes.NewReader(b))); err == nil {
+					t.Fatalf("retired bytes decoded to %+v, want a refusal", got)
+				}
+				return
+			}
 			var buf bytes.Buffer
 			e := bus.NewWireEnc(&buf)
 			if err := bus.EncodePayload(e, v.in); err != nil {
@@ -121,8 +130,8 @@ func TestShardPayloadGoldenVectors(t *testing.T) {
 	}
 }
 
-// FuzzShardPayloadDecode hammers the tag-13/14 decoders with mutated
-// bytes: they must reject garbage with an error, never panic, and any
+// FuzzShardPayloadDecode hammers the tag-14 decoder with mutated
+// bytes: it must reject garbage with an error, never panic, and any
 // accepted input must survive a re-encode/re-decode cycle unchanged.
 // (Byte-identity is deliberately not required: varints admit redundant
 // encodings, which decode fine but re-encode minimally.)
@@ -145,13 +154,18 @@ func FuzzShardPayloadDecode(f *testing.F) {
 	for _, r := range retiredTags {
 		f.Add(retired[r.tag])
 	}
+	edged, err := hex.DecodeString(edgedTreeForward)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(edged)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := bus.DecodePayload(bus.NewWireDec(bytes.NewReader(data)))
 		if err != nil {
 			return
 		}
 		switch v.(type) {
-		case ShardWatchArg, TreeForwardArg:
+		case TreeForwardArg:
 		default:
 			return // some other registered payload; its own tests cover it
 		}

@@ -76,13 +76,6 @@ func (s *Service) setSourceState(source string, to SourceState) {
 			return nil
 		})
 		s.receiver.MarkSilent(source)
-		// A failed shard peer's last piggybacked backlog claim is stale;
-		// drop it so cluster-wide backpressure reflects the living.
-		if c := s.cluster.Load(); c != nil {
-			c.mu.Lock()
-			delete(c.pressure, source)
-			c.mu.Unlock()
-		}
 	}
 	if cb := s.opts.OnSourceState; cb != nil {
 		cb(source, from, to)
@@ -98,6 +91,20 @@ func (s *Service) heartbeatPeriod() time.Duration {
 	return 5 * time.Second
 }
 
+// silenceThresholds returns how long a source may stay silent before it
+// is Suspect (1.5 heartbeat periods) and before it is Failed
+// (Options.FailsafeMissed periods, default 3, never sooner than
+// Suspect).
+func (s *Service) silenceThresholds() (suspectAfter, failAfter time.Duration) {
+	period := s.heartbeatPeriod()
+	suspectAfter = period + period/2
+	missed := s.opts.FailsafeMissed
+	if missed <= 0 {
+		missed = 3
+	}
+	return suspectAfter, max(time.Duration(missed)*period, suspectAfter)
+}
+
 // SuspicionTick advances the failure-suspicion machine: wire it to the
 // same cadence as HeartbeatTick (or use StartDuties). Each watched
 // source's event horizon is compared against the heartbeat period;
@@ -106,16 +113,7 @@ func (s *Service) heartbeatPeriod() time.Duration {
 // whose heartbeats have resumed is resynced (when AutoResync is set)
 // rather than trusted outright.
 func (s *Service) SuspicionTick() {
-	period := s.heartbeatPeriod()
-	suspectAfter := period + period/2
-	missed := s.opts.FailsafeMissed
-	if missed <= 0 {
-		missed = 3
-	}
-	failAfter := time.Duration(missed) * period
-	if failAfter < suspectAfter {
-		failAfter = suspectAfter
-	}
+	suspectAfter, failAfter := s.silenceThresholds()
 	now := s.clk.Now()
 	for _, src := range s.receiver.Sources() {
 		h, ok := s.receiver.Horizon(src)

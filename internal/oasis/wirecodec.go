@@ -19,12 +19,14 @@ import (
 // The tags are protocol constants: both ends of a link must agree on
 // them forever, so they are append-only — never renumber or reuse a
 // tag, even for a retired type. Tags 0 and 255 are reserved by the bus
-// (nil, and never allocated). Tags 4, 7, 8, 9, 10 and 12 are retired:
-// they carried the argument and the reply of one operation the peer
-// port no longer serves (4, 10), the argument of another (9) and three
-// payloads no operation ever took (a bare certificate, a delegation, a
-// value), and a frame bearing one is refused as an unknown tag
-// (docs/PROTOCOLS.md, TestWireTagTable).
+// (nil, and never allocated). Tags 4, 7, 8, 9, 10, 12 and 13 are
+// retired: they carried the argument and the reply of one operation the
+// peer port no longer serves (4, 10), the arguments of two others (9,
+// 13) and three payloads no operation ever took (a bare certificate, a
+// delegation, a value), and a frame bearing one is refused as an
+// unknown tag (docs/PROTOCOLS.md, TestWireTagTable). Tag 14 lives on
+// without its edge list, whose count is always written as zero and
+// refused as anything else.
 const (
 	wireTagGetTypesArg   = 1
 	wireTagValidateArg   = 2
@@ -32,7 +34,6 @@ const (
 	wireTagResyncArg     = 5
 	wireTagResyncReply   = 6
 	wireTagTypes         = 11
-	wireTagShardWatchArg = 13
 	wireTagTreeForward   = 14
 )
 
@@ -129,18 +130,11 @@ func registerBinaryPayloads() {
 		func(e *bus.WireEnc, ts []value.Type) { e.PutTypes(ts) },
 		(*bus.WireDec).Types)
 
-	registerPayload(wireTagShardWatchArg,
-		func(e *bus.WireEnc, a ShardWatchArg) { encodeRefs(e, a.Refs) },
-		func(d *bus.WireDec) (a ShardWatchArg, err error) {
-			a.Refs, err = decodeRefs(d)
-			return a, err
-		})
-
 	registerPayload(wireTagTreeForward,
 		func(e *bus.WireEnc, a TreeForwardArg) {
 			e.PutString(a.Origin)
 			e.PutString(a.Root)
-			encodeEntries(e, a.Edges)
+			e.PutUvarint(0) // the retired edge list, always empty
 			e.PutVarint(int64(a.Pressure))
 		},
 		func(d *bus.WireDec) (a TreeForwardArg, err error) {
@@ -150,8 +144,10 @@ func registerBinaryPayloads() {
 			if a.Root, err = d.String(); err != nil {
 				return a, err
 			}
-			if a.Edges, err = decodeEntries(d); err != nil {
+			if edges, err := d.Uvarint(); err != nil {
 				return a, err
+			} else if edges != 0 {
+				return a, fmt.Errorf("oasis: treeforward carries %d record edges; the tree carries none", edges)
 			}
 			p, err := d.Varint()
 			a.Pressure = int(p)
@@ -183,9 +179,9 @@ func registerPayload[T any](tag byte, enc func(*bus.WireEnc, T), dec func(*bus.W
 		})
 }
 
-// encodeRefs and decodeRefs are the one ref-list codec (tags 5 and
-// 13): a uvarint count, then each reference as a uvarint. An empty
-// list decodes to nil.
+// encodeRefs and decodeRefs are the ref-list codec of tag 5: a uvarint
+// count, then each reference as a uvarint. An empty list decodes to
+// nil.
 func encodeRefs(e *bus.WireEnc, refs []credrec.Ref) {
 	e.PutUvarint(uint64(len(refs)))
 	for _, r := range refs {
@@ -212,9 +208,9 @@ func decodeRefs(d *bus.WireDec) ([]credrec.Ref, error) {
 	return refs, nil
 }
 
-// encodeEntries and decodeEntries are the one entry-list codec (tags 6
-// and 14): a uvarint count, then per entry the reference, the state as
-// a varint and the permanence flag. An empty list decodes to nil.
+// encodeEntries and decodeEntries are the entry-list codec of tag 6: a
+// uvarint count, then per entry the reference, the state as a varint
+// and the permanence flag. An empty list decodes to nil.
 func encodeEntries(e *bus.WireEnc, entries []ResyncEntry) {
 	e.PutUvarint(uint64(len(entries)))
 	for _, ent := range entries {

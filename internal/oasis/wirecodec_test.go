@@ -39,7 +39,7 @@ func codecRoundTrip(t *testing.T, v any) any {
 
 // TestBinaryPayloadRoundTrips round-trips the payload types of
 // gettypes, validate and resync through the hand-rolled binary codec
-// (shard_wire_test.go has shardwatch's and treeforward's).
+// (shard_wire_test.go has treeforward's).
 func TestBinaryPayloadRoundTrips(t *testing.T) {
 	RegisterWireTypes()
 
@@ -170,7 +170,8 @@ func TestBinaryRMCSignatureSurvivesTransit(t *testing.T) {
 }
 
 // retiredTags is one payload per retired tag, as the last encoders that
-// wrote them (commit 5d93d8f) did: tag byte, then body.
+// wrote them did (commit 5d93d8f; 56a0323 for tag 13): tag byte, then
+// body.
 var retiredTags = []struct {
 	tag      byte
 	was, hex string
@@ -181,6 +182,7 @@ var retiredTags = []struct {
 	{9, "*cert.Revocation, revoke's argument", "0903446f63ac80808040c280808060077265762d736967"},
 	{10, "credrec.State, readstate's reply", "0a06"},
 	{12, "value.Value", "0c0408446f632e7265616405616c696365"},
+	{13, "ShardWatchArg, a ring member's subscription argument", "0d02e380808030878080808080808008"},
 }
 
 // retiredTagPayloads decodes retiredTags' hex, keyed by tag.
@@ -207,7 +209,7 @@ func TestWireTagTable(t *testing.T) {
 	retired := retiredTagPayloads(t)
 	table := []any{ // index + 1 is the tag; nil is a retired number
 		GetTypesArg{}, ValidateArg{}, ValidateReply{}, nil, ResyncArg{}, ResyncReply{}, nil,
-		nil, nil, nil, []value.Type{}, nil, ShardWatchArg{}, TreeForwardArg{},
+		nil, nil, nil, []value.Type{}, nil, nil, TreeForwardArg{},
 	}
 	decode := func(b []byte) error {
 		_, err := bus.DecodePayload(bus.NewWireDec(bytes.NewReader(b)))
@@ -267,7 +269,7 @@ func TestRetiredTagCallFramesRefused(t *testing.T) {
 	defer ln.Close()
 
 	const hello = "OASIS1 bin\n"
-	ops := map[byte]string{4: retiredOps[0], 9: retiredOps[1], 10: retiredOps[0]}
+	ops := map[byte]string{4: retiredOps[0], 9: retiredOps[1], 10: retiredOps[0], 13: retiredOps[2]}
 	for tag, payload := range retiredTagPayloads(t) {
 		op := ops[tag]
 		if op == "" {
