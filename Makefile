@@ -21,7 +21,7 @@ help:
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -55,14 +55,16 @@ test-shard:
 # gateway's pooled request/response buffers — one pool, shared by
 # issue, introspect and revoke since PR 18 — from eight goroutines,
 # introspecting, and issuing and revoking, ten times over, the last of
-# them beside a sweeper as the daemon's duty loop runs one (PR 25).
-# internal/fault is not listed: `chaos` runs that whole package under
-# the detector.
+# them beside a sweeper as the daemon's duty loop runs one (PR 25); the
+# same line restarts a watcher over its store, over one store and over
+# four shards, ten times over. internal/fault is not listed: `chaos`
+# runs that whole package under the detector.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
 		./internal/gateway/... ./cmd/rdlcheck/...
-	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn' ./internal/gateway/
+	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart' \
+		./internal/gateway/ ./internal/oasis/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the
 # storage kill-point suite (persist_chaos_test.go): whole deployments
@@ -124,7 +126,9 @@ vet:
 # the peer op nothing sent with the two extra ways an issuer's
 # assertion reached a surrogate beside applyRemote, and the ring's
 # record half: a ring subscription op, its import, and the tree edges
-# it fed.
+# it fed, the receiver's copy of suspicion, the lookup by source that
+# surrogates were never bound by, and the bridges' own name format and
+# index beside credrec.SurrogateName and the edge table.
 # The closing loops hold the documents to the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
 # DESIGN.md's experiment index, README.md or docs/*.md must be a func in
 # some _test.go (a trailing * matches a prefix), and every
@@ -147,6 +151,7 @@ lint: reach
 	! grep -rnE 'verifyMemo|canonCore|delegCanon|canon +atomic' internal/cert
 	! grep -rnE '"readstate"|ReadStateArg|applyShardEdge|applyModified' internal/ cmd/ docs/ README.md
 	! grep -rnE '"shardwatch"|ImportShardRecord|coalesceShardEdges|shardNotify' internal/ cmd/ docs/
+	! grep -rnE '\b(ExternalRefs|MarkSilent|OnRevive|bridgeKey|parseBridgeSource)\b' internal/ cmd/ docs/
 	! test -e cmd/benchharness
 	test "$$(ls *_test.go | wc -l)" -eq 1
 	@index() { sed -n '/^## Experiment index/,/^## Concurrency model/p' DESIGN.md; }; fail=; \

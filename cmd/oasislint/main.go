@@ -3,8 +3,8 @@
 // framework. It walks the packages named on the command line (defaults:
 // ./internal/... and ./cmd/...) and reports:
 //
-//	L002  a field accessed through sync/atomic in one place and by a
-//	      plain read or write in another, outside construction
+//	L002  a sync/atomic function call — use a typed atomic, which cannot
+//	      also be accessed plainly
 //	L003  a channel send, or a bus Flush/EndBatch/StartBatch call, made
 //	      while a lock is held (all locks in this repo are leaves)
 //	L004  time.Now and friends outside internal/clock — virtual time
@@ -85,9 +85,8 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("oasislint: %w", err)
 		}
-		lintAtomicMix(p, report)
+		lintForbiddenCalls(p, module, report)
 		lintLockAcrossSend(p, report)
-		lintTimeNow(p, module, report)
 		lintDroppedErrors(p, module, report)
 		if p.dir == filepath.Join(root, "cmd", "oasisd") {
 			if err := lintUnreferenced(l, root, &trailer, report); err != nil {

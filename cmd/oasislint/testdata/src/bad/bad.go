@@ -16,7 +16,7 @@ type counter struct {
 	hit atomic.Int64
 }
 
-// NewCounter is a construction path: the plain write to n is allowed.
+// NewCounter builds a counter for the checks below.
 func NewCounter() *counter {
 	c := &counter{ch: make(chan int, 1)}
 	c.n = 0
@@ -24,8 +24,8 @@ func NewCounter() *counter {
 }
 
 func atomicMix(c *counter) int64 {
-	atomic.AddInt64(&c.n, 1)
-	return c.n // L002: plain read of an atomically-updated field
+	atomic.AddInt64(&c.n, 1) // L002: a sync/atomic function call
+	return c.n
 }
 
 func atomicStructOK(c *counter) int64 {

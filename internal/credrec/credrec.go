@@ -52,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -345,6 +346,26 @@ func (st *Store) NewExternal(source string, s State) Ref {
 		e.PutUvarint(uint64(s))
 	}
 	return st.unlockRef(ref)
+}
+
+// SurrogateName names an external record for what it mirrors: the source
+// holding the record and its reference there in hex. The binding is the
+// holder's own business (figure 4.8), and the name is all a journal
+// keeps of it, so a restarted holder binds its surrogates from it again.
+func SurrogateName(source string, remote Ref) string {
+	return source + "#" + strconv.FormatUint(remote.Uint64(), 16)
+}
+
+// ParseSurrogateName inverts SurrogateName, accepting only what it
+// produces.
+func ParseSurrogateName(name string) (source string, remote Ref, err error) {
+	cut := strings.LastIndexByte(name, '#')
+	u, err := strconv.ParseUint(name[cut+1:], 16, 64)
+	source, remote = name[:max(cut, 0)], RefFromUint64(u)
+	if cut < 0 || err != nil || SurrogateName(source, remote) != name {
+		return "", Ref{}, fmt.Errorf("want <source>#<hex ref> in canonical form")
+	}
+	return source, remote, nil
 }
 
 // NewDerived creates a record computing op over the effective values of
@@ -764,7 +785,8 @@ func (st *Store) MarkSourceFailsafe(source string) int {
 }
 
 // sourceOp moves every non-permanent external record from source that
-// is not already in state `to` there, and journals (opcode, source).
+// is not already in state `to` there, and journals (opcode, source). A
+// name is from what precedes its last '#', or all of it if it has none.
 func (st *Store) sourceOp(opcode byte, source string, to State) int {
 	if st.lock() != nil {
 		return 0
@@ -773,7 +795,14 @@ func (st *Store) sourceOp(opcode byte, source string, to State) int {
 	for si := range st.shards {
 		for _, sl := range st.shards[si].slots {
 			r := sl.rec
-			if r == nil || r.external != source || r.permanent || r.state == to {
+			if r == nil || r.permanent || r.state == to {
+				continue
+			}
+			from := r.external
+			if cut := strings.LastIndexByte(from, '#'); cut >= 0 {
+				from = from[:cut]
+			}
+			if from != source {
 				continue
 			}
 			st.transition(r, to, false)
@@ -802,21 +831,25 @@ func (st *Store) Resolve(ref Ref) (State, bool, error) {
 	return State(v &^ permBit), v&permBit != 0, nil
 }
 
-// ExternalRefs lists the live external records for a source, so a server
-// can re-read their states when a connection is re-established.
-func (st *Store) ExternalRefs(source string) []Ref {
-	var out []Ref
+// Externals visits every live external record with its name and whether
+// its value is final. visit runs once the walk is over, with no lock
+// held: a record's reference and name never change once it is in the
+// table.
+func (st *Store) Externals(visit func(ref Ref, name string, final bool)) {
+	var found []*record
 	for si := range st.shards {
 		sh := &st.shards[si]
 		sh.mu.RLock()
 		for _, sl := range sh.slots {
-			if r := sl.rec; r != nil && r.external == source {
-				out = append(out, r.ref)
+			if r := sl.rec; r != nil && r.external != "" {
+				found = append(found, r)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	return out
+	for _, r := range found {
+		visit(r.ref, r.external, r.sp.Load()&permBit != 0)
+	}
 }
 
 // Sweep garbage-collects (§4.8): it unlinks parent→child edges from

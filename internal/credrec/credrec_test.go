@@ -305,9 +305,9 @@ func TestExternalRecords(t *testing.T) {
 	if st.Valid(d) {
 		t.Fatal("derived record valid while parents unknown")
 	}
-	refs := st.ExternalRefs("login")
+	refs := externalsNamed(st, "login")
 	if len(refs) != 2 {
-		t.Fatalf("ExternalRefs = %v", refs)
+		t.Fatalf("Externals = %v", refs)
 	}
 	// Reconnection: states re-read and restored.
 	for _, r := range refs {
@@ -317,6 +317,30 @@ func TestExternalRecords(t *testing.T) {
 	}
 	if !st.Valid(d) {
 		t.Fatal("derived record did not recover after reconnection")
+	}
+}
+
+// A surrogate named for what it mirrors is from the source before its
+// last '#'; one named before surrogates were, from its whole name.
+func TestSourceTransitionsMatchNamedSurrogates(t *testing.T) {
+	st := NewStore()
+	named := st.NewExternal(SurrogateName("Login", Ref{Index: 7, Magic: 2}), True)
+	legacy := st.NewExternal("Login", True)
+	other := st.NewExternal(SurrogateName("Login#x", Ref{Index: 7, Magic: 2}), True)
+	bridge := st.NewExternal(bridgeName("Login", Ref{Index: 7, Magic: 2}), True)
+	if n := st.MarkSourceUnknown("Login"); n != 2 {
+		t.Fatalf("MarkSourceUnknown touched %d records, want 2", n)
+	}
+	for ref, want := range map[Ref]State{named: Unknown, legacy: Unknown, other: True, bridge: True} {
+		if got, _ := st.Lookup(ref); got != want {
+			t.Errorf("%s = %v, want %v", st.External(ref), got, want)
+		}
+	}
+	if source, remote, err := ParseSurrogateName(st.External(named)); err != nil || source != "Login" || remote != (Ref{Index: 7, Magic: 2}) {
+		t.Fatalf("ParseSurrogateName(%q) = %q, %v, %v", st.External(named), source, remote, err)
+	}
+	if _, _, err := ParseSurrogateName("Login"); err == nil {
+		t.Fatal("a name without a reference parsed")
 	}
 }
 

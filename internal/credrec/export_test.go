@@ -1,6 +1,10 @@
 package credrec
 
-import "io"
+import (
+	"fmt"
+	"io"
+	"strings"
+)
 
 // Accessors and conveniences only this package's tests use.
 
@@ -70,4 +74,29 @@ func (r *Ring) Owner(key uint64) string { return r.members[r.OwnerIndex(key)] }
 func ReplayInto(st *Store, r io.Reader, strict bool) (applied int, torn bool, err error) {
 	applied, _, torn, err = ReplayIntoOffset(st, r, strict)
 	return applied, torn, err
+}
+
+// externalsNamed lists the live external records created under name.
+func externalsNamed(r Recorder, name string) (refs []Ref) {
+	r.Externals(func(ref Ref, n string, _ bool) {
+		if n == name {
+			refs = append(refs, ref)
+		}
+	})
+	return refs
+}
+
+// bridgeName is the name of a bridge mirroring parent, which shard
+// owner holds.
+func bridgeName(owner string, parent Ref) string {
+	return SurrogateName(bridgePrefix+owner, parent)
+}
+
+// parseBridgeName inverts bridgeName, accepting only what it produces.
+func parseBridgeName(name string) (owner string, parent Ref, err error) {
+	if !strings.HasPrefix(name, bridgePrefix) {
+		return "", Ref{}, fmt.Errorf("want %s<owner>#<hex ref>", bridgePrefix)
+	}
+	owner, parent, err = ParseSurrogateName(name)
+	return strings.TrimPrefix(owner, bridgePrefix), parent, err
 }

@@ -49,7 +49,7 @@ func FuzzJournalReplay(f *testing.F) {
 	// its edge table from (this store as shard "A" of ring A, B) — one a
 	// sharded store could have written, one it could not.
 	f.Add(seed(func(ls *Store) {
-		br := ls.NewExternal(bridgeSource("B", Ref{Index: 1<<shardIDShift | 5, Magic: 1}), True)
+		br := ls.NewExternal(bridgeName("B", Ref{Index: 1<<shardIDShift | 5, Magic: 1}), True)
 		_ = ls.MarkDirectUse(ls.NewDerived(OpAnd, Of(br)))
 	}))
 	f.Add(seed(func(ls *Store) { ls.NewExternal("shard:B#0x5", True) }))

@@ -35,7 +35,7 @@ type Recorder interface {
 	Lookup(ref Ref) (State, error)
 	Valid(ref Ref) bool
 	Resolve(ref Ref) (State, bool, error)
-	ExternalRefs(source string) []Ref
+	Externals(visit func(ref Ref, name string, final bool))
 
 	// Observation and introspection.
 	OnChange(f ChangeFunc)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,12 +39,12 @@ import (
 //
 // When a derived record's parent lives on another shard, the parent
 // grows a local *bridge* — an external surrogate record on the child's
-// shard, sourced "shard:<owner>#<parent ref>" — and the parent itself
-// is flagged Notify. The parent's change callback then fans the new
+// shard, named SurrogateName("shard:<owner>", parent) — and the parent
+// itself is flagged Notify. The parent's change callback then fans the new
 // state out to every bridge (outside all store locks, so cascades chain
 // across any number of shards without lock-order hazards), and the
-// child's shard propagates it locally. The source string is all a
-// journal or snapshot keeps of a bridge, and all that is needed: the
+// child's shard propagates it locally. The name is all a journal or
+// snapshot keeps of a bridge, and all that is needed: the
 // edge table is rebuilt from it when recovered shards are opened, and
 // ResyncShard then re-reads every parent, the same way a §4.10 resync
 // restores a healed source.
@@ -80,24 +79,17 @@ type ShardedStore struct {
 	change atomic.Pointer[ChangeFunc] // user observer (OnChange)
 	halt   atomic.Pointer[error]      // the journaled shards' shared fail-stop latch
 
-	// Cross-shard edge table: global parent ref -> bridge surrogates.
-	nEdges  atomic.Int64
-	mu      sync.RWMutex
-	edges   map[uint64][]bridgeLink
-	bridges map[bridgeKey]Ref // (parent, child shard) -> shared bridge (local ref)
+	// Cross-shard edge table: global parent ref -> bridge surrogates;
+	// derivations on one shard share the first listed for it.
+	nEdges atomic.Int64
+	mu     sync.RWMutex
+	edges  map[uint64][]bridgeLink
 }
 
 // bridgeLink is one bridge surrogate mirroring a remote parent.
 type bridgeLink struct {
 	shard int
 	local Ref
-}
-
-// bridgeKey dedupes bridges: all derived records on one shard that
-// share a remote parent share one surrogate for it.
-type bridgeKey struct {
-	parent uint64 // global ref of the remote parent
-	shard  int    // shard holding the bridge
 }
 
 // Shard-id packing in Ref.Index: the top shardIDBits carry the owning
@@ -135,7 +127,7 @@ func NewShardedStore(names []string, replicas int) (*ShardedStore, error) {
 // journal). The edge table is rebuilt from the bridge records the
 // shards hold, and every edge is resynchronised before the store is
 // returned: shards recovered to independent points of their histories
-// come back with each bridge equal to its parent. A bridge source that
+// come back with each bridge equal to its parent. A bridge name that
 // does not parse, or names a parent this ring does not place on another
 // shard, fails the open.
 func OpenShardedStore(ring *Ring, stores []*Store) (*ShardedStore, error) {
@@ -147,11 +139,10 @@ func OpenShardedStore(ring *Ring, stores []*Store) (*ShardedStore, error) {
 		return nil, fmt.Errorf("credrec: %d stores for %d shards", len(stores), len(names))
 	}
 	ss := &ShardedStore{
-		ring:    ring,
-		names:   names,
-		stores:  stores,
-		edges:   make(map[uint64][]bridgeLink),
-		bridges: make(map[bridgeKey]Ref),
+		ring:   ring,
+		names:  names,
+		stores: stores,
+		edges:  make(map[uint64][]bridgeLink),
 	}
 	for i, st := range stores {
 		ss.allocSeq.Add(st.created.Load())
@@ -183,33 +174,21 @@ func OpenShardedStore(ring *Ring, stores []*Store) (*ShardedStore, error) {
 }
 
 // adoptBridges registers the edges of the live bridges shard i holds. A
-// permanent bridge has no edge: its value is final.
-func (ss *ShardedStore) adoptBridges(i int) error {
-	st := ss.stores[i]
-	for si := range st.shards {
-		sh := &st.shards[si]
-		sh.mu.RLock()
-		for _, sl := range sh.slots {
-			r := sl.rec
-			if r == nil || !strings.HasPrefix(r.external, bridgePrefix) {
-				continue
-			}
-			owner, parent, err := parseBridgeSource(r.external)
-			pid := int(parent.Index >> shardIDShift)
-			if err == nil && (pid >= len(ss.names) || pid == i || ss.names[pid] != owner) {
-				err = fmt.Errorf("no other shard %q owns %v on this ring", owner, parent)
-			}
-			if err != nil {
-				sh.mu.RUnlock()
-				return fmt.Errorf("credrec: shard %q record %v: bridge source %q: %v", ss.names[i], r.ref, r.external, err)
-			}
-			if r.sp.Load()&permBit == 0 {
-				ss.addEdge(bridgeKey{parent: parent.Uint64(), shard: i}, r.ref)
-			}
+// final bridge has no edge.
+func (ss *ShardedStore) adoptBridges(i int) (err error) {
+	ss.stores[i].Externals(func(ref Ref, name string, final bool) {
+		owner, parent, perr := ParseSurrogateName(name)
+		pid := int(parent.Index >> shardIDShift)
+		switch {
+		case err != nil || !strings.HasPrefix(name, bridgePrefix):
+		case perr != nil || pid >= len(ss.names) || pid == i || owner != bridgePrefix+ss.names[pid]:
+			err = fmt.Errorf("credrec: shard %q record %v: %q names no bridge to another shard of this ring", ss.names[i], ref, name)
+		case !final:
+			ss.edges[parent.Uint64()] = append(ss.edges[parent.Uint64()], bridgeLink{shard: i, local: ref})
+			ss.nEdges.Add(1)
 		}
-		sh.mu.RUnlock()
-	}
-	return nil
+	})
+	return err
 }
 
 // ShardStore exposes one shard's underlying store (tests, benchmarks,
@@ -219,33 +198,9 @@ func (ss *ShardedStore) ShardStore(i int) *Store { return ss.stores[i] }
 // ShardOf unpacks the owning shard id from a reference.
 func (ss *ShardedStore) ShardOf(ref Ref) int { return int(ref.Index >> shardIDShift) }
 
-// bridgePrefix starts the external-record source of every bridge.
+// bridgePrefix starts the source in a bridge's name:
+// SurrogateName(bridgePrefix+<shard owning the parent>, parent).
 const bridgePrefix = "shard:"
-
-// bridgeSource is the source a bridge is created under: the shard that
-// owns the mirrored parent, and the parent's global reference in hex.
-func bridgeSource(owner string, parent Ref) string {
-	return bridgePrefix + owner + "#" + strconv.FormatUint(parent.Uint64(), 16)
-}
-
-// parseBridgeSource inverts bridgeSource, accepting only what it
-// produces.
-func parseBridgeSource(source string) (owner string, parent Ref, err error) {
-	rest := strings.TrimPrefix(source, bridgePrefix)
-	cut := strings.LastIndexByte(rest, '#')
-	if cut < 0 || rest == source {
-		return "", Ref{}, fmt.Errorf("want %s<owner>#<hex ref>", bridgePrefix)
-	}
-	u, perr := strconv.ParseUint(rest[cut+1:], 16, 64)
-	if perr != nil {
-		return "", Ref{}, perr
-	}
-	owner, parent = rest[:cut], RefFromUint64(u)
-	if bridgeSource(owner, parent) != source {
-		return "", Ref{}, fmt.Errorf("reference is not in canonical form")
-	}
-	return owner, parent, nil
-}
 
 // globalize seals the owning shard into a shard-local reference. The
 // zero Ref — a refused allocation — stays the zero Ref.
@@ -291,8 +246,8 @@ func (ss *ShardedStore) NewFact(s State) Ref {
 }
 
 // NewExternal creates a surrogate for a fact held by another service,
-// on a ring-chosen shard. The bridges' source prefix is refused (zero
-// Ref): a foreign record under it would fail the next open.
+// on a ring-chosen shard. The bridges' prefix is refused (zero Ref): a
+// foreign record under it would fail the next open.
 func (ss *ShardedStore) NewExternal(source string, s State) Ref {
 	if strings.HasPrefix(source, bridgePrefix) {
 		return Ref{}
@@ -352,14 +307,14 @@ func (ss *ShardedStore) bridgeFor(owner int, parentGlobal Ref, pStore *Store, pL
 		return Ref{}, false
 	}
 	pid := int(parentGlobal.Index >> shardIDShift)
-	key := bridgeKey{parent: parentGlobal.Uint64(), shard: owner}
+	parent := parentGlobal.Uint64()
 	ownerStore := ss.stores[owner]
 
 	ss.mu.RLock()
-	br, ok := ss.bridges[key]
+	br, ok := ss.bridgeOn(parent, owner)
 	ss.mu.RUnlock()
 	if ok {
-		return br, true // alive: only a final bridge is ever swept, and its key was retired when it became so
+		return br, true // alive: only a final bridge is ever swept, and its edge was retired when it became so
 	}
 
 	if !perm {
@@ -368,22 +323,23 @@ func (ss *ShardedStore) bridgeFor(owner int, parentGlobal Ref, pStore *Store, pL
 		}
 	}
 	ss.allocSeq.Add(1)
-	br = ownerStore.NewExternal(bridgeSource(ss.names[pid], parentGlobal), st)
+	br = ownerStore.NewExternal(SurrogateName(bridgePrefix+ss.names[pid], parentGlobal), st)
 	if perm {
-		ss.retire(key.parent, st)
+		ss.retire(parent, st)
 		ownerStore.mirror(br, st, perm)
 		return br, true
 	}
 
 	ss.mu.Lock()
-	if existing, ok := ss.bridges[key]; ok {
+	if existing, ok := ss.bridgeOn(parent, owner); ok {
 		// Lost a creation race; keep the winner. Ours has no children
 		// and no other reference: dead, so the next Sweep frees it.
 		ss.mu.Unlock()
 		_ = ownerStore.Invalidate(br)
 		return existing, true
 	}
-	ss.addEdge(key, br)
+	ss.edges[parent] = append(ss.edges[parent], bridgeLink{shard: owner, local: br})
+	ss.nEdges.Add(1)
 	ss.mu.Unlock()
 
 	// Close the registration race: a parent transition that drained
@@ -391,22 +347,22 @@ func (ss *ShardedStore) bridgeFor(owner int, parentGlobal Ref, pStore *Store, pL
 	// will see the edge. Dangling reads permanently false.
 	if st2, perm2, _ := pStore.Resolve(pLocal); st2 != st || perm2 {
 		if perm2 {
-			ss.retire(key.parent, st2)
+			ss.retire(parent, st2)
 		}
 		ownerStore.mirror(br, st2, perm2)
 	}
 	return br, true
 }
 
-// addEdge records that bridge br on key.shard mirrors key.parent. The
-// first bridge for a key is the one later derivations share. Caller
-// holds ss.mu, or is the constructor.
-func (ss *ShardedStore) addEdge(key bridgeKey, br Ref) {
-	if _, ok := ss.bridges[key]; !ok {
-		ss.bridges[key] = br
+// bridgeOn returns the bridge that derivations on shard share for
+// parent: the first listed for that shard. Caller holds ss.mu.
+func (ss *ShardedStore) bridgeOn(parent uint64, shard int) (Ref, bool) {
+	for _, l := range ss.edges[parent] {
+		if l.shard == shard {
+			return l.local, true
+		}
 	}
-	ss.edges[key.parent] = append(ss.edges[key.parent], bridgeLink{shard: key.shard, local: br})
-	ss.nEdges.Add(1)
+	return Ref{}, false
 }
 
 // retire is called once a parent's value s is known to be final, before
@@ -418,12 +374,9 @@ func (ss *ShardedStore) addEdge(key bridgeKey, br Ref) {
 // dependent dead beneath a parent that came back is the safe side.
 func (ss *ShardedStore) retire(parent uint64, s State) {
 	ss.mu.Lock()
-	links := ss.edges[parent]
+	n := len(ss.edges[parent])
 	delete(ss.edges, parent)
-	ss.nEdges.Add(int64(-len(links)))
-	for _, l := range links {
-		delete(ss.bridges, bridgeKey{parent: parent, shard: l.shard})
-	}
+	ss.nEdges.Add(int64(-n))
 	ss.mu.Unlock()
 	if s != False {
 		_ = ss.stores[int(parent>>32)>>shardIDShift].Sync() // a failed journal has halted the store already
@@ -581,16 +534,17 @@ func (ss *ShardedStore) Resolve(ref Ref) (State, bool, error) {
 	return st.Resolve(local)
 }
 
-// ExternalRefs gathers a source's external records across every shard,
-// globalised, in shard order.
-func (ss *ShardedStore) ExternalRefs(source string) []Ref {
-	var out []Ref
+// Externals visits the external records of every shard, globalised, in
+// shard order. The bridges are the store's own business and are not
+// visited.
+func (ss *ShardedStore) Externals(visit func(ref Ref, name string, final bool)) {
 	for i, st := range ss.stores {
-		for _, local := range st.ExternalRefs(source) {
-			out = append(out, ss.globalize(i, local))
-		}
+		st.Externals(func(local Ref, name string, final bool) {
+			if !strings.HasPrefix(name, bridgePrefix) {
+				visit(ss.globalize(i, local), name, final)
+			}
+		})
 	}
-	return out
 }
 
 // --- Recorder: observation ---

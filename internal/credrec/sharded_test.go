@@ -229,8 +229,8 @@ func TestShardedSourceTransitions(t *testing.T) {
 	if n := ss.MarkSourceFailsafe("Login"); n != 32 {
 		t.Fatalf("MarkSourceFailsafe touched %d, want 32", n)
 	}
-	if got := len(ss.ExternalRefs("Login")); got != 32 {
-		t.Fatalf("ExternalRefs = %d, want 32", got)
+	if got := len(externalsNamed(ss, "Login")); got != 32 {
+		t.Fatalf("Externals = %d, want 32", got)
 	}
 }
 
@@ -360,17 +360,17 @@ func TestShardedConcurrentStorm(t *testing.T) {
 
 func TestBridgeSourceRoundTrip(t *testing.T) {
 	parent := Ref{Index: 3<<shardIDShift | 17, Magic: 9}
-	src := bridgeSource("s03", parent)
+	src := bridgeName("s03", parent)
 	if src != "shard:s03#c00001100000009" {
-		t.Fatalf("bridgeSource = %q", src)
+		t.Fatalf("bridgeName = %q", src)
 	}
-	owner, got, err := parseBridgeSource(src)
+	owner, got, err := parseBridgeName(src)
 	if err != nil || owner != "s03" || got != parent {
-		t.Fatalf("parseBridgeSource(%q) = %q, %v, %v", src, owner, got, err)
+		t.Fatalf("parseBridgeName(%q) = %q, %v, %v", src, owner, got, err)
 	}
 	// A shard name may itself hold the separator: the reference is what
 	// follows the last one.
-	if owner, got, err := parseBridgeSource(bridgeSource("a#b", parent)); err != nil || owner != "a#b" || got != parent {
+	if owner, got, err := parseBridgeName(bridgeName("a#b", parent)); err != nil || owner != "a#b" || got != parent {
 		t.Fatalf("owner with separator: %q, %v, %v", owner, got, err)
 	}
 	for _, bad := range []string{
@@ -382,8 +382,8 @@ func TestBridgeSourceRoundTrip(t *testing.T) {
 		"shard:s03# c00001100000009",
 		"Shard:s03#c00001100000009",
 	} {
-		if owner, ref, err := parseBridgeSource(bad); err == nil {
-			t.Errorf("parseBridgeSource(%q) accepted: %q, %v", bad, owner, ref)
+		if owner, ref, err := parseBridgeName(bad); err == nil {
+			t.Errorf("parseBridgeName(%q) accepted: %q, %v", bad, owner, ref)
 		}
 	}
 }
@@ -498,10 +498,10 @@ func TestShardedReopenRebuildsEdges(t *testing.T) {
 // A store holding a bridge this ring cannot have made must not open.
 func TestShardedOpenRefusesForeignBridges(t *testing.T) {
 	for _, src := range []string{
-		"shard:B#zz",                 // malformed
-		bridgeSource("B", Ref{1, 1}), // owned by shard 0, which is this shard and is not B
-		bridgeSource("Z", Ref{Index: 1 << shardIDShift, Magic: 1}),  // shard 1 is B, not Z
-		bridgeSource("C", Ref{Index: 40 << shardIDShift, Magic: 1}), // off the ring
+		"shard:B#zz",               // malformed
+		bridgeName("B", Ref{1, 1}), // owned by shard 0, which is this shard and is not B
+		bridgeName("Z", Ref{Index: 1 << shardIDShift, Magic: 1}),  // shard 1 is B, not Z
+		bridgeName("C", Ref{Index: 40 << shardIDShift, Magic: 1}), // off the ring
 	} {
 		st := NewStore()
 		st.NewExternal(src, True)
@@ -699,9 +699,7 @@ func TestShardedFinalValueWaitsForParentShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ss.mu.RLock()
-	bridge := ss.bridges[bridgeKey{parent: a.Uint64(), shard: ss.ShardOf(b)}]
-	ss.mu.RUnlock()
+	bridge := externalsNamed(stores[ss.ShardOf(b)], bridgeName(ss.names[ss.ShardOf(a)], a))[0]
 	sinks[ss.ShardOf(a)].slow = 50 * time.Millisecond
 	if err := ss.MakePermanent(a); err != nil {
 		t.Fatal(err)

@@ -82,8 +82,8 @@ func TestSnapshotAllocationDeterminism(t *testing.T) {
 			t.Fatalf("allocation %d diverged: %v vs %v", i, a, b)
 		}
 	}
-	va := st.NewDerived(OpOr, Of(st.ExternalRefs("login")[0]))
-	vb := restored.NewDerived(OpOr, Of(restored.ExternalRefs("login")[0]))
+	va := st.NewDerived(OpOr, Of(externalsNamed(st, "login")[0]))
+	vb := restored.NewDerived(OpOr, Of(externalsNamed(restored, "login")[0]))
 	if va != vb {
 		t.Fatalf("derived allocation diverged: %v vs %v", va, vb)
 	}

@@ -14,11 +14,6 @@ type Handler func(Event)
 // §4.10); the argument is the source name.
 type GapHandler func(source string)
 
-// ReviveHandler is invoked when a source the receiver had presumed
-// failed (CheckLiveness, MarkSilent) delivers again — the trigger for
-// resynchronisation after a partition heals.
-type ReviveHandler func(source string)
-
 // sourceID is a session or registration identifier qualified by the
 // source that allocated it: each broker numbers its own, so keying a
 // delivery stream by SessionID alone, or a handler by RegID alone, would
@@ -37,11 +32,10 @@ type Receiver struct {
 	onGap GapHandler
 
 	mu          sync.Mutex
-	onRevive    ReviveHandler
 	srcHandlers map[sourceID]Handler // per (source, registration); 0 = any
 	lastSeq     map[sourceID]uint64  // per (source, session)
 	horizons    map[string]time.Time // per source
-	silent      map[string]bool      // sources currently presumed failed
+	silent      map[string]bool      // sources CheckLiveness reported, not heard from since
 }
 
 // NewReceiver creates a receiver; onGap (may be nil) is told of every
@@ -65,13 +59,6 @@ func (r *Receiver) HandleFrom(source string, regID uint64, h Handler) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.srcHandlers[sourceID{source, regID}] = h
-}
-
-// OnRevive installs the handler called when a silent source delivers.
-func (r *Receiver) OnRevive(h ReviveHandler) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.onRevive = h
 }
 
 // Deliver implements Sink.
@@ -99,7 +86,6 @@ func (r *Receiver) Deliver(n Notification) {
 	if n.Horizon.After(r.horizons[n.Source]) {
 		r.horizons[n.Source] = n.Horizon
 	}
-	revived := r.silent[n.Source]
 	delete(r.silent, n.Source)
 	var h Handler
 	if !stale && !n.Heartbeat {
@@ -108,20 +94,16 @@ func (r *Receiver) Deliver(n Notification) {
 		}
 	}
 	onGap := r.onGap
-	onRevive := r.onRevive
 	r.mu.Unlock()
 
-	// The payload is applied before the revive/gap callbacks run: those
-	// callbacks typically trigger a resync, and a resync snapshot taken
-	// at the source necessarily covers this notification (it was sent
-	// first) — so snapshot-after-payload converges, while
-	// payload-after-snapshot could roll a record back to a state the
-	// snapshot had already superseded.
+	// The payload is applied before the gap callback runs: it typically
+	// triggers a resync, and a resync snapshot taken at the source
+	// necessarily covers this notification (it was sent first) — so
+	// snapshot-after-payload converges, while payload-after-snapshot
+	// could roll a record back to a state the snapshot had already
+	// superseded.
 	if h != nil {
 		h(n.Event)
-	}
-	if revived && onRevive != nil {
-		onRevive(n.Source)
 	}
 	if gap && onGap != nil {
 		onGap(n.Source)
@@ -196,15 +178,6 @@ func (r *Receiver) CheckLiveness(now time.Time, allowance time.Duration) []strin
 	}
 	sort.Strings(failed)
 	return failed
-}
-
-// MarkSilent records an external presumption of failure for the source
-// (the service-level suspicion machinery escalates independently of
-// CheckLiveness); the next delivery from it fires OnRevive.
-func (r *Receiver) MarkSilent(source string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.silent[source] = true
 }
 
 var _ Sink = (*Receiver)(nil)

@@ -138,33 +138,6 @@ func TestReceiverSessionFloor(t *testing.T) {
 	}
 }
 
-func TestReceiverOnRevive(t *testing.T) {
-	var revived []string
-	r := NewReceiver(nil)
-	r.OnRevive(func(src string) { revived = append(revived, src) })
-	r.Deliver(Notification{Source: "s", SessionID: 1, Seq: 1, Heartbeat: true})
-	if len(revived) != 0 {
-		t.Fatalf("revive fired for a live source: %v", revived)
-	}
-	r.MarkSilent("s")
-	if !r.Silent("s") {
-		t.Fatal("MarkSilent ineffective")
-	}
-	r.Deliver(Notification{Source: "s", SessionID: 1, Seq: 2, Heartbeat: true})
-	if len(revived) != 1 || revived[0] != "s" {
-		t.Fatalf("revived = %v", revived)
-	}
-	if r.Silent("s") {
-		t.Fatal("delivery did not clear silence")
-	}
-	// Even a stale duplicate proves the source is alive.
-	r.MarkSilent("s")
-	r.Deliver(Notification{Source: "s", SessionID: 1, Seq: 2, Heartbeat: true})
-	if len(revived) != 2 {
-		t.Fatal("stale delivery did not revive")
-	}
-}
-
 func TestReceiverSources(t *testing.T) {
 	r := NewReceiver(nil)
 	h := time.Unix(100, 0)

@@ -75,7 +75,13 @@ func persistScript() []pstep {
 	add("suspect-login", func(r credrec.Recorder, refs *[]credrec.Ref) { r.MarkSourceUnknown("login") })
 	add("failsafe-login", func(r credrec.Recorder, refs *[]credrec.Ref) { r.MarkSourceFailsafe("login") })
 	add("resync-login", func(r credrec.Recorder, refs *[]credrec.Ref) {
-		for _, ref := range r.ExternalRefs("login") {
+		var login []credrec.Ref
+		r.Externals(func(ref credrec.Ref, name string, _ bool) {
+			if name == "login" {
+				login = append(login, ref)
+			}
+		})
+		for _, ref := range login {
 			_ = r.SetState(ref, credrec.True)
 		}
 	})
@@ -659,15 +665,15 @@ func TestKillPointsShardedIndependentWatermarks(t *testing.T) {
 				if !strings.HasPrefix(l.ext, "shard:") {
 					continue
 				}
-				var parent uint64
-				if _, err := fmt.Sscanf(l.ext[strings.LastIndexByte(l.ext, '#')+1:], "%x", &parent); err != nil {
-					t.Fatalf("bridge source %q: %v", l.ext, err)
+				_, parent, err := credrec.ParseSurrogateName(l.ext)
+				if err != nil {
+					t.Fatalf("bridge name %q: %v", l.ext, err)
 				}
-				ps, pperm, _ := ss.Resolve(credrec.RefFromUint64(parent))
+				ps, pperm, _ := ss.Resolve(parent)
 				equal := l.state == ps.String() && l.perm == pperm
 				if !equal && !(l.perm && l.state == "false") {
 					t.Fatalf("cut %v: shard %d: bridge %s is %s perm=%t, its parent %v is %v perm=%t",
-						cut, i, l.ref, l.state, l.perm, credrec.RefFromUint64(parent), ps, pperm)
+						cut, i, l.ref, l.state, l.perm, parent, ps, pperm)
 				}
 			}
 		}

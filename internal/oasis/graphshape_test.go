@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"oasis/internal/cert"
+	"oasis/internal/credrec"
 	"oasis/internal/value"
 )
 
@@ -114,8 +115,15 @@ func TestSingleMembershipRuleReusesParent(t *testing.T) {
 	if got := svc.Store().Live() - base; got != 1 {
 		t.Fatalf("entry created %d records, want 1 (external only; parent reused)", got)
 	}
-	// The certificate's CRR is the external record itself.
-	if ext := svc.Store().ExternalRefs("Login"); len(ext) != 1 || ext[0] != rmc.CRR {
+	// The certificate's CRR is the external record itself, named for the
+	// login record it mirrors.
+	var ext []credrec.Ref
+	svc.Store().Externals(func(ref credrec.Ref, name string, _ bool) {
+		if name == credrec.SurrogateName("Login", login.CRR) {
+			ext = append(ext, ref)
+		}
+	})
+	if len(ext) != 1 || ext[0] != rmc.CRR {
 		t.Fatal("certificate does not embed the external record directly")
 	}
 }

@@ -104,9 +104,16 @@ func serve[A, R any](op string, arg any, handle func(A) (R, error)) (any, error)
 	return r, err
 }
 
-// Deliver implements bus.Endpoint: inbound event notifications go to the
-// service's receiver library.
-func (s *Service) Deliver(n event.Notification) { s.receiver.Deliver(n) }
+// Deliver implements bus.Endpoint: notifications go to the receiver. The
+// first from a source degraded since it was last heard from (§4.10: a
+// partition healed) resyncs it with AutoResync, after its payload.
+func (s *Service) Deliver(n event.Notification) {
+	revived := s.heard(n.Source)
+	s.receiver.Deliver(n)
+	if revived && s.opts.AutoResync && s.SourceStatus(n.Source) != SourceAlive {
+		s.tryResync(n.Source)
+	}
+}
 
 // DeliverBatch implements bus.BatchEndpoint: a notification burst (a
 // peer's revocation storm) is applied under our own outbound batch, so
@@ -115,7 +122,7 @@ func (s *Service) Deliver(n event.Notification) { s.receiver.Deliver(n) }
 func (s *Service) DeliverBatch(notes []event.Notification) {
 	_ = s.batchNotify(func() error {
 		for _, n := range notes {
-			s.receiver.Deliver(n)
+			s.Deliver(n)
 		}
 		return nil
 	})
@@ -310,30 +317,68 @@ func (s *Service) onRecordChange(ref credrec.Ref, st credrec.State, permanent bo
 
 // surrogateFor returns the local external record standing for a record
 // of another service (or another shard), and whether this call created
-// it. The row of extRecords keyed by source and remote reference is the
-// watcher's whole binding to the record (figure 4.8: record name spaces
-// are managed separately). A new surrogate is Unknown until its issuer
-// says otherwise, and the first row of a source installs the source's
-// Modified handler. extMu is held across the check and the creation so
-// concurrent validations of one remote record share one surrogate; a
-// row whose surrogate the sweep has collected is re-minted.
+// it. Its name (credrec.SurrogateName) and its row of extRecords, keyed
+// by source and remote reference, are the watcher's binding to the
+// record (figure 4.8: record name spaces are managed separately). It is
+// Unknown until its issuer says otherwise. extMu is held across the
+// check and the creation so concurrent validations of one remote record
+// share one surrogate; a row whose surrogate the sweep has collected is
+// re-minted.
 func (s *Service) surrogateFor(source string, remote credrec.Ref) (local credrec.Ref, created bool) {
 	s.extMu.Lock()
 	defer s.extMu.Unlock()
+	rows := s.rowsFor(source)
+	if local, ok := rows[remote.Uint64()]; ok {
+		if _, err := s.store.Lookup(local); err == nil {
+			return local, false
+		}
+	}
+	local = s.store.NewExternal(credrec.SurrogateName(source, remote), credrec.Unknown)
+	rows[remote.Uint64()] = local
+	return local, true
+}
+
+// rowsFor returns a source's rows; the first installs the source's
+// Modified handler. Caller holds extMu.
+func (s *Service) rowsFor(source string) map[uint64]credrec.Ref {
 	rows := s.extRecords[source]
 	if rows == nil {
 		rows = make(map[uint64]credrec.Ref)
 		s.extRecords[source] = rows
 		s.receiver.HandleFrom(source, 0, func(ev event.Event) { s.onModified(source, ev) })
 	}
-	if local, ok := rows[remote.Uint64()]; ok {
-		if _, err := s.store.Lookup(local); err == nil {
-			return local, false
+	return rows
+}
+
+// rebind takes up the surrogates a restarted watcher finds in its store
+// (§4.10): each not final gets its row back, and its source, observed
+// now, is Suspect until the first delivery's resync re-opens the watch.
+// One whose name does not say what it mirrors predates surrogate names;
+// nothing can feed it, so it is invalidated.
+func (s *Service) rebind() {
+	s.store.Externals(func(local credrec.Ref, name string, final bool) {
+		source, remote, err := credrec.ParseSurrogateName(name)
+		switch {
+		case final:
+		case err != nil:
+			_ = s.store.Invalidate(local)
+		default:
+			s.extMu.Lock()
+			s.rowsFor(source)[remote.Uint64()] = local
+			s.extMu.Unlock()
 		}
+	})
+	var sources []string
+	s.extMu.Lock()
+	for source := range s.extRecords {
+		sources = append(sources, source)
 	}
-	local = s.store.NewExternal(source, credrec.Unknown)
-	rows[remote.Uint64()] = local
-	return local, true
+	s.extMu.Unlock()
+	sort.Strings(sources)
+	for _, source := range sources {
+		s.receiver.ObserveSource(source, s.clk.Now())
+		s.setSourceState(source, SourceSuspect)
+	}
 }
 
 // abandonSurrogate undoes a surrogateFor whose question got no True for
@@ -409,6 +454,7 @@ func (s *Service) validateInto(ext credrec.Ref, c *cert.RMC, client ids.ClientID
 	// The synchronous validation proved the issuer alive just now; start
 	// the heartbeat liveness window from here.
 	s.receiver.ObserveSource(c.Service, s.clk.Now())
+	s.heard(c.Service)
 	return reply.Roles, nil
 }
 
@@ -580,6 +626,7 @@ func (s *Service) ResyncSource(source string) error {
 		return nil
 	})
 	s.receiver.ObserveSource(source, s.clk.Now())
+	s.heard(source)
 	s.setSourceState(source, SourceAlive)
 	return nil
 }

@@ -176,3 +176,123 @@ func TestResyncTellsOnlyTheCaller(t *testing.T) {
 		t.Fatalf("the logout reached Other as %d notification(s); its certificate must be revoked by exactly one", delivered)
 	}
 }
+
+// TestWatcherRestartHoldingSurrogates: ROADMAP finding (iii)'s watcher
+// row, the mirror of TestIssuerRestartUnderLiveWatcher. Guest is rebuilt
+// over its store while Login stays up, as a daemon restarted on its
+// -store-dir would be. The surrogates come back from the store, and the
+// rows, handlers and suspicion beside them must come back from their
+// names: a surrogate nothing feeds would validate for good.
+func TestWatcherRestartHoldingSurrogates(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store func(t *testing.T) credrec.Recorder
+	}{
+		{"Store", func(*testing.T) credrec.Recorder { return credrec.NewStore() }},
+		{"Sharded4", func(t *testing.T) credrec.Recorder {
+			ss, err := credrec.NewShardedStore([]string{"s0", "s1", "s2", "s3"}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ss
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { watcherRestart(t, tc.store(t)) })
+	}
+}
+
+func watcherRestart(t *testing.T, store credrec.Recorder) {
+	const period = 5 * time.Second
+	clk := clock.NewVirtual(time.Date(1996, 3, 1, 9, 0, 0, 0, time.UTC))
+	loginNet := bus.NewNetwork(clk)
+	h := &harness{clk: clk, net: loginNet, hosts: make(map[string]*ids.HostAuthority)}
+	var err error
+	if h.login, err = New("Login", clk, loginNet, Options{HeartbeatEvery: period}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.login.AddRolefile("main", loginRolefile); err != nil {
+		t.Fatal(err)
+	}
+
+	// boot starts an incarnation of Guest on a network of its own; what
+	// Login sends Guest reaches the current incarnation only, as a dead
+	// process hears nothing.
+	var guest *Service
+	var current *bus.Network
+	if err := loginNet.Register("Guest", relay{
+		call:    func(from, op string, arg any) (any, error) { return current.Call(from, "Guest", op, arg) },
+		deliver: func(n event.Notification) { guest.Deliver(n) },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	boot := func() *Service {
+		t.Helper()
+		net := bus.NewNetwork(clk)
+		relayTo(t, net, "Login", loginNet, nil)
+		g, err := New("Guest", clk, net, Options{Store: store, HeartbeatEvery: period, FailsafeMissed: 3, AutoResync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddRolefile("main", guestRolefile); err != nil {
+			t.Fatal(err)
+		}
+		current = net
+		return g
+	}
+	guest = boot()
+	tick := func() {
+		clk.Advance(period)
+		h.login.HeartbeatTick()
+		guest.SuspicionTick()
+	}
+
+	a := h.client("ely")
+	loginA := h.logOn(t, a, "dm")
+	guestA, err := enterGuest(guest, a, loginA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		tick()
+	}
+	if err := guest.Validate(guestA, a); err != nil {
+		t.Fatalf("before the restart: %v", err)
+	}
+
+	guest = boot()
+	if guest.Validate(guestA, a) == nil {
+		t.Errorf("UNSAFE: right after the restart Guest validates a certificate nothing feeds (Login is %v at Guest)",
+			guest.SourceStatus("Login"))
+	}
+	tick()
+	if st := guest.SourceStatus("Login"); st != SourceAlive {
+		t.Fatalf("Login is %v at Guest a heartbeat after the restart, want alive", st)
+	}
+	if err := guest.Validate(guestA, a); err != nil {
+		t.Fatalf("the first heartbeat's resync did not bring the session back: %v", err)
+	}
+
+	if err := h.login.Exit(loginA, a); err != nil {
+		t.Fatal(err)
+	}
+	tick()
+	if guest.Validate(guestA, a) == nil {
+		t.Fatalf("UNSAFE: a heartbeat period after the logout was acknowledged Guest still validates the derived certificate (Login is %v at Guest)",
+			guest.SourceStatus("Login"))
+	}
+}
+
+// TestRestartRevokesUnnamedSurrogates: a surrogate created under its
+// source's name alone, as every one was before surrogates were named,
+// says nothing of what it mirrors, so no resync can feed it again. The
+// first boot on such a store revokes it and what derives from it.
+func TestRestartRevokesUnnamedSurrogates(t *testing.T) {
+	store := credrec.NewStore()
+	derived := store.NewDerived(credrec.OpAnd, credrec.Of(store.NewExternal("Login", credrec.True)))
+	if _, err := New("Guest", clock.NewVirtual(time.Unix(0, 0)), nil, Options{Store: store}); err != nil {
+		t.Fatal(err)
+	}
+	if st, perm, _ := store.Resolve(derived); st != credrec.False || !perm {
+		t.Fatalf("a record over an unnamed surrogate is %v (permanent %v) after the restart, want permanently false", st, perm)
+	}
+}

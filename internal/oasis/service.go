@@ -113,9 +113,11 @@ type Service struct {
 	extMu      sync.Mutex
 	extRecords map[string]map[uint64]credrec.Ref // source -> remote ref -> local
 
-	// failure-suspicion state per watched source (§4.10 / §6.8.4)
+	// failure-suspicion state per watched source (§4.10 / §6.8.4), and
+	// the degraded sources not heard from since they were degraded
 	suspMu    sync.Mutex
 	suspicion map[string]SourceState
+	unheard   map[string]bool
 	resyncing map[string]bool
 
 	// delegation bookkeeping (server-side state per §4.4/§4.11)
@@ -191,6 +193,7 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 		extRecords:    make(map[string]map[uint64]credrec.Ref),
 		delegations:   make(map[credrec.Ref]*delegInfo),
 		suspicion:     make(map[string]SourceState),
+		unheard:       make(map[string]bool),
 		resyncing:     make(map[string]bool),
 	}
 	if s.store == nil {
@@ -199,10 +202,8 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 	s.groups = credrec.NewGroups(s.store)
 	s.broker = event.NewBroker(name, clk, event.BrokerOptions{})
 	// A sequence gap means a notification — possibly a revocation — was
-	// lost; a revived source means a partition healed. Both feed the
-	// suspicion machinery (suspicion.go).
+	// lost: it feeds the suspicion machinery (suspicion.go).
 	s.receiver = event.NewReceiver(s.onNotificationGap)
-	s.receiver.OnRevive(s.onSourceRevive)
 	s.store.OnChange(s.onRecordChange)
 	if net != nil {
 		if err := net.Register(name, s); err != nil {
@@ -212,6 +213,7 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 		// every service installs the same rule, so this is idempotent.
 		net.SetCoalesceRule(modifiedCoalesceRule)
 	}
+	s.rebind()
 	return s, nil
 }
 

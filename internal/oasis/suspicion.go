@@ -61,6 +61,9 @@ func (s *Service) setSourceState(source string, to SourceState) {
 		return
 	}
 	s.suspicion[source] = to
+	if to != SourceAlive {
+		s.unheard[source] = true
+	}
 	s.suspMu.Unlock()
 
 	switch to {
@@ -69,13 +72,11 @@ func (s *Service) setSourceState(source string, to SourceState) {
 			s.store.MarkSourceUnknown(source)
 			return nil
 		})
-		s.receiver.MarkSilent(source)
 	case SourceFailed:
 		_ = s.batchNotify(func() error {
 			s.store.MarkSourceFailsafe(source)
 			return nil
 		})
-		s.receiver.MarkSilent(source)
 	}
 	if cb := s.opts.OnSourceState; cb != nil {
 		cb(source, from, to)
@@ -170,13 +171,12 @@ func (s *Service) onNotificationGap(source string) {
 	}
 }
 
-// onSourceRevive handles the first delivery from a source the service
-// had presumed failed — the partition-heal trigger for resync.
-func (s *Service) onSourceRevive(source string) {
-	if !s.opts.AutoResync {
-		return
-	}
-	if s.SourceStatus(source) != SourceAlive {
-		s.tryResync(source)
-	}
+// heard disarms the source's unheard bit and reports whether it was
+// armed: whether this is the first word from it since it was degraded.
+func (s *Service) heard(source string) bool {
+	s.suspMu.Lock()
+	defer s.suspMu.Unlock()
+	armed := s.unheard[source]
+	delete(s.unheard, source)
+	return armed
 }
