@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"hash/maphash"
 	"slices"
 	"sync"
 )
@@ -42,12 +43,14 @@ func signerEpoch(s Signer) uint64 {
 //  3. Shard full ⇒ evict one. Shards (by first signature byte) are
 //     bounded; an evicted certificate costs one re-verification.
 //
-// Only positive verdicts are stored. Signers are compared by interface
-// identity, so implementations must be comparable — in practice,
-// pointers (every implementation in this package is).
+// Only positive verdicts are stored, and only for a certificate seen
+// twice (admit). Signers are compared by interface identity, so
+// implementations must be comparable — in practice, pointers (every
+// implementation in this package is).
 const (
 	verifyCacheShards   = 16
 	verifyCacheShardCap = 1024
+	doorkeeperBits      = 8 * verifyCacheShardCap
 )
 
 // verifiedRMC is one remembered verdict: the signed fields (Args
@@ -60,17 +63,20 @@ type verifiedRMC struct {
 }
 
 type verifyCacheShard struct {
-	mu sync.RWMutex
-	m  map[string]*verifiedRMC
+	mu    sync.RWMutex
+	m     map[string]*verifiedRMC
+	door  [doorkeeperBits / 64]uint64 // admit's bitset
+	marks int                         // first sights since door was cleared
 }
 
 // VerifyCache is safe for concurrent use by multiple goroutines.
 type VerifyCache struct {
 	shards [verifyCacheShards]verifyCacheShard
+	seed   maphash.Seed // picks a signature's doorkeeper bits
 }
 
 func NewVerifyCache() *VerifyCache {
-	vc := &VerifyCache{}
+	vc := &VerifyCache{seed: maphash.MakeSeed()}
 	for i := range vc.shards {
 		vc.shards[i].m = make(map[string]*verifiedRMC)
 	}
@@ -95,19 +101,50 @@ func (vc *VerifyCache) VerifyRMC(c *RMC, s Signer) bool {
 	if !c.Verify(s) {
 		return false
 	}
+	h := maphash.Bytes(vc.seed, c.Sig)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	// A signature already stored was admitted before: it is re-verified
+	// after an epoch bump or a field mismatch and replaces its own entry.
+	if _, stored := sh.m[string(c.Sig)]; !stored {
+		if !sh.admit(h) {
+			return true
+		}
+		if len(sh.m) >= verifyCacheShardCap {
+			for k := range sh.m {
+				delete(sh.m, k)
+				break
+			}
+		}
+	}
 	v = &verifiedRMC{fields: *c, signer: s, epoch: epoch}
 	v.fields.Args = slices.Clone(c.Args)
 	v.fields.Sig = nil
-	sh.mu.Lock()
-	if len(sh.m) >= verifyCacheShardCap {
-		for k := range sh.m {
-			delete(sh.m, k)
-			break
-		}
-	}
 	sh.m[string(c.Sig)] = v
-	sh.mu.Unlock()
 	return true
+}
+
+// admit is TinyLFU's doorkeeper (Einziger, Friedman and Manes, ACM ToS
+// 2017): it reports whether the signature hashing to h was seen since
+// the shard last cleared its bitset, and marks it if not. Most
+// certificates are presented once — an R introspected once, after its
+// logout — and cost their full check but no entry. A sight sets two
+// bits; the bitset is cleared every verifyCacheShardCap marks. It only
+// decides what is stored, after a full check passed, so a false
+// positive stores a verified verdict and nothing else. Called under
+// the shard's write lock.
+func (sh *verifyCacheShard) admit(h uint64) bool {
+	i, j := h%doorkeeperBits, (h>>32)%doorkeeperBits
+	if sh.door[i/64]&(1<<(i%64)) != 0 && sh.door[j/64]&(1<<(j%64)) != 0 {
+		return true
+	}
+	if sh.marks == verifyCacheShardCap {
+		sh.door, sh.marks = [doorkeeperBits / 64]uint64{}, 0
+	}
+	sh.marks++
+	sh.door[i/64] |= 1 << (i % 64)
+	sh.door[j/64] |= 1 << (j % 64)
+	return false
 }
 
 // sameSignedFields compares every field buildCanonical serialises;

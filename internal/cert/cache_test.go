@@ -1,6 +1,8 @@
 package cert
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"reflect"
 	"sync"
 	"testing"
@@ -179,8 +181,8 @@ func TestVerifyCacheStolenSignature(t *testing.T) {
 	vc := NewVerifyCache()
 	orig := cacheTestRMC()
 	orig.Sign(s)
-	if !vc.VerifyRMC(orig, s) {
-		t.Fatal("signed certificate does not verify")
+	if !vc.VerifyRMC(orig, s) || !vc.VerifyRMC(orig, s) || !vc.stored(orig) {
+		t.Fatal("signed certificate does not verify, or is not stored on second sight")
 	}
 	// A forged body carrying the victim's valid signature must miss the
 	// snapshot comparison and fail the real check.
@@ -201,8 +203,8 @@ func TestVerifyCacheWrongSigner(t *testing.T) {
 	vc := NewVerifyCache()
 	orig := cacheTestRMC()
 	orig.Sign(s1)
-	if !vc.VerifyRMC(orig, s1) {
-		t.Fatal("signed certificate does not verify")
+	if !vc.VerifyRMC(orig, s1) || !vc.VerifyRMC(orig, s1) || !vc.stored(orig) {
+		t.Fatal("signed certificate does not verify, or is not stored on second sight")
 	}
 	if vc.VerifyRMC(freshCopy(orig), s2) {
 		t.Fatal("cache answered for a different signer")
@@ -217,8 +219,8 @@ func TestVerifyCacheEpochExpiry(t *testing.T) {
 	vc := NewVerifyCache()
 	orig := cacheTestRMC()
 	orig.Sign(r)
-	if !vc.VerifyRMC(orig, r) {
-		t.Fatal("signed certificate does not verify")
+	if !vc.VerifyRMC(orig, r) || !vc.VerifyRMC(orig, r) || !vc.stored(orig) {
+		t.Fatal("signed certificate does not verify, or is not stored on second sight")
 	}
 	r.Roll([]byte("gen1"))
 	// keep=1 discarded the signing secret: the cached verdict must not
@@ -323,33 +325,55 @@ func TestVerifyRMCHitIsReadOnly(t *testing.T) {
 }
 
 // oneShardSigner prefixes every signature with a zero byte, so every
-// certificate it signs lands in VerifyCache shard 0.
-type oneShardSigner struct{ inner *HMACSigner }
+// certificate it signs lands in VerifyCache shard 0. It passes its
+// inner signer's epoch through and counts full checks.
+type oneShardSigner struct {
+	inner    Signer
+	verifies int
+}
 
 func (o *oneShardSigner) Sign(data []byte) []byte {
 	return append([]byte{0}, o.inner.Sign(data)...)
 }
 
 func (o *oneShardSigner) Verify(data, sig []byte) bool {
+	o.verifies++
 	return len(sig) > 0 && sig[0] == 0 && o.inner.Verify(data, sig[1:])
 }
 
-// TestVerifyCacheEvictionReverifies: rule 3. Overfilling one shard
-// evicts entries but costs only re-verification — every certificate,
-// evicted or not, still verifies, and its forged twin still fails.
-func TestVerifyCacheEvictionReverifies(t *testing.T) {
-	s := &oneShardSigner{inner: NewHMACSigner([]byte("k"), 16)}
-	vc := NewVerifyCache()
-	const n = verifyCacheShardCap + 64
+func (o *oneShardSigner) Epoch() uint64 { return signerEpoch(o.inner) }
+
+// numberedRMCs signs n distinct certificates under s.
+func numberedRMCs(s Signer, n int) []*RMC {
 	certs := make([]*RMC, n)
 	for i := range certs {
 		c := cacheTestRMC()
 		c.CRR = credrec.Ref{Index: uint32(i + 1), Magic: 42}
 		c.Sign(s)
-		if !vc.VerifyRMC(c, s) {
+		certs[i] = c
+	}
+	return certs
+}
+
+// stored reports whether vc keeps a verdict for c's signature.
+func (vc *VerifyCache) stored(c *RMC) bool {
+	_, ok := vc.shards[c.Sig[0]%verifyCacheShards].m[string(c.Sig)]
+	return ok
+}
+
+// TestVerifyCacheEvictionReverifies: rule 3. Overfilling one shard
+// evicts entries but costs only re-verification — every certificate,
+// evicted or not, still verifies, and its forged twin still fails.
+// Each certificate is presented twice, so the doorkeeper admits it.
+func TestVerifyCacheEvictionReverifies(t *testing.T) {
+	s := &oneShardSigner{inner: NewHMACSigner([]byte("k"), 16)}
+	vc := NewVerifyCache()
+	const n = verifyCacheShardCap + 64
+	certs := numberedRMCs(s, n)
+	for i, c := range certs {
+		if !vc.VerifyRMC(c, s) || !vc.VerifyRMC(freshCopy(c), s) {
 			t.Fatalf("certificate %d does not verify", i)
 		}
-		certs[i] = c
 	}
 	sh := &vc.shards[0]
 	if got := len(sh.m); got != verifyCacheShardCap {
@@ -357,7 +381,7 @@ func TestVerifyCacheEvictionReverifies(t *testing.T) {
 	}
 	evicted := 0
 	for _, c := range certs {
-		if _, cached := sh.m[string(c.Sig)]; !cached {
+		if !vc.stored(c) {
 			evicted++
 		}
 	}
@@ -373,5 +397,171 @@ func TestVerifyCacheEvictionReverifies(t *testing.T) {
 		if !vc.VerifyRMC(freshCopy(c), s) {
 			t.Fatalf("certificate %d rejected after eviction pressure", i)
 		}
+	}
+}
+
+// TestVerifyCacheReinsertEvictsNothing: re-verifying a stored
+// certificate — here after an epoch bump — replaces its own entry and
+// evicts no other, even in a full shard.
+func TestVerifyCacheReinsertEvictsNothing(t *testing.T) {
+	s := &oneShardSigner{inner: NewRollingSigner([]byte("gen0"), 16, 2)}
+	vc := NewVerifyCache()
+	certs := numberedRMCs(s, verifyCacheShardCap)
+	for _, c := range certs {
+		vc.VerifyRMC(c, s)
+		vc.VerifyRMC(c, s)
+	}
+	sh := &vc.shards[0]
+	if len(sh.m) != verifyCacheShardCap {
+		t.Fatalf("shard 0 holds %d entries, want the cap %d", len(sh.m), verifyCacheShardCap)
+	}
+	s.inner.(*RollingSigner).Roll([]byte("gen1"))
+	for i, c := range certs {
+		if !vc.VerifyRMC(freshCopy(c), s) {
+			t.Fatalf("certificate %d rejected while its secret is retained", i)
+		}
+	}
+	if len(sh.m) != verifyCacheShardCap {
+		t.Fatalf("shard 0 holds %d entries after re-verification, want %d", len(sh.m), verifyCacheShardCap)
+	}
+	for i, c := range certs {
+		if !vc.stored(c) {
+			t.Fatalf("certificate %d lost its entry to another's re-verification", i)
+		}
+	}
+	before := s.verifies
+	for _, c := range certs {
+		vc.VerifyRMC(freshCopy(c), s)
+	}
+	if n := s.verifies - before; n != 0 {
+		t.Fatalf("%d full checks on certificates re-stored under the new epoch, want 0", n)
+	}
+}
+
+// TestVerifyCacheAdmitsOnSecondSight: the doorkeeper. A certificate's
+// first verification is a full check that stores nothing; its second
+// stores the verdict; a forgery is refused on every sight; a stream of
+// one-shot certificates leaves next to nothing behind; and a clearing of
+// the doorkeeper's bitset forgets what it had seen.
+func TestVerifyCacheAdmitsOnSecondSight(t *testing.T) {
+	t.Run("second sight stores", func(t *testing.T) {
+		s := &oneShardSigner{inner: NewHMACSigner([]byte("k"), 16)}
+		vc := NewVerifyCache()
+		c := numberedRMCs(s, 1)[0]
+		for sight, want := range []struct {
+			verifies int
+			stored   bool
+		}{{1, false}, {1, true}, {0, true}} {
+			before := s.verifies
+			if !vc.VerifyRMC(freshCopy(c), s) {
+				t.Fatalf("sight %d: rejected", sight+1)
+			}
+			if got := s.verifies - before; got != want.verifies || vc.stored(c) != want.stored {
+				t.Fatalf("sight %d: %d full checks, stored %v; want %d, %v",
+					sight+1, got, vc.stored(c), want.verifies, want.stored)
+			}
+		}
+	})
+	t.Run("forged twin of a certificate seen once", func(t *testing.T) {
+		s := NewHMACSigner([]byte("k"), 16)
+		vc := NewVerifyCache()
+		c := cacheTestRMC()
+		c.Sign(s)
+		if !vc.VerifyRMC(c, s) || vc.stored(c) {
+			t.Fatal("first sight: rejected, or stored")
+		}
+		forged := freshCopy(c)
+		forged.Roles = RoleSet(0b1111)
+		for i := 0; i < 3; i++ {
+			if vc.VerifyRMC(freshCopy(forged), s) {
+				t.Fatalf("forged twin verified on sight %d", i+1)
+			}
+		}
+		if !vc.VerifyRMC(freshCopy(c), s) || !vc.stored(c) {
+			t.Fatal("second sight of the genuine certificate: rejected, or not stored")
+		}
+		if vc.VerifyRMC(freshCopy(forged), s) {
+			t.Fatal("forged twin verified against the stored verdict")
+		}
+	})
+	t.Run("one-shot stream", func(t *testing.T) {
+		s := NewHMACSigner([]byte("k"), 16)
+		vc := NewVerifyCache()
+		for i, c := range numberedRMCs(s, 4*verifyCacheShardCap) {
+			if !vc.VerifyRMC(c, s) {
+				t.Fatalf("certificate %d rejected", i)
+			}
+		}
+		n := 0
+		for i := range vc.shards {
+			n += len(vc.shards[i].m)
+		}
+		if n > verifyCacheShardCap/20 {
+			t.Fatalf("%d one-shot certificates stored, want at most 5%% of the cap (%d)", n, verifyCacheShardCap/20)
+		}
+	})
+	t.Run("reset forgets", func(t *testing.T) {
+		s := &oneShardSigner{inner: NewHMACSigner([]byte("k"), 16)}
+		vc := NewVerifyCache()
+		certs := numberedRMCs(s, 2*verifyCacheShardCap)
+		x, others := certs[0], certs[1:]
+		vc.VerifyRMC(x, s)
+		// Present one-shot certificates until the shard clears its
+		// bitset: its mark count restarts at the one that cleared it.
+		sh := &vc.shards[0]
+		for i := 0; ; i++ {
+			if i == len(others) {
+				t.Fatal("the doorkeeper never cleared its bitset")
+			}
+			vc.VerifyRMC(others[i], s)
+			if sh.marks == 1 {
+				break
+			}
+		}
+		if !vc.VerifyRMC(freshCopy(x), s) || vc.stored(x) {
+			t.Fatal("first sight after the reset: rejected, or stored")
+		}
+		if !vc.VerifyRMC(freshCopy(x), s) || !vc.stored(x) {
+			t.Fatal("second sight after the reset: rejected, or not stored")
+		}
+	})
+}
+
+// digestSigner signs with a truncated SHA-256 of the data. It keeps no
+// pooled state, so its allocation count is the same on every call, even
+// under the race detector, where sync.Pool drops items at random.
+type digestSigner struct{}
+
+func (*digestSigner) Sign(data []byte) []byte {
+	d := sha256.Sum256(data)
+	return d[:16]
+}
+
+func (*digestSigner) Verify(data, sig []byte) bool {
+	d := sha256.Sum256(data)
+	return bytes.Equal(d[:16], sig)
+}
+
+// TestVerifyCacheFirstSightAllocs: a certificate the cache turns away
+// costs what a plain Verify costs, and nothing for the doorkeeper.
+func TestVerifyCacheFirstSightAllocs(t *testing.T) {
+	const runs = 100
+	s := &digestSigner{}
+	vc := NewVerifyCache()
+	certs := numberedRMCs(s, runs+1) // AllocsPerRun calls f once more to warm up
+	i := 0
+	first := testing.AllocsPerRun(runs, func() {
+		if !vc.VerifyRMC(certs[i], s) {
+			t.Error("first sight rejected")
+		}
+		i++
+	})
+	plain := testing.AllocsPerRun(runs, func() {
+		if !certs[0].Verify(s) {
+			t.Error("plain check rejected")
+		}
+	})
+	if first > plain {
+		t.Errorf("first sight allocates %.0f times, a plain Verify %.0f", first, plain)
 	}
 }

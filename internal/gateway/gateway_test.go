@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -627,6 +628,119 @@ func TestDeadCascadeTokenRemoved(t *testing.T) {
 	}
 	if n := w.gw.TokenCount(); n != 0 {
 		t.Fatalf("token revoked by a cascade still in the table: %d live", n)
+	}
+}
+
+// countingSigner counts full signature checks, so a test can tell a
+// verify-cache hit (none) from a miss (one).
+type countingSigner struct {
+	cert.Signer
+	verifies atomic.Int64
+}
+
+func (s *countingSigner) Verify(data, sig []byte) bool {
+	s.verifies.Add(1)
+	return s.Signer.Verify(data, sig)
+}
+
+// TestOneShotVerdictsAreNotKept is revoke_storm in one process: a Conf
+// issues R tokens on one login's sessions, the login is logged out, and
+// each R is introspected once, after the cascade. Those one-shot checks
+// must leave next to nothing in the Conf's verify cache, while a token
+// introspected again and again is a hit from its third introspection.
+func TestOneShotVerdictsAreNotKept(t *testing.T) {
+	const n = 512
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	net := bus.NewNetwork(clk)
+	login, err := oasis.New("Login", clk, net, oasis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := login.AddRolefile("main", `def LoggedOn(u, h) u: Login.userid h: Login.host
+def Session(u, n) u: Login.userid n: integer
+Admin <-
+LoggedOn(u, h) <-
+Session(u, n) <- LoggedOn(u, h)* |> Admin
+`); err != nil {
+		t.Fatal(err)
+	}
+	signer := &countingSigner{Signer: cert.NewHMACSigner([]byte("conf"), 16)}
+	conf, err := oasis.New("Conf", clk, net, oasis.Options{Signer: signer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conf.AddRolefile("main", `def R(u, n) u: Login.userid n: integer
+R(u, n) <- Login.Session(u, n)*
+`); err != nil {
+		t.Fatal(err)
+	}
+	// crypto/rand's token ids: seqReader's repeat every 16 tokens.
+	gw := gateway.New(conf, gateway.Options{})
+	h := gw.Handler()
+	c := ids.NewHostAuthority("cam", clk.Now()).NewDomain()
+	logOn := func(user string) *cert.RMC {
+		rmc, err := login.Enter(oasis.EnterRequest{
+			Client: c, Rolefile: "main", Role: "LoggedOn",
+			Args: []value.Value{uid(user), value.Object("Login.host", "cam")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rmc
+	}
+	issueR := func(loginCert *cert.RMC, user string, i int) string {
+		t.Helper()
+		sess, err := login.Enter(oasis.EnterRequest{
+			Client: c, Rolefile: "main", Role: "Session",
+			Args:  []value.Value{uid(user), value.Int(int64(i))},
+			Creds: []*cert.RMC{loginCert},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res gateway.TokenResponse
+		rec := post(t, h, "/v1/token", gateway.TokenRequest{
+			Client: c, Rolefile: "main", Role: "R", Creds: []*cert.RMC{sess},
+		}, &res)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("issue R: status %d body %s", rec.Code, rec.Body.String())
+		}
+		return res.Token
+	}
+
+	hot := issueR(logOn("hot"), "hot", 0)
+	for i, want := range []int64{1, 1, 0, 0} {
+		before := signer.verifies.Load()
+		if in := introspect(t, h, hot); !in.Active {
+			t.Fatalf("introspection %d of the hot token: inactive", i+1)
+		}
+		if got := signer.verifies.Load() - before; got != want {
+			t.Fatalf("introspection %d of the hot token made %d full checks, want %d", i+1, got, want)
+		}
+	}
+
+	loginCert := logOn("storm")
+	tokens := make([]string, n)
+	for i := range tokens {
+		tokens[i] = issueR(loginCert, "storm", i)
+	}
+	if err := login.Exit(loginCert, c); err != nil {
+		t.Fatal(err)
+	}
+	for i, tok := range tokens {
+		if in := introspect(t, h, tok); in.Active {
+			t.Fatalf("R %d active after its login was logged out", i)
+		}
+	}
+	if n := gw.TokenCount(); n != 1 {
+		t.Fatalf("%d tokens live, want the hot one", n)
+	}
+	if got := gateway.VerifiedCount(conf); got > 1+4 {
+		t.Fatalf("Conf keeps %d verdicts after %d one-shot introspections, want the hot token's and at most 4 more", got, n)
+	}
+	before := signer.verifies.Load()
+	if in := introspect(t, h, hot); !in.Active || signer.verifies.Load() != before {
+		t.Fatal("the hot token is no longer an active verify-cache hit")
 	}
 }
 
