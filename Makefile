@@ -57,15 +57,16 @@ test-shard:
 # introspecting, and issuing and revoking, ten times over, the last of
 # them beside a sweeper as the daemon's duty loop runs one (PR 25); the
 # same line restarts a watcher over its store, over one store and over
-# four shards, ten times over, and shares one certificate among eight
+# four shards, ten times over, shares one certificate among eight
 # validators through the verify cache's misses, admissions, a roll and
-# hits. internal/fault is not listed: `chaos`
+# hits, and has eight goroutines introspect and revoke held tokens
+# while the secret table rolls. internal/fault is not listed: `chaos`
 # runs that whole package under the detector.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
 		./internal/gateway/... ./cmd/rdlcheck/...
-	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly' \
+	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll' \
 		./internal/gateway/ ./internal/oasis/ ./internal/cert/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the

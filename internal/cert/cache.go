@@ -147,7 +147,7 @@ func (sh *verifyCacheShard) admit(h uint64) bool {
 	return false
 }
 
-// sameSignedFields compares every field buildCanonical serialises;
+// sameSignedFields compares every field appendCanonical serialises;
 // value.Value and ids.ClientID are comparable, so it allocates nothing.
 func sameSignedFields(a, b *RMC) bool {
 	return a.Service == b.Service && a.Rolefile == b.Rolefile && a.Roles == b.Roles &&

@@ -18,7 +18,6 @@ import (
 	"hash"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,40 +94,34 @@ type RMC struct {
 	Sig      []byte
 }
 
-// buildCanonical serialises the signed fields deterministically. The
-// client identifier and context are folded in so that theft and
-// out-of-context use change the signature (figure 4.1).
-func (c *RMC) buildCanonical() []byte {
-	var b strings.Builder
-	b.WriteString("rmc|")
-	b.WriteString(c.Service)
-	b.WriteByte('|')
-	b.WriteString(c.Rolefile)
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatUint(uint64(c.Roles), 16))
-	b.WriteByte('|')
-	b.WriteString(value.MarshalArgs(c.Args))
-	b.WriteByte('|')
-	b.WriteString(c.Client.String())
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatUint(c.CRR.Uint64(), 16))
-	b.WriteByte('|')
+// appendCanonical appends the signed fields, serialised
+// deterministically. The client identifier and context are folded in
+// so that theft and out-of-context use change the signature (figure
+// 4.1).
+func (c *RMC) appendCanonical(b []byte) []byte {
+	b = append(b, "rmc|"...)
+	b = append(append(b, c.Service...), '|')
+	b = append(append(b, c.Rolefile...), '|')
+	b = append(strconv.AppendUint(b, uint64(c.Roles), 16), '|')
+	b = append(value.AppendArgs(b, c.Args), '|')
+	b = append(c.Client.AppendTo(b), '|')
+	b = append(strconv.AppendUint(b, c.CRR.Uint64(), 16), '|')
 	if !c.Expiry.IsZero() {
-		b.WriteString(strconv.FormatInt(c.Expiry.UnixNano(), 10))
+		b = strconv.AppendInt(b, c.Expiry.UnixNano(), 10)
 	}
-	return []byte(b.String())
+	return b
 }
 
 // Sign computes and stores the signature using the given signer.
-func (c *RMC) Sign(s Signer) { c.Sig = s.Sign(c.buildCanonical()) }
+func (c *RMC) Sign(s Signer) { c.Sig = sign(c, s) }
 
 // Verify checks the signature over the certificate's current fields.
 // Nothing is remembered on the certificate; the service engine's
 // repeat checks go through VerifyCache (cache.go).
-func (c *RMC) Verify(s Signer) bool { return s.Verify(c.buildCanonical(), c.Sig) }
+func (c *RMC) Verify(s Signer) bool { return verify(c, s, c.Sig) }
 
 // SignedBytes exposes the canonical signed form.
-func (c *RMC) SignedBytes() []byte { return c.buildCanonical() }
+func (c *RMC) SignedBytes() []byte { return c.appendCanonical(nil) }
 
 // String renders the certificate briefly.
 func (c *RMC) String() string {
@@ -145,12 +138,15 @@ type RoleSpec struct {
 	Args     []value.Value
 }
 
-func (r RoleSpec) canonical() string {
-	return r.Service + "." + r.Rolefile + "." + r.Role + "(" + value.MarshalArgs(r.Args) + ")"
+func (r *RoleSpec) appendCanonical(b []byte) []byte {
+	b = append(append(b, r.Service...), '.')
+	b = append(append(b, r.Rolefile...), '.')
+	b = append(append(b, r.Role...), '(')
+	return append(value.AppendArgs(b, r.Args), ')')
 }
 
 // String renders the spec.
-func (r RoleSpec) String() string { return r.canonical() }
+func (r RoleSpec) String() string { return string(r.appendCanonical(nil)) }
 
 // Delegation is a delegation certificate (figure 4.3): the delegator's
 // service-countersigned offer of entry to Role for any client holding
@@ -168,35 +164,28 @@ type Delegation struct {
 	Sig      []byte
 }
 
-func (d *Delegation) buildCanonical() []byte {
-	var b strings.Builder
-	b.WriteString("deleg|")
-	b.WriteString(d.Service)
-	b.WriteByte('|')
-	b.WriteString(d.Rolefile)
-	b.WriteByte('|')
-	b.WriteString(d.Role)
-	b.WriteByte('|')
-	b.WriteString(value.MarshalArgs(d.Args))
-	b.WriteByte('|')
-	for _, r := range d.Required {
-		b.WriteString(r.canonical())
-		b.WriteByte(';')
+func (d *Delegation) appendCanonical(b []byte) []byte {
+	b = append(b, "deleg|"...)
+	b = append(append(b, d.Service...), '|')
+	b = append(append(b, d.Rolefile...), '|')
+	b = append(append(b, d.Role...), '|')
+	b = append(value.AppendArgs(b, d.Args), '|')
+	for i := range d.Required {
+		b = append(d.Required[i].appendCanonical(b), ';')
 	}
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatUint(d.DelegCRR.Uint64(), 16))
-	b.WriteByte('|')
+	b = append(b, '|')
+	b = append(strconv.AppendUint(b, d.DelegCRR.Uint64(), 16), '|')
 	if !d.Expiry.IsZero() {
-		b.WriteString(strconv.FormatInt(d.Expiry.UnixNano(), 10))
+		b = strconv.AppendInt(b, d.Expiry.UnixNano(), 10)
 	}
-	return []byte(b.String())
+	return b
 }
 
 // Sign signs the delegation certificate.
-func (d *Delegation) Sign(s Signer) { d.Sig = s.Sign(d.buildCanonical()) }
+func (d *Delegation) Sign(s Signer) { d.Sig = sign(d, s) }
 
 // Verify checks the delegation certificate's signature.
-func (d *Delegation) Verify(s Signer) bool { return s.Verify(d.buildCanonical(), d.Sig) }
+func (d *Delegation) Verify(s Signer) bool { return verify(d, s, d.Sig) }
 
 // Revocation is a revocation certificate (figure 4.3). DelegatorCRR
 // witnesses that the delegator is still a member of the delegating role;
@@ -208,23 +197,60 @@ type Revocation struct {
 	Sig          []byte
 }
 
-func (r *Revocation) canonical() []byte {
-	return []byte("revoke|" + r.Service + "|" +
-		strconv.FormatUint(r.DelegatorCRR.Uint64(), 16) + "|" +
-		strconv.FormatUint(r.TargetCRR.Uint64(), 16))
+func (r *Revocation) appendCanonical(b []byte) []byte {
+	b = append(b, "revoke|"...)
+	b = append(append(b, r.Service...), '|')
+	b = append(strconv.AppendUint(b, r.DelegatorCRR.Uint64(), 16), '|')
+	return strconv.AppendUint(b, r.TargetCRR.Uint64(), 16)
 }
 
 // Sign signs the revocation certificate.
-func (r *Revocation) Sign(s Signer) { r.Sig = s.Sign(r.canonical()) }
+func (r *Revocation) Sign(s Signer) { r.Sig = sign(r, s) }
 
 // Verify checks the revocation certificate's signature.
-func (r *Revocation) Verify(s Signer) bool { return s.Verify(r.canonical(), r.Sig) }
+func (r *Revocation) Verify(s Signer) bool { return verify(r, s, r.Sig) }
+
+// signed is a certificate's canonical form: its signed fields,
+// appended to a buffer.
+type signed interface{ appendCanonical(b []byte) []byte }
+
+// canonBufs holds canonical-form scratch: Sign and Verify serialise
+// into a pooled buffer and hand it to the signer, which keeps nothing
+// of it (Signer), so the form costs no allocation. Pointers are pooled
+// so Put does not allocate.
+var canonBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+// maxCanonBuf keeps one certificate with outsized arguments from
+// pinning its buffer in the pool.
+const maxCanonBuf = 16 << 10
+
+// withCanonical serialises x into a pooled buffer for the length of f.
+func withCanonical[T any](x signed, f func(data []byte) T) T {
+	bp := canonBufs.Get().(*[]byte)
+	*bp = x.appendCanonical((*bp)[:0])
+	out := f(*bp)
+	if cap(*bp) <= maxCanonBuf {
+		canonBufs.Put(bp)
+	}
+	return out
+}
+
+func sign(x signed, s Signer) []byte { return withCanonical(x, s.Sign) }
+
+func verify(x signed, s Signer, sig []byte) bool {
+	return withCanonical(x, func(data []byte) bool { return s.Verify(data, sig) })
+}
 
 // Signer abstracts the integrity check so that each service can choose
 // its own security/efficiency trade-off (§4.2): a cheap short-signature
 // HMAC, a full-length one, a rolling table, or a plain issue-record.
 // Implementations must be safe for concurrent use: the engine signs and
-// verifies certificates from many goroutines at once.
+// verifies certificates from many goroutines at once. Neither method
+// may keep data past its return: it is a pooled buffer, reused for the
+// next certificate.
 type Signer interface {
 	Sign(data []byte) []byte
 	Verify(data, sig []byte) bool

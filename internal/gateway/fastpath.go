@@ -530,12 +530,3 @@ func appendString(b []byte, s string) []byte {
 	b = append(b, s...)
 	return append(b, '"')
 }
-
-// clientString is c.String() — "%s/%d@%d" — without fmt.
-func clientString(c ids.ClientID) string {
-	var a [64]byte
-	b := append(a[:0], c.Host...)
-	b = strconv.AppendUint(append(b, '/'), c.ID, 10)
-	b = strconv.AppendInt(append(b, '@'), c.BootTime.Unix(), 10)
-	return string(b)
-}

@@ -51,7 +51,7 @@ func referenceIntrospect(g *Gateway, w http.ResponseWriter, r *http.Request) {
 		referenceWriteJSON(w, http.StatusOK, IntrospectResponse{Active: false})
 		return
 	}
-	c := rec.cert
+	c := rec.held.Cert()
 	if err := g.svc.Validate(c, c.Client); err != nil {
 		referenceWriteJSON(w, http.StatusOK, IntrospectResponse{Active: false})
 		return
@@ -387,20 +387,6 @@ func TestAppendMatchesEncoder(t *testing.T) {
 	for _, res := range []RevokeResponse{{OK: true}, {OK: false}} {
 		if got, want := appendRevokeResponse(nil, res), encoderOutput(t, res); !bytes.Equal(got, want) {
 			t.Errorf("%+v: appender %q, encoder %q", res, got, want)
-		}
-	}
-
-	for i := 0; i < 500; i++ {
-		c := ids.ClientID{
-			Host:     nastyString(rng) + strings.Repeat("h", rng.Intn(80)),
-			ID:       rng.Uint64() >> uint(rng.Intn(64)),
-			BootTime: time.Unix(interestingInts[rng.Intn(5)], 0),
-		}
-		if i == 0 {
-			c = ids.ClientID{}
-		}
-		if got, want := clientString(c), c.String(); got != want {
-			t.Fatalf("clientString %q, String %q", got, want)
 		}
 	}
 }

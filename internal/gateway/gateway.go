@@ -18,7 +18,7 @@
 //	POST /v1/revoke      RFC 7009-style revocation: idempotent, 200 on
 //	                     an already-revoked or unknown token, routed
 //	                     through the engine's revocation surface
-//	                     (RevokeDirect, Revoke, RevokeByRole)
+//	                     (RevokeHeld, Revoke, RevokeByRole)
 //
 // The gateway holds no validity state of its own: a token maps to a
 // live RMC whose credential record the engine consults on every

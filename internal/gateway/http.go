@@ -70,7 +70,7 @@ type IntrospectResponse struct {
 }
 
 // RevokeRequest revokes by one of three routes (POST /v1/revoke):
-//   - Token: the token's own membership is revoked (RevokeDirect);
+//   - Token: the token's own membership is revoked (RevokeHeld);
 //   - Revocation: a signed revocation certificate kills a delegation
 //     (Service.Revoke, §4.4);
 //   - RevokerToken + Role (+ Args): role-based revocation — the caller
@@ -258,9 +258,9 @@ func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
 // handleIntrospect answers a token's status live from the credential
 // record store: a revocation cascade that lands between two
 // introspections flips the answer with no gateway-side invalidation. A
-// token-table read plus Service.Validate of a certificate this service
-// issued never leaves the process, so there is nothing to wait for. It
-// takes the canonical body through readBody and
+// token-table read plus Service.ValidateHeld of a certificate this
+// service issued never leaves the process, so there is nothing to wait
+// for. It takes the canonical body through readBody and
 // appendIntrospectResponse, everything else through decode.
 func (g *Gateway) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 	bp := getBuf()
@@ -284,25 +284,28 @@ func (g *Gateway) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 	g.respond(w, http.StatusOK, (*bp)[n:])
 }
 
-// introspect is the live answer for one token. Nothing it learns is
-// kept: the next call asks the engine again.
+// introspect is the live answer for one token. The gateway keeps no
+// validity of its own: the next call asks the engine again, which
+// checks expiry and the credential record every time and the
+// signature once per signer epoch (Service.ValidateHeld).
 func (g *Gateway) introspect(tok []byte) IntrospectResponse {
 	rec, ok := g.tokens.lookup(tok)
 	if !ok {
 		return IntrospectResponse{}
 	}
-	c := rec.cert
+	c := rec.held.Cert()
 	if !c.Expiry.IsZero() && g.clk.Now().After(c.Expiry) {
 		// Expired: the engine would refuse it too; drop our record so
 		// the table does not accrete dead tokens.
 		g.tokens.remove(string(tok))
 		return IntrospectResponse{}
 	}
-	if err := g.svc.Validate(c, c.Client); err != nil {
+	if err := g.svc.ValidateHeld(rec.held); err != nil {
 		// Revoked for good — directly or by a cascade — is as final as
-		// expired. A fail-safe demotion is not permanent and must keep
-		// the token: the same token is active again after resync.
-		if alreadyDead(g.svc.Store(), c.CRR) {
+		// expired, and so is a secret rolled out. A fail-safe demotion
+		// is not permanent and must keep the token: the same token is
+		// active again after resync.
+		if rolledOut(err) || alreadyDead(g.svc.Store(), c.CRR) {
 			g.tokens.remove(string(tok))
 		}
 		return IntrospectResponse{}
@@ -313,7 +316,7 @@ func (g *Gateway) introspect(tok []byte) IntrospectResponse {
 		Rolefile: c.Rolefile,
 		Roles:    g.svc.RoleNames(c),
 		Args:     c.Args,
-		Client:   clientString(c.Client),
+		Client:   c.Client.String(),
 		Iat:      rec.issued.Unix(),
 	}
 	if !c.Expiry.IsZero() {
@@ -352,15 +355,18 @@ func (g *Gateway) handleRevoke(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// revokeToken invalidates the membership behind a token.
+// revokeToken invalidates the membership behind a token. A token whose
+// secret has rolled out is already invalid: RFC 7009 §2.2 acknowledges
+// it, and its credential record, which may back other certificates,
+// is left alone.
 func (g *Gateway) revokeToken(w http.ResponseWriter, tok, scratch []byte) {
 	rec, ok := g.tokens.lookup(tok)
 	if !ok {
 		g.ackRevoke(w, scratch)
 		return
 	}
-	if !alreadyDead(g.svc.Store(), rec.cert.CRR) {
-		if err := g.svc.RevokeDirect(rec.cert); err != nil {
+	if !alreadyDead(g.svc.Store(), rec.held.Cert().CRR) {
+		if err := g.svc.RevokeHeld(rec.held); err != nil && !rolledOut(err) {
 			g.engineError(w, err)
 			return
 		}
@@ -392,7 +398,10 @@ func (g *Gateway) revokeByRole(w http.ResponseWriter, req RevokeRequest, scratch
 		g.writeError(w, http.StatusBadRequest, "invalid_request", "role is required")
 		return
 	}
-	err := g.svc.RevokeByRole(rec.cert, rec.cert.Client, req.Rolefile, req.Role, req.Args)
+	// The revoker's certificate is presented, not held: it is the
+	// credential the caller acts under.
+	revoker := rec.held.Cert()
+	err := g.svc.RevokeByRole(revoker, revoker.Client, req.Rolefile, req.Role, req.Args)
 	if err != nil {
 		var verr *oasis.ValidationError
 		// Idempotency: the named instance being gone already means the
@@ -406,6 +415,15 @@ func (g *Gateway) revokeByRole(w http.ResponseWriter, req RevokeRequest, scratch
 		return
 	}
 	g.ackRevoke(w, scratch)
+}
+
+// rolledOut reports a held certificate's Fraud verdict: no client sends
+// its bytes, so it cannot be forged or stolen, and a signature that no
+// longer verifies means the secret it was signed with has rolled out
+// (§5.5.1) — as final as a record revoked for good.
+func rolledOut(err error) bool {
+	var verr *oasis.ValidationError
+	return errors.As(err, &verr) && verr.Class == oasis.Fraud
 }
 
 // alreadyDead reports a credential record that is deleted or

@@ -9,15 +9,17 @@ import (
 
 	"oasis/internal/cert"
 	"oasis/internal/credrec"
+	"oasis/internal/oasis"
 )
 
 // tokenRecord binds an opaque token id to the live role membership
-// certificate it stands for. Validity is NOT stored here: every
-// introspection asks the engine, whose credential-record store is the
-// single source of truth — revocation cascades reach token holders
-// with no per-token bookkeeping in the gateway.
+// certificate it stands for, held for the engine's held-certificate
+// rule (oasis.Held). Validity is NOT stored here: every introspection
+// asks the engine, whose credential-record store is the single source
+// of truth — revocation cascades reach token holders with no per-token
+// bookkeeping in the gateway.
 type tokenRecord struct {
-	cert   *cert.RMC
+	held   *oasis.Held
 	issued time.Time
 }
 
@@ -72,7 +74,9 @@ func shardIndex[T string | []byte](id T) uint32 {
 // sweeps, every sweepEvery inserts, the records an introspection would
 // drop on sight: expired, or revoked for good — most tokens a cascade
 // kills are never asked about again. A fail-safe demotion is not
-// permanent and keeps its tokens.
+// permanent and keeps its tokens. A token whose secret has rolled out
+// is found only by checking its signature, which the sweep does not
+// do; the next introspection or revoke of it drops it.
 func (ts *tokenStore) mint(c *cert.RMC, now time.Time, store credrec.Recorder) (string, error) {
 	var raw [16]byte
 	ts.randMu.Lock()
@@ -86,12 +90,12 @@ func (ts *tokenStore) mint(c *cert.RMC, now time.Time, store credrec.Recorder) (
 	id := string(text[:])
 	sh := &ts.shards[shardIndex(id)]
 	sh.mu.Lock()
-	sh.tokens[id] = tokenRecord{cert: c, issued: now}
+	sh.tokens[id] = tokenRecord{held: oasis.Hold(c), issued: now}
 	sh.mints++
 	if sh.mints >= sweepEvery {
 		sh.mints = 0
 		for k, rec := range sh.tokens {
-			if !rec.cert.Expiry.IsZero() && now.After(rec.cert.Expiry) || alreadyDead(store, rec.cert.CRR) {
+			if c := rec.held.Cert(); !c.Expiry.IsZero() && now.After(c.Expiry) || alreadyDead(store, c.CRR) {
 				delete(sh.tokens, k)
 			}
 		}

@@ -16,6 +16,7 @@ package ids
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -29,7 +30,16 @@ type ClientID struct {
 
 // String renders the identifier in host/id@boot form.
 func (c ClientID) String() string {
-	return fmt.Sprintf("%s/%d@%d", c.Host, c.ID, c.BootTime.Unix())
+	var a [64]byte
+	return string(c.AppendTo(a[:0]))
+}
+
+// AppendTo appends String's rendering to b: the one form, signed into
+// certificates (cert.RMC) and reported by the gateway.
+func (c ClientID) AppendTo(b []byte) []byte {
+	b = append(b, c.Host...)
+	b = strconv.AppendUint(append(b, '/'), c.ID, 10)
+	return strconv.AppendInt(append(b, '@'), c.BootTime.Unix(), 10)
 }
 
 // IsZero reports whether the identifier is unset.

@@ -1,6 +1,10 @@
 package ids
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -33,6 +37,29 @@ func TestClientIDString(t *testing.T) {
 	c := ClientID{Host: "ely", ID: 7, BootTime: time.Unix(100, 0)}
 	if got, want := c.String(), "ely/7@100"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestClientIDStringMatchesFmt: the fmt-free rendering is
+// fmt.Sprintf("%s/%d@%d")'s byte for byte, for hosts longer than its
+// stack buffer, non-ASCII hosts, extreme ids and boot times before the
+// epoch or unset.
+func TestClientIDStringMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	hosts := []string{"", "ely", "é/@", "\xff\x00", strings.Repeat("h", 63), strings.Repeat("h", 200)}
+	boots := []time.Time{{}, time.Unix(0, 0), time.Unix(-1, 5), boot, time.Unix(math.MaxInt32, 0)}
+	for i := 0; i < 500; i++ {
+		c := ClientID{
+			Host:     hosts[rng.Intn(len(hosts))] + strings.Repeat("x", rng.Intn(80)),
+			ID:       rng.Uint64() >> uint(rng.Intn(64)),
+			BootTime: boots[rng.Intn(len(boots))],
+		}
+		if got, want := c.String(), fmt.Sprintf("%s/%d@%d", c.Host, c.ID, c.BootTime.Unix()); got != want {
+			t.Fatalf("String %q, fmt %q", got, want)
+		}
+		if got := string(c.AppendTo([]byte("p"))); got != "p"+c.String() {
+			t.Fatalf("AppendTo after a prefix: %q", got)
+		}
 	}
 }
 

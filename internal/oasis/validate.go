@@ -129,6 +129,12 @@ func (s *Service) Validate(c *cert.RMC, caller ids.ClientID) error {
 		// Condition 2: forged or modified.
 		return s.fail(Fraud, "signature check failed")
 	}
+	return s.checkLive(c)
+}
+
+// checkLive is the part of validation every use of a certificate
+// repeats, presented or held: its expiry and its credential record.
+func (s *Service) checkLive(c *cert.RMC) error {
 	if !c.Expiry.IsZero() && s.clk.Now().After(c.Expiry) {
 		return s.fail(Revoked, "certificate expired")
 	}

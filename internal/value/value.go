@@ -214,29 +214,40 @@ func (v Value) String() string {
 // Marshal renders the value in the host-independent wire form used inside
 // certificates. The form is self-describing and canonical: equal values
 // marshal identically, so marshalled equality equals Equal.
-func (v Value) Marshal() string {
+func (v Value) Marshal() string { return string(v.AppendMarshal(nil)) }
+
+// AppendMarshal appends Marshal's form to b.
+func (v Value) AppendMarshal(b []byte) []byte {
 	switch v.T.Kind {
 	case KindInt:
-		return "i:" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(b, "i:"...), v.I, 10)
 	case KindString:
-		return "s:" + strconv.Quote(v.S)
+		return strconv.AppendQuote(append(b, "s:"...), v.S)
 	case KindSet:
-		return "b:" + v.T.Universe + ":" + strconv.FormatUint(v.Set, 16)
+		b = append(append(append(b, "b:"...), v.T.Universe...), ':')
+		return strconv.AppendUint(b, v.Set, 16)
 	case KindObject:
-		return "o:" + v.T.Name + ":" + v.S
+		b = append(append(append(b, "o:"...), v.T.Name...), ':')
+		return append(b, v.S...)
 	default:
-		return "?"
+		return append(b, '?')
 	}
 }
 
 // MarshalArgs renders an argument vector canonically for embedding in a
 // certificate signature.
-func MarshalArgs(args []Value) string {
-	parts := make([]string, len(args))
+func MarshalArgs(args []Value) string { return string(AppendArgs(nil, args)) }
+
+// AppendArgs appends MarshalArgs's form to b: the values' Marshal forms
+// separated by commas.
+func AppendArgs(b []byte, args []Value) []byte {
 	for i, a := range args {
-		parts[i] = a.Marshal()
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = a.AppendMarshal(b)
 	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 // Env is a variable environment mapping RDL variable names to values.
