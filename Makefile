@@ -21,7 +21,7 @@ help:
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -59,14 +59,15 @@ test-shard:
 # same line restarts a watcher over its store, over one store and over
 # four shards, ten times over, shares one certificate among eight
 # validators through the verify cache's misses, admissions, a roll and
-# hits, and has eight goroutines introspect and revoke held tokens
-# while the secret table rolls. internal/fault is not listed: `chaos`
+# hits, has eight goroutines introspect and revoke held tokens while
+# the secret table rolls, and has eight watchers validate and watch one
+# record while it is revoked. internal/fault is not listed: `chaos`
 # runs that whole package under the detector.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
 		./internal/gateway/... ./cmd/rdlcheck/...
-	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll' \
+	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation' \
 		./internal/gateway/ ./internal/oasis/ ./internal/cert/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the
@@ -130,8 +131,10 @@ vet:
 # assertion reached a surrogate beside applyRemote, and the ring's
 # record half: a ring subscription op, its import, and the tree edges
 # it fed, the receiver's copy of suspicion, the lookup by source that
-# surrogates were never bound by, and the bridges' own name format and
-# index beside credrec.SurrogateName and the edge table.
+# surrogates were never bound by, the bridges' own name format and
+# index beside credrec.SurrogateName and the edge table, and a second
+# watch table at the issuer: broker registrations beside the row a
+# Modified event fans out from.
 # The closing loops hold the documents to the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
 # DESIGN.md's experiment index, README.md or docs/*.md must be a func in
 # some _test.go (a trailing * matches a prefix), and every
@@ -155,6 +158,7 @@ lint: reach
 	! grep -rnE '"readstate"|ReadStateArg|applyShardEdge|applyModified' internal/ cmd/ docs/ README.md
 	! grep -rnE '"shardwatch"|ImportShardRecord|coalesceShardEdges|shardNotify' internal/ cmd/ docs/
 	! grep -rnE '\b(ExternalRefs|MarkSilent|OnRevive|bridgeKey|parseBridgeSource)\b' internal/ cmd/ docs/
+	! grep -rnE '\breleaseWatches\b|broker\.(Register|Deregister)\b' internal/oasis
 	! test -e cmd/benchharness
 	test "$$(ls *_test.go | wc -l)" -eq 1
 	@index() { sed -n '/^## Experiment index/,/^## Concurrency model/p' DESIGN.md; }; fail=; \

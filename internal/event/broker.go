@@ -18,7 +18,7 @@ type Notification struct {
 	SessionID uint64
 	Seq       uint64 // per-session sequence number (§4.10)
 	Heartbeat bool   // true for pure heartbeats carrying no event
-	RegID     uint64 // registration that matched (0 for heartbeats)
+	RegID     uint64 // registration that matched (0 for heartbeats and SignalTo)
 	Event     Event
 	Horizon   time.Time
 	// Coalesced counts earlier notifications on this session that this
@@ -158,10 +158,9 @@ func NewBroker(name string, clk clock.Clock, opts BrokerOptions) *Broker {
 }
 
 // indexKey computes the index bucket for a template: the event name,
-// refined by the first parameter when it is a literal (the shape of the
-// §4.9.2 Modified templates, which are literal in the record ref). Two
-// values that render equally share a bucket; Template.Matches still
-// decides, so collisions cost a comparison, never a missed match.
+// refined by the first parameter when it is a literal. Two values that
+// render equally share a bucket; Template.Matches still decides, so
+// collisions cost a comparison, never a missed match.
 func indexKey(t Template) string {
 	if len(t.Params) > 0 {
 		p := t.Params[0]
@@ -317,17 +316,6 @@ func (b *Broker) RetroRegister(regID uint64, t Template, since time.Time) error 
 	return nil
 }
 
-// Deregister removes a registration; events signalled from now on no
-// longer match it.
-func (b *Broker) Deregister(regID uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if r, ok := b.regs[regID]; ok {
-		b.indexRemoveLocked(r)
-		delete(b.regs, regID)
-	}
-}
-
 func (b *Broker) visible(s *session, ev Event) bool {
 	if b.opts.Visibility == nil {
 		return true
@@ -420,11 +408,32 @@ func (b *Broker) horizon() time.Time {
 // pre-registrations and delivered to every live registration whose
 // template matches and whose session may see it.
 func (b *Broker) Signal(ev Event) Event {
+	return b.dispatch(b.stamp(ev))
+}
+
+// SignalTo stamps an event as Signal does and notifies, with
+// registration id 0, those of the listed sessions that are open and may
+// see it: no template is matched and no pre-registration buffers it.
+func (b *Broker) SignalTo(ev Event, sessions []uint64) {
+	ev = b.stamp(ev)
+	horizon := b.horizon()
+	for _, id := range sessions {
+		b.mu.RLock()
+		s, ok := b.sessions[id]
+		b.mu.RUnlock()
+		if ok && b.visible(s, ev) {
+			b.notify(s, 0, ev, false, horizon)
+		}
+	}
+}
+
+// stamp names the source and gives a monotone time (so horizons are
+// honest) and the next event sequence number.
+func (b *Broker) stamp(ev Event) Event {
 	ev.Source = b.name
 	now := b.clk.Now()
 	b.stampMu.Lock()
 	if !now.After(b.lastStamp) {
-		// Guarantee monotone per-source stamps so horizons are honest.
 		now = b.lastStamp.Add(time.Nanosecond)
 	}
 	b.lastStamp = now
@@ -432,7 +441,7 @@ func (b *Broker) Signal(ev Event) Event {
 	b.eventSeq++
 	ev.Seq = b.eventSeq
 	b.stampMu.Unlock()
-	return b.dispatch(ev)
+	return ev
 }
 
 // dispatch matches the stamped event against candidate registrations

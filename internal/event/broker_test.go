@@ -83,16 +83,40 @@ func TestWildcardRegistration(t *testing.T) {
 	}
 }
 
-func TestDeregisterStopsNotification(t *testing.T) {
-	b, _ := newTestBroker(t, BrokerOptions{})
-	sink := &capture{}
-	sess, _ := b.OpenSession(sink, nil)
-	reg, _ := b.Register(sess, NewTemplate("E"))
-	b.Signal(New("E"))
-	b.Deregister(reg)
-	b.Signal(New("E"))
-	if len(sink.events()) != 1 {
-		t.Fatalf("got %d events, want 1", len(sink.events()))
+// TestSignalToReachesOnlyTheListed: SignalTo needs no registration,
+// reaches the listed sessions the Visibility hook admits and nobody
+// else, and numbers its notifications in the same per-session sequence
+// as heartbeats.
+func TestSignalToReachesOnlyTheListed(t *testing.T) {
+	b, _ := newTestBroker(t, BrokerOptions{
+		Visibility: func(_ uint64, creds any, _ Event) bool { return creds != "blind" },
+	})
+	heard, other, blind := &capture{}, &capture{}, &capture{}
+	s1, _ := b.OpenSession(heard, nil)
+	_, _ = b.OpenSession(other, nil)
+	s3, _ := b.OpenSession(blind, "blind")
+	if _, err := b.Register(s1, NewTemplate("E", Wildcard())); err != nil {
+		t.Fatal(err)
+	}
+	b.Heartbeat()
+	b.SignalTo(New("E", value.Int(1)), []uint64{s1, s3, 999})
+	b.Heartbeat()
+	b.SignalTo(New("E", value.Int(2)), []uint64{s1})
+	ns := heard.all()
+	if len(ns) != 4 {
+		t.Fatalf("listed session got %d notifications, want 4", len(ns))
+	}
+	first, second := ns[1].Event, ns[3].Event
+	if first.Source != "printer" || second.Seq != first.Seq+1 || !second.Time.After(first.Time) {
+		t.Fatalf("stamps: %+v then %+v", first, second)
+	}
+	for i, n := range ns {
+		if n.Seq != uint64(i+1) || n.RegID != 0 || n.Heartbeat != (i%2 == 0) {
+			t.Fatalf("notification %d: %+v", i, n)
+		}
+	}
+	if len(other.events()) != 0 || len(blind.events()) != 0 {
+		t.Fatalf("unlisted session heard %v, invisible one %v", other.events(), blind.events())
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // builds a generic event object from typed arguments and a destructor
 // that unmarshals an instance back into its arguments (figure 6.1's
 // steps 4 and 15). Services with events implicitly support the standard
-// registration operations (Register, Deregister, ...), which the Broker
+// registration operations (Register, PreRegister, ...), which the Broker
 // provides.
 
 // InterfaceDef is a parsed interface definition.

@@ -6,11 +6,12 @@ import (
 	"oasis/internal/credrec"
 )
 
-// The four tables a watch occupies, sized for
-// TestWatchTablesTrackLiveRecords. The broker's and the receiver's are
-// another package's unexported maps and internal/event exports no
-// census of them (nothing the daemon runs wants one), so their lengths
-// are read by reflection; call these on a quiescent service only.
+// The tables a watch occupies, and the broker's registrations it must
+// not, sized for TestWatchTablesTrackLiveRecords. The broker's and the
+// receiver's are another package's unexported maps and internal/event
+// exports no census of them (nothing the daemon runs wants one), so
+// their lengths are read by reflection; call these on a quiescent
+// service only.
 
 // watchRows counts (record, peer) watches this service holds as issuer.
 func (s *Service) watchRows() int {

