@@ -60,14 +60,16 @@ test-shard:
 # four shards, ten times over, shares one certificate among eight
 # validators through the verify cache's misses, admissions, a roll and
 # hits, has eight goroutines introspect and revoke held tokens while
-# the secret table rolls, and has eight watchers validate and watch one
-# record while it is revoked. internal/fault is not listed: `chaos`
+# the secret table rolls, has eight watchers validate and watch one
+# record while it is revoked, three watch every record of a cascade
+# while its root is revoked, and drives seeded random cascades to three
+# watchers of unlike watch sets. internal/fault is not listed: `chaos`
 # runs that whole package under the detector.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
 		./internal/gateway/... ./cmd/rdlcheck/...
-	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation' \
+	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade' \
 		./internal/gateway/ ./internal/oasis/ ./internal/cert/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the

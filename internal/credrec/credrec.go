@@ -229,13 +229,19 @@ func (sh *shard) get(ref Ref) (*record, error) {
 
 // ChangeFunc observes state changes of records whose Notify flag is set;
 // the oasis layer uses it to drive cross-service event notification
-// (§4.9.2). permanent reports that the value will never change again.
-type ChangeFunc func(ref Ref, s State, permanent bool)
+// (§4.9.2). It is called once per drained batch: every Notify-flagged
+// transition of one mutation — a whole revocation cascade — arrives in
+// one call, in transition order (a record may appear more than once).
+// The slice is the store's; the observer may rewrite it in place but
+// must not keep it after returning.
+type ChangeFunc func(changes []Change)
 
-type pendingChange struct {
-	ref  Ref
-	s    State
-	perm bool
+// Change is one transition of a Notify-flagged record. Permanent
+// reports that the value will never change again.
+type Change struct {
+	Ref       Ref
+	State     State
+	Permanent bool
 }
 
 // Store is a server's credential record table.
@@ -246,8 +252,8 @@ type Store struct {
 	nalloc    uint64 // allocations so far; round-robin shard choice
 	totalFree int    // sum of len(shard.free), to keep reuse-before-grow
 	onChange  ChangeFunc
-	pending   []pendingChange // notifications queued during propagation
-	j         *journal        // commit pipeline (persist.go); nil keeps the store in memory only
+	pending   []Change // notifications queued during propagation
+	j         *journal // commit pipeline (persist.go); nil keeps the store in memory only
 
 	shards [numShards]shard
 
@@ -606,7 +612,7 @@ func (st *Store) transition(r *record, s State, makePermanent bool) {
 	}
 	r.publish()
 	if r.notify && st.onChange != nil {
-		st.pending = append(st.pending, pendingChange{ref: r.ref, s: r.state, perm: r.permanent})
+		st.pending = append(st.pending, Change{Ref: r.ref, State: r.state, Permanent: r.permanent})
 	}
 	for _, cl := range r.children {
 		cr, err := st.getMut(cl.ref)
@@ -630,8 +636,8 @@ func (st *Store) transition(r *record, s State, makePermanent bool) {
 	}
 }
 
-// drain fires queued change notifications; callers must not hold any
-// store lock (callbacks may re-enter the store).
+// drain fires queued change notifications, one call per batch; callers
+// must not hold any store lock (callbacks may re-enter the store).
 func (st *Store) drain() {
 	for {
 		st.writeMu.Lock()
@@ -646,9 +652,7 @@ func (st *Store) drain() {
 		if f == nil {
 			return
 		}
-		for _, p := range batch {
-			f(p.ref, p.s, p.perm)
-		}
+		f(batch)
 	}
 }
 

@@ -2,6 +2,7 @@ package credrec
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -251,14 +252,15 @@ func TestNotifyHook(t *testing.T) {
 	st := NewStore()
 	a := st.NewFact(True)
 	d := st.NewDerived(OpAnd, Of(a))
-	if err := st.MarkNotify(d); err != nil {
-		t.Fatal(err)
-	}
-	var got []State
-	st.OnChange(func(ref Ref, s State, perm bool) {
-		if ref == d {
-			got = append(got, s)
+	e := st.NewDerived(OpAnd, Of(d))
+	for _, r := range []Ref{d, e} {
+		if err := st.MarkNotify(r); err != nil {
+			t.Fatal(err)
 		}
+	}
+	var calls [][]Change
+	st.OnChange(func(changes []Change) {
+		calls = append(calls, append([]Change(nil), changes...))
 	})
 	if err := st.SetState(a, False); err != nil {
 		t.Fatal(err)
@@ -266,8 +268,18 @@ func TestNotifyHook(t *testing.T) {
 	if err := st.SetState(a, True); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != False || got[1] != True {
-		t.Fatalf("notifications = %v", got)
+	if err := st.Invalidate(a); err != nil {
+		t.Fatal(err)
+	}
+	// One call per mutation, each carrying the cascade in transition
+	// order: the parent before the record derived from it.
+	want := [][]Change{
+		{{d, False, false}, {e, False, false}},
+		{{d, True, false}, {e, True, false}},
+		{{d, False, true}, {e, False, true}},
+	}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("notifications = %v, want %v", calls, want)
 	}
 }
 
@@ -276,7 +288,7 @@ func TestNotifyNotFiredForUnflagged(t *testing.T) {
 	a := st.NewFact(True)
 	d := st.NewDerived(OpAnd, Of(a))
 	fired := false
-	st.OnChange(func(ref Ref, s State, perm bool) { fired = true })
+	st.OnChange(func([]Change) { fired = true })
 	if err := st.SetState(a, False); err != nil {
 		t.Fatal(err)
 	}

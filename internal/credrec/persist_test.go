@@ -364,14 +364,17 @@ func TestChangeCallbackMutatesJournaledStore(t *testing.T) {
 			}
 			mirror := ls.NewExternal("mirror", True)
 			dep := ls.NewDerived(OpAnd, Of(mirror))
-			ls.OnChange(func(ref Ref, s State, perm bool) {
-				if ref != watched {
+			calls := 0
+			ls.OnChange(func(changes []Change) {
+				calls++
+				if len(changes) != 1 || changes[0].Ref != watched {
+					t.Errorf("call %d reports %v, want one change of %v", calls, changes, watched)
 					return
 				}
-				if err := ls.SetState(mirror, s); err != nil {
+				if err := ls.SetState(mirror, changes[0].State); err != nil {
 					t.Errorf("re-entrant SetState: %v", err)
 				}
-				ls.NewFact(s) // an allocation from inside the callback, too
+				ls.NewFact(changes[0].State) // an allocation from inside the callback, too
 			})
 			done := make(chan error, 1)
 			go func() { done <- ls.SetState(watched, False) }()
@@ -385,6 +388,9 @@ func TestChangeCallbackMutatesJournaledStore(t *testing.T) {
 			}
 			if ls.Valid(dep) {
 				t.Fatal("the callback's mutation did not cascade")
+			}
+			if calls != 1 {
+				t.Fatalf("observer called %d times for one mutation of a watched record", calls)
 			}
 			drain(t, ls)
 			sink.mu.Lock()

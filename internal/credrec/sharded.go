@@ -156,13 +156,16 @@ func OpenShardedStore(ring *Ring, stores []*Store) (*ShardedStore, error) {
 		if st.j != nil {
 			st.j.halt = &ss.halt
 		}
-		st.onChange = func(local Ref, s State, perm bool) {
-			g := ss.globalize(i, local)
-			if ss.nEdges.Load() > 0 {
-				ss.fanout(g.Uint64(), s, perm)
+		st.onChange = func(changes []Change) {
+			for j := range changes {
+				c := &changes[j]
+				c.Ref = ss.globalize(i, c.Ref)
+				if ss.nEdges.Load() > 0 {
+					ss.fanout(c.Ref.Uint64(), c.State, c.Permanent)
+				}
 			}
 			if f := ss.change.Load(); f != nil && *f != nil {
-				(*f)(g, s, perm)
+				(*f)(changes)
 			}
 		}
 		st.writeMu.Unlock()
@@ -549,8 +552,9 @@ func (ss *ShardedStore) Externals(visit func(ref Ref, name string, final bool)) 
 
 // --- Recorder: observation ---
 
-// OnChange installs the change observer; it fires for Notify-flagged
-// records on any shard, with globalised references.
+// OnChange installs the change observer; it fires once per drained
+// batch of any shard, for Notify-flagged records, with globalised
+// references.
 func (ss *ShardedStore) OnChange(f ChangeFunc) {
 	ss.change.Store(&f)
 }

@@ -3,6 +3,7 @@ package credrec
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -192,23 +193,30 @@ func TestShardedDanglingParent(t *testing.T) {
 func TestShardedOnChangeGlobalRefs(t *testing.T) {
 	ss := newTestSharded(t, 4)
 	var mu sync.Mutex
-	got := make(map[uint64]State)
-	ss.OnChange(func(ref Ref, s State, perm bool) {
+	var calls [][]Change
+	ss.OnChange(func(changes []Change) {
 		mu.Lock()
-		got[ref.Uint64()] = s
+		calls = append(calls, append([]Change(nil), changes...))
 		mu.Unlock()
 	})
-	f := ss.NewFact(True)
-	if err := ss.MarkNotify(f); err != nil {
-		t.Fatal(err)
+	var f Ref
+	for ss.ShardOf(f) == 0 { // a shard id of 0 would hide a missing globalisation
+		f = ss.NewFact(True)
+	}
+	d := ss.NewDerived(OpAnd, Of(f)) // placed on its parent's shard
+	for _, r := range []Ref{f, d} {
+		if err := ss.MarkNotify(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := ss.SetState(f, False); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if got[f.Uint64()] != False {
-		t.Fatalf("observer saw %v; want change reported under the global ref %v", got, f)
+	want := [][]Change{{{f, False, false}, {d, False, false}}}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("observer saw %v; want one call reporting the cascade under global refs %v", calls, want)
 	}
 }
 

@@ -15,9 +15,12 @@ import (
 	"oasis/internal/value"
 )
 
-// ModifiedEvent is the event type a service signals when a watched
-// credential record changes state (§4.9.2). Arguments: the record
-// reference (hex string), the new state, and a permanence flag.
+// ModifiedEvent is the event type a service signals when watched
+// credential records change state (§4.9.2). Arguments: one or more
+// triples, one per record change in the order the records changed —
+// the record reference (hex string), the new state, and a permanence
+// flag. A cascade is one event per watcher; a lone change is one
+// triple.
 const ModifiedEvent = "Oasis.Modified"
 
 // GetTypesArg asks a service for a role's parameter types (§4.3).
@@ -132,9 +135,11 @@ var _ bus.Endpoint = (*Service)(nil)
 var _ bus.BatchEndpoint = (*Service)(nil)
 
 // modifiedCoalesceRule teaches the bus batch path the Modified-event
-// vocabulary (§4.9.2): events for the same record ref supersede each
-// other (last writer wins), except a permanent False — revocation is
-// forever (§4.6) — which later events must never replace.
+// vocabulary (§4.9.2): one-triple events for the same record ref
+// supersede each other (last writer wins), except a permanent False —
+// revocation is forever (§4.6) — which later events must never replace.
+// An event of several triples, a cascade, has no key: merged, it would
+// drop the records the later event does not list.
 var modifiedCoalesceRule = bus.CoalesceRule{
 	Key: func(ev event.Event) string {
 		if ev.Name != ModifiedEvent || len(ev.Args) != 3 {
@@ -282,28 +287,81 @@ func refString(ref credrec.Ref) string {
 	return strconv.FormatUint(ref.Uint64(), 16)
 }
 
-// onRecordChange sends a Notify-flagged credential record's change as a
-// Modified event (§4.9.2) to the sessions in the record's row. A
-// permanent transition is the last thing a watch ever carries (§4.6,
-// §4.8), so the row leaves the table in the same hold of watchMu that
-// reads it.
-func (s *Service) onRecordChange(ref credrec.Ref, st credrec.State, permanent bool) {
-	var buf [4]uint64 // on the stack: a cascade comes here once per record
-	sessions, perm := buf[:0], int64(0)
+// onRecordChange sends one mutation's changes of Notify-flagged records
+// — a whole revocation cascade — to the sessions in their rows
+// (§4.9.2): one Modified event per session, a triple per change of a
+// record it watches, in transition order; sessions in every row share
+// one event. A permanent transition is the last thing a watch carries
+// (§4.6, §4.8), so its row leaves the table in the hold of watchMu that
+// reads it. The rows are read after the hold: a row only grows at its
+// end until it leaves the table.
+func (s *Service) onRecordChange(changes []credrec.Change) {
+	var rowBuf [16][]watcher // on the stack: a cascade comes here once
+	rows := rowBuf[:0]
 	s.watchMu.Lock()
-	for _, w := range s.watches[ref.Uint64()] {
-		sessions = append(sessions, w.sess)
-	}
-	if permanent {
-		perm = 1
-		delete(s.watches, ref.Uint64())
+	for _, c := range changes {
+		rows = append(rows, s.watches[c.Ref.Uint64()])
+		if c.Permanent {
+			delete(s.watches, c.Ref.Uint64())
+		}
 	}
 	s.watchMu.Unlock()
-	if len(sessions) == 0 {
-		return
+	var buf [4]uint64
+	sessions := buf[:0]
+	for _, row := range rows {
+		for _, w := range row {
+			if !slices.Contains(sessions, w.sess) {
+				sessions = append(sessions, w.sess)
+			}
+		}
 	}
-	s.broker.SignalTo(event.New(ModifiedEvent,
-		value.Str(refString(ref)), value.Int(int64(st)), value.Int(perm)), sessions)
+	// A row lists a peer, and so its session, at most once: a row as
+	// long as the union lists all of it.
+	for _, row := range rows {
+		if len(row) != 0 && len(row) != len(sessions) {
+			for _, sess := range sessions {
+				s.broker.SignalTo(modifiedFor(changes, rows, sess), []uint64{sess})
+			}
+			return
+		}
+	}
+	if len(sessions) > 0 {
+		s.broker.SignalTo(modifiedFor(changes, rows, 0), sessions)
+	}
+}
+
+// hears reports whether a row lists the session; session 0, which the
+// broker never opens, stands for any session.
+func hears(row []watcher, sess uint64) bool {
+	for _, w := range row {
+		if sess == 0 || w.sess == sess {
+			return true
+		}
+	}
+	return false
+}
+
+// modifiedFor is the Modified event that tells a session of the
+// changes whose row lists it (session 0: of every watched change).
+func modifiedFor(changes []credrec.Change, rows [][]watcher, sess uint64) event.Event {
+	n := 0
+	for i := range changes {
+		if hears(rows[i], sess) {
+			n++
+		}
+	}
+	args := make([]value.Value, 0, 3*n)
+	for i, c := range changes {
+		if !hears(rows[i], sess) {
+			continue
+		}
+		perm := int64(0)
+		if c.Permanent {
+			perm = 1
+		}
+		args = append(args, value.Str(refString(c.Ref)), value.Int(int64(c.State)), value.Int(perm))
+	}
+	return event.New(ModifiedEvent, args...)
 }
 
 // surrogateFor returns the local external record standing for a record
@@ -449,18 +507,28 @@ func (s *Service) validateInto(ext credrec.Ref, c *cert.RMC, client ids.ClientID
 	return reply.Roles, nil
 }
 
-// onModified is the Modified handler of every registration of one
-// source (§4.9.2): the event names the issuer's record, the row names
-// ours.
+// onModified is the Modified handler of one source (§4.9.2): each
+// triple of the event names one of the issuer's records, the row names
+// ours, and the triples are applied in the order the issuer's records
+// changed. An event is checked whole before any triple is applied, so a
+// malformed one applies nothing.
 func (s *Service) onModified(source string, ev event.Event) {
-	if len(ev.Args) != 3 {
+	if len(ev.Args) == 0 || len(ev.Args)%3 != 0 {
 		return
 	}
-	u, err := strconv.ParseUint(ev.Args[0].S, 16, 64)
-	if err != nil {
-		return
+	var buf [16]uint64 // on the stack: a cascade's refs
+	refs := buf[:0]
+	for i := 0; i < len(ev.Args); i += 3 {
+		u, err := strconv.ParseUint(ev.Args[i].S, 16, 64)
+		if err != nil {
+			return
+		}
+		refs = append(refs, u)
 	}
-	s.applyRemote(source, credrec.RefFromUint64(u), credrec.State(ev.Args[1].I), ev.Args[2].I != 0)
+	for i, u := range refs {
+		a := ev.Args[3*i:]
+		s.applyRemote(source, credrec.RefFromUint64(u), credrec.State(a[1].I), a[2].I != 0)
+	}
 }
 
 // applyRemote is the one way an issuer's assertion about one of its

@@ -109,3 +109,54 @@ func TestRemoteStateEntryPointsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestMalformedModifiedAppliesNothing: a Modified event is checked
+// whole before any of its triples is applied. An argument count that is
+// not a non-zero multiple of three, or any ref that does not parse as
+// hex, drops the event, however many good triples precede the fault; a
+// well-formed event of two triples applies both, in order.
+func TestMalformedModifiedAppliesNothing(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	s, err := New("Watcher", clk, bus.NewNetwork(clk), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := credrec.RefFromUint64(1), credrec.RefFromUint64(2)
+	la, _ := s.surrogateFor("Issuer", a)
+	lb, _ := s.surrogateFor("Issuer", b)
+	s.applyRemote("Issuer", a, credrec.True, false)
+	s.applyRemote("Issuer", b, credrec.True, false)
+	ra, rb := value.Str(refString(a)), value.Str(refString(b))
+	f, perm, no := value.Int(int64(credrec.False)), value.Int(1), value.Int(0)
+	seq := uint64(0)
+	deliver := func(args ...value.Value) {
+		seq++
+		s.Deliver(event.Notification{Source: "Issuer", SessionID: 1, Seq: seq, Event: event.New(ModifiedEvent, args...)})
+	}
+	for name, args := range map[string][]value.Value{
+		"no arguments":          nil,
+		"a short triple":        {ra, f, perm, rb, f},
+		"a bad ref after good":  {ra, f, perm, value.Str("zz"), f, perm},
+		"a bad ref before good": {value.Str("-1"), f, perm, rb, f, perm},
+	} {
+		deliver(args...)
+		for _, l := range []credrec.Ref{la, lb} {
+			if st, p, _ := s.store.Resolve(l); st != credrec.True || p {
+				t.Errorf("%s: surrogate %v reads (%v, %v), want it untouched", name, l, st, p)
+			}
+		}
+		if n := s.surrogateRows(); n != 2 {
+			t.Errorf("%s: %d rows left, want 2", name, n)
+		}
+	}
+	deliver(ra, f, perm, rb, f, no)
+	if st, p, _ := s.store.Resolve(la); st != credrec.False || !p {
+		t.Errorf("first triple: surrogate reads (%v, %v), want permanent False", st, p)
+	}
+	if st, p, _ := s.store.Resolve(lb); st != credrec.False || p {
+		t.Errorf("second triple: surrogate reads (%v, %v), want False", st, p)
+	}
+	if n := s.surrogateRows(); n != 1 {
+		t.Errorf("%d rows left, want b's", n)
+	}
+}
