@@ -116,8 +116,9 @@ func (c *RMC) appendCanonical(b []byte) []byte {
 func (c *RMC) Sign(s Signer) { c.Sig = sign(c, s) }
 
 // Verify checks the signature over the certificate's current fields.
-// Nothing is remembered on the certificate; the service engine's
-// repeat checks go through VerifyCache (cache.go).
+// Nothing is remembered on the certificate or elsewhere: the service
+// engine verifies a presented certificate on every use, and keeps a
+// verdict only for a certificate it holds itself (oasis.Held).
 func (c *RMC) Verify(s Signer) bool { return verify(c, s, c.Sig) }
 
 // SignedBytes exposes the canonical signed form.

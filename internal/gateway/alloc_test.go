@@ -26,9 +26,10 @@ func (w *bareResponse) Write(p []byte) (int, error) { return len(p), nil }
 // TestIssueAllocCeiling pins what one POST /v1/token allocates — the
 // engine's role entry included, the HTTP server's own work excluded —
 // at measured + 2, so a regression at this layer fails here and not in
-// a benchmark three PRs later. Measured: 43 and 66, more than half of
-// each inside Service.Enter and one this test's NopCloser; reading the
-// same bodies through decode costs 16 and 20 more.
+// a benchmark three PRs later. Measured: 30 and 53, more than half of
+// each inside Service.Enter and one this test's NopCloser; the
+// credential's signature is checked in full on every request, and its
+// HMAC sum is one of the 53.
 func TestIssueAllocCeiling(t *testing.T) {
 	w := newStormWorld(t)
 	loggedOn, session, _ := stormBodies(t, w)
@@ -37,8 +38,8 @@ func TestIssueAllocCeiling(t *testing.T) {
 		body    []byte
 		ceiling float64
 	}{
-		{"LoggedOn, no credential", loggedOn, 45},
-		{"Session, one credential", session, 68},
+		{"LoggedOn, no credential", loggedOn, 32},
+		{"Session, one credential", session, 55},
 	} {
 		h := w.login.Handler()
 		body := bytes.NewReader(nil)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,16 +25,27 @@ import (
 type heldWorld struct {
 	t      *testing.T
 	login  *oasis.Service
-	signer *cert.RollingSigner
+	signer *countingSigner
 	gw     *gateway.Gateway
 	h      http.Handler
 	client ids.ClientID
 }
 
+// countingSigner counts full signature checks.
+type countingSigner struct {
+	*cert.RollingSigner
+	verifies atomic.Int64
+}
+
+func (s *countingSigner) Verify(data, sig []byte) bool {
+	s.verifies.Add(1)
+	return s.RollingSigner.Verify(data, sig)
+}
+
 func newHeldWorld(t *testing.T, keep int) *heldWorld {
 	t.Helper()
 	clk := clock.NewVirtual(time.Unix(1000, 0))
-	signer := cert.NewRollingSigner([]byte("gen0"), 16, keep)
+	signer := &countingSigner{RollingSigner: cert.NewRollingSigner([]byte("gen0"), 16, keep)}
 	login, err := oasis.New("Login", clk, nil, oasis.Options{Signer: signer})
 	if err != nil {
 		t.Fatal(err)
@@ -127,26 +139,27 @@ func TestIntrospectHonoursSecretRetention(t *testing.T) {
 	}
 }
 
-// TestHeldCertificatesStayOutOfVerifyCache is introspect_hot in one
-// process: tokens minted, then each introspected again and again. The
-// certificates are held, not presented, so the verify cache keeps no
-// copy of any of them.
-func TestHeldCertificatesStayOutOfVerifyCache(t *testing.T) {
+// TestHeldVerdictIsRemembered: the gateway keeps one held certificate
+// per token, so its signature is checked at the first introspection
+// and again only after the secret table rolls.
+func TestHeldVerdictIsRemembered(t *testing.T) {
 	w := newHeldWorld(t, 2)
-	tokens := make([]string, 64)
-	for i := range tokens {
-		tokens[i] = w.mint(fmt.Sprintf("user%d", i)).Token
-	}
-	for round := 0; round < 4; round++ {
-		for _, tok := range tokens {
+	tok := w.mint("dm").Token
+	checks := func(when string, want ...int64) {
+		t.Helper()
+		for i, n := range want {
+			before := w.signer.verifies.Load()
 			if in := introspect(t, w.h, tok); !in.Active {
-				t.Fatalf("round %d: token inactive", round)
+				t.Fatalf("%s, introspection %d: token inactive", when, i+1)
+			}
+			if got := w.signer.verifies.Load() - before; got != n {
+				t.Fatalf("%s, introspection %d made %d full checks, want %d", when, i+1, got, n)
 			}
 		}
 	}
-	if got := gateway.VerifiedCount(w.login); got != 0 {
-		t.Fatalf("verify cache keeps %d verdicts after introspecting %d held certificates, want 0", got, len(tokens))
-	}
+	checks("before the roll", 1, 0, 0)
+	w.signer.Roll([]byte("gen1"))
+	checks("after the roll", 1, 0)
 }
 
 // TestHeldTokensUnderRoll: eight goroutines introspect one token set

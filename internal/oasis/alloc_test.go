@@ -4,13 +4,52 @@ package oasis
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"oasis/internal/cert"
 	"oasis/internal/credrec"
 )
 
-// Under the race detector allocation counts stop repeating, so this
-// file is built without it.
+// Under the race detector allocation counts and heap sizes stop
+// repeating, so this file is built without it.
+
+// TestPresentedVerdictsAreNotRetained: a presented certificate is
+// verified on every use and nothing of the check stays behind. 8 192
+// distinct certificates are each validated twice, so a verdict cache
+// admitting on second sight would keep every one, over 3 MB of
+// snapshots; the live heap must grow by less than 1 MiB.
+func TestPresentedVerdictsAreNotRetained(t *testing.T) {
+	const n = 8192
+	h := newHarness(t)
+	c := h.client("ely")
+	certs := make([]*cert.RMC, n)
+	for i := range certs {
+		certs[i] = h.logOn(t, c, fmt.Sprintf("user%d", i))
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	for _, rmc := range certs {
+		for range 2 {
+			if err := h.login.Validate(rmc, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	after := liveHeap()
+	runtime.KeepAlive(h) // the service and its store must stay reachable
+	runtime.KeepAlive(certs)
+	grew := int64(after) - int64(before)
+	t.Logf("live heap grew %d KiB", grew>>10)
+	if grew >= 1<<20 {
+		t.Fatalf("validating %d presented certificates twice grew the live heap by %d KiB, want under 1 MiB", n, grew>>10)
+	}
+}
 
 // TestPermanentTransitionAllocs pins what one watched record's
 // permanent transition allocates with two in-process watchers: the

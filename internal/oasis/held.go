@@ -15,8 +15,8 @@ import (
 // therefore has one job left, which is to die with its secret (§5.5.1):
 // it is checked at first use and again only after the signer's
 // accepted-secret set changes. The verdict is kept here, with the
-// holder, and never in the service's cert.VerifyCache, whose copies are
-// for certificates that arrive from outside.
+// holder: it is the only signature verdict the service remembers. A
+// certificate that arrives from outside is verified on every use.
 type Held struct {
 	cert *cert.RMC
 	// passed is the signer epoch + 1 under which the signature last
@@ -39,7 +39,7 @@ func (h *Held) Cert() *cert.RMC { return h.cert }
 // issuing service, then the signature unless it passed under the
 // signer's current epoch. The epoch is read before verifying, so a
 // roll landing mid-check leaves a memo the next use finds stale: the
-// safe direction, as in cert.VerifyCache.
+// safe direction.
 func (s *Service) checkHeld(h *Held) error {
 	c := h.cert
 	if c.Service != s.name {

@@ -66,7 +66,7 @@ func (s *Service) RevokeDirect(c *cert.RMC) error {
 	if c.Service != s.name {
 		return s.fail(Erroneous, "certificate issued by %q presented to %q", c.Service, s.name)
 	}
-	if !s.verifyCert(c) {
+	if !c.Verify(s.signer) {
 		return s.fail(Fraud, "signature check failed")
 	}
 	// The cascade's Modified events leave as one coalesced burst per

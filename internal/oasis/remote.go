@@ -176,7 +176,7 @@ func (s *Service) handleValidate(from string, a ValidateArg) (ValidateReply, err
 	if c == nil || c.Service != s.name {
 		return ValidateReply{}, fmt.Errorf("oasis: certificate not issued by %s", s.name)
 	}
-	if !s.verifyCert(c) {
+	if !c.Verify(s.signer) {
 		s.countFailure(Fraud)
 		return ValidateReply{}, fmt.Errorf("oasis: signature check failed")
 	}

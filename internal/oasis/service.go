@@ -26,9 +26,10 @@ import (
 
 // Options configure a Service.
 type Options struct {
-	// Signer provides the integrity check; defaults to an HMAC signer
-	// with a random-ish (name-derived) secret, which is fine for tests
-	// and simulations. Production services supply their own.
+	// Signer provides the integrity check. The default is an HMAC
+	// signer whose secret is derived from the service name alone, so
+	// anyone who knows the name can forge its certificates: it is for
+	// tests and simulations only, and a deployment supplies its own.
 	Signer cert.Signer
 	// CertTTL is the default lifetime of issued role membership
 	// certificates. Zero means no expiry.
@@ -70,12 +71,15 @@ type Options struct {
 // Service is one OASIS service instance.
 //
 // The engine is read-mostly: the validation hot path (§4.2/§4.6) takes
-// no service lock at all — the signature check is lock-free, the
-// credential-record lookup takes one store shard read lock, and the
-// audit counters are atomics. State that changes rarely (installed
-// rolefiles, foreign type signatures) sits behind RWMutexes; mutable
-// bookkeeping is split into small independent leaf locks so issuance,
-// delegation and interworking contend only on what they actually touch.
+// no service lock at all — the signature is recomputed and nothing of
+// the check is remembered, the credential-record lookup takes one store
+// shard read lock, and the audit counters are atomics. A presented
+// certificate is verified on every use; the one signature verdict the
+// engine keeps is a Held certificate's, with its holder (held.go).
+// State that changes rarely (installed rolefiles, foreign type
+// signatures) sits behind RWMutexes; mutable bookkeeping is split into
+// small independent leaf locks so issuance, delegation and interworking
+// contend only on what they actually touch.
 //
 // Lock order: each of rfMu, typeMu, watchMu, extMu, delegMu and a
 // rolefileState.mu is a leaf — no code path acquires one while holding
@@ -87,7 +91,6 @@ type Service struct {
 	clk    clock.Clock
 	net    *bus.Network
 	signer cert.Signer
-	sigs   *cert.VerifyCache // remembered signature verdicts (verifyCert)
 	opts   Options
 
 	store    credrec.Recorder
@@ -183,7 +186,6 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 		clk:           clk,
 		net:           net,
 		signer:        opts.Signer,
-		sigs:          cert.NewVerifyCache(),
 		opts:          opts,
 		store:         opts.Store,
 		rolefiles:     make(map[string]*rolefileState),

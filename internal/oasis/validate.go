@@ -125,7 +125,7 @@ func (s *Service) Validate(c *cert.RMC, caller ids.ClientID) error {
 		// Condition 4: issued by a different service.
 		return s.fail(Erroneous, "certificate issued by %q presented to %q", c.Service, s.name)
 	}
-	if !s.verifyCert(c) {
+	if !c.Verify(s.signer) {
 		// Condition 2: forged or modified.
 		return s.fail(Fraud, "signature check failed")
 	}
@@ -146,17 +146,6 @@ func (s *Service) checkLive(c *cert.RMC) error {
 	}
 	s.audit.validated.Add(1)
 	return nil
-}
-
-// verifyCert is the engine's signature check for role membership
-// certificates. Every inbound check — front door or peer port —
-// presents a freshly decoded *cert.RMC, so the verdict is remembered in
-// the service's cert.VerifyCache (its three soundness rules are stated
-// there) instead of redoing the serialisation and, for a rolling
-// signer, the walk over every retained secret (§5.5.1). Neither a hit
-// nor a miss writes to c.
-func (s *Service) verifyCert(c *cert.RMC) bool {
-	return s.sigs.VerifyRMC(c, s.signer)
 }
 
 func stateName(st credrec.State, err error) string {
