@@ -21,7 +21,7 @@ help:
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -139,7 +139,10 @@ vet:
 # Modified event fans out from, and a second signature verdict memory
 # beside oasis.Held's epoch memo: the engine, the gateway and the
 # daemon verify a presented certificate on every use, and
-# cert.VerifyCache stays only while bench/ constructs it.
+# cert.VerifyCache stays only while bench/ constructs it. No library
+# package changes the process's P count (runtime.GOMAXPROCS): tests run
+# many services in one process, so only the daemon decides, and it gives
+# a journal that fsyncs its one spare P.
 # The closing loops hold the documents to the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
 # DESIGN.md's experiment index, README.md or docs/*.md must be a func in
 # some _test.go (a trailing * matches a prefix), and every
@@ -165,6 +168,7 @@ lint: reach
 	! grep -rnE '\b(ExternalRefs|MarkSilent|OnRevive|bridgeKey|parseBridgeSource)\b' internal/ cmd/ docs/
 	! grep -rnE '\breleaseWatches\b|broker\.(Register|Deregister)\b' internal/oasis
 	! grep -rn 'VerifyCache' --include='*.go' --exclude='*_test.go' internal/oasis internal/gateway cmd/oasisd
+	! grep -rn 'runtime\.GOMAXPROCS(' --include='*.go' --exclude='*_test.go' internal/
 	! test -e cmd/benchharness
 	test "$$(ls *_test.go | wc -l)" -eq 1
 	@index() { sed -n '/^## Experiment index/,/^## Concurrency model/p' DESIGN.md; }; fail=; \

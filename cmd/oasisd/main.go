@@ -20,7 +20,11 @@
 // compacts itself every -snapshot-every operations, so a restart
 // recovers certificates and revocations from the newest snapshot plus
 // the journal tail (docs/STORAGE.md). -sync selects the durability
-// policy (always / batched / none). SIGTERM and SIGINT stop the
+// policy (always / batched / none). Under always and batched the
+// daemon runs one P more than the runtime chose (GOMAXPROCS + 1):
+// a committer or snapshot blocked in fsync holds a thread and its P,
+// and the spare P keeps requests served meanwhile; in memory and under
+// -sync none the runtime's count stands. SIGTERM and SIGINT stop the
 // listeners and flush and close the store before the process exits.
 //
 // -http-listen opens the federation gateway (internal/gateway): role
@@ -70,6 +74,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 
@@ -175,6 +180,14 @@ func run(cfg config) error {
 			log.Printf("oasisd: source %q %s -> %s", source, from, to)
 		},
 	}
+	if fsyncs(cfg) {
+		// Set before the store opens and restored after it closes, so
+		// every fsync of this run has the spare P beside it.
+		procs := runtime.GOMAXPROCS(0)
+		runtime.GOMAXPROCS(procs + 1)
+		defer runtime.GOMAXPROCS(procs)
+		log.Printf("oasisd: journaling to %s: GOMAXPROCS %d (%d CPU + 1 for the disk)", cfg.storeDir, procs+1, procs)
+	}
 	store, engines, err := openStore(cfg)
 	if err != nil {
 		return err
@@ -269,6 +282,15 @@ func run(cfg config) error {
 		log.Printf("oasisd: %v: closing listeners and flushing the store", sig)
 		return nil
 	}
+}
+
+// fsyncs reports whether the store cfg asks for waits on fsync: a
+// journal under -sync always or batched. A goroutine in fsync keeps
+// its P until the runtime's monitor hands the P to another thread,
+// 20 µs to 10 ms later, so run gives such a daemon one P for the disk.
+func fsyncs(cfg config) bool {
+	policy, err := credrec.ParseSyncPolicy(cfg.syncMode)
+	return cfg.storeDir != "" && err == nil && policy != credrec.SyncNone
 }
 
 // shardName is the name of shard i and of its directory under

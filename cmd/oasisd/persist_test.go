@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -426,19 +427,43 @@ func TestStoreShapeGuard(t *testing.T) {
 // defers, every engine is flushed and closed, and the directories
 // reopen with no torn tail to the image the store had when it stopped —
 // under -sync batched, where an abandoned engine may lose its last
-// batch.
+// batch. While it serves, a daemon whose journal fsyncs runs one P
+// above the count it started with, and every daemon is back at that
+// count once run returns; in memory and under -sync none the count
+// never moves.
 func TestSignalStopsAndFlushes(t *testing.T) {
-	cfg := config{
-		name: "Login", scope: "main", listen: "127.0.0.1:0",
-		storeDir: t.TempDir(), shards: 4, syncMode: "batched", snapshotEvery: 4096,
-		failsafeMissed: 3,
+	for _, tc := range []struct {
+		name      string
+		storeDir  string
+		syncMode  string
+		spareProc int
+	}{
+		{"batched", t.TempDir(), "batched", 1},
+		{"none", t.TempDir(), "none", 0},
+		{"in memory", "", "batched", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config{
+				name: "Login", scope: "main", listen: "127.0.0.1:0",
+				storeDir: tc.storeDir, shards: 4, syncMode: tc.syncMode, snapshotEvery: 4096,
+				failsafeMissed: 3,
+			}
+			signalStopsAndFlushes(t, cfg, tc.spareProc)
+		})
 	}
+}
+
+func signalStopsAndFlushes(t *testing.T, cfg config, spareProc int) {
 	type live struct {
 		addr  net.Addr
 		store credrec.Recorder
+		procs int
 	}
+	before := runtime.GOMAXPROCS(0)
 	serving := make(chan live, 1)
-	cfg.serving = func(addr net.Addr, store credrec.Recorder) { serving <- live{addr, store} }
+	cfg.serving = func(addr net.Addr, store credrec.Recorder) {
+		serving <- live{addr, store, runtime.GOMAXPROCS(0)}
+	}
 	done := make(chan error, 1)
 	go func() { done <- run(cfg) }()
 	var l live
@@ -448,6 +473,9 @@ func TestSignalStopsAndFlushes(t *testing.T) {
 		t.Fatalf("run returned before serving: %v", err)
 	case <-time.After(10 * time.Second):
 		t.Fatal("run never served")
+	}
+	if want := before + spareProc; l.procs != want {
+		t.Errorf("GOMAXPROCS while serving = %d, want %d (%d before run)", l.procs, want, before)
 	}
 	c, err := Dial(l.addr.String())
 	if err != nil {
@@ -478,6 +506,12 @@ func TestSignalStopsAndFlushes(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not return after SIGTERM")
+	}
+	if got := runtime.GOMAXPROCS(0); got != before {
+		t.Errorf("GOMAXPROCS after run = %d, want %d, the count before it", got, before)
+	}
+	if cfg.storeDir == "" {
+		return
 	}
 
 	cfg.serving = nil

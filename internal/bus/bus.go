@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,8 +144,8 @@ type Network struct {
 	queue   notifyHeap
 	nextSeq uint64
 
-	// Hot counters are dedicated atomics; everything else (per-op call
-	// counts) lives in the sharded map.
+	// Hot counters are dedicated atomics; the per-op call counts live
+	// in the sharded map, keyed by op.
 	notifyCount    atomic.Int64
 	heartbeatCount atomic.Int64
 	droppedCount   atomic.Int64
@@ -241,7 +242,7 @@ func (n *Network) route(to string) (Endpoint, remoteLink) {
 // added with AddRemote are reached over their TCP link.
 func (n *Network) Call(from, to, op string, arg any) (any, error) {
 	ep, remote := n.route(to)
-	n.bump("call:" + op)
+	n.bumpCall(op)
 	if n.linkSevered(from, to) || (ep == nil && remote == nil) {
 		return nil, fmt.Errorf("%w: %s -> %s", ErrUnreachable, from, to)
 	}
@@ -469,26 +470,27 @@ func (n *Network) Flush() int {
 	return delivered
 }
 
-func (n *Network) counterShardFor(kind string) *counterShard {
+func (n *Network) counterShardFor(op string) *counterShard {
 	h := fnv.New32a()
-	_, _ = h.Write([]byte(kind))
+	_, _ = h.Write([]byte(op))
 	return &n.counters[h.Sum32()%counterShards]
 }
 
-// bump increments a cold (string-keyed) counter.
-func (n *Network) bump(kind string) {
-	sh := n.counterShardFor(kind)
+// bumpCall increments op's call counter. The key is op itself, so a
+// call allocates only the first time its op is seen.
+func (n *Network) bumpCall(op string) {
+	sh := n.counterShardFor(op)
 	sh.mu.RLock()
-	c := sh.m[kind]
+	c := sh.m[op]
 	sh.mu.RUnlock()
 	if c == nil {
 		sh.mu.Lock()
 		if sh.m == nil {
 			sh.m = make(map[string]*atomic.Int64)
 		}
-		if c = sh.m[kind]; c == nil {
+		if c = sh.m[op]; c == nil {
 			c = new(atomic.Int64)
-			sh.m[kind] = c
+			sh.m[op] = c
 		}
 		sh.mu.Unlock()
 	}
@@ -506,10 +508,14 @@ func (n *Network) Count(kind string) int {
 	case "dropped":
 		return int(n.droppedCount.Load())
 	}
-	sh := n.counterShardFor(kind)
+	op, ok := strings.CutPrefix(kind, "call:")
+	if !ok {
+		return 0
+	}
+	sh := n.counterShardFor(op)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if c := sh.m[kind]; c != nil {
+	if c := sh.m[op]; c != nil {
 		return int(c.Load())
 	}
 	return 0

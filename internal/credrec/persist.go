@@ -212,6 +212,9 @@ func (st *Store) committer(j *journal) {
 		sink, werr := j.sink, j.err
 		st.writeMu.Unlock()
 
+		// The Sync keeps this goroutine's thread, and its P until the
+		// runtime hands the P off; oasisd gives a daemon whose journal
+		// syncs a spare P for it (docs/STORAGE.md).
 		if werr == nil {
 			if _, werr = sink.Write(batch); werr == nil && j.policy != SyncNone {
 				werr = sink.Sync()
