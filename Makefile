@@ -21,7 +21,7 @@ help:
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, one http.Server (the gateway loop's fallback), every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -62,14 +62,17 @@ test-shard:
 # hits, has eight goroutines introspect and revoke held tokens while
 # the secret table rolls, has eight watchers validate and watch one
 # record while it is revoked, three watch every record of a cascade
-# while its root is revoked, and drives seeded random cascades to three
-# watchers of unlike watch sets. internal/fault is not listed: `chaos`
-# runs that whole package under the detector.
+# while its root is revoked, drives seeded random cascades to three
+# watchers of unlike watch sets, and sends the same bytes to the
+# gateway's serving loop and to net/http over some sixty connections at
+# once, the loop's hand-offs sharing one http.Server (PR 35).
+# internal/fault is not listed: `chaos` runs that whole package under
+# the detector.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
 		./internal/gateway/... ./cmd/rdlcheck/...
-	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade' \
+	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade|LoopMatchesNetHTTP' \
 		./internal/gateway/ ./internal/oasis/ ./internal/cert/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the
@@ -142,7 +145,10 @@ vet:
 # cert.VerifyCache stays only while bench/ constructs it. No library
 # package changes the process's P count (runtime.GOMAXPROCS): tests run
 # many services in one process, so only the daemon decides, and it gives
-# a journal that fsyncs its one spare P.
+# a journal that fsyncs its one spare P. One http.Server is built, in
+# internal/gateway/server.go: the gateway's serving loop frames the
+# requests it recognises and hands every other connection to it, so
+# net/http stays the one definition of HTTP/1.1 and the fallback.
 # The closing loops hold the documents to the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
 # DESIGN.md's experiment index, README.md or docs/*.md must be a func in
 # some _test.go (a trailing * matches a prefix), and every
@@ -169,6 +175,8 @@ lint: reach
 	! grep -rnE '\breleaseWatches\b|broker\.(Register|Deregister)\b' internal/oasis
 	! grep -rn 'VerifyCache' --include='*.go' --exclude='*_test.go' internal/oasis internal/gateway cmd/oasisd
 	! grep -rn 'runtime\.GOMAXPROCS(' --include='*.go' --exclude='*_test.go' internal/
+	! grep -rln 'http\.Server{' --include='*.go' --exclude='*_test.go' internal/ cmd/ *.go \
+		| grep -vx internal/gateway/server.go
 	! test -e cmd/benchharness
 	test "$$(ls *_test.go | wc -l)" -eq 1
 	@index() { sed -n '/^## Experiment index/,/^## Concurrency model/p' DESIGN.md; }; fail=; \

@@ -249,9 +249,13 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		defer httpLn.Close()
 		gw := newGateway(svc, network, cfg)
+		gwDone := make(chan struct{})
+		// Serve returns once its listener closes, even with every
+		// connection slot held.
+		defer func() { _ = httpLn.Close(); <-gwDone }()
 		go func() {
+			defer close(gwDone)
 			if err := gw.Serve(httpLn); err != nil && !errors.Is(err, net.ErrClosed) {
 				log.Printf("oasisd: gateway listener: %v", err)
 			}

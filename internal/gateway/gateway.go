@@ -97,9 +97,12 @@ type Gateway struct {
 	// The guarded routes.
 	tokenRoute, introspectRoute, revokeRoute http.HandlerFunc
 
-	// droppedWrites counts response bodies the client went away before
+	// droppedWrites counts responses the client went away before
 	// receiving.
 	droppedWrites atomic.Uint64
+
+	// bounds are Serve's slow-client bounds; tests shorten them.
+	bounds serveBounds
 }
 
 // New creates a gateway over the service. The service's rolefiles must
@@ -119,6 +122,7 @@ func New(svc *oasis.Service, opts Options) *Gateway {
 		clk:    opts.Clock,
 		tokens: newTokenStore(opts.Rand),
 		opts:   opts,
+		bounds: defaultBounds,
 	}
 	if opts.RatePerSec > 0 {
 		burst := opts.Burst
