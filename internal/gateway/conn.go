@@ -1,16 +1,11 @@
 package gateway
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
-	"net/url"
 	"runtime"
-	"slices"
-	"strconv"
 	"time"
 
 	"oasis/internal/clock"
@@ -23,8 +18,8 @@ import (
 // recognise. The rule is the body scanner's, applied to framing: exact
 // or absent. A request is the loop's only when its whole head is in
 // the buffer in a shape net/http provably reads the same way (parseHead
-// lists it), and the handler then gets the *http.Request net/http would
-// have built. Anything else — chunked bodies, Expect, HTTP/1.0, a
+// lists it); the loop then reads the body where it lies and calls the
+// route with the path and the body's bytes. Anything else — chunked bodies, Expect, HTTP/1.0, a
 // header not on the list, a head that does not fit, garbage — goes to
 // one http.Server with every byte read so far replayed ahead of the
 // socket, and net/http keeps the connection until it closes.
@@ -35,22 +30,22 @@ import (
 // does not fit is net/http's.
 const connBufSize = 4 << 10
 
+// maxCanonicalBody is the largest body the loop reads itself, growing
+// its buffer for one that does not fit; a longer one is net/http's.
+const maxCanonicalBody = 16 << 10
+
 // The header fields a recognised request may carry, each at most once
-// and in canonical case, and their indices in head.val.
+// and in canonical case, and their bits in head.seen.
 var knownFields = [...]string{
 	"Host", "Content-Length", "Content-Type", "User-Agent",
 	"Accept", "Accept-Encoding", "Connection",
 }
 
 const (
-	fieldHost = iota
-	fieldContentLength
-	fieldContentType
-	fieldUserAgent
-	fieldAccept
-	fieldAcceptEncoding
-	fieldConnection
-	numFields
+	fieldHost          = 0
+	fieldContentLength = 1
+	fieldConnection    = 6
+	numFields          = len(knownFields)
 )
 
 const (
@@ -58,11 +53,10 @@ const (
 	requestProto  = " HTTP/1.1\r\n"
 )
 
-// head is where parseHead found a recognised head's parts: offsets
-// into the head of the path and of each field's value.
+// head is what parseHead found in a recognised head: the path's
+// offsets into it, and what frames the body and the connection.
 type head struct {
 	path  [2]int
-	val   [numFields][2]int
 	seen  uint8 // bit f: field f is present
 	clen  int64
 	close bool // Connection: close
@@ -149,7 +143,6 @@ func parseHead(b []byte, h *head) (n int, more bool) {
 		if !h.value(f, b[v:end]) {
 			return 0, false
 		}
-		h.val[f] = [2]int{v, end}
 	}
 	if h.seen&(1<<fieldHost|1<<fieldContentLength) != 1<<fieldHost|1<<fieldContentLength {
 		return 0, false
@@ -218,54 +211,45 @@ func pathByte(c byte) bool {
 
 // server is what the loop serves a listener with.
 type server struct {
-	handler  http.Handler
+	route    func(*request, *reply)
 	bounds   serveBounds
-	srv      *http.Server   // the fallback, named in each request's context
-	fallback func(net.Conn) // hands a declined connection to srv
+	fallback func(net.Conn) // hands a declined connection to net/http
 	dropped  func()         // counts a response the socket refused
 }
 
 // conn is one connection's loop state. Everything in it is reused from
-// one request to the next: a handler must not keep the request or the
-// writer past its return, as net/http already requires.
+// one request to the next: a route must not keep the request or the
+// reply past its return.
 type conn struct {
 	s      *server
 	nc     net.Conn
-	remote string
 	buf    []byte // buf[r:w] has been read and not yet consumed
 	r, w   int
 	served bool // a request was answered; net/http then skips leading CR/LF
 
 	readBy, writeBy time.Time // the socket's deadlines, as last set
 	start           time.Time // when this request's head began, once a bound needed it
-	reqArmed        bool      // the request bound is armed for this request's body
 
-	text string // the last head, so a repeated head costs no allocation
-	h    head
-	base http.Request // the request template: it carries the context
-	req  http.Request
-	url  url.URL
-	hdr  http.Header
-	vals [numFields]string
-	body body
-	rw   responseWriter
-	out  []byte
+	h   head
+	in  request
+	rep reply
+	out []byte
 
 	dateSec int64
 	date    []byte
 }
 
 // serveConn runs the loop on nc until the connection closes or is
-// handed to net/http. A handler's panic is logged as net/http logs it
+// handed to net/http. A route's panic is logged as net/http logs it
 // and closes the connection.
 func (s *server) serveConn(nc net.Conn) {
 	c := s.newConn(nc)
 	handedOff := false
 	defer func() {
-		if err := recover(); err != nil && err != http.ErrAbortHandler {
+		if err := recover(); err != nil {
 			stack := make([]byte, 64<<10)
 			stack = stack[:runtime.Stack(stack, false)]
-			log.Printf("http: panic serving %v: %v\n%s", c.remote, err, stack)
+			log.Printf("http: panic serving %v: %v\n%s", c.in.remote, err, stack)
 		}
 		if !handedOff {
 			_ = nc.Close()
@@ -276,13 +260,8 @@ func (s *server) serveConn(nc net.Conn) {
 
 // newConn sets up the loop's state for a connection just accepted.
 func (s *server) newConn(nc net.Conn) *conn {
-	c := &conn{s: s, nc: nc, remote: nc.RemoteAddr().String(), buf: make([]byte, connBufSize)}
-	ctx := context.WithValue(context.Background(), http.ServerContextKey, s.srv)
-	ctx = context.WithValue(ctx, http.LocalAddrContextKey, nc.LocalAddr())
-	c.base = *(&http.Request{}).WithContext(ctx)
-	c.hdr = make(http.Header, numFields)
-	c.rw.own = make(http.Header)
-	c.body.c = c
+	c := &conn{s: s, nc: nc, buf: make([]byte, connBufSize)}
+	c.in.method, c.in.remote = "POST", nc.RemoteAddr().String()
 	// The first head is bounded from the accept, as net/http bounds it.
 	c.start = clock.Real().Now()
 	c.setReadBy(c.start.Add(s.bounds.head))
@@ -309,10 +288,10 @@ func (c *conn) serve() (handedOff bool) {
 	}
 }
 
-// readHead reads until the buffer starts with a whole head. It returns
-// the head's length and true; 0 and false for a request the loop
-// declines; -1 when the connection is done — nothing but a read error
-// is buffered, or a bound elapsed.
+// readHead reads until the buffer starts with a whole head of at most
+// connBufSize bytes. It returns the head's length and true; 0 and false
+// for a request the loop declines; -1 when the connection is done —
+// nothing but a read error is buffered, or a bound elapsed.
 func (c *conn) readHead() (int, bool) {
 	stripped := !c.served
 	for {
@@ -321,11 +300,11 @@ func (c *conn) readHead() (int, bool) {
 			stripped = true
 		}
 		if stripped {
-			n, more := parseHead(c.buf[c.r:c.w], &c.h)
+			n, more := parseHead(c.buf[c.r:min(c.w, c.r+connBufSize)], &c.h)
 			if n > 0 {
 				return n, true
 			}
-			if !more || c.w-c.r == len(c.buf) {
+			if !more || c.w-c.r >= connBufSize {
 				return 0, false
 			}
 		}
@@ -362,28 +341,24 @@ func (c *conn) stripCRLF(n int) {
 	}
 }
 
-// handle serves the n-byte head at the front of the buffer and writes
-// its response. It reports whether the connection stays open.
+// handle reads the body of the n-byte head at the front of the buffer,
+// calls the route, and writes its reply. It reports whether the
+// connection stays open.
 func (c *conn) handle(n int) bool {
-	if string(c.buf[c.r:c.r+n]) != c.text {
-		c.text = string(c.buf[c.r : c.r+n])
-	}
-	c.r += n
-	req := c.request()
-	c.rw.reset()
-	c.s.handler.ServeHTTP(&c.rw, req)
+	in := &c.in
+	in.body, in.err = c.fill(n)
+	in.path = c.buf[c.r+c.h.path[0] : c.r+c.h.path[1]]
+	c.r += n + len(in.body)
+	c.rep.reset()
+	c.s.route(in, &c.rep)
 
-	// What net/http does once the handler returns: a connection the
-	// request asked to close closes; an unread body is drained, and a
-	// body that cannot be closes the connection too.
-	closing := c.h.close
-	if !closing && c.body.n > 0 {
-		if _, err := io.Copy(io.Discard, &c.body); err != nil {
-			closing = true
-		}
-	}
+	// What net/http does once the route returns: a connection the
+	// request asked to close, or whose body broke off, closes and says
+	// so. A body the client cut short by closing its side ends the
+	// connection at the next read, without the field.
+	closing := c.h.close || in.err != nil && in.err != io.ErrUnexpectedEOF
 	now := clock.Real().Now()
-	c.out = c.rw.render(c.out[:0], c.dateAt(now), closing)
+	c.out = c.rep.render(c.out[:0], c.dateAt(now), closing)
 	if c.writeBy.Sub(now) < c.s.bounds.write {
 		c.writeBy = now.Add(2 * c.s.bounds.write)
 		_ = c.nc.SetWriteDeadline(c.writeBy)
@@ -396,45 +371,47 @@ func (c *conn) handle(n int) bool {
 		return false
 	}
 	c.served = true
-	c.start, c.reqArmed = time.Time{}, false
+	c.start = time.Time{}
 	if c.readBy.Sub(now) < c.s.bounds.idle {
 		c.setReadBy(now.Add(2 * c.s.bounds.idle))
 	}
 	return true
 }
 
-// request builds what net/http's ReadRequest and its server would hand
-// the handler for the head just consumed. Every string is a substring
-// of c.text; the Host field becomes req.Host and leaves the header, as
-// net/http moves it.
-func (c *conn) request() *http.Request {
-	t, h := c.text, &c.h
-	path := t[h.path[0]:h.path[1]]
-	c.url = url.URL{Path: path}
-	clear(c.hdr)
-	for f := fieldHost + 1; f < numFields; f++ {
-		if h.seen&(1<<f) != 0 {
-			c.vals[f] = t[h.val[f][0]:h.val[f][1]]
-			c.hdr[knownFields[f]] = c.vals[f : f+1 : f+1]
+// fill reads the body of the n-byte head at buf[r:] until it is whole
+// in the buffer, moving the request to the front of the buffer, or to a
+// larger one, when it does not fit. The socket is read under the
+// request bound. It returns the body, and the error that ended it short
+// of Content-Length: io.ErrUnexpectedEOF when the client closed, as
+// net/http's body reader has it.
+func (c *conn) fill(n int) ([]byte, error) {
+	need := n + int(c.h.clen)
+	if c.r+need > len(c.buf) {
+		buf := c.buf
+		if need > len(buf) {
+			buf = make([]byte, need)
+		}
+		c.w = copy(buf, c.buf[c.r:c.w])
+		c.buf, c.r = buf, 0
+	}
+	if c.w-c.r < need {
+		// The request bound runs from the head's first bytes.
+		if c.start.IsZero() {
+			c.start = clock.Real().Now()
+		}
+		c.setReadBy(c.start.Add(c.s.bounds.request))
+	}
+	for c.w-c.r < need {
+		m, err := c.nc.Read(c.buf[c.w:])
+		c.w += m
+		if err != nil && c.w-c.r < need {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return c.buf[c.r+n : c.w], err
 		}
 	}
-	c.req = c.base
-	r := &c.req
-	r.Method = http.MethodPost
-	r.URL = &c.url
-	r.Proto, r.ProtoMajor, r.ProtoMinor = "HTTP/1.1", 1, 1
-	r.Header = c.hdr
-	r.ContentLength = h.clen
-	c.body.n, c.body.err = h.clen, nil
-	r.Body = http.NoBody
-	if h.clen > 0 {
-		r.Body = &c.body
-	}
-	r.Close = h.close
-	r.Host = t[h.val[fieldHost][0]:h.val[fieldHost][1]]
-	r.RemoteAddr = c.remote
-	r.RequestURI = path
-	return r
+	return c.buf[c.r+n : c.r+need], nil
 }
 
 func (c *conn) setReadBy(t time.Time) {
@@ -449,168 +426,6 @@ func (c *conn) dateAt(now time.Time) []byte {
 		c.date = now.UTC().AppendFormat(c.date[:0], http.TimeFormat)
 	}
 	return c.date
-}
-
-// body reads exactly the declared length: the buffered bytes first,
-// then the socket under the request bound. Like net/http's it ends in
-// io.EOF, or io.ErrUnexpectedEOF when the client stops short.
-type body struct {
-	c   *conn
-	n   int64 // bytes not yet read
-	err error
-}
-
-func (b *body) Read(p []byte) (int, error) {
-	if b.err != nil {
-		return 0, b.err
-	}
-	if b.n == 0 {
-		return 0, io.EOF
-	}
-	if int64(len(p)) > b.n {
-		p = p[:b.n]
-	}
-	c := b.c
-	var m int
-	var err error
-	if c.r < c.w {
-		m = copy(p, c.buf[c.r:c.w])
-		c.r += m
-	} else if len(p) > 0 {
-		if !c.reqArmed {
-			// The request bound runs from the head's first bytes.
-			c.reqArmed = true
-			if c.start.IsZero() {
-				c.start = clock.Real().Now()
-			}
-			c.setReadBy(c.start.Add(c.s.bounds.request))
-		}
-		m, err = c.nc.Read(p)
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-	}
-	b.n -= int64(m)
-	if err != nil {
-		b.err = err
-	} else if b.n == 0 {
-		err = io.EOF
-	}
-	return m, err
-}
-
-func (b *body) Close() error { return nil }
-
-// responseWriter collects one response for a single write. It supports
-// what the routes use — Header, one WriteHeader with a final status,
-// Write — and renders what net/http's writer would send for it once the
-// handler returns (render).
-type responseWriter struct {
-	own    http.Header // the connection's map, cleared per request
-	hdr    http.Header // what Header returns
-	sent   http.Header // the header as of WriteHeader; nil before
-	status int
-	body   []byte
-}
-
-func (w *responseWriter) reset() {
-	clear(w.own)
-	w.hdr, w.sent, w.status, w.body = w.own, nil, 0, w.body[:0]
-}
-
-// Header returns the header to set. After WriteHeader it is a copy, as
-// net/http's is: what a handler changes then is not sent.
-func (w *responseWriter) Header() http.Header {
-	if w.sent != nil && w.hdr == nil {
-		w.hdr = w.sent.Clone()
-	}
-	return w.hdr
-}
-
-func (w *responseWriter) WriteHeader(code int) {
-	if w.status != 0 {
-		return
-	}
-	w.status = code
-	w.sent, w.hdr = w.hdr, nil
-}
-
-func (w *responseWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
-	}
-	w.body = append(w.body, p...)
-	return len(p), nil
-}
-
-// render appends the response to b as net/http's writer sends a
-// handler's complete response: the status line, the handler's fields
-// sorted by name, then Date, an inferred Content-Length and a sniffed
-// Content-Type where the handler set none, and Connection: close when
-// the connection closes after it. net/http infers the length only for
-// a body under 2 KiB and chunks a longer one; every route sets
-// Content-Length itself (TestExplicitFraming), so the two agree.
-func (w *responseWriter) render(b, date []byte, closing bool) []byte {
-	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
-	}
-	b = append(b, "HTTP/1.1 "...)
-	if text := http.StatusText(w.status); text != "" {
-		b = strconv.AppendInt(b, int64(w.status), 10)
-		b = append(b, ' ')
-		b = append(b, text...)
-	} else {
-		b = fmt.Appendf(b, "%03d status code %d", w.status, w.status)
-	}
-	b = append(b, "\r\n"...)
-	var names [8]string
-	keys := names[:0]
-	for k := range w.sent {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		for _, v := range w.sent[k] {
-			b = appendField(b, k, v)
-		}
-	}
-	if _, ok := w.sent["Date"]; !ok {
-		b = append(append(append(b, "Date: "...), date...), "\r\n"...)
-	}
-	if _, ok := w.sent["Content-Length"]; !ok {
-		b = appendField(b, "Content-Length", strconv.Itoa(len(w.body)))
-	}
-	if _, ok := w.sent["Content-Type"]; !ok && len(w.body) > 0 {
-		b = appendField(b, "Content-Type", http.DetectContentType(w.body))
-	}
-	if closing {
-		b = appendField(b, "Connection", "close")
-	}
-	b = append(b, "\r\n"...)
-	return append(b, w.body...)
-}
-
-// appendField appends "name: value\r\n" with the value cleaned as
-// net/http cleans it: CR and LF become spaces, and surrounding spaces
-// and tabs go.
-func appendField(b []byte, name, v string) []byte {
-	b = append(append(b, name...), ": "...)
-	blank := func(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
-	i, j := 0, len(v)
-	for i < j && blank(v[i]) {
-		i++
-	}
-	for j > i && blank(v[j-1]) {
-		j--
-	}
-	for ; i < j; i++ {
-		if c := v[i]; c == '\r' || c == '\n' {
-			b = append(b, ' ')
-		} else {
-			b = append(b, c)
-		}
-	}
-	return append(b, "\r\n"...)
 }
 
 // replayConn is a declined connection as net/http receives it: the

@@ -110,49 +110,46 @@ func (c *memConn) SetDeadline(time.Time) error      { return nil }
 func (c *memConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *memConn) SetWriteDeadline(time.Time) error { return nil }
 
-// seenRequest is what a handler could observe of a request.
+// seenRequest is what decides what a route reads and how the
+// connection is framed.
 type seenRequest struct {
-	Method, RequestURI, Proto, Host, RemoteAddr string
-	ProtoMajor, ProtoMinor                      int
-	Path, RawPath, RawQuery                     string
-	Header                                      http.Header
-	ContentLength                               int64
-	TransferEncoding                            []string
-	Close                                       bool
-	Body                                        string
-	BodyErr                                     bool // the body ended short
+	Method, Proto           string
+	ProtoMajor, ProtoMinor  int
+	Path, RawPath, RawQuery string
+	ContentLength           int64
+	TransferEncoding        []string
+	Close                   bool
+	Body                    string
+	BodyErr                 bool // the body ended short
 }
 
-// readsBody is whether the test handlers read a request's body: they
-// leave it to the server when the path has an odd length.
-func readsBody(r *http.Request) bool { return len(r.URL.Path)%2 == 0 }
-
+// see is what net/http's reading of a request decides.
 func see(r *http.Request, body []byte, err error) seenRequest {
 	return seenRequest{
-		Method: r.Method, RequestURI: r.RequestURI, Proto: r.Proto, Host: r.Host, RemoteAddr: r.RemoteAddr,
-		ProtoMajor: r.ProtoMajor, ProtoMinor: r.ProtoMinor,
+		Method: r.Method, Proto: r.Proto, ProtoMajor: r.ProtoMajor, ProtoMinor: r.ProtoMinor,
 		Path: r.URL.Path, RawPath: r.URL.RawPath, RawQuery: r.URL.RawQuery,
-		Header: r.Header.Clone(), ContentLength: r.ContentLength,
-		TransferEncoding: r.TransferEncoding, Close: r.Close, Body: string(body), BodyErr: err != nil,
+		ContentLength: r.ContentLength, TransferEncoding: r.TransferEncoding, Close: r.Close,
+		Body: string(body), BodyErr: err != nil,
 	}
 }
 
 // runLoop serves input over a memConn split into chunks, recording what
-// the handler saw and what net/http was handed.
+// the loop decided of each request it served — the route's request, the
+// framing it parsed — and what net/http was handed.
 func runLoop(t *testing.T, input []byte, chunks []int) (seen []seenRequest, handed []byte, wasHanded bool, out []byte) {
 	nc := &memConn{in: input, chunks: chunks}
+	var c *conn
 	s := &server{
 		bounds: defaultBounds,
-		handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			var body []byte
-			var err error
-			if readsBody(r) {
-				body, err = io.ReadAll(r.Body)
-			}
-			seen = append(seen, see(r, body, err))
-			w.Header().Set("Content-Type", "text/plain")
-			_, _ = io.WriteString(w, r.URL.Path)
-		}),
+		route: func(in *request, out *reply) {
+			seen = append(seen, seenRequest{
+				Method: in.method, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+				Path: string(in.path), ContentLength: c.h.clen, Close: c.h.close,
+				Body: string(in.body), BodyErr: in.err != nil,
+			})
+			out.status = http.StatusOK
+			out.body = append(out.body, in.path...)
+		},
 		fallback: func(c net.Conn) {
 			wasHanded = true
 			var err error
@@ -162,13 +159,14 @@ func runLoop(t *testing.T, input []byte, chunks []int) (seen []seenRequest, hand
 		},
 		dropped: func() { t.Fatal("a write to memory failed") },
 	}
-	s.newConn(nc).serve()
+	c = s.newConn(nc)
+	c.serve()
 	return seen, handed, wasHanded, nc.out.Bytes()
 }
 
 // checkLoop holds one run of the loop to net/http's reading of the same
 // bytes: each request the loop served is the one http.ReadRequest reads
-// at that point of the stream — same fields, same body, same length —
+// at that point of the stream — same method, path, framing and body —
 // and what net/http was handed is exactly the rest.
 func checkLoop(t *testing.T, input []byte, chunks []int) {
 	t.Helper()
@@ -180,16 +178,7 @@ func checkLoop(t *testing.T, input []byte, chunks []int) {
 			t.Fatalf("request %d: the loop served it, http.ReadRequest refuses it: %v", i, err)
 		}
 		body, err := io.ReadAll(req.Body)
-		if !readsBody(req) {
-			body, err = nil, nil
-		}
-		delete(req.Header, "Host") // net/http's server moves it to req.Host
-		req.RemoteAddr = "127.0.0.2:4242"
-		want := see(req, body, err)
-		if want.Header == nil {
-			want.Header = http.Header{}
-		}
-		if !reflect.DeepEqual(got, want) {
+		if want := see(req, body, err); !reflect.DeepEqual(got, want) {
 			t.Fatalf("request %d:\n loop     %+v\n net/http %+v", i, got, want)
 		}
 		// net/http skips up to four CR/LF bytes after a POST.
@@ -211,6 +200,15 @@ func checkLoop(t *testing.T, input []byte, chunks []int) {
 	}
 }
 
+// longBody is a recognised request whose body is n bytes long.
+func longBody(n int) string {
+	return fmt.Sprintf("POST /v1/token HTTP/1.1\r\nHost: gw\r\nContent-Length: %d\r\n\r\n%s", n, strings.Repeat("b", n))
+}
+
+// cutHealthz is a request to a route that ignores its body, the body
+// cut short by the client.
+const cutHealthz = "POST /v1/healthz HTTP/1.1\r\nHost: gw\r\nContent-Length: 44\r\n\r\n{\"tok"
+
 func TestLoopReadsAsNetHTTP(t *testing.T) {
 	body := `{"token":"0123456789abcdef0123456789abcdef"}`
 	var all []string
@@ -218,8 +216,18 @@ func TestLoopReadsAsNetHTTP(t *testing.T) {
 		all = append(all, h+body)
 	}
 	pipelined := strings.Join(all, "") + "\r\n" + all[0]
+	// Bodies longer than the loop's buffer, up to its window, alone and
+	// behind and ahead of other requests; a head that ends 20 bytes short
+	// of the buffer's end, its body across it; a body cut short.
+	pre := connBufSize - len(clientHeads[0]) - 20
+	straddle := longBody(pre-len(longBody(1000))+1000) + all[0]
+	bodies := []string{
+		longBody(connBufSize + 1), longBody(maxCanonicalBody),
+		all[0] + longBody(maxCanonicalBody) + all[1], longBody(connBufSize-100) + all[0], straddle,
+		cutHealthz, all[0] + cutHealthz,
+	}
 	for _, chunks := range [][]int{nil, {1}, {7}, {100, 3}} {
-		for _, in := range all {
+		for _, in := range append(all, bodies...) {
 			checkLoop(t, []byte(in), chunks)
 		}
 		checkLoop(t, []byte(pipelined), chunks)
@@ -239,6 +247,17 @@ func TestLoopReadsAsNetHTTP(t *testing.T) {
 	if !bytes.HasSuffix(out, []byte("Connection: close\r\n\r\n/v1/revoke")) {
 		t.Fatalf("the closing request's response does not say so:\n%s", out)
 	}
+	// A buffer grown for a long body still takes no head over 4 KiB.
+	if _, _, wasHanded, _ := runLoop(t, []byte(longBody(maxCanonicalBody)+declinedHeads["oversized head"]), nil); !wasHanded {
+		t.Fatal("an oversized head behind a long body was not handed off")
+	}
+	// The cut body is answered, and the connection then ends at the
+	// client's EOF, with no field saying so: net/http's reading too.
+	seen, _, wasHanded, out = runLoop(t, []byte(cutHealthz), nil)
+	if len(seen) != 1 || !seen[0].BodyErr || wasHanded || bytes.Count(out, []byte("HTTP/1.1 ")) != 1 ||
+		bytes.Contains(out, []byte("Connection: close")) {
+		t.Fatalf("cut body: served %+v, handed off %v, wrote:\n%s", seen, wasHanded, out)
+	}
 }
 
 // FuzzServeConn: on any bytes, in any read sizes, the loop never
@@ -254,6 +273,10 @@ func FuzzServeConn(f *testing.F) {
 		f.Add([]byte(clientHeads[0]+body+"\n\r"+in), uint8(5))
 	}
 	f.Add([]byte("POST /a HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n\r\n\r\n\r\nPOST /b HTTP/1.1\r\nHost: x\r\nContent-Length: 1\r\n\r\nz"), uint8(3))
+	f.Add([]byte(clientHeads[0]+body+longBody(maxCanonicalBody)+clientHeads[1]+body), uint8(1))
+	f.Add([]byte(longBody(connBufSize+1)), uint8(7))
+	f.Add([]byte(longBody(connBufSize-len(clientHeads[0])-78)+clientHeads[0]+body), uint8(0))
+	f.Add([]byte(clientHeads[0]+body+cutHealthz), uint8(0))
 	f.Fuzz(func(t *testing.T, input []byte, chunk uint8) {
 		var chunks []int
 		if chunk > 0 {
@@ -263,15 +286,15 @@ func FuzzServeConn(f *testing.F) {
 	})
 }
 
-// TestLoopPanicClosesConnection: a handler's panic is logged as
-// net/http logs it, nothing is written, and the connection closes.
+// TestLoopPanicClosesConnection: a route's panic is logged as net/http
+// logs it, nothing is written, and the connection closes.
 func TestLoopPanicClosesConnection(t *testing.T) {
 	var logged bytes.Buffer
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(&logged)
 	s := &server{
 		bounds:   defaultBounds,
-		handler:  http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("boom") }),
+		route:    func(*request, *reply) { panic("boom") },
 		fallback: func(net.Conn) { t.Fatal("handed off") },
 		dropped:  func() {},
 	}
@@ -291,9 +314,10 @@ func TestLoopPanicClosesConnection(t *testing.T) {
 func TestGoClientStaysOnTheLoop(t *testing.T) {
 	s := &server{
 		bounds: defaultBounds,
-		handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			_, _ = io.Copy(w, r.Body)
-		}),
+		route: func(in *request, out *reply) {
+			out.status = http.StatusOK
+			out.body = append(out.body, in.body...)
+		},
 		fallback: func(net.Conn) { t.Error("Go's client was handed to net/http") },
 		dropped:  func() {},
 	}

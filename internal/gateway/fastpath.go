@@ -3,11 +3,8 @@ package gateway
 import (
 	"encoding/base64"
 	"encoding/json"
-	"io"
 	"math"
-	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"oasis/internal/cert"
@@ -17,91 +14,18 @@ import (
 
 // The bodies of the hot routes — introspection, its twin
 // revoke-by-token, and role entry — are handled without reflection: the
-// request is recognised in place in a pooled buffer and the response is
-// appended to the same buffer by hand. Both halves are exact or absent:
-// a request the scanner does not accept is replayed through decode, a
+// request is recognised in place, where the body was read, and the
+// response is appended to the reply by hand. Both halves are exact or
+// absent: a request the scanner does not accept goes to decode, a
 // response the appender cannot render goes to writeJSON and a string it
 // cannot copy verbatim through json.Marshal, so the wire format has one
 // definition (encoding/json) and this file only short-cuts the inputs
 // it can prove equivalent (FuzzIntrospectBody, FuzzTokenBody,
-// TestAppendMatchesEncoder, TestWireShapeMatchesStructs).
-
-// maxCanonicalBody is the largest declared body the scanner reads;
-// anything longer is decode's business.
-const maxCanonicalBody = 16 << 10
-
-// maxPooledBuf keeps one outsized body or response from pinning its
-// buffer in the pool forever.
-const maxPooledBuf = 64 << 10
-
-// bufPool holds request/response scratch. A buffer starts with room for
-// an everyday body and its answer and readBody grows it for a longer
-// one; pointers are pooled so Put does not allocate.
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 5<<10)
-	return &b
-}}
-
-func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-func putBuf(bp *[]byte) {
-	if cap(*bp) <= maxPooledBuf {
-		bufPool.Put(bp)
-	}
-}
-
-// readBody reads a body of declared length 1..maxCanonicalBody into
-// the buffer and offers it to recognise. If that accepts, *bp holds the
-// body — whatever recognise kept of it aliases the buffer, which the
-// caller may append to from there on. Otherwise *bp is empty and r.Body
-// yields exactly what the original would have — the bytes already read,
-// then the error that ended the read; a chunked, empty or over-long
-// body is not read at all — so decode answers as if nothing had been
-// read.
-func readBody(r *http.Request, bp *[]byte, recognise func(body []byte) bool) bool {
-	*bp = (*bp)[:0]
-	if r.ContentLength <= 0 || r.ContentLength > maxCanonicalBody {
-		return false
-	}
-	if int64(cap(*bp)) < r.ContentLength {
-		*bp = make([]byte, 0, r.ContentLength+1024)
-	}
-	buf := (*bp)[:r.ContentLength]
-	var n int
-	var err error
-	for n < len(buf) && err == nil {
-		var m int
-		m, err = r.Body.Read(buf[n:])
-		n += m
-	}
-	if n == len(buf) {
-		if recognise(buf) {
-			*bp = buf
-			return true
-		}
-		err = io.EOF
-	}
-	r.Body = &replayBody{data: buf[:n], err: err}
-	return false
-}
-
-// replayBody yields bytes already read off a request body, then the
-// error the original body ended with.
-type replayBody struct {
-	data []byte
-	err  error
-}
-
-func (b *replayBody) Read(p []byte) (int, error) {
-	if len(b.data) == 0 {
-		return 0, b.err
-	}
-	n := copy(p, b.data)
-	b.data = b.data[n:]
-	return n, nil
-}
-
-func (b *replayBody) Close() error { return nil }
+// TestAppendMatchesEncoder, TestWireShapeMatchesStructs). A body that
+// ended short of its length is offered like a whole one: the decoder
+// stops at the end of the first value and the scanner accepts nothing
+// but whitespace after it, so on a body the scanner accepts the decoder
+// never reaches the error.
 
 // scanner recognises, in one pass and in place, the bodies decode is
 // known to read exactly as it does: objects whose keys are the schema's
@@ -208,7 +132,7 @@ func (s *scanner) str() ([]byte, bool) {
 }
 
 // text scans a string into a copy of its own: certificates and tokens
-// outlive the request, the pooled buffer does not.
+// outlive the request, its body does not.
 func (s *scanner) text(dst *string) bool {
 	lit, ok := s.str()
 	*dst = string(lit)
@@ -276,17 +200,6 @@ func canonicalToken(b []byte) ([]byte, bool) {
 		return tok, true
 	}
 	return nil, false
-}
-
-// readToken is readBody for the canonical token body; the token aliases
-// the buffer.
-func readToken(r *http.Request, bp *[]byte) ([]byte, bool) {
-	var tok []byte
-	ok := readBody(r, bp, func(body []byte) (ok bool) {
-		tok, ok = canonicalToken(body)
-		return ok
-	})
-	return tok, ok
 }
 
 // tokenRequest recognises a whole TokenRequest body.

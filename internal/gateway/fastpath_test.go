@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -21,9 +22,20 @@ import (
 
 // The introspection fast path is allowed to exist only as long as it
 // is indistinguishable from encoding/json. These tests hold the
-// reference: the handler as it stood before the fast path — decode,
-// then the reflective encoder through a bytes.Buffer — kept here and
-// nowhere else.
+// reference: the handler as it stood before the fast path — decode from
+// net/http's body reader, then the reflective encoder through a
+// bytes.Buffer — kept here and nowhere else.
+
+// referenceDecode is decode as it read a request before routes took
+// the body's bytes: one bounded JSON value from the body reader.
+func referenceDecode(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("malformed request body: %w", err)
+	}
+	return nil
+}
 
 func referenceWriteJSON(w http.ResponseWriter, status int, v any) {
 	var buf bytes.Buffer
@@ -38,7 +50,7 @@ func referenceWriteJSON(w http.ResponseWriter, status int, v any) {
 
 func referenceIntrospect(g *Gateway, w http.ResponseWriter, r *http.Request) {
 	var req IntrospectRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := referenceDecode(w, r, &req); err != nil {
 		referenceWriteJSON(w, http.StatusBadRequest, ErrorResponse{Err: "invalid_request", Desc: err.Error()})
 		return
 	}
@@ -171,10 +183,11 @@ func FuzzIntrospectBody(f *testing.F) {
 }
 
 // TestReadTokenReplaysShortBody: a body that ends before its declared
-// length reaches decode as the same bytes and the same error.
+// length reaches decode as the same bytes and the same error, and one
+// the scanner accepts answers as the reference does.
 func TestReadTokenReplaysShortBody(t *testing.T) {
 	g := fuzzGateway(t)
-	for _, sent := range []string{"", " ", `{"token":"` + plainToken} {
+	for _, sent := range []string{"", " ", `{"token":"` + plainToken, `{"token":"` + plainToken + `"} `} {
 		mk := func() *http.Request {
 			r := httptest.NewRequest(http.MethodPost, "/v1/introspect", strings.NewReader(sent))
 			r.ContentLength = int64(len(sent)) + 7

@@ -33,12 +33,20 @@
 // the only waits a request can meet are on a peer, and internal/bus
 // bounds those itself (an issuer that does not answer a validation
 // within bus.CallDeadline becomes a 503 "timeout").
+//
+// A route reads the method, the path, the client's address and the
+// body's bytes (request) and fills a reply. It is called from two places
+// only: Serve's loop, for the requests it frames itself (conn.go), and
+// Handler, the one adapter from net/http, for everything else.
 package gateway
 
 import (
 	"crypto/rand"
 	"io"
 	"net/http"
+	"slices"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -73,14 +81,11 @@ type Options struct {
 	// backpressure.
 	Pressure      func() int
 	PressureLimit int
-
-	// RetryAfter is the hint returned with 429 and 503 responses when
-	// no better estimate exists; 0 means DefaultRetryAfter.
-	RetryAfter time.Duration
 }
 
-// DefaultRetryAfter is the Retry-After hint when Options gives none.
-const DefaultRetryAfter = 2 * time.Second
+// shedRetryAfter is the Retry-After hint of a request shed under
+// backpressure, which has no better estimate.
+const shedRetryAfter = 2 * time.Second
 
 // timeoutBody answers (503) a request whose issuer did not answer
 // within bus.CallDeadline.
@@ -93,9 +98,6 @@ type Gateway struct {
 	tokens *tokenStore
 	limit  *rateLimiter
 	opts   Options
-
-	// The guarded routes.
-	tokenRoute, introspectRoute, revokeRoute http.HandlerFunc
 
 	// droppedWrites counts responses the client went away before
 	// receiving.
@@ -114,9 +116,6 @@ func New(svc *oasis.Service, opts Options) *Gateway {
 	if opts.Clock == nil {
 		opts.Clock = svc.Clock()
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = DefaultRetryAfter
-	}
 	g := &Gateway{
 		svc:    svc,
 		clk:    opts.Clock,
@@ -134,71 +133,207 @@ func New(svc *oasis.Service, opts Options) *Gateway {
 		}
 		g.limit = newRateLimiter(opts.RatePerSec, burst, g.clk)
 	}
-	g.tokenRoute = g.guard(g.handleToken, true)
-	g.introspectRoute = g.guard(g.handleIntrospect, false)
-	g.revokeRoute = g.guard(g.handleRevoke, true)
 	return g
 }
 
+// request is what a route reads of an HTTP request: the method, the
+// path, the client's address, and the body as it was read — the bytes,
+// then the error that ended them short of Content-Length (nil when
+// whole). path and body belong to the caller and are valid only until
+// the route returns.
+type request struct {
+	method, remote string
+	path, body     []byte
+	err            error
+}
+
+// exchange is Handler's request and reply, pooled with their buffers.
+type exchange struct {
+	in  request
+	out reply
+}
+
+var exchanges = sync.Pool{New: func() any { return new(exchange) }}
+
+// maxPooledBuf keeps one outsized body or response from pinning its
+// buffer in the pool forever.
+const maxPooledBuf = 64 << 10
+
 // Handler returns the gateway's HTTP handler (connection limiting is
-// Serve's job).
-func (g *Gateway) Handler() http.Handler { return http.HandlerFunc(g.route) }
+// Serve's job): the one adapter from net/http to the routes, used by
+// Serve's fallback and by in-process callers. It reads the body, calls
+// the route, and writes the reply.
+func (g *Gateway) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ex := exchanges.Get().(*exchange)
+		in, out := &ex.in, &ex.out
+		in.method, in.remote = r.Method, r.RemoteAddr
+		in.path = append(in.path[:0], r.URL.Path...)
+		in.body, in.err = requestBody(w, r, in.body[:0])
+		out.reset()
+		g.route(in, out)
+		if err := out.send(w); err != nil {
+			g.droppedWrites.Add(1) // the client is gone: all there is to do is count it
+		}
+		if cap(in.body) <= maxPooledBuf && cap(out.body) <= maxPooledBuf {
+			exchanges.Put(ex)
+		}
+	})
+}
+
+// requestBody appends r's body to b as the bounded decoder always read
+// it: Content-Length bytes when the length is declared within the
+// 1 MiB bound, and otherwise up to that bound, where
+// http.MaxBytesReader ends the body with its error (and has net/http
+// close the connection).
+func requestBody(w http.ResponseWriter, r *http.Request, b []byte) ([]byte, error) {
+	src, n := r.Body, r.ContentLength
+	declared := n > 0 && n <= maxBodyBytes
+	if !declared {
+		src, n = http.MaxBytesReader(w, r.Body, maxBodyBytes), maxBodyBytes+1
+	}
+	for int64(len(b)) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, int(min(n-int64(len(b)), 4<<10)))
+		}
+		m, err := src.Read(b[len(b):min(int64(cap(b)), n)])
+		b = b[:len(b)+m]
+		if err != nil && int64(len(b)) < n {
+			if err == io.EOF && !declared {
+				err = nil
+			}
+			return b, err
+		}
+	}
+	return b, nil
+}
 
 // route dispatches on the exact path: four fixed routes need no
-// pattern matcher.
-func (g *Gateway) route(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/v1/introspect":
-		g.introspectRoute(w, r)
-	case "/v1/token":
-		g.tokenRoute(w, r)
-	case "/v1/revoke":
-		g.revokeRoute(w, r)
-	case "/v1/healthz":
-		g.handleHealth(w, r)
-	default:
-		http.NotFound(w, r)
-	}
-}
-
-// saturated reports whether the notification plane is at or past the
-// configured pressure limit.
-func (g *Gateway) saturated() bool {
-	return g.opts.Pressure != nil && g.opts.PressureLimit > 0 &&
-		g.opts.Pressure() >= g.opts.PressureLimit
-}
-
-// guard wraps a handler with the request-admission pipeline: method
-// check, per-client rate limit, and — for mutating endpoints —
+// pattern matcher. Every route but the health check is admitted first:
+// method check, per-client rate limit, and — for the mutating ones —
 // notification-plane backpressure.
-func (g *Gateway) guard(h http.HandlerFunc, mutates bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			g.writeError(w, http.StatusMethodNotAllowed, "invalid_request", "POST only")
-			return
-		}
-		if g.limit != nil {
-			if wait, ok := g.limit.allow(clientKey(r), g.clk.Now()); !ok {
-				retryAfter(w, wait)
-				g.writeError(w, http.StatusTooManyRequests, "rate_limited",
-					"per-client request budget exhausted; honour Retry-After")
-				return
-			}
-		}
-		if mutates && g.saturated() {
-			retryAfter(w, g.opts.RetryAfter)
-			g.writeError(w, http.StatusServiceUnavailable, "overloaded",
-				"notification plane saturated; honour Retry-After")
-			return
-		}
-		h(w, r)
+func (g *Gateway) route(in *request, out *reply) {
+	var handle func(*request, *reply)
+	mutates := true
+	switch string(in.path) {
+	case "/v1/introspect":
+		handle, mutates = g.handleIntrospect, false
+	case "/v1/token":
+		handle = g.handleToken
+	case "/v1/revoke":
+		handle = g.handleRevoke
+	case "/v1/healthz":
+		g.writeJSON(out, http.StatusOK, map[string]any{
+			"service": g.svc.Name(),
+			"tokens":  g.tokens.len(),
+		})
+		return
+	default:
+		out.httpError(http.StatusNotFound, "404 page not found")
+		return
 	}
+	if in.method != http.MethodPost {
+		out.allow = true
+		g.writeError(out, http.StatusMethodNotAllowed, "invalid_request", "POST only")
+		return
+	}
+	if g.limit != nil {
+		if wait, ok := g.limit.allow(clientKey(in.remote), g.clk.Now()); !ok {
+			out.retryAfter = wait
+			g.writeError(out, http.StatusTooManyRequests, "rate_limited",
+				"per-client request budget exhausted; honour Retry-After")
+			return
+		}
+	}
+	if mutates && g.opts.Pressure != nil && g.opts.PressureLimit > 0 &&
+		g.opts.Pressure() >= g.opts.PressureLimit {
+		out.retryAfter = shedRetryAfter
+		g.writeError(out, http.StatusServiceUnavailable, "overloaded",
+			"notification plane saturated; honour Retry-After")
+		return
+	}
+	handle(in, out)
 }
 
-func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
-	g.writeJSON(w, http.StatusOK, map[string]any{
-		"service": g.svc.Name(),
-		"tokens":  g.tokens.len(),
-	})
+// reply is a route's answer: the status, the few fields routes set, and
+// the body. Every reply frames itself with Content-Length: net/http
+// infers one only while a body fits its 2 KiB pre-chunking buffer, and a
+// token response carrying a certificate with long arguments does not.
+type reply struct {
+	status     int
+	allow      bool          // Allow: POST (405)
+	retryAfter time.Duration // Retry-After (429, 503), rounded up to whole seconds; 0 for none
+	plain      bool          // http.Error's text/plain with nosniff, not JSON
+	body       []byte
+}
+
+func (o *reply) reset() { *o = reply{body: o.body[:0]} }
+
+// httpError is http.Error's reply: the text and a newline.
+func (o *reply) httpError(status int, text string) {
+	o.status, o.plain = status, true
+	o.body = append(append(o.body[:0], text...), '\n')
+}
+
+// retrySeconds is the Retry-After value: whole seconds, at least one.
+func (o *reply) retrySeconds() int64 {
+	return max(int64((o.retryAfter+time.Second-1)/time.Second), 1)
+}
+
+// The field values send shares: net/http reads header values and never
+// writes to them.
+var (
+	jsonContentType  = []string{"application/json"}
+	plainContentType = []string{"text/plain; charset=utf-8"}
+	nosniff          = []string{"nosniff"}
+	postOnly         = []string{http.MethodPost}
+)
+
+// send writes the reply to net/http's writer. render must produce what
+// net/http then sends.
+func (o *reply) send(w http.ResponseWriter) error {
+	h := w.Header()
+	if o.allow {
+		h["Allow"] = postOnly
+	}
+	h["Content-Length"] = []string{strconv.Itoa(len(o.body))}
+	h["Content-Type"] = jsonContentType
+	if o.plain {
+		h["Content-Type"], h["X-Content-Type-Options"] = plainContentType, nosniff
+	}
+	if o.retryAfter > 0 {
+		h["Retry-After"] = []string{strconv.FormatInt(o.retrySeconds(), 10)}
+	}
+	w.WriteHeader(o.status)
+	_, err := w.Write(o.body)
+	return err
+}
+
+// render appends the reply as net/http sends what send writes: the
+// status line, send's fields sorted by name, Date, and Connection: close
+// when the connection closes after it.
+func (o *reply) render(b, date []byte, closing bool) []byte {
+	b = strconv.AppendInt(append(b, "HTTP/1.1 "...), int64(o.status), 10)
+	b = append(append(append(b, ' '), http.StatusText(o.status)...), "\r\n"...)
+	if o.allow {
+		b = append(b, "Allow: POST\r\n"...)
+	}
+	b = strconv.AppendInt(append(b, "Content-Length: "...), int64(len(o.body)), 10)
+	if o.plain {
+		b = append(b, "\r\nContent-Type: text/plain; charset=utf-8\r\n"...)
+	} else {
+		b = append(b, "\r\nContent-Type: application/json\r\n"...)
+	}
+	if o.retryAfter > 0 {
+		b = strconv.AppendInt(append(b, "Retry-After: "...), o.retrySeconds(), 10)
+		b = append(b, "\r\n"...)
+	}
+	if o.plain {
+		b = append(b, "X-Content-Type-Options: nosniff\r\n"...)
+	}
+	b = append(append(append(b, "Date: "...), date...), "\r\n"...)
+	if closing {
+		b = append(b, "Connection: close\r\n"...)
+	}
+	return append(append(b, "\r\n"...), o.body...)
 }

@@ -1,11 +1,13 @@
 package gateway
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"oasis/internal/bus"
@@ -97,70 +99,32 @@ type ErrorResponse struct {
 	Desc string `json:"error_description,omitempty"`
 }
 
-// jsonContentType is the one Content-Type value, shared by every
-// response: net/http reads header values and never writes to them.
-var jsonContentType = []string{"application/json"}
-
-// respond writes one complete JSON body. The framing is explicit:
-// net/http only infers Content-Length while a body fits its 2 KiB
-// pre-chunking buffer, and a token response carrying a certificate
-// with long arguments does not. A body-write failure means the client
-// is gone — the only way a ResponseWriter.Write error can be "handled"
-// is to account for it.
-func (g *Gateway) respond(w http.ResponseWriter, status int, body []byte) {
-	h := w.Header()
-	h["Content-Type"] = jsonContentType
-	h["Content-Length"] = []string{strconv.Itoa(len(body))}
-	w.WriteHeader(status)
-	if _, err := w.Write(body); err != nil {
-		g.droppedWrites.Add(1)
-	}
-}
-
-// writeJSON encodes v, then writes status and body. Encoding first
+// writeJSON encodes v as the body, then sets the status. Encoding first
 // means an encode failure can still become a 500 instead of a torn
 // 200.
-func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
-	bp := getBuf()
-	defer putBuf(bp)
-	*bp = (*bp)[:0]
-	if err := json.NewEncoder((*appendWriter)(bp)).Encode(v); err != nil {
-		http.Error(w, `{"error":"server_error"}`, http.StatusInternalServerError)
+func (g *Gateway) writeJSON(out *reply, status int, v any) {
+	buf := bytes.NewBuffer(out.body[:0])
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		out.httpError(http.StatusInternalServerError, `{"error":"server_error"}`)
 		return
 	}
-	g.respond(w, status, *bp)
+	out.status, out.body = status, buf.Bytes()
 }
 
-// appendWriter lets an encoder append to a pooled buffer.
-type appendWriter []byte
-
-func (a *appendWriter) Write(p []byte) (int, error) {
-	*a = append(*a, p...)
-	return len(p), nil
+func (g *Gateway) writeError(out *reply, status int, code, desc string) {
+	g.writeJSON(out, status, ErrorResponse{Err: code, Desc: desc})
 }
 
-func (g *Gateway) writeError(w http.ResponseWriter, status int, code, desc string) {
-	g.writeJSON(w, status, ErrorResponse{Err: code, Desc: desc})
+// ackRevoke acknowledges a revocation.
+func ackRevoke(out *reply) {
+	out.status = http.StatusOK
+	out.body = appendRevokeResponse(out.body[:0], RevokeResponse{OK: true})
 }
 
-// ackRevoke acknowledges a revocation, rendering into scratch.
-func (g *Gateway) ackRevoke(w http.ResponseWriter, scratch []byte) {
-	g.respond(w, http.StatusOK, appendRevokeResponse(scratch, RevokeResponse{OK: true}))
-}
-
-// retryAfter sets the Retry-After header, rounded up to whole seconds
-// (the header's granularity).
-func retryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-}
-
-// decode reads one bounded JSON body into v.
-func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decode reads one JSON value from the body into v: the body's bytes,
+// then the error that ended them.
+func decode(in *request, v any) error {
+	dec := json.NewDecoder(io.MultiReader(bytes.NewReader(in.body), errReader{cmp.Or(in.err, io.EOF)}))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("malformed request body: %w", err)
@@ -168,51 +132,55 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
+// errReader is a reader that only fails.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
 // engineError maps an engine failure onto the HTTP error vocabulary: an
 // issuer that did not answer in time is a 503 (the credential may be
 // perfectly good), fraud is refused outright, everything else is an
 // invalid grant.
-func (g *Gateway) engineError(w http.ResponseWriter, err error) {
+func (g *Gateway) engineError(out *reply, err error) {
 	if errors.Is(err, bus.ErrCallDeadline) {
-		g.respond(w, http.StatusServiceUnavailable, []byte(timeoutBody))
+		out.status = http.StatusServiceUnavailable
+		out.body = append(out.body[:0], timeoutBody...)
 		return
 	}
 	var verr *oasis.ValidationError
 	if errors.As(err, &verr) {
 		switch verr.Class {
 		case oasis.Fraud:
-			g.writeError(w, http.StatusForbidden, "access_denied", verr.Reason)
+			g.writeError(out, http.StatusForbidden, "access_denied", verr.Reason)
 			return
 		case oasis.Revoked, oasis.Erroneous:
-			g.writeError(w, http.StatusBadRequest, "invalid_grant", verr.Reason)
+			g.writeError(out, http.StatusBadRequest, "invalid_grant", verr.Reason)
 			return
 		}
 	}
-	g.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+	g.writeError(out, http.StatusBadRequest, "invalid_request", err.Error())
 }
 
 // handleToken performs role entry and mints an opaque token bound to
 // the issued certificate. It takes the bodies the scanner recognises
-// through readBody and appendTokenResponse, everything else through
+// through tokenRequest and appendTokenResponse, everything else through
 // decode and writeJSON.
-func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
-	bp := getBuf()
-	defer putBuf(bp)
+func (g *Gateway) handleToken(in *request, out *reply) {
 	var req TokenRequest
-	if !readBody(r, bp, func(body []byte) bool { return tokenRequest(body, &req) }) {
+	if !tokenRequest(in.body, &req) {
 		var decoded TokenRequest // whatever a failed scan left in req is dropped
-		if err := decode(w, r, &decoded); err != nil {
-			g.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+		if err := decode(in, &decoded); err != nil {
+			g.writeError(out, http.StatusBadRequest, "invalid_request", err.Error())
 			return
 		}
 		req = decoded
 	}
 	if req.Role == "" {
-		g.writeError(w, http.StatusBadRequest, "invalid_request", "role is required")
+		g.writeError(out, http.StatusBadRequest, "invalid_request", "role is required")
 		return
 	}
 	if req.Client.IsZero() {
-		g.writeError(w, http.StatusBadRequest, "invalid_request", "client identity is required")
+		g.writeError(out, http.StatusBadRequest, "invalid_request", "client identity is required")
 		return
 	}
 	rmc, err := g.svc.Enter(oasis.EnterRequest{
@@ -224,13 +192,13 @@ func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
 		Delegation: req.Delegation,
 	})
 	if err != nil {
-		g.engineError(w, err)
+		g.engineError(out, err)
 		return
 	}
 	now := g.clk.Now()
 	id, err := g.tokens.mint(rmc, now, g.svc.Store())
 	if err != nil {
-		g.writeError(w, http.StatusInternalServerError, "server_error", err.Error())
+		g.writeError(out, http.StatusInternalServerError, "server_error", err.Error())
 		return
 	}
 	res := TokenResponse{
@@ -245,14 +213,12 @@ func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
 	if !rmc.Expiry.IsZero() {
 		res.ExpiresIn = int64(rmc.Expiry.Sub(now) / time.Second)
 	}
-	// Nothing of the request aliases the buffer: render over it.
-	body, ok := appendTokenResponse((*bp)[:0], &res)
-	*bp = body
+	body, ok := appendTokenResponse(out.body[:0], &res)
 	if !ok {
-		g.writeJSON(w, http.StatusOK, res)
+		g.writeJSON(out, http.StatusOK, res)
 		return
 	}
-	g.respond(w, http.StatusOK, body)
+	out.status, out.body = http.StatusOK, body
 }
 
 // handleIntrospect answers a token's status live from the credential
@@ -260,28 +226,25 @@ func (g *Gateway) handleToken(w http.ResponseWriter, r *http.Request) {
 // introspections flips the answer with no gateway-side invalidation. A
 // token-table read plus Service.ValidateHeld of a certificate this
 // service issued never leaves the process, so there is nothing to wait
-// for. It takes the canonical body through readBody and
+// for. It takes the canonical body through canonicalToken and
 // appendIntrospectResponse, everything else through decode.
-func (g *Gateway) handleIntrospect(w http.ResponseWriter, r *http.Request) {
-	bp := getBuf()
-	defer putBuf(bp)
-	tok, ok := readToken(r, bp)
+func (g *Gateway) handleIntrospect(in *request, out *reply) {
+	tok, ok := canonicalToken(in.body)
 	if !ok {
 		var req IntrospectRequest
-		if err := decode(w, r, &req); err != nil {
-			g.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+		if err := decode(in, &req); err != nil {
+			g.writeError(out, http.StatusBadRequest, "invalid_request", err.Error())
 			return
 		}
 		if req.Token == "" {
-			g.writeError(w, http.StatusBadRequest, "invalid_request", "token is required")
+			g.writeError(out, http.StatusBadRequest, "invalid_request", "token is required")
 			return
 		}
 		tok = []byte(req.Token)
 	}
 	res := g.introspect(tok)
-	n := len(*bp)
-	*bp = appendIntrospectResponse(*bp, &res)
-	g.respond(w, http.StatusOK, (*bp)[n:])
+	out.status = http.StatusOK
+	out.body = appendIntrospectResponse(out.body[:0], &res)
 }
 
 // introspect is the live answer for one token. The gateway keeps no
@@ -328,29 +291,25 @@ func (g *Gateway) introspect(tok []byte) IntrospectResponse {
 // handleRevoke routes a revocation through the engine. RFC 7009
 // semantics: unknown and already-revoked tokens acknowledge with 200 —
 // the caller's goal (the token is dead) already holds.
-func (g *Gateway) handleRevoke(w http.ResponseWriter, r *http.Request) {
-	bp := getBuf()
-	defer putBuf(bp)
-	tok, ok := readToken(r, bp)
-	scratch := (*bp)[len(*bp):]
-	if ok {
-		g.revokeToken(w, tok, scratch)
+func (g *Gateway) handleRevoke(in *request, out *reply) {
+	if tok, ok := canonicalToken(in.body); ok {
+		g.revokeToken(out, tok)
 		return
 	}
 	var req RevokeRequest
-	if err := decode(w, r, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+	if err := decode(in, &req); err != nil {
+		g.writeError(out, http.StatusBadRequest, "invalid_request", err.Error())
 		return
 	}
 	switch {
 	case req.Revocation != nil:
-		g.revokeByCertificate(w, req.Revocation, scratch)
+		g.revokeByCertificate(out, req.Revocation)
 	case req.RevokerToken != "":
-		g.revokeByRole(w, req, scratch)
+		g.revokeByRole(out, req)
 	case req.Token != "":
-		g.revokeToken(w, []byte(req.Token), scratch)
+		g.revokeToken(out, []byte(req.Token))
 	default:
-		g.writeError(w, http.StatusBadRequest, "invalid_request",
+		g.writeError(out, http.StatusBadRequest, "invalid_request",
 			"one of token, revocation, revoker_token is required")
 	}
 }
@@ -359,43 +318,43 @@ func (g *Gateway) handleRevoke(w http.ResponseWriter, r *http.Request) {
 // secret has rolled out is already invalid: RFC 7009 §2.2 acknowledges
 // it, and its credential record, which may back other certificates,
 // is left alone.
-func (g *Gateway) revokeToken(w http.ResponseWriter, tok, scratch []byte) {
+func (g *Gateway) revokeToken(out *reply, tok []byte) {
 	rec, ok := g.tokens.lookup(tok)
 	if !ok {
-		g.ackRevoke(w, scratch)
+		ackRevoke(out)
 		return
 	}
 	if !alreadyDead(g.svc.Store(), rec.held.Cert().CRR) {
 		if err := g.svc.RevokeHeld(rec.held); err != nil && !rolledOut(err) {
-			g.engineError(w, err)
+			g.engineError(out, err)
 			return
 		}
 	}
 	g.tokens.remove(string(tok))
-	g.ackRevoke(w, scratch)
+	ackRevoke(out)
 }
 
 // revokeByCertificate honours a signed revocation certificate (§4.4).
-func (g *Gateway) revokeByCertificate(w http.ResponseWriter, rev *cert.Revocation, scratch []byte) {
+func (g *Gateway) revokeByCertificate(out *reply, rev *cert.Revocation) {
 	if !alreadyDead(g.svc.Store(), rev.TargetCRR) {
 		if err := g.svc.Revoke(rev); err != nil {
-			g.engineError(w, err)
+			g.engineError(out, err)
 			return
 		}
 	}
-	g.ackRevoke(w, scratch)
+	ackRevoke(out)
 }
 
 // revokeByRole performs role-based revocation: the revoker's token
 // stands in for their certificate.
-func (g *Gateway) revokeByRole(w http.ResponseWriter, req RevokeRequest, scratch []byte) {
+func (g *Gateway) revokeByRole(out *reply, req RevokeRequest) {
 	rec, ok := g.tokens.lookup([]byte(req.RevokerToken))
 	if !ok {
-		g.writeError(w, http.StatusForbidden, "access_denied", "unknown revoker token")
+		g.writeError(out, http.StatusForbidden, "access_denied", "unknown revoker token")
 		return
 	}
 	if req.Role == "" {
-		g.writeError(w, http.StatusBadRequest, "invalid_request", "role is required")
+		g.writeError(out, http.StatusBadRequest, "invalid_request", "role is required")
 		return
 	}
 	// The revoker's certificate is presented, not held: it is the
@@ -408,13 +367,13 @@ func (g *Gateway) revokeByRole(w http.ResponseWriter, req RevokeRequest, scratch
 		// caller's goal holds. A permissions failure still refuses.
 		if errors.As(err, &verr) && verr.Class == oasis.Erroneous &&
 			g.svc.InstanceRevoked(req.Rolefile, req.Role, req.Args) {
-			g.ackRevoke(w, scratch)
+			ackRevoke(out)
 			return
 		}
-		g.engineError(w, err)
+		g.engineError(out, err)
 		return
 	}
-	g.ackRevoke(w, scratch)
+	ackRevoke(out)
 }
 
 // rolledOut reports a held certificate's Fraud verdict: no client sends

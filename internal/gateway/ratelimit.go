@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -88,10 +87,10 @@ func (l *rateLimiter) allow(key string, now time.Time) (time.Duration, bool) {
 // IP, which is the identity the transport actually authenticates at
 // this layer (certificate-bound identities are enforced downstream by
 // Validate).
-func clientKey(r *http.Request) string {
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
+func clientKey(remote string) string {
+	host, _, err := net.SplitHostPort(remote)
 	if err != nil {
-		return r.RemoteAddr
+		return remote
 	}
 	return host
 }

@@ -34,7 +34,8 @@ var defaultBounds = serveBounds{
 // closes. The listener is wrapped with the connection cap
 // (Options.MaxConns). Each connection gets one goroutine running the
 // serving loop (conn.go), which hands it to one http.Server, with the
-// same handler and bounds, at the first request it does not recognise.
+// same routes (through Handler) and bounds, at the first request it does
+// not recognise.
 // Temporary accept errors are retried as net/http retries them.
 func (g *Gateway) Serve(ln net.Listener) error {
 	if g.opts.MaxConns > 0 {
@@ -69,9 +70,8 @@ func (g *Gateway) server() *server {
 		IdleTimeout:       b.idle,
 	}
 	return &server{
-		handler: srv.Handler,
-		bounds:  b,
-		srv:     srv,
+		route:  g.route,
+		bounds: b,
 		// Serve returns once the one connection is accepted and its
 		// goroutine started; that goroutine keeps it until it closes.
 		fallback: func(nc net.Conn) { _ = srv.Serve(&handoffListener{conn: nc}) },

@@ -27,15 +27,15 @@ import (
 
 // Role entry's hand-written path is held to the same standard as
 // introspection's: indistinguishable from encoding/json or absent. The
-// reference is handleToken as it stood before — decode, then the
-// reflective encoder — kept here and nowhere else.
+// reference is handleToken as it stood before — referenceDecode, then
+// the reflective encoder — kept here and nowhere else.
 
 func referenceToken(g *Gateway, w http.ResponseWriter, r *http.Request) {
 	fail := func(status int, code, desc string) {
 		referenceWriteJSON(w, status, ErrorResponse{Err: code, Desc: desc})
 	}
 	var req TokenRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := referenceDecode(w, r, &req); err != nil {
 		fail(http.StatusBadRequest, "invalid_request", err.Error())
 		return
 	}
@@ -301,7 +301,7 @@ func tokenSeeds(t testing.TB, loggedOn, session, r []byte) [][]byte {
 	}
 	pad := func(n int, body []byte) []byte { return append(bytes.Repeat([]byte(" "), n-len(body)), body...) }
 	return append(seeds,
-		// At the scanner's limit and one past it.
+		// At the serving loop's window and one past it.
 		pad(maxCanonicalBody, session), pad(maxCanonicalBody+1, session))
 }
 
@@ -329,19 +329,20 @@ func compareToken(t *testing.T, got, want *Gateway, body []byte, declared int64)
 	}
 }
 
-// checkScan holds the scanner to decode: whatever it accepts, decode
-// accepts and reads identically, down to nil versus empty.
+// checkScan holds the scanner to referenceDecode: whatever the scanner
+// accepts, the decoder accepts and reads identically, down to nil
+// versus empty.
 func checkScan(t *testing.T, body []byte) (accepted bool) {
 	t.Helper()
 	var got, want TokenRequest
 	buf := bytes.Clone(body)
-	if len(body) > maxCanonicalBody || !tokenRequest(buf, &got) { // readBody offers it nothing longer
+	if !tokenRequest(buf, &got) {
 		return false
 	}
 	for i := range buf {
 		buf[i] = 0xff // nothing decoded may live in the buffer
 	}
-	if err := decode(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/token", bytes.NewReader(body)), &want); err != nil {
+	if err := referenceDecode(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/token", bytes.NewReader(body)), &want); err != nil {
 		t.Fatalf("body %s: scanned as %s, decode refuses it: %v", clip(body), dump(got), err)
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -396,8 +397,8 @@ func FuzzTokenBody(f *testing.F) {
 }
 
 // TestDecodedRequestDoesNotAliasBuffer: certificates and tokens outlive
-// the request, the pooled buffer does not. checkScan overwrites the
-// buffer after the scan and only then compares with decode; the storm's
+// the request, its body's buffer does not. checkScan overwrites the
+// buffer after the scan and only then compares with the decoder; the storm's
 // bodies and the golden vectors' must be among those it scanned, or the
 // fast path is not serving the traffic it was built for.
 func TestDecodedRequestDoesNotAliasBuffer(t *testing.T) {
