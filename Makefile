@@ -21,7 +21,7 @@ help:
 	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, one http.Server (the gateway loop's fallback), one net/http adapter in the gateway (Handler), every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, one http.Server (the gateway loop's fallback), one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -153,6 +153,13 @@ vet:
 # path and the body's bytes and fills a reply, so among the gateway's
 # non-test files only gateway.go, where Handler lives, names
 # *http.Request or http.ResponseWriter.
+# One way an authority's word reaches a record that mirrors it:
+# Recorder.Apply, a batch of changes in one critical section per
+# shard. The engine's applyRemote and the sharded store's bridge
+# fan-out both write through it, so the resync entry type beside
+# credrec.Change, the bridges' own mirror and a MakePermanent in the
+# engine stay out (the *Store keeps MakePermanent for journal replay).
+# Every tracked .go file is gofmt-clean.
 # The closing loops hold the documents to the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
 # DESIGN.md's experiment index, README.md or docs/*.md must be a func in
 # some _test.go (a trailing * matches a prefix), and every
@@ -183,6 +190,9 @@ lint: reach
 		| grep -vx internal/gateway/server.go
 	! grep -rlE '\*http\.Request|http\.ResponseWriter' --include='*.go' --exclude='*_test.go' internal/gateway \
 		| grep -vx internal/gateway/gateway.go
+	! grep -rnE '\bResyncEntry\b|\.mirror\(' --include='*.go' internal/ cmd/
+	! grep -rn 'MakePermanent' --include='*.go' --exclude='*_test.go' internal/oasis
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	! test -e cmd/benchharness
 	test "$$(ls *_test.go | wc -l)" -eq 1
 	@index() { sed -n '/^## Experiment index/,/^## Concurrency model/p' DESIGN.md; }; fail=; \

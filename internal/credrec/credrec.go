@@ -338,7 +338,7 @@ func (st *Store) NewFact(s State) Ref {
 
 // NewExternal creates a surrogate record for a fact held by another
 // service (§4.9.1). Its state is maintained by event notification via
-// SetState; source records where the remote fact lives.
+// Apply; source records where the remote fact lives.
 func (st *Store) NewExternal(source string, s State) Ref {
 	if st.lock() != nil {
 		return Ref{}
@@ -538,7 +538,8 @@ func (st *Store) Invalidate(ref Ref) error {
 	return st.refOp(opInvalidate, ref, func(r *record) bool { st.transition(r, False, true); return true })
 }
 
-// MakePermanent freezes a record at its current state.
+// MakePermanent freezes a record at its current state: the replay of a
+// journal's opPermanent.
 func (st *Store) MakePermanent(ref Ref) error {
 	return st.refOp(opPermanent, ref, func(r *record) bool { st.transition(r, r.state, true); return true })
 }
@@ -561,34 +562,37 @@ func (st *Store) refOp(opcode byte, ref Ref, apply func(*record) bool) error {
 	return st.unlock()
 }
 
-// mirror sets the surrogate ref to a remote parent's (state,
-// permanence): the sharded store's bridge fan-out, in one critical
-// section. It is journaled as the entry-point operations that replay to
-// it, and it alone is applied past a fail-stopped journal — a dead
-// shard must still stop validating what a live one revoked. A surrogate
-// that is swept, final or already there is left alone (a sticky
-// permanent False must not be overwritten, the same rule as the wire
-// protocol's applyRemote), so mirroring onto consistent shards
-// journals nothing.
-func (st *Store) mirror(ref Ref, s State, perm bool) {
+// Apply writes what an authority says of records this store mirrors:
+// each change sets its record's state, frozen when Permanent, and a
+// permanent False is an invalidation. The batch is one critical section
+// with one drain and one observer call, journaled as the entry-point
+// operations that replay to it. A record that is swept, final or
+// already there is left alone (a sticky permanent False must not be
+// overwritten), so re-applying what the store holds journals nothing.
+// Apply is taken past a fail-stopped journal: a dead store must still
+// stop validating what its authority revoked, and what it holds only in
+// memory is read back from the authority at recovery. It returns the
+// journal failure that left a record short of stable storage.
+func (st *Store) Apply(changes []Change) error {
 	st.enter()
-	r, err := st.getMut(ref)
-	switch {
-	case err != nil || r.permanent || (r.state == s && !perm):
-	case perm && s == False:
-		st.transition(r, False, true)
-		st.j.refOp(opInvalidate, ref)
-	default:
-		if r.state != s {
-			st.transition(r, s, false)
-			st.j.refOp(opSet, ref, uint64(s))
+	for _, c := range changes {
+		r, err := st.getMut(c.Ref)
+		switch {
+		case err != nil || r.permanent || (r.state == c.State && !c.Permanent):
+			continue
+		case c.Permanent && c.State == False:
+			st.j.refOp(opInvalidate, c.Ref)
+		default:
+			if r.state != c.State {
+				st.j.refOp(opSet, c.Ref, uint64(c.State))
+			}
+			if c.Permanent {
+				st.j.refOp(opPermanent, c.Ref)
+			}
 		}
-		if perm {
-			st.transition(r, s, true)
-			st.j.refOp(opPermanent, ref)
-		}
+		st.transition(r, c.State, c.Permanent)
 	}
-	_ = st.unlock() // a journal that cannot take the record has halted the store already
+	return st.unlock()
 }
 
 // transition applies a state/permanence change to r and recursively
@@ -791,10 +795,10 @@ func (st *Store) MarkSourceFailsafe(source string) int {
 // sourceOp moves every non-permanent external record from source that
 // is not already in state `to` there, and journals (opcode, source). A
 // name is from what precedes its last '#', or all of it if it has none.
+// Like Apply it is taken past a fail-stopped journal: its verdict is
+// about a remote authority, and a restart derives it again.
 func (st *Store) sourceOp(opcode byte, source string, to State) int {
-	if st.lock() != nil {
-		return 0
-	}
+	st.enter()
 	n := 0
 	for si := range st.shards {
 		for _, sl := range st.shards[si].slots {

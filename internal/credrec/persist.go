@@ -60,6 +60,12 @@ import (
 // recovery that silently forgets a revocation. Once failed, the
 // committer writes nothing more: a later batch after a torn one would
 // read back as mid-journal corruption.
+//
+// Two kinds of write pass a failed journal, into memory only: Apply,
+// an authority's word about the records this store mirrors, and the
+// source transitions (MarkSourceUnknown, MarkSourceFailsafe). What they
+// hold is read back from the authority at recovery, and a store that
+// refused them would go on validating what its authority revoked.
 
 // SyncPolicy selects when the committer makes journal batches durable.
 type SyncPolicy int

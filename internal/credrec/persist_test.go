@@ -539,3 +539,64 @@ func TestQuickReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestApplyIsOneMutation: an authority's batch is one mutation — one
+// observer call listing every transition in order, a change already in
+// place skipped — journaled as the entry-point operations that replay
+// to the same store. Once the journal has failed, entry points are
+// refused and Apply still reaches memory, reporting the failure.
+func TestApplyIsOneMutation(t *testing.T) {
+	sink := &failingSink{failAt: 1 << 30}
+	ls := NewStore()
+	ls.StartJournal(sink, JournalOptions{Sync: SyncAlways})
+	defer ls.Close()
+	var refs [4]Ref
+	for i := range refs {
+		refs[i] = ls.NewExternal("Issuer", Unknown)
+		if err := ls.MarkNotify(refs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b, c, d := refs[0], refs[1], refs[2], refs[3]
+	var calls [][]Change
+	ls.OnChange(func(changes []Change) { calls = append(calls, append([]Change(nil), changes...)) })
+
+	batch := []Change{{a, True, false}, {b, False, true}, {c, True, true}, {d, Unknown, false}, {a, False, false}}
+	if err := ls.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	want := []Change{{a, True, false}, {b, False, true}, {c, True, true}, {a, False, false}}
+	if len(calls) != 1 || fmt.Sprint(calls[0]) != fmt.Sprint(want) {
+		t.Fatalf("observer calls %v, want one listing %v", calls, want)
+	}
+	drain(t, ls)
+	recovered, err := Replay(bytes.NewReader(sink.data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recovered.Image(); !bytes.Equal(got, ls.Image()) {
+		t.Fatalf("replay differs:\n%s\nwant\n%s", got, ls.Image())
+	}
+
+	sink.mu.Lock()
+	sink.failAt = 0
+	sink.mu.Unlock()
+	if ref := ls.NewFact(True); ref != (Ref{}) {
+		t.Fatalf("allocation on a failing journal returned %v", ref)
+	}
+	if err := ls.SetState(d, True); err == nil {
+		t.Fatal("SetState on a failed store succeeded")
+	}
+	if err := ls.Apply([]Change{{d, False, true}, {b, True, true}}); err == nil {
+		t.Fatal("Apply past a failed journal reported no failure")
+	}
+	if s, perm, _ := ls.Resolve(d); s != False || !perm {
+		t.Fatalf("Apply past a failed journal left %v permanent=%v, want permanent False", s, perm)
+	}
+	if s, _, _ := ls.Resolve(b); s != False {
+		t.Fatalf("Apply revived a permanent False: %v", s)
+	}
+	if n := ls.MarkSourceUnknown("Issuer"); n != 1 {
+		t.Fatalf("MarkSourceUnknown past a failed journal moved %d records, want a's", n)
+	}
+}

@@ -17,7 +17,9 @@ type Recorder interface {
 	// State transitions and revocation (§4.6, §4.8).
 	SetState(ref Ref, s State) error
 	Invalidate(ref Ref) error
-	MakePermanent(ref Ref) error
+
+	// An authority's word about the records mirrored here (§4.9–4.10).
+	Apply(changes []Change) error
 
 	// Record flags (figure 4.7).
 	MarkDirectUse(ref Ref) error

@@ -63,9 +63,10 @@ import (
 //
 // Journaled shards share one fail-stop latch: the first journal to fail
 // makes every shard refuse entry-point mutations, the monolith's
-// contract store-wide. Bridge fan-out alone still reaches a failed
-// shard's memory, so a revocation acknowledged on a healthy shard is
-// never left valid beneath it.
+// contract store-wide. The two kinds of write a failed Store takes
+// still reach its memory here: Apply, which the bridge fan-out also
+// writes through, and the source transitions. A revocation acknowledged
+// on a healthy shard is never left valid beneath them.
 type ShardedStore struct {
 	ring   *Ring
 	names  []string
@@ -158,11 +159,10 @@ func OpenShardedStore(ring *Ring, stores []*Store) (*ShardedStore, error) {
 		}
 		st.onChange = func(changes []Change) {
 			for j := range changes {
-				c := &changes[j]
-				c.Ref = ss.globalize(i, c.Ref)
-				if ss.nEdges.Load() > 0 {
-					ss.fanout(c.Ref.Uint64(), c.State, c.Permanent)
-				}
+				changes[j].Ref = ss.globalize(i, changes[j].Ref)
+			}
+			if ss.nEdges.Load() > 0 {
+				ss.fanout(changes)
 			}
 			if f := ss.change.Load(); f != nil && *f != nil {
 				(*f)(changes)
@@ -329,7 +329,7 @@ func (ss *ShardedStore) bridgeFor(owner int, parentGlobal Ref, pStore *Store, pL
 	br = ownerStore.NewExternal(SurrogateName(bridgePrefix+ss.names[pid], parentGlobal), st)
 	if perm {
 		ss.retire(parent, st)
-		ownerStore.mirror(br, st, perm)
+		_ = ownerStore.Apply([]Change{{Ref: br, State: st, Permanent: perm}})
 		return br, true
 	}
 
@@ -352,7 +352,7 @@ func (ss *ShardedStore) bridgeFor(owner int, parentGlobal Ref, pStore *Store, pL
 		if perm2 {
 			ss.retire(parent, st2)
 		}
-		ownerStore.mirror(br, st2, perm2)
+		_ = ownerStore.Apply([]Change{{Ref: br, State: st2, Permanent: perm2}})
 	}
 	return br, true
 }
@@ -386,24 +386,29 @@ func (ss *ShardedStore) retire(parent uint64, s State) {
 	}
 }
 
-// fanout applies a parent's new state to every bridge mirroring it. The
-// bridge list is copied under the read lock and applied after release:
-// applying re-enters stores (and, through their change callbacks, this
-// method again for chained cross-shard cascades), which must happen
-// with no ShardedStore lock held.
-func (ss *ShardedStore) fanout(parent uint64, s State, perm bool) {
-	ss.mu.RLock()
-	links := append([]bridgeLink(nil), ss.edges[parent]...)
-	ss.mu.RUnlock()
-	if len(links) == 0 {
-		return
+// fanout applies parents' new states to every bridge mirroring them,
+// as one Apply: a batch of parent changes is one mutation on each shard
+// holding their bridges. Each parent's bridge list is read under the
+// read lock and applied after release: applying re-enters stores (and,
+// through their change callbacks, this method again for chained
+// cross-shard cascades), which must happen with no ShardedStore lock
+// held. Apply's error is dropped: a journal that cannot take the record
+// has halted the store already.
+func (ss *ShardedStore) fanout(parents []Change) {
+	var buf [16]Change
+	bridges := buf[:0]
+	for _, p := range parents {
+		ss.mu.RLock()
+		links := ss.edges[p.Ref.Uint64()]
+		for _, l := range links {
+			bridges = append(bridges, Change{Ref: ss.globalize(l.shard, l.local), State: p.State, Permanent: p.Permanent})
+		}
+		ss.mu.RUnlock()
+		if len(links) > 0 && p.Permanent {
+			ss.retire(p.Ref.Uint64(), p.State)
+		}
 	}
-	if perm {
-		ss.retire(parent, s)
-	}
-	for _, l := range links {
-		ss.stores[l.shard].mirror(l.local, s, perm)
-	}
+	_ = ss.Apply(bridges)
 }
 
 // --- Recorder: transitions, flags ---
@@ -426,8 +431,28 @@ func (ss *ShardedStore) SetState(ref Ref, s State) error {
 // Invalidate routes to the owning shard.
 func (ss *ShardedStore) Invalidate(ref Ref) error { return ss.route(ref, (*Store).Invalidate) }
 
-// MakePermanent routes to the owning shard.
-func (ss *ShardedStore) MakePermanent(ref Ref) error { return ss.route(ref, (*Store).MakePermanent) }
+// Apply groups the changes by owning shard and applies each group, in
+// order, as one Apply of that shard. An off-ring reference is dangling,
+// and its change is dropped.
+func (ss *ShardedStore) Apply(changes []Change) error {
+	var buf [16]Change
+	var first error
+	for i, st := range ss.stores {
+		local := buf[:0]
+		for _, c := range changes {
+			if int(c.Ref.Index>>shardIDShift) == i {
+				c.Ref.Index &= localIndexMax
+				local = append(local, c)
+			}
+		}
+		if len(local) > 0 {
+			if err := st.Apply(local); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}
 
 // MarkDirectUse routes to the owning shard.
 func (ss *ShardedStore) MarkDirectUse(ref Ref) error { return ss.route(ref, (*Store).MarkDirectUse) }
@@ -461,11 +486,11 @@ func (ss *ShardedStore) MarkSourceFailsafe(source string) int {
 }
 
 // ResyncShard re-reads the authoritative state of every record the
-// named shard owns that has bridges elsewhere, and fans it out again —
-// the §4.10 resync protocol between shards, run over every shard when
-// recovered stores are opened. The parent is flagged Notify again (the
-// flag may have been in a batch its shard lost); a parent that is gone
-// reads permanently false. Idempotent: re-applying current state is a
+// named shard owns that has bridges elsewhere, and fans the states out
+// again as one batch — the §4.10 resync protocol between shards, run
+// over every shard when recovered stores are opened. The parent is
+// flagged Notify again (the flag may have been in a batch its shard
+// lost); a parent that is gone reads permanently false. Idempotent: re-applying current state is a
 // no-op. Returns the number of parents re-read.
 func (ss *ShardedStore) ResyncShard(name string) int {
 	id := -1
@@ -474,23 +499,24 @@ func (ss *ShardedStore) ResyncShard(name string) int {
 			id = i
 		}
 	}
-	var parents []uint64
+	var parents []Change
 	ss.mu.RLock()
 	for parent := range ss.edges {
 		if int(parent>>32)>>shardIDShift == id {
-			parents = append(parents, parent)
+			parents = append(parents, Change{Ref: RefFromUint64(parent)})
 		}
 	}
 	ss.mu.RUnlock()
-	sort.Slice(parents, func(a, b int) bool { return parents[a] < parents[b] }) // recovery is reproducible
-	for _, parent := range parents {
-		_, local, _ := ss.resolveShard(RefFromUint64(parent))
-		st, perm, _ := ss.stores[id].Resolve(local)
-		if !perm {
+	sort.Slice(parents, func(a, b int) bool { return parents[a].Ref.Uint64() < parents[b].Ref.Uint64() }) // recovery is reproducible
+	for i := range parents {
+		p := &parents[i]
+		_, local, _ := ss.resolveShard(p.Ref)
+		p.State, p.Permanent, _ = ss.stores[id].Resolve(local)
+		if !p.Permanent {
 			_ = ss.stores[id].MarkNotify(local) // fails only if the parent was swept since; the next pass reads that
 		}
-		ss.fanout(parent, st, perm)
 	}
+	ss.fanout(parents)
 	return len(parents)
 }
 

@@ -709,7 +709,7 @@ func TestShardedFinalValueWaitsForParentShard(t *testing.T) {
 	}
 	bridge := externalsNamed(stores[ss.ShardOf(b)], bridgeName(ss.names[ss.ShardOf(a)], a))[0]
 	sinks[ss.ShardOf(a)].slow = 50 * time.Millisecond
-	if err := ss.MakePermanent(a); err != nil {
+	if err := ss.Apply([]Change{{Ref: a, State: True, Permanent: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, perm, _ := ss.Resolve(d); !perm {
@@ -741,5 +741,43 @@ func TestShardedFinalValueWaitsForParentShard(t *testing.T) {
 	}
 	if bridgeWritten < parentSynced {
 		t.Fatalf("the bridge's final value was written (event %d) before its parent's was synced (event %d)", bridgeWritten, parentSynced)
+	}
+}
+
+// TestShardedApplyGroupsByShard: a batch over several shards is one
+// mutation on each, its changes in batch order, and a change whose
+// reference names no shard of the ring is dropped as dangling.
+func TestShardedApplyGroupsByShard(t *testing.T) {
+	ss := newTestSharded(t, 4)
+	on := func(cond func(Ref) bool) Ref {
+		for {
+			if r := ss.NewExternal("Issuer", Unknown); cond(r) {
+				return r
+			}
+		}
+	}
+	a := on(func(Ref) bool { return true })
+	b := on(func(r Ref) bool { return ss.ShardOf(r) != ss.ShardOf(a) })
+	a2 := on(func(r Ref) bool { return ss.ShardOf(r) == ss.ShardOf(a) })
+	for _, r := range []Ref{a, b, a2} {
+		if err := ss.MarkNotify(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls := map[int][][]Change{}
+	ss.OnChange(func(changes []Change) {
+		shard := ss.ShardOf(changes[0].Ref)
+		calls[shard] = append(calls[shard], append([]Change(nil), changes...))
+	})
+	offRing := Ref{Index: 63 << shardIDShift, Magic: 1}
+	if err := ss.Apply([]Change{{a2, True, false}, {b, False, true}, {offRing, True, false}, {a, False, false}}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int][][]Change{
+		ss.ShardOf(a): {{{a2, True, false}, {a, False, false}}},
+		ss.ShardOf(b): {{{b, False, true}}},
+	}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("observer calls by shard %v, want %v", calls, want)
 	}
 }

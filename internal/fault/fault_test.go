@@ -178,14 +178,14 @@ at 40s   heal core
 		t.Fatalf("split = %+v", steps[3])
 	}
 	for _, bad := range []string{
-		"sever a b",                       // missing 'at'
-		"at x sever a b",                  // bad offset
-		"at -1s sever a b",                // negative offset
-		"at 1s sever a",                   // missing peer
-		"at 1s faults a b drop=2",         // probability out of range
-		"at 1s faults a b wait=1s",        // unknown option
-		"at 1s split p a,b",               // missing side
-		"at 1s explode a b",               // unknown verb
+		"sever a b",                // missing 'at'
+		"at x sever a b",           // bad offset
+		"at -1s sever a b",         // negative offset
+		"at 1s sever a",            // missing peer
+		"at 1s faults a b drop=2",  // probability out of range
+		"at 1s faults a b wait=1s", // unknown option
+		"at 1s split p a,b",        // missing side
+		"at 1s explode a b",        // unknown verb
 	} {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted", bad)

@@ -40,6 +40,12 @@ func mint(ref credrec.Ref, refs *[]credrec.Ref) { *refs = append(*refs, ref) }
 
 func at(refs *[]credrec.Ref, i int) credrec.Ref { return (*refs)[i%len(*refs)] }
 
+// freeze makes a record final at the state it resolves to.
+func freeze(r credrec.Recorder, ref credrec.Ref) {
+	st, _, _ := r.Resolve(ref)
+	_ = r.Apply([]credrec.Change{{Ref: ref, State: st, Permanent: true}})
+}
+
 // persistScript is a fixed workload touching every journaled operation:
 // allocation, cascade revocation, permanence, sweeps and source-wide
 // transitions. Every step journals exactly one record — the batched
@@ -64,7 +70,7 @@ func persistScript() []pstep {
 	add("revoke-2", func(r credrec.Recorder, refs *[]credrec.Ref) { _ = r.Invalidate(at(refs, 2)) })
 	add("flip-3-false", func(r credrec.Recorder, refs *[]credrec.Ref) { _ = r.SetState(at(refs, 3), credrec.False) })
 	add("flip-3-true", func(r credrec.Recorder, refs *[]credrec.Ref) { _ = r.SetState(at(refs, 3), credrec.True) })
-	add("permanent-4", func(r credrec.Recorder, refs *[]credrec.Ref) { _ = r.MakePermanent(at(refs, 4)) })
+	add("permanent-4", func(r credrec.Recorder, refs *[]credrec.Ref) { freeze(r, at(refs, 4)) })
 	add("sweep-1", func(r credrec.Recorder, refs *[]credrec.Ref) { r.Sweep() })
 	for i := 0; i < 4; i++ {
 		i := i
@@ -379,9 +385,9 @@ func shardedScript() []pstep {
 			_ = r.MarkDirectUse((*refs)[base+4+i])
 		})
 	}
-	add("pair-freeze-0", func(r credrec.Recorder, refs *[]credrec.Ref) { _ = r.MakePermanent((*refs)[base]) })
+	add("pair-freeze-0", func(r credrec.Recorder, refs *[]credrec.Ref) { freeze(r, (*refs)[base]) })
 	add("pair-flip-1", func(r credrec.Recorder, refs *[]credrec.Ref) { _ = r.SetState((*refs)[base+1], credrec.False) })
-	add("pair-freeze-2", func(r credrec.Recorder, refs *[]credrec.Ref) { _ = r.MakePermanent((*refs)[base+2]) })
+	add("pair-freeze-2", func(r credrec.Recorder, refs *[]credrec.Ref) { freeze(r, (*refs)[base+2]) })
 	add("pair-revoke-3", func(r credrec.Recorder, refs *[]credrec.Ref) { _ = r.Invalidate((*refs)[base+3]) })
 	add("sweep-3", func(r credrec.Recorder, refs *[]credrec.Ref) { r.Sweep() })
 	return s

@@ -145,3 +145,28 @@ func TestCascadeAllocs(t *testing.T) {
 		t.Errorf("a %d-record cascade to two watchers allocates %.0f times, ceiling 22", k, got)
 	}
 }
+
+// TestRemoteValidateAllocs pins what validating a foreign certificate
+// the watcher already holds a surrogate for allocates, the issuer's
+// answer included: measured 4. The reply reaches the surrogate as a
+// batch of one from a pooled buffer, so it adds none.
+func TestRemoteValidateAllocs(t *testing.T) {
+	h := newHarness(t)
+	w, err := New("Watcher0", h.clk, h.net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := h.client("ely")
+	login := h.logOn(t, c, "dm")
+	validate := func() {
+		if _, _, err := w.WatchCertificate(login, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	validate()
+	got := testing.AllocsPerRun(100, validate)
+	t.Logf("%.0f allocs per remote validation", got)
+	if got > 4 {
+		t.Errorf("a remote validation allocates %.0f times, ceiling 4", got)
+	}
+}

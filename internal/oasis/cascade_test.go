@@ -60,19 +60,24 @@ func (c changeTap) OnChange(f credrec.ChangeFunc) {
 
 // cascadeWorld is an issuer and watching services on two networks: the
 // relays between them record what the issuer sends each watcher before
-// passing it on.
+// passing it on. Watcher0 may be watched in turn, by services on a
+// third network whose relays record what Watcher0 sends them.
 type cascadeWorld struct {
-	issuer   *Service
-	batches  [][]credrec.Change
-	watchers []*Service
-	heard    [][]event.Notification // per watcher, since the last reset
+	clk       *clock.Virtual
+	issuer    *Service
+	batches   [][]credrec.Change
+	watchers  []*Service
+	heard     [][]event.Notification // per watcher, since the last reset
+	watchNet  *bus.Network
+	down      []*Service
+	downHeard [][]event.Notification // per service watching Watcher0, since the last reset
 }
 
 func newCascadeWorld(t *testing.T, watchers int) *cascadeWorld {
 	t.Helper()
 	clk := clock.NewVirtual(time.Date(1996, 3, 1, 9, 0, 0, 0, time.UTC))
 	issuerNet, watchNet := bus.NewNetwork(clk), bus.NewNetwork(clk)
-	w := &cascadeWorld{heard: make([][]event.Notification, watchers)}
+	w := &cascadeWorld{clk: clk, heard: make([][]event.Notification, watchers), watchNet: watchNet}
 	var err error
 	if w.issuer, err = New("Login", clk, issuerNet, Options{Store: changeTap{credrec.NewStore(), &w.batches}}); err != nil {
 		t.Fatal(err)
@@ -100,14 +105,42 @@ func newCascadeWorld(t *testing.T, watchers int) *cascadeWorld {
 // issuer by one resync, as a restarted watcher would re-register them.
 func (w *cascadeWorld) watch(t *testing.T, i int, refs []credrec.Ref) map[credrec.Ref]credrec.Ref {
 	t.Helper()
+	return watchAt(t, w.watchers[i], "Login", refs)
+}
+
+// watchAt has s hold a surrogate of each of source's records, subscribed
+// by one resync.
+func watchAt(t *testing.T, s *Service, source string, refs []credrec.Ref) map[credrec.Ref]credrec.Ref {
+	t.Helper()
 	locals := make(map[credrec.Ref]credrec.Ref, len(refs))
 	for _, ref := range refs {
-		locals[ref], _ = w.watchers[i].surrogateFor("Login", ref)
+		locals[ref], _ = s.surrogateFor(source, ref)
 	}
-	if err := w.watchers[i].ResyncSource("Login"); err != nil {
+	if err := s.ResyncSource(source); err != nil {
 		t.Fatal(err)
 	}
 	return locals
+}
+
+// watchWatcher0 starts n services on a network of their own, each
+// reaching Watcher0 through a relay that records what it is sent.
+func (w *cascadeWorld) watchWatcher0(t *testing.T, n int) {
+	t.Helper()
+	downNet := bus.NewNetwork(w.clk)
+	relayTo(t, downNet, "Watcher0", w.watchNet, nil)
+	w.downHeard = make([][]event.Notification, n)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("Down%d", i)
+		s, err := New(name, w.clk, downNet, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		relayTo(t, w.watchNet, name, downNet, func(n event.Notification) {
+			w.downHeard[i] = append(w.downHeard[i], n)
+			s.Deliver(n)
+		})
+		w.down = append(w.down, s)
+	}
 }
 
 // TestMultiRecordModifiedIsNeverMerged: the batch path's coalescing
@@ -154,9 +187,13 @@ func TestMultiRecordModifiedIsNeverMerged(t *testing.T) {
 // After every mutation each watcher has heard exactly one Modified
 // event if any record it watches changed, and none otherwise; the event
 // lists exactly those changes, in the order the issuer's store made
-// them; and every surrogate reads what the issuer's record reads.
+// them; and every surrogate reads what the issuer's record reads. Two
+// more services watch random sets of Watcher0's surrogates, a second
+// hop: an event Watcher0 applies is one mutation there, so each of them
+// hears at most one Modified event per upstream event, listing the
+// changes of its records in the order Watcher0 heard them.
 func TestGeneratedCascades(t *testing.T) {
-	const seeds, facts, derived, watchers, steps = 20, 3, 21, 3, 8
+	const seeds, facts, derived, watchers, downstream, steps = 20, 3, 21, 3, 2, 8
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		w := newCascadeWorld(t, watchers)
@@ -192,10 +229,24 @@ func TestGeneratedCascades(t *testing.T) {
 		for i := range sets {
 			watched[i] = w.watch(t, i, sets[i])
 		}
+		w.watchWatcher0(t, downstream)
+		downWatched := make([]map[credrec.Ref]credrec.Ref, downstream)
+		for i, d := range w.down {
+			var set []credrec.Ref
+			for _, ref := range sets[0] {
+				if rng.Intn(2) == 0 {
+					set = append(set, watched[0][ref])
+				}
+			}
+			downWatched[i] = watchAt(t, d, "Watcher0", set)
+		}
 		for step := 0; step < steps; step++ {
 			w.batches = nil
 			for i := range w.heard {
 				w.heard[i] = nil
+			}
+			for i := range w.downHeard {
+				w.downHeard[i] = nil
 			}
 			what := w.mutate(t, rng, refs[:facts], refs)
 			where := fmt.Sprintf("seed %d step %d (%s)", seed, step, what)
@@ -230,6 +281,37 @@ func TestGeneratedCascades(t *testing.T) {
 					if st != lst || perm != lperm {
 						t.Errorf("%s: watcher %d surrogate of %v reads (%v, %v), issuer (%v, %v)",
 							where, i, remote, lst, lperm, st, perm)
+					}
+				}
+			}
+			var upstream []triple
+			if len(w.heard[0]) == 1 {
+				upstream = triplesOf(t, w.heard[0][0].Event)
+			}
+			for i, d := range w.down {
+				var want []triple
+				for _, u := range upstream {
+					if _, ok := downWatched[i][watched[0][u.ref]]; ok {
+						want = append(want, triple{watched[0][u.ref], u.state, u.perm})
+					}
+				}
+				heard := w.downHeard[i]
+				switch {
+				case len(want) == 0 && len(heard) != 0:
+					t.Errorf("%s: Down%d heard %d notes of records it does not watch", where, i, len(heard))
+				case len(want) != 0 && len(heard) != 1:
+					t.Errorf("%s: Down%d heard %d notes, want one Modified event", where, i, len(heard))
+				case len(want) != 0:
+					if got := triplesOf(t, heard[0].Event); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: Down%d heard %v, want %v", where, i, got, want)
+					}
+				}
+				for mid, local := range downWatched[i] {
+					st, perm, _ := w.watchers[0].Store().Resolve(mid)
+					lst, lperm, _ := d.Store().Resolve(local)
+					if st != lst || perm != lperm {
+						t.Errorf("%s: Down%d surrogate of %v reads (%v, %v), Watcher0 (%v, %v)",
+							where, i, mid, lst, lperm, st, perm)
 					}
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"oasis/internal/bus"
 	"oasis/internal/cert"
@@ -61,22 +62,15 @@ type ResyncArg struct {
 	Refs []credrec.Ref
 }
 
-// ResyncEntry is one record's authoritative state as its owner asserts
-// it: a row of a resync snapshot.
-type ResyncEntry struct {
-	Ref       credrec.Ref
-	State     credrec.State
-	Permanent bool
-}
-
-// ResyncReply carries the snapshot plus the caller's notification
+// ResyncReply carries the snapshot, each record's authoritative state
+// as its owner asserts it, plus the caller's notification
 // stream position at the moment it was taken: every update covered by
 // the snapshot was sent at or below Seq, so the caller can seal the
 // stream there and know that anything newer still flows.
 type ResyncReply struct {
 	Session uint64
 	Seq     uint64
-	Entries []ResyncEntry
+	Entries []credrec.Change
 }
 
 // Call implements bus.Endpoint: the service's inter-service interface,
@@ -195,7 +189,7 @@ func (s *Service) handleValidate(from string, a ValidateArg) (ValidateReply, err
 	if a.Watch {
 		watch = func(ref credrec.Ref) error { return s.watchFor(from, ref) }
 	}
-	var one [1]ResyncEntry // on the stack: validation is the peer port's hot path
+	var one [1]credrec.Change // on the stack: validation is the peer port's hot path
 	answer, err := s.subscribeThenRead(one[:0], []credrec.Ref{c.CRR}, watch, nil)
 	if err != nil {
 		return ValidateReply{}, err
@@ -215,7 +209,7 @@ func (s *Service) handleValidate(from string, a ValidateArg) (ValidateReply, err
 // subscription stands and before any state is read. A record revoked
 // and swept has nothing left to announce (§4.8): it subscribes nobody
 // and reads as permanently False.
-func (s *Service) subscribeThenRead(entries []ResyncEntry, refs []credrec.Ref, subscribe func(credrec.Ref) error, between func()) ([]ResyncEntry, error) {
+func (s *Service) subscribeThenRead(entries []credrec.Change, refs []credrec.Ref, subscribe func(credrec.Ref) error, between func()) ([]credrec.Change, error) {
 	if subscribe != nil {
 		for _, ref := range refs {
 			if err := s.store.MarkNotify(ref); errors.Is(err, credrec.ErrDangling) {
@@ -234,7 +228,7 @@ func (s *Service) subscribeThenRead(entries []ResyncEntry, refs []credrec.Ref, s
 	entries = slices.Grow(entries, len(refs))
 	for _, ref := range refs {
 		st, perm, _ := s.store.Resolve(ref)
-		entries = append(entries, ResyncEntry{Ref: ref, State: st, Permanent: perm})
+		entries = append(entries, credrec.Change{Ref: ref, State: st, Permanent: perm})
 	}
 	return entries, nil
 }
@@ -493,7 +487,10 @@ func (s *Service) validateInto(ext credrec.Ref, c *cert.RMC, client ids.ClientID
 	if !ok {
 		return nil, fmt.Errorf("oasis: bad validate reply from %s", c.Service)
 	}
-	s.applyRemote(c.Service, c.CRR, reply.State, false)
+	buf := changeBufs.Get().(*[]credrec.Change)
+	*buf = append((*buf)[:0], credrec.Change{Ref: c.CRR, State: reply.State})
+	s.applyRemote(c.Service, *buf)
+	changeBufs.Put(buf)
 	if reply.State != credrec.True {
 		return nil, s.fail(Revoked, "issuer %s reports certificate %v", c.Service, reply.State)
 	}
@@ -507,62 +504,63 @@ func (s *Service) validateInto(ext credrec.Ref, c *cert.RMC, client ids.ClientID
 	return reply.Roles, nil
 }
 
+// changeBufs holds the batches applyRemote is handed: a slice passed
+// through the Recorder interface escapes, so a buffer on the stack
+// would cost an allocation per event.
+var changeBufs = sync.Pool{New: func() any { return new([]credrec.Change) }}
+
 // onModified is the Modified handler of one source (§4.9.2): each
-// triple of the event names one of the issuer's records, the row names
-// ours, and the triples are applied in the order the issuer's records
-// changed. An event is checked whole before any triple is applied, so a
-// malformed one applies nothing.
+// triple of the event names one of the issuer's records, and the event
+// is applied as one batch, in the order the issuer's records changed.
+// An event is checked whole before anything is applied, so a malformed
+// one applies nothing.
 func (s *Service) onModified(source string, ev event.Event) {
 	if len(ev.Args) == 0 || len(ev.Args)%3 != 0 {
 		return
 	}
-	var buf [16]uint64 // on the stack: a cascade's refs
-	refs := buf[:0]
+	buf := changeBufs.Get().(*[]credrec.Change)
+	defer changeBufs.Put(buf)
+	*buf = (*buf)[:0]
 	for i := 0; i < len(ev.Args); i += 3 {
 		u, err := strconv.ParseUint(ev.Args[i].S, 16, 64)
 		if err != nil {
 			return
 		}
-		refs = append(refs, u)
+		*buf = append(*buf, credrec.Change{Ref: credrec.RefFromUint64(u), State: credrec.State(ev.Args[i+1].I), Permanent: ev.Args[i+2].I != 0})
 	}
-	for i, u := range refs {
-		a := ev.Args[3*i:]
-		s.applyRemote(source, credrec.RefFromUint64(u), credrec.State(a[1].I), a[2].I != 0)
-	}
+	s.applyRemote(source, *buf)
 }
 
-// applyRemote is the one way an issuer's assertion about one of its
-// records reaches the local surrogate, whichever way it arrived — a
-// Modified event or a resync entry (a validate reply is applied as the
-// first of them). No row means nobody here watches the record, and the
-// assertion is dropped. A permanent False is an
-// invalidation: revocation is forever (§4.6), and the surrogate then
-// refuses every later write. Anything else is a state write, frozen
-// when the issuer says the state is final: a record that is true and
-// will always remain true needs no further watching (§4.8), so the
-// issuer falling silent no longer fails it safe. Either way a permanent
-// state is the last the issuer will ever assert, so the row goes with
-// it. extMu covers the table only: the store is written with no service
+// applyRemote is the one way an issuer's word about its records reaches
+// the local surrogates, whichever way it arrived: a Modified event, a
+// resync snapshot, or a validate reply as a batch of one. One extMu
+// hold turns the issuer's references into ours, in place. A record
+// nobody here watches has no row, and its change is dropped. A
+// permanent state is the last the issuer will ever assert, so its row
+// goes. What is left is one store mutation (credrec.Store.Apply): a
+// permanent False is an invalidation, since revocation is forever
+// (§4.6), and any other final state is frozen, since a record that is
+// true and will always remain true needs no further watching (§4.8).
+// extMu covers the table only: the store is written with no service
 // lock held, since a cascade it starts may notify its way back here.
-func (s *Service) applyRemote(source string, remote credrec.Ref, state credrec.State, permanent bool) {
+func (s *Service) applyRemote(source string, changes []credrec.Change) {
 	s.extMu.Lock()
 	rows := s.extRecords[source]
-	local, ok := rows[remote.Uint64()]
-	if ok && permanent {
-		delete(rows, remote.Uint64())
+	n := 0
+	for _, c := range changes {
+		local, ok := rows[c.Ref.Uint64()]
+		if !ok {
+			continue
+		}
+		if c.Permanent {
+			delete(rows, c.Ref.Uint64())
+		}
+		c.Ref = local
+		changes[n] = c
+		n++
 	}
 	s.extMu.Unlock()
-	if !ok {
-		return
-	}
-	if permanent && state == credrec.False {
-		_ = s.store.Invalidate(local)
-		return
-	}
-	_ = s.store.SetState(local, state)
-	if permanent {
-		_ = s.store.MakePermanent(local)
-	}
+	_ = s.store.Apply(changes[:n])
 }
 
 // HeartbeatTick asserts liveness to every watcher (§4.10); wire it to a
@@ -679,9 +677,7 @@ func (s *Service) ResyncSource(source string) error {
 		s.receiver.SetSessionFloor(source, reply.Session, reply.Seq)
 	}
 	_ = s.batchNotify(func() error {
-		for _, e := range reply.Entries {
-			s.applyRemote(source, e.Ref, e.State, e.Permanent)
-		}
+		s.applyRemote(source, reply.Entries)
 		return nil
 	})
 	s.receiver.ObserveSource(source, s.clk.Now())

@@ -60,7 +60,7 @@ func TestRemoteStateEntryPointsAgree(t *testing.T) {
 				Event: event.New(ModifiedEvent, value.Str(refString(remote)), value.Int(int64(st)), value.Int(p))})
 		}},
 		{"resync", func(remote credrec.Ref, st credrec.State, perm bool) {
-			issuer.reply = ResyncReply{Entries: []ResyncEntry{{Ref: remote, State: st, Permanent: perm}}}
+			issuer.reply = ResyncReply{Entries: []credrec.Change{{Ref: remote, State: st, Permanent: perm}}}
 			if err := s.ResyncSource("Issuer"); err != nil {
 				t.Fatal(err)
 			}
@@ -124,8 +124,7 @@ func TestMalformedModifiedAppliesNothing(t *testing.T) {
 	a, b := credrec.RefFromUint64(1), credrec.RefFromUint64(2)
 	la, _ := s.surrogateFor("Issuer", a)
 	lb, _ := s.surrogateFor("Issuer", b)
-	s.applyRemote("Issuer", a, credrec.True, false)
-	s.applyRemote("Issuer", b, credrec.True, false)
+	s.applyRemote("Issuer", []credrec.Change{{Ref: a, State: credrec.True}, {Ref: b, State: credrec.True}})
 	ra, rb := value.Str(refString(a)), value.Str(refString(b))
 	f, perm, no := value.Int(int64(credrec.False)), value.Int(1), value.Int(0)
 	seq := uint64(0)

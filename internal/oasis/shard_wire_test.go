@@ -72,7 +72,7 @@ func TestShardPayloadGoldenVectors(t *testing.T) {
 		// codecs of tags 5 and 6 replaced.
 		{"ResyncArg", ResyncArg{Refs: []credrec.Ref{{Index: 3, Magic: 99}, {Index: 1 << 27, Magic: 7}}},
 			"0502e380808030878080808080808008"},
-		{"ResyncReply", ResyncReply{Session: 5, Seq: 300, Entries: []ResyncEntry{
+		{"ResyncReply", ResyncReply{Session: 5, Seq: 300, Entries: []credrec.Change{
 			{Ref: credrec.Ref{Index: 3, Magic: 99}, State: credrec.True},
 			{Ref: credrec.Ref{Index: 9, Magic: 1}, State: credrec.False, Permanent: true},
 		}}, "0605ac0202e38080803004008180808090010201"},

@@ -3,9 +3,11 @@ package oasis
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"oasis/internal/cert"
 	"oasis/internal/credrec"
 )
 
@@ -273,5 +275,84 @@ func TestResyncOpDirectly(t *testing.T) {
 	}
 	if _, err := h.net.Call("Conf", "Login", "resync", 42); err == nil {
 		t.Fatal("bad resync arg accepted")
+	}
+}
+
+// deadDisk is a journal sink whose every write fails once dead is set.
+type deadDisk struct {
+	mu   sync.Mutex
+	dead bool
+}
+
+func (d *deadDisk) Write(p []byte) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.dead {
+		return 0, errors.New("disk gone")
+	}
+	return len(p), nil
+}
+
+func (d *deadDisk) Sync() error { return nil }
+
+// TestFailStoppedWatcherHonoursRevocation: a watcher whose journal has
+// failed refuses its own mutations, yet what says a remote credential
+// is dead still reaches its memory, and the Member certificate derived
+// from that credential stops validating. The word comes from the
+// issuer, a logout's Modified event, or from the failure detector,
+// silence past the suspect and the fail-safe budgets. Both are read
+// back from the issuer at restart, so neither needs the disk.
+func TestFailStoppedWatcherHonoursRevocation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kill func(t *testing.T, h *harness, candLogin *cert.RMC, validate func() error)
+	}{
+		{"logout", func(t *testing.T, h *harness, candLogin *cert.RMC, validate func() error) {
+			if err := h.login.Exit(candLogin, candLogin.Client); err != nil {
+				t.Fatal(err)
+			}
+			wantRevoked(t, validate(), "validate after the logout")
+		}},
+		{"silence", func(t *testing.T, h *harness, _ *cert.RMC, validate func() error) {
+			h.links.Sever("Login", "Conf")
+			for _, step := range []struct {
+				after time.Duration
+				want  SourceState
+			}{{8 * time.Second, SourceSuspect}, {10 * time.Second, SourceFailed}} {
+				h.clk.Advance(step.after)
+				h.conf.SuspicionTick()
+				if st := h.conf.SourceStatus("Login"); st != step.want {
+					t.Fatalf("status = %v, want %v", st, step.want)
+				}
+				wantRevoked(t, validate(), "validate while "+step.want.String())
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk := &deadDisk{}
+			store := credrec.NewStore()
+			store.StartJournal(disk, credrec.JournalOptions{Sync: credrec.SyncAlways})
+			defer store.Close()
+			h := newHarnessWith(t, Options{}, Options{Store: store, HeartbeatEvery: 5 * time.Second, FailsafeMissed: 3})
+			_, candLogin, member, _ := enterConfMemberOn(t, h)
+			validate := func() error { return h.conf.Validate(member, member.Client) }
+
+			disk.mu.Lock()
+			disk.dead = true
+			disk.mu.Unlock()
+			if ref := store.NewFact(credrec.True); ref != (credrec.Ref{}) {
+				t.Fatalf("allocation on a dying journal returned %v", ref)
+			}
+			if err := store.Sync(); err == nil {
+				t.Fatal("the journal reports no error")
+			}
+			if err := store.SetState(member.CRR, credrec.False); err == nil {
+				t.Fatal("a fail-stopped store took SetState")
+			}
+			if err := validate(); err != nil {
+				t.Fatalf("a dead journal alone revoked the membership: %v", err)
+			}
+			tc.kill(t, h, candLogin, validate)
+		})
 	}
 }

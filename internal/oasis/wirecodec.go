@@ -211,7 +211,7 @@ func decodeRefs(d *bus.WireDec) ([]credrec.Ref, error) {
 // encodeEntries and decodeEntries are the entry-list codec of tag 6: a
 // uvarint count, then per entry the reference, the state as a varint
 // and the permanence flag. An empty list decodes to nil.
-func encodeEntries(e *bus.WireEnc, entries []ResyncEntry) {
+func encodeEntries(e *bus.WireEnc, entries []credrec.Change) {
 	e.PutUvarint(uint64(len(entries)))
 	for _, ent := range entries {
 		e.PutUvarint(ent.Ref.Uint64())
@@ -220,7 +220,7 @@ func encodeEntries(e *bus.WireEnc, entries []ResyncEntry) {
 	}
 }
 
-func decodeEntries(d *bus.WireDec) ([]ResyncEntry, error) {
+func decodeEntries(d *bus.WireDec) ([]credrec.Change, error) {
 	n, err := d.Uvarint()
 	if err != nil || n == 0 {
 		return nil, err
@@ -228,7 +228,7 @@ func decodeEntries(d *bus.WireDec) ([]ResyncEntry, error) {
 	if n > 1<<16 {
 		return nil, fmt.Errorf("oasis: entry count %d exceeds limit", n)
 	}
-	entries := make([]ResyncEntry, n)
+	entries := make([]credrec.Change, n)
 	for i := range entries {
 		u, err := d.Uvarint()
 		if err != nil {
@@ -242,7 +242,7 @@ func decodeEntries(d *bus.WireDec) ([]ResyncEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		entries[i] = ResyncEntry{Ref: credrec.RefFromUint64(u), State: credrec.State(st), Permanent: perm}
+		entries[i] = credrec.Change{Ref: credrec.RefFromUint64(u), State: credrec.State(st), Permanent: perm}
 	}
 	return entries, nil
 }

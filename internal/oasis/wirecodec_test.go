@@ -120,7 +120,7 @@ func TestBinaryPayloadRoundTrips(t *testing.T) {
 		in := ResyncReply{
 			Session: 77,
 			Seq:     12,
-			Entries: []ResyncEntry{
+			Entries: []credrec.Change{
 				{Ref: credrec.Ref{Index: 1, Magic: 9}, State: credrec.True, Permanent: false},
 				{Ref: credrec.Ref{Index: 2, Magic: 8}, State: credrec.False, Permanent: true},
 			},
