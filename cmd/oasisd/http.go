@@ -8,12 +8,14 @@ import (
 
 // newGateway builds the federation gateway exactly as run() deploys
 // it: per-client rate limiting, a connection cap, and backpressure
-// wired to the whole notification plane. The pressure figure is
-// cluster-wide — this member's broker outboxes and bus delay/batch
-// queues plus every shard peer's backlog claim heard within the
-// fail-safe budget (oasis.ClusterPendingNotifications) — so a storm
-// drowning one shard sheds 503s at every shard's front door, not just
-// the drowning one.
+// wired to the notification plane. The pressure figure is cluster-wide
+// (oasis.ClusterPendingNotifications): this member's broker outboxes,
+// its bus delay heap (only a link policy fills it, and the daemon
+// installs none), and every shard peer's backlog claim heard within
+// the fail-safe budget, so a storm drowning one shard sheds 503s at
+// every shard's front door, not just the drowning one. It does not
+// count the notes a TCP link has accepted and not yet written, the one
+// queue a slow watcher fills (docs/GATEWAY.md "Backpressure contract").
 // Outside a shard ring the figure degrades to the local plane. Tests
 // reuse this so acceptance coverage exercises the deployed wiring, not
 // a test-local variant.

@@ -13,7 +13,6 @@ import (
 	"oasis/internal/clock"
 	"oasis/internal/credrec"
 	"oasis/internal/event"
-	"oasis/internal/value"
 )
 
 // A cascade is one Modified event per watcher (§4.9.2): the issuer's
@@ -140,45 +139,6 @@ func (w *cascadeWorld) watchWatcher0(t *testing.T, n int) {
 			s.Deliver(n)
 		})
 		w.down = append(w.down, s)
-	}
-}
-
-// TestMultiRecordModifiedIsNeverMerged: the batch path's coalescing
-// rule keys single-record events only. Two cascades' events on one
-// session in one burst arrive as two notes, even though both begin
-// with the same record; a last-writer-wins merge would drop the first
-// one's records. Two single-record events for one record still merge.
-func TestMultiRecordModifiedIsNeverMerged(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	net := bus.NewNetwork(clk)
-	if _, err := New("Login", clk, net, Options{}); err != nil { // installs the rule
-		t.Fatal(err)
-	}
-	var got []event.Notification
-	relayTo(t, net, "Peer", bus.NewNetwork(clk), func(n event.Notification) { got = append(got, n) })
-	a, b := value.Str(refString(credrec.RefFromUint64(1))), value.Str(refString(credrec.RefFromUint64(2)))
-	f, tr, no := value.Int(int64(credrec.False)), value.Int(int64(credrec.True)), value.Int(0)
-	sent := []event.Event{
-		event.New(ModifiedEvent, a, f, no, b, f, no),
-		event.New(ModifiedEvent, a, tr, no, b, tr, no),
-		event.New(ModifiedEvent, a, f, no),
-		event.New(ModifiedEvent, a, tr, no),
-	}
-	net.StartBatch("Login")
-	for i, ev := range sent {
-		net.Send("Login", "Peer", event.Notification{Source: "Login", SessionID: 1, Seq: uint64(i + 1), Event: ev})
-	}
-	net.EndBatch("Login")
-	if len(got) != 3 {
-		t.Fatalf("%d notes arrived, want the two cascades and one merged single-record note: %v", len(got), got)
-	}
-	for i, want := range []event.Event{sent[0], sent[1], sent[3]} {
-		if !reflect.DeepEqual(got[i].Event.Args, want.Args) {
-			t.Errorf("note %d carries %v, want %v", i, got[i].Event.Args, want.Args)
-		}
-	}
-	if got[2].Coalesced != 1 {
-		t.Errorf("the single-record note absorbed %d notes, want 1", got[2].Coalesced)
 	}
 }
 

@@ -213,7 +213,7 @@ func (s *Service) Revoke(rev *cert.Revocation) error {
 	if !s.store.Valid(rev.DelegatorCRR) {
 		return s.fail(Revoked, "revoker is no longer a member of the delegating role")
 	}
-	if err := s.batchNotify(func() error { return s.store.Invalidate(rev.TargetCRR) }); err != nil {
+	if err := s.store.Invalidate(rev.TargetCRR); err != nil {
 		return s.fail(Revoked, "delegation already gone: %v", err)
 	}
 	s.delegMu.Lock()
@@ -244,7 +244,7 @@ func (s *Service) RevokeByRole(revoker *cert.RMC, caller ids.ClientID, rolefile,
 	if !s.HasRole(revoker, st.id, entry.revokerRole) {
 		return s.fail(Erroneous, "caller does not hold revoker role %s", entry.revokerRole)
 	}
-	if err := s.batchNotify(func() error { return s.store.Invalidate(entry.crr) }); err != nil && err != credrec.ErrDangling {
+	if err := s.store.Invalidate(entry.crr); err != nil && err != credrec.ErrDangling {
 		return err
 	}
 	st.mu.Lock()
@@ -306,11 +306,8 @@ func (s *Service) ExpireTick() int {
 		}
 	}
 	s.delegMu.Unlock()
-	_ = s.batchNotify(func() error {
-		for _, ref := range expired {
-			_ = s.store.Invalidate(ref) // already-gone records are fine
-		}
-		return nil
-	})
+	for _, ref := range expired {
+		_ = s.store.Invalidate(ref) // already-gone records are fine
+	}
 	return len(expired)
 }

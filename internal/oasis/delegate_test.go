@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"oasis/internal/bus"
 	"oasis/internal/cert"
+	"oasis/internal/credrec"
 	"oasis/internal/event"
 	"oasis/internal/ids"
 	"oasis/internal/value"
@@ -573,24 +575,26 @@ Member(u) <- Login.LoggedOn(u, h) <|* Chair
 	}
 }
 
-// burstCounter is a watching peer that counts what reaches it: a burst
-// is one DeliverBatch, or one notification sent outside any batch.
-type burstCounter struct{ bursts, notes int }
-
-func (b *burstCounter) Call(from, op string, arg any) (any, error) {
-	return nil, errors.New("burstCounter serves nothing")
-}
-func (b *burstCounter) Deliver(event.Notification) { b.bursts++; b.notes++ }
-func (b *burstCounter) DeliverBatch(ns []event.Notification) {
-	b.bursts++
-	b.notes += len(ns)
+// invalidationLog is a store that logs the records Invalidate is asked
+// to change, in call order.
+type invalidationLog struct {
+	*credrec.Store
+	refs []credrec.Ref
 }
 
-func TestExpiriesLeaveAsOneBurst(t *testing.T) {
-	// ExpireTick is a revocation entry point like Exit or Revoke: the
-	// delegations one tick expires reach a watcher as one burst.
+func (l *invalidationLog) Invalidate(ref credrec.Ref) error {
+	l.refs = append(l.refs, ref)
+	return l.Store.Invalidate(ref)
+}
+
+func TestExpiriesReachTheWatcherInOrder(t *testing.T) {
+	// ExpireTick is a revocation entry point like Exit or Revoke: each
+	// delegation one tick expires reaches a watcher of the membership
+	// derived from it, in the order the tick invalidated them, on one
+	// session with no gap in its sequence.
 	const n = 3
-	h := newHarnessWith(t, Options{}, Options{DelegationTTL: time.Minute})
+	store := &invalidationLog{Store: credrec.NewStore()}
+	h := newHarnessWith(t, Options{}, Options{DelegationTTL: time.Minute, Store: store})
 	chairClient := h.client("ely")
 	chair, err := h.conf.Enter(EnterRequest{
 		Client: chairClient, Rolefile: "main", Role: "Chair",
@@ -599,22 +603,36 @@ func TestExpiriesLeaveAsOneBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	watcher := &burstCounter{}
-	if err := h.net.Register("Watcher", watcher); err != nil {
-		t.Fatal(err)
-	}
+	var heard []event.Notification
+	relayTo(t, h.net, "Watcher", bus.NewNetwork(h.clk), func(n event.Notification) { heard = append(heard, n) })
+	member := make(map[credrec.Ref]string) // delegation record -> watched membership
 	for _, user := range [n]string{"dm", "kgm", "rjh"} {
 		h.conf.Groups().AddMember(user, "staff")
-		cand, member, _ := electMember(t, h, chairClient, chair, user)
-		if _, err := h.net.Call("Watcher", "Conf", "validate", ValidateArg{Cert: member, Client: cand, Watch: true}); err != nil {
+		cand, rmc, rev := electMember(t, h, chairClient, chair, user)
+		if _, err := h.net.Call("Watcher", "Conf", "validate", ValidateArg{Cert: rmc, Client: cand, Watch: true}); err != nil {
 			t.Fatal(err)
 		}
+		member[rev.TargetCRR] = refString(rmc.CRR)
 	}
+	store.refs, heard = nil, nil
 	h.clk.Advance(2 * time.Minute)
 	if got := h.conf.ExpireTick(); got != n {
 		t.Fatalf("ExpireTick = %d, want %d", got, n)
 	}
-	if watcher.bursts != 1 || watcher.notes != n {
-		t.Fatalf("%d expiries reached the watcher as %d notifications in %d bursts, want %d in 1", n, watcher.notes, watcher.bursts, n)
+	if len(store.refs) != n || len(heard) != n {
+		t.Fatalf("%d expiries made %d invalidations and reached the watcher as %d notifications, want %d of each", n, len(store.refs), len(heard), n)
+	}
+	for i, ref := range store.refs {
+		note := heard[i]
+		if ev := note.Event; ev.Name != ModifiedEvent || len(ev.Args) != 3 || ev.Args[0].S != member[ref] ||
+			credrec.State(ev.Args[1].I) != credrec.False {
+			t.Errorf("notification %d is %v, want the membership derived from expiry %d (%s) False", i, ev, i, member[ref])
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := heard[i-1]; note.SessionID != prev.SessionID || note.Seq != prev.Seq+1 {
+			t.Errorf("notification %d is session %d seq %d after session %d seq %d", i, note.SessionID, note.Seq, prev.SessionID, prev.Seq)
+		}
 	}
 }

@@ -79,6 +79,7 @@ func (s *Service) RevokeHeld(h *Held) error {
 	if err := s.checkHeld(h); err != nil {
 		return err
 	}
-	// As RevokeDirect: the cascade's Modified events leave as one burst.
-	return s.batchNotify(func() error { return s.store.Invalidate(h.cert.CRR) })
+	// As RevokeDirect: one event per watcher, handed to its session
+	// before this returns.
+	return s.store.Invalidate(h.cert.CRR)
 }

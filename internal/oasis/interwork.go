@@ -69,9 +69,9 @@ func (s *Service) RevokeDirect(c *cert.RMC) error {
 	if !c.Verify(s.signer) {
 		return s.fail(Fraud, "signature check failed")
 	}
-	// The cascade's Modified events leave as one coalesced burst per
-	// watcher rather than one delivery per record.
-	return s.batchNotify(func() error { return s.store.Invalidate(c.CRR) })
+	// Invalidating the record is one mutation: each watcher's session is
+	// handed the whole cascade as one Modified event before this returns.
+	return s.store.Invalidate(c.CRR)
 }
 
 // SweepTick garbage-collects the credential record table (§4.8):

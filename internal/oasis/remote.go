@@ -101,9 +101,12 @@ func serve[A, R any](op string, arg any, handle func(A) (R, error)) (any, error)
 	return r, err
 }
 
-// Deliver implements bus.Endpoint: notifications go to the receiver. The
-// first from a source degraded since it was last heard from (§4.10: a
-// partition healed) resyncs it with AutoResync, after its payload.
+// Deliver implements bus.Endpoint: notifications go to the receiver. A
+// Modified event is one store mutation here: what it changes in records
+// this service's own watchers watch is one event per watcher, handed to
+// its session before Deliver returns. The first notification from a
+// source degraded since it was last heard from (§4.10: a partition
+// healed) resyncs it with AutoResync, after its payload.
 func (s *Service) Deliver(n event.Notification) {
 	revived := s.heard(n.Source)
 	s.receiver.Deliver(n)
@@ -112,55 +115,7 @@ func (s *Service) Deliver(n event.Notification) {
 	}
 }
 
-// DeliverBatch implements bus.BatchEndpoint: a notification burst (a
-// peer's revocation storm) is applied under our own outbound batch, so
-// any Modified events it triggers on records derived from the affected
-// surrogates fan out downstream as one burst per watcher too.
-func (s *Service) DeliverBatch(notes []event.Notification) {
-	_ = s.batchNotify(func() error {
-		for _, n := range notes {
-			s.Deliver(n)
-		}
-		return nil
-	})
-}
-
 var _ bus.Endpoint = (*Service)(nil)
-var _ bus.BatchEndpoint = (*Service)(nil)
-
-// modifiedCoalesceRule teaches the bus batch path the Modified-event
-// vocabulary (§4.9.2): one-triple events for the same record ref
-// supersede each other (last writer wins), except a permanent False —
-// revocation is forever (§4.6) — which later events must never replace.
-// An event of several triples, a cascade, has no key: merged, it would
-// drop the records the later event does not list.
-var modifiedCoalesceRule = bus.CoalesceRule{
-	Key: func(ev event.Event) string {
-		if ev.Name != ModifiedEvent || len(ev.Args) != 3 {
-			return ""
-		}
-		return ev.Args[0].S
-	},
-	Sticky: func(ev event.Event) bool {
-		if ev.Name != ModifiedEvent || len(ev.Args) != 3 {
-			return false
-		}
-		return credrec.State(ev.Args[1].I) == credrec.False && ev.Args[2].I != 0
-	},
-}
-
-// batchNotify runs fn with a notification batch open on the network:
-// every Modified event and heartbeat signalled inside is buffered and
-// flushed as one coalesced burst per destination when fn returns.
-// Revocation cascades and heartbeat ticks route through here.
-func (s *Service) batchNotify(fn func() error) error {
-	if s.net == nil {
-		return fn()
-	}
-	s.net.StartBatch(s.name)
-	defer s.net.EndBatch(s.name)
-	return fn()
-}
 
 // handleValidate validates one of our certificates on behalf of another
 // service, optionally registering that service for Modified events on
@@ -564,13 +519,10 @@ func (s *Service) applyRemote(source string, changes []credrec.Change) {
 }
 
 // HeartbeatTick asserts liveness to every watcher (§4.10); wire it to a
-// timer with the service's chosen period t, or use StartDuties. The
-// fan-out goes through the batch path: one burst per watcher.
+// timer with the service's chosen period t, or use StartDuties. Each
+// watcher's session is sent one heartbeat.
 func (s *Service) HeartbeatTick() {
-	_ = s.batchNotify(func() error {
-		s.broker.Heartbeat()
-		return nil
-	})
+	s.broker.Heartbeat()
 	s.ShardHeartbeatTick()
 }
 
@@ -676,10 +628,7 @@ func (s *Service) ResyncSource(source string) error {
 	if reply.Session != 0 || reply.Seq != 0 {
 		s.receiver.SetSessionFloor(source, reply.Session, reply.Seq)
 	}
-	_ = s.batchNotify(func() error {
-		s.applyRemote(source, reply.Entries)
-		return nil
-	})
+	s.applyRemote(source, reply.Entries)
 	s.receiver.ObserveSource(source, s.clk.Now())
 	s.heard(source)
 	s.setSourceState(source, SourceAlive)

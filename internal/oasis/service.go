@@ -211,9 +211,6 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 		if err := net.Register(name, s); err != nil {
 			return nil, err
 		}
-		// Teach the bus batch path the Modified-event coalescing rule;
-		// every service installs the same rule, so this is idempotent.
-		net.SetCoalesceRule(modifiedCoalesceRule)
 	}
 	s.rebind()
 	return s, nil

@@ -124,7 +124,8 @@ func (s *Service) ShardHeartbeatTick() {
 }
 
 // localPressure is this member's own notification backlog: broker
-// outboxes plus the network's delay queue and open batch buffers.
+// outboxes plus the network's delay queue (see docs/GATEWAY.md
+// "Backpressure contract" for what it leaves out).
 func (s *Service) localPressure() int {
 	p := s.broker.PendingNotifications()
 	if s.net != nil {

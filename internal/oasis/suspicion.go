@@ -50,9 +50,9 @@ func (s *Service) SourceStatus(source string) SourceState {
 }
 
 // setSourceState applies one suspicion transition and its side effects.
-// The store mutation runs outside suspMu (a leaf lock) and inside a
-// notification batch, so a fail-safe cascade reaches downstream
-// watchers as one coalesced burst.
+// The store mutation runs outside suspMu (a leaf lock); it is one
+// mutation, so a fail-safe cascade reaches each downstream watcher as
+// one Modified event.
 func (s *Service) setSourceState(source string, to SourceState) {
 	s.suspMu.Lock()
 	from := s.suspicion[source]
@@ -68,15 +68,9 @@ func (s *Service) setSourceState(source string, to SourceState) {
 
 	switch to {
 	case SourceSuspect:
-		_ = s.batchNotify(func() error {
-			s.store.MarkSourceUnknown(source)
-			return nil
-		})
+		s.store.MarkSourceUnknown(source)
 	case SourceFailed:
-		_ = s.batchNotify(func() error {
-			s.store.MarkSourceFailsafe(source)
-			return nil
-		})
+		s.store.MarkSourceFailsafe(source)
 	}
 	if cb := s.opts.OnSourceState; cb != nil {
 		cb(source, from, to)

@@ -183,5 +183,5 @@ func (s *Service) Exit(c *cert.RMC, caller ids.ClientID) error {
 	if err := s.Validate(c, caller); err != nil {
 		return err
 	}
-	return s.batchNotify(func() error { return s.store.Invalidate(c.CRR) })
+	return s.store.Invalidate(c.CRR)
 }

@@ -84,6 +84,68 @@ func TestLogoutBeforeSubscribeIsNotLost(t *testing.T) {
 	}
 }
 
+// holdInvalidate is an issuer's store whose Invalidate of one record
+// waits, before it changes anything, until the test releases it.
+type holdInvalidate struct {
+	*credrec.Store
+	ref     credrec.Ref
+	held    chan struct{} // closed once Invalidate(ref) is waiting
+	release chan struct{}
+}
+
+func (s *holdInvalidate) Invalidate(ref credrec.Ref) error {
+	if ref == s.ref {
+		close(s.held)
+		<-s.release
+	}
+	return s.Store.Invalidate(ref)
+}
+
+// TestRevocationLeavesBeforeItReturns: a revocation's Modified events
+// leave before the call that made it returns, whatever else the issuer
+// is doing. Alice's logout is held inside its store write while Bob
+// logs out; Bob's Exit returns, and Conf already refuses the
+// certificate it derived from Bob's login. One revocation never waits
+// for another.
+func TestRevocationLeavesBeforeItReturns(t *testing.T) {
+	store := &holdInvalidate{Store: credrec.NewStore(), held: make(chan struct{}), release: make(chan struct{})}
+	h := newHarnessWith(t, Options{Store: store}, Options{})
+	if err := h.conf.AddRolefile("guest", guestRolefile); err != nil {
+		t.Fatal(err)
+	}
+	enter := func(user string) (ids.ClientID, *cert.RMC, *cert.RMC) {
+		c := h.client(user)
+		login := h.logOn(t, c, user)
+		rmc, err := h.conf.Enter(EnterRequest{Client: c, Rolefile: "guest", Role: "Guest", Creds: []*cert.RMC{login}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, login, rmc
+	}
+	alice, aliceLogin, aliceGuest := enter("alice")
+	bob, bobLogin, bobGuest := enter("bob")
+
+	store.ref = aliceLogin.CRR
+	done := make(chan error, 1)
+	go func() { done <- h.login.Exit(aliceLogin, alice) }()
+	<-store.held
+	if err := h.login.Exit(bobLogin, bob); err != nil {
+		t.Errorf("Bob's Exit: %v", err)
+	} else if h.conf.Validate(bobGuest, bob) == nil {
+		t.Error("Bob's Exit returned and Conf still validates his certificate: his revocation waits for Alice's")
+	}
+	if err := h.conf.Validate(aliceGuest, alice); err != nil {
+		t.Errorf("Alice's certificate refused before her logout reached the store: %v", err)
+	}
+	close(store.release)
+	if err := <-done; err != nil {
+		t.Fatalf("Alice's Exit: %v", err)
+	}
+	if h.conf.Validate(aliceGuest, alice) == nil {
+		t.Fatal("Alice's Exit returned and Conf still validates her certificate")
+	}
+}
+
 // relay stands on one bus.Network for a service registered on another.
 type relay struct {
 	call    func(from, op string, arg any) (any, error)
