@@ -18,10 +18,10 @@ ci: build vet lint test test-shard race chaos bench-smoke bench-check
 help:
 	@echo "build       compile everything"
 	@echo "test        full test suite"
-	@echo "test-shard  sharding matrix: ring/sharded-store/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
+	@echo "test-shard  sharding matrix: sharded-store/placement/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, one http.Server (the gateway loop's fallback), one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, one http.Server (the gateway loop's fallback), one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), no consistent-hash ring placing records (a leaf goes by a hash of the allocation count), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -34,16 +34,16 @@ build:
 test:
 	$(GO) test ./...
 
-# The sharding matrix (part of ci): the consistent-hash ring, the
-# sharded store at 1/2/4/8 shards against the monolithic semantics, in
-# memory and journaled-closed-reopened (TestShardedMatrix), its
+# The sharding matrix (part of ci): leaf placement and the constructors'
+# refusals, the sharded store at 1/2/4/8 shards against the monolithic
+# semantics, in memory and journaled-closed-reopened (TestShardedMatrix), its
 # store-wide fail-stop when one shard's journal fails, the bridge source
 # format recovery reads, the ring's tree, the cross-shard service
 # suites, the ring's wire payload and the daemon's
 # `-shards N -store-dir` restart and shape guard — everything `-shards`
 # and `-shard-ring` deploy, run explicitly and uncached.
 test-shard:
-	$(GO) test -run 'Sharded|BridgeSource|Ring|Tree|Disseminator|ForwardBatch' -count=1 \
+	$(GO) test -run 'Sharded|BridgeSource|Tree|Disseminator|ForwardBatch' -count=1 \
 		./internal/credrec/ ./internal/bus/
 	$(GO) test -run 'Sharded|StoreShape' -count=1 ./cmd/oasisd/
 	$(GO) test -run 'Shard|ClusterPending|RelayedHeartbeat' -count=1 \
@@ -166,6 +166,10 @@ vet:
 # the engine nor the daemon opens a bus notification batch or installs
 # a coalescing rule (the bus keeps its batch only while bench/ drives
 # it; oasislint names the batch calls for L003 until then).
+# A sharded store's shape is fixed for its life, so nothing joins that a
+# consistent-hash ring would spare a move: a leaf goes to the shard a
+# hash of the allocation count names, and the ring, its replicas and
+# its owner lookup stay out of the code and the docs.
 # Every tracked .go file is gofmt-clean.
 # The closing loops hold the documents to the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
 # DESIGN.md's experiment index, README.md or docs/*.md must be a func in
@@ -201,6 +205,7 @@ lint: reach
 	! grep -rn 'MakePermanent' --include='*.go' --exclude='*_test.go' internal/oasis
 	! grep -rnE 'batchNotify|StartBatch|EndBatch|SetCoalesceRule|DeliverBatch|modifiedCoalesceRule' \
 		--include='*.go' --exclude='*_test.go' --exclude-dir=oasislint internal/oasis cmd/
+	! grep -rnE 'NewRing|OwnerIndex|DefaultRingReplicas|credrec\.Ring\b' internal/ cmd/ docs/
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	! test -e cmd/benchharness
 	test "$$(ls *_test.go | wc -l)" -eq 1

@@ -33,7 +33,7 @@ func TestFlagSurface(t *testing.T) {
 	}
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 17 {
-		t.Errorf("oasisd declares %d flags, want 17: a new one needs a line in the PR text saying why a default could not do", n)
+	if n != 16 {
+		t.Errorf("oasisd declares %d flags, want 16: a new one needs a stated reason why a default could not do", n)
 	}
 }

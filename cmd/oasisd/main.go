@@ -36,19 +36,21 @@
 // gateway sheds mutating requests with 503 + Retry-After.
 //
 // -shards partitions this process's credential-record store across N
-// consistent-hash shards (internal/credrec.ShardedStore): records are
-// placed by ring ownership, cascades route by the shard id sealed into
-// each ref, and cross-shard dependency edges run over bridge
-// surrogates (docs/SHARDING.md). -shard-ring names the cluster's
-// members (comma-separated, must include -name); joined members share
-// their notification backlog down a fanout -shard-fanout tree, and each
-// member's gateway sheds on the cluster-wide backlog that adds up.
-// Revocations cross members as between any two services, over the
-// watch each holds at the issuer. With
-// -store-dir each shard journals to a directory of its own
-// (<dir>/s00, <dir>/s01, …) with its own group commit and snapshot
-// trigger; a directory written under one shape (monolithic, or N
-// shards) refuses to open under another.
+// shards (internal/credrec.ShardedStore): a leaf record goes to the
+// shard a hash of the allocation count names, a derived record to its
+// first parent's, cascades route by the shard id sealed into each ref,
+// and cross-shard dependency edges run over bridge surrogates
+// (docs/SHARDING.md). With -store-dir each shard journals to a
+// directory of its own (<dir>/s00, <dir>/s01, …) with its own group
+// commit and snapshot trigger; a directory written under one shape
+// (monolithic, or N shards) refuses to open under another.
+//
+// -shard-ring names a cluster of daemons (comma-separated, must
+// include -name). Each member keeps its own store; the members share
+// only their notification backlog, down a tree of fanout
+// bus.DefaultTreeFanout, and each member's gateway sheds on the
+// cluster-wide backlog that adds up. Revocations cross members as
+// between any two services, over the watch each holds at the issuer.
 //
 // Every heartbeat period the service runs its duties
 // (oasis.Service.StartDuties): failure suspicion, heartbeats to its
@@ -124,9 +126,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.Float64Var(&cfg.httpRate, "http-rate", 50, "gateway per-client request budget in requests/second (0 disables rate limiting)")
 	fs.IntVar(&cfg.httpMaxConns, "http-max-conns", 1024, "gateway concurrent-connection cap (0 = unlimited)")
 	fs.IntVar(&cfg.httpPressure, "http-pressure", 4096, "notification-plane backlog at which the gateway sheds mutating requests with 503 (0 disables backpressure)")
-	fs.IntVar(&cfg.shards, "shards", 0, "partition the credential-record store across this many consistent-hash shards (0/1 keeps the monolithic store); with -store-dir each shard journals to <dir>/sNN")
+	fs.IntVar(&cfg.shards, "shards", 0, "partition the credential-record store across this many shards (0/1 keeps the monolithic store); with -store-dir each shard journals to <dir>/sNN")
 	fs.StringVar(&cfg.shardRing, "shard-ring", "", "comma-separated shard-cluster member names (must include -name); members share their notification backlog over a tree, so each gateway sheds on the cluster-wide figure")
-	fs.IntVar(&cfg.shardFanout, "shard-fanout", 0, "backlog-tree fanout for -shard-ring (0 = default)")
 	fs.StringVar(&cfg.storeDir, "store-dir", "", "persist the credential-record store in this directory (journal + snapshots); empty keeps it in memory")
 	fs.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096, "journal operations between automatic snapshots/compactions (0 disables the trigger)")
 	fs.StringVar(&cfg.syncMode, "sync", "batched", "journal durability: always (fsync before a mutation returns), batched (one fsync per group commit), none")
@@ -141,7 +142,6 @@ type config struct {
 	remotes                   remoteFlags
 	shards                    int
 	shardRing                 string
-	shardFanout               int
 	storeDir                  string
 	snapshotEvery             int
 	syncMode                  string
@@ -220,14 +220,10 @@ func run(cfg config) error {
 		for i := range members {
 			members[i] = strings.TrimSpace(members[i])
 		}
-		if err := svc.JoinShardRing(members, cfg.shardFanout); err != nil {
+		if err := svc.JoinShardRing(members, bus.DefaultTreeFanout); err != nil {
 			return fmt.Errorf("joining shard ring: %w", err)
 		}
-		fanout := "default"
-		if cfg.shardFanout > 0 {
-			fanout = fmt.Sprint(cfg.shardFanout)
-		}
-		log.Printf("oasisd: joined shard ring %v (tree fanout %s)", svc.ShardRingMembers(), fanout)
+		log.Printf("oasisd: joined shard ring %v (tree fanout %d)", svc.ShardRingMembers(), bus.DefaultTreeFanout)
 	}
 	if cfg.peerListen != "" {
 		peerLn, err := net.Listen("tcp", cfg.peerListen)
@@ -377,11 +373,7 @@ func openStore(cfg config) (credrec.Recorder, []*storage.Engine, error) {
 	if shards == 0 {
 		return stores[0], engines, nil
 	}
-	ring, err := credrec.NewRing(names, 0)
-	if err != nil {
-		return fail(err)
-	}
-	ss, err := credrec.OpenShardedStore(ring, stores)
+	ss, err := credrec.OpenShardedStore(names, stores)
 	if err != nil {
 		return fail(fmt.Errorf("opening sharded store in %s: %w", cfg.storeDir, err))
 	}

@@ -203,7 +203,7 @@ func TestPersistentStoreSnapshotThenRestart(t *testing.T) {
 // sessionRolefile makes a Session depend on two certificates of the
 // same service: its credential record is the conjunction of the login
 // record and the badge record, placed on the login record's shard, so
-// wherever the ring put the badge on another shard the dependency
+// wherever placement put the badge on another shard the dependency
 // crosses shards over a bridge.
 const sessionRolefile = `
 def LoggedOn(u, h) u: Login.userid h: Login.host

@@ -67,9 +67,6 @@ func NewJournaledStore(w io.Writer) *Store {
 	return st
 }
 
-// Owner returns the name of the member owning key.
-func (r *Ring) Owner(key uint64) string { return r.members[r.OwnerIndex(key)] }
-
 // ReplayInto is ReplayIntoOffset without the offset.
 func ReplayInto(st *Store, r io.Reader, strict bool) (applied int, torn bool, err error) {
 	applied, _, torn, err = ReplayIntoOffset(st, r, strict)

@@ -46,7 +46,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(seed(func(ls *Store) {}))
 	f.Add(seed(func(ls *Store) { ls.NewFact(True) }))
 	// A shard's journal holding a bridge: what OpenShardedStore rebuilds
-	// its edge table from (this store as shard "A" of ring A, B) — one a
+	// its edge table from (this store as shard "A" of shards A, B) — one a
 	// sharded store could have written, one it could not.
 	f.Add(seed(func(ls *Store) {
 		br := ls.NewExternal(bridgeName("B", Ref{Index: 1<<shardIDShift | 5, Magic: 1}), True)
@@ -102,11 +102,7 @@ func FuzzJournalReplay(f *testing.F) {
 			// refuses or yields a store whose bridges are resynchronised
 			// — here against an empty sibling, so none stays valid
 			// unless the journal itself made it final.
-			ring, err := NewRing([]string{"A", "B"}, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ss, err := OpenShardedStore(ring, []*Store{st, NewStore()})
+			ss, err := OpenShardedStore([]string{"A", "B"}, []*Store{st, NewStore()})
 			if err != nil {
 				return
 			}

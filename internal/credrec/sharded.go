@@ -23,14 +23,13 @@ import (
 // Stores allocate references internally; instead the owning shard id is
 // sealed into the top shardIDBits of Ref.Index at allocation time.
 // Routing Resolve/SetState/Sweep by ref is then an O(1) bit unpack with
-// no ring lookup, and a reference stays resolvable forever even if the
-// ring that placed it has since changed shape (docs/SHARDING.md).
+// no placement lookup, and a reference never moves (docs/SHARDING.md).
 //
 // # Placement
 //
-// Leaf records (NewFact, NewExternal) are placed by consistent hashing
-// of the store-wide allocation count, spreading independent subgraphs
-// across shards. Derived records are placed on the shard of their first
+// Leaf records (NewFact, NewExternal) are placed by a hash of the
+// store-wide allocation count, spreading independent subgraphs across
+// shards. Derived records are placed on the shard of their first
 // parent: a revocation cascade then runs inside one shard's writeMu in
 // the common case, which is exactly what makes a revocation storm scale
 // with the shard count (BenchmarkShardCascade, bench_test.go).
@@ -68,11 +67,10 @@ import (
 // writes through, and the source transitions. A revocation acknowledged
 // on a healthy shard is never left valid beneath them.
 type ShardedStore struct {
-	ring   *Ring
 	names  []string
 	stores []*Store
 
-	// allocSeq mints the ring key for leaf placement. It counts every
+	// allocSeq mints the placement key for leaf records. It counts every
 	// allocation the shards make, so a reopened store resumes it from
 	// the creation counters the shards persist.
 	allocSeq atomic.Uint64
@@ -106,42 +104,49 @@ const (
 )
 
 // NewShardedStore builds an empty, in-memory sharded store over the
-// named shards (order is canonicalised by the ring, so any permutation
-// of the same names yields identical placement). replicas is the ring's
-// virtual-node count per shard; <= 0 selects DefaultRingReplicas.
+// named shards: shard i is names[i]. replicas must be 0; it is kept in
+// the signature only while bench/ still passes it.
 func NewShardedStore(names []string, replicas int) (*ShardedStore, error) {
-	ring, err := NewRing(names, replicas)
-	if err != nil {
-		return nil, err
+	if replicas != 0 {
+		return nil, fmt.Errorf("credrec: replicas %d: placement takes no parameter, pass 0", replicas)
 	}
-	stores := make([]*Store, len(ring.Members()))
+	stores := make([]*Store, len(names))
 	for i := range stores {
 		stores[i] = NewStore()
 	}
-	return OpenShardedStore(ring, stores)
+	return OpenShardedStore(names, stores)
 }
 
 // OpenShardedStore builds a sharded store over existing per-shard
-// stores: stores[i] holds the shard named ring.Members()[i], empty or as
+// stores: stores[i] holds the shard named names[i], empty or as
 // recovery left it (replayed with no observer installed, so every
 // cross-shard consequence was applied once, from its own shard's
-// journal). The edge table is rebuilt from the bridge records the
-// shards hold, and every edge is resynchronised before the store is
-// returned: shards recovered to independent points of their histories
-// come back with each bridge equal to its parent. A bridge name that
-// does not parse, or names a parent this ring does not place on another
-// shard, fails the open.
-func OpenShardedStore(ring *Ring, stores []*Store) (*ShardedStore, error) {
-	names := ring.Members()
+// journal). The names must be distinct and non-empty, at most
+// MaxStoreShards of them. The edge table is rebuilt from the bridge
+// records the shards hold, and every edge is resynchronised before the
+// store is returned: shards recovered to independent points of their
+// histories come back with each bridge equal to its parent. A bridge
+// name that does not parse, or names a parent on no other shard of
+// this store, fails the open.
+func OpenShardedStore(names []string, stores []*Store) (*ShardedStore, error) {
+	if len(names) == 0 {
+		return nil, fmt.Errorf("credrec: a sharded store needs at least one shard")
+	}
 	if len(names) > MaxStoreShards {
 		return nil, fmt.Errorf("credrec: %d shards exceeds the %d-shard reference format", len(names), MaxStoreShards)
+	}
+	seen := make(map[string]bool, len(names))
+	for _, n := range names {
+		if n == "" || seen[n] {
+			return nil, fmt.Errorf("credrec: shard names %q: each must be non-empty and distinct", names)
+		}
+		seen[n] = true
 	}
 	if len(stores) != len(names) {
 		return nil, fmt.Errorf("credrec: %d stores for %d shards", len(stores), len(names))
 	}
 	ss := &ShardedStore{
-		ring:   ring,
-		names:  names,
+		names:  append([]string(nil), names...),
 		stores: stores,
 		edges:  make(map[uint64][]bridgeLink),
 	}
@@ -185,7 +190,7 @@ func (ss *ShardedStore) adoptBridges(i int) (err error) {
 		switch {
 		case err != nil || !strings.HasPrefix(name, bridgePrefix):
 		case perr != nil || pid >= len(ss.names) || pid == i || owner != bridgePrefix+ss.names[pid]:
-			err = fmt.Errorf("credrec: shard %q record %v: %q names no bridge to another shard of this ring", ss.names[i], ref, name)
+			err = fmt.Errorf("credrec: shard %q record %v: %q names no bridge to another shard of this store", ss.names[i], ref, name)
 		case !final:
 			ss.edges[parent.Uint64()] = append(ss.edges[parent.Uint64()], bridgeLink{shard: i, local: ref})
 			ss.nEdges.Add(1)
@@ -218,8 +223,9 @@ func (ss *ShardedStore) globalize(shard int, local Ref) Ref {
 }
 
 // resolveShard routes a global ref to (store, local ref); a shard id
-// beyond the ring is a dangling reference (it can only come from a
-// larger ring or a corrupted ref, and dangling is the fail-safe answer).
+// beyond the store's shards is a dangling reference (it can only come
+// from a larger store or a corrupted ref, and dangling is the fail-safe
+// answer).
 func (ss *ShardedStore) resolveShard(ref Ref) (*Store, Ref, error) {
 	id := int(ref.Index >> shardIDShift)
 	if id >= len(ss.stores) {
@@ -228,9 +234,25 @@ func (ss *ShardedStore) resolveShard(ref Ref) (*Store, Ref, error) {
 	return ss.stores[id], Ref{Index: ref.Index & localIndexMax, Magic: ref.Magic}, nil
 }
 
-// pick counts one allocation and places it via the ring.
+// pick counts one allocation and places it.
 func (ss *ShardedStore) pick() int {
-	return ss.ring.OwnerIndex(ss.allocSeq.Add(1))
+	return ss.place(ss.allocSeq.Add(1))
+}
+
+// place maps an allocation count to a shard. The count is hashed, not
+// taken modulo the shard count: derived records and bridges advance it
+// too, so with k allocations per leaf a plain modulo would put every
+// leaf on the n/gcd(k, n) shards k strides through.
+func (ss *ShardedStore) place(seq uint64) int {
+	return int(mix64(seq) % uint64(len(ss.stores)))
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // danglingLocal is a reference no store slot can ever match (the local
@@ -242,14 +264,14 @@ var danglingLocal = Ref{Index: localIndexMax, Magic: 0}
 
 // --- Recorder: allocation ---
 
-// NewFact creates a leaf fact on a ring-chosen shard.
+// NewFact creates a leaf fact on a hash-chosen shard.
 func (ss *ShardedStore) NewFact(s State) Ref {
 	i := ss.pick()
 	return ss.globalize(i, ss.stores[i].NewFact(s))
 }
 
 // NewExternal creates a surrogate for a fact held by another service,
-// on a ring-chosen shard. The bridges' prefix is refused (zero Ref): a
+// on a hash-chosen shard. The bridges' prefix is refused (zero Ref): a
 // foreign record under it would fail the next open.
 func (ss *ShardedStore) NewExternal(source string, s State) Ref {
 	if strings.HasPrefix(source, bridgePrefix) {
@@ -261,9 +283,9 @@ func (ss *ShardedStore) NewExternal(source string, s State) Ref {
 
 // NewDerived creates a derived record on the shard of its first parent
 // (cascade locality); parents on other shards are wired through bridge
-// surrogates. A dangling parent — including one whose shard id is not
-// on the ring — makes the child permanently false, exactly as in the
-// single store.
+// surrogates. A dangling parent — including one whose shard id is
+// beyond the store's shards — makes the child permanently false,
+// exactly as in the single store.
 func (ss *ShardedStore) NewDerived(op Op, parents ...Parent) Ref {
 	owner, seq := -1, ss.allocSeq.Add(1)
 	if len(parents) > 0 {
@@ -272,7 +294,7 @@ func (ss *ShardedStore) NewDerived(op Op, parents ...Parent) Ref {
 		}
 	}
 	if owner < 0 {
-		owner = ss.ring.OwnerIndex(seq)
+		owner = ss.place(seq)
 	}
 	ownerStore := ss.stores[owner]
 	localParents := make([]Parent, 0, len(parents))
@@ -414,7 +436,7 @@ func (ss *ShardedStore) fanout(parents []Change) {
 // --- Recorder: transitions, flags ---
 
 // route applies a by-reference mutation on the owning shard; an
-// off-ring shard id is dangling.
+// out-of-range shard id is dangling.
 func (ss *ShardedStore) route(ref Ref, apply func(*Store, Ref) error) error {
 	st, local, err := ss.resolveShard(ref)
 	if err != nil {
@@ -432,8 +454,8 @@ func (ss *ShardedStore) SetState(ref Ref, s State) error {
 func (ss *ShardedStore) Invalidate(ref Ref) error { return ss.route(ref, (*Store).Invalidate) }
 
 // Apply groups the changes by owning shard and applies each group, in
-// order, as one Apply of that shard. An off-ring reference is dangling,
-// and its change is dropped.
+// order, as one Apply of that shard. An out-of-range reference is
+// dangling, and its change is dropped.
 func (ss *ShardedStore) Apply(changes []Change) error {
 	var buf [16]Change
 	var first error
@@ -535,7 +557,7 @@ func (ss *ShardedStore) Sweep() int {
 
 // --- Recorder: read paths ---
 
-// Lookup routes to the owning shard; an off-ring shard id is dangling.
+// Lookup routes to the owning shard; an out-of-range shard id is dangling.
 func (ss *ShardedStore) Lookup(ref Ref) (State, error) {
 	st, local, err := ss.resolveShard(ref)
 	if err != nil {
@@ -553,7 +575,7 @@ func (ss *ShardedStore) Valid(ref Ref) bool {
 	return st.Valid(local)
 }
 
-// Resolve routes to the owning shard; an off-ring shard id reads as
+// Resolve routes to the owning shard; an out-of-range shard id reads as
 // permanently false, like any dangling reference.
 func (ss *ShardedStore) Resolve(ref Ref) (State, bool, error) {
 	st, local, err := ss.resolveShard(ref)

@@ -69,19 +69,16 @@ func matrixProbes(r credrec.Recorder, derived []credrec.Ref) []matrixProbe {
 // over what they recovered.
 func openDurableSharded(t *testing.T, names []string, backends []*storage.Memory, opts storage.Options) (*credrec.ShardedStore, []*storage.Engine) {
 	t.Helper()
-	ring, err := credrec.NewRing(names, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
 	engines := make([]*storage.Engine, len(backends))
 	stores := make([]*credrec.Store, len(backends))
 	for i, be := range backends {
+		var err error
 		if engines[i], err = storage.Open(be, opts); err != nil {
 			t.Fatal(err)
 		}
 		stores[i] = engines[i].Store()
 	}
-	ss, err := credrec.OpenShardedStore(ring, stores)
+	ss, err := credrec.OpenShardedStore(names, stores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +112,7 @@ func TestShardedMatrix(t *testing.T) {
 			names[i] = string(rune('A' + i))
 		}
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ss, err := credrec.NewShardedStore(names, 16)
+			ss, err := credrec.NewShardedStore(names, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package credrec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -15,7 +16,7 @@ func newTestSharded(t *testing.T, n int) *ShardedStore {
 	for i := range names {
 		names[i] = string(rune('A' + i))
 	}
-	ss, err := NewShardedStore(names, 16)
+	ss, err := NewShardedStore(names, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,20 +42,73 @@ func TestShardedRefPacking(t *testing.T) {
 	}
 }
 
+// The constructors refuse a shape no reference format or bridge name
+// could describe: no shards, an empty or repeated name, more shards
+// than the shard-id field holds, and a placement parameter.
+func TestShardedStoreRejectsBadNames(t *testing.T) {
+	tooMany := make([]string, MaxStoreShards+1)
+	for i := range tooMany {
+		tooMany[i] = fmt.Sprintf("s%02d", i)
+	}
+	for _, names := range [][]string{nil, {}, {"a", ""}, {"a", "b", "a"}, tooMany} {
+		if _, err := NewShardedStore(names, 0); err == nil {
+			t.Errorf("NewShardedStore accepted %d names %q", len(names), names)
+		}
+		stores := make([]*Store, len(names))
+		for i := range stores {
+			stores[i] = NewStore()
+		}
+		if _, err := OpenShardedStore(names, stores); err == nil {
+			t.Errorf("OpenShardedStore accepted %d names %q", len(names), names)
+		}
+	}
+	if _, err := NewShardedStore([]string{"a", "b"}, 16); err == nil {
+		t.Error("NewShardedStore accepted replicas 16")
+	}
+}
+
+// Leaves spread evenly whatever the number of allocations each entry
+// makes: the allocation count also advances for the derived records
+// placed on their parent's shard, so a placement that strides through
+// it (seq % n) would put every leaf on a few shards.
+func TestShardedPlacementSpreadsLeaves(t *testing.T) {
+	const entries = 4000
+	for _, n := range []int{2, 4, 8} {
+		for per := 1; per <= 4; per++ {
+			ss := newTestSharded(t, n)
+			leaves := make([]int, n)
+			for e := 0; e < entries; e++ {
+				fact := ss.NewFact(True)
+				leaves[ss.ShardOf(fact)]++
+				for d := 1; d < per; d++ {
+					ss.NewDerived(OpAnd, Of(fact))
+				}
+			}
+			mean := float64(entries) / float64(n)
+			for i, c := range leaves {
+				if dev := float64(c)/mean - 1; dev < -0.25 || dev > 0.25 {
+					t.Errorf("%d shards, %d allocations per entry: shard %d holds %d leaves, %+.0f%% of the mean %.0f (all: %v)",
+						n, per, i, c, dev*100, mean, leaves)
+				}
+			}
+		}
+	}
+}
+
 func TestShardedDanglingShardID(t *testing.T) {
 	ss := newTestSharded(t, 2)
-	bad := Ref{Index: 63 << shardIDShift, Magic: 1} // shard 63 is off the ring
+	bad := Ref{Index: 63 << shardIDShift, Magic: 1} // shard 63 is beyond the store
 	if _, err := ss.Lookup(bad); err == nil {
-		t.Fatal("off-ring shard id resolved")
+		t.Fatal("out-of-range shard id resolved")
 	}
 	if st, perm, _ := ss.Resolve(bad); st != False || !perm {
-		t.Fatalf("Resolve off-ring = %v, %v; want permanently false", st, perm)
+		t.Fatalf("Resolve out-of-range = %v, %v; want permanently false", st, perm)
 	}
 	if ss.Valid(bad) {
-		t.Fatal("off-ring ref validated")
+		t.Fatal("out-of-range ref validated")
 	}
 	if err := ss.SetState(bad, True); err == nil {
-		t.Fatal("SetState on off-ring ref succeeded")
+		t.Fatal("SetState on out-of-range ref succeeded")
 	}
 }
 
@@ -414,11 +468,7 @@ func openTestSharded(t *testing.T, stores []*Store) *ShardedStore {
 	for i := range names {
 		names[i] = string(rune('A' + i))
 	}
-	ring, err := NewRing(names, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := OpenShardedStore(ring, stores)
+	ss, err := OpenShardedStore(names, stores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,22 +553,17 @@ func TestShardedReopenRebuildsEdges(t *testing.T) {
 	}
 }
 
-// A store holding a bridge this ring cannot have made must not open.
+// A store holding a bridge this store cannot have made must not open.
 func TestShardedOpenRefusesForeignBridges(t *testing.T) {
 	for _, src := range []string{
 		"shard:B#zz",               // malformed
 		bridgeName("B", Ref{1, 1}), // owned by shard 0, which is this shard and is not B
 		bridgeName("Z", Ref{Index: 1 << shardIDShift, Magic: 1}),  // shard 1 is B, not Z
-		bridgeName("C", Ref{Index: 40 << shardIDShift, Magic: 1}), // off the ring
+		bridgeName("C", Ref{Index: 40 << shardIDShift, Magic: 1}), // beyond the store
 	} {
 		st := NewStore()
 		st.NewExternal(src, True)
-		names := []string{"A", "B", "C"}
-		ring, err := NewRing(names, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenShardedStore(ring, []*Store{st, NewStore(), NewStore()}); err == nil {
+		if _, err := OpenShardedStore([]string{"A", "B", "C"}, []*Store{st, NewStore(), NewStore()}); err == nil {
 			t.Errorf("store with bridge source %q opened", src)
 		}
 	}
@@ -746,7 +791,7 @@ func TestShardedFinalValueWaitsForParentShard(t *testing.T) {
 
 // TestShardedApplyGroupsByShard: a batch over several shards is one
 // mutation on each, its changes in batch order, and a change whose
-// reference names no shard of the ring is dropped as dangling.
+// reference names no shard of the store is dropped as dangling.
 func TestShardedApplyGroupsByShard(t *testing.T) {
 	ss := newTestSharded(t, 4)
 	on := func(cond func(Ref) bool) Ref {
@@ -769,8 +814,8 @@ func TestShardedApplyGroupsByShard(t *testing.T) {
 		shard := ss.ShardOf(changes[0].Ref)
 		calls[shard] = append(calls[shard], append([]Change(nil), changes...))
 	})
-	offRing := Ref{Index: 63 << shardIDShift, Magic: 1}
-	if err := ss.Apply([]Change{{a2, True, false}, {b, False, true}, {offRing, True, false}, {a, False, false}}); err != nil {
+	offRange := Ref{Index: 63 << shardIDShift, Magic: 1}
+	if err := ss.Apply([]Change{{a2, True, false}, {b, False, true}, {offRange, True, false}, {a, False, false}}); err != nil {
 		t.Fatal(err)
 	}
 	want := map[int][][]Change{

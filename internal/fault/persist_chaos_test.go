@@ -402,10 +402,6 @@ type shardedWorld struct {
 
 func openShardedWorld(t *testing.T, backends []*storage.Memory, opts storage.Options) *shardedWorld {
 	t.Helper()
-	ring, err := credrec.NewRing(chaosShardNames, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	w := &shardedWorld{backends: backends}
 	stores := make([]*credrec.Store, len(backends))
 	for i, be := range backends {
@@ -416,7 +412,8 @@ func openShardedWorld(t *testing.T, backends []*storage.Memory, opts storage.Opt
 		w.engines = append(w.engines, eng)
 		stores[i] = eng.Store()
 	}
-	if w.ss, err = credrec.OpenShardedStore(ring, stores); err != nil {
+	var err error
+	if w.ss, err = credrec.OpenShardedStore(chaosShardNames, stores); err != nil {
 		t.Fatalf("opening the sharded store: %v", err)
 	}
 	return w
@@ -632,14 +629,11 @@ func TestKillPointsShardedIndependentWatermarks(t *testing.T) {
 		for i := range backends {
 			backends[i] = media[cut[i]][i].Crash(0) // recovery writes to its medium: work on a copy
 		}
-		ring, err := credrec.NewRing(chaosShardNames, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
 		engines := make([]*storage.Engine, n)
 		stores := make([]*credrec.Store, n)
 		var deadBefore [][]imageLine
 		for i, be := range backends {
+			var err error
 			if engines[i], err = storage.Open(be, storage.Options{}); err != nil {
 				t.Fatalf("cut %v: shard %d: recovery failed: %v", cut, i, err)
 			}
@@ -651,7 +645,7 @@ func TestKillPointsShardedIndependentWatermarks(t *testing.T) {
 			}
 			deadBefore = append(deadBefore, parseImage(t, got))
 		}
-		ss, err := credrec.OpenShardedStore(ring, stores)
+		ss, err := credrec.OpenShardedStore(chaosShardNames, stores)
 		if err != nil {
 			t.Fatalf("cut %v: %v", cut, err)
 		}

@@ -8,13 +8,13 @@ import (
 	"oasis/internal/bus"
 )
 
-// Sharded operation: a set of oasisd daemons partitions the credential
-// record graph by consistent hashing (internal/credrec.Ring decides
-// placement, internal/credrec.ShardedStore seals the owning shard into
-// every reference) and joins one ring. The ring carries one thing: each
-// member's notification backlog, pushed down a deterministic k-ary tree
-// (bus.Tree) by "treeforward", so a storm drowning one member sheds
-// load at every member's front door (ClusterPendingNotifications).
+// Sharded operation: a set of oasisd daemons joins one ring. Each
+// member keeps its own credential-record store (partitioned within the
+// process by internal/credrec.ShardedStore, if at all), and the ring
+// carries one thing: each member's notification backlog, pushed down a
+// deterministic k-ary tree (bus.Tree) by "treeforward", so a storm
+// drowning one member sheds load at every member's front door
+// (ClusterPendingNotifications).
 //
 // A record crosses between members the way it crosses between any two
 // services: a flat watch (validate with Watch, or resync) and the
