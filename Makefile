@@ -21,7 +21,7 @@ help:
 	@echo "test-shard  sharding matrix: sharded-store/placement/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, one http.Server (the gateway loop's fallback), one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), no consistent-hash ring placing records (a leaf goes by a hash of the allocation count), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, two http.Servers (the gateway loop's fallback, oasisd's admin port) and no http.DefaultServeMux, one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), no consistent-hash ring placing records (a leaf goes by a hash of the allocation count), one counter registry (Service.Vars: no AuditSnapshot, striped call counters, Network.Dropped, Engine.Recovered or gateway test probes), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -147,8 +147,8 @@ vet:
 # cert.VerifyCache stays only while bench/ constructs it. No library
 # package changes the process's P count (runtime.GOMAXPROCS): tests run
 # many services in one process, so only the daemon decides, and it gives
-# a journal that fsyncs its one spare P. One http.Server is built, in
-# internal/gateway/server.go: the gateway's serving loop frames the
+# a journal that fsyncs its one spare P. The gateway's one http.Server is
+# built in internal/gateway/server.go: the gateway's serving loop frames the
 # requests it recognises and hands every other connection to it, so
 # net/http stays the one definition of HTTP/1.1 and the fallback. And
 # one adapter sits between net/http and the routes: a route takes the
@@ -170,6 +170,15 @@ vet:
 # consistent-hash ring would spare a move: a leaf goes to the shard a
 # hash of the allocation count names, and the ring, its replicas and
 # its owner lookup stay out of the code and the docs.
+# One counter registry: each service's unpublished expvar.Map
+# (oasis.Service.Vars), so the one-off accessors it replaced — the audit
+# snapshot, the bus's striped call counters and Dropped, the journal
+# engine's Recovered, and the gateway's test-only token and dropped-write
+# probes — stay out. One admin port reads it: two http.Servers are built,
+# the gateway loop's fallback and oasisd's -admin-listen
+# (serveAdmin in cmd/oasisd/main.go), and nothing registers on or serves
+# http.DefaultServeMux, where expvar and net/http/pprof register
+# themselves on import.
 # Every tracked .go file is gofmt-clean.
 # The closing loops hold the documents to the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
 # DESIGN.md's experiment index, README.md or docs/*.md must be a func in
@@ -198,7 +207,8 @@ lint: reach
 	! grep -rn 'VerifyCache' --include='*.go' --exclude='*_test.go' internal/oasis internal/gateway cmd/oasisd
 	! grep -rn 'runtime\.GOMAXPROCS(' --include='*.go' --exclude='*_test.go' internal/
 	! grep -rln 'http\.Server{' --include='*.go' --exclude='*_test.go' internal/ cmd/ *.go \
-		| grep -vx internal/gateway/server.go
+		| grep -vxE 'internal/gateway/server.go|cmd/oasisd/main.go'
+	! grep -rnE 'http\.DefaultServeMux|http\.Handle\(|http\.HandleFunc\(' --include='*.go' --exclude='*_test.go' internal/ cmd/
 	! grep -rlE '\*http\.Request|http\.ResponseWriter' --include='*.go' --exclude='*_test.go' internal/gateway \
 		| grep -vx internal/gateway/gateway.go
 	! grep -rnE '\bResyncEntry\b|\.mirror\(' --include='*.go' internal/ cmd/
@@ -206,6 +216,8 @@ lint: reach
 	! grep -rnE 'batchNotify|StartBatch|EndBatch|SetCoalesceRule|DeliverBatch|modifiedCoalesceRule' \
 		--include='*.go' --exclude='*_test.go' --exclude-dir=oasislint internal/oasis cmd/
 	! grep -rnE 'NewRing|OwnerIndex|DefaultRingReplicas|credrec\.Ring\b' internal/ cmd/ docs/
+	! grep -rnE 'AuditSnapshot|counterShard|func \(n \*Network\) Dropped\b|Recovered\(\)' --include='*.go' internal/ cmd/
+	! grep -rnE --include=export_test.go 'TokenCount|DroppedResponseWrites' internal/ cmd/
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	! test -e cmd/benchharness
 	test "$$(ls *_test.go | wc -l)" -eq 1

@@ -52,6 +52,16 @@
 // cluster-wide backlog that adds up. Revocations cross members as
 // between any two services, over the watch each holds at the issuer.
 //
+// -admin-listen opens the administration port: /debug/vars, the
+// service's counters (oasis.Service.Vars: the audit counters of §4.13,
+// the bus's, the store's, the gateway's, each journal's recovery
+// figures, each watched source's suspicion state, the shard ring and
+// GOMAXPROCS) with the process's memstats and cmdline, and
+// net/http/pprof's profiles under /debug/pprof/. It is empty, and so
+// closed, by default, and must never be exposed beyond the operator's
+// own host: profiles and per-source state are for administration only,
+// and the port has no authentication.
+//
 // Every heartbeat period the service runs its duties
 // (oasis.Service.StartDuties): failure suspicion, heartbeats to its
 // watchers, delegation expiry, record sweep (§4.8: revoked records are
@@ -68,17 +78,22 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"expvar"
 	"flag"
 	"fmt"
 	"log"
 	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
+	"time"
 
 	"oasis/internal/bus"
 	"oasis/internal/clock"
@@ -121,6 +136,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.StringVar(&cfg.scope, "scope", "main", "rolefile scope id")
 	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:7465", "client (JSON) listen address")
 	fs.StringVar(&cfg.peerListen, "peer-listen", "", "inter-service listen address; empty disables")
+	fs.StringVar(&cfg.adminListen, "admin-listen", "", "administration listen address (/debug/vars, /debug/pprof/); empty disables; never expose it")
 	fs.IntVar(&cfg.failsafeMissed, "failsafe-missed", 3, "heartbeat periods of silence before a watched source's records fail safe to False")
 	fs.StringVar(&cfg.httpListen, "http-listen", "", "federation gateway (HTTP/JSON token issuance/introspection/revocation) listen address; empty disables")
 	fs.Float64Var(&cfg.httpRate, "http-rate", 50, "gateway per-client request budget in requests/second (0 disables rate limiting)")
@@ -138,6 +154,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 type config struct {
 	name, rolefilePath, scope string
 	listen, peerListen        string
+	adminListen               string
 	failsafeMissed            int
 	remotes                   remoteFlags
 	shards                    int
@@ -206,6 +223,10 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
+	svc.Vars().Set("gomaxprocs", expvar.Func(func() any { return runtime.GOMAXPROCS(0) }))
+	for i, eng := range engines {
+		svc.Vars().Set(fmt.Sprintf("recovery.%d", i), eng.Vars())
+	}
 	for peer, addr := range cfg.remotes {
 		if err := network.AddRemote(peer, addr); err != nil {
 			return fmt.Errorf("join %s at %s: %w", peer, addr, err)
@@ -237,6 +258,14 @@ func run(cfg config) error {
 			}
 		}()
 		log.Printf("oasisd: inter-service protocol on %s", peerLn.Addr())
+	}
+	if cfg.adminListen != "" {
+		adminLn, err := net.Listen("tcp", cfg.adminListen)
+		if err != nil {
+			return err
+		}
+		defer serveAdmin(adminLn, svc).Close()
+		log.Printf("oasisd: admin (/debug/vars, /debug/pprof/) on %s", adminLn.Addr())
 	}
 	stopDuties := svc.StartDuties()
 	defer stopDuties()
@@ -282,6 +311,33 @@ func run(cfg config) error {
 		log.Printf("oasisd: %v: closing listeners and flushing the store", sig)
 		return nil
 	}
+}
+
+// serveAdmin serves -admin-listen on ln until the returned server is
+// closed: /debug/vars is expvar's process-wide "cmdline" and "memstats"
+// beside the service's Vars under its name, and /debug/pprof/ is
+// net/http/pprof's five handlers. The mux is the port's own: the two
+// packages also register on net/http's default mux when imported, and
+// nothing here serves that.
+func serveAdmin(ln net.Listener, svc *oasis.Service) *http.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		name, _ := json.Marshal(svc.Name()) // JSON's quoting, not Go's %q
+		fmt.Fprintf(w, "{\"cmdline\": %s, \"memstats\": %s, %s: %s}\n", expvar.Get("cmdline"), expvar.Get("memstats"), name, svc.Vars())
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	go func() {
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("oasisd: admin listener: %v", err)
+		}
+	}()
+	return srv
 }
 
 // fsyncs reports whether the store cfg asks for waits on fsync: a
@@ -366,9 +422,7 @@ func openStore(cfg config) (credrec.Recorder, []*storage.Engine, error) {
 		}
 		engines = append(engines, eng)
 		stores = append(stores, eng.Store())
-		snap, segs, recs, torn := eng.Recovered()
-		log.Printf("oasisd: store %s recovered: snapshot %d, %d tail segment(s), %d record(s) replayed, torn tail: %v",
-			dir, snap, segs, recs, torn)
+		log.Printf("oasisd: store %s recovered: %s", dir, eng.Vars())
 	}
 	if shards == 0 {
 		return stores[0], engines, nil

@@ -181,7 +181,7 @@ func TestPersistentStoreSnapshotThenRestart(t *testing.T) {
 
 	srv2 := startPersistentServer(t, cfg, builtinLoginRolefile)
 	defer srv2.closeEngines(t)
-	if snap, _, _, _ := srv2.engines[0].Recovered(); snap == 0 {
+	if srv2.engines[0].Vars().Get("snapshot").String() == "0" {
 		t.Fatal("restart did not use the snapshot")
 	}
 	if !bytes.Equal(srv2.store.Image(), preCrash) {
@@ -356,8 +356,9 @@ func TestMonolithDirFromParentCommitRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer engines[0].Close()
-	if snap, segs, recs, _ := engines[0].Recovered(); snap != 1 || segs != 1 || recs == 0 {
-		t.Fatalf("recovered snapshot %d, %d segment(s), %d record(s); want snapshot 1 and its tail", snap, segs, recs)
+	if got := engines[0].Vars(); got.Get("snapshot").String() != "1" || got.Get("segments").String() != "1" ||
+		got.Get("records").String() == "0" {
+		t.Fatalf("recovered %s; want snapshot 1 and its tail", got)
 	}
 	if got := store.Image(); !bytes.Equal(got, want) {
 		t.Fatalf("recovered image differs from the one its writer had:\n-- recovered --\n%s-- want --\n%s", got, want)
@@ -520,7 +521,7 @@ func signalStopsAndFlushes(t *testing.T, cfg config, spareProc int) {
 		t.Fatal(err)
 	}
 	for i, eng := range engines {
-		if _, _, _, torn := eng.Recovered(); torn {
+		if eng.Vars().Get("torn").String() != "0" {
 			t.Errorf("shard %d reopened with a torn tail", i)
 		}
 		defer eng.Close()

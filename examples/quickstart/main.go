@@ -121,8 +121,8 @@ func run() error {
 	// The chair could also have revoked explicitly:
 	fmt.Println("revocation certificate held by chair:", rev != nil)
 
-	audit := conf.AuditSnapshot()
-	fmt.Printf("conf audit: issued=%d validated=%d revokedRejects=%d\n",
-		audit.Issued, audit.Validated, audit.Revocation)
+	audit := conf.Vars()
+	fmt.Printf("conf audit: issued=%s validated=%s revokedRejects=%s\n",
+		audit.Get("issued"), audit.Get("validated"), audit.Get("revoked"))
 	return nil
 }

@@ -10,9 +10,9 @@
 // failure, message loss, delayed notification — are all reproducible.
 //
 // Concurrency: the peer/remote table is read-mostly and sits behind an
-// RWMutex; the message counters are atomics (dedicated words
-// for the hot notify/heartbeat/dropped counts, a sharded map for the
-// per-op call counts); the delayed-notification queue is a min-heap
+// RWMutex; the message counters are expvar entries (Vars): dedicated
+// Ints for the notify/heartbeat/dropped counts, an expvar.Map for the
+// per-op call counts; the delayed-notification queue is a min-heap
 // ordered by (due, seq) behind its own mutex. Lock order: every mutex
 // here is a leaf — no bus code path acquires one while holding another,
 // and endpoints are always invoked with no bus lock held.
@@ -21,8 +21,8 @@ package bus
 import (
 	"container/heap"
 	"errors"
+	"expvar"
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,14 +104,6 @@ func (h *notifyHeap) Pop() any {
 	return q
 }
 
-// counterShards stripes the cold (string-keyed) message counters.
-const counterShards = 16
-
-type counterShard struct {
-	mu sync.RWMutex
-	m  map[string]*atomic.Int64
-}
-
 // CoalesceRule tells the batch path which notifications supersede
 // earlier ones on the same session. Key returns a non-empty coalescing
 // key for events that may coalesce (e.g. the record ref of a Modified
@@ -144,12 +136,11 @@ type Network struct {
 	queue   notifyHeap
 	nextSeq uint64
 
-	// Hot counters are dedicated atomics; the per-op call counts live
-	// in the sharded map, keyed by op.
-	notifyCount    atomic.Int64
-	heartbeatCount atomic.Int64
-	droppedCount   atomic.Int64
-	counters       [counterShards]counterShard
+	// The message counters, published through vars: the hot ones are
+	// dedicated Ints, the per-op call counts a map keyed by op.
+	vars                                      expvar.Map
+	notifyCount, heartbeatCount, droppedCount expvar.Int
+	calls                                     expvar.Map
 
 	coalesce atomic.Pointer[CoalesceRule]
 	policy   atomic.Pointer[policyBox]
@@ -161,12 +152,27 @@ type Network struct {
 
 // NewNetwork creates a network over the given clock.
 func NewNetwork(clk clock.Clock) *Network {
-	return &Network{
+	n := &Network{
 		clk:     clk,
 		peers:   make(map[string]Endpoint),
 		batches: make(map[string]*batchState),
 	}
+	n.vars.Set("notify", &n.notifyCount)
+	n.vars.Set("heartbeat", &n.heartbeatCount)
+	n.vars.Set("dropped", &n.droppedCount)
+	n.vars.Set("calls", &n.calls)
+	n.vars.Set("pending_notes", expvar.Func(n.pendingNotes))
+	return n
 }
+
+// Vars returns the network's counters, unpublished: "notify",
+// "heartbeat", "dropped" (notifications lost in transit: sends the link
+// policy dropped, a severed link included, or that named no routable
+// peer, queued deliveries whose link or destination went away before
+// they came due, and TCP encode failures — the transport-side account
+// of the losses heartbeat sequence numbers detect, §4.10), "calls" (one
+// count per op) and "pending_notes" (tcp.go).
+func (n *Network) Vars() *expvar.Map { return &n.vars }
 
 // Register attaches an endpoint under a unique name.
 func (n *Network) Register(name string, ep Endpoint) error {
@@ -178,13 +184,6 @@ func (n *Network) Register(name string, ep Endpoint) error {
 	n.peers[name] = ep
 	return nil
 }
-
-// Dropped reports the number of notifications lost in transit: sends
-// the link policy dropped (a severed link included) or that named no
-// routable peer, queued deliveries whose link or destination went away
-// before they came due, and TCP encode failures. Heartbeat loss detection (§4.10) is sequence-based; this
-// counter is the transport-side account of the same losses.
-func (n *Network) Dropped() int64 { return n.droppedCount.Load() }
 
 // PendingNotifications reports the notification-plane backlog inside
 // the bus: delay-queued deliveries plus everything buffered in open
@@ -242,7 +241,7 @@ func (n *Network) route(to string) (Endpoint, remoteLink) {
 // added with AddRemote are reached over their TCP link.
 func (n *Network) Call(from, to, op string, arg any) (any, error) {
 	ep, remote := n.route(to)
-	n.bumpCall(op)
+	n.calls.Add(op, 1)
 	if n.linkSevered(from, to) || (ep == nil && remote == nil) {
 		return nil, fmt.Errorf("%w: %s -> %s", ErrUnreachable, from, to)
 	}
@@ -261,32 +260,32 @@ func (n *Network) Call(from, to, op string, arg any) (any, error) {
 // time, except that a queued notification re-checks the link when it
 // comes due.
 func (n *Network) Send(from, to string, note event.Notification) {
-	n.notifyCount.Add(1)
-	if note.Heartbeat {
-		n.heartbeatCount.Add(1)
-	}
 	ep, remote := n.route(to)
-	if ep == nil && remote == nil {
-		n.droppedCount.Add(1)
-		return
-	}
-	v := n.verdict(from, to)
-	if v.Drop {
-		n.droppedCount.Add(1)
-		return
-	}
-	for c := 0; c < max(v.Copies, 1); c++ {
+	v := n.admit(from, to, ep != nil || remote != nil, note)
+	for c := 0; c < v.Copies; c++ {
 		n.sendOne(from, to, ep, remote, note, v.Delay)
 	}
 }
 
-// verdict is the installed policy's treatment of one notification; with
-// no policy everything is delivered once, at once.
-func (n *Network) verdict(from, to string) Verdict {
-	if box := n.policy.Load(); box != nil {
-		return box.p.Notify(from, to)
+// admit counts one notification and returns the installed policy's
+// treatment of it, with Copies 0 when it is lost here — to names no
+// routable peer, or the policy drops it — and counted dropped. With no
+// policy everything is delivered once, at once.
+func (n *Network) admit(from, to string, routable bool, note event.Notification) Verdict {
+	n.notifyCount.Add(1)
+	if note.Heartbeat {
+		n.heartbeatCount.Add(1)
 	}
-	return Verdict{}
+	v := Verdict{Copies: 1}
+	if box := n.policy.Load(); box != nil && routable {
+		v = box.p.Notify(from, to)
+		v.Copies = max(v.Copies, 1)
+	}
+	if !routable || v.Drop {
+		n.droppedCount.Add(1)
+		v.Copies = 0
+	}
+	return v
 }
 
 // sendOne queues or delivers a single (possibly duplicated) copy.
@@ -451,80 +450,33 @@ func (n *Network) Flush() int {
 		// Re-check the link at delivery time: a message queued before a
 		// partition must not slip across it. (Blocked is a pure query, so
 		// this consumes no policy randomness.)
-		if n.linkSevered(q.from, q.to) {
-			n.droppedCount.Add(1)
-			continue
-		}
 		ep, remote := n.route(q.to)
 		switch {
+		case n.linkSevered(q.from, q.to) || ep == nil && remote == nil:
+			n.droppedCount.Add(1)
 		case ep != nil:
 			ep.Deliver(q.n)
 			delivered++
-		case remote != nil:
+		default:
 			remote.send(q.from, q.to, q.n)
 			delivered++
-		default:
-			n.droppedCount.Add(1)
 		}
 	}
 	return delivered
 }
 
-func (n *Network) counterShardFor(op string) *counterShard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(op))
-	return &n.counters[h.Sum32()%counterShards]
-}
-
-// bumpCall increments op's call counter. The key is op itself, so a
-// call allocates only the first time its op is seen.
-func (n *Network) bumpCall(op string) {
-	sh := n.counterShardFor(op)
-	sh.mu.RLock()
-	c := sh.m[op]
-	sh.mu.RUnlock()
-	if c == nil {
-		sh.mu.Lock()
-		if sh.m == nil {
-			sh.m = make(map[string]*atomic.Int64)
-		}
-		if c = sh.m[op]; c == nil {
-			c = new(atomic.Int64)
-			sh.m[op] = c
-		}
-		sh.mu.Unlock()
-	}
-	c.Add(1)
-}
-
 // Count reports a message counter ("call:<op>", "notify", "heartbeat",
-// "dropped"). The background-traffic experiment (E6) reads these.
+// "dropped") from Vars. The background-traffic experiment (E6) reads
+// these.
 func (n *Network) Count(kind string) int {
-	switch kind {
-	case "notify":
-		return int(n.notifyCount.Load())
-	case "heartbeat":
-		return int(n.heartbeatCount.Load())
-	case "dropped":
-		return int(n.droppedCount.Load())
+	m := &n.vars
+	if op, ok := strings.CutPrefix(kind, "call:"); ok {
+		m, kind = &n.calls, op
 	}
-	op, ok := strings.CutPrefix(kind, "call:")
-	if !ok {
-		return 0
-	}
-	sh := n.counterShardFor(op)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if c := sh.m[op]; c != nil {
-		return int(c.Load())
+	if c, ok := m.Get(kind).(*expvar.Int); ok {
+		return int(c.Value())
 	}
 	return 0
-}
-
-// dropNote counts a notification lost in transport (tcp.go's encode
-// failures report through here so heartbeat loss detection sees them).
-func (n *Network) dropNote(count int) {
-	n.droppedCount.Add(int64(count))
 }
 
 // Sink returns an event.Sink that sends notifications from `from` to

@@ -3,6 +3,7 @@ package bus
 import (
 	"bufio"
 	"errors"
+	"expvar"
 	"net"
 	"runtime"
 	"strings"
@@ -175,7 +176,7 @@ func TestStalledReaderKillsWriter(t *testing.T) {
 	rp.mu.Lock()
 	first := rp.conn
 	_ = first.(*net.TCPConn).SetWriteBuffer(4 << 10)
-	rp.wr.bound = bound // nothing has been flushed yet: no flusher reads it
+	rp.wr.Load().bound = bound // nothing has been flushed yet: no flusher reads it
 	rp.mu.Unlock()
 
 	// 16 MiB on the wire: more than loopback socket buffers hold even
@@ -191,7 +192,7 @@ func TestStalledReaderKillsWriter(t *testing.T) {
 	if took := time.Since(start); took < bound || took > 2*bound+5*time.Second {
 		t.Fatalf("sendBatch into a stalled reader took %v, want between %v and %v (plus scheduling)", took, bound, 2*bound)
 	}
-	if got := n.Dropped(); got != burst {
+	if got := n.Count("dropped"); got != burst {
 		t.Fatalf("network counted %d dropped, want %d", got, burst)
 	}
 
@@ -206,7 +207,7 @@ func TestStalledReaderKillsWriter(t *testing.T) {
 	if a := accepts.Load(); a != 2 {
 		t.Fatalf("%d connections after the next send, want 2", a)
 	}
-	if got := n.Dropped(); got != burst {
+	if got := n.Count("dropped"); got != burst {
 		t.Fatalf("network counted %d dropped after reconnecting, want %d still", got, burst)
 	}
 }
@@ -308,4 +309,31 @@ func TestServedCallsOvertakeBlockedHandler(t *testing.T) {
 	goroutinesSettleAt(base + 3 + maxParkedWorkers)
 	n.CloseRemotes()
 	goroutinesSettleAt(base + 1) // the accept loop
+}
+
+// TestPendingNotesTakesNoLinkLock: the "pending_notes" figure reads each
+// link's writer without the link's lock, which a dial holds for up to
+// CallDeadline, so a scrape never waits on an unreachable peer.
+func TestPendingNotesTakesNoLinkLock(t *testing.T) {
+	release := make(chan struct{})
+	addr, _ := fakePeer(t, func(net.Conn) { <-release })
+	defer close(release)
+	n, _ := newNet(t)
+	if err := n.AddRemote("svc", addr); err != nil {
+		t.Fatal(err)
+	}
+	defer n.CloseRemotes()
+	rp := remoteOf(t, n, "svc")
+	rp.mu.Lock() // as connectLocked holds it through a dial
+	defer rp.mu.Unlock()
+	got := make(chan any, 1)
+	go func() { got <- n.Vars().Get("pending_notes").(expvar.Func).Value() }()
+	select {
+	case v := <-got:
+		if pending, ok := v.(map[string]int)["svc"]; !ok || pending != 0 {
+			t.Fatalf("pending_notes = %v, want svc at 0", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pending_notes waited on the link's lock")
+	}
 }

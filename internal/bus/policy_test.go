@@ -78,13 +78,13 @@ func TestPolicyDropIsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.SetLinkPolicy(&scriptPolicy{verdicts: []Verdict{{Drop: true}, {Copies: 1}}})
-	before := n.Dropped()
+	before := n.Count("dropped")
 	n.Send("a", "b", event.Notification{Seq: 1})
 	n.Send("a", "b", event.Notification{Seq: 2})
 	if p.noteCount() != 1 {
 		t.Fatalf("delivered %d notes, want 1", p.noteCount())
 	}
-	if got := n.Dropped() - before; got != 1 {
+	if got := n.Count("dropped") - before; got != 1 {
 		t.Fatalf("Dropped advanced by %d, want 1", got)
 	}
 }
@@ -163,15 +163,15 @@ func TestQueuedNotificationDroppedWhenLinkFails(t *testing.T) {
 	n.Send("a", "b", event.Notification{Seq: 1})
 	links.setBlocked("a", "b", true)
 	clk.Advance(10 * time.Second)
-	before := n.Dropped()
+	before := n.Count("dropped")
 	if got := n.Flush(); got != 0 {
 		t.Fatalf("Flush delivered %d across failed link", got)
 	}
 	if p.noteCount() != 0 {
 		t.Fatal("queued notification crossed failed link")
 	}
-	if n.Dropped() != before+1 {
-		t.Fatalf("drop not counted: %d -> %d", before, n.Dropped())
+	if n.Count("dropped") != before+1 {
+		t.Fatalf("drop not counted: %d -> %d", before, n.Count("dropped"))
 	}
 	// Heal and verify traffic resumes.
 	links.setBlocked("a", "b", false)
@@ -254,9 +254,9 @@ func TestRemoteDroppedCountsEncodeFailures(t *testing.T) {
 	rp.breakLocked()
 	rp.mu.Unlock()
 
-	before := n.Dropped()
+	before := n.Count("dropped")
 	n.Send("caller", "svc", event.Notification{Seq: 1})
-	if got := n.Dropped() - before; got != 1 {
+	if got := n.Count("dropped") - before; got != 1 {
 		t.Fatalf("Dropped advanced by %d, want 1", got)
 	}
 }

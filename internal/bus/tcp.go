@@ -3,8 +3,10 @@ package bus
 import (
 	"bufio"
 	"errors"
+	"expvar"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"slices"
 	"sync"
@@ -129,7 +131,7 @@ var errWriterDead = errors.New("bus: connection lost")
 // partial frame may be on the wire, so the stream cannot be trusted.
 // Death closes the socket — waking the connection's read loop, which
 // fails outstanding calls — and counts every accepted-but-undelivered
-// notification exactly once through onDrop. pendingNotes carries that
+// notification exactly once in dropped. pendingNotes carries that
 // invariant: it counts notify messages accepted into the pipeline and
 // not yet flushed, so whichever path kills the writer first owns them.
 //
@@ -138,9 +140,9 @@ var errWriterDead = errors.New("bus: connection lost")
 // one remains (one SetWriteDeadline per bound, not per flush), so a
 // blocked write fails after one to two bounds.
 type msgWriter struct {
-	conn   net.Conn
-	enc    *WireEnc  // over the connection's bufio.Writer; Flush pushes to the socket
-	onDrop func(int) // counts lost notifications; must use atomics only (called under wr.mu)
+	conn    net.Conn
+	enc     *WireEnc    // over the connection's bufio.Writer; Flush pushes to the socket
+	dropped *expvar.Int // the network's count of lost notifications
 
 	bound   time.Duration // CallDeadline; a field so a test can wait less
 	writeBy time.Time     // the socket's write deadline; the flusher's alone
@@ -153,8 +155,8 @@ type msgWriter struct {
 	dead         bool
 }
 
-func newMsgWriter(conn net.Conn, onDrop func(int)) *msgWriter {
-	return &msgWriter{conn: conn, enc: NewWireEnc(bufio.NewWriterSize(conn, wireBufSize)), onDrop: onDrop, bound: CallDeadline}
+func newMsgWriter(conn net.Conn, dropped *expvar.Int) *msgWriter {
+	return &msgWriter{conn: conn, enc: NewWireEnc(bufio.NewWriterSize(conn, wireBufSize)), dropped: dropped, bound: CallDeadline}
 }
 
 // enqueue accepts one call or reply for the wire. The only error is
@@ -224,9 +226,7 @@ func (wr *msgWriter) dieLocked() {
 	wr.pendingNotes = 0
 	wr.q = nil
 	_ = wr.conn.Close()
-	if lost > 0 {
-		wr.onDrop(lost)
-	}
+	wr.dropped.Add(int64(lost))
 }
 
 // kill tears the writer down from outside (read-loop death, link
@@ -300,6 +300,26 @@ type remoteLink interface {
 	call(from, to, op string, arg any) (any, error)
 	send(from, to string, note event.Notification)
 	sendBatch(from, to string, notes []event.Notification)
+	writer() *msgWriter // the live connection's, nil between connections
+}
+
+// pendingNotes is Vars' "pending_notes": per destination name, the
+// notifications its TCP link's writer has accepted and not yet flushed.
+// A watcher that stops reading fills this queue; the backlog the
+// gateway sheds on does not count it (docs/GATEWAY.md).
+func (n *Network) pendingNotes() any {
+	n.peersMu.RLock()
+	links := maps.Clone(n.remotes)
+	n.peersMu.RUnlock()
+	pending := make(map[string]int, len(links))
+	for name, link := range links {
+		if wr := link.writer(); wr != nil {
+			wr.mu.Lock()
+			pending[name] = wr.pendingNotes
+			wr.mu.Unlock()
+		}
+	}
+	return pending
 }
 
 // backchannel is a notify-only route back to a peer that dialled us:
@@ -314,6 +334,8 @@ func (b *backchannel) call(from, to, op string, arg any) (any, error) {
 	return nil, fmt.Errorf("%w: %s (notify-only back-channel)", ErrUnreachable, to)
 }
 
+func (b *backchannel) writer() *msgWriter { return b.wr }
+
 func (b *backchannel) send(from, to string, note event.Notification) {
 	b.sendBatch(from, to, []event.Notification{note})
 }
@@ -321,7 +343,7 @@ func (b *backchannel) send(from, to string, note event.Notification) {
 func (b *backchannel) sendBatch(from, to string, notes []event.Notification) {
 	if err := b.wr.enqueueNotes(from, to, notes); err != nil {
 		// Nothing was accepted, so the burst is ours to count.
-		b.wr.onDrop(len(notes))
+		b.wr.dropped.Add(int64(len(notes)))
 	}
 }
 
@@ -332,8 +354,8 @@ type remotePeer struct {
 
 	mu      sync.Mutex
 	conn    net.Conn
-	wr      *msgWriter
-	closed  bool // CloseRemotes: no reconnection
+	wr      atomic.Pointer[msgWriter] // written under mu; writer() reads it without
+	closed  bool                      // CloseRemotes: no reconnection
 	nextSeq uint64
 	waiting map[uint64]wireWaiter
 	reaping bool // a reap goroutine is watching the deadlines in waiting
@@ -397,7 +419,7 @@ func (n *Network) serveConn(conn net.Conn) {
 		return
 	}
 	dec := NewWireDec(bufio.NewReaderSize(conn, wireBufSize))
-	wr := newMsgWriter(conn, n.dropNote)
+	wr := newMsgWriter(conn, &n.droppedCount)
 	defer wr.kill()
 	workers := callWorkers{net: n, wr: wr, calls: make(chan wireMsg)}
 	defer close(workers.calls)
@@ -562,8 +584,8 @@ func (p *remotePeer) connectLocked() error {
 	}
 	_ = conn.SetDeadline(time.Time{})
 	p.conn = conn
-	p.wr = newMsgWriter(conn, p.home.dropNote)
-	go p.readLoop(conn, NewWireDec(bufio.NewReaderSize(conn, wireBufSize)), p.wr)
+	p.wr.Store(newMsgWriter(conn, &p.home.droppedCount))
+	go p.readLoop(conn, NewWireDec(bufio.NewReaderSize(conn, wireBufSize)), p.wr.Load())
 	return nil
 }
 
@@ -584,14 +606,10 @@ func (p *remotePeer) ensureConnLocked() error {
 // socket, which wakes the read loop; it fails the calls outstanding on
 // this connection.
 func (p *remotePeer) breakLocked() {
-	if p.wr != nil {
-		p.wr.kill()
+	if wr := p.wr.Swap(nil); wr != nil {
+		wr.kill() // the writer's socket is p.conn
 	}
-	if p.conn != nil {
-		_ = p.conn.Close()
-		p.conn = nil
-	}
-	p.wr = nil
+	p.conn = nil
 }
 
 func (p *remotePeer) readLoop(conn net.Conn, dec *WireDec, wr *msgWriter) {
@@ -607,7 +625,7 @@ func (p *remotePeer) readLoop(conn net.Conn, dec *WireDec, wr *msgWriter) {
 			p.mu.Lock()
 			if p.conn == conn {
 				p.conn = nil
-				p.wr = nil
+				p.wr.Store(nil)
 			}
 			var failed []chan wireMsg
 			for seq, wait := range p.waiting {
@@ -754,7 +772,7 @@ func (p *remotePeer) startCall(from, to, op string, arg any) (chan wireMsg, erro
 		p.mu.Unlock()
 		return nil, err
 	}
-	conn, wr := p.conn, p.wr
+	conn, wr := p.conn, p.wr.Load()
 	p.nextSeq++
 	seq := p.nextSeq
 	ch := callChans.Get().(chan wireMsg)
@@ -768,7 +786,7 @@ func (p *remotePeer) startCall(from, to, op string, arg any) (chan wireMsg, erro
 	if err := wr.enqueue(wireMsg{Kind: "call", Seq: seq, From: from, To: to, Op: op, Arg: arg}); err != nil {
 		p.mu.Lock()
 		delete(p.waiting, seq)
-		if p.wr == wr {
+		if p.wr.Load() == wr {
 			p.breakLocked()
 		}
 		p.mu.Unlock()
@@ -776,6 +794,9 @@ func (p *remotePeer) startCall(from, to, op string, arg any) (chan wireMsg, erro
 	}
 	return ch, nil
 }
+
+// writer takes no p.mu, which a dial holds for up to CallDeadline.
+func (p *remotePeer) writer() *msgWriter { return p.wr.Load() }
 
 func (p *remotePeer) send(from, to string, note event.Notification) {
 	p.sendBatch(from, to, []event.Notification{note})
@@ -790,17 +811,17 @@ func (p *remotePeer) sendBatch(from, to string, notes []event.Notification) {
 	p.mu.Lock()
 	if err := p.ensureConnLocked(); err != nil {
 		p.mu.Unlock()
-		p.home.dropNote(len(notes))
+		p.home.droppedCount.Add(int64(len(notes)))
 		return
 	}
-	wr := p.wr
+	wr := p.wr.Load()
 	p.mu.Unlock()
 
 	if err := wr.enqueueNotes(from, to, notes); err != nil {
 		// Nothing was accepted, so the burst is ours to count.
-		p.home.dropNote(len(notes))
+		p.home.droppedCount.Add(int64(len(notes)))
 		p.mu.Lock()
-		if p.wr == wr {
+		if p.wr.Load() == wr {
 			p.breakLocked()
 		}
 		p.mu.Unlock()

@@ -106,29 +106,14 @@ func (n *Network) ForwardBatch(from, to string, notes []event.Notification) int 
 	ep, remote := n.route(to)
 	var immediate []event.Notification
 	for _, note := range notes {
-		n.notifyCount.Add(1)
-		if note.Heartbeat {
-			n.heartbeatCount.Add(1)
-		}
-		if ep == nil && remote == nil {
-			n.droppedCount.Add(1)
-			continue
-		}
-		v := n.verdict(from, to)
-		if v.Drop {
-			n.droppedCount.Add(1)
-			continue
-		}
-		for c := 0; c < max(v.Copies, 1); c++ {
+		v := n.admit(from, to, ep != nil || remote != nil, note)
+		for c := 0; c < v.Copies; c++ {
 			if v.Delay > 0 {
 				n.enqueueDelayed(from, to, note, v.Delay)
 				continue
 			}
 			immediate = append(immediate, note)
 		}
-	}
-	if len(immediate) == 0 {
-		return 0
 	}
 	out := coalesceNotes(n.coalesce.Load(), immediate)
 	n.deliverBatch(from, to, out)

@@ -188,8 +188,8 @@ func TestDisseminatorPartitionStarvesSubtree(t *testing.T) {
 			t.Fatalf("member %s got %d notes, want %d", m, got, want)
 		}
 	}
-	if net.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3 (one per note on the severed edge)", net.Dropped())
+	if net.Count("dropped") != 3 {
+		t.Fatalf("dropped = %d, want 3 (one per note on the severed edge)", net.Count("dropped"))
 	}
 }
 

@@ -50,6 +50,7 @@ package credrec
 import (
 	"bytes"
 	"errors"
+	"expvar"
 	"fmt"
 	"strconv"
 	"strings"
@@ -940,6 +941,12 @@ func (st *Store) Image() []byte {
 		}
 	}
 	return b.Bytes()
+}
+
+// Vars reports the store's counters: records "created" and "deleted"
+// (swept) over its life, recovery included.
+func (st *Store) Vars() expvar.Var {
+	return expvar.Func(func() any { return map[string]uint64{"created": st.created.Load(), "deleted": st.deleted.Load()} })
 }
 
 // Live reports the number of live records (for tests and benchmarks).

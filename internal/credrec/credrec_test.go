@@ -458,9 +458,8 @@ func TestStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Sweep()
-	created, deleted := st.Stats()
-	if created != 1 || deleted != 1 {
-		t.Fatalf("stats = %d created, %d deleted", created, deleted)
+	if got, want := st.Vars().String(), `{"created":1,"deleted":1}`; got != want {
+		t.Fatalf("Vars() = %s, want %s", got, want)
 	}
 	if st.Live() != 0 {
 		t.Fatalf("Live = %d", st.Live())

@@ -30,11 +30,6 @@ func (st *Store) External(ref Ref) string {
 	return r.external
 }
 
-// Stats reports cumulative creations and deletions.
-func (st *Store) Stats() (created, deleted uint64) {
-	return st.created.Load(), st.deleted.Load()
-}
-
 // Interesting reports the number of live interesting credentials (for
 // tests and benchmarks: this stays far below members × groups).
 func (g *Groups) Interesting() int {

@@ -1,5 +1,7 @@
 package credrec
 
+import "expvar"
+
 // Recorder is the credential-record store surface the layers above
 // are written against — allocation, state transitions, flags, GC, bulk
 // source transitions, the read paths and observation. The *Store (in
@@ -43,6 +45,7 @@ type Recorder interface {
 	OnChange(f ChangeFunc)
 	Image() []byte
 	Live() int
+	Vars() expvar.Var
 }
 
 // Interface conformance: one store and its partitioned composition.

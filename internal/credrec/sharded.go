@@ -2,6 +2,7 @@ package credrec
 
 import (
 	"bytes"
+	"expvar"
 	"fmt"
 	"sort"
 	"strings"
@@ -618,6 +619,15 @@ func (ss *ShardedStore) Image() []byte {
 		b.Write(st.Image())
 	}
 	return b.Bytes()
+}
+
+// Vars reports each shard's counters under its name.
+func (ss *ShardedStore) Vars() expvar.Var {
+	m := new(expvar.Map)
+	for i, st := range ss.stores {
+		m.Set(ss.names[i], st.Vars())
+	}
+	return m
 }
 
 // Live sums live records over every shard (bridges included — they are

@@ -148,7 +148,7 @@ func TestShardedMatrix(t *testing.T) {
 				matrixAftermath(ss, facts)
 				check(t, "reopened, afterwards", matrixProbes(ss, derived), wantAfter)
 				for _, eng := range engines {
-					if _, _, _, torn := eng.Recovered(); torn {
+					if eng.Vars().Get("torn").String() != "0" {
 						t.Fatal("a closed store reopened with a torn tail")
 					}
 					if err := eng.Close(); err != nil {

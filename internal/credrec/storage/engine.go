@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"expvar"
 	"fmt"
 	"io"
 	"sync"
@@ -50,11 +51,7 @@ type Engine struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	// recovery facts, for operators and tests
-	recoveredSnapshot uint64
-	recoveredSegments int
-	recoveredRecords  int
-	recoveredTorn     bool
+	vars expvar.Map // what Open rebuilt (Vars)
 }
 
 // Open recovers the store held by be — newest snapshot, then replay of
@@ -69,6 +66,9 @@ func Open(be Backend, opts Options) (*Engine, error) {
 		snapCh: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
+	for _, k := range []string{"snapshot", "segments", "records", "torn"} {
+		e.vars.Add(k, 0)
+	}
 
 	snapNum, snapReader, haveSnap, err := be.LoadSnapshot()
 	if err != nil {
@@ -81,7 +81,7 @@ func Open(be Backend, opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("storage: snapshot %d: %w", snapNum, err)
 		}
-		e.recoveredSnapshot = snapNum
+		e.vars.Add("snapshot", int64(snapNum))
 	} else {
 		st = credrec.NewStore()
 	}
@@ -120,7 +120,7 @@ func Open(be Backend, opts Options) (*Engine, error) {
 				return nil, fmt.Errorf("storage: segment %d torn mid-journal: %w", tail[tornAt], credrec.ErrJournalCorrupt)
 			}
 			tornAt = i
-			e.recoveredTorn = true
+			e.vars.Add("torn", 1)
 			// Cut the tear off the medium. Without this, the next
 			// recovery would see the (still torn) segment followed by a
 			// data-bearing successor and refuse it as mid-journal
@@ -132,9 +132,9 @@ func Open(be Backend, opts Options) (*Engine, error) {
 		} else if applied > 0 && tornAt >= 0 {
 			return nil, fmt.Errorf("storage: segment %d torn mid-journal: %w", tail[tornAt], credrec.ErrJournalCorrupt)
 		}
-		e.recoveredRecords += applied
+		e.vars.Add("records", int64(applied))
 	}
-	e.recoveredSegments = len(tail)
+	e.vars.Add("segments", int64(len(tail)))
 
 	e.segNum = snapNum
 	if len(segs) > 0 && segs[len(segs)-1] > e.segNum {
@@ -169,12 +169,10 @@ func Open(be Backend, opts Options) (*Engine, error) {
 // Store returns the live, journaling store.
 func (e *Engine) Store() *credrec.Store { return e.ls }
 
-// Recovered reports what Open rebuilt: the snapshot number used (0 if
-// none), tail segments replayed, records applied from them, and
-// whether a torn final record was dropped.
-func (e *Engine) Recovered() (snapshot uint64, segments, records int, torn bool) {
-	return e.recoveredSnapshot, e.recoveredSegments, e.recoveredRecords, e.recoveredTorn
-}
+// Vars reports what Open rebuilt, unpublished: the "snapshot" number
+// used (0 if none), tail "segments" replayed, "records" applied from
+// them, and "torn" 1 if a torn final record was dropped.
+func (e *Engine) Vars() *expvar.Map { return &e.vars }
 
 // due reports whether the snapshot trigger has tripped.
 func (e *Engine) due() bool {

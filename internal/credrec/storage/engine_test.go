@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"expvar"
 	"os"
 	"testing"
 	"time"
@@ -25,6 +26,12 @@ func populate(ls *credrec.Store) (kept, revoked []credrec.Ref) {
 		}
 	}
 	return kept, revoked
+}
+
+// recovery reads what Open rebuilt from the engine's Vars.
+func recovery(e *Engine) (snap, segs, recs int64, torn bool) {
+	get := func(k string) int64 { return e.Vars().Get(k).(*expvar.Int).Value() }
+	return get("snapshot"), get("segments"), get("records"), get("torn") == 1
 }
 
 func checkRecovered(t *testing.T, ls *credrec.Store, kept, revoked []credrec.Ref) {
@@ -58,8 +65,8 @@ func TestEngineRecoverFromJournalOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	if snap, segs, recs, torn := e2.Recovered(); snap != 0 || segs == 0 || recs == 0 || torn {
-		t.Fatalf("Recovered() = %d %d %d %v, want journal-only recovery", snap, segs, recs, torn)
+	if snap, segs, recs, torn := recovery(e2); snap != 0 || segs == 0 || recs == 0 || torn {
+		t.Fatalf("recovery = %d %d %d %v, want journal-only recovery", snap, segs, recs, torn)
 	}
 	if !bytes.Equal(e2.Store().Image(), img) {
 		t.Fatal("journal-only recovery image differs")
@@ -97,9 +104,9 @@ func TestEngineSnapshotCompactsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	snap, nsegs, recs, torn := e2.Recovered()
+	snap, nsegs, recs, torn := recovery(e2)
 	if snap != 1 || torn {
-		t.Fatalf("Recovered() = %d %d %d %v, want snapshot 1, no tear", snap, nsegs, recs, torn)
+		t.Fatalf("recovery = %d %d %d %v, want snapshot 1, no tear", snap, nsegs, recs, torn)
 	}
 	if recs != 2 {
 		t.Fatalf("replayed %d tail records, want 2 (the post-snapshot ops)", recs)
@@ -174,7 +181,7 @@ func TestEngineMidSnapshotCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	if snap, _, _, _ := e2.Recovered(); snap != 0 {
+	if snap, _, _, _ := recovery(e2); snap != 0 {
 		t.Fatalf("recovered from snapshot %d, want journal-only (install never completed)", snap)
 	}
 	checkRecovered(t, e2.Store(), kept, revoked)
@@ -228,7 +235,7 @@ func TestEngineTornFinalRecord(t *testing.T) {
 		t.Fatalf("torn final record broke recovery: %v", err)
 	}
 	defer e2.Close()
-	if _, _, _, torn := e2.Recovered(); !torn {
+	if _, _, _, torn := recovery(e2); !torn {
 		t.Fatal("torn final record not reported")
 	}
 	checkRecovered(t, e2.Store(), kept, revoked)
@@ -260,7 +267,7 @@ func TestEngineTornRecoveryThenRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, torn := e2.Recovered(); !torn {
+	if _, _, _, torn := recovery(e2); !torn {
 		t.Fatal("torn final record not reported")
 	}
 	after := e2.Store().NewFact(credrec.True)
@@ -278,7 +285,7 @@ func TestEngineTornRecoveryThenRestart(t *testing.T) {
 		t.Fatalf("restart after torn recovery failed: %v", err)
 	}
 	defer e3.Close()
-	if _, _, _, torn := e3.Recovered(); torn {
+	if _, _, _, torn := recovery(e3); torn {
 		t.Fatal("tear survived the first recovery")
 	}
 	checkRecovered(t, e3.Store(), kept, revoked)
@@ -322,7 +329,7 @@ func TestDirTornRecoveryThenRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, torn := e2.Recovered(); !torn {
+	if _, _, _, torn := recovery(e2); !torn {
 		t.Fatal("torn final record not reported")
 	}
 	after := e2.Store().NewFact(credrec.True)
@@ -339,7 +346,7 @@ func TestDirTornRecoveryThenRestart(t *testing.T) {
 		t.Fatalf("restart after torn recovery failed: %v", err)
 	}
 	defer e3.Close()
-	if _, _, _, torn := e3.Recovered(); torn {
+	if _, _, _, torn := recovery(e3); torn {
 		t.Fatal("tear survived the first recovery")
 	}
 	checkRecovered(t, e3.Store(), kept, revoked)
@@ -450,9 +457,9 @@ func TestDirBackendRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _, recs, torn := e2.Recovered()
+	snap, _, recs, torn := recovery(e2)
 	if snap != 1 || recs != 2 || torn {
-		t.Fatalf("Recovered() = %d _ %d %v, want snapshot 1, 2 tail records", snap, recs, torn)
+		t.Fatalf("recovery = %d _ %d %v, want snapshot 1, 2 tail records", snap, recs, torn)
 	}
 	if !bytes.Equal(e2.Store().Image(), img) {
 		t.Fatal("dir recovery image differs")

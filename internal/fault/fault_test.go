@@ -205,15 +205,15 @@ func TestPlaneOnNetwork(t *testing.T) {
 
 	// Total loss: nothing delivered, drops counted on the network.
 	p.SetFaults("A", "B", Faults{Drop: 1})
-	before := n.Dropped()
+	before := n.Count("dropped")
 	for i := 0; i < 5; i++ {
 		n.Send("A", "B", event.Notification{Seq: uint64(i)})
 	}
 	if dst.count() != 0 {
 		t.Fatal("notifications crossed a drop=1 link")
 	}
-	if n.Dropped()-before != 5 {
-		t.Fatalf("network counted %d drops, want 5", n.Dropped()-before)
+	if n.Count("dropped")-before != 5 {
+		t.Fatalf("network counted %d drops, want 5", n.Count("dropped")-before)
 	}
 
 	// Duplication: exactly two copies arrive.

@@ -300,8 +300,8 @@ func TestKillPointMidSnapshot(t *testing.T) {
 		t.Fatalf("recovery after failed snapshot install: %v", err)
 	}
 	defer eng2.Close()
-	if snap, _, _, _ := eng2.Recovered(); snap != 0 {
-		t.Fatalf("recovered from snapshot %d that never installed", snap)
+	if snap := eng2.Vars().Get("snapshot").String(); snap != "0" {
+		t.Fatalf("recovered from snapshot %s that never installed", snap)
 	}
 	if !bytes.Equal(eng2.Store().Image(), images[len(script)]) {
 		t.Fatal("recovery after failed snapshot install lost operations")

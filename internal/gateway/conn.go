@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"expvar"
 	"io"
 	"log"
 	"net"
@@ -214,7 +215,7 @@ type server struct {
 	route    func(*request, *reply)
 	bounds   serveBounds
 	fallback func(net.Conn) // hands a declined connection to net/http
-	dropped  func()         // counts a response the socket refused
+	vars     *expvar.Map    // the gateway's counters
 }
 
 // conn is one connection's loop state. Everything in it is reused from
@@ -252,6 +253,7 @@ func (s *server) serveConn(nc net.Conn) {
 			log.Printf("http: panic serving %v: %v\n%s", c.in.remote, err, stack)
 		}
 		if !handedOff {
+			s.vars.Add("conns_loop", 1)
 			_ = nc.Close()
 		}
 	}()
@@ -282,6 +284,7 @@ func (c *conn) serve() (handedOff bool) {
 			return false
 		default:
 			rest := append([]byte(nil), c.buf[c.r:c.w]...)
+			c.s.vars.Add("conns_handed_off", 1)
 			c.s.fallback(&replayConn{Conn: c.nc, buf: rest})
 			return true
 		}
@@ -364,7 +367,7 @@ func (c *conn) handle(n int) bool {
 		_ = c.nc.SetWriteDeadline(c.writeBy)
 	}
 	if _, err := c.nc.Write(c.out); err != nil {
-		c.s.dropped()
+		c.s.vars.Add("dropped_writes", 1)
 		return false
 	}
 	if closing {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"expvar"
 	"fmt"
 	"io"
 	"log"
@@ -157,10 +158,13 @@ func runLoop(t *testing.T, input []byte, chunks []int) (seen []seenRequest, hand
 				t.Fatalf("reading the handed-off connection: %v", err)
 			}
 		},
-		dropped: func() { t.Fatal("a write to memory failed") },
+		vars: new(expvar.Map),
 	}
 	c = s.newConn(nc)
 	c.serve()
+	if s.vars.Get("dropped_writes") != nil {
+		t.Fatal("a write to memory failed")
+	}
 	return seen, handed, wasHanded, nc.out.Bytes()
 }
 
@@ -296,7 +300,7 @@ func TestLoopPanicClosesConnection(t *testing.T) {
 		bounds:   defaultBounds,
 		route:    func(*request, *reply) { panic("boom") },
 		fallback: func(net.Conn) { t.Fatal("handed off") },
-		dropped:  func() {},
+		vars:     new(expvar.Map),
 	}
 	nc := &memConn{in: []byte("POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n")}
 	s.serveConn(nc)
@@ -319,7 +323,7 @@ func TestGoClientStaysOnTheLoop(t *testing.T) {
 			out.body = append(out.body, in.body...)
 		},
 		fallback: func(net.Conn) { t.Error("Go's client was handed to net/http") },
-		dropped:  func() {},
+		vars:     new(expvar.Map),
 	}
 	tr := &http.Transport{DialContext: func(context.Context, string, string) (net.Conn, error) {
 		client, server := net.Pipe()

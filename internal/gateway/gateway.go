@@ -42,12 +42,12 @@ package gateway
 
 import (
 	"crypto/rand"
+	"expvar"
 	"io"
 	"net/http"
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"oasis/internal/clock"
@@ -99,9 +99,13 @@ type Gateway struct {
 	limit  *rateLimiter
 	opts   Options
 
-	// droppedWrites counts responses the client went away before
-	// receiving.
-	droppedWrites atomic.Uint64
+	// vars are the gateway's counters, in the service's Vars under
+	// "gateway": live "tokens", and from its first count on each of
+	// "dropped_writes" (responses the client went away before
+	// receiving) and the connections Serve's loop served to the end
+	// ("conns_loop") or handed to net/http ("conns_handed_off"). A
+	// later gateway over the same service takes the entry over.
+	vars expvar.Map
 
 	// bounds are Serve's slow-client bounds; tests shorten them.
 	bounds serveBounds
@@ -123,6 +127,8 @@ func New(svc *oasis.Service, opts Options) *Gateway {
 		opts:   opts,
 		bounds: defaultBounds,
 	}
+	g.vars.Set("tokens", expvar.Func(func() any { return g.tokens.len() }))
+	svc.Vars().Set("gateway", &g.vars)
 	if opts.RatePerSec > 0 {
 		burst := opts.Burst
 		if burst <= 0 {
@@ -173,7 +179,7 @@ func (g *Gateway) Handler() http.Handler {
 		out.reset()
 		g.route(in, out)
 		if err := out.send(w); err != nil {
-			g.droppedWrites.Add(1) // the client is gone: all there is to do is count it
+			g.vars.Add("dropped_writes", 1) // the client is gone: all there is to do is count it
 		}
 		if cap(in.body) <= maxPooledBuf && cap(out.body) <= maxPooledBuf {
 			exchanges.Put(ex)

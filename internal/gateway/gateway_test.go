@@ -3,11 +3,13 @@ package gateway_test
 import (
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +23,17 @@ import (
 	"oasis/internal/oasis"
 	"oasis/internal/value"
 )
+
+// gatewayCount reads one of the gateway's counters from its service's
+// Vars, as the daemon's admin port serves them.
+func gatewayCount(svc *oasis.Service, name string) int {
+	v := svc.Vars().Get("gateway").(*expvar.Map).Get(name)
+	if v == nil {
+		return 0 // not counted yet
+	}
+	n, _ := strconv.Atoi(v.String())
+	return n
+}
 
 // seqReader is a deterministic token-entropy source, so tests (and the
 // golden vectors) mint predictable ids.
@@ -263,7 +276,7 @@ func TestTokenExpiryFromRMC(t *testing.T) {
 	if in := introspect(t, gw.Handler(), res.Token); in.Active {
 		t.Fatal("expired token still active")
 	}
-	if n := gw.TokenCount(); n != 0 {
+	if n := gatewayCount(login, "tokens"); n != 0 {
 		t.Fatalf("expired token not dropped from the store: %d live", n)
 	}
 }
@@ -590,12 +603,12 @@ func TestExpiredTokensSwept(t *testing.T) {
 		issue()
 	}
 	clk.Advance(time.Hour) // everything so far is now expired
-	before := gw.TokenCount()
+	before := gatewayCount(login, "tokens")
 	// Enough fresh mints to cross every shard's sweep threshold.
 	for i := 0; i < 16*256; i++ {
 		issue()
 	}
-	after := gw.TokenCount()
+	after := gatewayCount(login, "tokens")
 	if after >= before+16*256 {
 		t.Fatalf("expired tokens never swept: %d -> %d", before, after)
 	}
@@ -615,7 +628,7 @@ func TestDeadCascadeTokenRemoved(t *testing.T) {
 	if in := introspect(t, h, res.Token); in.Active {
 		t.Fatal("token active with its issuer presumed failed")
 	}
-	if n := w.gw.TokenCount(); n != 1 {
+	if n := gatewayCount(w.conf, "tokens"); n != 1 {
 		t.Fatalf("fail-safe demotion dropped the token: %d live", n)
 	}
 
@@ -625,7 +638,7 @@ func TestDeadCascadeTokenRemoved(t *testing.T) {
 	if in := introspect(t, h, res.Token); in.Active {
 		t.Fatal("token survived upstream login revocation")
 	}
-	if n := w.gw.TokenCount(); n != 0 {
+	if n := gatewayCount(w.conf, "tokens"); n != 0 {
 		t.Fatalf("token revoked by a cascade still in the table: %d live", n)
 	}
 }
@@ -754,7 +767,7 @@ func TestConcurrentMutationsOwnAnswer(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if n := gw.TokenCount(); n != 0 {
+	if n := gatewayCount(login, "tokens"); n != 0 {
 		t.Fatalf("%d tokens left after every one was revoked", n)
 	}
 }
@@ -873,7 +886,7 @@ func TestSweepUnderChurnOwnAnswer(t *testing.T) {
 	wg.Wait()
 	close(stopSweeping)
 	<-swept
-	if n := gw.TokenCount(); n != 0 {
+	if n := gatewayCount(login, "tokens"); n != 0 {
 		t.Fatalf("%d tokens left after every one was revoked", n)
 	}
 }
@@ -1089,10 +1102,10 @@ func TestDroppedWritesCountedPerGateway(t *testing.T) {
 	rec := &brokenWriter{hdr: http.Header{}}
 	a.gw.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/introspect",
 		strings.NewReader(`{"token":"x"}`)))
-	if got := a.gw.DroppedResponseWrites(); got != 1 {
+	if got := gatewayCount(a.conf, "dropped_writes"); got != 1 {
 		t.Fatalf("gateway a counted %d dropped writes, want 1", got)
 	}
-	if got := b.gw.DroppedResponseWrites(); got != 0 {
+	if got := gatewayCount(b.conf, "dropped_writes"); got != 0 {
 		t.Fatalf("gateway b counted %d dropped writes that were a's", got)
 	}
 }
@@ -1103,3 +1116,43 @@ type brokenWriter struct{ hdr http.Header }
 func (w *brokenWriter) Header() http.Header       { return w.hdr }
 func (w *brokenWriter) WriteHeader(int)           {}
 func (w *brokenWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestDebugPathsNotServed: the service's counters and profiles belong to
+// the daemon's admin port, never to the gateway's. /debug/vars and
+// /debug/pprof/ answer 404 on the serving loop (a POST from Go's
+// client), on its net/http fallback (a GET) and through Handler; and
+// the gateway counts each connection as served on the loop or handed
+// off.
+func TestDebugPathsNotServed(t *testing.T) {
+	w := newWorld(t, gateway.Options{})
+	base := serveGateway(t, w.gw)
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for _, path := range []string{"/debug/vars", "/debug/pprof/"} {
+		for _, method := range []string{http.MethodPost, http.MethodGet} {
+			req, err := http.NewRequest(method, base+path, strings.NewReader(""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s on the gateway port: %d, want 404", method, path, resp.StatusCode)
+			}
+		}
+		rec := httptest.NewRecorder()
+		w.gw.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s through Handler: %d, want 404", path, rec.Code)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for gatewayCount(w.conf, "conns_loop") < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if l, h := gatewayCount(w.conf, "conns_loop"), gatewayCount(w.conf, "conns_handed_off"); l != 2 || h != 2 {
+		t.Errorf("connections served on the loop %d, handed to net/http %d; want 2 and 2", l, h)
+	}
+}

@@ -3,6 +3,7 @@ package gateway_test
 import (
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -97,14 +98,14 @@ func TestRolledOutTokenIsDropped(t *testing.T) {
 	if in := introspect(t, w.h, a.Token); in.Active {
 		t.Fatal("token active after its secret rolled out")
 	}
-	if n := w.gw.TokenCount(); n != 1 {
+	if n := gatewayCount(w.login, "tokens"); n != 1 {
 		t.Fatalf("%d tokens live after introspecting a rolled-out one, want 1", n)
 	}
 	var rres gateway.RevokeResponse
 	if rec := post(t, w.h, "/v1/revoke", gateway.RevokeRequest{Token: b.Token}, &rres); rec.Code != http.StatusOK || !rres.OK {
 		t.Fatalf("revoking a rolled-out token: status %d body %s, want 200", rec.Code, rec.Body.String())
 	}
-	if n := w.gw.TokenCount(); n != 0 {
+	if n := gatewayCount(w.login, "tokens"); n != 0 {
 		t.Fatalf("%d tokens live after revoking the rolled-out one, want 0", n)
 	}
 	if !w.recordTrue(a.Cert) || !w.recordTrue(b.Cert) {
@@ -141,19 +142,24 @@ func TestIntrospectHonoursSecretRetention(t *testing.T) {
 
 // TestHeldVerdictIsRemembered: the gateway keeps one held certificate
 // per token, so its signature is checked at the first introspection
-// and again only after the secret table rolls.
+// and again only after the secret table rolls. The service's
+// "held_verified" counter counts exactly those checks.
 func TestHeldVerdictIsRemembered(t *testing.T) {
 	w := newHeldWorld(t, 2)
 	tok := w.mint("dm").Token
+	counted := w.login.Vars().Get("held_verified").(*expvar.Int)
 	checks := func(when string, want ...int64) {
 		t.Helper()
 		for i, n := range want {
-			before := w.signer.verifies.Load()
+			before, countedBefore := w.signer.verifies.Load(), counted.Value()
 			if in := introspect(t, w.h, tok); !in.Active {
 				t.Fatalf("%s, introspection %d: token inactive", when, i+1)
 			}
 			if got := w.signer.verifies.Load() - before; got != n {
 				t.Fatalf("%s, introspection %d made %d full checks, want %d", when, i+1, got, n)
+			}
+			if got := counted.Value() - countedBefore; got != n {
+				t.Fatalf("%s, introspection %d: held_verified moved by %d, want %d", when, i+1, got, n)
 			}
 		}
 	}
@@ -238,7 +244,7 @@ func TestHeldTokensUnderRoll(t *testing.T) {
 			t.Errorf("token %d: active %v after the run, want %v", i, in.Active, i%2 == 1)
 		}
 	}
-	if n := w.gw.TokenCount(); n != len(users)/2 {
+	if n := gatewayCount(w.login, "tokens"); n != len(users)/2 {
 		t.Errorf("%d tokens live, want the %d never revoked", n, len(users)/2)
 	}
 }

@@ -249,7 +249,7 @@ func dialSmall(t *testing.T, addr string) *net.TCPConn {
 // bigIssue is an issuance at it whose response — the argument twice,
 // once in the certificate — is far larger than a small socket buffer:
 // a client that does not read it blocks the server's write.
-func notesGateway(t *testing.T) (gw *gateway.Gateway, bigIssue []byte) {
+func notesGateway(t *testing.T) (svc *oasis.Service, gw *gateway.Gateway, bigIssue []byte) {
 	t.Helper()
 	clk := clock.NewVirtual(time.Unix(1000, 0))
 	svc, err := oasis.New("Notes", clk, nil, oasis.Options{})
@@ -266,7 +266,7 @@ func notesGateway(t *testing.T) (gw *gateway.Gateway, bigIssue []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gateway.New(svc, gateway.Options{Rand: &seqReader{}}), []byte(clientPost("/v1/token", body))
+	return svc, gateway.New(svc, gateway.Options{Rand: &seqReader{}}), []byte(clientPost("/v1/token", body))
 }
 
 // awaitClose waits for the server to close c and returns when it did.
@@ -308,7 +308,7 @@ func TestSlowClientBounds(t *testing.T) {
 		slack   = 500 * time.Millisecond
 	)
 	introspect := []byte(clientPost("/v1/introspect", []byte(`{"token":"x"}`)))
-	_, bigIssue := notesGateway(t)
+	_, _, bigIssue := notesGateway(t)
 	trickle := func(c net.Conn, first string, rest string, every time.Duration) {
 		_, _ = io.WriteString(c, first)
 		go func() {
@@ -369,7 +369,7 @@ func TestSlowClientBounds(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(sname+"/"+tc.name, func(t *testing.T) {
 				t.Parallel()
-				gw, _ := notesGateway(t)
+				_, gw, _ := notesGateway(t)
 				addr := serveOn(t, serve(gw), wrapSmall)
 				began, closed := tc.run(t, dialSmall(t, addr))
 				if d := closed.Sub(began); d < tc.least || d > 2*tc.bound+slack {
@@ -454,23 +454,23 @@ func TestConnectionCapAcrossHandOff(t *testing.T) {
 // TestDroppedWritesCountedOnSocket: on the loop a response leaves in
 // one socket write, and a write the client reset counts once.
 func TestDroppedWritesCountedOnSocket(t *testing.T) {
-	gw, bigIssue := notesGateway(t)
+	svc, gw, bigIssue := notesGateway(t)
 	c := dialSmall(t, serveOn(t, gw.Serve, wrapSmall))
 	if _, err := c.Write(bigIssue); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // the response's write is blocked
-	if n := gw.DroppedResponseWrites(); n != 0 {
+	if n := gatewayCount(svc, "dropped_writes"); n != 0 {
 		t.Fatalf("%d dropped writes before the client left", n)
 	}
 	_ = c.SetLinger(0)
 	_ = c.Close() // a reset, the response unread
 	deadline := time.Now().Add(5 * time.Second)
-	for gw.DroppedResponseWrites() == 0 && time.Now().Before(deadline) {
+	for gatewayCount(svc, "dropped_writes") == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if n := gw.DroppedResponseWrites(); n != 1 {
+	if n := gatewayCount(svc, "dropped_writes"); n != 1 {
 		t.Fatalf("%d dropped writes counted, want the one blocked response", n)
 	}
 }

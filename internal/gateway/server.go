@@ -75,7 +75,7 @@ func (g *Gateway) server() *server {
 		// Serve returns once the one connection is accepted and its
 		// goroutine started; that goroutine keeps it until it closes.
 		fallback: func(nc net.Conn) { _ = srv.Serve(&handoffListener{conn: nc}) },
-		dropped:  func() { g.droppedWrites.Add(1) },
+		vars:     &g.vars,
 	}
 }
 

@@ -434,7 +434,7 @@ func (s *Service) issue(st *rolefileState, client ids.ClientID, chosen *held, li
 		c.Expiry = s.clk.Now().Add(s.opts.CertTTL)
 	}
 	c.Sign(s.signer)
-	s.audit.issued.Add(1)
+	s.issued.Add(1)
 	return c, nil
 }
 

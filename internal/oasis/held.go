@@ -50,6 +50,7 @@ func (s *Service) checkHeld(h *Held) error {
 		epoch = es.Epoch()
 	}
 	if h.passed.Load() != epoch+1 {
+		s.heldVerified.Add(1)
 		if !c.Verify(s.signer) {
 			return s.fail(Fraud, "signature check failed")
 		}

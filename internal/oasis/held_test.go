@@ -29,19 +29,15 @@ func TestHeldMatchesValidate(t *testing.T) {
 	}
 	same := func(what string, svc *Service, rmc *cert.RMC, want FailureClass) {
 		t.Helper()
-		before := svc.AuditSnapshot()
+		before := auditOf(svc)
 		got := classOf(svc.Validate(rmc, c))
-		mid := svc.AuditSnapshot()
+		mid := auditOf(svc)
 		held := classOf(svc.ValidateHeld(Hold(rmc)))
-		after := svc.AuditSnapshot()
+		after := auditOf(svc)
 		if got != want || held != want {
 			t.Errorf("%s: Validate class %v, ValidateHeld %v, want %v", what, got, held, want)
 		}
-		d1 := Audit{mid.Issued - before.Issued, mid.Validated - before.Validated, mid.FraudCount - before.FraudCount,
-			mid.ErrorCount - before.ErrorCount, mid.Revocation - before.Revocation}
-		d2 := Audit{after.Issued - mid.Issued, after.Validated - mid.Validated, after.FraudCount - mid.FraudCount,
-			after.ErrorCount - mid.ErrorCount, after.Revocation - mid.Revocation}
-		if d1 != d2 {
+		if d1, d2 := mid.minus(before), after.minus(mid); d1 != d2 {
 			t.Errorf("%s: Validate moved the audit by %+v, ValidateHeld by %+v", what, d1, d2)
 		}
 	}

@@ -55,7 +55,7 @@ func (s *Service) IssueDirect(client ids.ClientID, rolefile, role string, args [
 		c.Expiry = s.clk.Now().Add(s.opts.CertTTL)
 	}
 	c.Sign(s.signer)
-	s.audit.issued.Add(1)
+	s.issued.Add(1)
 	return c, nil
 }
 

@@ -126,11 +126,11 @@ func (s *Service) handleValidate(from string, a ValidateArg) (ValidateReply, err
 		return ValidateReply{}, fmt.Errorf("oasis: certificate not issued by %s", s.name)
 	}
 	if !c.Verify(s.signer) {
-		s.countFailure(Fraud)
+		s.rejected[Fraud].Add(1)
 		return ValidateReply{}, fmt.Errorf("oasis: signature check failed")
 	}
 	if !a.Client.IsZero() && c.Client != a.Client {
-		s.countFailure(Fraud)
+		s.rejected[Fraud].Add(1)
 		return ValidateReply{}, fmt.Errorf("oasis: certificate bound to a different client")
 	}
 	if !c.Expiry.IsZero() && s.clk.Now().After(c.Expiry) {

@@ -10,6 +10,7 @@
 package oasis
 
 import (
+	"expvar"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -73,9 +74,10 @@ type Options struct {
 // The engine is read-mostly: the validation hot path (§4.2/§4.6) takes
 // no service lock at all — the signature is recomputed and nothing of
 // the check is remembered, the credential-record lookup takes one store
-// shard read lock, and the audit counters are atomics. A presented
-// certificate is verified on every use; the one signature verdict the
-// engine keeps is a Held certificate's, with its holder (held.go).
+// shard read lock, and the audit counters are expvar Ints (Vars). A
+// presented certificate is verified on every use; the one signature
+// verdict the engine keeps is a Held certificate's, with its holder
+// (held.go).
 // State that changes rarely (installed rolefiles, foreign type
 // signatures) sits behind RWMutexes; mutable bookkeeping is split into
 // small independent leaf locks so issuance, delegation and interworking
@@ -139,7 +141,11 @@ type Service struct {
 	// installed policies test, so the map is never evicted.
 	memberKeys sync.Map
 
-	audit auditCounters
+	// vars is the service's counter registry (Vars); the audit counters
+	// of §4.13 sit in it, rejections by failure class.
+	vars                            expvar.Map
+	issued, validated, heldVerified expvar.Int
+	rejected                        [Revoked + 1]expvar.Int
 }
 
 // delegInfo is the server-side record of an outstanding delegation:
@@ -211,10 +217,30 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 		if err := net.Register(name, s); err != nil {
 			return nil, err
 		}
+		s.vars.Set("bus", net.Vars())
 	}
+	s.vars.Set("issued", &s.issued)
+	s.vars.Set("validated", &s.validated)
+	s.vars.Set("held_verified", &s.heldVerified)
+	for c := Fraud; c <= Revoked; c++ {
+		s.vars.Set(c.String(), &s.rejected[c])
+	}
+	s.vars.Set("store", s.store.Vars())
+	s.vars.Set("sources", expvar.Func(s.sourceVars))
+	s.vars.Set("shard_ring", expvar.Func(func() any { return s.ShardRingMembers() }))
 	s.rebind()
 	return s, nil
 }
+
+// Vars returns the service's counter registry, which no one publishes:
+// the audit counters of §4.13 ("issued", "validated", and rejections by
+// failure class: "fraud", "erroneous", "revoked"), "held_verified"
+// (signature checks of held certificates, the misses of their epoch
+// memo), the bus's and the store's counters, and each watched source's
+// suspicion state. Embedders add their own entries (the gateway, the
+// daemon's journal recovery figures). Tests run many services in one
+// process, so the map is never handed to expvar.Publish.
+func (s *Service) Vars() *expvar.Map { return &s.vars }
 
 // Name returns the service instance name.
 func (s *Service) Name() string { return s.name }

@@ -1,12 +1,19 @@
 package oasis
 
 import (
+	"bufio"
+	"expvar"
+	stdnet "net"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"oasis/internal/bus"
 	"oasis/internal/clock"
 	"oasis/internal/credrec"
+	"oasis/internal/event"
 	"oasis/internal/fault"
 )
 
@@ -271,5 +278,78 @@ func TestClusterPendingNotifications(t *testing.T) {
 		if got := watcher.ClusterPendingNotifications(); got != want {
 			t.Fatalf("cluster pressure %d after %d silent periods of shardA, want %d", got, i, want)
 		}
+	}
+}
+
+// TestStalledWatcherQueueVisibleNotShed: a watcher that stops reading
+// fills its TCP link's writer queue. The bus's "pending_notes" figure
+// shows that queue growing for its destination, while the backlog the
+// gateway sheds on (ClusterPendingNotifications) does not count it.
+func TestStalledWatcherQueueVisibleNotShed(t *testing.T) {
+	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skip("no loopback listener available:", err)
+	}
+	defer ln.Close()
+	release := make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// Answer the hello line with its own bytes, then read nothing.
+		_ = conn.(*stdnet.TCPConn).SetReadBuffer(4 << 10)
+		if hello, err := bufio.NewReader(conn).ReadString('\n'); err == nil {
+			_, _ = conn.Write([]byte(hello))
+		}
+		<-release
+	}()
+
+	clk := clock.Real()
+	n := bus.NewNetwork(clk)
+	svc, err := New("Login", clk, n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AddRemote("Conf", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	pending := func() int {
+		return svc.Vars().Get("bus").(*expvar.Map).Get("pending_notes").(expvar.Func).Value().(map[string]int)["Conf"]
+	}
+	shed := svc.ClusterPendingNotifications()
+
+	// Two senders: one of them ends up blocked in the socket write as
+	// the flusher, and the other keeps enqueueing behind it.
+	var stop atomic.Bool
+	var senders sync.WaitGroup
+	big := strings.Repeat("x", 1<<10)
+	for range 2 {
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for seq := uint64(1); !stop.Load(); seq++ {
+				n.Send("Login", "Conf", event.Notification{Source: "Login", SessionID: 1, Seq: seq, Event: event.Event{Name: big}})
+			}
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for pending() < 1000 && time.Now().Before(deadline) {
+		if got := svc.ClusterPendingNotifications(); got != shed {
+			t.Errorf("shed figure %d while the queue grows, want %d", got, shed)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	got, shedNow := pending(), svc.ClusterPendingNotifications()
+	stop.Store(true)
+	close(release)
+	n.CloseRemotes()
+	senders.Wait()
+	if got < 1000 {
+		t.Fatalf("pending_notes for the stalled watcher reached %d, want it to grow past 1000", got)
+	}
+	if shedNow != shed {
+		t.Fatalf("shed figure %d with %d notes queued, want %d", shedNow, got, shed)
 	}
 }

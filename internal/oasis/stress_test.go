@@ -2,6 +2,7 @@ package oasis
 
 import (
 	"errors"
+	"expvar"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -145,13 +146,26 @@ func TestConcurrentValidateRevokeRoll(t *testing.T) {
 }
 
 // TestAuditCountersConcurrent is the regression test for the seed's
-// audit data race: AuditSnapshot used to copy the counter struct while
+// audit data race: a snapshot used to copy the counter struct while
 // Validate/Issue incremented it under a different code path. With
-// atomic counters the snapshot may be read at any time and the totals
-// must come out exact. Run under -race.
+// atomic counters (expvar Ints in the service's Vars) they may be read
+// at any time and the totals must come out exact. Run under -race.
+// audit is the §4.13 audit counters as read from a service's Vars.
+type audit struct{ issued, validated, fraud, erroneous, revoked int64 }
+
+func auditOf(svc *Service) audit {
+	get := func(k string) int64 { return svc.Vars().Get(k).(*expvar.Int).Value() }
+	return audit{get("issued"), get("validated"), get("fraud"), get("erroneous"), get("revoked")}
+}
+
+func (a audit) minus(b audit) audit {
+	return audit{a.issued - b.issued, a.validated - b.validated, a.fraud - b.fraud,
+		a.erroneous - b.erroneous, a.revoked - b.revoked}
+}
+
 func TestAuditCountersConcurrent(t *testing.T) {
 	svc, _, client, stable, _ := stressService(t)
-	before := svc.AuditSnapshot()
+	before := auditOf(svc)
 
 	const goroutines, perG = 8, 200
 	var workers sync.WaitGroup
@@ -164,8 +178,8 @@ func TestAuditCountersConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				snap := svc.AuditSnapshot()
-				if snap.Validated > goroutines*perG+before.Validated {
+				snap := auditOf(svc)
+				if snap.validated > goroutines*perG+before.validated {
 					t.Error("snapshot overshot the possible validation count")
 					return
 				}
@@ -205,14 +219,14 @@ func TestAuditCountersConcurrent(t *testing.T) {
 	close(stop)
 	<-readerDone
 
-	after := svc.AuditSnapshot()
-	if got := after.Validated - before.Validated; got != goroutines*perG {
+	after := auditOf(svc)
+	if got := after.validated - before.validated; got != goroutines*perG {
 		t.Fatalf("validated count %d, want %d", got, goroutines*perG)
 	}
-	if got := after.FraudCount - before.FraudCount; got != goroutines*perG {
+	if got := after.fraud - before.fraud; got != goroutines*perG {
 		t.Fatalf("fraud count %d, want %d", got, goroutines*perG)
 	}
-	if got := after.Issued - before.Issued; got != goroutines {
+	if got := after.issued - before.issued; got != goroutines {
 		t.Fatalf("issued count %d, want %d", got, goroutines)
 	}
 }

@@ -49,6 +49,18 @@ func (s *Service) SourceStatus(source string) SourceState {
 	return s.suspicion[source]
 }
 
+// sourceVars is Vars' "sources": each watched source's suspicion state
+// and the seconds since its event horizon, the last it was heard of.
+func (s *Service) sourceVars() any {
+	now := s.clk.Now()
+	sources := make(map[string]any)
+	for _, src := range s.receiver.Sources() {
+		h, _ := s.receiver.Horizon(src)
+		sources[src] = map[string]any{"state": s.SourceStatus(src).String(), "silent_s": now.Sub(h).Seconds()}
+	}
+	return sources
+}
+
 // setSourceState applies one suspicion transition and its side effects.
 // The store mutation runs outside suspMu (a leaf lock); it is one
 // mutation, so a fail-safe cascade reaches each downstream watcher as

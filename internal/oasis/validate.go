@@ -2,7 +2,6 @@ package oasis
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"oasis/internal/cert"
 	"oasis/internal/credrec"
@@ -54,52 +53,8 @@ func (e *ValidationError) Error() string {
 // Unwrap returns the cause, if any.
 func (e *ValidationError) Unwrap() error { return e.Cause }
 
-// Audit holds the per-class rejection counters and issuance counts that
-// §4.13 notes are available for administration.
-type Audit struct {
-	Issued     uint64
-	Validated  uint64
-	FraudCount uint64
-	ErrorCount uint64
-	Revocation uint64
-}
-
-// auditCounters is the live, concurrently-updated form of Audit: plain
-// atomics, so the validation success path and AuditSnapshot never take
-// a lock (and never race — the seed serialised increments behind the
-// service mutex but still handed out copies mid-update).
-type auditCounters struct {
-	issued     atomic.Uint64
-	validated  atomic.Uint64
-	fraud      atomic.Uint64
-	errors     atomic.Uint64
-	revocation atomic.Uint64
-}
-
-// AuditSnapshot returns a copy of the audit counters.
-func (s *Service) AuditSnapshot() Audit {
-	return Audit{
-		Issued:     s.audit.issued.Load(),
-		Validated:  s.audit.validated.Load(),
-		FraudCount: s.audit.fraud.Load(),
-		ErrorCount: s.audit.errors.Load(),
-		Revocation: s.audit.revocation.Load(),
-	}
-}
-
-func (s *Service) countFailure(c FailureClass) {
-	switch c {
-	case Fraud:
-		s.audit.fraud.Add(1)
-	case Erroneous:
-		s.audit.errors.Add(1)
-	case Revoked:
-		s.audit.revocation.Add(1)
-	}
-}
-
 func (s *Service) fail(class FailureClass, format string, args ...any) *ValidationError {
-	s.countFailure(class)
+	s.rejected[class].Add(1)
 	return &ValidationError{Class: class, Reason: fmt.Sprintf(format, args...)}
 }
 
@@ -144,7 +99,7 @@ func (s *Service) checkLive(c *cert.RMC) error {
 		// be treated as revoked, §4.2 footnote).
 		return s.fail(Revoked, "credential record %v is %v", c.CRR, stateName(state, err))
 	}
-	s.audit.validated.Add(1)
+	s.validated.Add(1)
 	return nil
 }
 

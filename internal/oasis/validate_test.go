@@ -99,18 +99,18 @@ func TestAuditCounters(t *testing.T) {
 	_ = h.login.Exit(rmc, c)
 	_ = h.login.Validate(rmc, c) // revoked
 
-	a := h.login.AuditSnapshot()
-	if a.Issued != 1 {
-		t.Errorf("issued = %d", a.Issued)
+	a := auditOf(h.login)
+	if a.issued != 1 {
+		t.Errorf("issued = %d", a.issued)
 	}
-	if a.FraudCount != 1 {
-		t.Errorf("fraud = %d", a.FraudCount)
+	if a.fraud != 1 {
+		t.Errorf("fraud = %d", a.fraud)
 	}
-	if a.Revocation != 1 {
-		t.Errorf("revocation = %d", a.Revocation)
+	if a.revoked != 1 {
+		t.Errorf("revocation = %d", a.revoked)
 	}
-	if a.Validated < 2 { // the ok validate + the one inside Exit
-		t.Errorf("validated = %d", a.Validated)
+	if a.validated < 2 { // the ok validate + the one inside Exit
+		t.Errorf("validated = %d", a.validated)
 	}
 }
 
