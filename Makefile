@@ -67,15 +67,20 @@ test-shard:
 # gateway's serving loop and to net/http over some sixty connections at
 # once, the loop's hand-offs sharing one http.Server (PR 35), and logs
 # one user out at an issuer while another's logout is held inside the
-# store, whose events must still leave before its Exit returns.
+# store, whose events must still leave before its Exit returns; it
+# serves calls declared never to wait on the peer port's read loop, one
+# with another buffered behind it and 64 callers on one link, and
+# validates at an issuer over that loop; and it holds a signaller in
+# one watcher's sink while a heartbeat runs, which must reach the other
+# watcher behind the event.
 # internal/fault is not listed: `chaos` runs that whole package under
 # the detector.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
 		./internal/gateway/... ./cmd/rdlcheck/...
-	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade|LoopMatchesNetHTTP|RevocationLeavesBeforeItReturns' \
-		./internal/gateway/ ./internal/oasis/ ./internal/cert/
+	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade|LoopMatchesNetHTTP|RevocationLeavesBeforeItReturns|BufferedCallGoesToWorker|PipelinedInlineCallersAllAnswered|InlineValidateCallsNobody|HeartbeatWaitsBehindEvent' \
+		./internal/gateway/ ./internal/oasis/ ./internal/cert/ ./internal/bus/ ./internal/event/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the
 # storage kill-point suite (persist_chaos_test.go): whole deployments

@@ -49,6 +49,19 @@ type BatchEndpoint interface {
 	DeliverBatch(notes []event.Notification)
 }
 
+// InlineEndpoint is an Endpoint that declares which calls it answers
+// without waiting: on nothing but its own memory and CPU, with no call
+// out, no disk wait and no lock held by anything that does either. A
+// TCP link's read loop runs such a call itself and flushes the reply
+// before it reads on (tcp.go); every other call goes to a worker. A
+// declared call that called out would hold the loop for as long as the
+// far side took, and until CallDeadline if the far side were waiting in
+// turn for a call this loop has yet to read.
+type InlineEndpoint interface {
+	Endpoint
+	NeverWaits(op string, arg any) bool
+}
+
 // ErrUnreachable is returned for calls over a failed link or to an
 // unregistered peer.
 var ErrUnreachable = errors.New("bus: peer unreachable")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -256,8 +257,10 @@ func (d *WireDec) count() (int, error) {
 	return int(u), nil
 }
 
-// Bytes reads a length-prefixed byte slice.
-func (d *WireDec) Bytes() ([]byte, error) {
+// AppendBytes reads a length-prefixed byte slice onto dst, allocating
+// only if dst's spare capacity cannot hold it; an empty slice returns
+// dst as it was.
+func (d *WireDec) AppendBytes(dst []byte) ([]byte, error) {
 	u, err := d.Uvarint()
 	if err != nil {
 		return nil, err
@@ -265,14 +268,12 @@ func (d *WireDec) Bytes() ([]byte, error) {
 	if u > maxWireBytes {
 		return nil, fmt.Errorf("bus: wire length %d exceeds limit %d", u, maxWireBytes)
 	}
-	if u == 0 {
-		return nil, nil
-	}
-	b := make([]byte, u)
-	if _, err := io.ReadFull(d.r, b); err != nil {
+	at := len(dst)
+	dst = slices.Grow(dst, int(u))[:at+int(u)]
+	if _, err := io.ReadFull(d.r, dst[at:]); err != nil {
 		return nil, err
 	}
-	return b, nil
+	return dst, nil
 }
 
 // String reads a length-prefixed string. Names, operations, and value
@@ -388,21 +389,25 @@ func (d *WireDec) Value() (value.Value, error) {
 }
 
 // Values reads a counted value vector.
-func (d *WireDec) Values() ([]value.Value, error) {
+func (d *WireDec) Values() ([]value.Value, error) { return d.AppendValues(nil) }
+
+// AppendValues reads a counted value vector onto dst, allocating only
+// if dst's spare capacity cannot hold it; an empty vector returns dst
+// as it was.
+func (d *WireDec) AppendValues(dst []value.Value) ([]value.Value, error) {
 	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	vs := make([]value.Value, n)
-	for i := range vs {
-		if vs[i], err = d.Value(); err != nil {
+	dst = slices.Grow(dst, n)
+	for range n {
+		v, err := d.Value()
+		if err != nil {
 			return nil, err
 		}
+		dst = append(dst, v)
 	}
-	return vs, nil
+	return dst, nil
 }
 
 // Type reads one RDL argument type.

@@ -146,10 +146,10 @@ func TestCodecPrimitiveRoundTrips(t *testing.T) {
 	if s, err := d.String(); err != nil || s != "παράδειγμα" {
 		t.Fatalf("String = %q, %v", s, err)
 	}
-	if b, err := d.Bytes(); err != nil || !bytes.Equal(b, []byte{0, 1, 2, 255}) {
+	if b, err := d.AppendBytes(nil); err != nil || !bytes.Equal(b, []byte{0, 1, 2, 255}) {
 		t.Fatalf("Bytes = %v, %v", b, err)
 	}
-	if b, err := d.Bytes(); err != nil || b != nil {
+	if b, err := d.AppendBytes(nil); err != nil || b != nil {
 		t.Fatalf("empty Bytes = %v, %v", b, err)
 	}
 	if ts, err := d.Time(); err != nil || !ts.Equal(stamp) {
@@ -184,7 +184,7 @@ func TestCodecDecoderLimits(t *testing.T) {
 	e := NewWireEnc(&buf)
 	e.PutUvarint(maxWireBytes + 1)
 	_ = e.Flush()
-	if _, err := NewWireDec(bytes.NewReader(buf.Bytes())).Bytes(); err == nil {
+	if _, err := NewWireDec(bytes.NewReader(buf.Bytes())).AppendBytes(nil); err == nil {
 		t.Fatal("oversized byte length accepted")
 	}
 

@@ -40,6 +40,12 @@ import (
 // detection then sees the gap, §4.10) and the connection is torn down
 // so the next use reconnects.
 //
+// A served call runs where it cannot hold the link up: one its
+// endpoint declares never to wait (InlineEndpoint) on the connection's
+// read loop, which flushes the reply before it reads again, unless
+// more input is already buffered behind it; every other on a parked
+// worker (callWorkers).
+//
 // Every wait on the far side is bounded here (a call's reply by reap,
 // a socket write by the writer's deadline, dial and hello together), so
 // nothing above the bus needs a deadline of its own. A call to an
@@ -418,7 +424,8 @@ func (n *Network) serveConn(conn net.Conn) {
 	if _, err := conn.Write([]byte(wireHello)); err != nil {
 		return
 	}
-	dec := NewWireDec(bufio.NewReaderSize(conn, wireBufSize))
+	br := bufio.NewReaderSize(conn, wireBufSize)
+	dec := NewWireDec(br)
 	wr := newMsgWriter(conn, &n.droppedCount)
 	defer wr.kill()
 	workers := callWorkers{net: n, wr: wr, calls: make(chan wireMsg)}
@@ -475,6 +482,13 @@ func (n *Network) serveConn(conn net.Conn) {
 		}
 		switch msg.Kind {
 		case "call":
+			// A call that never waits is answered here, before the next
+			// read, unless more input is already buffered behind it: then
+			// the calls pipelined on this link are served side by side.
+			if br.Buffered() == 0 && n.neverWaits(msg.To, msg.Op, msg.Arg) {
+				workers.serve(msg)
+				continue
+			}
 			select {
 			case workers.calls <- msg:
 			default:
@@ -486,17 +500,27 @@ func (n *Network) serveConn(conn net.Conn) {
 	}
 }
 
+// neverWaits reports whether a call may run on the read loop: its
+// destination is an endpoint on this network that declares the call
+// (InlineEndpoint). A name routed onward over another link never is.
+func (n *Network) neverWaits(to, op string, arg any) bool {
+	ep, _ := n.route(to)
+	inline, ok := ep.(InlineEndpoint)
+	return ok && inline.NeverWaits(op, arg)
+}
+
 // maxParkedWorkers bounds the call workers a served connection keeps
 // waiting between calls. Busy workers are not bounded: a blocked handler
 // must never hold up the calls behind it.
 const maxParkedWorkers = 8
 
-// callWorkers serves one connection's inbound calls off its read loop,
-// so slow handlers never stall it and fast replies overtake them, on
-// goroutines that outlive the call: a finished worker parks for the
-// next one, and only a call that finds none parked pays for a new
-// goroutine and the stack it grows inside the handler. The read loop
-// closes calls when the connection ends, which sends the workers home.
+// callWorkers serves the calls of one connection that may wait off its
+// read loop, so slow handlers never stall it and fast replies overtake
+// them, on goroutines that outlive the call: a finished worker parks
+// for the next one, and only a call that finds none parked pays for a
+// new goroutine and the stack it grows inside the handler. The read
+// loop closes calls when the connection ends, which sends the workers
+// home.
 type callWorkers struct {
 	net    *Network
 	wr     *msgWriter
@@ -504,16 +528,22 @@ type callWorkers struct {
 	parked atomic.Int32
 }
 
+// serve answers one call and hands the reply to the writer, which
+// flushes it at once if no flush is under way.
+func (cw *callWorkers) serve(msg wireMsg) {
+	res, err := cw.net.Call(msg.From, msg.To, msg.Op, msg.Arg)
+	reply := wireMsg{Kind: "reply", Seq: msg.Seq, Arg: res, IsNil: res == nil}
+	if err != nil {
+		reply.Err = err.Error()
+	}
+	// A dead writer means the connection is going; the caller learns
+	// of it from its own read loop.
+	_ = cw.wr.enqueue(reply)
+}
+
 func (cw *callWorkers) work(msg wireMsg) {
 	for open := true; open; {
-		res, err := cw.net.Call(msg.From, msg.To, msg.Op, msg.Arg)
-		reply := wireMsg{Kind: "reply", Seq: msg.Seq, Arg: res, IsNil: res == nil}
-		if err != nil {
-			reply.Err = err.Error()
-		}
-		// A dead writer means the connection is going; the caller learns
-		// of it from its own read loop.
-		_ = cw.wr.enqueue(reply)
+		cw.serve(msg)
 		if cw.parked.Add(1) > maxParkedWorkers {
 			cw.parked.Add(-1)
 			return

@@ -268,7 +268,15 @@ type Signer interface {
 type HMACSigner struct {
 	secret []byte
 	size   int
-	pool   sync.Pool // of hash.Hash keyed with secret
+	pool   sync.Pool // of *macState keyed with secret
+}
+
+// macState is one pooled HMAC state with the scratch its sum is written
+// to: a sum passes through hash.Hash.Sum, an interface call, so a
+// buffer on Verify's stack would escape to the heap on every check.
+type macState struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
 }
 
 // NewHMACSigner creates a signer. size is clamped to [4, 32].
@@ -280,29 +288,32 @@ func NewHMACSigner(secret []byte, size int) *HMACSigner {
 		size = sha256.Size
 	}
 	h := &HMACSigner{secret: append([]byte(nil), secret...), size: size}
-	h.pool.New = func() any { return hmac.New(sha256.New, h.secret) }
+	h.pool.New = func() any { return &macState{h: hmac.New(sha256.New, h.secret)} }
 	return h
 }
 
-// mac computes the truncated HMAC into the caller's buffer.
-func (h *HMACSigner) mac(buf []byte, data []byte) []byte {
-	m := h.pool.Get().(hash.Hash)
-	m.Reset()
-	m.Write(data)
-	out := m.Sum(buf[:0])[:h.size]
-	h.pool.Put(m)
-	return out
+// mac computes the truncated HMAC of data into the pooled state's
+// scratch; the result is valid until the state goes back to the pool.
+func (h *HMACSigner) mac(m *macState, data []byte) []byte {
+	m.h.Reset()
+	m.h.Write(data)
+	return m.h.Sum(m.sum[:0])[:h.size]
 }
 
 // Sign implements Signer.
 func (h *HMACSigner) Sign(data []byte) []byte {
-	return h.mac(make([]byte, 0, sha256.Size), data)
+	m := h.pool.Get().(*macState)
+	sig := append(make([]byte, 0, sha256.Size), h.mac(m, data)...)
+	h.pool.Put(m)
+	return sig
 }
 
 // Verify implements Signer.
 func (h *HMACSigner) Verify(data, sig []byte) bool {
-	var buf [sha256.Size]byte
-	return subtle.ConstantTimeCompare(h.mac(buf[:0], data), sig) == 1
+	m := h.pool.Get().(*macState)
+	ok := subtle.ConstantTimeCompare(h.mac(m, data), sig) == 1
+	h.pool.Put(m)
+	return ok
 }
 
 // RollingSigner maintains a rolling table of secrets (§5.5.1): new

@@ -300,6 +300,14 @@ func (j *journal) refusal() error {
 	return nil
 }
 
+// WaitsForDisk reports whether a mutation waits until its record is
+// on stable storage: the store journals under SyncAlways.
+func (st *Store) WaitsForDisk() bool {
+	st.writeMu.Lock()
+	defer st.writeMu.Unlock()
+	return st.j != nil && st.j.policy == SyncAlways
+}
+
 // Sync blocks until every enqueued record has been written (and, for
 // policies other than SyncNone, synced), returning the sticky error.
 // Without a journal there is nothing to wait for.

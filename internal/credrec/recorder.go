@@ -41,6 +41,10 @@ type Recorder interface {
 	Resolve(ref Ref) (State, bool, error)
 	Externals(visit func(ref Ref, name string, final bool))
 
+	// WaitsForDisk reports whether a mutation can wait for stable
+	// storage before it returns: a journal under SyncAlways.
+	WaitsForDisk() bool
+
 	// Observation and introspection.
 	OnChange(f ChangeFunc)
 	Image() []byte

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"expvar"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -628,6 +629,12 @@ func (ss *ShardedStore) Vars() expvar.Var {
 		m.Set(ss.names[i], st.Vars())
 	}
 	return m
+}
+
+// WaitsForDisk reports whether a mutation on some shard waits for
+// stable storage.
+func (ss *ShardedStore) WaitsForDisk() bool {
+	return slices.ContainsFunc(ss.stores, (*Store).WaitsForDisk)
 }
 
 // Live sums live records over every shard (bridges included — they are

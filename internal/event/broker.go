@@ -90,9 +90,14 @@ type session struct {
 	mu       sync.Mutex
 	nextSeq  uint64
 	outbox   []Notification // prepared, not yet handed to the sink
+	spare    []Notification // a delivered outbox, recycled as the next one
 	draining bool           // a goroutine is flushing outbox in order
 	closed   bool
 }
+
+// maxSpareOutbox bounds the outbox array a session keeps for reuse, so
+// that one burst does not pin its peak for the session's life.
+const maxSpareOutbox = 64
 
 type buffered struct {
 	ev    Event
@@ -109,13 +114,20 @@ type buffered struct {
 // source sequence live behind their own small mutex, and per-session
 // sequence numbers are assigned under the session lock with delivery
 // draining in assignment order, preserving the §4.10 loss-detection
-// contract. Registrations are indexed by event name — and, when the
+// contract. Signal, SignalTo and Heartbeat order before they deliver:
+// under stampMu they stamp (or read the horizon) and queue a
+// notification on every target, so a heartbeat whose horizon passes an
+// event's stamp is behind that event on each session both reach,
+// however long one session's sink holds the signaller
+// (TestHeartbeatWaitsBehindEvent).
+// Registrations are indexed by event name — and, when the
 // template's first parameter is a literal, by (name, literal) — so
 // Signal matches only candidate registrations instead of scanning the
 // whole database.
 //
-// Lock order: Broker.mu before session.mu before nothing; stampMu is a
-// leaf. Sinks are always invoked with no broker or session lock held.
+// Lock order: stampMu before Broker.mu before session.mu; no
+// session.mu holder takes another lock. Sinks are always invoked with
+// no broker, stamp or session lock held.
 type Broker struct {
 	name string
 	clk  clock.Clock
@@ -309,9 +321,12 @@ func (b *Broker) RetroRegister(regID uint64, t Template, since time.Time) error 
 		}
 	}
 	b.mu.Unlock()
-	horizon := b.horizon()
-	for _, ev := range replay {
-		b.notify(s, r.id, ev, false, horizon)
+	if len(replay) > 0 {
+		horizon := b.horizon()
+		for _, ev := range replay {
+			b.enqueue(s, r.id, ev, false, horizon)
+		}
+		b.drain(s)
 	}
 	return nil
 }
@@ -323,20 +338,21 @@ func (b *Broker) visible(s *session, ev Event) bool {
 	return b.opts.Visibility(s.id, s.credentials, ev)
 }
 
-// notify assigns the next per-session sequence number and drains the
-// session's outbox in order. Per-session delivery order therefore
-// always equals sequence order, even with concurrent signallers; the
-// sink runs with no lock held. Nothing is kept once the sink has the
-// notification: a client that detects a gap (§4.10) recovers by
-// resynchronising record state, not by asking for a replay.
-func (b *Broker) notify(s *session, regID uint64, ev Event, hb bool, horizon time.Time) {
+// enqueue assigns the session's next sequence number to a notification
+// and appends it to the outbox in the same hold of the session's lock,
+// and drain delivers the outbox in order, so per-session delivery order
+// always equals sequence order, even with concurrent signallers.
+// Nothing is kept once the sink has the notification: a client that
+// detects a gap (§4.10) recovers by resynchronising record state, not
+// by asking for a replay.
+func (b *Broker) enqueue(s *session, regID uint64, ev Event, hb bool, horizon time.Time) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	s.nextSeq++
-	n := Notification{
+	s.outbox = append(s.outbox, Notification{
 		Source:    b.name,
 		SessionID: s.id,
 		Seq:       s.nextSeq,
@@ -344,33 +360,15 @@ func (b *Broker) notify(s *session, regID uint64, ev Event, hb bool, horizon tim
 		RegID:     regID,
 		Event:     ev,
 		Horizon:   horizon,
-	}
-	if !s.draining && len(s.outbox) == 0 {
-		// Uncontended fast path: nothing queued and nobody delivering, so
-		// this notification can go straight to the sink — no outbox
-		// append. Concurrent notifiers see draining set and queue behind
-		// us, preserving sequence order.
-		s.draining = true
-		sink := s.sink
-		s.mu.Unlock()
-		sink.Deliver(n)
-		s.mu.Lock()
-		s.draining = false
-		if len(s.outbox) > 0 {
-			b.drainLocked(s)
-			return
-		}
-		s.mu.Unlock()
-		return
-	}
-	s.outbox = append(s.outbox, n)
-	b.drainLocked(s)
+	})
 }
 
-// drainLocked flushes s.outbox to the sink in order. Called with s.mu
-// held; returns with it released. Only one goroutine drains at a time;
-// others append and leave, so delivery order matches preparation order.
-func (b *Broker) drainLocked(s *session) {
+// drain flushes s.outbox to the sink in order, with no lock held while
+// the sink runs. Only one goroutine drains a session at a time; others
+// find it draining and leave what they queued to it, so delivery order
+// matches preparation order.
+func (b *Broker) drain(s *session) {
+	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return
@@ -378,61 +376,83 @@ func (b *Broker) drainLocked(s *session) {
 	s.draining = true
 	for len(s.outbox) > 0 {
 		batch := s.outbox
-		s.outbox = nil
+		s.outbox, s.spare = s.spare, nil
 		sink := s.sink
 		s.mu.Unlock()
 		for _, n := range batch {
 			sink.Deliver(n)
 		}
+		clear(batch) // the recycled array must not pin payloads
 		s.mu.Lock()
+		if cap(batch) <= maxSpareOutbox {
+			s.spare = batch[:0]
+		}
 	}
 	s.draining = false
 	s.mu.Unlock()
 }
 
 // horizon returns the broker's event-horizon timestamp: a lower bound on
-// timestamps of future notifications. Events are stamped with a monotone
-// clock reading, so the last stamp is such a bound.
+// timestamps of future notifications.
 func (b *Broker) horizon() time.Time {
-	now := b.clk.Now()
 	b.stampMu.Lock()
-	last := b.lastStamp
-	b.stampMu.Unlock()
-	if now.After(last) {
+	defer b.stampMu.Unlock()
+	return b.horizonLocked()
+}
+
+// horizonLocked is horizon with stampMu held. Events are stamped with a
+// monotone clock reading taken under the same lock, so the later of
+// the clock and the last stamp is such a bound.
+func (b *Broker) horizonLocked() time.Time {
+	if now := b.clk.Now(); now.After(b.lastStamp) {
 		return now
 	}
-	return last
+	return b.lastStamp
 }
 
 // Signal stamps and signals an event: it is buffered for matching
 // pre-registrations and delivered to every live registration whose
-// template matches and whose session may see it.
+// template matches and whose session may see it, queued on every one
+// before any sink runs (see Broker).
 func (b *Broker) Signal(ev Event) Event {
-	return b.dispatch(b.stamp(ev))
+	return b.dispatch(ev)
 }
 
 // SignalTo stamps an event as Signal does and notifies, with
 // registration id 0, those of the listed sessions that are open and may
 // see it: no template is matched and no pre-registration buffers it.
+// Every target has the event queued before any sink runs (see Broker).
 func (b *Broker) SignalTo(ev Event, sessions []uint64) {
-	ev = b.stamp(ev)
-	horizon := b.horizon()
+	var buf [4]*session // on the stack: an event goes to a few watchers
+	targets := buf[:0]
+	b.mu.RLock()
 	for _, id := range sessions {
-		b.mu.RLock()
-		s, ok := b.sessions[id]
-		b.mu.RUnlock()
-		if ok && b.visible(s, ev) {
-			b.notify(s, 0, ev, false, horizon)
+		if s, ok := b.sessions[id]; ok {
+			targets = append(targets, s)
 		}
+	}
+	b.mu.RUnlock()
+	b.stampMu.Lock()
+	ev = b.stampLocked(ev)
+	horizon := b.horizonLocked()
+	visible := targets[:0]
+	for _, s := range targets {
+		if b.visible(s, ev) {
+			b.enqueue(s, 0, ev, false, horizon)
+			visible = append(visible, s)
+		}
+	}
+	b.stampMu.Unlock()
+	for _, s := range visible {
+		b.drain(s)
 	}
 }
 
-// stamp names the source and gives a monotone time (so horizons are
-// honest) and the next event sequence number.
-func (b *Broker) stamp(ev Event) Event {
+// stampLocked names the source and gives a monotone time (so horizons
+// are honest) and the next event sequence number; caller holds stampMu.
+func (b *Broker) stampLocked(ev Event) Event {
 	ev.Source = b.name
 	now := b.clk.Now()
-	b.stampMu.Lock()
 	if !now.After(b.lastStamp) {
 		now = b.lastStamp.Add(time.Nanosecond)
 	}
@@ -440,14 +460,14 @@ func (b *Broker) stamp(ev Event) Event {
 	ev.Time = now
 	b.eventSeq++
 	ev.Seq = b.eventSeq
-	b.stampMu.Unlock()
 	return ev
 }
 
-// dispatch matches the stamped event against candidate registrations
-// (by name, and by name+first-literal when the event has arguments) and
-// notifies every interested live session. Matching runs under the read
-// lock; delivery runs outside it.
+// dispatch stamps the event, matches it against candidate
+// registrations (by name, and by name+first-literal when the event has
+// arguments) and notifies every interested live session. Matching runs
+// under the read lock, and with the queueing under stampMu; delivery
+// runs outside every lock.
 func (b *Broker) dispatch(ev Event) Event {
 	type target struct {
 		s     *session
@@ -471,6 +491,8 @@ func (b *Broker) dispatch(ev Event) Event {
 			targets = append(targets, target{s, r.id})
 		}
 	}
+	b.stampMu.Lock()
+	ev = b.stampLocked(ev)
 	b.mu.RLock()
 	scan(b.index[ev.Name])
 	if len(ev.Args) > 0 {
@@ -487,9 +509,13 @@ func (b *Broker) dispatch(ev Event) Event {
 		b.mu.Unlock()
 	}
 
-	horizon := b.horizon()
+	horizon := b.horizonLocked()
 	for _, t := range targets {
-		b.notify(t.s, t.regID, ev, false, horizon)
+		b.enqueue(t.s, t.regID, ev, false, horizon)
+	}
+	b.stampMu.Unlock()
+	for _, t := range targets {
+		b.drain(t.s)
 	}
 	return ev
 }
@@ -512,7 +538,8 @@ func (b *Broker) trimBufferLocked(now time.Time) {
 // receives a heartbeat notification carrying the current event horizon
 // (§4.10). The owner calls this every t seconds (or wires it to a
 // timer). Sessions are snapshotted under the read lock and notified
-// outside it, so a slow sink never stalls registration traffic.
+// outside it, so a slow sink never stalls registration traffic; every
+// session has its heartbeat queued before any sink runs (see Broker).
 func (b *Broker) Heartbeat() {
 	b.mu.RLock()
 	sessions := make([]*session, 0, len(b.sessions))
@@ -520,9 +547,14 @@ func (b *Broker) Heartbeat() {
 		sessions = append(sessions, s)
 	}
 	b.mu.RUnlock()
-	horizon := b.horizon()
+	b.stampMu.Lock()
+	horizon := b.horizonLocked()
 	for _, s := range sessions {
-		b.notify(s, 0, Event{}, true, horizon)
+		b.enqueue(s, 0, Event{}, true, horizon)
+	}
+	b.stampMu.Unlock()
+	for _, s := range sessions {
+		b.drain(s)
 	}
 }
 

@@ -218,6 +218,81 @@ func TestHeartbeatCarriesHorizon(t *testing.T) {
 	}
 }
 
+// heldSink blocks in the first event it is handed until release is
+// closed, as a TCP sink whose peer stopped reading does.
+type heldSink struct {
+	capture
+	held    chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (h *heldSink) Deliver(n Notification) {
+	if !n.Heartbeat {
+		h.once.Do(func() { close(h.held); <-h.release })
+	}
+	h.capture.Deliver(n)
+}
+
+// TestHeartbeatWaitsBehindEvent: while a signaller is held in one
+// session's sink, a heartbeat stamped later reaches another session the
+// event targets only after the event, and neither waits for the held
+// sink (§4.10: a horizon is a lower bound on what is still to come).
+// Signal's targets come in registration-map order, so there session A
+// may be drained second; the ordering holds either way.
+func TestHeartbeatWaitsBehindEvent(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		signal func(t *testing.T, b *Broker, sessions []uint64)
+	}{
+		{"SignalTo", func(t *testing.T, b *Broker, sessions []uint64) { b.SignalTo(New("Modified"), sessions) }},
+		{"Signal", func(t *testing.T, b *Broker, sessions []uint64) {
+			for _, id := range sessions {
+				if _, err := b.Register(id, NewTemplate("Modified")); err != nil {
+					t.Error(err)
+				}
+			}
+			b.Signal(New("Modified"))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, clk := newTestBroker(t, BrokerOptions{})
+			a := &heldSink{held: make(chan struct{}), release: make(chan struct{})}
+			sessA, err := b.OpenSession(a, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bSink := &capture{}
+			sessB, err := b.OpenSession(bSink, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			signalled := make(chan struct{})
+			go func() {
+				defer close(signalled)
+				tc.signal(t, b, []uint64{sessA, sessB})
+			}()
+			<-a.held
+			clk.Advance(10 * time.Second)
+			b.Heartbeat()
+
+			got := bSink.all()
+			if len(got) != 2 || got[0].Heartbeat || !got[1].Heartbeat {
+				t.Fatalf("B received %+v while A's sink was held, want the event then the heartbeat", got)
+			}
+			if ev, hb := got[0], got[1]; hb.Seq <= ev.Seq || !hb.Horizon.After(ev.Event.Time) {
+				t.Fatalf("heartbeat seq %d horizon %v after event seq %d stamped %v", hb.Seq, hb.Horizon, ev.Seq, ev.Event.Time)
+			}
+
+			close(a.release)
+			<-signalled
+			if got := a.all(); len(got) != 2 || got[0].Heartbeat || !got[1].Heartbeat || got[1].Seq != got[0].Seq+1 {
+				t.Fatalf("A received %+v, want the event then the heartbeat", got)
+			}
+		})
+	}
+}
+
 func TestPreRegistrationBuffersNotNotifies(t *testing.T) {
 	b, _ := newTestBroker(t, BrokerOptions{})
 	sink := &capture{}

@@ -90,6 +90,18 @@ func (s *Service) Call(from, op string, arg any) (any, error) {
 	}
 }
 
+// NeverWaits implements bus.InlineEndpoint: validate reads this
+// service's own signer, rolefiles and store and calls nobody, so a
+// peer link's read loop may answer it, unless it asks to watch and the
+// store's MarkNotify would wait for the disk (a journal under
+// SyncAlways). treeforward calls the next members of the ring, resync
+// subscribes a list of up to 65 536 records, and gettypes is asked once
+// per role: they stay on workers (docs/PROTOCOLS.md "Served calls").
+func (s *Service) NeverWaits(op string, arg any) bool {
+	a, ok := arg.(ValidateArg)
+	return op == "validate" && ok && !(a.Watch && s.diskWait)
+}
+
 // serve runs one operation's handler on the argument type it takes and
 // refuses anything else found in the argument position.
 func serve[A, R any](op string, arg any, handle func(A) (R, error)) (any, error) {
@@ -115,7 +127,7 @@ func (s *Service) Deliver(n event.Notification) {
 	}
 }
 
-var _ bus.Endpoint = (*Service)(nil)
+var _ bus.InlineEndpoint = (*Service)(nil)
 
 // handleValidate validates one of our certificates on behalf of another
 // service, optionally registering that service for Modified events on

@@ -96,6 +96,7 @@ type Service struct {
 	opts   Options
 
 	store    credrec.Recorder
+	diskWait bool // store.WaitsForDisk(): a journal's policy is fixed for its life
 	groups   *credrec.Groups
 	broker   *event.Broker
 	receiver *event.Receiver
@@ -207,6 +208,7 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 	if s.store == nil {
 		s.store = credrec.NewStore()
 	}
+	s.diskWait = s.store.WaitsForDisk()
 	s.groups = credrec.NewGroups(s.store)
 	s.broker = event.NewBroker(name, clk, event.BrokerOptions{})
 	// A sequence gap means a notification — possibly a revocation — was

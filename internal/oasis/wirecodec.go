@@ -2,6 +2,7 @@ package oasis
 
 import (
 	"fmt"
+	"slices"
 
 	"oasis/internal/bus"
 	"oasis/internal/cert"
@@ -279,8 +280,20 @@ func encodeRMC(e *bus.WireEnc, c *cert.RMC) {
 	e.PutBytes(c.Sig)
 }
 
+// rmcBlock is a decoded certificate with room beside it for its
+// arguments and signature, so that one with at most four arguments and
+// a signature of at most 32 bytes (HMACSigner's longest) is one
+// allocation, not three; a longer one still decodes, its overflow
+// allocated apart.
+type rmcBlock struct {
+	c    cert.RMC
+	args [4]value.Value
+	sig  [32]byte
+}
+
 func decodeRMC(d *bus.WireDec) (*cert.RMC, error) {
-	c := &cert.RMC{}
+	b := new(rmcBlock)
+	c := &b.c
 	var err error
 	if c.Service, err = d.String(); err != nil {
 		return nil, err
@@ -293,7 +306,7 @@ func decodeRMC(d *bus.WireDec) (*cert.RMC, error) {
 		return nil, err
 	}
 	c.Roles = cert.RoleSet(roles)
-	if c.Args, err = d.Values(); err != nil {
+	if c.Args, err = d.AppendValues(b.args[:0]); err != nil {
 		return nil, err
 	}
 	if c.Client, err = decodeClientID(d); err != nil {
@@ -307,8 +320,18 @@ func decodeRMC(d *bus.WireDec) (*cert.RMC, error) {
 	if c.Expiry, err = d.Time(); err != nil {
 		return nil, err
 	}
-	if c.Sig, err = d.Bytes(); err != nil {
+	if c.Sig, err = d.AppendBytes(b.sig[:0]); err != nil {
 		return nil, err
+	}
+	// An empty field decodes to nil, and a full one keeps no spare
+	// capacity in the block for an append to write into.
+	c.Args = slices.Clip(c.Args)
+	if len(c.Args) == 0 {
+		c.Args = nil
+	}
+	c.Sig = slices.Clip(c.Sig)
+	if len(c.Sig) == 0 {
+		c.Sig = nil
 	}
 	return c, nil
 }
