@@ -18,7 +18,7 @@ ci: build vet lint test test-shard race chaos bench-smoke bench-check
 help:
 	@echo "build       compile everything"
 	@echo "test        full test suite"
-	@echo "test-shard  sharding matrix: sharded-store/placement/tree/cluster suites at 1,2,4,8 shards, in memory and journaled"
+	@echo "test-shard  sharding suites: the record model over the sharded store at 1,2,4,8 shards, in memory and journaled, plus the sharded-store/placement/tree/cluster suites"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
 	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, two http.Servers (the gateway loop's fallback, oasisd's admin port) and no http.DefaultServeMux, one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), no consistent-hash ring placing records (a leaf goes by a hash of the allocation count), one counter registry (Service.Vars: no AuditSnapshot, striped call counters, Network.Dropped, Engine.Recovered or gateway test probes), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
@@ -34,16 +34,18 @@ build:
 test:
 	$(GO) test ./...
 
-# The sharding matrix (part of ci): leaf placement and the constructors'
-# refusals, the sharded store at 1/2/4/8 shards against the monolithic
-# semantics, in memory and journaled-closed-reopened (TestShardedMatrix), its
-# store-wide fail-stop when one shard's journal fails, the bridge source
-# format recovery reads, the ring's tree, the cross-shard service
+# The sharding suites (part of ci): leaf placement and the constructors'
+# refusals, the record model's compositions — the plain store and the
+# sharded store at 1/2/4/8 shards, in memory and journaled-closed-
+# reopened, against the reference model (FuzzRecorderModel) — the
+# sharded store's store-wide fail-stop when one shard's journal
+# fails, the bridge source format recovery reads, the ring's tree, the
+# cross-shard service
 # suites, the ring's wire payload and the daemon's
 # `-shards N -store-dir` restart and shape guard — everything `-shards`
 # and `-shard-ring` deploy, run explicitly and uncached.
 test-shard:
-	$(GO) test -run 'Sharded|BridgeSource|Tree|Disseminator|ForwardBatch' -count=1 \
+	$(GO) test -run 'Sharded|BridgeSource|Tree|Disseminator|ForwardBatch|RecorderModel' -count=1 \
 		./internal/credrec/ ./internal/bus/
 	$(GO) test -run 'Sharded|StoreShape' -count=1 ./cmd/oasisd/
 	$(GO) test -run 'Shard|ClusterPending|RelayedHeartbeat' -count=1 \
@@ -72,15 +74,22 @@ test-shard:
 # with another buffered behind it and 64 callers on one link, and
 # validates at an issuer over that loop; and it holds a signaller in
 # one watcher's sink while a heartbeat runs, which must reach the other
-# watcher behind the event.
+# watcher behind the event. It also drives every store composition
+# through generated sequences beside a goroutine sweeping it as fast as
+# it can, against the record model; has a sweeper beside a mutation
+# whose observer must have run when it returns, and beside derivations
+# over a final parent on another shard, whose bridge it must not take
+# before the child is linked; and has an issuer whose
+# watcher answers the hello and reads nothing, on whose socket neither
+# heartbeats nor a logout may wait.
 # internal/fault is not listed: `chaos` runs that whole package under
 # the detector.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
 		./internal/gateway/... ./cmd/rdlcheck/...
-	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade|LoopMatchesNetHTTP|RevocationLeavesBeforeItReturns|BufferedCallGoesToWorker|PipelinedInlineCallersAllAnswered|InlineValidateCallsNobody|HeartbeatWaitsBehindEvent' \
-		./internal/gateway/ ./internal/oasis/ ./internal/cert/ ./internal/bus/ ./internal/event/
+	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade|LoopMatchesNetHTTP|RevocationLeavesBeforeItReturns|BufferedCallGoesToWorker|PipelinedInlineCallersAllAnswered|InlineValidateCallsNobody|HeartbeatWaitsBehindEvent|RecorderModelBesideSweep|ObserverHeardWhenMutationReturns|FinalBridgeOutlivesSweep|StalledWatcherHoldsNoSignaller' \
+		./internal/gateway/ ./internal/oasis/ ./internal/cert/ ./internal/bus/ ./internal/event/ ./internal/credrec/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the
 # storage kill-point suite (persist_chaos_test.go): whole deployments

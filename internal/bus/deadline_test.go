@@ -154,10 +154,12 @@ func TestCallDeadline(t *testing.T) {
 }
 
 // TestStalledReaderKillsWriter: a peer that completes the hello and then
-// never reads cannot hold a notification burst's sender beyond the
-// write bound. The writer dies the way any wire failure kills it:
-// every notification of the burst counts dropped exactly once, on the
-// link and on the network, and the next send reconnects.
+// never reads cannot hold a notification burst's sender: sendBatch only
+// queues, and the link's flusher goroutine is the one blocked in the
+// write, for one to two write bounds. The writer then dies the way any
+// wire failure kills it: every notification of the burst counts dropped
+// exactly once, on the link and on the network, and the next send
+// reconnects.
 func TestStalledReaderKillsWriter(t *testing.T) {
 	release := make(chan struct{})
 	addr, accepts := fakePeer(t, func(conn net.Conn) {
@@ -189,8 +191,14 @@ func TestStalledReaderKillsWriter(t *testing.T) {
 	}
 	start := time.Now()
 	rp.sendBatch("caller", "svc", notes)
+	// The signaller only queues: the link's flusher goroutine is the one
+	// blocked in the write.
+	if took := time.Since(start); took > bound/2 {
+		t.Fatalf("sendBatch into a stalled reader took %v, want well under %v", took, bound)
+	}
+	waitFor(t, func() bool { return n.Count("dropped") != 0 })
 	if took := time.Since(start); took < bound || took > 2*bound+5*time.Second {
-		t.Fatalf("sendBatch into a stalled reader took %v, want between %v and %v (plus scheduling)", took, bound, 2*bound)
+		t.Fatalf("the writer died %v after its blocked write began, want between %v and %v (plus scheduling)", took, bound, 2*bound)
 	}
 	if got := n.Count("dropped"); got != burst {
 		t.Fatalf("network counted %d dropped, want %d", got, burst)

@@ -179,9 +179,11 @@ func (wr *msgWriter) enqueue(msg wireMsg) error {
 }
 
 // enqueueNotes accepts a notification burst for the wire, building the
-// messages in place in the queue. The only error is errWriterDead:
-// nothing was accepted, and the caller owns the drop accounting for the
-// burst.
+// messages in place in the queue, and starts the flusher goroutine if
+// none is running: a signaller never writes to the socket itself, so a
+// watcher that stops reading cannot hold it (a call or a reply still
+// flushes inline, enqueue). The only error is errWriterDead: nothing
+// was accepted, and the caller owns the drop accounting for the burst.
 func (wr *msgWriter) enqueueNotes(from, to string, notes []event.Notification) error {
 	wr.mu.Lock()
 	if wr.dead {
@@ -198,7 +200,11 @@ func (wr *msgWriter) enqueueNotes(from, to string, notes []event.Notification) e
 		m.Kind, m.From, m.To, m.Note = "notify", from, to, notes[i]
 	}
 	wr.pendingNotes += len(notes)
-	wr.flushIfIdleLocked()
+	if !wr.flushing {
+		wr.flushing = true
+		go wr.flushLoop()
+	}
+	wr.mu.Unlock()
 	return nil
 }
 

@@ -3,6 +3,7 @@ package credrec
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -98,6 +99,45 @@ func TestInvalidateVisibleToReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestObserverHeardWhenMutationReturns: a mutation hands the observer
+// its own changes before it returns, so a sweeper that takes the
+// store's lock as often as it can never delivers them late. A store
+// whose mutations drained whatever was queued let the sweeper take a
+// batch and the mutation return before the observer ran; on a sharded
+// store the same theft delayed a cross-shard cascade.
+func TestObserverHeardWhenMutationReturns(t *testing.T) {
+	st := NewStore()
+	ref := st.NewFact(True)
+	_ = st.MarkNotify(ref)
+	var heard atomic.Int64
+	st.OnChange(func(cs []Change) { heard.Add(int64(len(cs))) })
+	sweepBeside(t, st)
+	for i := 1; i <= 100000; i++ {
+		_ = st.SetState(ref, [...]State{True, False}[i%2])
+		if got := heard.Load(); got != int64(i) {
+			t.Fatalf("%d mutations returned, the observer heard of %d", i, got)
+		}
+	}
+}
+
+// sweepBeside sweeps rec on another goroutine, without pause, until
+// the test ends.
+func sweepBeside(t *testing.T, rec Recorder) {
+	stop, swept := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(swept)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				rec.Sweep()
+			}
+		}
+	}()
+	t.Cleanup(func() { close(stop); <-swept })
 }
 
 // TestConcurrentSetStateChurn flips independent leaves from many

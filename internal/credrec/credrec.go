@@ -38,8 +38,9 @@
 // Because propagation is synchronous under writeMu and sp stores are
 // sequentially consistent, when Invalidate returns every dependent
 // record is already published false: a later Valid on any goroutine
-// fails. Change notifications are queued under writeMu and fired after
-// it is released, so ChangeFunc callbacks may re-enter the store.
+// fails. Change notifications are queued under writeMu and handed to
+// the observer by the same mutation after it is released, so ChangeFunc
+// callbacks may re-enter the store.
 //
 // A store may carry a journal (persist.go): each mutator then encodes
 // its record and queues it for the committer inside the same writeMu
@@ -168,6 +169,7 @@ type record struct {
 	notify    bool // another service is using this credential
 	directUse bool // a certificate embeds this credential
 	autoRev   bool // revoke if a parent exits its role
+	bridged   bool // a bridge on another shard mirrors it (ShardedStore)
 	external  string
 
 	children []childLink
@@ -179,6 +181,7 @@ type record struct {
 	effUnk    int
 	permTrue  int // effective-true parents that are permanent
 	permFalse int
+	permUnk   int
 }
 
 // permBit flags permanence in record.sp; the low byte holds the State.
@@ -230,9 +233,10 @@ func (sh *shard) get(ref Ref) (*record, error) {
 
 // ChangeFunc observes state changes of records whose Notify flag is set;
 // the oasis layer uses it to drive cross-service event notification
-// (§4.9.2). It is called once per drained batch: every Notify-flagged
-// transition of one mutation — a whole revocation cascade — arrives in
-// one call, in transition order (a record may appear more than once).
+// (§4.9.2). It is called once per mutation, on the mutating goroutine
+// before the mutation returns: every Notify-flagged transition of the
+// mutation — a whole revocation cascade — arrives in one call, in
+// transition order (a record may appear more than once).
 // The slice is the store's; the observer may rewrite it in place but
 // must not keep it after returning.
 type ChangeFunc func(changes []Change)
@@ -253,8 +257,10 @@ type Store struct {
 	nalloc    uint64 // allocations so far; round-robin shard choice
 	totalFree int    // sum of len(shard.free), to keep reuse-before-grow
 	onChange  ChangeFunc
-	pending   []Change // notifications queued during propagation
-	j         *journal // commit pipeline (persist.go); nil keeps the store in memory only
+	pending   []Change   // notifications queued during propagation
+	onBridge  ChangeFunc // a ShardedStore's fan-out to the bridges of bridged records
+	bridging  []Change   // its transitions queued during propagation
+	j         *journal   // commit pipeline (persist.go); nil keeps the store in memory only
 
 	shards [numShards]shard
 
@@ -452,6 +458,9 @@ func (r *record) count(eff State, d int, permanent bool) {
 		}
 	case Unknown:
 		r.effUnk += d
+		if permanent {
+			r.permUnk += d
+		}
 	}
 }
 
@@ -503,7 +512,7 @@ func (r *record) decided() bool {
 	default:
 		return r.permanent
 	}
-	return r.permTrue+r.permFalse == r.nParents
+	return r.permTrue+r.permFalse+r.permUnk == r.nParents
 }
 
 // SetState sets the state of a leaf or external record and propagates the
@@ -566,7 +575,7 @@ func (st *Store) refOp(opcode byte, ref Ref, apply func(*record) bool) error {
 // Apply writes what an authority says of records this store mirrors:
 // each change sets its record's state, frozen when Permanent, and a
 // permanent False is an invalidation. The batch is one critical section
-// with one drain and one observer call, journaled as the entry-point
+// with one observer call, journaled as the entry-point
 // operations that replay to it. A record that is swept, final or
 // already there is left alone (a sticky permanent False must not be
 // overwritten), so re-applying what the store holds journals nothing.
@@ -602,7 +611,7 @@ func (st *Store) Apply(changes []Change) error {
 // single atomic publish, so the cascade costs no lock operations
 // beyond writeMu itself (see the package comment's lock order).
 // Notifications for Notify-flagged records are queued; public entry
-// points drain them after unlocking.
+// points hand them to the observer after unlocking.
 func (st *Store) transition(r *record, s State, makePermanent bool) {
 	if r.permanent {
 		return
@@ -616,8 +625,12 @@ func (st *Store) transition(r *record, s State, makePermanent bool) {
 		r.permanent = true
 	}
 	r.publish()
+	c := Change{Ref: r.ref, State: r.state, Permanent: r.permanent}
 	if r.notify && st.onChange != nil {
-		st.pending = append(st.pending, Change{Ref: r.ref, State: r.state, Permanent: r.permanent})
+		st.pending = append(st.pending, c)
+	}
+	if r.bridged && st.onBridge != nil {
+		st.bridging = append(st.bridging, c)
 	}
 	for _, cl := range r.children {
 		cr, err := st.getMut(cl.ref)
@@ -638,26 +651,6 @@ func (st *Store) transition(r *record, s State, makePermanent bool) {
 		if ns != cr.state || nperm {
 			st.transition(cr, ns, nperm)
 		}
-	}
-}
-
-// drain fires queued change notifications, one call per batch; callers
-// must not hold any store lock (callbacks may re-enter the store).
-func (st *Store) drain() {
-	for {
-		st.writeMu.Lock()
-		if len(st.pending) == 0 {
-			st.writeMu.Unlock()
-			return
-		}
-		batch := st.pending
-		st.pending = nil
-		f := st.onChange
-		st.writeMu.Unlock()
-		if f == nil {
-			return
-		}
-		f(batch)
 	}
 }
 
@@ -684,9 +677,10 @@ func (st *Store) lock() error {
 
 // unlock leaves a mutation: it queues what the mutator staged for the
 // committer, waits — under SyncAlways, with writeMu given up — until
-// that is durable, releases writeMu and fires the change callbacks. It
-// returns the journal failure that left the record short of stable
-// storage.
+// that is durable, releases writeMu and hands the mutation's own
+// changes to the observer. No other mutation can take them, so the
+// observer has run when the mutation returns. It returns the journal
+// failure that left the record short of stable storage.
 func (st *Store) unlock() error {
 	var err error
 	if j := st.j; j != nil && j.staged {
@@ -699,10 +693,16 @@ func (st *Store) unlock() error {
 			err = j.err
 		}
 	}
-	fire := len(st.pending) > 0
+	batch, f, fan, bridge := st.pending, st.onChange, st.bridging, st.onBridge
+	st.pending, st.bridging = nil, nil
 	st.writeMu.Unlock()
-	if fire {
-		st.drain()
+	// A SyncAlways wait gives writeMu up, so an observer may have been
+	// removed since the changes were queued.
+	if len(fan) > 0 && bridge != nil {
+		bridge(fan)
+	}
+	if len(batch) > 0 && f != nil {
+		f(batch)
 	}
 	return err
 }
@@ -754,6 +754,14 @@ func (st *Store) MarkNotify(ref Ref) error {
 // MarkAutoRevoke flags the record for revocation on parent role exit.
 func (st *Store) MarkAutoRevoke(ref Ref) error {
 	return st.setFlag(opAutoRevoke, ref, func(r *record) *bool { return &r.autoRev })
+}
+
+// markBridged flags a record that a bridge on another shard mirrors: its
+// transitions go to the fan-out (onBridge), not to the observer, and
+// until it is final a sweep keeps it, as it keeps a record with
+// children here.
+func (st *Store) markBridged(ref Ref) error {
+	return st.setFlag(opBridged, ref, func(r *record) *bool { return &r.bridged })
 }
 
 // setFlag sets one flag; setting a flag that is set changes nothing and
@@ -861,9 +869,10 @@ func (st *Store) Externals(visit func(ref Ref, name string, final bool)) {
 	}
 }
 
-// Sweep garbage-collects (§4.8): it unlinks parent→child edges from
-// permanent records and deletes records that are permanent-and-false, or
-// uninteresting (no direct use, no notify flag, no children). It returns
+// Sweep garbage-collects (§4.8): it unlinks parent→child edges (and
+// bridges) from permanent records and deletes records that are
+// permanent-and-false, or uninteresting (no direct use, no notify flag,
+// no children, no bridge). It returns
 // the number of records deleted. Slot reuse is deterministic, so a
 // journaled sweep replays to the same free list.
 func (st *Store) Sweep() int {
@@ -882,9 +891,9 @@ func (st *Store) Sweep() int {
 			if r.permanent {
 				// Children's counters already carry this record's final
 				// contribution; the links are redundant.
-				r.children = nil
+				r.children, r.bridged = nil, false
 			}
-			uninteresting := !r.directUse && !r.notify && len(r.children) == 0
+			uninteresting := !r.directUse && !r.notify && !r.bridged && len(r.children) == 0
 			if (r.permanent && r.state == False) || (uninteresting && r.permanent) || (uninteresting && r.nParents == 0 && r.external == "" && r.state == False) {
 				sh.slots[p].rec = nil
 				sh.free = append(sh.free, uint32(p*numShards+si))
@@ -935,6 +944,9 @@ func (st *Store) Image() []byte {
 			}
 			if r.autoRev {
 				flags += "a"
+			}
+			if r.bridged {
+				flags += "b"
 			}
 			fmt.Fprintf(&b, "%s op=%d state=%s perm=%t ext=%q flags=%q parents=%d children=%d\n",
 				r.ref, r.op, r.state, r.permanent, r.external, flags, r.nParents, len(r.children))

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestFactLifecycle(t *testing.T) {
@@ -463,114 +462,6 @@ func TestStats(t *testing.T) {
 	}
 	if st.Live() != 0 {
 		t.Fatalf("Live = %d", st.Live())
-	}
-}
-
-// Property: for random two-input graphs, the derived state always equals
-// the boolean op applied to parent states (three-valued logic).
-func TestQuickDerivedMatchesTruthTable(t *testing.T) {
-	states := []State{False, True, Unknown}
-	ops := []Op{OpAnd, OpOr, OpNand, OpNor}
-	f := func(ai, bi, oi uint8, negA, negB bool) bool {
-		sa := states[int(ai)%3]
-		sb := states[int(bi)%3]
-		op := ops[int(oi)%4]
-		st := NewStore()
-		a := st.NewFact(sa)
-		b := st.NewFact(sb)
-		d := st.NewDerived(op, Parent{Ref: a, Negated: negA}, Parent{Ref: b, Negated: negB})
-		got, err := st.Lookup(d)
-		if err != nil {
-			return false
-		}
-		return got == truth(op, effective(sa, negA), effective(sb, negB))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// truth is an independent three-valued evaluation used as the oracle.
-func truth(op Op, a, b State) State {
-	and := func(x, y State) State {
-		if x == False || y == False {
-			return False
-		}
-		if x == Unknown || y == Unknown {
-			return Unknown
-		}
-		return True
-	}
-	or := func(x, y State) State {
-		if x == True || y == True {
-			return True
-		}
-		if x == Unknown || y == Unknown {
-			return Unknown
-		}
-		return False
-	}
-	neg := func(x State) State {
-		switch x {
-		case True:
-			return False
-		case False:
-			return True
-		default:
-			return Unknown
-		}
-	}
-	switch op {
-	case OpAnd:
-		return and(a, b)
-	case OpOr:
-		return or(a, b)
-	case OpNand:
-		return neg(and(a, b))
-	case OpNor:
-		return neg(or(a, b))
-	}
-	return Unknown
-}
-
-// Property: after an arbitrary sequence of SetState operations on the
-// leaves, the derived record equals the oracle applied to current leaf
-// states (propagation via counters never drifts).
-func TestQuickPropagationConsistency(t *testing.T) {
-	f := func(flips []bool) bool {
-		st := NewStore()
-		a := st.NewFact(True)
-		b := st.NewFact(True)
-		d := st.NewDerived(OpAnd, Of(a), Not(b))
-		sa, sb := True, True
-		for i, fl := range flips {
-			var target *State
-			var ref Ref
-			if i%2 == 0 {
-				target, ref = &sa, a
-			} else {
-				target, ref = &sb, b
-			}
-			ns := True
-			if fl {
-				ns = False
-			}
-			if err := st.SetState(ref, ns); err != nil {
-				return false
-			}
-			*target = ns
-			got, err := st.Lookup(d)
-			if err != nil {
-				return false
-			}
-			if got != truth(OpAnd, sa, effective(sb, true)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

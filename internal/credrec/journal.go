@@ -44,6 +44,7 @@ const (
 	opSweep          = 10 // (none)
 	opSourceUnknown  = 11 // source
 	opSourceFailsafe = 12 // source
+	opBridged        = 13 // ref
 )
 
 // maxRecordBytes bounds a single journal record; the largest legitimate
@@ -236,7 +237,7 @@ func (jr *journalReader) apply(st *Store, payload []byte) error {
 		if err := st.MakePermanent(r); err != nil {
 			return err
 		}
-	case opDirectUse, opNotify, opAutoRevoke:
+	case opDirectUse, opNotify, opAutoRevoke, opBridged:
 		r, err := ref()
 		if err != nil {
 			return err
@@ -246,6 +247,8 @@ func (jr *journalReader) apply(st *Store, payload []byte) error {
 			err = st.MarkDirectUse(r)
 		case opNotify:
 			err = st.MarkNotify(r)
+		case opBridged:
+			err = st.markBridged(r)
 		default:
 			err = st.MarkAutoRevoke(r)
 		}

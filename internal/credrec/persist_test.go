@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -486,57 +485,6 @@ func TestSweepFreeListAcrossSnapshotBoundary(t *testing.T) {
 	}
 	if !bytes.Equal(ls.Image(), restored.Image()) {
 		t.Fatal("image diverged after post-recovery allocation")
-	}
-}
-
-// Property: for random operation sequences, replaying the journal yields
-// a store whose every live reference has the same state as the original.
-func TestQuickReplayEquivalence(t *testing.T) {
-	f := func(raw []byte) bool {
-		var journal bytes.Buffer
-		ls := NewJournaledStore(&journal)
-		defer ls.Close()
-		var refs []Ref
-		refs = append(refs, ls.NewFact(True), ls.NewFact(True))
-		for i := 0; i+1 < len(raw); i += 2 {
-			op, sel := raw[i], raw[i+1]
-			target := refs[int(sel)%len(refs)]
-			switch op % 6 {
-			case 0:
-				refs = append(refs, ls.NewFact(State(1+int(sel)%3)))
-			case 1:
-				refs = append(refs, ls.NewDerived(OpAnd, Of(target)))
-			case 2:
-				_ = ls.SetState(target, State(1+int(sel)%3))
-			case 3:
-				_ = ls.Invalidate(target)
-			case 4:
-				_ = ls.MarkDirectUse(target)
-			case 5:
-				ls.Sweep()
-			}
-		}
-		if err := ls.Sync(); err != nil {
-			return false
-		}
-		recovered, err := Replay(bytes.NewReader(journal.Bytes()))
-		if err != nil {
-			return false
-		}
-		for _, r := range refs {
-			want, werr := ls.Lookup(r)
-			got, gerr := recovered.Lookup(r)
-			if (werr == nil) != (gerr == nil) {
-				return false
-			}
-			if werr == nil && got != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

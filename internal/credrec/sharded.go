@@ -41,7 +41,8 @@ import (
 // When a derived record's parent lives on another shard, the parent
 // grows a local *bridge* — an external surrogate record on the child's
 // shard, named SurrogateName("shard:<owner>", parent) — and the parent
-// itself is flagged Notify. The parent's change callback then fans the new
+// itself is flagged bridged, which the observer never sees and a sweep
+// treats as a child. The parent's change callback then fans the new
 // state out to every bridge (outside all store locks, so cascades chain
 // across any number of shards without lock-order hazards), and the
 // child's shard propagates it locally. The name is all a journal or
@@ -164,13 +165,14 @@ func OpenShardedStore(names []string, stores []*Store) (*ShardedStore, error) {
 		if st.j != nil {
 			st.j.halt = &ss.halt
 		}
-		st.onChange = func(changes []Change) {
-			for j := range changes {
-				changes[j].Ref = ss.globalize(i, changes[j].Ref)
-			}
+		st.onBridge = func(changes []Change) {
+			ss.globalizeAll(i, changes)
 			if ss.nEdges.Load() > 0 {
 				ss.fanout(changes)
 			}
+		}
+		st.onChange = func(changes []Change) {
+			ss.globalizeAll(i, changes)
 			if f := ss.change.Load(); f != nil && *f != nil {
 				(*f)(changes)
 			}
@@ -222,6 +224,13 @@ func (ss *ShardedStore) globalize(shard int, local Ref) Ref {
 		panic(fmt.Sprintf("credrec: shard %d local index %d overflows the packed reference format", shard, local.Index))
 	}
 	return Ref{Index: local.Index | uint32(shard)<<shardIDShift, Magic: local.Magic}
+}
+
+// globalizeAll seals the shard into every reference of a change batch.
+func (ss *ShardedStore) globalizeAll(shard int, changes []Change) {
+	for j := range changes {
+		changes[j].Ref = ss.globalize(shard, changes[j].Ref)
+	}
 }
 
 // resolveShard routes a global ref to (store, local ref); a shard id
@@ -300,6 +309,7 @@ func (ss *ShardedStore) NewDerived(op Op, parents ...Parent) Ref {
 	}
 	ownerStore := ss.stores[owner]
 	localParents := make([]Parent, 0, len(parents))
+	var freeze []Change // bridges of final parents, made final once the child is linked
 	for _, p := range parents {
 		pStore, pLocal, err := ss.resolveShard(p.Ref)
 		if err != nil {
@@ -310,25 +320,32 @@ func (ss *ShardedStore) NewDerived(op Op, parents ...Parent) Ref {
 			localParents = append(localParents, Parent{Ref: pLocal, Negated: p.Negated})
 			continue
 		}
-		br, ok := ss.bridgeFor(owner, p.Ref, pStore, pLocal)
+		br, ok := ss.bridgeFor(owner, p.Ref, pStore, pLocal, &freeze)
 		if !ok {
 			localParents = append(localParents, Parent{Ref: danglingLocal, Negated: p.Negated})
 			continue
 		}
 		localParents = append(localParents, Parent{Ref: br, Negated: p.Negated})
 	}
-	return ss.globalize(owner, ownerStore.NewDerived(op, localParents...))
+	ref := ownerStore.NewDerived(op, localParents...)
+	if len(freeze) > 0 {
+		_ = ownerStore.Apply(freeze) // a journal that cannot take it has halted the store already
+	}
+	return ss.globalize(owner, ref)
 }
 
 // bridgeFor returns (creating if needed) the bridge surrogate on shard
 // `owner` mirroring the remote parent. Returns ok=false when the parent
-// is dangling. The parent is flagged Notify so its change callback
+// is dangling. The parent is flagged bridged so its change callback
 // drives the bridge; after registering the edge the parent state is
 // re-read and re-applied, closing the race where the parent changed
 // between the initial read and the edge becoming visible to fan-out
 // (re-applying a state the fan-out also delivered is idempotent). A
-// permanent parent gets a permanent bridge and no edge.
-func (ss *ShardedStore) bridgeFor(owner int, parentGlobal Ref, pStore *Store, pLocal Ref) (Ref, bool) {
+// permanent parent gets a bridge and no edge, and the bridge's final
+// value goes on freeze for the caller to apply once the child is linked
+// beneath it: a final bridge with no child is what a concurrent sweep
+// collects, and a child linked to a collected bridge is born revoked.
+func (ss *ShardedStore) bridgeFor(owner int, parentGlobal Ref, pStore *Store, pLocal Ref, freeze *[]Change) (Ref, bool) {
 	st, perm, err := pStore.Resolve(pLocal)
 	if err != nil {
 		return Ref{}, false
@@ -345,15 +362,15 @@ func (ss *ShardedStore) bridgeFor(owner int, parentGlobal Ref, pStore *Store, pL
 	}
 
 	if !perm {
-		if merr := pStore.MarkNotify(pLocal); merr != nil {
-			return Ref{}, false // swept between Resolve and MarkNotify
+		if merr := pStore.markBridged(pLocal); merr != nil {
+			return Ref{}, false // swept between Resolve and markBridged
 		}
 	}
 	ss.allocSeq.Add(1)
 	br = ownerStore.NewExternal(SurrogateName(bridgePrefix+ss.names[pid], parentGlobal), st)
 	if perm {
 		ss.retire(parent, st)
-		_ = ownerStore.Apply([]Change{{Ref: br, State: st, Permanent: perm}})
+		*freeze = append(*freeze, Change{Ref: br, State: st, Permanent: true})
 		return br, true
 	}
 
@@ -372,11 +389,11 @@ func (ss *ShardedStore) bridgeFor(owner int, parentGlobal Ref, pStore *Store, pL
 	// Close the registration race: a parent transition that drained
 	// before the edge existed is re-read here; one that drains after
 	// will see the edge. Dangling reads permanently false.
-	if st2, perm2, _ := pStore.Resolve(pLocal); st2 != st || perm2 {
-		if perm2 {
-			ss.retire(parent, st2)
-		}
-		_ = ownerStore.Apply([]Change{{Ref: br, State: st2, Permanent: perm2}})
+	if st2, perm2, _ := pStore.Resolve(pLocal); perm2 {
+		ss.retire(parent, st2)
+		*freeze = append(*freeze, Change{Ref: br, State: st2, Permanent: true})
+	} else if st2 != st {
+		_ = ownerStore.Apply([]Change{{Ref: br, State: st2}})
 	}
 	return br, true
 }
@@ -513,7 +530,7 @@ func (ss *ShardedStore) MarkSourceFailsafe(source string) int {
 // named shard owns that has bridges elsewhere, and fans the states out
 // again as one batch — the §4.10 resync protocol between shards, run
 // over every shard when recovered stores are opened. The parent is
-// flagged Notify again (the flag may have been in a batch its shard
+// flagged bridged again (the flag may have been in a batch its shard
 // lost); a parent that is gone reads permanently false. Idempotent: re-applying current state is a
 // no-op. Returns the number of parents re-read.
 func (ss *ShardedStore) ResyncShard(name string) int {
@@ -537,7 +554,7 @@ func (ss *ShardedStore) ResyncShard(name string) int {
 		_, local, _ := ss.resolveShard(p.Ref)
 		p.State, p.Permanent, _ = ss.stores[id].Resolve(local)
 		if !p.Permanent {
-			_ = ss.stores[id].MarkNotify(local) // fails only if the parent was swept since; the next pass reads that
+			_ = ss.stores[id].markBridged(local) // fails only if the parent was swept since; the next pass reads that
 		}
 	}
 	ss.fanout(parents)
@@ -602,7 +619,7 @@ func (ss *ShardedStore) Externals(visit func(ref Ref, name string, final bool)) 
 
 // --- Recorder: observation ---
 
-// OnChange installs the change observer; it fires once per drained
+// OnChange installs the change observer; it fires once per mutation
 // batch of any shard, for Notify-flagged records, with globalised
 // references.
 func (ss *ShardedStore) OnChange(f ChangeFunc) {

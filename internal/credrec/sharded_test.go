@@ -299,18 +299,20 @@ func TestShardedSourceTransitions(t *testing.T) {
 func TestShardedResyncAfterMissedRevocation(t *testing.T) {
 	// The reason opening recovered shards demands a resync: the parent's
 	// shard may hold a revocation the bridge's shard never saw. Detach
-	// the parent's observer for the revocation, as a shard that lost the
+	// the parent's fan-out for the revocation, as a shard that lost the
 	// bridge's update in a crash would look, then resync.
 	ss := newTestSharded(t, 4)
 	a, b := crossShardPair(t, ss)
 	d := ss.NewDerived(OpAnd, Of(a), Of(b))
 	bStore, bLocal, _ := ss.resolveShard(b)
-	bStore.OnChange(nil)
+	bStore.writeMu.Lock()
+	bStore.onBridge = nil
+	bStore.writeMu.Unlock()
 	if err := bStore.Invalidate(bLocal); err != nil {
 		t.Fatal(err)
 	}
 	if !ss.Valid(d) {
-		t.Fatal("setup: the revocation reached the bridge without an observer")
+		t.Fatal("setup: the revocation reached the bridge without a fan-out")
 	}
 	if n := ss.ResyncShard(ss.names[ss.ShardOf(b)]); n != 1 {
 		t.Fatalf("ResyncShard visited %d bridges, want 1", n)
@@ -360,25 +362,6 @@ func TestShardedImageDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(build(), build()) {
 		t.Fatal("identical histories produced different sharded images")
-	}
-}
-
-func TestShardedSingleShardMatchesMonolith(t *testing.T) {
-	// One shard: pure routing overhead, identical semantics.
-	ss := newTestSharded(t, 1)
-	mono := NewStore()
-	sf, mf := ss.NewFact(True), mono.NewFact(True)
-	sd, md := ss.NewDerived(OpNand, Of(sf)), mono.NewDerived(OpNand, Of(mf))
-	if err := ss.SetState(sf, False); err != nil {
-		t.Fatal(err)
-	}
-	if err := mono.SetState(mf, False); err != nil {
-		t.Fatal(err)
-	}
-	s1, _ := ss.Lookup(sd)
-	s2, _ := mono.Lookup(md)
-	if s1 != s2 {
-		t.Fatalf("single-shard store diverged from monolith: %v vs %v", s1, s2)
 	}
 }
 
@@ -824,5 +807,29 @@ func TestShardedApplyGroupsByShard(t *testing.T) {
 	}
 	if !reflect.DeepEqual(calls, want) {
 		t.Fatalf("observer calls by shard %v, want %v", calls, want)
+	}
+}
+
+// TestShardedFinalBridgeOutlivesSweep: a derived record over a parent
+// that is already final, on another shard, gets a bridge that holds the
+// final value. A sweep running beside the derivation must not collect
+// that bridge before the child is linked beneath it, or the child is
+// born revoked. A shard's sweep collects a final record with no child
+// and no flag, so the bridge is made final only once the child is
+// linked.
+func TestShardedFinalBridgeOutlivesSweep(t *testing.T) {
+	ss := newTestSharded(t, 2)
+	sweepBeside(t, ss)
+	for i := 0; i < 500; i++ {
+		a, b := crossShardPair(t, ss)
+		_, _ = ss.MarkDirectUse(a), ss.MarkDirectUse(b) // no sweep takes either
+		if err := ss.Apply([]Change{{Ref: b, State: True, Permanent: true}}); err != nil {
+			t.Fatal(err)
+		}
+		d := ss.NewDerived(OpAnd, Of(a), Of(b))
+		if st, perm, err := ss.Resolve(d); err == nil && (st != True || perm) {
+			t.Fatalf("derivation %d over a true fact and a final true parent reads %v permanent=%t", i, st, perm)
+		}
+		_, _ = ss.Invalidate(a), ss.Invalidate(d) // let the sweeper collect them
 	}
 }

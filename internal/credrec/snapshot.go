@@ -76,6 +76,12 @@ func (st *Store) WriteSnapshot(w io.Writer) error {
 			if r.autoRev {
 				flags |= 8
 			}
+			if r.bridged {
+				flags |= 16
+			}
+			if r.permUnk > 0 {
+				flags |= 32 // a seventh counter follows the six
+			}
 			e.PutByte(flags)
 			e.PutUvarint(uint64(r.op))
 			e.PutUvarint(uint64(r.state))
@@ -86,6 +92,9 @@ func (st *Store) WriteSnapshot(w io.Writer) error {
 			e.PutUvarint(uint64(r.effUnk))
 			e.PutUvarint(uint64(r.permTrue))
 			e.PutUvarint(uint64(r.permFalse))
+			if r.permUnk > 0 {
+				e.PutUvarint(uint64(r.permUnk))
+			}
 			e.PutUvarint(uint64(len(r.children)))
 			for _, cl := range r.children {
 				e.PutUvarint(cl.ref.Uint64())
@@ -186,6 +195,7 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 			r.notify = flags&2 != 0
 			r.directUse = flags&4 != 0
 			r.autoRev = flags&8 != 0
+			r.bridged = flags&16 != 0
 			op, err := d.Uvarint()
 			if err != nil {
 				return nil, bad("record op", err)
@@ -203,6 +213,9 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 				return nil, bad("record external", err)
 			}
 			counters := []*int{&r.nParents, &r.effTrue, &r.effFalse, &r.effUnk, &r.permTrue, &r.permFalse}
+			if flags&32 != 0 {
+				counters = append(counters, &r.permUnk)
+			}
 			for _, c := range counters {
 				u, err := d.Uvarint()
 				if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"oasis/internal/clock"
@@ -144,6 +145,8 @@ type Broker struct {
 	stampMu   sync.Mutex // guards eventSeq and lastStamp
 	eventSeq  uint64
 	lastStamp time.Time
+
+	pending atomic.Int64 // notifications queued in outboxes and not yet taken
 }
 
 // NewBroker creates an event broker for the named service instance.
@@ -352,6 +355,7 @@ func (b *Broker) enqueue(s *session, regID uint64, ev Event, hb bool, horizon ti
 		return
 	}
 	s.nextSeq++
+	b.pending.Add(1)
 	s.outbox = append(s.outbox, Notification{
 		Source:    b.name,
 		SessionID: s.id,
@@ -377,6 +381,7 @@ func (b *Broker) drain(s *session) {
 	for len(s.outbox) > 0 {
 		batch := s.outbox
 		s.outbox, s.spare = s.spare, nil
+		b.pending.Add(-int64(len(batch)))
 		sink := s.sink
 		s.mu.Unlock()
 		for _, n := range batch {
@@ -577,25 +582,13 @@ func (b *Broker) SessionSeq(sess uint64) (uint64, error) {
 }
 
 // PendingNotifications reports the total depth of the per-session
-// outboxes — notifications prepared but not yet handed to their sinks.
+// outboxes — notifications prepared but not yet handed to their sinks —
+// from one counter that enqueue and drain keep under each session's
+// lock, so a read costs the same whatever the session count.
 // A sustained backlog means the delivery plane is saturated; the HTTP
 // gateway reads this (together with the bus's own queues) to shed load
 // instead of letting the queues grow without bound.
-func (b *Broker) PendingNotifications() int {
-	b.mu.RLock()
-	sessions := make([]*session, 0, len(b.sessions))
-	for _, s := range b.sessions {
-		sessions = append(sessions, s)
-	}
-	b.mu.RUnlock()
-	pending := 0
-	for _, s := range sessions {
-		s.mu.Lock()
-		pending += len(s.outbox)
-		s.mu.Unlock()
-	}
-	return pending
-}
+func (b *Broker) PendingNotifications() int { return int(b.pending.Load()) }
 
 // Lookup support: some services (the Namer's active database, §6.3.3)
 // need an atomic combined lookup-and-register. The broker provides the

@@ -293,6 +293,42 @@ func TestHeartbeatWaitsBehindEvent(t *testing.T) {
 	}
 }
 
+// TestPendingNotificationsCountsWhatSinksHaveNotTaken: the figure is
+// what sits in outboxes that no drain has taken yet. A's sink is held
+// inside the delivery of an event: B's copy waits behind it, and a
+// heartbeat then queues behind the held sink on A and goes straight
+// through on B. Once A's sink is released, nothing is pending.
+func TestPendingNotificationsCountsWhatSinksHaveNotTaken(t *testing.T) {
+	b, _ := newTestBroker(t, BrokerOptions{})
+	a := &heldSink{held: make(chan struct{}), release: make(chan struct{})}
+	sessA, err := b.OpenSession(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessB, err := b.OpenSession(&capture{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signalled := make(chan struct{})
+	go func() {
+		defer close(signalled)
+		b.SignalTo(New("Modified"), []uint64{sessA, sessB})
+	}()
+	<-a.held
+	if got := b.PendingNotifications(); got != 1 {
+		t.Fatalf("%d pending with A's sink held in the event, want B's copy: 1", got)
+	}
+	b.Heartbeat()
+	if got := b.PendingNotifications(); got != 1 {
+		t.Fatalf("%d pending after a heartbeat, want A's: 1", got)
+	}
+	close(a.release)
+	<-signalled
+	if got := b.PendingNotifications(); got != 0 {
+		t.Fatalf("%d pending once every sink has taken its notifications, want 0", got)
+	}
+}
+
 func TestPreRegistrationBuffersNotNotifies(t *testing.T) {
 	b, _ := newTestBroker(t, BrokerOptions{})
 	sink := &capture{}

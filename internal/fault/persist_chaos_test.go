@@ -557,8 +557,9 @@ func parseImage(t *testing.T, image []byte) []imageLine {
 //   - every shard replays to a prefix of its own history (the image it
 //     had after the step its medium was captured at);
 //   - after the resync pass every bridge equals its parent's resolved
-//     state, or is permanently False (a revocation its parent's shard
-//     lost stays applied);
+//     state (or, for a parent a sweep collected once it was final, the
+//     state its shard last held), or is permanently False (a revocation
+//     its parent's shard lost stays applied);
 //   - a conjunction is true only if all its parents are — in
 //     particular, nothing is true beneath a durably revoked parent;
 //   - what a shard held permanently false stays so: resync never
@@ -669,11 +670,23 @@ func TestKillPointsShardedIndependentWatermarks(t *testing.T) {
 				if err != nil {
 					t.Fatalf("bridge name %q: %v", l.ext, err)
 				}
-				ps, pperm, _ := ss.Resolve(parent)
-				equal := l.state == ps.String() && l.perm == pperm
+				ps, pperm, perr := ss.Resolve(parent)
+				pstate, pid := ps.String(), ss.ShardOf(parent)
+				local := credrec.Ref{Index: parent.Index &^ (uint32(pid) << 26), Magic: parent.Magic}.String()
+				for k := cut[pid]; perr != nil && k >= 0; k-- {
+					// A sweep collects a parent once it is final, as it
+					// would a parent on the same shard: the bridge must
+					// hold the value the parent's shard last held.
+					for _, pl := range parseImage(t, shardImages[k][pid]) {
+						if pl.ref == local {
+							pstate, pperm, perr = pl.state, pl.perm, nil
+						}
+					}
+				}
+				equal := l.state == pstate && l.perm == pperm
 				if !equal && !(l.perm && l.state == "false") {
 					t.Fatalf("cut %v: shard %d: bridge %s is %s perm=%t, its parent %v is %v perm=%t",
-						cut, i, l.ref, l.state, l.perm, parent, ps, pperm)
+						cut, i, l.ref, l.state, l.perm, parent, pstate, pperm)
 				}
 			}
 		}

@@ -230,6 +230,11 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 	s.vars.Set("store", s.store.Vars())
 	s.vars.Set("sources", expvar.Func(s.sourceVars))
 	s.vars.Set("shard_ring", expvar.Func(func() any { return s.ShardRingMembers() }))
+	s.vars.Set("watch_sessions", expvar.Func(func() any {
+		s.watchMu.Lock()
+		defer s.watchMu.Unlock()
+		return len(s.watchSessions)
+	}))
 	s.rebind()
 	return s, nil
 }
@@ -238,10 +243,12 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 // the audit counters of §4.13 ("issued", "validated", and rejections by
 // failure class: "fraud", "erroneous", "revoked"), "held_verified"
 // (signature checks of held certificates, the misses of their epoch
-// memo), the bus's and the store's counters, and each watched source's
-// suspicion state. Embedders add their own entries (the gateway, the
-// daemon's journal recovery figures). Tests run many services in one
-// process, so the map is never handed to expvar.Publish.
+// memo), the bus's and the store's counters, each watched source's
+// suspicion state, and "watch_sessions", the broker sessions this
+// service holds open for watching peers, one per peer name. Embedders
+// add their own entries (the gateway, the daemon's journal recovery
+// figures). Tests run many services in one process, so the map is
+// never handed to expvar.Publish.
 func (s *Service) Vars() *expvar.Map { return &s.vars }
 
 // Name returns the service instance name.

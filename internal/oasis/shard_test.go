@@ -1,9 +1,7 @@
 package oasis
 
 import (
-	"bufio"
 	"expvar"
-	stdnet "net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -286,25 +284,7 @@ func TestClusterPendingNotifications(t *testing.T) {
 // shows that queue growing for its destination, while the backlog the
 // gateway sheds on (ClusterPendingNotifications) does not count it.
 func TestStalledWatcherQueueVisibleNotShed(t *testing.T) {
-	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skip("no loopback listener available:", err)
-	}
-	defer ln.Close()
-	release := make(chan struct{})
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		// Answer the hello line with its own bytes, then read nothing.
-		_ = conn.(*stdnet.TCPConn).SetReadBuffer(4 << 10)
-		if hello, err := bufio.NewReader(conn).ReadString('\n'); err == nil {
-			_, _ = conn.Write([]byte(hello))
-		}
-		<-release
-	}()
+	addr := stalledPeer(t)
 
 	clk := clock.Real()
 	n := bus.NewNetwork(clk)
@@ -312,7 +292,7 @@ func TestStalledWatcherQueueVisibleNotShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AddRemote("Conf", ln.Addr().String()); err != nil {
+	if err := n.AddRemote("Conf", addr); err != nil {
 		t.Fatal(err)
 	}
 	pending := func() int {
@@ -343,7 +323,6 @@ func TestStalledWatcherQueueVisibleNotShed(t *testing.T) {
 	}
 	got, shedNow := pending(), svc.ClusterPendingNotifications()
 	stop.Store(true)
-	close(release)
 	n.CloseRemotes()
 	senders.Wait()
 	if got < 1000 {

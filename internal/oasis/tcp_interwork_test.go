@@ -1,6 +1,9 @@
 package oasis
 
 import (
+	"bufio"
+	"expvar"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -8,6 +11,7 @@ import (
 	"oasis/internal/bus"
 	"oasis/internal/cert"
 	"oasis/internal/clock"
+	"oasis/internal/event"
 	"oasis/internal/ids"
 	"oasis/internal/value"
 )
@@ -120,4 +124,133 @@ LoggedOn(u, h) <-
 	}); err == nil {
 		t.Fatal("forged certificate accepted over TCP")
 	}
+}
+
+// TestStalledWatcherHoldsNoSignaller: a watcher that answers the hello
+// and then reads nothing costs the issuer its own link and nothing
+// else. Heartbeats fill the link until its writer is blocked in the
+// socket, each tick returning within a heartbeat period; the issuer's
+// Exit then returns within a period too, and a watcher that reads hears
+// of the revocation as promptly as it did before the stall.
+func TestStalledWatcherHoldsNoSignaller(t *testing.T) {
+	RegisterWireTypes()
+	clk := clock.Real()
+	loginNet, confNet := bus.NewNetwork(clk), bus.NewNetwork(clk)
+	login, err := New("Login", clk, loginNet, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := login.AddRolefile("main", loginRolefile); err != nil {
+		t.Fatal(err)
+	}
+	heard := make(chan time.Time, 4)
+	if err := confNet.Register("Conf", relay{
+		call: func(string, string, any) (any, error) { return nil, fmt.Errorf("Conf answers nothing here") },
+		deliver: func(n event.Notification) {
+			if n.Event.Name == ModifiedEvent {
+				heard <- time.Now()
+			}
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	confLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer confLn.Close()
+	go func() { _ = confNet.ServeTCP(confLn) }()
+	for name, addr := range map[string]string{"Conf": confLn.Addr().String(), "Stall": stalledPeer(t)} {
+		if err := loginNet.AddRemote(name, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer loginNet.CloseRemotes()
+
+	client := ids.NewHostAuthority("ely", clk.Now()).NewDomain()
+	watched := func(user string, watchers ...string) *cert.RMC {
+		rmc, err := login.Enter(EnterRequest{Client: client, Rolefile: "main", Role: "LoggedOn",
+			Args: []value.Value{value.Object("Login.userid", user), value.Object("Login.host", "ely")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range watchers {
+			if _, err := login.Call(w, "validate", ValidateArg{Cert: rmc, Client: client, Watch: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rmc
+	}
+	// exit logs the user out and returns how long Exit took and how long
+	// after its start Conf heard of it.
+	period := login.heartbeatPeriod()
+	exit := func(rmc *cert.RMC) (took, latency time.Duration) {
+		start := time.Now()
+		if err := login.Exit(rmc, client); err != nil {
+			t.Fatal(err)
+		}
+		took = time.Since(start)
+		select {
+		case at := <-heard:
+			return took, at.Sub(start)
+		case <-time.After(4 * bus.CallDeadline):
+			t.Fatal("Conf never heard of the logout")
+		}
+		return
+	}
+	_, usual := exit(watched("dm", "Conf"))
+
+	rmc := watched("jmb", "Conf", "Stall")
+	pending := func() int {
+		return login.Vars().Get("bus").(*expvar.Map).Get("pending_notes").(expvar.Func).Value().(map[string]int)["Stall"]
+	}
+	// A writer that keeps up leaves a handful queued; 20 000 means it is
+	// blocked in the socket.
+	deadline := time.Now().Add(30 * time.Second)
+	for tick := 1; pending() < 20000; tick++ {
+		start := time.Now()
+		login.HeartbeatTick()
+		if took := time.Since(start); took > period {
+			t.Fatalf("heartbeat tick %d took %v with a watcher stalled, want under %v", tick, took, period)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the stalled watcher's link never filled: %d notes queued after %d ticks", pending(), tick)
+		}
+	}
+	took, latency := exit(rmc)
+	if took > period {
+		t.Fatalf("Exit took %v with a watcher stalled, want under %v", took, period)
+	}
+	if latency > 2*usual+250*time.Millisecond {
+		t.Fatalf("Conf heard of the logout %v after Exit began with a watcher stalled, against %v with none", latency, usual)
+	}
+}
+
+// stalledPeer listens for one peer connection, answers its hello and
+// then reads nothing until the test ends. It returns the address.
+func stalledPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skip("no loopback listener available:", err)
+	}
+	release := make(chan struct{})
+	t.Cleanup(func() {
+		close(release)
+		ln.Close()
+	})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// Answer the hello line with its own bytes, then read nothing.
+		_ = conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+		if hello, err := bufio.NewReader(conn).ReadString('\n'); err == nil {
+			_, _ = conn.Write([]byte(hello))
+		}
+		<-release
+	}()
+	return ln.Addr().String()
 }

@@ -1,6 +1,7 @@
 package oasis
 
 import (
+	"expvar"
 	"fmt"
 	"sync"
 	"testing"
@@ -251,6 +252,25 @@ type watchTables struct {
 func sizeWatchTables(issuer, watcher *Service) watchTables {
 	return watchTables{issuer.watchRows(), issuer.brokerRegistrations(),
 		watcher.surrogateRows(), watcher.receiverHandlers()}
+}
+
+// TestWatchSessionsVar: "watch_sessions" counts the peers an issuer
+// holds a broker session for: one per name that validated and watched,
+// however often it asked.
+func TestWatchSessionsVar(t *testing.T) {
+	h := newHarness(t)
+	c := h.client("ely")
+	sessions := func() int { return h.login.Vars().Get("watch_sessions").(expvar.Func).Value().(int) }
+	const peers = 5
+	for i := range 2 * peers {
+		rmc := h.logOn(t, c, fmt.Sprint("user", i))
+		if _, err := h.login.Call(fmt.Sprint("W", i%peers), "validate", ValidateArg{Cert: rmc, Client: c, Watch: true}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sessions(), min(i+1, peers); got != want {
+			t.Fatalf("watch_sessions = %d after %d validations by %d peers, want %d", got, i+1, want, want)
+		}
+	}
 }
 
 // TestWatchTablesTrackLiveRecords: what a watch allocates lives as long
