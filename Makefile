@@ -18,10 +18,10 @@ ci: build vet lint test test-shard race chaos bench-smoke bench-check
 help:
 	@echo "build       compile everything"
 	@echo "test        full test suite"
-	@echo "test-shard  sharding suites: the record model over the sharded store at 1,2,4,8 shards, in memory and journaled, plus the sharded-store/placement/tree/cluster suites"
+	@echo "test-shard  sharding suites: the record model over the sharded store at 1,2,4,8 shards, in memory and journaled, plus the sharded-store/placement/cluster suites and the bus tree only bench/ builds"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, two http.Servers (the gateway loop's fallback, oasisd's admin port) and no http.DefaultServeMux, one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), no consistent-hash ring placing records (a leaf goes by a hash of the allocation count), one counter registry (Service.Vars: no AuditSnapshot, striped call counters, Network.Dropped, Engine.Recovered or gateway test probes), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, two http.Servers (the gateway loop's fallback, oasisd's admin port) and no http.DefaultServeMux, one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), no consistent-hash ring placing records (a leaf goes by a hash of the allocation count), no claim half of the shard ring (no ring join, backlog claim, treeforward op or -shard-ring flag), one counter registry (Service.Vars: no AuditSnapshot, striped call counters, Network.Dropped, Engine.Recovered or gateway test probes), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -39,11 +39,11 @@ test:
 # sharded store at 1/2/4/8 shards, in memory and journaled-closed-
 # reopened, against the reference model (FuzzRecorderModel) — the
 # sharded store's store-wide fail-stop when one shard's journal
-# fails, the bridge source format recovery reads, the ring's tree, the
-# cross-shard service
-# suites, the ring's wire payload and the daemon's
+# fails, the bridge source format recovery reads, the cross-member
+# service suites, the retired ring payloads' refusal and the daemon's
 # `-shards N -store-dir` restart and shape guard — everything `-shards`
-# and `-shard-ring` deploy, run explicitly and uncached.
+# deploys, run explicitly and uncached — and the bus's tree and
+# disseminator, which only bench/ builds now.
 test-shard:
 	$(GO) test -run 'Sharded|BridgeSource|Tree|Disseminator|ForwardBatch|RecorderModel' -count=1 \
 		./internal/credrec/ ./internal/bus/
@@ -151,7 +151,11 @@ vet:
 # the peer op nothing sent with the two extra ways an issuer's
 # assertion reached a surrogate beside applyRemote, and the ring's
 # record half: a ring subscription op, its import, and the tree edges
-# it fed, the receiver's copy of suspicion, the lookup by source that
+# it fed, and its claim half: the ring join, the backlog claims relayed
+# down the tree on every duty tick, their op and payload and the
+# -shard-ring flag (nothing deployed filled the backlog they carried,
+# and a ring member that stopped reading held its tree parents' duty
+# loops for a call deadline per child), the receiver's copy of suspicion, the lookup by source that
 # surrogates were never bound by, the bridges' own name format and
 # index beside credrec.SurrogateName and the edge table, and a second
 # watch table at the issuer: broker registrations beside the row a
@@ -216,6 +220,9 @@ lint: reach
 	! grep -rnE 'verifyMemo|canonCore|delegCanon|canon +atomic' internal/cert
 	! grep -rnE '"readstate"|ReadStateArg|applyShardEdge|applyModified' internal/ cmd/ docs/ README.md
 	! grep -rnE '"shardwatch"|ImportShardRecord|coalesceShardEdges|shardNotify' internal/ cmd/ docs/
+	! grep -rnE 'JoinShardRing|ShardRingMembers|ShardHeartbeatTick|TreeForwardArg|"treeforward"|shard-ring|shard_ring' \
+		--include='*.go' --exclude='*_test.go' internal/ cmd/
+	! grep -rnE 'JoinShardRing|ShardRingMembers|ShardHeartbeatTick|TreeForwardArg|"treeforward"|shard-ring|shard_ring' docs/ README.md
 	! grep -rnE '\b(ExternalRefs|MarkSilent|OnRevive|bridgeKey|parseBridgeSource)\b' internal/ cmd/ docs/
 	! grep -rnE '\breleaseWatches\b|broker\.(Register|Deregister)\b' internal/oasis
 	! grep -rn 'VerifyCache' --include='*.go' --exclude='*_test.go' internal/oasis internal/gateway cmd/oasisd

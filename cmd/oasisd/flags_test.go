@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// The fault plane left the binary with its two flags (PR 21): a
-// deployment script still passing them must fail loudly, not run
-// without the faults it asked for.
+// The fault plane left the binary with its two flags (PR 21), and the
+// shard ring with -shard-ring: a deployment script still passing one
+// must fail loudly, not run without the faults or the ring it asked
+// for.
 func TestFaultFlagsAreUnknown(t *testing.T) {
-	for _, name := range []string{"-fault-schedule", "-fault-seed"} {
+	for _, name := range []string{"-fault-schedule", "-fault-seed", "-shard-ring"} {
 		fs := flag.NewFlagSet("oasisd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		_, err := parseFlags(fs, []string{name, "x"})
@@ -33,7 +34,7 @@ func TestFlagSurface(t *testing.T) {
 	}
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 17 {
-		t.Errorf("oasisd declares %d flags, want 17 (-admin-listen is the 17th: pprof and per-source state must never sit on a port that opens unasked, so its default is closed): a new one needs a stated reason why a default could not do", n)
+	if n != 16 {
+		t.Errorf("oasisd declares %d flags, want 16 (-shard-ring went with the backlog ring, which nothing deployed filled; -admin-listen stays closed by default, since pprof and per-source state must never sit on a port that opens unasked): a new one needs a stated reason why a default could not do", n)
 	}
 }

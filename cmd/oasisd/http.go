@@ -8,17 +8,14 @@ import (
 
 // newGateway builds the federation gateway exactly as run() deploys
 // it: per-client rate limiting, a connection cap, and backpressure
-// wired to the notification plane. The pressure figure is cluster-wide
-// (oasis.ClusterPendingNotifications): this member's broker outboxes,
-// its bus delay heap (only a link policy fills it, and the daemon
-// installs none), and every shard peer's backlog claim heard within
-// the fail-safe budget, so a storm drowning one shard sheds 503s at
-// every shard's front door, not just the drowning one. It does not
-// count the notes a TCP link has accepted and not yet written, the one
-// queue a slow watcher fills (docs/GATEWAY.md "Backpressure contract").
-// Outside a shard ring the figure degrades to the local plane. Tests
-// reuse this so acceptance coverage exercises the deployed wiring, not
-// a test-local variant.
+// wired to the notification plane. The pressure figure is this
+// service's own backlog (oasis.ClusterPendingNotifications): its broker
+// outboxes, which hold notes only behind a send in progress, and its bus
+// delay heap, which only a link policy fills (the daemon installs none).
+// It does not count the notes a TCP link has accepted and not yet
+// written, the one queue a slow watcher fills (docs/GATEWAY.md
+// "Backpressure contract"). Tests reuse this so acceptance coverage
+// exercises the deployed wiring, not a test-local variant.
 func newGateway(svc *oasis.Service, network *bus.Network, cfg config) *gateway.Gateway {
 	return gateway.New(svc, gateway.Options{
 		RatePerSec:    cfg.httpRate,

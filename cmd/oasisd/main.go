@@ -45,18 +45,14 @@
 // commit and snapshot trigger; a directory written under one shape
 // (monolithic, or N shards) refuses to open under another.
 //
-// -shard-ring names a cluster of daemons (comma-separated, must
-// include -name). Each member keeps its own store; the members share
-// only their notification backlog, down a tree of fanout
-// bus.DefaultTreeFanout, and each member's gateway sheds on the
-// cluster-wide backlog that adds up. Revocations cross members as
-// between any two services, over the watch each holds at the issuer.
+// A certificate crosses between daemons as between any two services,
+// over the watch a relying daemon holds at its issuer (-remote).
 //
 // -admin-listen opens the administration port: /debug/vars, the
 // service's counters (oasis.Service.Vars: the audit counters of §4.13,
 // the bus's, the store's, the gateway's, each journal's recovery
-// figures, each watched source's suspicion state, the shard ring and
-// GOMAXPROCS) with the process's memstats and cmdline, and
+// figures, each watched source's suspicion state, the duty loop's
+// timings and GOMAXPROCS) with the process's memstats and cmdline, and
 // net/http/pprof's profiles under /debug/pprof/. It is empty, and so
 // closed, by default, and must never be exposed beyond the operator's
 // own host: profiles and per-source state are for administration only,
@@ -143,7 +139,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.IntVar(&cfg.httpMaxConns, "http-max-conns", 1024, "gateway concurrent-connection cap (0 = unlimited)")
 	fs.IntVar(&cfg.httpPressure, "http-pressure", 4096, "notification-plane backlog at which the gateway sheds mutating requests with 503 (0 disables backpressure)")
 	fs.IntVar(&cfg.shards, "shards", 0, "partition the credential-record store across this many shards (0/1 keeps the monolithic store); with -store-dir each shard journals to <dir>/sNN")
-	fs.StringVar(&cfg.shardRing, "shard-ring", "", "comma-separated shard-cluster member names (must include -name); members share their notification backlog over a tree, so each gateway sheds on the cluster-wide figure")
 	fs.StringVar(&cfg.storeDir, "store-dir", "", "persist the credential-record store in this directory (journal + snapshots); empty keeps it in memory")
 	fs.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096, "journal operations between automatic snapshots/compactions (0 disables the trigger)")
 	fs.StringVar(&cfg.syncMode, "sync", "batched", "journal durability: always (fsync before a mutation returns), batched (one fsync per group commit), none")
@@ -158,7 +153,6 @@ type config struct {
 	failsafeMissed            int
 	remotes                   remoteFlags
 	shards                    int
-	shardRing                 string
 	storeDir                  string
 	snapshotEvery             int
 	syncMode                  string
@@ -235,16 +229,6 @@ func run(cfg config) error {
 	}
 	if err := svc.AddRolefile(cfg.scope, src); err != nil {
 		return err
-	}
-	if cfg.shardRing != "" {
-		members := strings.Split(cfg.shardRing, ",")
-		for i := range members {
-			members[i] = strings.TrimSpace(members[i])
-		}
-		if err := svc.JoinShardRing(members, bus.DefaultTreeFanout); err != nil {
-			return fmt.Errorf("joining shard ring: %w", err)
-		}
-		log.Printf("oasisd: joined shard ring %v (tree fanout %d)", svc.ShardRingMembers(), bus.DefaultTreeFanout)
 	}
 	if cfg.peerListen != "" {
 		peerLn, err := net.Listen("tcp", cfg.peerListen)

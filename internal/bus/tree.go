@@ -21,7 +21,8 @@ import (
 // longest path is ⌈log_k n⌉ hops. A severed link starves exactly one
 // subtree, which the §4.10 suspicion machinery detects and the resync
 // protocol repairs — tree repair is heartbeat + resync, not a separate
-// protocol (docs/SHARDING.md).
+// protocol (docs/SHARDING.md). No daemon builds one: bench/oasisload's
+// tree-forward probe is the only caller left.
 type Tree struct {
 	members []string       // sorted
 	pos     map[string]int // member -> sorted position
@@ -58,9 +59,6 @@ func NewTree(members []string, fanout int) (*Tree, error) {
 	}
 	return &Tree{members: sorted, pos: pos, fanout: fanout}, nil
 }
-
-// Members returns the sorted member list (treat as read-only).
-func (t *Tree) Members() []string { return t.members }
 
 // rotated maps a member to its position in the tree rooted at root:
 // the root occupies 0 and the rest keep their cyclic order.

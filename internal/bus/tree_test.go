@@ -69,8 +69,8 @@ func TestTreeCanonicalAndNonMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range a.Members() {
-		for _, r := range a.Members() {
+	for _, m := range []string{"a", "b", "c"} {
+		for _, r := range []string{"a", "b", "c"} {
 			got, want := a.Children(r, m), b.Children(r, m)
 			if len(got) != len(want) {
 				t.Fatalf("permuted trees disagree at root %s self %s", r, m)

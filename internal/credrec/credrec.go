@@ -574,7 +574,10 @@ func (st *Store) refOp(opcode byte, ref Ref, apply func(*record) bool) error {
 
 // Apply writes what an authority says of records this store mirrors:
 // each change sets its record's state, frozen when Permanent, and a
-// permanent False is an invalidation. The batch is one critical section
+// permanent False is an invalidation. A derived record's state is its
+// parents', as under SetState: a permanent False invalidates it, as
+// Invalidate does, and any other change aimed at one is dropped, as a
+// dangling reference's is. The batch is one critical section
 // with one observer call, journaled as the entry-point
 // operations that replay to it. A record that is swept, final or
 // already there is left alone (a sticky permanent False must not be
@@ -592,6 +595,8 @@ func (st *Store) Apply(changes []Change) error {
 			continue
 		case c.Permanent && c.State == False:
 			st.j.refOp(opInvalidate, c.Ref)
+		case r.nParents > 0:
+			continue
 		default:
 			if r.state != c.State {
 				st.j.refOp(opSet, c.Ref, uint64(c.State))

@@ -19,6 +19,9 @@ import (
 // evaluates every derived record from its parents. Its rules:
 //   - a fact or an external record holds the value it was last given
 //     (SetState, Apply, a source transition);
+//   - Apply gives a derived record only a permanent False, which makes
+//     it final by fiat; any other change aimed at one is dropped, since
+//     its value is its parents';
 //   - a derived record is AND (False if an input is False, else Unknown
 //     if one is Unknown, else True), OR (the dual), or their negations,
 //     over its parents' values, each edge negated or not;
@@ -170,9 +173,16 @@ func (m *model) do(s step) (int, int) {
 		if !m.values()[s.refs[0].id].perm {
 			r.fiat, r.state = true, credrec.False
 		}
-	case kApply: // aimed at leaves, whose value is their own
+	case kApply:
 		for _, c := range s.refs {
-			if r := m.at(c.id); r != nil && !r.fiat && (r.state != c.s || c.bit) {
+			r := m.at(c.id)
+			switch {
+			case r == nil || m.values()[c.id].perm:
+			case r.derived && len(r.parents) > 0:
+				if c.bit && c.s == credrec.False {
+					r.fiat, r.state = true, credrec.False
+				}
+			case r.state != c.s || c.bit:
 				r.state, r.fiat = c.s, c.bit
 			}
 		}
@@ -242,9 +252,7 @@ var (
 // decode turns any bytes into at most 64 steps over at most 48 records.
 // A reference selector's top seven bits choose a record from a pool, or,
 // from 120 up, a reference that never resolved; its low bit is a
-// negated edge or a permanent change. Apply is aimed at leaves, what an
-// authority's word is about: on a derived record it would overwrite a
-// value the parents define.
+// negated edge or a permanent change.
 func decode(data []byte) input {
 	next := func() byte {
 		if len(data) == 0 {
@@ -261,7 +269,7 @@ func decode(data []byte) input {
 		return -1
 	}
 	in := input{beside: int(next()) % len(compositions), snapEvery: [...]int{0, 4, 16, 64}[next()%4]}
-	var all, leaves []int
+	var all []int
 	for len(data) > 0 && len(in.steps) < 64 {
 		b := next()
 		s := step{kind: kind(b % byte(nKinds))}
@@ -290,16 +298,13 @@ func decode(data []byte) input {
 		case kApply:
 			for range 1 + next()%3 {
 				b := next()
-				s.refs = append(s.refs, mRef{pick(b, leaves), b&1 == 1, states[next()%3]})
+				s.refs = append(s.refs, mRef{pick(b, all), b&1 == 1, states[next()%3]})
 			}
 		case kSource:
 			b := next()
 			s.flag, s.name = int(b&1), [...]string{"A", "B", "C"}[b>>1%3]
 		}
 		if s.kind <= kDerived {
-			if s.kind != kDerived {
-				leaves = append(leaves, len(all))
-			}
 			all = append(all, len(all))
 		}
 		in.steps = append(in.steps, s)
@@ -659,6 +664,32 @@ func FuzzRecorderModel(f *testing.F) {
 		run(t, in, compositions, false)
 		run(t, in, compositions[in.beside:in.beside+1], true)
 	})
+}
+
+// TestApplyLeavesDerivedRecordToItsParents: an Apply that aims a
+// non-final False at OR(True, False) leaves it true on every
+// composition, and a permanent False then revokes it for good.
+func TestApplyLeavesDerivedRecordToItsParents(t *testing.T) {
+	in := decode([]byte{0, 0, byte(kFact), 1, byte(kFact), 0, byte(kDerived), 1 + 2*4, 0, 1 << 1,
+		byte(kApply), 0, 2 << 1, 0, byte(kApply), 0, 2<<1 | 1, 0})
+	for _, c := range compositions {
+		l := &live{composition: c, ids: make(map[credrec.Ref]int)}
+		l.open(t)
+		for i, s := range in.steps {
+			l.do(s)
+			want := mVal{credrec.True, false}
+			if i == 4 {
+				want = mVal{credrec.False, true}
+			}
+			if i >= 3 {
+				if got, _ := l.resolve(2); got != want {
+					t.Errorf("%s: OR(True, False) reads %v (final %t) after Apply %d, want %v (final %t)", c.name, got.s, got.perm, i-2, want.s, want.perm)
+				}
+			}
+		}
+		l.close(t)
+	}
+	run(t, in, compositions, false)
 }
 
 // generated returns n operation sequences drawn from a fixed seed.

@@ -15,20 +15,17 @@ import (
 	"oasis/internal/value"
 )
 
-// Sharded-cluster chaos: four shard daemons joined in one ring, with
-// cross-shard surrogates held through the flat watch
-// (oasis.WatchCertificate) and the ring's tree carrying only backlog
-// claims (oasis.JoinShardRing). The scenario cuts one link
+// Cluster chaos: four daemons, each with its own store, three of them
+// holding surrogates of the fourth's certificates through the flat
+// watch (oasis.WatchCertificate). The scenario cuts one link
 // mid-revocation-storm and asserts the same two obligations as the
 // two-service suite: a member cut off from the origin fails safe within
-// the budget, and after the heal every shard's store converges to the
-// image of a run where the cut never happened. A cut the tree alone
-// runs over changes no verdict at all.
+// the budget, and after the heal every member's store converges to the
+// image of a run where the cut never happened. A cut between two
+// watchers, which no watch stream runs over, changes no verdict at all.
 
-// shardWorld is a 4-member shard cluster under a fault plane. With
-// sorted members [A B C D] and fanout 2, the tree rooted at shardA is
-// A -> {B, C}, B -> {D}: A's claims reach D only through B, and its
-// watch streams go straight to each member.
+// shardWorld is a 4-member cluster under a fault plane: shardA issues,
+// and its watch streams go straight to each other member.
 type shardWorld struct {
 	t     *testing.T
 	clk   *clock.Virtual
@@ -57,17 +54,14 @@ func newShardWorld(t *testing.T, seed int64) *shardWorld {
 				t.Fatal(err)
 			}
 		}
-		if err := svc.JoinShardRing(names, 2); err != nil {
-			t.Fatal(err)
-		}
 		w.svcs[n] = svc
 	}
 	return w
 }
 
 // drive advances the cluster one virtual second at a time; on heartbeat
-// boundaries every member heartbeats its watchers and its own tree (in
-// member order — the driver is single-threaded, so runs reproduce).
+// boundaries every member heartbeats its watchers (in member order —
+// the driver is single-threaded, so runs reproduce).
 func (w *shardWorld) drive(seconds int, hooks map[int]func(), each func(i int)) {
 	hbTicks := int(hbPeriod / time.Second)
 	for i := 1; i <= seconds; i++ {
@@ -102,7 +96,7 @@ func (w *shardWorld) images() []byte {
 	return buf.Bytes()
 }
 
-// login enters LoggedOn for one user at shardA, the ring's issuer.
+// login enters LoggedOn for one user at shardA, the cluster's issuer.
 func (w *shardWorld) login(host, user string) (ids.ClientID, *cert.RMC) {
 	w.t.Helper()
 	c := ids.NewHostAuthority(host, w.clk.Now()).NewDomain()
@@ -180,7 +174,7 @@ func shardPartitionRun(t *testing.T, seed int64, cut []string) (string, []string
 
 			// Safety off the starved member: every member whose own link
 			// to the origin stands sees the revocation the second it
-			// happens, whatever the tree's state.
+			// happens, whatever other links are cut.
 			if i >= 40 && n != starved && doomedSt != credrec.False {
 				t.Fatalf("t=%d: %s missed the revocation despite a live link to the origin", i, n)
 			}
@@ -190,7 +184,7 @@ func shardPartitionRun(t *testing.T, seed int64, cut []string) (string, []string
 			return
 		}
 		// Safety on the starved member: it hears nothing from the origin
-		// past t=30 — the tree's relays do not count — so within the
+		// past t=30 — other members' traffic does not count — so within the
 		// fail-safe budget every surrogate held from shardA is refused,
 		// including the revoked one it cannot know about (§6.8.4 bounds
 		// the exposure).
@@ -245,12 +239,12 @@ func TestChaosShardPartitionResync(t *testing.T) {
 		t.Fatalf("post-heal cluster diverges from fault-free run:\n-- chaos --\n%s\n-- reference --\n%s", img1, ref)
 	}
 
-	// A cut only the tree runs over (B -> D in shardA's tree) carries no
-	// verdict: every second of it reads as the fault-free run.
-	_, treeLog, treeImg := shardPartitionRun(t, seed, []string{"shardB", "shardD"})
-	sameLog(t, "tree-only cut vs fault-free", treeLog, refLog)
-	if !bytes.Equal(treeImg, ref) {
-		t.Fatalf("tree-only cut diverges from fault-free run:\n-- cut --\n%s\n-- reference --\n%s", treeImg, ref)
+	// A cut between two watchers (B–D) carries no verdict: every second
+	// of it reads as the fault-free run.
+	_, sideLog, sideImg := shardPartitionRun(t, seed, []string{"shardB", "shardD"})
+	sameLog(t, "watcher-to-watcher cut vs fault-free", sideLog, refLog)
+	if !bytes.Equal(sideImg, ref) {
+		t.Fatalf("watcher-to-watcher cut diverges from fault-free run:\n-- cut --\n%s\n-- reference --\n%s", sideImg, ref)
 	}
 }
 

@@ -101,7 +101,7 @@ func TestNeverWaitsDeclaresValidateOnly(t *testing.T) {
 				{"validate", GetTypesArg{}, false},
 				{"gettypes", GetTypesArg{}, false},
 				{"resync", ResyncArg{}, false},
-				{"treeforward", TreeForwardArg{}, false},
+				{"treeforward", nil, false},
 			} {
 				if got := h.login.NeverWaits(a.op, a.arg); got != a.want {
 					t.Errorf("NeverWaits(%q, %#v) = %v, want %v", a.op, a.arg, got, a.want)

@@ -2,12 +2,14 @@ package oasis
 
 import (
 	"errors"
+	"expvar"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"oasis/internal/cert"
+	"oasis/internal/clock"
 	"oasis/internal/credrec"
 	"oasis/internal/event"
 	"oasis/internal/ids"
@@ -252,6 +254,85 @@ func TestStartDuties(t *testing.T) {
 			t.Fatal("no heartbeat after period elapsed")
 		case <-time.After(5 * time.Millisecond):
 		}
+	}
+}
+
+// heldSweep is a store whose every Sweep reports that it started and
+// then waits for the test to let it go, until done closes: a duty tick
+// the test holds.
+type heldSweep struct {
+	credrec.Recorder
+	entered, release, done chan struct{}
+}
+
+func (h *heldSweep) Sweep() int {
+	for _, ch := range []chan struct{}{h.entered, h.release} {
+		select {
+		case ch <- struct{}{}:
+		case <-h.done:
+		}
+	}
+	return h.Recorder.Sweep()
+}
+
+// TestDutyVarTimesEachRun: "duty" holds the duty loop's period and how
+// long its last and longest runs took on the service clock. Each tick is
+// held in its sweep while the test advances the virtual clock by an
+// hour, by nothing, then by two hours. The loop arms its timer
+// asynchronously, so a tick may also span one of the five-second steps
+// that start it: each reading is bounded below, and well apart.
+func TestDutyVarTimesEachRun(t *testing.T) {
+	clk := clock.NewVirtual(time.Date(1996, 3, 1, 9, 0, 0, 0, time.UTC))
+	store := &heldSweep{Recorder: credrec.NewStore(), entered: make(chan struct{}), release: make(chan struct{}), done: make(chan struct{})}
+	svc, err := New("Login", clk, nil, Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	duty := func() map[string]float64 { return svc.Vars().Get("duty").(expvar.Func).Value().(map[string]float64) }
+	if d := duty(); d["period_s"] != 5 || d["last_s"] != 0 || d["longest_s"] != 0 {
+		t.Fatalf("duty before any run: %v", d)
+	}
+	stop := svc.StartDuties()
+	defer stop()
+	defer close(store.done)
+	tick := func(hold time.Duration, done func(last float64) bool) map[string]float64 {
+		t.Helper()
+		deadline := time.After(5 * time.Second)
+		for entered := false; !entered; {
+			clk.Advance(5 * time.Second)
+			select {
+			case <-store.entered:
+				entered = true
+			case <-deadline:
+				t.Fatal("no duty tick reached the sweep")
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+		clk.Advance(hold)
+		<-store.release
+		for {
+			if d := duty(); done(d["last_s"]) {
+				return d
+			}
+			select {
+			case <-deadline:
+				t.Fatalf("duty after a tick held %v: %v", hold, duty())
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	d := tick(time.Hour, func(last float64) bool { return last >= 3600 })
+	if d["longest_s"] != d["last_s"] {
+		t.Fatalf("after one run held an hour: %v, want longest = last", d)
+	}
+	first := d["last_s"]
+	d = tick(0, func(last float64) bool { return last < 3600 })
+	if d["longest_s"] != first {
+		t.Fatalf("after a run held for no time: %v, want longest %v", d, first)
+	}
+	d = tick(2*time.Hour, func(last float64) bool { return last >= 7200 })
+	if d["longest_s"] != d["last_s"] {
+		t.Fatalf("after a run held two hours: %v, want longest = last", d)
 	}
 }
 

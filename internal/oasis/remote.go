@@ -74,7 +74,7 @@ type ResyncReply struct {
 }
 
 // Call implements bus.Endpoint: the service's inter-service interface,
-// four operations on a port that authenticates nobody (docs/PROTOCOLS.md).
+// three operations on a port that authenticates nobody (docs/PROTOCOLS.md).
 func (s *Service) Call(from, op string, arg any) (any, error) {
 	switch op {
 	case "gettypes":
@@ -83,8 +83,6 @@ func (s *Service) Call(from, op string, arg any) (any, error) {
 		return serve(op, arg, func(a ValidateArg) (ValidateReply, error) { return s.handleValidate(from, a) })
 	case "resync":
 		return serve(op, arg, func(a ResyncArg) (ResyncReply, error) { return s.handleResync(from, a) })
-	case "treeforward":
-		return serve(op, arg, func(a TreeForwardArg) (any, error) { return nil, s.handleTreeForward(a) })
 	default:
 		return nil, fmt.Errorf("oasis: unknown operation %q", op)
 	}
@@ -94,9 +92,9 @@ func (s *Service) Call(from, op string, arg any) (any, error) {
 // service's own signer, rolefiles and store and calls nobody, so a
 // peer link's read loop may answer it, unless it asks to watch and the
 // store's MarkNotify would wait for the disk (a journal under
-// SyncAlways). treeforward calls the next members of the ring, resync
-// subscribes a list of up to 65 536 records, and gettypes is asked once
-// per role: they stay on workers (docs/PROTOCOLS.md "Served calls").
+// SyncAlways). resync subscribes a list of up to 65 536 records, and
+// gettypes is asked once per role: they stay on workers
+// (docs/PROTOCOLS.md "Served calls").
 func (s *Service) NeverWaits(op string, arg any) bool {
 	a, ok := arg.(ValidateArg)
 	return op == "validate" && ok && !(a.Watch && s.diskWait)
@@ -535,7 +533,19 @@ func (s *Service) applyRemote(source string, changes []credrec.Change) {
 // watcher's session is sent one heartbeat.
 func (s *Service) HeartbeatTick() {
 	s.broker.Heartbeat()
-	s.ShardHeartbeatTick()
+}
+
+// ClusterPendingNotifications is this service's notification backlog,
+// the figure its gateway sheds mutating requests on: notes the broker
+// holds for sessions whose sinks have not taken them, plus the bus's
+// delay queue, which only a link policy fills (docs/GATEWAY.md
+// "Backpressure contract" says what it leaves out).
+func (s *Service) ClusterPendingNotifications() int {
+	p := s.broker.PendingNotifications()
+	if s.net != nil {
+		p += s.net.PendingNotifications()
+	}
+	return p
 }
 
 // StartDuties runs the service's periodic duties on its clock, every
@@ -551,7 +561,13 @@ func (s *Service) StartDuties() (stop func()) {
 		for {
 			select {
 			case <-s.clk.After(period):
+				start := s.clk.Now()
 				s.dutyTick()
+				took := int64(s.clk.Now().Sub(start))
+				s.dutyLast.Store(took)
+				if took > s.dutyLongest.Load() {
+					s.dutyLongest.Store(took)
+				}
 			case <-stopCh:
 				return
 			}
@@ -563,15 +579,17 @@ func (s *Service) StartDuties() (stop func()) {
 	}
 }
 
-// dutyTick is one period's work. Suspicion runs first: a heartbeat
-// makes synchronous treeforward calls that can each block for a
-// bus.CallDeadline, and detecting a silent source must not queue
-// behind them. The delegation safety net (§4.4) comes next; it costs a
-// map walk and does nothing while no TTL is set. The record sweep
-// (§4.8) is last, so what expiry just invalidated is reclaimed in the
-// same period: the duty loop owns the daemon's memory, whatever the
-// store (a journaled one still sweeps before each snapshot as well —
-// that sweep owns the image).
+// dutyTick is one period's work; StartDuties times each run on the
+// service clock ("duty" in Vars). Suspicion runs first, so a silent
+// source is degraded before anything else this period; its automatic
+// resync is the one bus call the loop makes, and it can wait a
+// bus.CallDeadline on a source that does not answer. A heartbeat only
+// queues on its watchers' sessions. The delegation safety net (§4.4)
+// comes next; it costs a map walk and does nothing while no TTL is set.
+// The record sweep (§4.8) is last, so what expiry just invalidated is
+// reclaimed in the same period: the duty loop owns the daemon's memory,
+// whatever the store (a journaled one still sweeps before each snapshot
+// as well — that sweep owns the image).
 func (s *Service) dutyTick() {
 	s.SuspicionTick()
 	s.HeartbeatTick()

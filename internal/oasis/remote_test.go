@@ -241,9 +241,10 @@ func TestUnknownOps(t *testing.T) {
 		t.Fatal("bad validate arg accepted")
 	}
 	// Retired with their payload tags (docs/PROTOCOLS.md): arguments of
-	// the shapes they took get the same answer as "bogus".
+	// the shapes they took, where the type outlived the operation, get
+	// the same answer as "bogus".
 	_, want := h.net.Call("Conf", "Login", "bogus", nil)
-	args := []any{credrec.Ref{Index: 1, Magic: 1}, &cert.Revocation{Service: "Login"}, ResyncArg{}}
+	args := []any{credrec.Ref{Index: 1, Magic: 1}, &cert.Revocation{Service: "Login"}, ResyncArg{}, nil}
 	for i, op := range retiredOps {
 		_, err := h.net.Call("Conf", "Login", op, args[i])
 		if err == nil || strings.Replace(err.Error(), op, "bogus", 1) != want.Error() {
@@ -252,10 +253,10 @@ func TestUnknownOps(t *testing.T) {
 	}
 }
 
-// retiredOps are the operations the peer port once served and that
-// nothing sent. Spelled without quotes of their own: make lint greps
-// for the quoted names of the first and the last coming back.
-var retiredOps = strings.Fields("readstate revoke shardwatch")
+// retiredOps are the operations the peer port once served. Spelled
+// without quotes of their own: make lint greps for the quoted names of
+// all but revoke coming back.
+var retiredOps = strings.Fields("readstate revoke shardwatch treeforward")
 
 func TestGetTypesOp(t *testing.T) {
 	h := newHarness(t)

@@ -130,10 +130,9 @@ type Service struct {
 	delegMu     sync.Mutex
 	delegations map[credrec.Ref]*delegInfo
 
-	// cluster is the shard ring this service joined, nil outside one
-	// (shard.go). Atomic so the gateway's backpressure read outside a
-	// ring takes no lock.
-	cluster atomic.Pointer[shardCluster]
+	// how long the duty loop's last run took and its longest, in
+	// nanoseconds of the service clock (StartDuties)
+	dutyLast, dutyLongest atomic.Int64
 
 	// memberKeys memoizes the marshalled group-membership key of
 	// non-string values (sets, integers), so repeated oracle probes on
@@ -229,7 +228,13 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 	}
 	s.vars.Set("store", s.store.Vars())
 	s.vars.Set("sources", expvar.Func(s.sourceVars))
-	s.vars.Set("shard_ring", expvar.Func(func() any { return s.ShardRingMembers() }))
+	s.vars.Set("duty", expvar.Func(func() any {
+		return map[string]float64{
+			"period_s":  s.heartbeatPeriod().Seconds(),
+			"last_s":    time.Duration(s.dutyLast.Load()).Seconds(),
+			"longest_s": time.Duration(s.dutyLongest.Load()).Seconds(),
+		}
+	}))
 	s.vars.Set("watch_sessions", expvar.Func(func() any {
 		s.watchMu.Lock()
 		defer s.watchMu.Unlock()
@@ -244,8 +249,10 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 // failure class: "fraud", "erroneous", "revoked"), "held_verified"
 // (signature checks of held certificates, the misses of their epoch
 // memo), the bus's and the store's counters, each watched source's
-// suspicion state, and "watch_sessions", the broker sessions this
-// service holds open for watching peers, one per peer name. Embedders
+// suspicion state, "duty", the duty loop's period and how long its last
+// and longest runs took on the service clock (StartDuties), and
+// "watch_sessions", the broker sessions this service holds open for
+// watching peers, one per peer name. Embedders
 // add their own entries (the gateway, the daemon's journal recovery
 // figures). Tests run many services in one process, so the map is
 // never handed to expvar.Publish.

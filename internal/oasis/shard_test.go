@@ -15,8 +15,9 @@ import (
 	"oasis/internal/fault"
 )
 
-// shardRig is a 4-member shard cluster on one in-process bus: each
-// member is a full service with its own store, joined into one ring.
+// shardRig is a 4-member cluster on one in-process bus: each member is
+// a full service with its own store, and a record crosses between
+// members only over a watch at its issuer.
 type shardRig struct {
 	clk   *clock.Virtual
 	net   *bus.Network
@@ -35,38 +36,14 @@ func newShardRig(t *testing.T, opts Options) *shardRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.JoinShardRing(names, 2); err != nil {
-			t.Fatal(err)
-		}
 		rig.svcs[n] = svc
 	}
 	return rig
 }
 
-func TestJoinShardRingValidation(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	net := bus.NewNetwork(clk)
-	svc, err := New("lonely", clk, net, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.JoinShardRing([]string{"a", "b"}, 2); err == nil {
-		t.Fatal("joined a ring that does not include the service")
-	}
-	if got := svc.ShardRingMembers(); got != nil {
-		t.Fatalf("members before join: %v", got)
-	}
-	if err := svc.JoinShardRing([]string{"lonely", "b"}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := svc.ShardRingMembers(); len(got) != 2 {
-		t.Fatalf("members after join: %v", got)
-	}
-}
-
-// TestShardImportAndDisseminate drives the cross-shard cascade the
-// ring deploys: shardA owns a fact; every other member watches it
-// through the flat watch and derives from the surrogate. Changes at A
+// TestShardImportAndDisseminate drives the cross-member cascade:
+// shardA owns a fact; every other member watches it through the flat
+// watch and derives from the surrogate. Changes at A
 // must reach every member and fell the derived records everywhere.
 func TestShardImportAndDisseminate(t *testing.T) {
 	rig := newShardRig(t, Options{})
@@ -157,7 +134,7 @@ func TestShardSuspicionAndResync(t *testing.T) {
 	}
 
 	// Sever the link both ways; it carries shardA's watch stream to
-	// shardB and is also an edge of shardA's tree.
+	// shardB.
 	links := fault.New(rig.clk, 1)
 	links.Install(rig.net)
 	links.Sever("shardA", "shardB")
@@ -200,12 +177,13 @@ func TestShardSuspicionAndResync(t *testing.T) {
 }
 
 // TestRelayedHeartbeatDoesNotVouchForSource severs the one link a
-// record's changes travel on and leaves the tree whole around it:
-// shardD watches a record of shardA's, only A–D is cut, and A revokes
-// the record. In shardA's tree (sorted members, fanout 2: A -> {B, C},
-// B -> {D}) shardB still relays A's burst to D every period. That burst
-// proves B is up, not that nothing A sent D was lost (§4.10), so D must
-// degrade A and fail the surrogate safe within the budget.
+// record's changes travel on and leaves every other link whole:
+// shardD watches a record of shardA's and one each of shardB's and
+// shardC's, only A–D is cut, and A revokes its record. D goes on
+// hearing B's and C's heartbeats every period. They prove B and C are
+// up, not that nothing A sent D was lost (§4.10), so D must degrade A
+// and fail its surrogate safe within the budget, and keep B and C
+// alive.
 func TestRelayedHeartbeatDoesNotVouchForSource(t *testing.T) {
 	rig := newShardRig(t, Options{HeartbeatEvery: 5 * time.Second, FailsafeMissed: 3, AutoResync: true})
 	owner, watcher := rig.svcs["shardA"], rig.svcs["shardD"]
@@ -213,6 +191,11 @@ func TestRelayedHeartbeatDoesNotVouchForSource(t *testing.T) {
 	local, err := watcher.watchRecord("shardA", fact)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, n := range []string{"shardB", "shardC"} {
+		if _, err := watcher.watchRecord(n, rig.svcs[n].Store().NewFact(credrec.True)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	links := fault.New(rig.clk, 1)
@@ -234,47 +217,49 @@ func TestRelayedHeartbeatDoesNotVouchForSource(t *testing.T) {
 		t.Fatalf("t=40s: shardD still validates a record shardA revoked behind a cut link")
 	}
 	if st := watcher.SourceStatus("shardA"); st == SourceAlive {
-		t.Fatalf("t=40s: shardA %v at shardD on relayed heartbeats alone", st)
+		t.Fatalf("t=40s: shardA %v at shardD on other members' heartbeats alone", st)
+	}
+	for _, n := range []string{"shardB", "shardC"} {
+		if st := watcher.SourceStatus(n); st != SourceAlive {
+			t.Fatalf("t=40s: %s %v at shardD over a whole link", n, st)
+		}
 	}
 }
 
-// TestClusterPendingNotifications checks that treeforward claims add up
-// into every member's cluster-wide figure, that they make nobody a
-// watched source, and that a claim which stops arriving ages out after
-// the fail-safe budget while a fresh one keeps counting.
+// TestClusterPendingNotifications: the backlog a gateway sheds on is the
+// service's own, and a link policy's delay queue is the one deployment
+// of the bus that fills it. Each Modified event held on a delayed link
+// counts until the network delivers it, and the figure falls back to
+// where it stood.
 func TestClusterPendingNotifications(t *testing.T) {
-	rig := newShardRig(t, Options{HeartbeatEvery: 5 * time.Second, FailsafeMissed: 3})
-	watcher := rig.svcs["shardB"]
-	base := watcher.ClusterPendingNotifications()
-	claim := func(origin string, backlog int) {
-		t.Helper()
-		if _, err := watcher.Call(origin, "treeforward",
-			TreeForwardArg{Origin: origin, Root: origin, Pressure: backlog}); err != nil {
+	rig := newShardRig(t, Options{})
+	owner := rig.svcs["shardA"]
+	fact := owner.Store().NewFact(credrec.True)
+	for _, n := range rig.names[1:] {
+		if _, err := rig.svcs[n].watchRecord("shardA", fact); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	// Two origins report backlogs over the tree; the figures add up.
-	claim("shardA", 42)
-	claim("shardC", 7)
-	if after := watcher.ClusterPendingNotifications(); after != base+49 {
-		t.Fatalf("cluster pressure %d after peer claims, want %d", after, base+49)
+	base := owner.ClusterPendingNotifications()
+	links := fault.New(rig.clk, 1)
+	links.Install(rig.net)
+	for _, n := range rig.names[1:] {
+		links.SetFaults("shardA", n, fault.Faults{Delay: time.Second})
 	}
-	if srcs := watcher.receiver.Sources(); len(srcs) != 0 {
-		t.Fatalf("backlog claims made watched sources of %v", srcs)
+	if err := owner.Store().SetState(fact, credrec.False); err != nil {
+		t.Fatal(err)
 	}
-
-	// shardA falls silent while shardC keeps claiming every period: A's
-	// claim counts until it is FailsafeMissed periods old, then not.
-	for i := 1; i <= 3; i++ {
-		rig.clk.Advance(5 * time.Second)
-		claim("shardC", 7)
-		want := base + 49
-		if i == 3 {
-			want = base + 7
-		}
-		if got := watcher.ClusterPendingNotifications(); got != want {
-			t.Fatalf("cluster pressure %d after %d silent periods of shardA, want %d", got, i, want)
+	if got, want := owner.ClusterPendingNotifications(), base+len(rig.names)-1; got != want {
+		t.Fatalf("backlog %d with one event held per watcher, want %d", got, want)
+	}
+	rig.clk.Advance(time.Second)
+	rig.net.Flush()
+	if got := owner.ClusterPendingNotifications(); got != base {
+		t.Fatalf("backlog %d after the delayed events were delivered, want %d", got, base)
+	}
+	for _, n := range rig.names[1:] {
+		if st, _ := rig.svcs[n].Store().Lookup(rig.svcs[n].extRecords["shardA"][fact.Uint64()]); st != credrec.False {
+			t.Fatalf("%s surrogate %v after the delayed event, want False", n, st)
 		}
 	}
 }

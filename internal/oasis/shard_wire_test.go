@@ -14,25 +14,21 @@ import (
 	"oasis/internal/value"
 )
 
-// Round-trips, golden vectors and a decoder fuzzer for the shard ring's
-// payload (wire tag 14), and golden vectors for every other live tag
-// (1, 2, 3, 5, 6, 11). The golden vectors pin the exact byte layout:
-// the tags are append-only protocol constants, so any encoder change
-// that shifts these bytes is a protocol break, not a refactor. Two
-// vectors are what retired encoders wrote — tag 13, and tag 14 with
-// record edges — and must now be refused.
+// Golden vectors for every live tag (1, 2, 3, 5, 6, 11), and a decoder
+// fuzzer. The golden vectors pin the exact byte layout: the tags are
+// append-only protocol constants, so any encoder change that shifts
+// these bytes is a protocol break, not a refactor. Some vectors are
+// what the shard ring's retired encoders wrote — tag 13, and tag 14
+// with and without record edges — and must now be refused.
 
-func shardWirePayloads() []any {
-	return []any{
-		TreeForwardArg{Origin: "shardA", Root: "shardA", Pressure: 42},
-		TreeForwardArg{Origin: "shardB", Root: "shardB", Pressure: 7},
-		TreeForwardArg{},
-	}
-}
-
-// edgedTreeForward is a tag-14 frame as the last encoder with an edge
-// list wrote it: origin and root shardA, two edges, pressure 42.
-const edgedTreeForward = "0e067368617264410673686172644102e3808080300400818080809001020154"
+// What tag 14's encoders wrote: with an edge list (origin and root
+// shardA, two edges, pressure 42), and the last one, which wrote none,
+// for a backlog claim of 42 by shardA and for an empty claim.
+const (
+	edgedTreeForward = "0e067368617264410673686172644102e3808080300400818080809001020154"
+	treeForwardA42   = "0e06736861726441067368617264410054"
+	treeForwardEmpty = "0e00000000"
+)
 
 // goldenRMC is the certificate inside the ValidateArg golden vector.
 func goldenRMC() *cert.RMC {
@@ -48,15 +44,6 @@ func goldenRMC() *cert.RMC {
 	}
 }
 
-func TestShardPayloadRoundTrips(t *testing.T) {
-	RegisterWireTypes()
-	for _, in := range shardWirePayloads() {
-		if got := codecRoundTrip(t, in); !reflect.DeepEqual(got, in) {
-			t.Fatalf("round trip changed %T:\n got %+v\nwant %+v", in, got, in)
-		}
-	}
-}
-
 func TestShardPayloadGoldenVectors(t *testing.T) {
 	RegisterWireTypes()
 	vectors := []struct {
@@ -67,7 +54,7 @@ func TestShardPayloadGoldenVectors(t *testing.T) {
 		// Refused: nil in marks bytes a retired encoder wrote.
 		{"ShardWatchArg", nil, "0d02e380808030878080808080808008"},
 		{"TreeForwardArg", nil, edgedTreeForward},
-		{"TreeForwardHeartbeat", shardWirePayloads()[1], "0e0673686172644206736861726442000e"},
+		{"TreeForwardHeartbeat", nil, "0e0673686172644206736861726442000e"},
 		// These bytes were taken from the per-tag encoders that the list
 		// codecs of tags 5 and 6 replaced.
 		{"ResyncArg", ResyncArg{Refs: []credrec.Ref{{Index: 3, Magic: 99}, {Index: 1 << 27, Magic: 7}}},
@@ -130,59 +117,30 @@ func TestShardPayloadGoldenVectors(t *testing.T) {
 	}
 }
 
-// FuzzShardPayloadDecode hammers the tag-14 decoder with mutated
-// bytes: it must reject garbage with an error, never panic, and any
-// accepted input must survive a re-encode/re-decode cycle unchanged.
-// (Byte-identity is deliberately not required: varints admit redundant
-// encodings, which decode fine but re-encode minimally.)
+// FuzzShardPayloadDecode hammers the payload decoders with mutated
+// bytes, seeded with what every retired tag's encoders wrote, the shard
+// ring's tags 13 and 14 among them: no input may panic a decoder, and a
+// frame under a retired tag is refused whatever follows it.
 func FuzzShardPayloadDecode(f *testing.F) {
 	RegisterWireTypes()
-	for _, in := range shardWirePayloads() {
-		var buf bytes.Buffer
-		e := bus.NewWireEnc(&buf)
-		if err := bus.EncodePayload(e, in); err != nil {
-			f.Fatal(err)
-		}
-		if err := e.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	// What the retired tags' last encoders wrote: refused at the tag
-	// byte today, and mutation fodder for the live decoders.
 	retired := retiredTagPayloads(f)
 	for _, r := range retiredTags {
 		f.Add(retired[r.tag])
 	}
-	edged, err := hex.DecodeString(edgedTreeForward)
-	if err != nil {
-		f.Fatal(err)
+	for _, h := range []string{treeForwardA42, treeForwardEmpty, edgedTreeForward} {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
-	f.Add(edged)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := bus.DecodePayload(bus.NewWireDec(bytes.NewReader(data)))
 		if err != nil {
 			return
 		}
-		switch v.(type) {
-		case TreeForwardArg:
-		default:
-			return // some other registered payload; its own tests cover it
-		}
-		var buf bytes.Buffer
-		e := bus.NewWireEnc(&buf)
-		if err := bus.EncodePayload(e, v); err != nil {
-			t.Fatalf("re-encode of accepted %T failed: %v", v, err)
-		}
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		again, err := bus.DecodePayload(bus.NewWireDec(bytes.NewReader(buf.Bytes())))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded %T failed: %v", v, err)
-		}
-		if !reflect.DeepEqual(again, v) {
-			t.Fatalf("value drifted across re-encode for %T:\n first  %+v\n second %+v", v, v, again)
+		if _, gone := retired[data[0]]; gone {
+			t.Fatalf("retired tag %d decoded to %+v, want a refusal", data[0], v)
 		}
 	})
 }

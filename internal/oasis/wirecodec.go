@@ -20,14 +20,12 @@ import (
 // The tags are protocol constants: both ends of a link must agree on
 // them forever, so they are append-only — never renumber or reuse a
 // tag, even for a retired type. Tags 0 and 255 are reserved by the bus
-// (nil, and never allocated). Tags 4, 7, 8, 9, 10, 12 and 13 are
+// (nil, and never allocated). Tags 4, 7, 8, 9, 10, 12, 13 and 14 are
 // retired: they carried the argument and the reply of one operation the
-// peer port no longer serves (4, 10), the arguments of two others (9,
-// 13) and three payloads no operation ever took (a bare certificate, a
-// delegation, a value), and a frame bearing one is refused as an
-// unknown tag (docs/PROTOCOLS.md, TestWireTagTable). Tag 14 lives on
-// without its edge list, whose count is always written as zero and
-// refused as anything else.
+// peer port no longer serves (4, 10), the arguments of three others (9,
+// 13, 14) and three payloads no operation ever took (a bare
+// certificate, a delegation, a value), and a frame bearing one is
+// refused as an unknown tag (docs/PROTOCOLS.md, TestWireTagTable).
 const (
 	wireTagGetTypesArg   = 1
 	wireTagValidateArg   = 2
@@ -35,7 +33,6 @@ const (
 	wireTagResyncArg     = 5
 	wireTagResyncReply   = 6
 	wireTagTypes         = 11
-	wireTagTreeForward   = 14
 )
 
 // registerBinaryPayloads registers every protocol payload with the
@@ -130,30 +127,6 @@ func registerBinaryPayloads() {
 	registerPayload(wireTagTypes,
 		func(e *bus.WireEnc, ts []value.Type) { e.PutTypes(ts) },
 		(*bus.WireDec).Types)
-
-	registerPayload(wireTagTreeForward,
-		func(e *bus.WireEnc, a TreeForwardArg) {
-			e.PutString(a.Origin)
-			e.PutString(a.Root)
-			e.PutUvarint(0) // the retired edge list, always empty
-			e.PutVarint(int64(a.Pressure))
-		},
-		func(d *bus.WireDec) (a TreeForwardArg, err error) {
-			if a.Origin, err = d.String(); err != nil {
-				return a, err
-			}
-			if a.Root, err = d.String(); err != nil {
-				return a, err
-			}
-			if edges, err := d.Uvarint(); err != nil {
-				return a, err
-			} else if edges != 0 {
-				return a, fmt.Errorf("oasis: treeforward carries %d record edges; the tree carries none", edges)
-			}
-			p, err := d.Varint()
-			a.Pressure = int(p)
-			return a, err
-		})
 }
 
 // registerPayload is where a payload's Go type meets its tag: encoders

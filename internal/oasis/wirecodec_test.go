@@ -38,8 +38,7 @@ func codecRoundTrip(t *testing.T, v any) any {
 }
 
 // TestBinaryPayloadRoundTrips round-trips the payload types of
-// gettypes, validate and resync through the hand-rolled binary codec
-// (shard_wire_test.go has treeforward's).
+// gettypes, validate and resync through the hand-rolled binary codec.
 func TestBinaryPayloadRoundTrips(t *testing.T) {
 	RegisterWireTypes()
 
@@ -170,8 +169,8 @@ func TestBinaryRMCSignatureSurvivesTransit(t *testing.T) {
 }
 
 // retiredTags is one payload per retired tag, as the last encoders that
-// wrote them did (commit 5d93d8f; 56a0323 for tag 13): tag byte, then
-// body.
+// wrote them did (commit 5d93d8f; 56a0323 for tag 13, f2d4f9c for tag
+// 14): tag byte, then body.
 var retiredTags = []struct {
 	tag      byte
 	was, hex string
@@ -183,6 +182,7 @@ var retiredTags = []struct {
 	{10, "credrec.State, readstate's reply", "0a06"},
 	{12, "value.Value", "0c0408446f632e7265616405616c696365"},
 	{13, "ShardWatchArg, a ring member's subscription argument", "0d02e380808030878080808080808008"},
+	{14, "TreeForwardArg, a ring member's backlog claim", "0e0673686172644206736861726442000e"},
 }
 
 // retiredTagPayloads decodes retiredTags' hex, keyed by tag.
@@ -209,7 +209,7 @@ func TestWireTagTable(t *testing.T) {
 	retired := retiredTagPayloads(t)
 	table := []any{ // index + 1 is the tag; nil is a retired number
 		GetTypesArg{}, ValidateArg{}, ValidateReply{}, nil, ResyncArg{}, ResyncReply{}, nil,
-		nil, nil, nil, []value.Type{}, nil, nil, TreeForwardArg{},
+		nil, nil, nil, []value.Type{}, nil, nil, nil,
 	}
 	decode := func(b []byte) error {
 		_, err := bus.DecodePayload(bus.NewWireDec(bytes.NewReader(b)))
@@ -269,7 +269,7 @@ func TestRetiredTagCallFramesRefused(t *testing.T) {
 	defer ln.Close()
 
 	const hello = "OASIS1 bin\n"
-	ops := map[byte]string{4: retiredOps[0], 9: retiredOps[1], 10: retiredOps[0], 13: retiredOps[2]}
+	ops := map[byte]string{4: retiredOps[0], 9: retiredOps[1], 10: retiredOps[0], 13: retiredOps[2], 14: retiredOps[3]}
 	for tag, payload := range retiredTagPayloads(t) {
 		op := ops[tag]
 		if op == "" {
