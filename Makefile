@@ -21,7 +21,7 @@ help:
 	@echo "test-shard  sharding suites: the record model over the sharded store at 1,2,4,8 shards, in memory and journaled, plus the sharded-store/placement/cluster suites and the bus tree only bench/ builds"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, two http.Servers (the gateway loop's fallback, oasisd's admin port) and no http.DefaultServeMux, one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), no consistent-hash ring placing records (a leaf goes by a hash of the allocation count), no claim half of the shard ring (no ring join, backlog claim, treeforward op or -shard-ring flag), one counter registry (Service.Vars: no AuditSnapshot, striped call counters, Network.Dropped, Engine.Recovered or gateway test probes), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark driver, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, two http.Servers (the gateway loop's fallback, oasisd's admin port) and no http.DefaultServeMux, one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), no consistent-hash ring placing records (a leaf goes by a hash of the allocation count), no claim half of the shard ring (no ring join, backlog claim, treeforward op or -shard-ring flag), one counter registry (Service.Vars: no AuditSnapshot, striped call counters, Network.Dropped, Engine.Recovered or gateway test probes), no -http-pressure flag or shed wiring in oasisd (a notification send never waits, so no backlog fills), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -81,14 +81,17 @@ test-shard:
 # over a final parent on another shard, whose bridge it must not take
 # before the child is linked; and has an issuer whose
 # watcher answers the hello and reads nothing, on whose socket neither
-# heartbeats nor a logout may wait.
+# heartbeats nor a logout may wait; has notification sends find a link
+# whose redial a call holds, which must neither wait for the dial nor
+# start more than one redial; and fills a stalled link's queue to its
+# bound, which must kill the writer before its write deadline.
 # internal/fault is not listed: `chaos` runs that whole package under
 # the detector.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
 		./internal/gateway/... ./cmd/rdlcheck/...
-	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade|LoopMatchesNetHTTP|RevocationLeavesBeforeItReturns|BufferedCallGoesToWorker|PipelinedInlineCallersAllAnswered|InlineValidateCallsNobody|HeartbeatWaitsBehindEvent|RecorderModelBesideSweep|ObserverHeardWhenMutationReturns|FinalBridgeOutlivesSweep|StalledWatcherHoldsNoSignaller' \
+	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade|LoopMatchesNetHTTP|RevocationLeavesBeforeItReturns|BufferedCallGoesToWorker|PipelinedInlineCallersAllAnswered|InlineValidateCallsNobody|HeartbeatWaitsBehindEvent|RecorderModelBesideSweep|ObserverHeardWhenMutationReturns|FinalBridgeOutlivesSweep|StalledWatcherHoldsNoSignaller|NotifySendNeverDials|NoteQueueBoundKillsWriter' \
 		./internal/gateway/ ./internal/oasis/ ./internal/cert/ ./internal/bus/ ./internal/event/ ./internal/credrec/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the
@@ -159,10 +162,13 @@ vet:
 # surrogates were never bound by, the bridges' own name format and
 # index beside credrec.SurrogateName and the edge table, and a second
 # watch table at the issuer: broker registrations beside the row a
-# Modified event fans out from, and a second signature verdict memory
-# beside oasis.Held's epoch memo: the engine, the gateway and the
-# daemon verify a presented certificate on every use, and
-# cert.VerifyCache stays only while bench/ constructs it. No library
+# Modified event fans out from, the gateway's shed in the daemon: the
+# -http-pressure flag and its wiring (a notification send never waits
+# on a dial and a link's queue is bounded, so no backlog in oasisd grows
+# with the traffic it serves; the shed stays a library option), and a
+# second signature verdict memory beside oasis.Held's epoch memo: the
+# engine, the gateway and the daemon verify a presented certificate on
+# every use, and cert.VerifyCache stays only while bench/ constructs it. No library
 # package changes the process's P count (runtime.GOMAXPROCS): tests run
 # many services in one process, so only the daemon decides, and it gives
 # a journal that fsyncs its one spare P. The gateway's one http.Server is
@@ -223,6 +229,8 @@ lint: reach
 	! grep -rnE 'JoinShardRing|ShardRingMembers|ShardHeartbeatTick|TreeForwardArg|"treeforward"|shard-ring|shard_ring' \
 		--include='*.go' --exclude='*_test.go' internal/ cmd/
 	! grep -rnE 'JoinShardRing|ShardRingMembers|ShardHeartbeatTick|TreeForwardArg|"treeforward"|shard-ring|shard_ring' docs/ README.md
+	! grep -rnE 'http-pressure|httpPressure' --include='*.go' --exclude='*_test.go' internal/ cmd/
+	! grep -rnE 'http-pressure|httpPressure' docs/ README.md
 	! grep -rnE '\b(ExternalRefs|MarkSilent|OnRevive|bridgeKey|parseBridgeSource)\b' internal/ cmd/ docs/
 	! grep -rnE '\breleaseWatches\b|broker\.(Register|Deregister)\b' internal/oasis
 	! grep -rn 'VerifyCache' --include='*.go' --exclude='*_test.go' internal/oasis internal/gateway cmd/oasisd

@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// The fault plane left the binary with its two flags (PR 21), and the
-// shard ring with -shard-ring: a deployment script still passing one
-// must fail loudly, not run without the faults or the ring it asked
-// for.
+// The fault plane left the binary with its two flags, the shard ring
+// with -shard-ring, and the gateway's shed with -http-pressure: a
+// deployment script still passing one must fail loudly, not run
+// without the faults, the ring or the shed it asked for.
 func TestFaultFlagsAreUnknown(t *testing.T) {
-	for _, name := range []string{"-fault-schedule", "-fault-seed", "-shard-ring"} {
+	for _, name := range []string{"-fault-schedule", "-fault-seed", "-shard-ring", "-http-pressure"} {
 		fs := flag.NewFlagSet("oasisd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		_, err := parseFlags(fs, []string{name, "x"})
@@ -34,7 +34,7 @@ func TestFlagSurface(t *testing.T) {
 	}
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 16 {
-		t.Errorf("oasisd declares %d flags, want 16 (-shard-ring went with the backlog ring, which nothing deployed filled; -admin-listen stays closed by default, since pprof and per-source state must never sit on a port that opens unasked): a new one needs a stated reason why a default could not do", n)
+	if n != 15 {
+		t.Errorf("oasisd declares %d flags, want 15 (-http-pressure went with the one backlog it could shed on, since a notification send no longer waits on a dial; -shard-ring went with the backlog ring, which nothing deployed filled; -admin-listen stays closed by default, since pprof and per-source state must never sit on a port that opens unasked): a new one needs a stated reason why a default could not do", n)
 	}
 }

@@ -31,9 +31,7 @@
 // entry as token issuance, live token introspection, and RFC 7009
 // revocation over HTTP/JSON for clients outside the trusted-peer
 // protocol (docs/GATEWAY.md). -http-rate shapes the per-client token
-// bucket, -http-max-conns caps concurrent connections, and
-// -http-pressure is the notification-plane backlog at which the
-// gateway sheds mutating requests with 503 + Retry-After.
+// bucket and -http-max-conns caps concurrent connections.
 //
 // -shards partitions this process's credential-record store across N
 // shards (internal/credrec.ShardedStore): a leaf record goes to the
@@ -137,7 +135,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.StringVar(&cfg.httpListen, "http-listen", "", "federation gateway (HTTP/JSON token issuance/introspection/revocation) listen address; empty disables")
 	fs.Float64Var(&cfg.httpRate, "http-rate", 50, "gateway per-client request budget in requests/second (0 disables rate limiting)")
 	fs.IntVar(&cfg.httpMaxConns, "http-max-conns", 1024, "gateway concurrent-connection cap (0 = unlimited)")
-	fs.IntVar(&cfg.httpPressure, "http-pressure", 4096, "notification-plane backlog at which the gateway sheds mutating requests with 503 (0 disables backpressure)")
 	fs.IntVar(&cfg.shards, "shards", 0, "partition the credential-record store across this many shards (0/1 keeps the monolithic store); with -store-dir each shard journals to <dir>/sNN")
 	fs.StringVar(&cfg.storeDir, "store-dir", "", "persist the credential-record store in this directory (journal + snapshots); empty keeps it in memory")
 	fs.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096, "journal operations between automatic snapshots/compactions (0 disables the trigger)")
@@ -159,7 +156,6 @@ type config struct {
 	httpListen                string
 	httpRate                  float64
 	httpMaxConns              int
-	httpPressure              int
 
 	// serving, if set, is told the client listener's address and the
 	// store once run is serving (tests).
@@ -258,7 +254,7 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		gw := newGateway(svc, network, cfg)
+		gw := newGateway(svc, cfg)
 		gwDone := make(chan struct{})
 		// Serve returns once its listener closes, even with every
 		// connection slot held.
@@ -269,8 +265,8 @@ func run(cfg config) error {
 				log.Printf("oasisd: gateway listener: %v", err)
 			}
 		}()
-		log.Printf("oasisd: federation gateway on %s (rate %.0f/s, max-conns %d, pressure %d)",
-			httpLn.Addr(), cfg.httpRate, cfg.httpMaxConns, cfg.httpPressure)
+		log.Printf("oasisd: federation gateway on %s (rate %.0f/s, max-conns %d)",
+			httpLn.Addr(), cfg.httpRate, cfg.httpMaxConns)
 	}
 	ln, err := net.Listen("tcp", cfg.listen)
 	if err != nil {

@@ -311,7 +311,7 @@ func (n *Network) sendOne(from, to string, ep Endpoint, remote remoteLink, note 
 		return
 	}
 	if ep == nil {
-		remote.send(from, to, note)
+		n.notify(remote, from, to, []event.Notification{note})
 		return
 	}
 	ep.Deliver(note)
@@ -401,7 +401,7 @@ func (n *Network) deliverBatch(from, to string, notes []event.Notification) {
 			ep.Deliver(note)
 		}
 	case remote != nil:
-		remote.sendBatch(from, to, notes)
+		n.notify(remote, from, to, notes)
 	default:
 		// Destination vanished between Send and flush (e.g. CloseRemotes).
 		n.droppedCount.Add(int64(len(notes)))
@@ -471,7 +471,7 @@ func (n *Network) Flush() int {
 			ep.Deliver(q.n)
 			delivered++
 		default:
-			remote.send(q.from, q.to, q.n)
+			n.notify(remote, q.from, q.to, []event.Notification{q.n})
 			delivered++
 		}
 	}

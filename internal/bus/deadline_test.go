@@ -154,12 +154,12 @@ func TestCallDeadline(t *testing.T) {
 }
 
 // TestStalledReaderKillsWriter: a peer that completes the hello and then
-// never reads cannot hold a notification burst's sender: sendBatch only
+// never reads cannot hold a notification burst's sender: notify only
 // queues, and the link's flusher goroutine is the one blocked in the
 // write, for one to two write bounds. The writer then dies the way any
 // wire failure kills it: every notification of the burst counts dropped
-// exactly once, on the link and on the network, and the next send
-// reconnects.
+// exactly once, on the link and on the network. The next send counts
+// dropped too, and one background redial reconnects the link.
 func TestStalledReaderKillsWriter(t *testing.T) {
 	release := make(chan struct{})
 	addr, accepts := fakePeer(t, func(conn net.Conn) {
@@ -190,11 +190,11 @@ func TestStalledReaderKillsWriter(t *testing.T) {
 		notes[i] = event.Notification{Source: "caller", SessionID: 1, Seq: uint64(i + 1), Event: event.Event{Name: big}}
 	}
 	start := time.Now()
-	rp.sendBatch("caller", "svc", notes)
+	n.notify(rp, "caller", "svc", notes)
 	// The signaller only queues: the link's flusher goroutine is the one
 	// blocked in the write.
 	if took := time.Since(start); took > bound/2 {
-		t.Fatalf("sendBatch into a stalled reader took %v, want well under %v", took, bound)
+		t.Fatalf("notify into a stalled reader took %v, want well under %v", took, bound)
 	}
 	waitFor(t, func() bool { return n.Count("dropped") != 0 })
 	if took := time.Since(start); took < bound || took > 2*bound+5*time.Second {
@@ -204,19 +204,25 @@ func TestStalledReaderKillsWriter(t *testing.T) {
 		t.Fatalf("network counted %d dropped, want %d", got, burst)
 	}
 
-	// Once the read loop has seen the socket close the link is marked
-	// broken, and the next send dials afresh.
-	waitFor(t, func() bool {
-		rp.mu.Lock()
-		defer rp.mu.Unlock()
-		return rp.conn != first
-	})
+	// Once the read loop has seen the socket close the link has no
+	// writer: the next send is lost without a dial, and one background
+	// redial reconnects, so the send after it is accepted.
+	waitFor(t, func() bool { return rp.writer() == nil })
+	start = time.Now()
 	n.Send("caller", "svc", event.Notification{Source: "caller", SessionID: 1, Seq: burst + 1})
-	if a := accepts.Load(); a != 2 {
-		t.Fatalf("%d connections after the next send, want 2", a)
+	if took := time.Since(start); took > bound/2 {
+		t.Fatalf("a send over the broken link took %v, want well under %v", took, bound)
 	}
-	if got := n.Count("dropped"); got != burst {
-		t.Fatalf("network counted %d dropped after reconnecting, want %d still", got, burst)
+	if got := n.Count("dropped"); got != burst+1 {
+		t.Fatalf("network counted %d dropped after a send over the broken link, want %d", got, burst+1)
+	}
+	waitFor(t, func() bool { return rp.writer() != nil })
+	if a := accepts.Load(); a != 2 {
+		t.Fatalf("%d connections after the redial, want 2", a)
+	}
+	n.Send("caller", "svc", event.Notification{Source: "caller", SessionID: 1, Seq: burst + 2})
+	if got := n.Count("dropped"); got != burst+1 {
+		t.Fatalf("network counted %d dropped after reconnecting, want %d still", got, burst+1)
 	}
 }
 

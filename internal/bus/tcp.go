@@ -37,8 +37,11 @@ import (
 // lock held across encode+flush, and bursts coalesce into one syscall.
 // A failed encode or flush is never silent: every undelivered
 // notification counts as dropped on the home network (heartbeat loss
-// detection then sees the gap, §4.10) and the connection is torn down
-// so the next use reconnects.
+// detection then sees the gap, §4.10) and the connection is torn down.
+// A notification send never waits on the link (notify): it queues on
+// the live writer or counts dropped, and a -remote link redials on a
+// goroutine of its own; a call, which waits for its reply anyway,
+// dials inline.
 //
 // A served call runs where it cannot hold the link up: one its
 // endpoint declares never to wait (InlineEndpoint) on the connection's
@@ -55,6 +58,13 @@ import (
 // wireBufSize is the I/O buffer size per TCP link; notification
 // messages are a few hundred bytes, so one buffer holds a large burst.
 const wireBufSize = 32 << 10
+
+// maxPendingNotes bounds the notifications a link's writer holds
+// accepted and unflushed. It is the most entries one resync reply may
+// carry: a watcher further behind than that catches up more cheaply by
+// failing safe and resyncing (§4.10) than by reading the backlog, so a
+// burst that would pass the bound kills the writer instead.
+const maxPendingNotes = maxWireCount
 
 // CallDeadline is how long a call over a TCP link may stay unanswered,
 // measured on the home network's clock, and the period of the wall-clock
@@ -110,12 +120,8 @@ func (n *Network) RemoteWireFormat(name string) string {
 	n.peersMu.RLock()
 	link := n.remotes[name]
 	n.peersMu.RUnlock()
-	if p, ok := link.(*remotePeer); ok {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.conn != nil {
-			return WireBinary
-		}
+	if p, ok := link.(*remotePeer); ok && p.writer() != nil {
+		return WireBinary
 	}
 	return ""
 }
@@ -144,14 +150,16 @@ var errWriterDead = errors.New("bus: connection lost")
 // A peer that stops reading is such a failure: the flusher pushes the
 // socket's write deadline out to two bounds ahead whenever less than
 // one remains (one SetWriteDeadline per bound, not per flush), so a
-// blocked write fails after one to two bounds.
+// blocked write fails after one to two bounds. Before that, a burst
+// that would take pendingNotes past maxNotes kills the writer at once.
 type msgWriter struct {
 	conn    net.Conn
 	enc     *WireEnc    // over the connection's bufio.Writer; Flush pushes to the socket
 	dropped *expvar.Int // the network's count of lost notifications
 
-	bound   time.Duration // CallDeadline; a field so a test can wait less
-	writeBy time.Time     // the socket's write deadline; the flusher's alone
+	bound    time.Duration // CallDeadline; a field so a test can wait less
+	maxNotes int           // maxPendingNotes; a field so a test can queue less
+	writeBy  time.Time     // the socket's write deadline; the flusher's alone
 
 	mu           sync.Mutex
 	q            []wireMsg
@@ -162,7 +170,7 @@ type msgWriter struct {
 }
 
 func newMsgWriter(conn net.Conn, dropped *expvar.Int) *msgWriter {
-	return &msgWriter{conn: conn, enc: NewWireEnc(bufio.NewWriterSize(conn, wireBufSize)), dropped: dropped, bound: CallDeadline}
+	return &msgWriter{conn: conn, enc: NewWireEnc(bufio.NewWriterSize(conn, wireBufSize)), dropped: dropped, bound: CallDeadline, maxNotes: maxPendingNotes}
 }
 
 // enqueue accepts one call or reply for the wire. The only error is
@@ -184,8 +192,12 @@ func (wr *msgWriter) enqueue(msg wireMsg) error {
 // watcher that stops reading cannot hold it (a call or a reply still
 // flushes inline, enqueue). The only error is errWriterDead: nothing
 // was accepted, and the caller owns the drop accounting for the burst.
+// A burst that would queue more than maxNotes kills the writer.
 func (wr *msgWriter) enqueueNotes(from, to string, notes []event.Notification) error {
 	wr.mu.Lock()
+	if !wr.dead && wr.pendingNotes+len(notes) > wr.maxNotes {
+		wr.dieLocked()
+	}
 	if wr.dead {
 		wr.mu.Unlock()
 		return errWriterDead
@@ -307,18 +319,34 @@ func (wr *msgWriter) flushBatch() bool {
 	return wr.flushing
 }
 
-// remoteLink routes traffic for one remote name.
+// remoteLink routes traffic for one remote name: calls by call, and
+// notifications through its writer (notify).
 type remoteLink interface {
 	call(from, to, op string, arg any) (any, error)
-	send(from, to string, note event.Notification)
-	sendBatch(from, to string, notes []event.Notification)
 	writer() *msgWriter // the live connection's, nil between connections
+}
+
+// notify hands a notification burst for a remote name to its link's
+// live writer, whose flusher goroutine writes it: the sender takes no
+// link lock, never dials and never writes to the socket. A burst no
+// writer takes — there is none between connections, or it has died —
+// is lost and counted dropped; the watcher sees the gap in the
+// heartbeat sequence, fails safe and resyncs (§4.10), so an issuer
+// never waits on a watcher's link. A -remote link then redials on its
+// own (remotePeer.redial).
+func (n *Network) notify(link remoteLink, from, to string, notes []event.Notification) {
+	if wr := link.writer(); wr != nil && wr.enqueueNotes(from, to, notes) == nil {
+		return
+	}
+	n.droppedCount.Add(int64(len(notes)))
+	if p, ok := link.(*remotePeer); ok {
+		p.redial()
+	}
 }
 
 // pendingNotes is Vars' "pending_notes": per destination name, the
 // notifications its TCP link's writer has accepted and not yet flushed.
-// A watcher that stops reading fills this queue; the backlog the
-// gateway sheds on does not count it (docs/GATEWAY.md).
+// A watcher that stops reading fills this queue, up to maxPendingNotes.
 func (n *Network) pendingNotes() any {
 	n.peersMu.RLock()
 	links := maps.Clone(n.remotes)
@@ -348,29 +376,19 @@ func (b *backchannel) call(from, to, op string, arg any) (any, error) {
 
 func (b *backchannel) writer() *msgWriter { return b.wr }
 
-func (b *backchannel) send(from, to string, note event.Notification) {
-	b.sendBatch(from, to, []event.Notification{note})
-}
-
-func (b *backchannel) sendBatch(from, to string, notes []event.Notification) {
-	if err := b.wr.enqueueNotes(from, to, notes); err != nil {
-		// Nothing was accepted, so the burst is ours to count.
-		b.wr.dropped.Add(int64(len(notes)))
-	}
-}
-
 // remotePeer is the client side of a TCP link to another Network.
 type remotePeer struct {
 	addr string
 	home *Network // dispatches inbound back-channel notifications
 
-	mu      sync.Mutex
-	conn    net.Conn
-	wr      atomic.Pointer[msgWriter] // written under mu; writer() reads it without
-	closed  bool                      // CloseRemotes: no reconnection
-	nextSeq uint64
-	waiting map[uint64]wireWaiter
-	reaping bool // a reap goroutine is watching the deadlines in waiting
+	mu        sync.Mutex
+	conn      net.Conn
+	wr        atomic.Pointer[msgWriter] // written under mu; writer() reads it without
+	closed    bool                      // CloseRemotes: no reconnection
+	nextSeq   uint64
+	waiting   map[uint64]wireWaiter
+	reaping   bool        // a reap goroutine is watching the deadlines in waiting
+	redialing atomic.Bool // a redial goroutine is running
 
 	// Inbound back-channel notifications are delivered by a pump
 	// goroutine, never on the read loop itself: a delivery callback may
@@ -601,7 +619,7 @@ func (n *Network) CloseRemotes() {
 // connectLocked dials the peer, exchanges hellos, and installs the
 // pipelined writer; caller holds p.mu. A peer that answers anything but
 // the hello fails the dial, and so does one that has not answered it a
-// CallDeadline from now: every caller of the link waits behind p.mu.
+// CallDeadline from now: every call on the link waits behind p.mu.
 func (p *remotePeer) connectLocked() error {
 	by := clock.Real().Now().Add(CallDeadline)
 	conn, err := (&net.Dialer{Deadline: by}).Dial("tcp", p.addr)
@@ -626,7 +644,8 @@ func (p *remotePeer) connectLocked() error {
 }
 
 // ensureConnLocked reconnects a link marked broken by an earlier wire
-// failure; caller holds p.mu.
+// failure; caller holds p.mu. A call runs it inline; a notification
+// send only through redial.
 func (p *remotePeer) ensureConnLocked() error {
 	if p.conn != nil {
 		return nil
@@ -834,32 +853,19 @@ func (p *remotePeer) startCall(from, to, op string, arg any) (chan wireMsg, erro
 // writer takes no p.mu, which a dial holds for up to CallDeadline.
 func (p *remotePeer) writer() *msgWriter { return p.wr.Load() }
 
-func (p *remotePeer) send(from, to string, note event.Notification) {
-	p.sendBatch(from, to, []event.Notification{note})
-}
-
-// sendBatch hands a notification burst to the writer, which flushes
-// the socket once per drained batch. A wire failure loses the tail of
-// the burst: each lost notification counts as dropped and the link is
-// marked for reconnection, so the failure is visible to heartbeat loss
-// detection rather than silent.
-func (p *remotePeer) sendBatch(from, to string, notes []event.Notification) {
-	p.mu.Lock()
-	if err := p.ensureConnLocked(); err != nil {
-		p.mu.Unlock()
-		p.home.droppedCount.Add(int64(len(notes)))
+// redial reconnects a link a notification send found without a live
+// writer, on a goroutine of its own and one at a time, so no sender
+// waits on the dial. A writer that died is cleared by its read loop
+// once the socket closes; until then there is nothing to redial, and a
+// later send tries again. A closed link (CloseRemotes) is not dialled.
+func (p *remotePeer) redial() {
+	if !p.redialing.CompareAndSwap(false, true) {
 		return
 	}
-	wr := p.wr.Load()
-	p.mu.Unlock()
-
-	if err := wr.enqueueNotes(from, to, notes); err != nil {
-		// Nothing was accepted, so the burst is ours to count.
-		p.home.droppedCount.Add(int64(len(notes)))
+	go func() {
+		defer p.redialing.Store(false)
 		p.mu.Lock()
-		if p.wr.Load() == wr {
-			p.breakLocked()
-		}
-		p.mu.Unlock()
-	}
+		defer p.mu.Unlock()
+		_ = p.ensureConnLocked()
+	}()
 }

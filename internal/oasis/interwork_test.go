@@ -237,7 +237,7 @@ func TestConcurrentEntryAndValidation(t *testing.T) {
 func TestStartDuties(t *testing.T) {
 	h := newHarness(t)
 	sink := make(chan struct{}, 16)
-	if _, err := h.login.Broker().OpenSession(sinkFunc(func() { sink <- struct{}{} }), nil); err != nil {
+	if _, err := h.login.broker.OpenSession(sinkFunc(func() { sink <- struct{}{} }), nil); err != nil {
 		t.Fatal(err)
 	}
 	stop := h.login.StartDuties()

@@ -268,10 +268,6 @@ func (s *Service) Store() credrec.Recorder { return s.store }
 // Groups exposes the group membership manager.
 func (s *Service) Groups() *credrec.Groups { return s.groups }
 
-// Broker exposes the service's event broker (application events share
-// the channel used for credential-record notification, figure 6.1).
-func (s *Service) Broker() *event.Broker { return s.broker }
-
 // Signer exposes the service's signer (the MSSA layers co-sign with it).
 func (s *Service) Signer() cert.Signer { return s.signer }
 
