@@ -2,6 +2,7 @@ package bus
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -28,7 +29,8 @@ import (
 // bounded (maxWireBytes, maxWireCount) before allocation, so a
 // corrupted or hostile stream cannot balloon memory; it tears the
 // connection down with an error instead. The round-trip fuzzers in
-// codec_fuzz_test.go hold this line.
+// codec_fuzz_test.go hold this line, and hold the decoder's window to
+// decoding the same however the bytes arrive.
 
 // Limits applied while decoding untrusted bytes.
 const (
@@ -191,47 +193,171 @@ func (e *WireEnc) PutStrings(ss []string) {
 	}
 }
 
-// WireDec decodes the stream produced by WireEnc, validating lengths
-// and counts before allocating.
+// WireDec decodes the stream produced by WireEnc out of a byte window
+// it owns: every primitive indexes bytes already in memory, and the
+// window is refilled from the reader only when a field runs past the
+// bytes it holds, so a connection's decoder is its one read buffer.
+// Lengths and counts are validated before allocating.
 type WireDec struct {
-	r wireReader
-	// scratch stages short strings so String costs one allocation
-	// (the string copy) instead of two (byte slice, then string).
-	scratch [64]byte
-	// interned reuses previously-decoded short strings: service names,
-	// operations, role names and value universes repeat on every
-	// message, and the decoder is single-goroutine per connection, so
-	// a plain bounded map turns those repeats into zero allocations.
-	interned map[string]string
+	r   io.Reader // nil while decoding one slice (ResetBytes)
+	buf []byte    // buf[off:] is read and not yet decoded
+	off int
+	win []byte // the reader's window, wireBufSize long once allocated
+	// names shares short strings: the service names, operations, role
+	// files, types and hosts a frame repeats cost no allocation (intern).
+	names [internSlots]string
 }
 
-// maxInterned bounds the per-decoder intern table so a hostile stream
-// of distinct strings cannot grow it without limit.
-const maxInterned = 256
+// A decoder's string table: a short string goes to the slot its length
+// and end bytes name, and is shared while it is the last string decoded
+// there. The table is bounded by construction; a stream of distinct
+// strings costs one allocation each, as it would with no table.
+const (
+	internBits   = 6
+	internSlots  = 1 << internBits
+	maxInternLen = 64 // longer strings are allocated every time
+)
 
-// wireReader is the reader surface WireDec needs; *bufio.Reader and
-// *bytes.Reader both satisfy it.
-type wireReader interface {
-	io.Reader
-	io.ByteReader
+// errWireOverflow is a varint of more than 64 bits.
+var errWireOverflow = errors.New("bus: wire varint overflows a 64-bit integer")
+
+// NewWireDec returns a decoder reading from r through its own window.
+// A decoder whose reader ends exactly at a frame's end holds nothing
+// after it, so r may be reset between frames.
+func NewWireDec(r io.Reader) *WireDec { return &WireDec{r: r} }
+
+// ResetBytes points the decoder at b, which it decodes in place with
+// no reader behind it: nothing of an earlier input stays buffered. b
+// must not change while it is decoded; nothing decoded aliases it.
+func (d *WireDec) ResetBytes(b []byte) { d.r, d.buf, d.off = nil, b, 0 }
+
+// Buffered reports the bytes read and not yet decoded.
+func (d *WireDec) Buffered() int { return len(d.buf) - d.off }
+
+// fill makes n ≤ wireBufSize bytes available at buf[off:]: it moves the
+// unread bytes to the window's front and reads until there are n. A
+// stream that ends first is io.EOF if no byte was left unread, and
+// io.ErrUnexpectedEOF if one was.
+func (d *WireDec) fill(n int) error {
+	if d.r == nil {
+		return d.short()
+	}
+	if d.win == nil {
+		d.win = make([]byte, wireBufSize)
+	}
+	have := copy(d.win, d.buf[d.off:])
+	d.buf, d.off = d.win[:have], 0
+	for empty := 0; have < n; {
+		m, err := d.r.Read(d.win[have:])
+		have += m
+		d.buf = d.win[:have]
+		switch {
+		case have >= n:
+		case err == io.EOF:
+			return d.short()
+		case err != nil:
+			return err
+		case m == 0:
+			if empty++; empty == 100 {
+				return io.ErrNoProgress
+			}
+		}
+	}
+	return nil
 }
 
-// NewWireDec returns a decoder reading from r.
-func NewWireDec(r wireReader) *WireDec { return &WireDec{r: r} }
+// short is the error for input that ended inside a field.
+func (d *WireDec) short() error {
+	if d.off == len(d.buf) {
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
+}
+
+// span returns the next n bytes, in the window: valid until the next
+// read. n is at most wireBufSize unless the decoder reads one slice.
+func (d *WireDec) span(n int) ([]byte, error) {
+	if len(d.buf)-d.off < n {
+		if err := d.fill(n); err != nil {
+			return nil, err
+		}
+	}
+	b := d.buf[d.off : d.off+n]
+	d.off += n
+	return b, nil
+}
+
+// appendLong reads a field of n bytes, longer than the window, onto
+// dst: the buffered bytes, then the rest straight from the reader.
+func (d *WireDec) appendLong(dst []byte, n int) ([]byte, error) {
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	k := copy(dst[at:], d.buf[d.off:])
+	d.off = len(d.buf)
+	if _, err := io.ReadFull(d.r, dst[at+k:]); err != nil {
+		if err == io.EOF && k > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return dst, nil
+}
 
 // Byte reads one raw byte.
-func (d *WireDec) Byte() (byte, error) { return d.r.ReadByte() }
+func (d *WireDec) Byte() (byte, error) {
+	if d.off == len(d.buf) {
+		if err := d.fill(1); err != nil {
+			return 0, err
+		}
+	}
+	b := d.buf[d.off]
+	d.off++
+	return b, nil
+}
 
-// Uvarint reads an unsigned varint.
-func (d *WireDec) Uvarint() (uint64, error) { return binary.ReadUvarint(d.r) }
+// Uvarint reads an unsigned varint, with the errors of
+// binary.ReadUvarint: io.EOF before its first byte, io.ErrUnexpectedEOF
+// inside it.
+func (d *WireDec) Uvarint() (uint64, error) {
+	var x uint64
+	var s uint
+	for i := range binary.MaxVarintLen64 {
+		if d.off == len(d.buf) {
+			if err := d.fill(1); err != nil {
+				if i > 0 && err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				return x, err
+			}
+		}
+		b := d.buf[d.off]
+		d.off++
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return x, errWireOverflow
+			}
+			return x | uint64(b)<<s, nil
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return x, errWireOverflow
+}
 
-// Varint reads a signed varint.
-func (d *WireDec) Varint() (int64, error) { return binary.ReadVarint(d.r) }
+// Varint reads a signed (zig-zag) varint.
+func (d *WireDec) Varint() (int64, error) {
+	ux, err := d.Uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
+}
 
 // Bool reads a boolean; any byte other than 0 or 1 is an error, so a
 // desynchronised stream fails fast instead of drifting.
 func (d *WireDec) Bool() (bool, error) {
-	b, err := d.r.ReadByte()
+	b, err := d.Byte()
 	if err != nil {
 		return false, err
 	}
@@ -245,8 +371,8 @@ func (d *WireDec) Bool() (bool, error) {
 	}
 }
 
-// count reads a slice length, bounding it before the caller allocates.
-func (d *WireDec) count() (int, error) {
+// Count reads a slice length, bounding it before the caller allocates.
+func (d *WireDec) Count() (int, error) {
 	u, err := d.Uvarint()
 	if err != nil {
 		return 0, err
@@ -257,67 +383,74 @@ func (d *WireDec) count() (int, error) {
 	return int(u), nil
 }
 
+// length reads the length prefix of a string or byte slice.
+func (d *WireDec) length() (int, error) {
+	u, err := d.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if u > maxWireBytes {
+		return 0, fmt.Errorf("bus: wire length %d exceeds limit %d", u, maxWireBytes)
+	}
+	return int(u), nil
+}
+
 // AppendBytes reads a length-prefixed byte slice onto dst, allocating
 // only if dst's spare capacity cannot hold it; an empty slice returns
 // dst as it was.
 func (d *WireDec) AppendBytes(dst []byte) ([]byte, error) {
-	u, err := d.Uvarint()
+	n, err := d.length()
 	if err != nil {
 		return nil, err
 	}
-	if u > maxWireBytes {
-		return nil, fmt.Errorf("bus: wire length %d exceeds limit %d", u, maxWireBytes)
+	if n > wireBufSize && d.r != nil {
+		return d.appendLong(dst, n)
 	}
-	at := len(dst)
-	dst = slices.Grow(dst, int(u))[:at+int(u)]
-	if _, err := io.ReadFull(d.r, dst[at:]); err != nil {
+	b, err := d.span(n)
+	if err != nil {
 		return nil, err
 	}
-	return dst, nil
+	return append(dst, b...), nil
 }
 
-// String reads a length-prefixed string. Names, operations, and value
-// universes dominate this wire and fit the scratch buffer.
+// String reads a length-prefixed string. A short one is shared through
+// the decoder's table (intern).
 func (d *WireDec) String() (string, error) {
-	u, err := d.Uvarint()
+	n, err := d.length()
+	if err != nil || n == 0 {
+		return "", err
+	}
+	if n > wireBufSize && d.r != nil {
+		b, err := d.appendLong(nil, n)
+		return string(b), err
+	}
+	b, err := d.span(n)
 	if err != nil {
 		return "", err
 	}
-	if u > maxWireBytes {
-		return "", fmt.Errorf("bus: wire length %d exceeds limit %d", u, maxWireBytes)
+	if n > maxInternLen {
+		return string(b), nil
 	}
-	if u == 0 {
-		return "", nil
+	return d.intern(b), nil
+}
+
+// intern returns b as a string, the one in b's slot if it is equal —
+// the comparison allocates nothing — and otherwise a new one, which
+// takes the slot.
+func (d *WireDec) intern(b []byte) string {
+	key := uint32(len(b))<<16 | uint32(b[0])<<8 | uint32(b[len(b)-1])
+	slot := &d.names[key*0x85ebca6b>>(32-internBits)]
+	if *slot == string(b) {
+		return *slot
 	}
-	if u <= uint64(len(d.scratch)) {
-		b := d.scratch[:u]
-		if _, err := io.ReadFull(d.r, b); err != nil {
-			return "", err
-		}
-		// The map lookup keyed string(b) does not allocate; only a
-		// miss pays for the string copy.
-		if s, ok := d.interned[string(b)]; ok {
-			return s, nil
-		}
-		s := string(b)
-		if len(d.interned) < maxInterned {
-			if d.interned == nil {
-				d.interned = make(map[string]string, 16)
-			}
-			d.interned[s] = s
-		}
-		return s, nil
-	}
-	b := make([]byte, u)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	s := string(b)
+	*slot = s
+	return s
 }
 
 // Time reads a timestamp written by PutTime.
 func (d *WireDec) Time() (time.Time, error) {
-	flag, err := d.r.ReadByte()
+	flag, err := d.Byte()
 	if err != nil {
 		return time.Time{}, err
 	}
@@ -344,7 +477,7 @@ func (d *WireDec) Time() (time.Time, error) {
 
 // Value reads one typed RDL value.
 func (d *WireDec) Value() (value.Value, error) {
-	kind, err := d.r.ReadByte()
+	kind, err := d.Byte()
 	if err != nil {
 		return value.Value{}, err
 	}
@@ -388,31 +521,24 @@ func (d *WireDec) Value() (value.Value, error) {
 	}
 }
 
-// Values reads a counted value vector.
-func (d *WireDec) Values() ([]value.Value, error) { return d.AppendValues(nil) }
-
-// AppendValues reads a counted value vector onto dst, allocating only
-// if dst's spare capacity cannot hold it; an empty vector returns dst
-// as it was.
-func (d *WireDec) AppendValues(dst []value.Value) ([]value.Value, error) {
-	n, err := d.count()
-	if err != nil {
+// Values reads a counted value vector; an empty one is nil.
+func (d *WireDec) Values() ([]value.Value, error) {
+	n, err := d.Count()
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	dst = slices.Grow(dst, n)
-	for range n {
-		v, err := d.Value()
-		if err != nil {
+	vs := make([]value.Value, n)
+	for i := range vs {
+		if vs[i], err = d.Value(); err != nil {
 			return nil, err
 		}
-		dst = append(dst, v)
 	}
-	return dst, nil
+	return vs, nil
 }
 
 // Type reads one RDL argument type.
 func (d *WireDec) Type() (value.Type, error) {
-	kind, err := d.r.ReadByte()
+	kind, err := d.Byte()
 	if err != nil {
 		return value.Type{}, err
 	}
@@ -442,7 +568,7 @@ func (d *WireDec) Type() (value.Type, error) {
 
 // Types reads a counted type vector.
 func (d *WireDec) Types() ([]value.Type, error) {
-	n, err := d.count()
+	n, err := d.Count()
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +586,7 @@ func (d *WireDec) Types() ([]value.Type, error) {
 
 // Strings reads a counted string vector.
 func (d *WireDec) Strings() ([]string, error) {
-	n, err := d.count()
+	n, err := d.Count()
 	if err != nil {
 		return nil, err
 	}

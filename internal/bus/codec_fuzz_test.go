@@ -3,7 +3,12 @@ package bus
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
+	"io"
+	"reflect"
+	"slices"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"oasis/internal/event"
@@ -26,10 +31,24 @@ func fuzzEncode(t testing.TB, m *wireMsg) []byte {
 	return buf.Bytes()
 }
 
+// sameDecode fails the test unless a decode gave what the whole-slice
+// decode gave: an equal message, or an equal rejection.
+func sameDecode(t *testing.T, how string, want wireMsg, wantErr error, got wireMsg, err error) {
+	t.Helper()
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: decode error %v, whole slice %v", how, err, wantErr)
+	}
+	if err == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: decoded %+v, whole slice %+v", how, got, want)
+	}
+}
+
 // FuzzWireMsgDecode feeds arbitrary bytes to the wire-message decoder.
-// The decoder must never panic; when it accepts an input, the decoded
-// message must survive a re-encode → re-decode cycle and the
-// re-encoding must be byte-stable.
+// The decoder must never panic, and chunking cannot change a decode:
+// the bytes read one at a time, in halves, and twice over on one
+// decoder give the whole slice's message or rejection (sameDecode).
+// When it accepts an input, the decoded message must survive a
+// re-encode → re-decode cycle and the re-encoding must be byte-stable.
 func FuzzWireMsgDecode(f *testing.F) {
 	testPayloads(f)
 	seed := func(m wireMsg) {
@@ -80,9 +99,34 @@ func FuzzWireMsgDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m wireMsg
-		d := NewWireDec(bytes.NewReader(data))
-		if err := decodeWireMsg(d, &m); err != nil {
-			return // rejected input; only panics are bugs here
+		rd := bytes.NewReader(data)
+		d := NewWireDec(rd)
+		err := decodeWireMsg(d, &m)
+		// How the bytes arrive cannot change the decode: a byte at a
+		// time, or half of what each read asks for, they decode to the
+		// same message or the same rejection.
+		for name, r := range map[string]io.Reader{
+			"one-byte": iotest.OneByteReader(bytes.NewReader(data)),
+			"half":     iotest.HalfReader(bytes.NewReader(data)),
+		} {
+			var mc wireMsg
+			sameDecode(t, name, m, err, mc, decodeWireMsg(NewWireDec(r), &mc))
+		}
+		// Two copies back to back on one decoder: the first decodes as
+		// the input alone did, unless that ran out of bytes (the copy
+		// then supplies them); if the frame was the whole input, the
+		// second decodes the same, through the decoder's string table.
+		if err == nil || (err != io.EOF && err != io.ErrUnexpectedEOF) {
+			d2 := NewWireDec(bytes.NewReader(append(slices.Clip(data), data...)))
+			var first wireMsg
+			sameDecode(t, "first of two", m, err, first, decodeWireMsg(d2, &first))
+			if err == nil && d.Buffered() == 0 && rd.Len() == 0 {
+				var second wireMsg
+				sameDecode(t, "second of two", m, err, second, decodeWireMsg(d2, &second))
+			}
+		}
+		if err != nil {
+			return // rejected input
 		}
 		enc1 := fuzzEncode(t, &m)
 		var m2 wireMsg

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -320,6 +321,64 @@ func TestDecodeWireMsgRejectsJunk(t *testing.T) {
 		buf.Write(tail)
 		if err := decodeWireMsg(NewWireDec(bytes.NewReader(buf.Bytes())), &m); err == nil {
 			t.Fatalf("unknown payload tag %d accepted", tail[0])
+		}
+	}
+}
+
+// wireFrameGoldens are one frame of each kind, bytes pinned like the
+// primitives' (TestCodecGoldenVectors): a call and a reply carrying
+// test payload 200, and a notification.
+func wireFrameGoldens() []struct {
+	msg wireMsg
+	hex string
+} {
+	return []struct {
+		msg wireMsg
+		hex string
+	}{
+		{wireMsg{Kind: "call", Seq: 7, From: "a", To: "b", Op: "echo", Arg: testPayloadA{Name: "x", Count: -3}},
+			"010701610162046563686fc8017805"},
+		{wireMsg{Kind: "reply", Seq: 7, Err: "boom", Arg: testPayloadA{Name: "y", Count: 9}},
+			"020704626f6f6d00c8017912"},
+		{wireMsg{Kind: "notify", From: "a", To: "b", Note: event.Notification{
+			Source: "svc", SessionID: 3, Seq: 41, RegID: 12, Coalesced: 2, Horizon: time.Unix(99, 5),
+			Event: event.Event{Name: "Modified", Source: "svc", Seq: 41,
+				Time: time.Unix(98, 0), Args: []value.Value{value.Int(1), value.Str("s")}},
+		}}, "0301610162037376630329000c0201c60105084d6f646966696564037376632901c40100020102020173"},
+	}
+}
+
+// TestWireFramesSplitAtEveryOffset: the three golden frames, back to
+// back on one stream, decode the same wherever the stream is cut in
+// two reads — inside a varint, a string, a payload, or between frames —
+// and the decoder then reports a clean end.
+func TestWireFramesSplitAtEveryOffset(t *testing.T) {
+	testPayloads(t)
+	var stream []byte
+	for _, g := range wireFrameGoldens() {
+		if got := hex.EncodeToString(fuzzEncode(t, &g.msg)); got != g.hex {
+			t.Fatalf("%s frame = %s, want %s (protocol break)", g.msg.Kind, got, g.hex)
+		}
+		b, err := hex.DecodeString(g.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, b...)
+	}
+	for cut := range len(stream) + 1 {
+		d := NewWireDec(io.MultiReader(bytes.NewReader(stream[:cut]), bytes.NewReader(stream[cut:])))
+		for _, g := range wireFrameGoldens() {
+			var m wireMsg
+			if err := decodeWireMsg(d, &m); err != nil {
+				t.Fatalf("cut at %d: %s frame: %v", cut, g.msg.Kind, err)
+			}
+			if !reflect.DeepEqual(m, g.msg) {
+				t.Fatalf("cut at %d: decoded %+v, want %+v", cut, m, g.msg)
+			}
+		}
+		var m wireMsg
+		if err := decodeWireMsg(d, &m); err != io.EOF {
+			t.Fatalf("cut at %d: after the last frame, decode = %v, want io.EOF", cut, err)
 		}
 	}
 }

@@ -326,8 +326,8 @@ func TestServedCallsOvertakeBlockedHandler(t *testing.T) {
 }
 
 // TestPendingNotesTakesNoLinkLock: the "pending_notes" figure reads each
-// link's writer without the link's lock, which a dial holds for up to
-// CallDeadline, so a scrape never waits on an unreachable peer.
+// link's writer without the link's lock, so a scrape never waits on
+// whoever holds it.
 func TestPendingNotesTakesNoLinkLock(t *testing.T) {
 	release := make(chan struct{})
 	addr, _ := fakePeer(t, func(net.Conn) { <-release })
@@ -338,7 +338,7 @@ func TestPendingNotesTakesNoLinkLock(t *testing.T) {
 	}
 	defer n.CloseRemotes()
 	rp := remoteOf(t, n, "svc")
-	rp.mu.Lock() // as connectLocked holds it through a dial
+	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	got := make(chan any, 1)
 	go func() { got <- n.Vars().Get("pending_notes").(expvar.Func).Value() }()

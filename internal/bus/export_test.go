@@ -28,3 +28,17 @@ func (t *Tree) Depth(root, self string) int {
 	}
 	return d
 }
+
+// EncodeCall and DecodeFrame frame a call and decode one frame as a
+// connection's read loop does, for the allocation pins on whole frames
+// of payloads that packages above the bus register.
+func EncodeCall(e *WireEnc, seq uint64, from, to, op string, arg any) error {
+	return encodeWireMsg(e, &wireMsg{Kind: "call", Seq: seq, From: from, To: to, Op: op, Arg: arg})
+}
+
+// DecodeFrame returns the frame's argument.
+func DecodeFrame(d *WireDec) (any, error) {
+	var m wireMsg
+	err := decodeWireMsg(d, &m)
+	return m.Arg, err
+}

@@ -2,7 +2,9 @@ package bus
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -225,4 +227,103 @@ func TestCallWithUnregisteredPayloadFailsThenReconnects(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("server executed %d calls, want only the registered one", calls)
 	}
+}
+
+// TestQueuedCallsShareOneDial: calls that find a -remote link's dial
+// under way wait for that dial and take its outcome instead of each
+// dialling in turn, which held the k-th of them k dials long on a peer
+// that never answers. Three calls on a broken link whose peer sits on
+// the hello make exactly one new connection; all three are answered
+// once the peer answers it, and when the peer hangs up instead, all
+// three fail with the one dial's error and nothing dials again.
+func TestQueuedCallsShareOneDial(t *testing.T) {
+	testPayloads(t)
+	served := NewNetwork(clock.NewVirtual(time.Unix(0, 0)))
+	if err := served.Register("svc", &testPeer{}); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := nettest()
+	if err != nil {
+		t.Skip("no loopback listener available:", err)
+	}
+	defer ln.Close()
+	// The first connection is served at once; each later one is handed
+	// to the test, its hello unanswered.
+	held := make(chan net.Conn, 8)
+	go func() {
+		for first := true; ; first = false {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if first {
+				go served.serveConn(conn)
+			} else {
+				held <- conn
+			}
+		}
+	}()
+	n, _ := newNet(t)
+	if err := n.AddRemote("svc", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	defer n.CloseRemotes()
+	rp := remoteOf(t, n, "svc")
+
+	const calls = 3
+	// queue breaks the link, starts the calls and returns the one
+	// connection they dial once all three are inside ensureConnLocked:
+	// one dialling, two waiting for it.
+	queue := func() (net.Conn, chan error) {
+		rp.mu.Lock()
+		rp.breakLocked()
+		rp.mu.Unlock()
+		errs := make(chan error, calls)
+		for i := range calls {
+			go func() {
+				_, err := n.Call("caller", "svc", "echo", testPayloadA{Name: fmt.Sprint(i)})
+				errs <- err
+			}()
+		}
+		conn := <-held
+		waitFor(t, func() bool {
+			buf := make([]byte, 1<<20)
+			return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*remotePeer).ensureConnLocked(") == calls
+		})
+		return conn, errs
+	}
+	noSecondDial := func() {
+		t.Helper()
+		select {
+		case conn := <-held:
+			conn.Close()
+			t.Fatal("a queued call dialled a connection of its own")
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+
+	conn, errs := queue()
+	noSecondDial()
+	go served.serveConn(conn)
+	for range calls {
+		if err := <-errs; err != nil {
+			t.Fatalf("a call queued behind the answered dial: %v", err)
+		}
+	}
+
+	conn, errs = queue()
+	conn.Close()
+	var first error
+	for i := range calls {
+		err := <-errs
+		if !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("call behind a failed dial = %v, want ErrUnreachable", err)
+		}
+		if i == 0 {
+			first = err
+		} else if err.Error() != first.Error() {
+			t.Fatalf("calls behind one dial failed apart: %v and %v", first, err)
+		}
+	}
+	noSecondDial()
 }

@@ -41,7 +41,8 @@ import (
 // A notification send never waits on the link (notify): it queues on
 // the live writer or counts dropped, and a -remote link redials on a
 // goroutine of its own; a call, which waits for its reply anyway,
-// dials inline.
+// dials inline, or waits for the dial already under way and takes its
+// outcome (ensureConnLocked).
 //
 // A served call runs where it cannot hold the link up: one its
 // endpoint declares never to wait (InlineEndpoint) on the connection's
@@ -55,8 +56,9 @@ import (
 // endpoint on this very Network is a function call, unbounded by
 // design: one that never returns is our own deadlock, not a slow peer.
 
-// wireBufSize is the I/O buffer size per TCP link; notification
-// messages are a few hundred bytes, so one buffer holds a large burst.
+// wireBufSize is the size of a TCP link's write buffer and of its
+// decoder's read window (WireDec); notification messages are a few
+// hundred bytes, so one buffer holds a large burst.
 const wireBufSize = 32 << 10
 
 // maxPendingNotes bounds the notifications a link's writer holds
@@ -386,6 +388,7 @@ type remotePeer struct {
 	wr        atomic.Pointer[msgWriter] // written under mu; writer() reads it without
 	closed    bool                      // CloseRemotes: no reconnection
 	nextSeq   uint64
+	dialing   *dialAttempt // the dial under way, nil if none
 	waiting   map[uint64]wireWaiter
 	reaping   bool        // a reap goroutine is watching the deadlines in waiting
 	redialing atomic.Bool // a redial goroutine is running
@@ -448,8 +451,7 @@ func (n *Network) serveConn(conn net.Conn) {
 	if _, err := conn.Write([]byte(wireHello)); err != nil {
 		return
 	}
-	br := bufio.NewReaderSize(conn, wireBufSize)
-	dec := NewWireDec(br)
+	dec := NewWireDec(conn)
 	wr := newMsgWriter(conn, &n.droppedCount)
 	defer wr.kill()
 	workers := callWorkers{net: n, wr: wr, calls: make(chan wireMsg)}
@@ -509,7 +511,7 @@ func (n *Network) serveConn(conn net.Conn) {
 			// A call that never waits is answered here, before the next
 			// read, unless more input is already buffered behind it: then
 			// the calls pipelined on this link are served side by side.
-			if br.Buffered() == 0 && n.neverWaits(msg.To, msg.Op, msg.Arg) {
+			if dec.Buffered() == 0 && n.neverWaits(msg.To, msg.Op, msg.Arg) {
 				workers.serve(msg)
 				continue
 			}
@@ -583,7 +585,7 @@ func (cw *callWorkers) work(msg wireMsg) {
 func (n *Network) AddRemote(name, addr string) error {
 	p := &remotePeer{addr: addr, home: n, waiting: make(map[uint64]wireWaiter)}
 	p.mu.Lock()
-	err := p.connectLocked()
+	err := p.ensureConnLocked()
 	p.mu.Unlock()
 	if err != nil {
 		return err
@@ -616,15 +618,14 @@ func (n *Network) CloseRemotes() {
 	}
 }
 
-// connectLocked dials the peer, exchanges hellos, and installs the
-// pipelined writer; caller holds p.mu. A peer that answers anything but
-// the hello fails the dial, and so does one that has not answered it a
-// CallDeadline from now: every call on the link waits behind p.mu.
-func (p *remotePeer) connectLocked() error {
+// dialHello dials addr and exchanges hellos. A peer that answers
+// anything but the hello fails the dial, and so does one that has not
+// answered it a CallDeadline from now.
+func dialHello(addr string) (net.Conn, error) {
 	by := clock.Real().Now().Add(CallDeadline)
-	conn, err := (&net.Dialer{Deadline: by}).Dial("tcp", p.addr)
+	conn, err := (&net.Dialer{Deadline: by}).Dial("tcp", addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Setting a deadline fails only on a closed socket, as the hello
 	// then does.
@@ -634,26 +635,64 @@ func (p *remotePeer) connectLocked() error {
 	}
 	if err != nil {
 		_ = conn.Close()
-		return err
+		return nil, err
 	}
 	_ = conn.SetDeadline(time.Time{})
-	p.conn = conn
-	p.wr.Store(newMsgWriter(conn, &p.home.droppedCount))
-	go p.readLoop(conn, NewWireDec(bufio.NewReaderSize(conn, wireBufSize)), p.wr.Load())
-	return nil
+	return conn, nil
 }
 
-// ensureConnLocked reconnects a link marked broken by an earlier wire
-// failure; caller holds p.mu. A call runs it inline; a notification
-// send only through redial.
+// errLinkClosed refuses a dial on a link CloseRemotes shut.
+var errLinkClosed = errors.New("bus: link closed")
+
+// dialAttempt is one dial under way on a link: done closes once it has
+// installed its connection or failed with err.
+type dialAttempt struct {
+	done chan struct{}
+	err  error
+}
+
+// ensureConnLocked gives a link without a connection one; caller holds
+// p.mu, which is released for the dial and held again on return. One
+// dial runs at a time, outside p.mu: a caller that finds one under way
+// waits for it and takes its outcome, error included, so the calls
+// queued on a dead peer wait out one dial, not one each. A call runs it
+// inline; a notification send only through redial.
 func (p *remotePeer) ensureConnLocked() error {
-	if p.conn != nil {
-		return nil
+	for p.conn == nil {
+		if p.closed {
+			return errLinkClosed
+		}
+		if a := p.dialing; a != nil {
+			p.mu.Unlock()
+			<-a.done
+			p.mu.Lock()
+			if a.err != nil {
+				return a.err
+			}
+			continue
+		}
+		a := &dialAttempt{done: make(chan struct{})}
+		p.dialing = a
+		p.mu.Unlock()
+		conn, err := dialHello(p.addr)
+		p.mu.Lock()
+		p.dialing = nil
+		if err == nil && p.closed {
+			_ = conn.Close()
+			err = errLinkClosed
+		}
+		if err == nil {
+			p.conn = conn
+			p.wr.Store(newMsgWriter(conn, &p.home.droppedCount))
+			go p.readLoop(conn, NewWireDec(conn), p.wr.Load())
+		}
+		a.err = err
+		close(a.done)
+		if err != nil {
+			return err
+		}
 	}
-	if p.closed {
-		return fmt.Errorf("bus: link closed")
-	}
-	return p.connectLocked()
+	return nil
 }
 
 // breakLocked tears the connection down after a wire error so the next
@@ -850,7 +889,7 @@ func (p *remotePeer) startCall(from, to, op string, arg any) (chan wireMsg, erro
 	return ch, nil
 }
 
-// writer takes no p.mu, which a dial holds for up to CallDeadline.
+// writer takes no p.mu: a send never waits on the link.
 func (p *remotePeer) writer() *msgWriter { return p.wr.Load() }
 
 // redial reconnects a link a notification send found without a live

@@ -2,7 +2,6 @@ package credrec
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -69,19 +68,18 @@ func appendRecord(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// journalReader decodes framed records off a stream.
+// journalReader decodes framed records off a stream; each record's
+// payload is decoded in place (WireDec.ResetBytes), so no byte of one
+// record is left buffered for the next.
 type journalReader struct {
 	br  *bufio.Reader
-	pay bytes.Reader
-	dec *bus.WireDec
+	dec bus.WireDec
 	buf []byte
 	off int64 // stream offset just past the last good record
 }
 
 func newJournalReader(r io.Reader) *journalReader {
-	jr := &journalReader{br: bufio.NewReader(r)}
-	jr.dec = bus.NewWireDec(&jr.pay)
-	return jr
+	return &journalReader{br: bufio.NewReader(r)}
 }
 
 // errTorn is the internal marker for an incomplete record at
@@ -147,8 +145,8 @@ func uvarintLen(x uint64) int {
 
 // apply decodes one record payload and applies it to st.
 func (jr *journalReader) apply(st *Store, payload []byte) error {
-	jr.pay.Reset(payload)
-	d := jr.dec
+	d := &jr.dec
+	d.ResetBytes(payload)
 	op, err := d.Byte()
 	if err != nil {
 		return err
@@ -272,8 +270,8 @@ func (jr *journalReader) apply(st *Store, payload []byte) error {
 	default:
 		return fmt.Errorf("unknown opcode %d", op)
 	}
-	if jr.pay.Len() != 0 {
-		return fmt.Errorf("%d trailing bytes after operands", jr.pay.Len())
+	if d.Buffered() != 0 {
+		return fmt.Errorf("%d trailing bytes after operands", d.Buffered())
 	}
 	return nil
 }

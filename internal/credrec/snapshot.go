@@ -138,8 +138,8 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrSnapshotCorrupt)
 	}
 
-	pr := bytes.NewReader(payload)
-	d := bus.NewWireDec(pr)
+	d := new(bus.WireDec)
+	d.ResetBytes(payload)
 	st := NewStore()
 	bad := func(what string, err error) error {
 		return fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, what, err)
@@ -264,8 +264,8 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 			}
 		}
 	}
-	if pr.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, pr.Len())
+	if d.Buffered() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, d.Buffered())
 	}
 	return st, nil
 }

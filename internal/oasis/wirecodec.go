@@ -254,34 +254,72 @@ func encodeRMC(e *bus.WireEnc, c *cert.RMC) {
 }
 
 // rmcBlock is a decoded certificate with room beside it for its
-// arguments and signature, so that one with at most four arguments and
-// a signature of at most 32 bytes (HMACSigner's longest) is one
-// allocation, not three; a longer one still decodes, its overflow
-// allocated apart.
-type rmcBlock struct {
+// arguments, an array A of them, and a signature of up to 32 bytes
+// (HMACSigner's longest), so that it is one allocation, not three.
+// decodeRMC reads the argument count first and picks the block that
+// holds exactly that many, so a two-argument certificate takes 352
+// bytes. A longer signature, or more than four arguments, still
+// decodes, the overflow allocated apart.
+type rmcBlock[A any] struct {
 	c    cert.RMC
-	args [4]value.Value
+	args A
 	sig  [32]byte
 }
 
+// newRMC allocates one block; room slices its argument array.
+func newRMC[A any](room func(*A) []value.Value) (*cert.RMC, []value.Value, []byte) {
+	b := new(rmcBlock[A])
+	return &b.c, room(&b.args), b.sig[:0]
+}
+
+// rmcFor returns a certificate with room for n arguments and its
+// signature, both empty slices of the block.
+func rmcFor(n int) (*cert.RMC, []value.Value, []byte) {
+	switch n {
+	case 0:
+		return newRMC(func(*[0]value.Value) []value.Value { return nil })
+	case 1:
+		return newRMC(func(a *[1]value.Value) []value.Value { return a[:0] })
+	case 2:
+		return newRMC(func(a *[2]value.Value) []value.Value { return a[:0] })
+	case 3:
+		return newRMC(func(a *[3]value.Value) []value.Value { return a[:0] })
+	case 4:
+		return newRMC(func(a *[4]value.Value) []value.Value { return a[:0] })
+	}
+	c, _, sig := rmcFor(0)
+	return c, make([]value.Value, 0, n), sig
+}
+
 func decodeRMC(d *bus.WireDec) (*cert.RMC, error) {
-	b := new(rmcBlock)
-	c := &b.c
-	var err error
-	if c.Service, err = d.String(); err != nil {
+	service, err := d.String()
+	if err != nil {
 		return nil, err
 	}
-	if c.Rolefile, err = d.String(); err != nil {
+	rolefile, err := d.String()
+	if err != nil {
 		return nil, err
 	}
 	roles, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	c.Roles = cert.RoleSet(roles)
-	if c.Args, err = d.AppendValues(b.args[:0]); err != nil {
+	n, err := d.Count()
+	if err != nil {
 		return nil, err
 	}
+	c, args, sig := rmcFor(n)
+	c.Service, c.Rolefile, c.Roles = service, rolefile, cert.RoleSet(roles)
+	for range n {
+		v, err := d.Value()
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, v)
+	}
+	// The argument slice is exactly full, so an append cannot write
+	// into the block.
+	c.Args = args
 	if c.Client, err = decodeClientID(d); err != nil {
 		return nil, err
 	}
@@ -293,15 +331,11 @@ func decodeRMC(d *bus.WireDec) (*cert.RMC, error) {
 	if c.Expiry, err = d.Time(); err != nil {
 		return nil, err
 	}
-	if c.Sig, err = d.AppendBytes(b.sig[:0]); err != nil {
+	if c.Sig, err = d.AppendBytes(sig); err != nil {
 		return nil, err
 	}
-	// An empty field decodes to nil, and a full one keeps no spare
+	// An empty signature decodes to nil, and a full one keeps no spare
 	// capacity in the block for an append to write into.
-	c.Args = slices.Clip(c.Args)
-	if len(c.Args) == 0 {
-		c.Args = nil
-	}
 	c.Sig = slices.Clip(c.Sig)
 	if len(c.Sig) == 0 {
 		c.Sig = nil
