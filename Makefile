@@ -21,7 +21,7 @@ help:
 	@echo "test-shard  sharding suites: the record model over the sharded store at 1,2,4,8 shards, in memory and journaled, plus the sharded-store/placement/cluster suites and the bus tree only bench/ builds"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark harness, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, two http.Servers (the gateway loop's fallback, oasisd's admin port) and no http.DefaultServeMux, one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), no consistent-hash ring placing records (a leaf goes by a hash of the allocation count), no claim half of the shard ring (no ring join, backlog claim, treeforward op or -shard-ring flag), one counter registry (Service.Vars: no AuditSnapshot, striped call counters, Network.Dropped, Engine.Recovered or gateway test probes), no -http-pressure flag or shed wiring in oasisd (a notification send never waits, so no backlog fills), no bufio.Reader in internal/bus (a connection's one read buffer is its decoder's window), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark harness, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, two http.Servers (the gateway loop's fallback, oasisd's admin port) and no http.DefaultServeMux, one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), no consistent-hash ring placing records (a leaf goes by a hash of the allocation count), no claim half of the shard ring (no ring join, backlog claim, treeforward op or -shard-ring flag), one counter registry (Service.Vars: no AuditSnapshot, striped call counters, Network.Dropped, Engine.Recovered or gateway test probes), no -http-pressure flag or shed wiring in oasisd (a notification send never waits, so no backlog fills), no bufio.Reader in internal/bus (a connection's one read buffer is its decoder's window), one op table per endpoint (no InlineEndpoint, generic serve adapter or NeverWaits over an any), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -86,14 +86,18 @@ test-shard:
 # start more than one redial; fills a stalled link's queue to its
 # bound, which must kill the writer before its write deadline; and
 # queues three calls behind one dial on a broken link, which must all
-# take that dial's outcome and dial nothing of their own.
+# take that dial's outcome and dial nothing of their own; and holds a
+# served connection's reply behind a flusher stuck in a socket write
+# while the next validate is read, and a call on a worker while the
+# read loop decodes and answers the next, neither of which may find
+# its block reused.
 # internal/fault is not listed: `chaos` runs that whole package under
 # the detector.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
 		./internal/gateway/... ./cmd/rdlcheck/...
-	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade|LoopMatchesNetHTTP|RevocationLeavesBeforeItReturns|BufferedCallGoesToWorker|PipelinedInlineCallersAllAnswered|InlineValidateCallsNobody|HeartbeatWaitsBehindEvent|RecorderModelBesideSweep|ObserverHeardWhenMutationReturns|FinalBridgeOutlivesSweep|StalledWatcherHoldsNoSignaller|NotifySendNeverDials|NoteQueueBoundKillsWriter|QueuedCallsShareOneDial' \
+	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade|LoopMatchesNetHTTP|RevocationLeavesBeforeItReturns|BufferedCallGoesToWorker|PipelinedInlineCallersAllAnswered|InlineValidateCallsNobody|HeartbeatWaitsBehindEvent|RecorderModelBesideSweep|ObserverHeardWhenMutationReturns|FinalBridgeOutlivesSweep|StalledWatcherHoldsNoSignaller|NotifySendNeverDials|NoteQueueBoundKillsWriter|QueuedCallsShareOneDial|QueuedReplyKeepsItsBlock|WorkerCallOwnsItsArgument' \
 		./internal/gateway/ ./internal/oasis/ ./internal/cert/ ./internal/bus/ ./internal/event/ ./internal/credrec/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the
@@ -207,7 +211,10 @@ vet:
 # themselves on import.
 # A peer connection has one read buffer, its decoder's own window
 # (bus.WireDec): no bufio.Reader in internal/bus stacks a second one
-# under it.
+# under it. An endpoint serves its calls from one op table (bus.Op
+# rows): no optional interface beside it declares which calls never
+# wait, no generic adapter asserts a handler's argument out of `any`,
+# and no never-waits predicate takes one.
 # Every tracked .go file is gofmt-clean.
 # The closing loops hold the documents to the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
 # DESIGN.md's experiment index, README.md or docs/*.md must be a func in
@@ -241,6 +248,7 @@ lint: reach
 	! grep -rn 'VerifyCache' --include='*.go' --exclude='*_test.go' internal/oasis internal/gateway cmd/oasisd
 	! grep -rn 'runtime\.GOMAXPROCS(' --include='*.go' --exclude='*_test.go' internal/
 	! grep -rn 'bufio\.NewReader' --include='*.go' --exclude='*_test.go' internal/bus
+	! grep -rnE 'InlineEndpoint|func serve\[|NeverWaits\(op string, arg any\)' --include='*.go' --exclude='*_test.go' internal/ cmd/
 	! grep -rln 'http\.Server{' --include='*.go' --exclude='*_test.go' internal/ cmd/ *.go \
 		| grep -vxE 'internal/gateway/server.go|cmd/oasisd/main.go'
 	! grep -rnE 'http\.DefaultServeMux|http\.Handle\(|http\.HandleFunc\(' --include='*.go' --exclude='*_test.go' internal/ cmd/

@@ -140,7 +140,7 @@ func TestAdminPort(t *testing.T) {
 		if vars["issued"] != 1.0 || vars["validated"] != 1.0 {
 			t.Errorf("run %d: issued %v, validated %v; want 1 and 1", i, vars["issued"], vars["validated"])
 		}
-		for _, k := range []string{"bus", "store", "gateway", "sources", "duty", "gomaxprocs", "fraud", "held_verified"} {
+		for _, k := range []string{"bus", "store", "gateway", "sources", "duty", "revocable", "gomaxprocs", "fraud", "held_verified"} {
 			if _, ok := vars[k]; !ok {
 				t.Errorf("run %d: the service's vars have no %q", i, k)
 			}

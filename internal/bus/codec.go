@@ -21,7 +21,7 @@ import (
 // with no reflection and no type names on the wire.
 //
 // Payload types — the `any` argument/reply values carried by calls —
-// are registered by the owning packages through RegisterWirePayload
+// are registered by the owning packages through RegisterPayload
 // (oasis.RegisterWireTypes does this for the inter-service protocol);
 // a payload with no registered codec is an encode error.
 //
@@ -206,6 +206,9 @@ type WireDec struct {
 	// names shares short strings: the service names, operations, role
 	// files, types and hosts a frame repeats cost no allocation (intern).
 	names [internSlots]string
+	// room is what a served connection lends the payload decoder it is
+	// running (Room); nil on every other decoder.
+	room *any
 }
 
 // A decoder's string table: a short string goes to the slot its length
@@ -230,6 +233,14 @@ func NewWireDec(r io.Reader) *WireDec { return &WireDec{r: r} }
 // no reader behind it: nothing of an earlier input stays buffered. b
 // must not change while it is decoded; nothing decoded aliases it.
 func (d *WireDec) ResetBytes(b []byte) { d.r, d.buf, d.off = nil, b, 0 }
+
+// Room returns the room a served connection's decoder lends the payload
+// decoder it runs: a slot whose value the decoder may set and, on the
+// connection's next call, find again — memory a decoded argument may
+// live in, reused only once the call it served has been answered (Op).
+// On every other decoder it is nil, and a payload decodes to values it
+// owns alone.
+func (d *WireDec) Room() *any { return d.room }
 
 // Buffered reports the bytes read and not yet decoded.
 func (d *WireDec) Buffered() int { return len(d.buf) - d.off }
@@ -611,10 +622,39 @@ const (
 )
 
 type wirePayload struct {
-	tag byte
-	typ reflect.Type
-	enc func(*WireEnc, any) error
-	dec func(*WireDec) (any, error)
+	tag   byte
+	typ   reflect.Type
+	codec boxedCodec // a *payloadCodec[T]
+}
+
+// payloadCodec is a payload's codec, typed: what a served call's block
+// (Op) decodes its argument with and encodes its reply with, nothing
+// boxed. Its boxed methods serve the `any` position of everything else.
+type payloadCodec[T any] struct {
+	enc func(*WireEnc, T)
+	dec func(*WireDec) (T, error)
+}
+
+type boxedCodec interface {
+	encodeBoxed(e *WireEnc, v any) error
+	decodeBoxed(d *WireDec) (any, error)
+}
+
+func (c *payloadCodec[T]) encodeBoxed(e *WireEnc, v any) error {
+	t, ok := v.(T)
+	if !ok {
+		return fmt.Errorf("bus: wire payload %T is not %T", v, t)
+	}
+	c.enc(e, t)
+	return nil
+}
+
+func (c *payloadCodec[T]) decodeBoxed(d *WireDec) (any, error) {
+	t, err := c.dec(d)
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // The registry is copy-on-write: registration happens once at process
@@ -625,21 +665,23 @@ var wirePayloads struct {
 	byTag  atomic.Pointer[[256]*wirePayload]
 }
 
-// RegisterWirePayload registers a binary codec for one concrete payload
-// type carried in the `any` argument/reply position of bus calls. The
-// tag is a wire-protocol constant: both ends of a link must agree on
-// it, so owning packages allocate tags like protocol numbers (see
-// oasis.RegisterWireTypes). Tags 0 and 255 are reserved. Registering a
-// duplicate tag or type panics — it is a programming error, caught at
-// process start.
-func RegisterWirePayload(tag byte, prototype any, enc func(*WireEnc, any) error, dec func(*WireDec) (any, error)) {
+// RegisterPayload registers the binary codec of one concrete payload
+// type T, carried in the `any` argument/reply position of bus calls and
+// in the typed rows of op tables (Op). The tag is a wire-protocol
+// constant: both ends of a link must agree on it, so owning packages
+// allocate tags like protocol numbers (see oasis.RegisterWireTypes).
+// Tags 0 and 255 are reserved. Registering a duplicate tag or type
+// panics — it is a programming error, caught at process start. A
+// decoder's error discards whatever it had decoded.
+func RegisterPayload[T any](tag byte, enc func(*WireEnc, T), dec func(*WireDec) (T, error)) {
 	if tag == payloadTagNil || tag == payloadTagReserved {
 		panic(fmt.Sprintf("bus: wire payload tag %d is reserved", tag))
 	}
-	typ := reflect.TypeOf(prototype)
+	typ := reflect.TypeOf(*new(T))
 	if typ == nil {
 		panic("bus: cannot register the nil payload")
 	}
+	p := &wirePayload{tag: tag, typ: typ, codec: &payloadCodec[T]{enc, dec}}
 	wirePayloads.mu.Lock()
 	defer wirePayloads.mu.Unlock()
 	var byTag [256]*wirePayload
@@ -658,11 +700,22 @@ func RegisterWirePayload(tag byte, prototype any, enc func(*WireEnc, any) error,
 	if _, dup := byType[typ]; dup {
 		panic(fmt.Sprintf("bus: wire payload type %v registered twice", typ))
 	}
-	p := &wirePayload{tag: tag, typ: typ, enc: enc, dec: dec}
 	byTag[tag] = p
 	byType[typ] = p
 	wirePayloads.byTag.Store(&byTag)
 	wirePayloads.byType.Store(&byType)
+}
+
+// codecFor returns the typed codec registered at tag, which must be
+// T's: a row naming a tag of another type is a programming error.
+func codecFor[T any](tag byte) (*payloadCodec[T], error) {
+	if m := wirePayloads.byTag.Load(); m != nil && m[tag] != nil {
+		if c, ok := m[tag].codec.(*payloadCodec[T]); ok {
+			return c, nil
+		}
+		return nil, fmt.Errorf("bus: wire payload tag %d is %v, not %T", tag, m[tag].typ, *new(T))
+	}
+	return nil, fmt.Errorf("bus: unknown wire payload tag %d", tag)
 }
 
 // EncodePayload writes one `any` payload: a nil tag or a registered
@@ -675,7 +728,7 @@ func EncodePayload(e *WireEnc, v any) error {
 	if m := wirePayloads.byType.Load(); m != nil {
 		if p := (*m)[reflect.TypeOf(v)]; p != nil {
 			e.PutByte(p.tag)
-			return p.enc(e, v)
+			return p.codec.encodeBoxed(e, v)
 		}
 	}
 	return fmt.Errorf("bus: no wire payload registered for %T", v)
@@ -687,12 +740,17 @@ func DecodePayload(d *WireDec) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodePayloadBody(d, tag)
+}
+
+// decodePayloadBody reads the payload its tag, already read, announces.
+func decodePayloadBody(d *WireDec, tag byte) (any, error) {
 	if tag == payloadTagNil {
 		return nil, nil
 	}
 	if m := wirePayloads.byTag.Load(); m != nil {
 		if p := m[tag]; p != nil {
-			return p.dec(d)
+			return p.codec.decodeBoxed(d)
 		}
 	}
 	return nil, fmt.Errorf("bus: unknown wire payload tag %d", tag)
@@ -708,7 +766,8 @@ const (
 )
 
 // encodeWireMsg writes one message frame. Frames carry only the fields
-// their kind uses, so a notify costs no empty Op/Err/Seq bytes.
+// their kind uses, so a notify costs no empty Op/Err/Seq bytes. A reply
+// to a call served from an op table encodes from the call's block.
 func encodeWireMsg(e *WireEnc, m *wireMsg) error {
 	switch m.Kind {
 	case "call":
@@ -723,6 +782,9 @@ func encodeWireMsg(e *WireEnc, m *wireMsg) error {
 		e.PutUvarint(m.Seq)
 		e.PutString(m.Err)
 		e.PutBool(m.IsNil)
+		if m.call != nil {
+			return m.call.encodeReply(e)
+		}
 		return EncodePayload(e, m.Arg)
 	case "notify":
 		e.PutByte(wireKindNotify)
@@ -735,8 +797,20 @@ func encodeWireMsg(e *WireEnc, m *wireMsg) error {
 	}
 }
 
-// decodeWireMsg reads one message frame into m.
+// decodeWireMsg reads one message frame into m, its payload an owned
+// value in m.Arg.
 func decodeWireMsg(d *WireDec, m *wireMsg) error {
+	if err := decodeWireHead(d, m); err != nil || m.Kind == "notify" {
+		return err
+	}
+	var err error
+	m.Arg, err = DecodePayload(d)
+	return err
+}
+
+// decodeWireHead reads one message frame into m up to its payload: the
+// whole of a notify, the rest of a call or a reply but the payload.
+func decodeWireHead(d *WireDec, m *wireMsg) error {
 	kind, err := d.Byte()
 	if err != nil {
 		return err
@@ -754,10 +828,7 @@ func decodeWireMsg(d *WireDec, m *wireMsg) error {
 		if m.To, err = d.String(); err != nil {
 			return err
 		}
-		if m.Op, err = d.String(); err != nil {
-			return err
-		}
-		m.Arg, err = DecodePayload(d)
+		m.Op, err = d.String()
 		return err
 	case wireKindReply:
 		m.Kind = "reply"
@@ -767,10 +838,7 @@ func decodeWireMsg(d *WireDec, m *wireMsg) error {
 		if m.Err, err = d.String(); err != nil {
 			return err
 		}
-		if m.IsNil, err = d.Bool(); err != nil {
-			return err
-		}
-		m.Arg, err = DecodePayload(d)
+		m.IsNil, err = d.Bool()
 		return err
 	case wireKindNotify:
 		m.Kind = "notify"

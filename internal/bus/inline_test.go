@@ -24,25 +24,42 @@ type inlinePeer struct {
 
 	mu     sync.Mutex
 	onLoop map[string]bool
+	ops    Ops
 }
 
-func (p *inlinePeer) NeverWaits(op string, arg any) bool { return op == "echo" || op == "hold" }
+func (p *inlinePeer) Ops() Ops { return p.ops }
 
-func (p *inlinePeer) Call(from, op string, arg any) (any, error) {
+func (p *inlinePeer) table() Ops {
+	declared := func(testPayloadA) bool { return true }
+	return Ops{
+		&Op[testPayloadA, testPayloadA]{Name: "echo", ArgTag: 200, ReplyTag: 200, NeverWaits: declared,
+			Serve: func(from string, a, _ testPayloadA) (testPayloadA, error) {
+				p.record("echo")
+				p.echoOnce.Do(func() { close(p.echoed) })
+				return a, nil
+			}},
+		&Op[testPayloadA, testPayloadA]{Name: "hold", ArgTag: 200, ReplyTag: 200, NeverWaits: declared,
+			Serve: func(from string, a, _ testPayloadA) (testPayloadA, error) {
+				p.record("hold")
+				<-p.echoed
+				return a, nil
+			}},
+	}
+}
+
+func (p *inlinePeer) Call(from, op string, arg any) (any, error) { return p.Ops().Call(from, op, arg) }
+
+// record notes whether the handler of op runs on the read loop.
+func (p *inlinePeer) record(op string) {
 	stack := make([]byte, 4096)
 	stack = stack[:runtime.Stack(stack, false)]
 	p.mu.Lock()
-	p.onLoop[op] = !bytes.Contains(stack, []byte("(*callWorkers).work("))
+	p.onLoop[op] = onLoop(stack)
 	p.mu.Unlock()
-	switch op {
-	case "hold":
-		<-p.echoed
-		return arg, nil
-	case "echo":
-		p.echoOnce.Do(func() { close(p.echoed) })
-	}
-	return p.testPeer.Call(from, op, arg)
 }
+
+// onLoop reports whether a handler's stack is the read loop's.
+func onLoop(stack []byte) bool { return !bytes.Contains(stack, []byte("(*callWorkers).work(")) }
 
 func (p *inlinePeer) ranOnLoop(op string) bool {
 	p.mu.Lock()
@@ -56,6 +73,7 @@ func serveInline(t *testing.T) (*inlinePeer, string) {
 	testPayloads(t)
 	served := NewNetwork(clock.NewVirtual(time.Unix(0, 0)))
 	peer := &inlinePeer{echoed: make(chan struct{}), onLoop: make(map[string]bool)}
+	peer.ops = peer.table()
 	if err := served.Register("svc", peer); err != nil {
 		t.Fatal(err)
 	}
@@ -153,5 +171,95 @@ func TestPipelinedInlineCallersAllAnswered(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// ownerPeer serves "check" on the read loop when it can. The call of
+// the first argument it sees waits until a later call has been served,
+// and then answers with what its argument holds.
+type ownerPeer struct {
+	testPeer
+	first     string
+	later     chan struct{}
+	laterOnce sync.Once
+	ops       Ops
+}
+
+func (p *ownerPeer) Ops() Ops { return p.ops }
+
+func (p *ownerPeer) table() Ops {
+	return Ops{&Op[testRoomy, testPayloadA]{Name: "check", ArgTag: 202, ReplyTag: 200,
+		NeverWaits: func(testRoomy) bool { return true },
+		Serve: func(_ string, a testRoomy, _ testPayloadA) (testPayloadA, error) {
+			if a.P.Name == p.first {
+				<-p.later
+			} else {
+				p.laterOnce.Do(func() { close(p.later) })
+			}
+			return *a.P, nil
+		}}}
+}
+
+func (p *ownerPeer) Call(from, op string, arg any) (any, error) { return p.Ops().Call(from, op, arg) }
+
+// TestWorkerCallOwnsItsArgument: a call handed to a worker takes its
+// block with it. Two calls of one op written in one segment: the first,
+// with the second buffered behind it, goes to a worker and waits there
+// until the second, decoded and answered on the read loop, is done;
+// only then does it read its argument, which must still be its own.
+func TestWorkerCallOwnsItsArgument(t *testing.T) {
+	testPayloads(t)
+	served := NewNetwork(clock.NewVirtual(time.Unix(0, 0)))
+	peer := &ownerPeer{first: "first", later: make(chan struct{})}
+	peer.ops = peer.table()
+	if err := served.Register("svc", peer); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := nettest()
+	if err != nil {
+		t.Skip("no loopback listener available:", err)
+	}
+	serving := make(chan struct{})
+	go func() { defer close(serving); _ = served.ServeTCP(ln) }()
+	defer func() { ln.Close(); <-serving }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(wireHello)); err != nil {
+		t.Fatal(err)
+	}
+	if err := readHello(conn); err != nil {
+		t.Fatal(err)
+	}
+	var frames bytes.Buffer
+	enc := NewWireEnc(&frames)
+	for i, name := range []string{"first", "second"} {
+		msg := wireMsg{Kind: "call", Seq: uint64(i + 1), From: "caller", To: "svc", Op: "check", Arg: testRoomy{&testPayloadA{Name: name, Count: int64(i)}}}
+		if err := encodeWireMsg(enc, &msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frames.Bytes()); err != nil { // one write, so one segment
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	dec := NewWireDec(conn)
+	for range 2 {
+		var reply wireMsg
+		if err := decodeWireMsg(dec, &reply); err != nil {
+			t.Fatal(err)
+		}
+		want := testPayloadA{Name: "first"}
+		if reply.Seq == 2 {
+			want = testPayloadA{Name: "second", Count: 1}
+		}
+		if reply.Err != "" || reply.Arg != want {
+			t.Errorf("reply %d: %+v, want %+v", reply.Seq, reply, want)
+		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 // sequence-numbered replies) and asynchronous notifications over one
 // persistent connection per remote peer link, framed by the binary
 // codec (codec.go) after a one-line hello. Call payloads must be
-// registered by the owning packages through RegisterWirePayload (see
+// registered by the owning packages through RegisterPayload (see
 // oasis.RegisterWireTypes).
 //
 // Outbound traffic goes through a per-connection msgWriter. It is
@@ -45,10 +45,12 @@ import (
 // outcome (ensureConnLocked).
 //
 // A served call runs where it cannot hold the link up: one its
-// endpoint declares never to wait (InlineEndpoint) on the connection's
-// read loop, which flushes the reply before it reads again, unless
-// more input is already buffered behind it; every other on a parked
-// worker (callWorkers).
+// endpoint's op table declares never to wait (Op.NeverWaits) on the
+// connection's read loop, which flushes the reply before it reads
+// again, unless more input is already buffered behind it; every other
+// on a parked worker (callWorkers). A call to a row of an op table
+// decodes into a block the connection keeps and answers from it (Op
+// states the rule for when the block is reused).
 //
 // Every wait on the far side is bounded here (a call's reply by reap,
 // a socket write by the writer's deadline, dial and hello together), so
@@ -92,6 +94,9 @@ type wireMsg struct {
 	Err   string
 	Note  event.Notification
 	IsNil bool // reply payload was nil
+	// call is a served call's block (Op): a call's decoded argument, and
+	// the reply a reply to it encodes; nil with the payload in Arg.
+	call servedCall
 }
 
 // ---- connect-time hello ----
@@ -175,17 +180,18 @@ func newMsgWriter(conn net.Conn, dropped *expvar.Int) *msgWriter {
 	return &msgWriter{conn: conn, enc: NewWireEnc(bufio.NewWriterSize(conn, wireBufSize)), dropped: dropped, bound: CallDeadline, maxNotes: maxPendingNotes}
 }
 
-// enqueue accepts one call or reply for the wire. The only error is
+// enqueue accepts one call or reply for the wire, and reports whether
+// it was encoded before enqueue returned: the writer was idle, so the
+// caller flushed it (flushIfIdleLocked). The only error is
 // errWriterDead: nothing was accepted (safe to retry).
-func (wr *msgWriter) enqueue(msg wireMsg) error {
+func (wr *msgWriter) enqueue(msg wireMsg) (encoded bool, err error) {
 	wr.mu.Lock()
 	if wr.dead {
 		wr.mu.Unlock()
-		return errWriterDead
+		return false, errWriterDead
 	}
 	wr.q = append(wr.q, msg)
-	wr.flushIfIdleLocked()
-	return nil
+	return wr.flushIfIdleLocked(), nil
 }
 
 // enqueueNotes accepts a notification burst for the wire, building the
@@ -223,11 +229,14 @@ func (wr *msgWriter) enqueueNotes(from, to string, notes []event.Notification) e
 }
 
 // flushIfIdleLocked releases wr.mu, which the caller holds with its
-// messages queued, and flushes unless a flusher is already running.
-func (wr *msgWriter) flushIfIdleLocked() {
+// messages queued, and flushes unless a flusher is already running. It
+// reports whether the caller flushed: then the batch it drained held
+// its messages, and they have been encoded — or the writer died, and
+// never will be.
+func (wr *msgWriter) flushIfIdleLocked() bool {
 	if wr.flushing {
 		wr.mu.Unlock()
-		return
+		return false
 	}
 	wr.flushing = true
 	wr.mu.Unlock()
@@ -238,6 +247,7 @@ func (wr *msgWriter) flushIfIdleLocked() {
 	if wr.flushBatch() {
 		go wr.flushLoop()
 	}
+	return true
 }
 
 // dieLocked kills the writer; caller holds wr.mu. pendingNotes —
@@ -451,7 +461,7 @@ func (n *Network) serveConn(conn net.Conn) {
 	if _, err := conn.Write([]byte(wireHello)); err != nil {
 		return
 	}
-	dec := NewWireDec(conn)
+	frames := servedFrames{net: n, dec: NewWireDec(conn)}
 	wr := newMsgWriter(conn, &n.droppedCount)
 	defer wr.kill()
 	workers := callWorkers{net: n, wr: wr, calls: make(chan wireMsg)}
@@ -473,7 +483,7 @@ func (n *Network) serveConn(conn net.Conn) {
 	var settled string
 	for {
 		var msg wireMsg
-		if err := decodeWireMsg(dec, &msg); err != nil {
+		if err := frames.next(&msg); err != nil {
 			return
 		}
 		// The caller is reachable for notifications over this very
@@ -511,8 +521,14 @@ func (n *Network) serveConn(conn net.Conn) {
 			// A call that never waits is answered here, before the next
 			// read, unless more input is already buffered behind it: then
 			// the calls pipelined on this link are served side by side.
-			if dec.Buffered() == 0 && n.neverWaits(msg.To, msg.Op, msg.Arg) {
-				workers.serve(msg)
+			// Its block is the connection's again once this loop has
+			// encoded the reply; otherwise the block, like a worker's,
+			// stays with the message.
+			c := msg.call
+			if c != nil && frames.dec.Buffered() == 0 && c.neverWaits() {
+				if workers.serve(msg) {
+					frames.keep(c)
+				}
 				continue
 			}
 			select {
@@ -524,15 +540,6 @@ func (n *Network) serveConn(conn net.Conn) {
 			n.Send(msg.From, msg.To, msg.Note)
 		}
 	}
-}
-
-// neverWaits reports whether a call may run on the read loop: its
-// destination is an endpoint on this network that declares the call
-// (InlineEndpoint). A name routed onward over another link never is.
-func (n *Network) neverWaits(to, op string, arg any) bool {
-	ep, _ := n.route(to)
-	inline, ok := ep.(InlineEndpoint)
-	return ok && inline.NeverWaits(op, arg)
 }
 
 // maxParkedWorkers bounds the call workers a served connection keeps
@@ -555,16 +562,32 @@ type callWorkers struct {
 }
 
 // serve answers one call and hands the reply to the writer, which
-// flushes it at once if no flush is under way.
-func (cw *callWorkers) serve(msg wireMsg) {
-	res, err := cw.net.Call(msg.From, msg.To, msg.Op, msg.Arg)
-	reply := wireMsg{Kind: "reply", Seq: msg.Seq, Arg: res, IsNil: res == nil}
+// flushes it at once if no flush is under way. It reports whether the
+// reply will never be encoded after serve returns — encoded already, or
+// refused by a dead writer — so that nothing reads the call's block
+// any more.
+func (cw *callWorkers) serve(msg wireMsg) bool {
+	reply := wireMsg{Kind: "reply", Seq: msg.Seq}
+	var err error
+	switch c := msg.call; {
+	case c == nil:
+		var res any
+		res, err = cw.net.Call(msg.From, msg.To, msg.Op, msg.Arg)
+		reply.Arg, reply.IsNil = res, res == nil
+	case cw.net.linkSevered(msg.From, msg.To):
+		err = fmt.Errorf("%w: %s -> %s", ErrUnreachable, msg.From, msg.To)
+		reply.IsNil = true
+	default:
+		err = c.serve(msg.From)
+		reply.call = c
+	}
 	if err != nil {
 		reply.Err = err.Error()
 	}
 	// A dead writer means the connection is going; the caller learns
 	// of it from its own read loop.
-	_ = cw.wr.enqueue(reply)
+	encoded, err := cw.wr.enqueue(reply)
+	return encoded || err != nil
 }
 
 func (cw *callWorkers) work(msg wireMsg) {
@@ -877,7 +900,7 @@ func (p *remotePeer) startCall(from, to, op string, arg any) (chan wireMsg, erro
 	}
 	p.mu.Unlock()
 
-	if err := wr.enqueue(wireMsg{Kind: "call", Seq: seq, From: from, To: to, Op: op, Arg: arg}); err != nil {
+	if _, err := wr.enqueue(wireMsg{Kind: "call", Seq: seq, From: from, To: to, Op: op, Arg: arg}); err != nil {
 		p.mu.Lock()
 		delete(p.waiting, seq)
 		if p.wr.Load() == wr {

@@ -16,8 +16,9 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"hash"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,8 +43,9 @@ func (s RoleSet) With(i int) RoleSet { return s | 1<<uint(i) }
 // must not change during the lifetime of the service, so it is provided
 // as configuration when a service is initialised (§4.3).
 type RoleMap struct {
-	names []string
-	bits  map[string]int
+	names  []string
+	bits   map[string]int
+	sorted []int // the bits in the order of their names
 }
 
 // NewRoleMap builds a role map. Order is significant and must be stable
@@ -58,7 +60,9 @@ func NewRoleMap(names ...string) (*RoleMap, error) {
 			return nil, fmt.Errorf("cert: duplicate role name %q", n)
 		}
 		m.bits[n] = i
+		m.sorted = append(m.sorted, i)
 	}
+	slices.SortFunc(m.sorted, func(a, b int) int { return strings.Compare(names[a], names[b]) })
 	return m, nil
 }
 
@@ -68,16 +72,15 @@ func (m *RoleMap) Bit(role string) (int, bool) {
 	return b, ok
 }
 
-// Names expands a RoleSet to sorted role names.
-func (m *RoleMap) Names(s RoleSet) []string {
-	var out []string
-	for i, n := range m.names {
+// AppendNames appends the role names of a RoleSet to dst, sorted: a
+// reply reusing its array allocates nothing.
+func (m *RoleMap) AppendNames(dst []string, s RoleSet) []string {
+	for _, i := range m.sorted {
 		if s.Has(i) {
-			out = append(out, n)
+			dst = append(dst, m.names[i])
 		}
 	}
-	sort.Strings(out)
-	return out
+	return dst
 }
 
 // RMC is a role membership certificate (figure 4.2): a process-specific

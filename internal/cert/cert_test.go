@@ -181,9 +181,13 @@ func TestRoleMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := m.Names(set)
+	names := m.AppendNames(nil, set)
 	if len(names) != 2 || names[0] != "Chair" || names[1] != "Member" {
 		t.Fatalf("Names = %v", names)
+	}
+	set, _ = m.Set("Member", "Candidate")
+	if names := m.AppendNames(names[:0], set); len(names) != 2 || names[0] != "Candidate" || names[1] != "Member" {
+		t.Fatalf("Names = %v, want them sorted by name", names)
 	}
 	if b, ok := m.Bit("Candidate"); !ok || b != 2 {
 		t.Fatalf("Bit = %d, %v", b, ok)

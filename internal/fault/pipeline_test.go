@@ -26,16 +26,9 @@ type echoRecorder struct {
 type echoArg string
 
 func init() {
-	bus.RegisterWirePayload(201, echoArg(""),
-		func(e *bus.WireEnc, v any) error {
-			a, ok := v.(echoArg)
-			if !ok {
-				return fmt.Errorf("not echoArg: %T", v)
-			}
-			e.PutString(string(a))
-			return nil
-		},
-		func(d *bus.WireDec) (any, error) {
+	bus.RegisterPayload(201,
+		func(e *bus.WireEnc, a echoArg) { e.PutString(string(a)) },
+		func(d *bus.WireDec) (echoArg, error) {
 			s, err := d.String()
 			return echoArg(s), err
 		})

@@ -18,6 +18,7 @@ import (
 	"oasis/internal/bus"
 	"oasis/internal/cert"
 	"oasis/internal/clock"
+	"oasis/internal/event"
 	"oasis/internal/gateway"
 	"oasis/internal/ids"
 	"oasis/internal/oasis"
@@ -969,9 +970,11 @@ func TestExplicitFraming(t *testing.T) {
 
 // stalledIssuer is served on Login's peer port under Login's name: it
 // answers everything the real service does except validate, which never
-// returns while the test runs — the peer an issuance would wait on.
+// returns while the test runs — the peer an issuance would wait on. It
+// is a plain bus.Endpoint, not the service's op table, so every call
+// reaches its Call.
 type stalledIssuer struct {
-	*oasis.Service
+	svc     *oasis.Service
 	release chan struct{}
 }
 
@@ -979,8 +982,10 @@ func (p stalledIssuer) Call(from, op string, arg any) (any, error) {
 	if op == "validate" {
 		<-p.release
 	}
-	return p.Service.Call(from, op, arg)
+	return p.svc.Call(from, op, arg)
 }
+
+func (p stalledIssuer) Deliver(n event.Notification) { p.svc.Deliver(n) }
 
 // TestRequestDeadline: no route runs under a deadline wrapper, and none
 // needs one. Issuance that has to ask an unresponsive issuer about a

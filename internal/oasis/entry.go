@@ -94,7 +94,7 @@ func (s *Service) initialList(st *rolefileState, client ids.ClientID, creds []*c
 			if err != nil {
 				return nil, err
 			}
-			for _, role := range fs.roleMap.Names(c.Roles) {
+			for _, role := range fs.roleMap.AppendNames(nil, c.Roles) {
 				list = append(list, &held{
 					rolefile: c.Rolefile,
 					name:     role,

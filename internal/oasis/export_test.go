@@ -3,8 +3,58 @@ package oasis
 import (
 	"reflect"
 
+	"oasis/internal/bus"
 	"oasis/internal/credrec"
+	"oasis/internal/value"
 )
+
+// NeverWaits reads the op table as a served connection's read loop
+// does: whether a call of op whose argument decodes to arg runs on the
+// loop. An argument of another type than the row's decodes as an owned
+// value, which goes to a worker.
+func (s *Service) NeverWaits(op string, arg any) bool {
+	for _, row := range s.ops {
+		switch r := row.(type) {
+		case *bus.Op[GetTypesArg, []value.Type]:
+			if ok, named := declared(r, op, arg); named {
+				return ok
+			}
+		case *bus.Op[ValidateArg, ValidateReply]:
+			if ok, named := declared(r, op, arg); named {
+				return ok
+			}
+		case *bus.Op[ResyncArg, ResyncReply]:
+			if ok, named := declared(r, op, arg); named {
+				return ok
+			}
+		}
+	}
+	return false
+}
+
+// rowShape reads a row of the op table: its name, its payload tags,
+// and whether it declares any call never to wait.
+func rowShape(row bus.ServedOp) (name string, argTag, replyTag byte, inline bool) {
+	switch r := row.(type) {
+	case *bus.Op[GetTypesArg, []value.Type]:
+		return r.Name, r.ArgTag, r.ReplyTag, r.NeverWaits != nil
+	case *bus.Op[ValidateArg, ValidateReply]:
+		return r.Name, r.ArgTag, r.ReplyTag, r.NeverWaits != nil
+	case *bus.Op[ResyncArg, ResyncReply]:
+		return r.Name, r.ArgTag, r.ReplyTag, r.NeverWaits != nil
+	}
+	panic("oasis: a row of an unknown shape")
+}
+
+// declared reports whether a row named op declares a call with arg
+// never to wait, and whether the row is named op.
+func declared[A, R any](r *bus.Op[A, R], op string, arg any) (ok, named bool) {
+	if r.Name != op {
+		return false, false
+	}
+	a, isA := arg.(A)
+	return isA && r.NeverWaits != nil && r.NeverWaits(a), true
+}
 
 // The tables a watch occupies, and the broker's registrations it must
 // not, sized for TestWatchTablesTrackLiveRecords. The broker's and the

@@ -451,3 +451,57 @@ func sinkFunc(f func()) event.Sink {
 		}
 	})
 }
+
+// TestRevocableVarCountsInstances: Vars' "revocable" counts the §4.11
+// role instances over every rolefile. N storm-shaped rounds — a login,
+// K sessions each under its |> Admin clause, the logout, the duty
+// loop's sweep — leave N×K instances: the sweep frees every record of
+// the rounds but the not-revoked facts, and nothing frees the
+// instances (ROADMAP item 11, which this pins until it lands). One
+// revocation by role moves one instance to "revoked_forever".
+func TestRevocableVarCountsInstances(t *testing.T) {
+	h := newHarness(t)
+	if err := h.login.AddRolefile("storm", stormLoginRolefile); err != nil {
+		t.Fatal(err)
+	}
+	revocable := func() map[string]int {
+		return h.login.Vars().Get("revocable").(expvar.Func).Value().(map[string]int)
+	}
+	if got := revocable(); got["instances"] != 0 || got["revoked_forever"] != 0 {
+		t.Fatalf("revocable before any entry: %v", got)
+	}
+	const rounds, sessions = 6, 4
+	admin := h.client("ely")
+	adminCert, err := h.login.Enter(EnterRequest{Client: admin, Rolefile: "storm", Role: "Admin"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rounds {
+		c := h.client("ely")
+		user := fmt.Sprintf("u%03d", i)
+		login, err := h.login.Enter(EnterRequest{Client: c, Rolefile: "storm", Role: "LoggedOn",
+			Args: []value.Value{uid(user), value.Object("Login.host", c.Host)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := range sessions {
+			if _, err := h.login.Enter(EnterRequest{Client: c, Rolefile: "storm", Role: "Session",
+				Args: []value.Value{uid(user), value.Int(int64(n))}, Creds: []*cert.RMC{login}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.login.Exit(login, c); err != nil {
+			t.Fatal(err)
+		}
+		h.login.SweepTick()
+	}
+	if got := revocable(); got["instances"] != rounds*sessions || got["revoked_forever"] != 0 {
+		t.Fatalf("revocable after %d rounds of %d sessions and the sweep: %v, want %d instances", rounds, sessions, got, rounds*sessions)
+	}
+	if err := h.login.RevokeByRole(adminCert, admin, "storm", "Session", []value.Value{uid("u000"), value.Int(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := revocable(); got["instances"] != rounds*sessions-1 || got["revoked_forever"] != 1 {
+		t.Fatalf("revocable after one revocation by role: %v, want %d instances, 1 revoked forever", got, rounds*sessions-1)
+	}
+}

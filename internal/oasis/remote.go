@@ -73,43 +73,35 @@ type ResyncReply struct {
 	Entries []credrec.Change
 }
 
-// Call implements bus.Endpoint: the service's inter-service interface,
-// three operations on a port that authenticates nobody (docs/PROTOCOLS.md).
-func (s *Service) Call(from, op string, arg any) (any, error) {
-	switch op {
-	case "gettypes":
-		return serve(op, arg, func(a GetTypesArg) ([]value.Type, error) { return s.localTypes(a.Rolefile, a.Role) })
-	case "validate":
-		return serve(op, arg, func(a ValidateArg) (ValidateReply, error) { return s.handleValidate(from, a) })
-	case "resync":
-		return serve(op, arg, func(a ResyncArg) (ResyncReply, error) { return s.handleResync(from, a) })
-	default:
-		return nil, fmt.Errorf("oasis: unknown operation %q", op)
-	}
-}
-
-// NeverWaits implements bus.InlineEndpoint: validate reads this
-// service's own signer, rolefiles and store and calls nobody, so a
-// peer link's read loop may answer it, unless it asks to watch and the
-// store's MarkNotify would wait for the disk (a journal under
-// SyncAlways). resync subscribes a list of up to 65 536 records, and
-// gettypes is asked once per role: they stay on workers
+// opTable is the service's inter-service interface, three operations
+// on a port that authenticates nobody (docs/PROTOCOLS.md). validate
+// reads this service's own signer, rolefiles and store and calls
+// nobody, so a peer link's read loop may answer it, unless it asks to
+// watch and the store's MarkNotify would wait for the disk (a journal
+// under SyncAlways). resync subscribes a list of up to 65 536 records,
+// and gettypes is asked once per role: they stay on workers
 // (docs/PROTOCOLS.md "Served calls").
-func (s *Service) NeverWaits(op string, arg any) bool {
-	a, ok := arg.(ValidateArg)
-	return op == "validate" && ok && !(a.Watch && s.diskWait)
+func (s *Service) opTable() bus.Ops {
+	return bus.Ops{
+		&bus.Op[GetTypesArg, []value.Type]{Name: "gettypes", ArgTag: wireTagGetTypesArg, ReplyTag: wireTagTypes,
+			Serve: func(_ string, a GetTypesArg, _ []value.Type) ([]value.Type, error) {
+				return s.localTypes(a.Rolefile, a.Role)
+			}},
+		&bus.Op[ValidateArg, ValidateReply]{Name: "validate", ArgTag: wireTagValidateArg, ReplyTag: wireTagValidateReply,
+			NeverWaits: func(a ValidateArg) bool { return !(a.Watch && s.diskWait) },
+			Serve:      s.handleValidate},
+		&bus.Op[ResyncArg, ResyncReply]{Name: "resync", ArgTag: wireTagResyncArg, ReplyTag: wireTagResyncReply,
+			Serve: func(from string, a ResyncArg, _ ResyncReply) (ResyncReply, error) {
+				return s.handleResync(from, a)
+			}},
+	}
 }
 
-// serve runs one operation's handler on the argument type it takes and
-// refuses anything else found in the argument position.
-func serve[A, R any](op string, arg any, handle func(A) (R, error)) (any, error) {
-	a, ok := arg.(A)
-	if !ok {
-		return nil, fmt.Errorf("oasis: bad %s argument %T", op, arg)
-	}
-	r, err := handle(a)
-	return r, err
-}
+// Ops implements bus.OpTable.
+func (s *Service) Ops() bus.Ops { return s.ops }
+
+// Call implements bus.Endpoint, from the op table.
+func (s *Service) Call(from, op string, arg any) (any, error) { return s.ops.Call(from, op, arg) }
 
 // Deliver implements bus.Endpoint: notifications go to the receiver. A
 // Modified event is one store mutation here: what it changes in records
@@ -125,12 +117,13 @@ func (s *Service) Deliver(n event.Notification) {
 	}
 }
 
-var _ bus.InlineEndpoint = (*Service)(nil)
+var _ bus.OpTable = (*Service)(nil)
 
 // handleValidate validates one of our certificates on behalf of another
 // service, optionally registering that service for Modified events on
-// the certificate's credential record.
-func (s *Service) handleValidate(from string, a ValidateArg) (ValidateReply, error) {
+// the certificate's credential record. The role names go into prev's
+// array: a served connection's block answers one call after another.
+func (s *Service) handleValidate(from string, a ValidateArg, prev ValidateReply) (ValidateReply, error) {
 	c := a.Cert
 	if c == nil || c.Service != s.name {
 		return ValidateReply{}, fmt.Errorf("oasis: certificate not issued by %s", s.name)
@@ -159,7 +152,7 @@ func (s *Service) handleValidate(from string, a ValidateArg) (ValidateReply, err
 	if err != nil {
 		return ValidateReply{}, err
 	}
-	return ValidateReply{Roles: fs.roleMap.Names(c.Roles), State: answer[0].State}, nil
+	return ValidateReply{Roles: fs.roleMap.AppendNames(prev.Roles[:0], c.Roles), State: answer[0].State}, nil
 }
 
 // subscribeThenRead is the issuer's one answer to a peer's question

@@ -95,6 +95,7 @@ type Service struct {
 	signer cert.Signer
 	opts   Options
 
+	ops      bus.Ops // the operations the service serves (opTable)
 	store    credrec.Recorder
 	diskWait bool // store.WaitsForDisk(): a journal's policy is fixed for its life
 	groups   *credrec.Groups
@@ -214,6 +215,7 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 	// lost: it feeds the suspicion machinery (suspicion.go).
 	s.receiver = event.NewReceiver(s.onNotificationGap)
 	s.store.OnChange(s.onRecordChange)
+	s.ops = s.opTable()
 	if net != nil {
 		if err := net.Register(name, s); err != nil {
 			return nil, err
@@ -235,6 +237,7 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 			"longest_s": time.Duration(s.dutyLongest.Load()).Seconds(),
 		}
 	}))
+	s.vars.Set("revocable", expvar.Func(s.revocableVars))
 	s.vars.Set("watch_sessions", expvar.Func(func() any {
 		s.watchMu.Lock()
 		defer s.watchMu.Unlock()
@@ -244,15 +247,35 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 	return s, nil
 }
 
+// revocableVars is Vars' "revocable", summed over the rolefiles: the
+// §4.11 role instances a revoker may revoke by role ("instances"), and
+// those revoked forever ("revoked_forever"). Neither table is swept
+// (ROADMAP item 11), so under a churn of revocable roles the first
+// grows with every instance ever entered.
+func (s *Service) revocableVars() any {
+	var instances, forever int
+	s.rfMu.RLock()
+	for _, st := range s.rolefiles {
+		st.mu.Lock()
+		instances += len(st.revocable)
+		forever += len(st.revoked)
+		st.mu.Unlock()
+	}
+	s.rfMu.RUnlock()
+	return map[string]int{"instances": instances, "revoked_forever": forever}
+}
+
 // Vars returns the service's counter registry, which no one publishes:
 // the audit counters of §4.13 ("issued", "validated", and rejections by
 // failure class: "fraud", "erroneous", "revoked"), "held_verified"
 // (signature checks of held certificates, the misses of their epoch
 // memo), the bus's and the store's counters, each watched source's
 // suspicion state, "duty", the duty loop's period and how long its last
-// and longest runs took on the service clock (StartDuties), and
-// "watch_sessions", the broker sessions this service holds open for
-// watching peers, one per peer name. Embedders
+// and longest runs took on the service clock (StartDuties),
+// "revocable", the §4.11 role instances held for revocation by role and
+// revoked forever (revocableVars), and "watch_sessions", the broker
+// sessions this service holds open for watching peers, one per peer
+// name. Embedders
 // add their own entries (the gateway, the daemon's journal recovery
 // figures). Tests run many services in one process, so the map is
 // never handed to expvar.Publish.

@@ -127,7 +127,7 @@ func (s *Service) RoleNames(c *cert.RMC) []string {
 	if err != nil {
 		return nil
 	}
-	return st.roleMap.Names(c.Roles)
+	return st.roleMap.AppendNames(nil, c.Roles)
 }
 
 // Exit voluntarily gives up a role membership (§4.4 footnote): the

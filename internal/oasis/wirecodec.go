@@ -38,7 +38,7 @@ const (
 // registerBinaryPayloads registers every protocol payload with the
 // bus's binary codec; called once from RegisterWireTypes.
 func registerBinaryPayloads() {
-	registerPayload(wireTagGetTypesArg,
+	bus.RegisterPayload(wireTagGetTypesArg,
 		func(e *bus.WireEnc, a GetTypesArg) {
 			e.PutString(a.Rolefile)
 			e.PutString(a.Role)
@@ -51,7 +51,7 @@ func registerBinaryPayloads() {
 			return a, err
 		})
 
-	registerPayload(wireTagValidateArg,
+	bus.RegisterPayload(wireTagValidateArg,
 		func(e *bus.WireEnc, a ValidateArg) {
 			e.PutBool(a.Cert != nil)
 			if a.Cert != nil {
@@ -77,7 +77,7 @@ func registerBinaryPayloads() {
 			return a, err
 		})
 
-	registerPayload(wireTagValidateReply,
+	bus.RegisterPayload(wireTagValidateReply,
 		func(e *bus.WireEnc, r ValidateReply) {
 			e.PutStrings(r.Roles)
 			e.PutTypes(r.Types)
@@ -100,14 +100,14 @@ func registerBinaryPayloads() {
 			return r, err
 		})
 
-	registerPayload(wireTagResyncArg,
+	bus.RegisterPayload(wireTagResyncArg,
 		func(e *bus.WireEnc, a ResyncArg) { encodeRefs(e, a.Refs) },
 		func(d *bus.WireDec) (a ResyncArg, err error) {
 			a.Refs, err = decodeRefs(d)
 			return a, err
 		})
 
-	registerPayload(wireTagResyncReply,
+	bus.RegisterPayload(wireTagResyncReply,
 		func(e *bus.WireEnc, r ResyncReply) {
 			e.PutUvarint(r.Session)
 			e.PutUvarint(r.Seq)
@@ -124,33 +124,9 @@ func registerBinaryPayloads() {
 			return r, err
 		})
 
-	registerPayload(wireTagTypes,
+	bus.RegisterPayload(wireTagTypes,
 		func(e *bus.WireEnc, ts []value.Type) { e.PutTypes(ts) },
 		(*bus.WireDec).Types)
-}
-
-// registerPayload is where a payload's Go type meets its tag: encoders
-// and decoders are written against the type, and the one assertion the
-// bus's untyped argument position needs is made here. A decoder's error
-// discards whatever it had decoded.
-func registerPayload[T any](tag byte, enc func(*bus.WireEnc, T), dec func(*bus.WireDec) (T, error)) {
-	var prototype T
-	bus.RegisterWirePayload(tag, prototype,
-		func(e *bus.WireEnc, v any) error {
-			t, ok := v.(T)
-			if !ok {
-				return fmt.Errorf("oasis: wire payload %T is not %T", v, prototype)
-			}
-			enc(e, t)
-			return nil
-		},
-		func(d *bus.WireDec) (any, error) {
-			t, err := dec(d)
-			if err != nil {
-				return nil, err
-			}
-			return t, nil
-		})
 }
 
 // encodeRefs and decodeRefs are the ref-list codec of tag 5: a uvarint
@@ -258,8 +234,11 @@ func encodeRMC(e *bus.WireEnc, c *cert.RMC) {
 // (HMACSigner's longest), so that it is one allocation, not three.
 // decodeRMC reads the argument count first and picks the block that
 // holds exactly that many, so a two-argument certificate takes 352
-// bytes. A longer signature, or more than four arguments, still
-// decodes, the overflow allocated apart.
+// bytes; a decoder that lends room (a served connection's,
+// bus.WireDec.Room) keeps one block of four arguments there and
+// decodes every certificate that fits into it. A longer signature, or
+// more than four arguments, still decodes, the overflow allocated
+// apart.
 type rmcBlock[A any] struct {
 	c    cert.RMC
 	args A
@@ -272,9 +251,22 @@ func newRMC[A any](room func(*A) []value.Value) (*cert.RMC, []value.Value, []byt
 	return &b.c, room(&b.args), b.sig[:0]
 }
 
+// roomyRMC is the block a lending decoder keeps.
+type roomyRMC = rmcBlock[[4]value.Value]
+
 // rmcFor returns a certificate with room for n arguments and its
-// signature, both empty slices of the block.
-func rmcFor(n int) (*cert.RMC, []value.Value, []byte) {
+// signature, both empty slices of the block: the decoder's room when it
+// lends one and n fits, a new block otherwise.
+func rmcFor(d *bus.WireDec, n int) (*cert.RMC, []value.Value, []byte) {
+	if room := d.Room(); room != nil && n <= len(roomyRMC{}.args) {
+		b, ok := (*room).(*roomyRMC)
+		if !ok {
+			b = new(roomyRMC)
+			*room = b
+		}
+		b.c = cert.RMC{}
+		return &b.c, b.args[:0:n], b.sig[:0]
+	}
 	switch n {
 	case 0:
 		return newRMC(func(*[0]value.Value) []value.Value { return nil })
@@ -287,7 +279,7 @@ func rmcFor(n int) (*cert.RMC, []value.Value, []byte) {
 	case 4:
 		return newRMC(func(a *[4]value.Value) []value.Value { return a[:0] })
 	}
-	c, _, sig := rmcFor(0)
+	c, _, sig := newRMC(func(*[0]value.Value) []value.Value { return nil })
 	return c, make([]value.Value, 0, n), sig
 }
 
@@ -308,7 +300,7 @@ func decodeRMC(d *bus.WireDec) (*cert.RMC, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, args, sig := rmcFor(n)
+	c, args, sig := rmcFor(d, n)
 	c.Service, c.Rolefile, c.Roles = service, rolefile, cert.RoleSet(roles)
 	for range n {
 		v, err := d.Value()
@@ -318,8 +310,10 @@ func decodeRMC(d *bus.WireDec) (*cert.RMC, error) {
 		args = append(args, v)
 	}
 	// The argument slice is exactly full, so an append cannot write
-	// into the block.
-	c.Args = args
+	// into the block; no arguments decode to nil.
+	if n > 0 {
+		c.Args = args
+	}
 	if c.Client, err = decodeClientID(d); err != nil {
 		return nil, err
 	}
