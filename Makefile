@@ -21,7 +21,7 @@ help:
 	@echo "test-shard  sharding suites: the record model over the sharded store at 1,2,4,8 shards, in memory and journaled, plus the sharded-store/placement/cluster suites and the bus tree only bench/ builds"
 	@echo "race        race-detector suite over the concurrent packages (internal/fault excepted: chaos runs it)"
 	@echo "chaos       all of internal/fault under the race detector: seeded chaos suite (partitions, loss, duplication), storage kill points, the plane's own tests"
-	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark harness, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, two http.Servers (the gateway loop's fallback, oasisd's admin port) and no http.DefaultServeMux, one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), no consistent-hash ring placing records (a leaf goes by a hash of the allocation count), no claim half of the shard ring (no ring join, backlog claim, treeforward op or -shard-ring flag), one counter registry (Service.Vars: no AuditSnapshot, striped call counters, Network.Dropped, Engine.Recovered or gateway test probes), no -http-pressure flag or shed wiring in oasisd (a notification send never waits, so no backlog fills), no bufio.Reader in internal/bus (a connection's one read buffer is its decoder's window), one op table per endpoint (no InlineEndpoint, generic serve adapter or NeverWaits over an any), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
+	@echo "lint        oasislint (L002-L005 + L007: no exported identifier oasisd links that only its own tests reference) + rdlcheck static analysis (includes reach) + no encoding/gob and no internal/fault in oasisd, no http.TimeoutHandler, no RDL interpreter in the engine, no os.Getenv, no LoggedStore, no -shards/-store-dir refusal, no second benchmark harness, no per-instance certificate cache, no readstate op and one way into a surrogate, no record half of the shard ring, no receiver-side revive or second surrogate name format, no broker registration beside the issuer's watch row, no signature verdict cache in the engine, gateway or daemon beside oasis.Held, no GOMAXPROCS change in a library package, two http.Servers (the gateway loop's fallback, oasisd's admin port) and no http.DefaultServeMux, one net/http adapter in the gateway (Handler), one way an authority's word reaches a mirror record (Apply: no ResyncEntry, mirror or MakePermanent beside it), no notification batch in the engine or daemon (a mutation is one event per watcher, sent before the call returns), no consistent-hash ring placing records (a leaf goes by a hash of the allocation count), no claim half of the shard ring (no ring join, backlog claim, treeforward op or -shard-ring flag), one counter registry (Service.Vars: no AuditSnapshot, striped call counters, Network.Dropped, Engine.Recovered or gateway test probes), no -http-pressure flag or shed wiring in oasisd (a notification send never waits, so no backlog fills), no bufio.Reader in internal/bus (a connection's one read buffer is its decoder's window), one op table per endpoint (no InlineEndpoint, generic serve adapter or NeverWaits over an any), one way a link delivers a note (inline on its read loop: no inbound pump, no unheard bit), every tracked .go file gofmt-clean, every test/benchmark/metric the docs name exists"
 	@echo "reach       rdlcheck -reach scenario reachability over every example"
 	@echo "bench       bench_test.go at -cpu 1,4,8: the rows bench/oasisload cannot express (EXPERIMENTS.md E39)"
 	@echo "bench-smoke   compile-and-run every row of bench_test.go once (part of ci)"
@@ -90,14 +90,21 @@ test-shard:
 # served connection's reply behind a flusher stuck in a socket write
 # while the next validate is read, and a call on a worker while the
 # read loop decodes and answers the next, neither of which may find
-# its block reused.
+# its block reused. It runs a watcher's duties while a source it
+# resyncs holds the hello, which may delay none of its heartbeats;
+# serves a reviving note and then a validate on one connection, the
+# second undelayed by the resync the first starts; flips a record at
+# the issuer after its resync snapshot is read, which the snapshot may
+# not roll back; resyncs over the link the reviving heartbeat came in
+# on; and overflows the notes a resync holds, which must leave the
+# source degraded until the next tick's resync.
 # internal/fault is not listed: `chaos` runs that whole package under
 # the detector.
 race:
 	$(GO) test -race ./internal/bus/... ./internal/event/... \
 		./internal/oasis/... ./internal/credrec/... ./internal/cert/... \
 		./internal/gateway/... ./cmd/rdlcheck/...
-	$(GO) test -race -count=10 -run 'ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade|LoopMatchesNetHTTP|RevocationLeavesBeforeItReturns|BufferedCallGoesToWorker|PipelinedInlineCallersAllAnswered|InlineValidateCallsNobody|HeartbeatWaitsBehindEvent|RecorderModelBesideSweep|ObserverHeardWhenMutationReturns|FinalBridgeOutlivesSweep|StalledWatcherHoldsNoSignaller|NotifySendNeverDials|NoteQueueBoundKillsWriter|QueuedCallsShareOneDial|QueuedReplyKeepsItsBlock|WorkerCallOwnsItsArgument' \
+	$(GO) test -race -count=10 -run 'HeldSourceDelaysNoHeartbeat|ServedDeliveryNeverWaits|ResyncSnapshotBeforeLaterNotes|RevivalResyncsOverItsOwnLink|HoldBound|ConcurrentIntrospect|ConcurrentMutations|SweepUnderChurn|WatcherRestart|VerifyCacheConcurrent|VerifyRMCHitIsReadOnly|HeldTokensUnderRoll|WatchersRaceRevocation|GeneratedCascades|WatchersRaceCascade|LoopMatchesNetHTTP|RevocationLeavesBeforeItReturns|BufferedCallGoesToWorker|PipelinedInlineCallersAllAnswered|InlineValidateCallsNobody|HeartbeatWaitsBehindEvent|RecorderModelBesideSweep|ObserverHeardWhenMutationReturns|FinalBridgeOutlivesSweep|StalledWatcherHoldsNoSignaller|NotifySendNeverDials|NoteQueueBoundKillsWriter|QueuedCallsShareOneDial|QueuedReplyKeepsItsBlock|WorkerCallOwnsItsArgument' \
 		./internal/gateway/ ./internal/oasis/ ./internal/cert/ ./internal/bus/ ./internal/event/ ./internal/credrec/
 
 # The seeded chaos suite (internal/fault/chaos_test.go) plus the
@@ -215,6 +222,10 @@ vet:
 # rows): no optional interface beside it declares which calls never
 # wait, no generic adapter asserts a handler's argument out of `any`,
 # and no never-waits predicate takes one.
+# A link delivers a notification one way, inline on the read loop that
+# decoded it: no inbound pump or queue beside serveConn's, and no
+# unheard bit arming a revival resync (a resync is started, never waited
+# for, and the source's slot already keeps it to one at a time).
 # Every tracked .go file is gofmt-clean.
 # The closing loops hold the documents to the tree: every `Test…`/`Benchmark…`/`Fuzz…` name back-quoted in
 # DESIGN.md's experiment index, README.md or docs/*.md must be a func in
@@ -249,6 +260,7 @@ lint: reach
 	! grep -rn 'runtime\.GOMAXPROCS(' --include='*.go' --exclude='*_test.go' internal/
 	! grep -rn 'bufio\.NewReader' --include='*.go' --exclude='*_test.go' internal/bus
 	! grep -rnE 'InlineEndpoint|func serve\[|NeverWaits\(op string, arg any\)' --include='*.go' --exclude='*_test.go' internal/ cmd/
+	! grep -rnE 'enqueueInbound|pumpInbound|inPumping|unheard' --include='*.go' --exclude='*_test.go' internal/ cmd/
 	! grep -rln 'http\.Server{' --include='*.go' --exclude='*_test.go' internal/ cmd/ *.go \
 		| grep -vxE 'internal/gateway/server.go|cmd/oasisd/main.go'
 	! grep -rnE 'http\.DefaultServeMux|http\.Handle\(|http\.HandleFunc\(' --include='*.go' --exclude='*_test.go' internal/ cmd/

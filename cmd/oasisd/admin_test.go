@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sync"
 	"syscall"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"oasis/internal/bus"
+	"oasis/internal/cert"
 	"oasis/internal/clock"
 	"oasis/internal/credrec"
 	"oasis/internal/gateway"
@@ -101,11 +103,19 @@ func adminGet(t *testing.T, url string) []byte {
 // introspected through the gateway moves "issued" and "validated", and
 // the state entries are present. The port closes when run returns, a
 // second run in the same process serves its own (no global
-// expvar.Publish to collide on), and with no flag no port opens.
+// expvar.Publish to collide on), and with no flag no port opens. A
+// token entered on a certificate of Up, a service the daemon dials with
+// -remote, makes Up a watched source, and its "sources" entry says
+// whether a resync of it is in flight and how many notes wait behind it.
 func TestAdminPort(t *testing.T) {
+	up, upAddr := serveIssuer(t, "Up", "def Badge(u) u: Up.userid\nBadge(u) <-\n")
+	rolefile := filepath.Join(t.TempDir(), "login.rdl")
+	if err := os.WriteFile(rolefile, []byte(builtinLoginRolefile+"Seat(u) <- Up.Badge(u)*\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cfg := config{
-		name: "Login", scope: "main", listen: "127.0.0.1:0", failsafeMissed: 3, syncMode: "batched",
-		httpListen: "127.0.0.1:0", adminListen: "127.0.0.1:0",
+		name: "Login", rolefilePath: rolefile, scope: "main", listen: "127.0.0.1:0", failsafeMissed: 3, syncMode: "batched",
+		httpListen: "127.0.0.1:0", adminListen: "127.0.0.1:0", remotes: remoteFlags{"Up": upAddr},
 	}
 	for i := range 2 {
 		logged, stop := startRun(t, cfg)
@@ -145,6 +155,23 @@ func TestAdminPort(t *testing.T) {
 				t.Errorf("run %d: the service's vars have no %q", i, k)
 			}
 		}
+		client := ids.NewHostAuthority("ely", time.Now()).NewDomain()
+		badge, err := up.Enter(oasis.EnterRequest{Client: client, Rolefile: "main", Role: "Badge",
+			Args: []value.Value{value.Object("Up.userid", "dm")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		httpPost(t, base+"/v1/token", gateway.TokenRequest{Client: client, Rolefile: "main", Role: "Seat",
+			Creds: []*cert.RMC{badge}}, &issued)
+		if err := json.Unmarshal(adminGet(t, adminBase+"/debug/vars"), &all); err != nil {
+			t.Fatalf("run %d: /debug/vars is not JSON: %v", i, err)
+		}
+		source, _ := all.Login["sources"].(map[string]any)["Up"].(map[string]any)
+		for _, k := range []string{"state", "silent_s", "resyncing", "held"} {
+			if _, ok := source[k]; !ok {
+				t.Errorf("run %d: the watched source's entry in \"sources\" has no %q: %v", i, k, all.Login["sources"])
+			}
+		}
 		if prof := adminGet(t, adminBase+"/debug/pprof/profile?seconds=1"); len(prof) == 0 {
 			t.Errorf("run %d: empty CPU profile", i)
 		}
@@ -161,6 +188,28 @@ func TestAdminPort(t *testing.T) {
 	if adminLogLine.MatchString(logged.String()) {
 		t.Fatalf("no -admin-listen, but an admin port opened:\n%s", logged)
 	}
+}
+
+// serveIssuer runs a service in this process on a network of its own,
+// serving its peer port on a loopback address, which it returns.
+func serveIssuer(t *testing.T, name, rolefile string) (*oasis.Service, string) {
+	t.Helper()
+	oasis.RegisterWireTypes()
+	network := bus.NewNetwork(clock.Real())
+	svc, err := oasis.New(name, clock.Real(), network, oasis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.AddRolefile("main", rolefile); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = network.ServeTCP(ln) }()
+	t.Cleanup(func() { _ = ln.Close() })
+	return svc, ln.Addr().String()
 }
 
 // TestAdminVarsQuotesNameAsJSON: the service's name keys its counters

@@ -49,19 +49,22 @@
 // -admin-listen opens the administration port: /debug/vars, the
 // service's counters (oasis.Service.Vars: the audit counters of §4.13,
 // the bus's, the store's, the gateway's, each journal's recovery
-// figures, each watched source's suspicion state, the duty loop's
-// timings and GOMAXPROCS) with the process's memstats and cmdline, and
+// figures, each watched source's suspicion state, whether a resync of
+// it is in flight and how many of its notes wait behind it, the duty
+// loop's timings and GOMAXPROCS) with the process's memstats and cmdline, and
 // net/http/pprof's profiles under /debug/pprof/. It is empty, and so
 // closed, by default, and must never be exposed beyond the operator's
 // own host: profiles and per-source state are for administration only,
 // and the port has no authentication.
 //
 // Every heartbeat period the service runs its duties
-// (oasis.Service.StartDuties): failure suspicion, heartbeats to its
-// watchers, delegation expiry, record sweep (§4.8: revoked records are
-// deleted, so memory does not grow with every logout). Watched sources
-// degrade through suspect/failed after -failsafe-missed silent periods,
-// recover by automatic resync, and every transition is logged.
+// (oasis.Service.StartDuties): heartbeats to its watchers, failure
+// suspicion, delegation expiry, record sweep (§4.8: revoked records are
+// deleted, so memory does not grow with every logout). None of them
+// waits on a peer. Watched sources degrade through suspect/failed after
+// -failsafe-missed silent periods, recover by an automatic resync,
+// started on a goroutine of its own when the source is heard again, and
+// every transition is logged.
 //
 // Protocol (one JSON object per line):
 //

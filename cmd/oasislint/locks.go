@@ -7,11 +7,14 @@ import (
 	"strings"
 )
 
-// lintLockAcrossSend reports L003: a channel send, or a call into the
-// notification plane (bus.Network Flush/EndBatch/StartBatch), reached
-// while a sync lock is held. Every lock in this repository is a leaf
-// (see DESIGN.md): holding one across a send or a bus delivery can
-// deadlock against an endpoint that re-enters the service.
+// lintLockAcrossSend reports L003: a channel send, a call into the
+// notification plane (bus.Network Flush/EndBatch/StartBatch), or a
+// synchronous peer call (bus.Network.Call), reached while a sync lock is
+// held. Every lock in this repository is a leaf (see DESIGN.md): holding
+// one across a send or a bus delivery can deadlock against an endpoint
+// that re-enters the service, and holding one across a call stalls every
+// delivery that needs it on the link's read loop, which delivers inline,
+// until the call's deadline.
 //
 // The walker is a conservative sequential interpreter: Lock/RLock adds
 // the receiver to the held set, Unlock/RUnlock removes it, a deferred
@@ -257,11 +260,11 @@ func (w *lockWalker) call(call *ast.CallExpr) {
 		if onSyncLock(fn) {
 			delete(w.held, recv)
 		}
-	case "Flush", "EndBatch", "StartBatch":
+	case "Flush", "EndBatch", "StartBatch", "Call":
 		if len(w.held) > 0 && onBusNetwork(fn) {
 			w.report(call.Pos(), "L003",
 				"bus "+sel.Sel.Name+" while holding "+w.holding()+
-					" (the notification plane may re-enter; release first)")
+					" (a delivery it starts or waits behind may need it; release first)")
 		}
 	}
 }

@@ -5,8 +5,9 @@
 //
 //	L002  a sync/atomic function call — use a typed atomic, which cannot
 //	      also be accessed plainly
-//	L003  a channel send, or a bus Flush/EndBatch/StartBatch call, made
-//	      while a lock is held (all locks in this repo are leaves)
+//	L003  a channel send, a bus Flush/EndBatch/StartBatch call, or a bus
+//	      Network.Call, made while a lock is held (all locks in this repo
+//	      are leaves, and a link's read loop delivers inline)
 //	L004  time.Now and friends outside internal/clock — virtual time
 //	      must flow through clock.Clock so tests stay deterministic
 //	L005  an error from the persistence surface (internal/credrec/storage

@@ -52,6 +52,14 @@ import (
 // decodes into a block the connection keeps and answers from it (Op
 // states the rule for when the block is reused).
 //
+// An inbound notification is delivered one way on both ends of a
+// link: inline on the read loop that decoded it, serveConn's and a
+// dialled link's alike, so a link's notes reach the endpoint in the
+// order they crossed it. An endpoint's Deliver must therefore never
+// wait on a peer: the reply it waited for could only be read by the
+// loop it holds. It may wait for its own disk (a journal under
+// SyncAlways), which holds that link's later frames meanwhile.
+//
 // Every wait on the far side is bounded here (a call's reply by reap,
 // a socket write by the writer's deadline, dial and hello together), so
 // nothing above the bus needs a deadline of its own. A call to an
@@ -402,15 +410,6 @@ type remotePeer struct {
 	waiting   map[uint64]wireWaiter
 	reaping   bool        // a reap goroutine is watching the deadlines in waiting
 	redialing atomic.Bool // a redial goroutine is running
-
-	// Inbound back-channel notifications are delivered by a pump
-	// goroutine, never on the read loop itself: a delivery callback may
-	// issue a synchronous call over this very link (the auto-resync a
-	// reviving heartbeat triggers does exactly that), and the reply can
-	// only be read by the read loop.
-	inMu      sync.Mutex
-	inQ       []wireMsg
-	inPumping bool
 }
 
 // wireWaiter is one outstanding call. The connection tag keeps a dying
@@ -758,65 +757,22 @@ func (p *remotePeer) readLoop(conn net.Conn, dec *WireDec, wr *msgWriter) {
 			}
 			return
 		}
-		if msg.Kind == "notify" {
+		switch msg.Kind {
+		case "notify":
 			// Back-channel delivery (figure 4.8's event notification
-			// arriving over the link we dialled).
-			if p.home != nil {
-				p.enqueueInbound(msg)
+			// arriving over the link we dialled), inline as serveConn
+			// delivers: a delivery calls no peer, so the replies behind
+			// it are read as soon as it returns.
+			p.home.Send(msg.From, msg.To, msg.Note)
+		case "reply":
+			p.mu.Lock()
+			wait, ok := p.waiting[msg.Seq]
+			delete(p.waiting, msg.Seq)
+			p.mu.Unlock()
+			if ok {
+				wait.ch <- msg
 			}
-			continue
 		}
-		if msg.Kind != "reply" {
-			continue
-		}
-		p.mu.Lock()
-		wait, ok := p.waiting[msg.Seq]
-		delete(p.waiting, msg.Seq)
-		p.mu.Unlock()
-		if ok {
-			wait.ch <- msg
-		}
-	}
-}
-
-// enqueueInbound queues one inbound notification and ensures a pump is
-// running. Only the read loop enqueues, so queue order is wire order,
-// and the pump clears its running flag only after its last delivery
-// completed — two pumps never run at once, so delivery order per link
-// equals arrival order (§4.10 gap detection depends on it).
-func (p *remotePeer) enqueueInbound(msg wireMsg) {
-	p.inMu.Lock()
-	p.inQ = append(p.inQ, msg)
-	start := !p.inPumping
-	if start {
-		p.inPumping = true
-	}
-	p.inMu.Unlock()
-	if start {
-		go p.pumpInbound()
-	}
-}
-
-func (p *remotePeer) pumpInbound() {
-	for {
-		p.inMu.Lock()
-		if len(p.inQ) == 0 {
-			p.inPumping = false
-			p.inMu.Unlock()
-			return
-		}
-		msg := p.inQ[0]
-		// Zero the consumed slot so the backing array does not retain
-		// the notification payload, and drop the array entirely once
-		// drained — a sustained storm otherwise pins every message
-		// ever queued.
-		p.inQ[0] = wireMsg{}
-		p.inQ = p.inQ[1:]
-		if len(p.inQ) == 0 {
-			p.inQ = nil
-		}
-		p.inMu.Unlock()
-		p.home.Send(msg.From, msg.To, msg.Note)
 	}
 }
 

@@ -68,13 +68,17 @@ func (w *shardWorld) drive(seconds int, hooks map[int]func(), each func(i int)) 
 		w.clk.Advance(time.Second)
 		w.plane.Tick()
 		w.net.Flush()
+		w.settle()
 		if i%hbTicks == 0 {
 			for _, n := range w.names {
 				w.svcs[n].HeartbeatTick()
+				w.settle()
 			}
 			w.net.Flush()
+			w.settle()
 			for _, n := range w.names {
 				w.svcs[n].SuspicionTick()
+				w.settle()
 			}
 		}
 		if h := hooks[i]; h != nil {
@@ -83,6 +87,13 @@ func (w *shardWorld) drive(seconds int, hooks map[int]func(), each func(i int)) 
 		if each != nil {
 			each(i)
 		}
+	}
+}
+
+// settle waits until no member has a resync in flight.
+func (w *shardWorld) settle() {
+	for _, n := range w.names {
+		settle(w.svcs[n])
 	}
 }
 

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"bytes"
+	"expvar"
 	"fmt"
 	"testing"
 	"time"
@@ -133,10 +134,14 @@ func (w *world) drive(seconds int, hooks map[int]func(), each func(i int)) {
 		w.clk.Advance(time.Second)
 		w.plane.Tick()
 		w.net.Flush()
+		settle(w.conf)
 		if i%int(hbPeriod/time.Second) == 0 {
 			w.login.HeartbeatTick()
+			settle(w.conf)
 			w.net.Flush()
+			settle(w.conf)
 			w.conf.SuspicionTick()
+			settle(w.conf)
 		}
 		if h := hooks[i]; h != nil {
 			h()
@@ -145,6 +150,28 @@ func (w *world) drive(seconds int, hooks map[int]func(), each func(i int)) {
 			each(i)
 		}
 	}
+}
+
+// settle waits until no resync is in flight at any of svcs, as their
+// "sources" var reports it. An automatic resync runs on a goroutine of
+// its own; a drive loop reads a step's outcome, and takes the next step,
+// only once the resyncs the step started have applied their snapshots,
+// so a run stays a function of its seed.
+func settle(svcs ...*oasis.Service) {
+	for _, s := range svcs {
+		for resyncing(s) {
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+}
+
+func resyncing(s *oasis.Service) bool {
+	for _, v := range s.Vars().Get("sources").(expvar.Func).Value().(map[string]any) {
+		if v.(map[string]any)["resyncing"].(bool) {
+			return true
+		}
+	}
+	return false
 }
 
 // partitionHealRun is one full acceptance scenario: a flaky WAN link
@@ -350,10 +377,14 @@ Member(p)  <- Rec(p, m1)* <| Member(m2) : m1 != m2
 		clk.Advance(time.Second)
 		plane.Tick()
 		net.Flush()
+		settle(golf)
 		if i%hbTicks == 0 {
 			login.HeartbeatTick()
+			settle(golf)
 			net.Flush()
+			settle(golf)
 			golf.SuspicionTick()
+			settle(golf)
 		}
 		if i == 50 {
 			// jack logs off; the notification races a 35% drop rate.
@@ -448,10 +479,14 @@ func TestChaosMSSAPartition(t *testing.T) {
 		clk.Advance(time.Second)
 		plane.Tick()
 		net.Flush()
+		settle(fc.Service())
 		if i%hbTicks == 0 {
 			login.HeartbeatTick()
+			settle(fc.Service())
 			net.Flush()
+			settle(fc.Service())
 			fc.Service().SuspicionTick()
+			settle(fc.Service())
 		}
 		if i == 40 {
 			// The owner logs out while the custode cannot hear about it.

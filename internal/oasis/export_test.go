@@ -116,3 +116,22 @@ func (s *Service) watchRecord(owner string, ref credrec.Ref) (credrec.Ref, error
 	local, _ := s.surrogateFor(owner, ref)
 	return local, s.ResyncSource(owner)
 }
+
+// settle waits until no resync of any source is in flight: the tests
+// that drive a tick, a revival or a gap read its outcome once the
+// resync it started has applied its snapshot and delivered what it held.
+func (s *Service) settle() {
+	for {
+		var done chan struct{}
+		s.suspMu.Lock()
+		for _, r := range s.resyncing {
+			done = r.done
+			break
+		}
+		s.suspMu.Unlock()
+		if done == nil {
+			return
+		}
+		<-done
+	}
+}

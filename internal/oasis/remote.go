@@ -106,15 +106,24 @@ func (s *Service) Call(from, op string, arg any) (any, error) { return s.ops.Cal
 // Deliver implements bus.Endpoint: notifications go to the receiver. A
 // Modified event is one store mutation here: what it changes in records
 // this service's own watchers watch is one event per watcher, handed to
-// its session before Deliver returns. The first notification from a
-// source degraded since it was last heard from (§4.10: a partition
-// healed) resyncs it with AutoResync, after its payload.
+// its session before Deliver returns. While a resync of the source is
+// in flight, the note waits in its slot instead, behind the snapshot
+// (resync). A note from a degraded source (§4.10: a partition healed)
+// starts a resync with AutoResync, after its payload. Deliver calls no
+// peer, so a link's read loop runs it inline.
 func (s *Service) Deliver(n event.Notification) {
-	revived := s.heard(n.Source)
-	s.receiver.Deliver(n)
-	if revived && s.opts.AutoResync && s.SourceStatus(n.Source) != SourceAlive {
-		s.tryResync(n.Source)
+	s.suspMu.Lock()
+	if r := s.resyncing[n.Source]; r != nil {
+		if r.held = append(r.held, n); len(r.held) > maxHeldNotes {
+			r.held = nil
+			r.dropped.Store(true)
+		}
+		s.suspMu.Unlock()
+		return
 	}
+	s.suspMu.Unlock()
+	s.receiver.Deliver(n)
+	s.tryResync(n.Source)
 }
 
 var _ bus.OpTable = (*Service)(nil)
@@ -458,7 +467,6 @@ func (s *Service) validateInto(ext credrec.Ref, c *cert.RMC, client ids.ClientID
 	// The synchronous validation proved the issuer alive just now; start
 	// the heartbeat liveness window from here.
 	s.receiver.ObserveSource(c.Service, s.clk.Now())
-	s.heard(c.Service)
 	return reply.Roles, nil
 }
 
@@ -544,7 +552,10 @@ func (s *Service) ClusterPendingNotifications() int {
 // StartDuties runs the service's periodic duties on its clock, every
 // heartbeat period (Options.HeartbeatEvery; default 5s), until the
 // returned stop function halts the loop and waits for it to exit —
-// services own their background goroutines' lifetimes.
+// services own their background goroutines' lifetimes. Nothing a tick
+// runs waits on a peer, so each period's heartbeat leaves on time
+// whatever a watched source does; a resync a tick starts outlives it,
+// bounded by bus.CallDeadline.
 func (s *Service) StartDuties() (stop func()) {
 	period := s.heartbeatPeriod()
 	stopCh := make(chan struct{})
@@ -573,19 +584,19 @@ func (s *Service) StartDuties() (stop func()) {
 }
 
 // dutyTick is one period's work; StartDuties times each run on the
-// service clock ("duty" in Vars). Suspicion runs first, so a silent
-// source is degraded before anything else this period; its automatic
-// resync is the one bus call the loop makes, and it can wait a
-// bus.CallDeadline on a source that does not answer. A heartbeat only
-// queues on its watchers' sessions. The delegation safety net (§4.4)
-// comes next; it costs a map walk and does nothing while no TTL is set.
-// The record sweep (§4.8) is last, so what expiry just invalidated is
-// reclaimed in the same period: the duty loop owns the daemon's memory,
-// whatever the store (a journaled one still sweeps before each snapshot
-// as well — that sweep owns the image).
+// service clock ("duty" in Vars). None of it calls a peer. The heartbeat
+// goes first: it only queues on its watchers' sessions, and it is what
+// keeps every watcher of this service trusting it (§4.10). Suspicion
+// comes next; the resync it starts for a source heard again runs on a
+// goroutine of its own. The delegation safety net (§4.4) costs a map
+// walk and does nothing while no TTL is set. The record sweep (§4.8) is
+// last, so what expiry just invalidated is reclaimed in the same
+// period: the duty loop owns the daemon's memory, whatever the store (a
+// journaled one still sweeps before each snapshot as well — that sweep
+// owns the image).
 func (s *Service) dutyTick() {
-	s.SuspicionTick()
 	s.HeartbeatTick()
+	s.SuspicionTick()
 	s.ExpireTick()
 	s.SweepTick()
 }
@@ -624,9 +635,24 @@ func (s *Service) handleResync(from string, a ResyncArg) (reply ResyncReply, err
 // record held from a source (§4.10) and seals the notification stream
 // at the snapshot point, so a delayed pre-snapshot notification can
 // never roll a record back behind the snapshot; success is the one way
-// a degraded source returns to Alive. Safe to call at any time:
-// re-applying current state is a no-op.
+// a degraded source returns to Alive. It takes the source's resync slot,
+// waiting for a resync already in flight to let it go, and returns once
+// the notes held behind its own snapshot are delivered. Safe to call at
+// any time: re-applying current state is a no-op.
+//
+//oasislint:keep §4.10 resync on reconnection: without AutoResync the one way a degraded source returns to Alive
 func (s *Service) ResyncSource(source string) error {
+	return s.resync(source, s.takeSlot(source, true))
+}
+
+// applySnapshot asks the source for the state of every record held
+// from it and applies the reply in the slot r: the stream's floor
+// first, then the entries, then the source is Alive. Notes dropped from
+// r's hold may be ones the snapshot does not cover, so once any are,
+// the reply revives nothing: the source is left Suspect, its records
+// Unknown, for the next resync. Notes dropped later, while the hold
+// drains, leave a gap in the stream that the next note exposes.
+func (s *Service) applySnapshot(source string, r *resyncSlot) error {
 	if s.net == nil {
 		return fmt.Errorf("oasis: no network")
 	}
@@ -646,14 +672,17 @@ func (s *Service) ResyncSource(source string) error {
 	if !ok {
 		return fmt.Errorf("oasis: bad resync reply from %s", source)
 	}
+	s.receiver.ObserveSource(source, s.clk.Now())
+	if r.dropped.Load() {
+		s.setSourceState(source, max(s.SourceStatus(source), SourceSuspect))
+		return fmt.Errorf("oasis: notes from %s dropped behind its resync", source)
+	}
 	// Seal the stream before applying the snapshot: notifications still
 	// in flight from before the snapshot are stale by construction.
 	if reply.Session != 0 || reply.Seq != 0 {
 		s.receiver.SetSessionFloor(source, reply.Session, reply.Seq)
 	}
 	s.applyRemote(source, reply.Entries)
-	s.receiver.ObserveSource(source, s.clk.Now())
-	s.heard(source)
 	s.setSourceState(source, SourceAlive)
 	return nil
 }

@@ -110,6 +110,7 @@ func TestMissedHeartbeatMarksUnknown(t *testing.T) {
 	h.login.HeartbeatTick()
 	h.clk.Advance(2 * time.Second)
 	h.conf.SuspicionTick()
+	h.conf.settle()
 	if st := h.conf.SourceStatus("Login"); st != SourceAlive {
 		t.Fatalf("premature suspicion: %v", st)
 	}
@@ -123,6 +124,7 @@ func TestMissedHeartbeatMarksUnknown(t *testing.T) {
 	h.login.HeartbeatTick() // dropped
 	h.clk.Advance(10 * time.Second)
 	h.conf.SuspicionTick()
+	h.conf.settle()
 	if st := h.conf.SourceStatus("Login"); st != SourceSuspect {
 		t.Fatalf("status after 12s silence = %v", st)
 	}
@@ -144,6 +146,7 @@ func TestReconnectRestoresState(t *testing.T) {
 	h.links.Sever("Login", "Conf")
 	h.clk.Advance(10 * time.Second) // suspect, not yet failed: records Unknown
 	h.conf.SuspicionTick()
+	h.conf.settle()
 	if err := h.conf.Validate(member, cand); err == nil {
 		t.Fatal("membership valid during partition")
 	}
@@ -168,6 +171,7 @@ func TestReconnectAfterRemoteRevocation(t *testing.T) {
 	}
 	h.clk.Advance(time.Minute)
 	h.conf.SuspicionTick()
+	h.conf.settle()
 	h.links.Restore("Login", "Conf")
 	if err := h.conf.ResyncSource("Login"); err != nil {
 		t.Fatal(err)

@@ -67,6 +67,7 @@ func TestIssuerRestartUnderLiveWatcher(t *testing.T) {
 		clk.Advance(period)
 		h.login.HeartbeatTick()
 		guest.SuspicionTick()
+		guest.settle()
 	}
 
 	a := h.client("ely")
@@ -244,6 +245,7 @@ func watcherRestart(t *testing.T, store credrec.Recorder) {
 		clk.Advance(period)
 		h.login.HeartbeatTick()
 		guest.SuspicionTick()
+		guest.settle()
 	}
 
 	a := h.client("ely")

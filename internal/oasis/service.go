@@ -48,7 +48,8 @@ type Options struct {
 	// AutoResync resynchronises external records automatically when a
 	// degraded source is heard from again (a partition heals) or a
 	// notification gap is detected, instead of waiting for an explicit
-	// ResyncSource call.
+	// ResyncSource call. The resync is started on a goroutine of its
+	// own; nothing waits for it.
 	AutoResync bool
 	// OnSourceState, if set, observes failure-suspicion transitions of
 	// watched sources; services use it for audit logging.
@@ -121,11 +122,10 @@ type Service struct {
 	extRecords map[string]map[uint64]credrec.Ref // source -> remote ref -> local
 
 	// failure-suspicion state per watched source (§4.10 / §6.8.4), and
-	// the degraded sources not heard from since they were degraded
+	// the resync in flight of each source that has one
 	suspMu    sync.Mutex
 	suspicion map[string]SourceState
-	unheard   map[string]bool
-	resyncing map[string]bool
+	resyncing map[string]*resyncSlot
 
 	// delegation bookkeeping (server-side state per §4.4/§4.11)
 	delegMu     sync.Mutex
@@ -202,8 +202,7 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 		extRecords:    make(map[string]map[uint64]credrec.Ref),
 		delegations:   make(map[credrec.Ref]*delegInfo),
 		suspicion:     make(map[string]SourceState),
-		unheard:       make(map[string]bool),
-		resyncing:     make(map[string]bool),
+		resyncing:     make(map[string]*resyncSlot),
 	}
 	if s.store == nil {
 		s.store = credrec.NewStore()

@@ -144,6 +144,7 @@ func TestShardSuspicionAndResync(t *testing.T) {
 		rig.clk.Advance(5 * time.Second)
 		owner.HeartbeatTick()
 		watcher.SuspicionTick()
+		watcher.settle()
 	}
 	if st := watcher.SourceStatus("shardA"); st != SourceFailed {
 		t.Fatalf("source status %v after prolonged silence, want failed", st)
@@ -164,6 +165,7 @@ func TestShardSuspicionAndResync(t *testing.T) {
 	rig.clk.Advance(5 * time.Second)
 	owner.HeartbeatTick()
 	watcher.SuspicionTick()
+	watcher.settle()
 	if st := watcher.SourceStatus("shardA"); st != SourceAlive {
 		t.Fatalf("source status %v after heal+resync, want alive", st)
 	}
@@ -211,6 +213,7 @@ func TestRelayedHeartbeatDoesNotVouchForSource(t *testing.T) {
 		}
 		for _, n := range rig.names {
 			rig.svcs[n].SuspicionTick()
+			rig.svcs[n].settle()
 		}
 	}
 	if st, _ := watcher.Store().Lookup(local); st == credrec.True {

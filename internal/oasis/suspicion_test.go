@@ -39,6 +39,7 @@ func TestSuspicionEscalation(t *testing.T) {
 	h.login.HeartbeatTick()
 	h.clk.Advance(2 * time.Second)
 	h.conf.SuspicionTick()
+	h.conf.settle()
 	if st := h.conf.SourceStatus("Login"); st != SourceAlive {
 		t.Fatalf("status with heartbeats flowing = %v", st)
 	}
@@ -50,6 +51,7 @@ func TestSuspicionEscalation(t *testing.T) {
 	h.links.Sever("Login", "Conf")
 	h.clk.Advance(6 * time.Second) // 8s of silence > 7.5s
 	h.conf.SuspicionTick()
+	h.conf.settle()
 	if st := h.conf.SourceStatus("Login"); st != SourceSuspect {
 		t.Fatalf("status after 8s silence = %v", st)
 	}
@@ -58,6 +60,7 @@ func TestSuspicionEscalation(t *testing.T) {
 	// Past the fail-safe budget: Failed, records pinned False.
 	h.clk.Advance(10 * time.Second) // 18s of silence > 3x5s
 	h.conf.SuspicionTick()
+	h.conf.settle()
 	if st := h.conf.SourceStatus("Login"); st != SourceFailed {
 		t.Fatalf("status after 18s silence = %v", st)
 	}
@@ -95,7 +98,7 @@ func TestSuspicionEscalation(t *testing.T) {
 
 // TestHeartbeatPeriodTradeoff is E26 (§4.10, §6.8.3) on the detector
 // oasisd runs: StartDuties at the issuer and at the watcher, one
-// period's work of it (dutyTick: suspicion, then heartbeat) driven here
+// period's work of it (dutyTick: the heartbeat, then suspicion) driven here
 // on the virtual clock every heartbeat period t. The period buys
 // detection latency with background traffic, and both sides of the
 // trade are fixed by the machinery, not by the run:
@@ -167,6 +170,7 @@ func TestAutoResyncOnRevive(t *testing.T) {
 	h.links.Sever("Login", "Conf")
 	h.clk.Advance(30 * time.Second)
 	h.conf.SuspicionTick()
+	h.conf.settle()
 	if st := h.conf.SourceStatus("Login"); st != SourceFailed {
 		t.Fatalf("status during partition = %v", st)
 	}
@@ -174,6 +178,7 @@ func TestAutoResyncOnRevive(t *testing.T) {
 
 	h.links.Restore("Login", "Conf")
 	h.login.HeartbeatTick()
+	h.conf.settle()
 	if st := h.conf.SourceStatus("Login"); st != SourceAlive {
 		t.Fatalf("status after heal heartbeat = %v", st)
 	}
@@ -198,9 +203,11 @@ func TestAutoResyncPreservesRevocation(t *testing.T) {
 	}
 	h.clk.Advance(30 * time.Second)
 	h.conf.SuspicionTick()
+	h.conf.settle()
 
 	h.links.Restore("Login", "Conf")
 	h.login.HeartbeatTick()
+	h.conf.settle()
 	if st := h.conf.SourceStatus("Login"); st != SourceAlive {
 		t.Fatalf("status after heal = %v", st)
 	}
@@ -232,6 +239,7 @@ func TestNotificationGapFailsSafe(t *testing.T) {
 
 	// The next heartbeat exposes the gap; the resync closes it.
 	h.login.HeartbeatTick()
+	h.conf.settle()
 	wantRevoked(t, h.conf.Validate(member, cand), "validate after gap resync")
 	if st := h.conf.SourceStatus("Login"); st != SourceAlive {
 		t.Fatalf("status after gap resync = %v", st)
@@ -321,6 +329,7 @@ func TestFailStoppedWatcherHonoursRevocation(t *testing.T) {
 			}{{8 * time.Second, SourceSuspect}, {10 * time.Second, SourceFailed}} {
 				h.clk.Advance(step.after)
 				h.conf.SuspicionTick()
+				h.conf.settle()
 				if st := h.conf.SourceStatus("Login"); st != step.want {
 					t.Fatalf("status = %v, want %v", st, step.want)
 				}
