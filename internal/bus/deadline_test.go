@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"expvar"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -150,6 +151,101 @@ func TestCallDeadline(t *testing.T) {
 	}
 	if a := accepts.Load(); a != 1 {
 		t.Fatalf("link reconnected (%d connections): a passed deadline must not break it", a)
+	}
+}
+
+// TestSlowDialKeepsReplyDeadline: a call's CallDeadline bounds the
+// wait for its reply and starts once the link is up; the dial is bounded
+// apart (dialHello). A peer holds the hello while the home clock passes
+// 9 s and then answers it, and holds the call 2 s more: the reply comes
+// 11 s after the call began and 2 s after it went out, and the call must
+// get it. A deadline taken before the dial had run out 10 s in.
+func TestSlowDialKeepsReplyDeadline(t *testing.T) {
+	testPayloads(t)
+	ln, err := nettest()
+	if err != nil {
+		t.Skip("no loopback listener available:", err)
+	}
+	defer ln.Close()
+	accepted, helloGo := make(chan struct{}), make(chan struct{})
+	got, answer := make(chan struct{}), make(chan struct{})
+	go func() {
+		// AddRemote's connection is answered at once; the test breaks
+		// it, and the call's redial is the one held.
+		first, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer first.Close()
+		if readHello(first) != nil {
+			return
+		}
+		if _, err := first.Write([]byte(wireHello)); err != nil {
+			return
+		}
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		close(accepted)
+		<-helloGo
+		if readHello(conn) != nil {
+			return
+		}
+		if _, err := conn.Write([]byte(wireHello)); err != nil {
+			return
+		}
+		dec := NewWireDec(bufio.NewReader(conn))
+		enc := NewWireEnc(bufio.NewWriter(conn))
+		var m wireMsg
+		if decodeWireMsg(dec, &m) != nil {
+			return
+		}
+		close(got)
+		<-answer
+		r := wireMsg{Kind: "reply", Seq: m.Seq, Arg: m.Arg}
+		if encodeWireMsg(enc, &r) == nil && enc.Flush() == nil {
+			_ = decodeWireMsg(dec, &m) // until the caller hangs up
+		}
+	}()
+
+	n, clk := newNet(t)
+	if err := n.AddRemote("svc", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	defer n.CloseRemotes()
+	rp := remoteOf(t, n, "svc")
+	rp.mu.Lock()
+	rp.breakLocked()
+	rp.mu.Unlock()
+	ping := testPayloadA{Name: "after a slow dial"}
+	done := make(chan error, 1)
+	go func() {
+		res, err := n.Call("caller", "svc", "echo", ping)
+		if err == nil && res != ping {
+			err = fmt.Errorf("reply %v, want %v", res, ping)
+		}
+		done <- err
+	}()
+	<-accepted
+	clk.Advance(9 * time.Second)
+	close(helloGo)
+	<-got
+	// The reaper sleeps on the virtual clock from whenever it starts:
+	// pass the next 2 s in steps, so a deadline inside them fires.
+	for range 20 {
+		clk.Advance(100 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("call returned before its reply: %v", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(answer)
+	if err := <-done; err != nil {
+		t.Fatalf("call after a 9 s dial: %v", err)
 	}
 }
 

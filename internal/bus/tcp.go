@@ -839,12 +839,15 @@ func (p *remotePeer) call(from, to, op string, arg any) (any, error) {
 // enqueue happens outside p.mu — the writer has its own leaf lock — so
 // concurrent calls pipeline.
 func (p *remotePeer) startCall(from, to, op string, arg any) (chan wireMsg, error) {
-	deadline := p.home.clk.Now().Add(CallDeadline)
 	p.mu.Lock()
 	if err := p.ensureConnLocked(); err != nil {
 		p.mu.Unlock()
 		return nil, err
 	}
+	// The reply's deadline starts once the link is up: the dial has a
+	// deadline of its own (dialHello), and a slow one must not use this
+	// one up.
+	deadline := p.home.clk.Now().Add(CallDeadline)
 	conn, wr := p.conn, p.wr.Load()
 	p.nextSeq++
 	seq := p.nextSeq

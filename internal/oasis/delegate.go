@@ -225,7 +225,11 @@ func (s *Service) Revoke(rev *cert.Revocation) error {
 // RevokeByRole performs role-based revocation (§3.3.2, §4.11): a client
 // holding the revoker role names the role instance — by its parameters,
 // since the revoker may not know the member's identity — and the
-// instance is revoked forever (until reinstated).
+// instance is revoked forever (until reinstated). One st.mu section
+// checks the revoker role, sets the revoked bit and takes the row's
+// records, so no entry registers a certificate for the instance after
+// it; the records are invalidated once the section is over, cascading
+// to every certificate issued for the instance.
 func (s *Service) RevokeByRole(revoker *cert.RMC, caller ids.ClientID, rolefile, role string, args []value.Value) error {
 	st, err := s.rolefileFor(rolefile)
 	if err != nil {
@@ -236,27 +240,32 @@ func (s *Service) RevokeByRole(revoker *cert.RMC, caller ids.ClientID, rolefile,
 	}
 	key := instanceKey(role, args)
 	st.mu.Lock()
-	entry, ok := st.revocable[key]
-	st.mu.Unlock()
-	if !ok {
+	row, ok := st.instances[key]
+	if !ok || row.revoked {
+		st.mu.Unlock()
 		return s.fail(Erroneous, "no revocable instance %s", key)
 	}
-	if !s.HasRole(revoker, st.id, entry.revokerRole) {
-		return s.fail(Erroneous, "caller does not hold revoker role %s", entry.revokerRole)
+	if name := st.prog.Rules[row.rule].Rule.Revoker.Name; !st.holds(revoker, name) {
+		st.mu.Unlock()
+		return s.fail(Erroneous, "caller does not hold revoker role %s", name)
 	}
-	if err := s.store.Invalidate(entry.crr); err != nil && err != credrec.ErrDangling {
-		return err
-	}
-	st.mu.Lock()
-	st.revoked[key] = true
-	delete(st.revocable, key)
+	st.instances[key] = instanceRow{rule: row.rule, revoked: true}
+	st.forever++
 	st.mu.Unlock()
+	for _, ref := range [...]credrec.Ref{row.crr, row.shared} {
+		if ref == (credrec.Ref{}) {
+			continue
+		}
+		if err := s.store.Invalidate(ref); err != nil && err != credrec.ErrDangling {
+			return err
+		}
+	}
 	return nil
 }
 
-// Reinstate removes a role instance from the revoked-forever database,
-// restoring hire / fire / re-hire semantics (§4.11). The caller must
-// hold the revoker role for some rule defining the role.
+// Reinstate drops a role instance revoked forever, restoring hire /
+// fire / re-hire semantics (§4.11): its next entry starts a new row.
+// The caller must hold the revoker role for some rule defining the role.
 //
 //oasislint:keep §4.11 hire / fire / re-hire
 func (s *Service) Reinstate(revoker *cert.RMC, caller ids.ClientID, rolefile, role string, args []value.Value) error {
@@ -279,7 +288,10 @@ func (s *Service) Reinstate(revoker *cert.RMC, caller ids.ClientID, rolefile, ro
 	}
 	key := instanceKey(role, args)
 	st.mu.Lock()
-	delete(st.revoked, key)
+	if st.instances[key].revoked {
+		delete(st.instances, key)
+		st.forever--
+	}
 	st.mu.Unlock()
 	return nil
 }

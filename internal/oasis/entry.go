@@ -41,10 +41,11 @@ type held struct {
 }
 
 // revokerReq is a pending role-based-revocation clause (§4.11) to be
-// instantiated when the membership is issued.
+// instantiated when the membership is issued: the rule whose |> clause
+// it is, and the role instance it names.
 type revokerReq struct {
-	revokerRole string
-	instance    string
+	rule     int
+	instance string
 }
 
 // starSupport returns the parents contributed when this membership is
@@ -239,8 +240,8 @@ func (s *Service) applyRule(st *rolefileState, ri int, m *rdl.Machine, req Enter
 	}
 	if rule.Revoker != nil {
 		revokers = append(revokers, revokerReq{
-			revokerRole: rule.Revoker.Name,
-			instance:    instanceKey(rule.Head.Name, args),
+			rule:     ri,
+			instance: instanceKey(rule.Head.Name, args),
 		})
 	}
 	return &held{
@@ -345,11 +346,12 @@ func (s *Service) selectAndIssue(st *rolefileState, req EnterRequest, list []*he
 	return s.issue(st, req.Client, chosen, list)
 }
 
-// issue mints the certificate for a chosen membership: it instantiates
-// role-based-revocation records, creates the conjunction credential
-// record (reusing a single parent where possible — the optimisation of
-// §4.7), compounds other equal-argument memberships into the same
-// certificate (§4.3), signs and returns.
+// issue mints the certificate for a chosen membership: it creates the
+// conjunction credential record (reusing a single parent where possible
+// — the optimisation of §4.7 — unless a |> clause makes the record an
+// instance's kill switch, enterInstances), compounds other
+// equal-argument memberships into the same certificate (§4.3), signs
+// and returns.
 func (s *Service) issue(st *rolefileState, client ids.ClientID, chosen *held, list []*held) (*cert.RMC, error) {
 	roles := cert.RoleSet(0)
 	bit, ok := st.roleMap.Bit(chosen.name)
@@ -380,31 +382,13 @@ func (s *Service) issue(st *rolefileState, client ids.ClientID, chosen *held, li
 		}
 	}
 
-	st.mu.Lock()
-	// Role-based revocation (§4.11): entry is refused for instances in
-	// the revoked-forever database; otherwise each clause creates a
-	// not-revoked fact and registers it for the revoker.
-	for _, r := range revokers {
-		if st.revoked[r.instance] {
-			st.mu.Unlock()
-			return nil, s.fail(Revoked, "role instance %s has been revoked", r.instance)
-		}
-	}
-	for _, r := range revokers {
-		if e, exists := st.revocable[r.instance]; exists && s.store.Valid(e.crr) {
-			// Re-entry of a live revocable instance shares the record,
-			// so one revocation kills every certificate for it.
-			parents = append(parents, credrec.Of(e.crr))
-			continue
-		}
-		ref := s.store.NewFact(credrec.True)
-		st.revocable[r.instance] = roleRevEntry{revokerRole: r.revokerRole, crr: ref}
-		parents = append(parents, credrec.Of(ref))
-	}
-	st.mu.Unlock()
-
 	var crr credrec.Ref
 	switch {
+	case len(revokers) > 0:
+		var err error
+		if crr, err = s.enterInstances(st, parents, revokers); err != nil {
+			return nil, err
+		}
 	case len(parents) == 0:
 		// Unconditional membership: revocable only by exit.
 		crr = s.store.NewFact(credrec.True)
@@ -436,6 +420,60 @@ func (s *Service) issue(st *rolefileState, client ids.ClientID, chosen *held, li
 	c.Sign(s.signer)
 	s.issued.Add(1)
 	return c, nil
+}
+
+// enterInstances builds the record of a certificate whose membership
+// carries |> clauses (§4.11) and registers it with each role instance a
+// clause names. Entry is refused for an instance revoked forever. The
+// record is built fresh over the parents — an AND even over one, a fact
+// over none — because it is the kill switch of every instance without a
+// shared fact, and invalidating a reused parent would kill the parent.
+// An instance entered again while its kill switch is undecided gets a
+// shared not-revoked fact first, which joins the parents here and in
+// every later entry. Check, mint and register are one st.mu section, so
+// a concurrent RevokeByRole either finds the record in the row or makes
+// this entry find the instance revoked.
+func (s *Service) enterInstances(st *rolefileState, parents []credrec.Parent, revokers []revokerReq) (credrec.Ref, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, r := range revokers {
+		if st.instances[r.instance].revoked {
+			return credrec.Ref{}, s.fail(Revoked, "role instance %s has been revoked", r.instance)
+		}
+	}
+	for _, r := range revokers {
+		row, ok := st.instances[r.instance]
+		if !ok {
+			row.rule = int32(r.rule)
+		}
+		if row.shared == (credrec.Ref{}) && s.undecided(row.crr) {
+			row.shared = s.store.NewFact(credrec.True)
+		}
+		if row.shared != (credrec.Ref{}) {
+			parents = append(parents, credrec.Of(row.shared))
+		}
+		st.instances[r.instance] = row
+	}
+	var crr credrec.Ref
+	if len(parents) == 0 {
+		crr = s.store.NewFact(credrec.True)
+	} else {
+		crr = s.store.NewDerived(credrec.OpAnd, parents...)
+	}
+	for _, r := range revokers {
+		if row := st.instances[r.instance]; row.shared == (credrec.Ref{}) {
+			row.crr, row.rule = crr, int32(r.rule)
+			st.instances[r.instance] = row
+		}
+	}
+	return crr, nil
+}
+
+// undecided reports whether a record may still hold: it is neither
+// permanently false nor swept. The zero reference reads as swept.
+func (s *Service) undecided(ref credrec.Ref) bool {
+	state, permanent, _ := s.store.Resolve(ref)
+	return state != credrec.False || !permanent
 }
 
 func argsEqual(a, b []value.Value) bool {

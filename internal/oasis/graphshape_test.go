@@ -1,6 +1,7 @@
 package oasis
 
 import (
+	"fmt"
 	"testing"
 
 	"oasis/internal/cert"
@@ -125,5 +126,61 @@ func TestSingleMembershipRuleReusesParent(t *testing.T) {
 	})
 	if len(ext) != 1 || ext[0] != rmc.CRR {
 		t.Fatal("certificate does not embed the external record directly")
+	}
+}
+
+// TestRevocableEntryGraphShape is §4.7's accounting for a |> clause
+// (§4.11), over one store and over four shards. The first certificate
+// of a role instance gets one record of its own, an AND over the login's
+// even though it has one parent, and that record is the instance's kill
+// switch. Entering the instance again while that certificate lives mints
+// the shared not-revoked fact beside the second certificate's AND: two
+// records. From then on an entry costs its AND alone. One revocation by
+// role kills all three certificates.
+func TestRevocableEntryGraphShape(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store func(t *testing.T) credrec.Recorder
+	}{
+		{"Store", func(*testing.T) credrec.Recorder { return credrec.NewStore() }},
+		{"Sharded4", func(t *testing.T) credrec.Recorder {
+			ss, err := credrec.NewShardedStore([]string{"s0", "s1", "s2", "s3"}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ss
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, client := stormLogin(t, tc.store(t))
+			c := client("ely")
+			login := stormLogOn(t, svc, c, "dm")
+			var sessions []*cert.RMC
+			for i, want := range []int{1, 2, 1} {
+				base := svc.Store().Live()
+				session := stormSession(t, svc, c, login, "dm", 0)
+				if got := svc.Store().Live() - base; got != want {
+					t.Fatalf("entry %d created %d records, want %d", i+1, got, want)
+				}
+				if session.CRR == login.CRR {
+					t.Fatalf("entry %d reuses the login's record: revoking the instance would log the user out", i+1)
+				}
+				sessions = append(sessions, session)
+			}
+			admin := client("ely")
+			adminCert, err := svc.Enter(EnterRequest{Client: admin, Rolefile: "storm", Role: "Admin"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.RevokeByRole(adminCert, admin, "storm", "Session", []value.Value{uid("dm"), value.Int(0)}); err != nil {
+				t.Fatal(err)
+			}
+			for i, session := range sessions {
+				wantRevoked(t, svc.Validate(session, c), fmt.Sprintf("session %d after the revocation by role", i+1))
+			}
+			if err := svc.Validate(login, c); err != nil {
+				t.Fatalf("login after the revocation by role: %v", err)
+			}
+		})
 	}
 }

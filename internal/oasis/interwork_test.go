@@ -337,7 +337,7 @@ func TestDutyVarTimesEachRun(t *testing.T) {
 }
 
 // The storm's policies (bench/oasisload/workloads.go): the |> clause
-// gives every Session a record of its own. Guest is never asked for
+// gives every Session a record of its own, its AND over the login's. Guest is never asked for
 // here, but §3.2.2 walks every rule on each entry of R, so its group
 // test mints a (u, staff) record (§4.7 rule 3) that nothing holds.
 const (
@@ -355,10 +355,10 @@ Guest(u) <- Login.Session(u, n)* : (u not in staff)*
 
 // TestDutiesReclaimRevokedGraphs: the duty loop sweeps (§4.8). After
 // 200 cycles of login → Session → cross-service R → logout, one period
-// of StartDuties returns both stores to what they held before, plus the
-// one §4.11 not-revoked fact each revocable instance leaves behind by
-// design (ROADMAP 3 c); Conf holds no surrogate and its group table no
-// entry whose record is gone, and a swept certificate still refuses.
+// of StartDuties returns both stores to exactly what they held before:
+// a §4.11 instance keeps its row, not a record, once its certificate
+// dies. Conf holds no surrogate and its group table no entry whose
+// record is gone, and a swept certificate still refuses.
 func TestDutiesReclaimRevokedGraphs(t *testing.T) {
 	h := newHarness(t)
 	if err := h.login.AddRolefile("storm", stormLoginRolefile); err != nil {
@@ -406,22 +406,22 @@ func TestDutiesReclaimRevokedGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.mu.Lock()
-	facts := len(st.revocable)
+	instances := len(st.instances)
 	st.mu.Unlock()
-	if facts != cycles {
-		t.Fatalf("%d revocable instances, want %d", facts, cycles)
+	if instances != cycles {
+		t.Fatalf("%d revocable instances, want %d", instances, cycles)
 	}
 
 	// One period. The loop arms its timer asynchronously, so the clock is
 	// advanced again only if nothing was swept in a while.
 	reclaimed := func() bool {
-		return h.login.Store().Live() == loginLive+facts && h.conf.Store().Live() == confLive
+		return h.login.Store().Live() == loginLive && h.conf.Store().Live() == confLive
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for !reclaimed() {
 		if time.Now().After(deadline) {
 			t.Fatalf("live records one period later: Login %d (want %d), Conf %d (want %d)",
-				h.login.Store().Live(), loginLive+facts, h.conf.Store().Live(), confLive)
+				h.login.Store().Live(), loginLive, h.conf.Store().Live(), confLive)
 		}
 		h.clk.Advance(5 * time.Second) // default period
 		for wait := time.Now().Add(50 * time.Millisecond); !reclaimed() && time.Now().Before(wait); {
@@ -456,9 +456,10 @@ func sinkFunc(f func()) event.Sink {
 // role instances over every rolefile. N storm-shaped rounds — a login,
 // K sessions each under its |> Admin clause, the logout, the duty
 // loop's sweep — leave N×K instances: the sweep frees every record of
-// the rounds but the not-revoked facts, and nothing frees the
-// instances (ROADMAP item 11, which this pins until it lands). One
-// revocation by role moves one instance to "revoked_forever".
+// the rounds, each session's certificate record with it, and nothing
+// frees the instances, whose rows RevokeByRole still finds (ROADMAP
+// item 11: shrink, do not release). One revocation by role moves one
+// instance to "revoked_forever".
 func TestRevocableVarCountsInstances(t *testing.T) {
 	h := newHarness(t)
 	if err := h.login.AddRolefile("storm", stormLoginRolefile); err != nil {
@@ -476,6 +477,7 @@ func TestRevocableVarCountsInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	live := h.login.Store().Live()
 	for i := range rounds {
 		c := h.client("ely")
 		user := fmt.Sprintf("u%03d", i)
@@ -498,10 +500,126 @@ func TestRevocableVarCountsInstances(t *testing.T) {
 	if got := revocable(); got["instances"] != rounds*sessions || got["revoked_forever"] != 0 {
 		t.Fatalf("revocable after %d rounds of %d sessions and the sweep: %v, want %d instances", rounds, sessions, got, rounds*sessions)
 	}
+	if got := h.login.Store().Live(); got != live {
+		t.Fatalf("%d live records after the rounds and the sweep, want %d as before them", got, live)
+	}
 	if err := h.login.RevokeByRole(adminCert, admin, "storm", "Session", []value.Value{uid("u000"), value.Int(0)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := revocable(); got["instances"] != rounds*sessions-1 || got["revoked_forever"] != 1 {
 		t.Fatalf("revocable after one revocation by role: %v, want %d instances, 1 revoked forever", got, rounds*sessions-1)
+	}
+}
+
+// stormLogin is a standalone Login serving the storm's rolefile on the
+// given store, with a client maker over its clock.
+func stormLogin(t testing.TB, store credrec.Recorder) (*Service, func(host string) ids.ClientID) {
+	t.Helper()
+	clk := clock.NewVirtual(time.Date(1996, 3, 1, 9, 0, 0, 0, time.UTC))
+	svc, err := New("Login", clk, nil, Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.AddRolefile("storm", stormLoginRolefile); err != nil {
+		t.Fatal(err)
+	}
+	hosts := make(map[string]*ids.HostAuthority)
+	return svc, func(host string) ids.ClientID {
+		ha, ok := hosts[host]
+		if !ok {
+			ha = ids.NewHostAuthority(host, clk.Now())
+			hosts[host] = ha
+		}
+		return ha.NewDomain()
+	}
+}
+
+func stormLogOn(t testing.TB, svc *Service, c ids.ClientID, user string) *cert.RMC {
+	t.Helper()
+	login, err := svc.Enter(EnterRequest{Client: c, Rolefile: "storm", Role: "LoggedOn",
+		Args: []value.Value{uid(user), value.Object("Login.host", c.Host)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return login
+}
+
+func stormSession(t testing.TB, svc *Service, c ids.ClientID, login *cert.RMC, user string, n int) *cert.RMC {
+	t.Helper()
+	session, err := svc.Enter(EnterRequest{Client: c, Rolefile: "storm", Role: "Session",
+		Args: []value.Value{uid(user), value.Int(int64(n))}, Creds: []*cert.RMC{login}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return session
+}
+
+// TestRevokeByRoleRacesReentry: a revocation by role (§4.11) is final
+// for every certificate of the instance issued before it returns. Each
+// round, goroutines enter one Session(u, n) over and over while
+// RevokeByRole fires it; once it has returned, every certificate the
+// entries got must fail validation, and every later entry is refused.
+// A revocation that invalidated the instance's record before marking it
+// revoked let an entry in between mint a record of its own, whose
+// certificate validated for good.
+func TestRevokeByRoleRacesReentry(t *testing.T) {
+	svc, client := stormLogin(t, credrec.NewStore())
+	admin := client("adm")
+	adminCert, err := svc.Enter(EnterRequest{Client: admin, Rolefile: "storm", Role: "Admin"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := client("ely")
+	login := stormLogOn(t, svc, c, "dm")
+	const rounds, entrants = 200, 4
+	for n := range rounds {
+		stormSession(t, svc, c, login, "dm", n)
+		var (
+			mu      sync.Mutex
+			issued  []*cert.RMC
+			entered sync.WaitGroup
+			done    sync.WaitGroup
+			stop    = make(chan struct{})
+		)
+		entered.Add(entrants)
+		done.Add(entrants)
+		for range entrants {
+			go func() {
+				defer done.Done()
+				for first := true; ; first = false {
+					session, err := svc.Enter(EnterRequest{Client: c, Rolefile: "storm", Role: "Session",
+						Args: []value.Value{uid("dm"), value.Int(int64(n))}, Creds: []*cert.RMC{login}})
+					if err == nil {
+						mu.Lock()
+						issued = append(issued, session)
+						mu.Unlock()
+					}
+					if first {
+						entered.Done()
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		entered.Wait()
+		err := svc.RevokeByRole(adminCert, admin, "storm", "Session", []value.Value{uid("dm"), value.Int(int64(n))})
+		close(stop)
+		done.Wait()
+		if err != nil {
+			t.Fatalf("round %d: %v", n, err)
+		}
+		for i, session := range issued {
+			if err := svc.Validate(session, c); err == nil {
+				t.Fatalf("round %d: certificate %d of %d (%v) validates after the revocation by role", n, i+1, len(issued), session.CRR)
+			}
+		}
+		if _, err := svc.Enter(EnterRequest{Client: c, Rolefile: "storm", Role: "Session",
+			Args: []value.Value{uid("dm"), value.Int(int64(n))}, Creds: []*cert.RMC{login}}); err == nil {
+			t.Fatalf("round %d: entry after the revocation by role granted", n)
+		}
 	}
 }

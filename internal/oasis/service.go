@@ -171,15 +171,24 @@ type rolefileState struct {
 	// machines pools the register machines that run it.
 	prog     *rdl.Program
 	machines sync.Pool
-	// role-based revocation databases (§4.11)
+	// role-based revocation (§4.11): one row per role instance entered
+	// under a |> clause, and how many of them are revoked forever
 	mu        sync.Mutex
-	revocable map[string]roleRevEntry // role instance -> entry
-	revoked   map[string]bool         // revoked-forever role instances
+	instances map[string]instanceRow // role instance -> row
+	forever   int
 }
 
-type roleRevEntry struct {
-	revokerRole string
-	crr         credrec.Ref
+// instanceRow is one §4.11 role instance. Its kill switch is the record
+// of the first certificate issued for it (crr): revoking the instance
+// invalidates that record. A shared not-revoked fact is minted only
+// when the instance is entered again while crr is undecided, and every
+// certificate issued for it from then on descends from the fact. A
+// zero reference is none: a record's magic is never 0. A row revoked
+// forever keeps no reference, only its bit, until Reinstate drops it.
+type instanceRow struct {
+	crr, shared credrec.Ref
+	rule        int32 // the rule whose |> clause names the revoker
+	revoked     bool
 }
 
 // New creates a service. net may be nil for a standalone service; clk
@@ -248,16 +257,18 @@ func New(name string, clk clock.Clock, net *bus.Network, opts Options) (*Service
 
 // revocableVars is Vars' "revocable", summed over the rolefiles: the
 // §4.11 role instances a revoker may revoke by role ("instances"), and
-// those revoked forever ("revoked_forever"). Neither table is swept
-// (ROADMAP item 11), so under a churn of revocable roles the first
-// grows with every instance ever entered.
+// those revoked forever ("revoked_forever"). An instance's row outlives
+// its certificates, so RevokeByRole can still fire an offline member:
+// under a churn of revocable roles the first count grows with every
+// instance ever entered (ROADMAP item 11), a row each, while the
+// certificates' records are swept as they die.
 func (s *Service) revocableVars() any {
 	var instances, forever int
 	s.rfMu.RLock()
 	for _, st := range s.rolefiles {
 		st.mu.Lock()
-		instances += len(st.revocable)
-		forever += len(st.revoked)
+		instances += len(st.instances) - st.forever
+		forever += st.forever
 		st.mu.Unlock()
 	}
 	s.rfMu.RUnlock()
@@ -317,8 +328,7 @@ func (s *Service) AddRolefile(id, src string) error {
 		id:        id,
 		rf:        rf,
 		roleMap:   roleMap,
-		revocable: make(map[string]roleRevEntry),
-		revoked:   make(map[string]bool),
+		instances: make(map[string]instanceRow),
 	}
 	// Compile the rolefile once at installation: entry requests run the
 	// program's execution plans instead of re-walking the AST. The
@@ -456,13 +466,13 @@ func (s *Service) rolefileFor(id string) (*rolefileState, error) {
 }
 
 // instanceKey canonically names a role instance for the role-based
-// revocation databases (§4.11).
+// revocation table (§4.11).
 func instanceKey(role string, args []value.Value) string {
 	return role + "(" + value.MarshalArgs(args) + ")"
 }
 
-// InstanceRevoked reports whether a role instance sits in the
-// revoked-forever database (§4.11). Gateways use it to tell an
+// InstanceRevoked reports whether a role instance is revoked forever
+// (§4.11). Gateways use it to tell an
 // idempotent re-revocation (the instance is already revoked — success)
 // from a revocation of something that never existed.
 func (s *Service) InstanceRevoked(rolefile, role string, args []value.Value) bool {
@@ -473,5 +483,5 @@ func (s *Service) InstanceRevoked(rolefile, role string, args []value.Value) boo
 	key := instanceKey(role, args)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.revoked[key]
+	return st.instances[key].revoked
 }

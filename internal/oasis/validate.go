@@ -114,11 +114,14 @@ func stateName(st credrec.State, err error) string {
 // within a rolefile (the application-specific stage 4 helper).
 func (s *Service) HasRole(c *cert.RMC, rolefile, role string) bool {
 	st, err := s.rolefileFor(rolefile)
-	if err != nil || c.Rolefile != st.id {
-		return false
-	}
+	return err == nil && st.holds(c, role)
+}
+
+// holds reports whether a certificate of this rolefile carries a role.
+// It reads only what installation fixed, so it takes no lock.
+func (st *rolefileState) holds(c *cert.RMC, role string) bool {
 	bit, ok := st.roleMap.Bit(role)
-	return ok && c.Roles.Has(bit)
+	return ok && c.Rolefile == st.id && c.Roles.Has(bit)
 }
 
 // RoleNames expands a certificate's compound role set to names.
